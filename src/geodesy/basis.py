@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EvaluationError, RootFindError
 
-_MAX_ORDER = 64
+MAX_ORDER = 64
 _NEWTON_TOL = 1e-14
 _NEWTON_MAX_ITER = 100
 
@@ -83,8 +83,8 @@ class QuadratureRule:
 def _check_order(n: int, smallest: int, what: str):
     if not isinstance(n, (int, np.integer)):
         raise TypeError(f"{what} order must be an integer, got {type(n).__name__}")
-    if n < smallest or n > _MAX_ORDER:
-        raise ValueError(f"{what} order must lie in [{smallest}, {_MAX_ORDER}], got {n}")
+    if n < smallest or n > MAX_ORDER:
+        raise ValueError(f"{what} order must lie in [{smallest}, {MAX_ORDER}], got {n}")
 
 
 def _newton_root(f, x0, lo, hi):

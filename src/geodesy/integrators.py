@@ -1,14 +1,21 @@
-"""Time integrators: two mimetic element solvers plus classical one-step methods.
+"""Time integrators: one mimetic element kernel plus classical one-step methods.
 
-Both element methods expand the solution inside a step as a degree-p
-polynomial through the Gauss-Lobatto nodes and difference it with the
-incidence matrix; they differ only in how the resulting rate 1-cochain is
-paired against the vector field. The collocation pairing (mci) matches the
-rate to the field pointwise at the dual Gauss nodes, which reproduces Gauss
-collocation and is symplectic. The Galerkin pairing (mgi) tests the rate
-against the dual basis with the diagonal dual mass on the left and a
-quadrature of the field against the same basis on the right; with enough
-quadrature points it conserves polynomial Hamiltonians exactly.
+The element methods expand the solution inside a step as a degree-p
+polynomial through the Gauss-Lobatto nodes and difference it exactly with the
+incidence matrix, which gives the rate 1-cochain; the edge expansion of that
+cochain is then read at the p dual Gauss nodes. What remains is the pairing
+of the rate with the vector field, and one kernel covers both methods: the
+field is sampled at the nodes of a q-point Gauss rule and paired against the
+dual basis through B[m, nu] = omega_nu ltilde_m(sigma_nu) / w_m, with each
+row m scaled by s_m,
+
+    R[i, m] = s_m (rate of y_i at dual node m / sqrt(g) - sum_nu B[m, nu] h_i(y(sigma_nu))).
+
+mgi is the Galerkin pairing on a q_rhs-point rule with row scale s = w, the
+dual weights; with enough quadrature points it conserves polynomial
+Hamiltonians exactly. mci is the same pairing on the p dual nodes themselves
+with unit row scale; there B is the identity, the residual is collocation at
+the dual nodes, and the method is Gauss collocation, which is symplectic.
 
 Residuals carry a 1/sqrt(g) factor so Newton tolerances are expressed in
 vector-field units regardless of the step size. Stage unknowns are flattened
@@ -25,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import edge_eval_all, gauss_rule, nodal_eval_all
+from .basis import MAX_ORDER, edge_eval_all, gauss_rule, nodal_eval_all
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
 from .mimetic import ElementGrid, incidence_matrix
 from .newton import NewtonConfig, newton_solve
@@ -51,36 +58,32 @@ def default_qrhs(p: int) -> int:
     return 2 * p + _DEFAULT_QRHS_OFFSET
 
 
+def _check_qrhs(q_rhs: int) -> None:
+    if not 1 <= q_rhs <= MAX_ORDER:
+        raise ValueError(f"q_rhs must lie in [1, {MAX_ORDER}], got {q_rhs}")
+
+
 @lru_cache(maxsize=None)
-def _collocation_tables(p: int):
+def _pairing_tables(p: int, q_rhs: int):
     # reference-element matrices shared by every step of order p:
     #   E      incidence, (p+1, p)
     #   Et     edge functions at the dual nodes, Et[l, j] = e_l(tau_j)
-    #   Lt     nodal basis at the dual nodes, (p+1, p)
-    #   Dmat   E @ Et, the linearization of the rate at the dual nodes
-    grid = ElementGrid.build(p, 0.0, 1.0)
-    tau = grid.dual.nodes
-    E = np.asarray(incidence_matrix(p).matrix)
-    Et = np.array([edge_eval_all(grid.edge_basis, t) for t in tau]).T
-    Lt = np.array([nodal_eval_all(grid.primal_basis, t) for t in tau]).T
-    Dmat = E @ Et
-    for arr in (E, Et, Lt, Dmat):
-        arr.setflags(write=False)
-    return E, Et, Lt, Dmat
-
-
-@lru_cache(maxsize=None)
-def _galerkin_tables(p: int, q_rhs: int):
-    # quadrature tables for the Galerkin right-hand side:
-    #   Lq      primal nodal basis at the quadrature nodes, (p+1, q)
-    #   Ltilde  dual basis at the quadrature nodes, (p, q)
+    #   D      E @ Et, the linearization of the rate at the dual nodes
+    #   Lq     nodal basis at the quadrature nodes, (p+1, q)
+    #   B      pairing matrix omega_nu ltilde_m(sigma_nu) / w_m, (p, q);
+    #          exactly the identity when q_rhs == p
+    #   nodes  the quadrature nodes sigma_nu
     grid = ElementGrid.build(p, 0.0, 1.0)
     quad = gauss_rule(q_rhs)
+    E = np.asarray(incidence_matrix(p).matrix)
+    Et = np.array([edge_eval_all(grid.edge_basis, t) for t in grid.dual.nodes]).T
     Lq = np.array([nodal_eval_all(grid.primal_basis, s) for s in quad.nodes]).T
     Ltilde = np.array([nodal_eval_all(grid.dual_basis, s) for s in quad.nodes]).T
-    for arr in (Lq, Ltilde):
+    B = quad.weights * Ltilde / grid.dual.weights[:, None]
+    D = E @ Et
+    for arr in (Et, D, Lq, B):
         arr.setflags(write=False)
-    return quad, Lq, Ltilde
+    return E, Et, D, Lq, B, quad.nodes
 
 
 @dataclass(frozen=True)
@@ -112,13 +115,14 @@ class ElementSolution:
         return self.evaluate(float(self.grid.to_ref(t)))
 
 
-def _field_at(sys: OdeSystem, y, where: str) -> np.ndarray:
+def _field_at(sys: OdeSystem, y, where) -> np.ndarray:
+    # where() names the evaluation point; it is only called to report a failure
     reason = sys.check_domain(y)
     if reason is not None:
-        raise DomainError(f"state leaves the domain at {where}: {reason}")
+        raise DomainError(f"state leaves the domain at {where()}: {reason}")
     h = np.asarray(sys.field(y), dtype=float)
     if not np.all(np.isfinite(h)):
-        raise EvaluationError(f"vector field is non-finite at {where}")
+        raise EvaluationError(f"vector field is non-finite at {where()}")
     return h
 
 
@@ -129,21 +133,29 @@ def _stage_coefficients(y0: np.ndarray, z: np.ndarray, p: int) -> np.ndarray:
     return coeffs
 
 
+def _row_scale(grid: ElementGrid, galerkin: bool) -> np.ndarray:
+    return grid.dual.weights if galerkin else np.ones(grid.p)
+
+
+def _residual(sys, grid, coeffs, q_rhs, scale) -> np.ndarray:
+    E, Et, _, Lq, B, nodes = _pairing_tables(grid.p, q_rhs)
+    rate = (coeffs @ E) @ Et  # coboundary per variable, then edge expansion
+    Yq = coeffs @ Lq
+    Hq = np.empty_like(Yq)
+    for n in range(len(nodes)):
+        Hq[:, n] = _field_at(
+            sys, Yq[:, n], lambda: f"quadrature node {n} (t={grid.to_time(nodes[n]):g})"
+        )
+    return (scale * (rate / grid.sqrt_g - Hq @ B.T)).reshape(-1)
+
+
 def mci_residual(sys: OdeSystem, sol: ElementSolution) -> np.ndarray:
     """Collocation residual at the dual nodes, flattened variable-major.
 
     R[i, j] = (rate of y_i at dual node j) / sqrt(g) - h_i(y at dual node j).
     """
     grid = sol.grid
-    E, Et, Lt, _ = _collocation_tables(grid.p)
-    coeffs = sol.coefficients
-    rate = (coeffs @ E) @ Et  # coboundary per variable, then edge expansion
-    Y = coeffs @ Lt
-    H = np.empty_like(Y)
-    for j in range(grid.p):
-        t = grid.to_time(grid.dual.nodes[j])
-        H[:, j] = _field_at(sys, Y[:, j], f"collocation node {j} (t={t:g})")
-    return (rate / grid.sqrt_g - H).reshape(-1)
+    return _residual(sys, grid, sol.coefficients, grid.p, _row_scale(grid, galerkin=False))
 
 
 def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray:
@@ -152,31 +164,35 @@ def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray
     R[i, m] = w_m (rate of y_i at dual node m) / sqrt(g)
               - sum_nu omega_nu h_i(y(sigma_nu)) ltilde_m(sigma_nu).
     """
+    _check_qrhs(q_rhs)
     grid = sol.grid
-    if q_rhs < 1:
-        raise ValueError(f"q_rhs must be positive, got {q_rhs}")
-    E, Et, _, _ = _collocation_tables(grid.p)
-    quad, Lq, Ltilde = _galerkin_tables(grid.p, q_rhs)
-    coeffs = sol.coefficients
-    rate = (coeffs @ E) @ Et
-    Yq = coeffs @ Lq
-    Hq = np.empty_like(Yq)
-    for nu in range(len(quad)):
-        t = grid.to_time(quad.nodes[nu])
-        Hq[:, nu] = _field_at(sys, Yq[:, nu], f"quadrature node {nu} (t={t:g})")
-    rhs = Hq @ (quad.weights[:, None] * Ltilde.T)
-    lhs = rate * grid.dual.weights / grid.sqrt_g
-    return (lhs - rhs).reshape(-1)
+    return _residual(sys, grid, sol.coefficients, q_rhs, _row_scale(grid, galerkin=True))
 
 
-def _solve_element(sys, y0, grid, residual_of, jacobian_of, config, initial_guess):
-    p = grid.p
+def _element_step(sys, y0, t0, dt, p, q_rhs, config, initial_guess, galerkin):
+    grid = ElementGrid.build(p, t0, t0 + dt)
     y0 = np.asarray(y0, dtype=float)
     if len(y0) != sys.dim:
         raise ValueError(f"state has length {len(y0)}, system dimension is {sys.dim}")
+    _, _, D, Lq, B, _ = _pairing_tables(p, q_rhs)
+    scale = _row_scale(grid, galerkin)
+    M = sys.dim
+    # the rate term is linear and the same for every variable
+    rate_block = np.kron(np.eye(M), scale[:, None] * D[1:].T / grid.sqrt_g)
+    pairing = scale[:, None] * B
+
+    def residual(z):
+        return _residual(sys, grid, _stage_coefficients(y0, z, p), q_rhs, scale)
+
+    def jacobian(z):
+        Yq = _stage_coefficients(y0, z, p) @ Lq
+        Jh = np.array([sys.jacobian(Yq[:, n]) for n in range(Yq.shape[1])], dtype=float)
+        field_block = np.einsum("nik,mn,bn->imkb", Jh, pairing, Lq[1:])
+        return rate_block - field_block.reshape(M * p, M * p)
+
     z0 = np.repeat(y0, p) if initial_guess is None else np.asarray(initial_guess, dtype=float)
-    jac = jacobian_of if sys.jacobian is not None else None
-    result = newton_solve(residual_of, z0, config, jacobian=jac)
+    jac = jacobian if sys.jacobian is not None else None
+    result = newton_solve(residual, z0, config, jacobian=jac)
     coeffs = _stage_coefficients(y0, result.x, p)
     return ElementSolution(grid, coeffs, newton_iterations=result.iterations)
 
@@ -191,28 +207,7 @@ def mci_step(
     initial_guess=None,
 ) -> ElementSolution:
     """One collocation-pairing step of order p over [t0, t0 + dt]; dt may be negative."""
-    grid = ElementGrid.build(p, t0, t0 + dt)
-    _, _, Lt, Dmat = _collocation_tables(p)
-    Lt_int, Dmat_int = Lt[1:, :], Dmat[1:, :]
-    M = sys.dim
-
-    def residual(z):
-        return mci_residual(sys, ElementSolution(grid, _stage_coefficients(y0, z, p)))
-
-    def jacobian(z):
-        coeffs = _stage_coefficients(y0, z, p)
-        Y = coeffs @ Lt
-        J = np.zeros((M * p, M * p))
-        for j in range(p):
-            Jh = np.asarray(sys.jacobian(Y[:, j]), dtype=float)
-            for i in range(M):
-                row = i * p + j
-                J[row, i * p : (i + 1) * p] += Dmat_int[:, j] / grid.sqrt_g
-                for i2 in range(M):
-                    J[row, i2 * p : (i2 + 1) * p] -= Jh[i, i2] * Lt_int[:, j]
-        return J
-
-    return _solve_element(sys, y0, grid, residual, jacobian, config, initial_guess)
+    return _element_step(sys, y0, t0, dt, p, p, config, initial_guess, galerkin=False)
 
 
 def mgi_step(
@@ -228,39 +223,14 @@ def mgi_step(
     """One Galerkin-pairing step of order p over [t0, t0 + dt]; dt may be negative."""
     if q_rhs is None:
         q_rhs = default_qrhs(p)
-    grid = ElementGrid.build(p, t0, t0 + dt)
-    _, _, _, Dmat = _collocation_tables(p)
-    quad, Lq, Ltilde = _galerkin_tables(p, q_rhs)
-    Dmat_int = Dmat[1:, :]
-    Lq_int = Lq[1:, :]
-    M = sys.dim
-    w_dual = grid.dual.weights
-
-    def residual(z):
-        return mgi_residual(sys, ElementSolution(grid, _stage_coefficients(y0, z, p)), q_rhs)
-
-    def jacobian(z):
-        coeffs = _stage_coefficients(y0, z, p)
-        Yq = coeffs @ Lq
-        J = np.zeros((M * p, M * p))
-        lhs_block = (w_dual[:, None] * Dmat_int.T) / grid.sqrt_g  # rows m, cols k
-        for i in range(M):
-            J[i * p : (i + 1) * p, i * p : (i + 1) * p] += lhs_block
-        for nu in range(len(quad)):
-            Jh = np.asarray(sys.jacobian(Yq[:, nu]), dtype=float)
-            outer = np.outer(quad.weights[nu] * Ltilde[:, nu], Lq_int[:, nu])
-            for i in range(M):
-                for i2 in range(M):
-                    J[i * p : (i + 1) * p, i2 * p : (i2 + 1) * p] -= Jh[i, i2] * outer
-        return J
-
-    return _solve_element(sys, y0, grid, residual, jacobian, config, initial_guess)
+    _check_qrhs(q_rhs)
+    return _element_step(sys, y0, t0, dt, p, q_rhs, config, initial_guess, galerkin=True)
 
 
 def explicit_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
     """Forward Euler update y + dt h(y)."""
     y0 = np.asarray(y0, dtype=float)
-    return y0 + dt * _field_at(sys, y0, f"t={t0:g}")
+    return y0 + dt * _field_at(sys, y0, lambda: f"t={t0:g}")
 
 
 def symplectic_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
@@ -288,10 +258,10 @@ def symplectic_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarra
 def rk4_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
     """Classical fourth-order Runge-Kutta update."""
     y0 = np.asarray(y0, dtype=float)
-    k1 = _field_at(sys, y0, f"t={t0:g}")
-    k2 = _field_at(sys, y0 + 0.5 * dt * k1, f"t={t0:g} (stage 2)")
-    k3 = _field_at(sys, y0 + 0.5 * dt * k2, f"t={t0:g} (stage 3)")
-    k4 = _field_at(sys, y0 + dt * k3, f"t={t0:g} (stage 4)")
+    k1 = _field_at(sys, y0, lambda: f"t={t0:g}")
+    k2 = _field_at(sys, y0 + 0.5 * dt * k1, lambda: f"t={t0:g} (stage 2)")
+    k3 = _field_at(sys, y0 + 0.5 * dt * k2, lambda: f"t={t0:g} (stage 3)")
+    k4 = _field_at(sys, y0 + dt * k3, lambda: f"t={t0:g} (stage 4)")
     return y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -317,6 +287,23 @@ class Trajectory:
         return len(self.times) - 1
 
 
+def _invariant_series(sys: OdeSystem, times: np.ndarray, states: np.ndarray) -> dict:
+    series = {}
+    for label, fn in sys.invariants:
+        values = []
+        for k in range(len(times)):
+            try:
+                values.append(fn(states[:, k]))
+            except GeodesyError as err:
+                raise IntegrationError(
+                    f"invariant {label!r} failed on the state at t={times[k]:g} (step {k}): {err}",
+                    step=k,
+                    time=times[k],
+                ) from err
+        series[label] = np.array(values)
+    return series
+
+
 def integrate(
     sys: OdeSystem,
     method: Method,
@@ -333,7 +320,9 @@ def integrate(
 
     Step times are computed as t0 + k dt (no accumulation drift) and the
     final step lands on tf exactly. Step failures are re-raised as
-    IntegrationError annotated with the step index and start time.
+    IntegrationError annotated with the step index and start time; so is an
+    invariant that fails on a recorded state, with the index k of that state
+    in times (the state step k starts from) and its time.
     """
     if not tf > t0:
         raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")
@@ -389,15 +378,11 @@ def integrate(
         times[k + 1] = t_b
         states[:, k + 1] = y
 
-    invariant_series = {
-        label: np.array([fn(states[:, k]) for k in range(n + 1)])
-        for label, fn in sys.invariants
-    }
     return Trajectory(
         method=method,
         times=times,
         states=states,
-        invariants=invariant_series,
+        invariants=_invariant_series(sys, times, states),
         dt=dt,
         order=p if method.is_element_method else None,
         elements=tuple(elements) if elements is not None else None,

@@ -20,6 +20,7 @@ Grids with t_end < t_start are permitted and represent a reversed time map
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,6 +100,16 @@ def coboundary(c: Cochain, E: IncidenceMatrix) -> Cochain:
     return Cochain(CochainKind.PRIMAL1, E.matrix.T @ c.values)
 
 
+@lru_cache(maxsize=None)
+def _reference_element(p: int):
+    # GLL/Gauss rules and the primal, edge and dual bases of order p; their
+    # arrays are read-only, so every ElementGrid of that order shares them
+    primal = gll_rule(p)
+    dual = gauss_rule(p)
+    primal_basis = NodalBasis.from_nodes(primal.nodes)
+    return primal, dual, primal_basis, EdgeBasis(primal_basis), NodalBasis.from_nodes(dual.nodes)
+
+
 @dataclass(frozen=True)
 class ElementGrid:
     """Primal/dual grids and bases of one time element.
@@ -117,21 +128,10 @@ class ElementGrid:
 
     @classmethod
     def build(cls, p: int, t_start: float, t_end: float) -> "ElementGrid":
+        """Element over [t_start, t_end]; rules and bases are shared per order p."""
         if t_end == t_start:
             raise ValueError("element must have nonzero extent")
-        primal = gll_rule(p)
-        dual = gauss_rule(p)
-        primal_basis = NodalBasis.from_nodes(primal.nodes)
-        return cls(
-            p=p,
-            t_start=float(t_start),
-            t_end=float(t_end),
-            primal=primal,
-            dual=dual,
-            primal_basis=primal_basis,
-            edge_basis=EdgeBasis(primal_basis),
-            dual_basis=NodalBasis.from_nodes(dual.nodes),
-        )
+        return cls(p, float(t_start), float(t_end), *_reference_element(p))
 
     @property
     def sqrt_g(self) -> float:

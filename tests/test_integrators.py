@@ -4,7 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import geodesy.integrators
 from geodesy import (
+    DomainError,
     ElementGrid,
     ElementSolution,
     IntegrationError,
@@ -24,6 +26,7 @@ from geodesy import (
     sample_trajectory,
     symplectic_euler_step,
 )
+from geodesy.newton import forward_difference_jacobian
 
 TIGHT = NewtonConfig(abs_tol=1e-13)
 
@@ -155,6 +158,25 @@ class TestResiduals:
         with pytest.raises(ValueError):
             mgi_residual(pend.system, sol, 0)
 
+    @pytest.mark.parametrize("q_rhs", [0, -3, 65])
+    def test_quadrature_size_is_checked_at_every_entry_point(self, q_rhs):
+        # one message, naming q_rhs, below 1 and above the largest Gauss rule
+        pend = get_problem("pendulum")
+        sol = mgi_step(pend.system, pend.y0, 0.0, 0.4, 2)
+        expected = rf"q_rhs must lie in \[1, 64\], got {q_rhs}"
+        with pytest.raises(ValueError, match=expected):
+            mgi_step(pend.system, pend.y0, 0.0, 0.4, 2, q_rhs=q_rhs)
+        with pytest.raises(ValueError, match=expected):
+            mgi_residual(pend.system, sol, q_rhs)
+        with pytest.raises(ValueError, match=expected):
+            integrate(pend.system, Method.MGI, pend.y0, 0.0, 0.8, 0.4, p=2, q_rhs=q_rhs)
+
+    def test_quadrature_size_bounds_are_inclusive(self):
+        pend = get_problem("pendulum")
+        for q_rhs in (1, 64):
+            sol = mgi_step(pend.system, pend.y0, 0.0, 0.1, 1, q_rhs=q_rhs)
+            assert np.all(np.isfinite(mgi_residual(pend.system, sol, q_rhs)))
+
     def test_residual_rows_are_variable_major(self):
         # With a constant field (0, 1000) and the constant-in-time candidate,
         # the rate term vanishes, so the residual is -field per stage:
@@ -240,6 +262,52 @@ class TestMgiStep:
     def test_default_quadrature_size(self):
         assert default_qrhs(1) == 12
         assert default_qrhs(4) == 18
+
+
+def _stage_callables(monkeypatch, step):
+    # the residual and analytic Jacobian a step hands to newton_solve
+    seen = []
+    solve = geodesy.integrators.newton_solve
+
+    def spy(residual, x0, config, jacobian=None):
+        seen.append((residual, jacobian, x0))
+        return solve(residual, x0, config, jacobian=jacobian)
+
+    monkeypatch.setattr(geodesy.integrators, "newton_solve", spy)
+    step()
+    (residual, jacobian, x0), = seen
+    return residual, jacobian, x0
+
+
+class TestStageJacobian:
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("dt", [0.05, -0.05])
+    def test_matches_forward_difference_of_residual(self, monkeypatch, method, p, dt):
+        kep = get_problem("kepler")
+        assert kep.system.dim == 4
+        if method is Method.MCI:
+            step = lambda: mci_step(kep.system, kep.y0, 1.0, dt, p)
+        else:
+            step = lambda: mgi_step(kep.system, kep.y0, 1.0, dt, p)
+        residual, jacobian, x0 = _stage_callables(monkeypatch, step)
+        # a generic stage vector: the initial guess moved off the constant state
+        z = x0 + 0.05 * np.random.default_rng(p).standard_normal(len(x0))
+        J = jacobian(z)
+        assert J.shape == (4 * p, 4 * p)
+        J_fd = forward_difference_jacobian(residual, z, fd_step=1e-8)
+        assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J))
+
+    @pytest.mark.parametrize("name", ["pendulum", "kepler", "lotka-volterra"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_galerkin_on_dual_nodes_equals_collocation(self, name, p):
+        # q_rhs = p puts the Galerkin quadrature on the dual nodes, where the
+        # pairing matrix is the identity: only the row scale differs.
+        prob = get_problem(name)
+        a = mci_step(prob.system, prob.y0, 0.0, 0.1, p)
+        b = mgi_step(prob.system, prob.y0, 0.0, 0.1, p, q_rhs=p)
+        npt.assert_allclose(b.coefficients, a.coefficients, rtol=0.0, atol=1e-13)
+        assert b.newton_iterations == a.newton_iterations
 
 
 class TestBaselines:
@@ -353,6 +421,23 @@ class TestIntegrateDriver:
             )
         assert info.value.step == 0
         assert info.value.time == 0.0
+
+    def test_invariant_failure_is_annotated(self):
+        # an invariant that raises on a recorded state fails like a step does
+        circle = make_circle()
+
+        def guarded(y):
+            if y[1] < 0.0:
+                raise DomainError("second component went negative")
+            return float(y @ y)
+
+        sys = OdeSystem(dim=2, field=circle.system.field, invariants=(("R", guarded),))
+        y0 = np.array([0.0, 1.0])  # y(t) = (sin t, cos t): y[1] < 0 after t = pi/2
+        with pytest.raises(IntegrationError, match="invariant 'R'") as info:
+            integrate(sys, Method.RK4, y0, 0.0, 3.0, 0.5)
+        assert info.value.step == 4
+        assert info.value.time == 2.0
+        assert isinstance(info.value.__cause__, DomainError)
 
     def test_warm_start_matches_cold_start(self):
         pend = get_problem("pendulum")

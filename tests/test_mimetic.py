@@ -97,6 +97,29 @@ class TestElementGrid:
         assert np.all(grid.primal.nodes[:-1] < grid.dual.nodes)
         assert np.all(grid.dual.nodes < grid.primal.nodes[1:])
 
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_grids_of_one_order_share_read_only_bases(self, p):
+        a = ElementGrid.build(p, 0.0, 1.0)
+        b = ElementGrid.build(p, 5.0, 4.5)
+        for attr in ("primal", "dual", "primal_basis", "edge_basis", "dual_basis"):
+            assert getattr(a, attr) is getattr(b, attr)
+        shared = (
+            a.primal.nodes,
+            a.primal.weights,
+            a.dual.nodes,
+            a.dual.weights,
+            a.primal_basis.nodes,
+            a.primal_basis.bary_weights,
+            a.dual_basis.nodes,
+            a.dual_basis.bary_weights,
+        )
+        for arr in shared:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert (b.t_start, b.t_end) == (5.0, 4.5)
+        assert ElementGrid.build(p + 1, 0.0, 1.0).primal_basis is not a.primal_basis
+
 
 class TestReduction:
     def test_reduce0_primal(self):
