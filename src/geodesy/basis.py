@@ -212,16 +212,17 @@ class EdgeBasis:
         return self.nodal.degree
 
 
-def nodal_eval_all(basis: NodalBasis, x: float) -> np.ndarray:
-    """All Lagrange basis values l_i(x); exact Kronecker delta at the nodes."""
-    d = x - basis.nodes
+def nodal_eval_all(basis: NodalBasis, x) -> np.ndarray:
+    """All Lagrange basis values l_i(x) for a point or an array x, shape x.shape + (p+1,).
+
+    A point equal to a node gets the exact Kronecker row; each row equals a scalar call's.
+    """
+    d = np.asarray(x, dtype=float)[..., None] - basis.nodes
     hit = d == 0.0
-    if np.any(hit):
-        out = np.zeros(len(basis.nodes))
-        out[hit] = 1.0
-        return out
-    phi = basis.bary_weights / d
-    return phi / np.sum(phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = basis.bary_weights / d
+        out = phi / np.sum(phi, axis=-1, keepdims=True)
+    return np.where(np.any(hit, axis=-1, keepdims=True), hit, out)
 
 
 def nodal_deriv_all(basis: NodalBasis, x: float) -> np.ndarray:

@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from .basis import MAX_ORDER
 from .errors import GeodesyError
 from .integrators import Method, default_qrhs, integrate, sample_trajectory
 from .newton import NewtonConfig
@@ -25,6 +26,7 @@ from .tableau import butcher_tableau_mci, gauss_collocation_tableau
 
 _METHOD_NAMES = tuple(m.value for m in Method)
 _MAX_ORDER_CLI = 16
+_ROWS_PER_WRITE = 4096
 
 _CONFIG_KEYS = {
     "problem": str,
@@ -45,10 +47,6 @@ _CONFIG_KEYS = {
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _load_config(path):
@@ -105,8 +103,8 @@ def _resolve_common(args):
     if not dt > 0:
         raise UsageError(f"--dt must be positive, got {dt}")
     qrhs = _resolve(args, config, "qrhs", int)
-    if qrhs is not None and qrhs < 1:
-        raise UsageError(f"--qrhs must be positive, got {qrhs}")
+    if qrhs is not None and not 1 <= qrhs <= MAX_ORDER:
+        raise UsageError(f"--qrhs must lie in [1, {MAX_ORDER}], got {qrhs}")
     out = _resolve(args, config, "out") or "."
     y0 = config.get("y0")
     if y0 is not None:
@@ -127,37 +125,30 @@ def _resolve_common(args):
     return problem, method, pt, dt, qrhs, out, y0, newton, samples, config
 
 
-def _write_rows(path, header, rows):
+def _write_table(path, header, columns):
+    """Write equal-length columns as CSV, every value as %.17g (exact round trip)."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        # one format call per block of rows bounds the text held in memory
+        for k in range(0, len(table), _ROWS_PER_WRITE):
+            block = table[k : k + _ROWS_PER_WRITE]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_trajectory(path, traj, samples_per_element):
-    dim = traj.dim
-    header = "t," + ",".join(f"y_{i + 1}" for i in range(dim))
+    header = "t," + ",".join(f"y_{i + 1}" for i in range(traj.dim))
     if traj.elements is not None and samples_per_element > 1:
-        ts = []
-        for el in traj.elements:
-            a, b = el.grid.t_start, el.grid.t_end
-            ts.extend(a + (b - a) * k / samples_per_element for k in range(samples_per_element))
-        ts.append(traj.times[-1])
-        ts = np.asarray(ts)
+        a = np.array([el.grid.t_start for el in traj.elements])[:, None]
+        b = np.array([el.grid.t_end for el in traj.elements])[:, None]
+        ts = a + (b - a) * np.arange(samples_per_element) / samples_per_element
+        ts = np.append(ts.ravel(), traj.times[-1])
         ys = sample_trajectory(traj, ts)
     else:
         ts = traj.times
         ys = traj.states
-    rows = ([ts[k]] + [ys[i, k] for i in range(dim)] for k in range(len(ts)))
-    _write_rows(path, header, rows)
-
-
-def _write_invariants(path, traj):
-    labels = list(traj.invariants)
-    header = "t," + ",".join(f"{label}_error" for label in labels)
-    series = [traj.invariants[label] - traj.invariants[label][0] for label in labels]
-    rows = ([traj.times[k]] + [s[k] for s in series] for k in range(len(traj.times)))
-    _write_rows(path, header, rows)
+    _write_table(path, header, [ts, *ys])
 
 
 def _cmd_run(args):
@@ -172,10 +163,11 @@ def _cmd_run(args):
     )
     os.makedirs(out, exist_ok=True)
     _write_trajectory(os.path.join(out, "trajectory.csv"), traj, samples)
-    _write_invariants(os.path.join(out, "invariants.csv"), traj)
+    errors = {label: s - s[0] for label, s in traj.invariants.items()}
+    header = "t," + ",".join(f"{label}_error" for label in errors)
+    _write_table(os.path.join(out, "invariants.csv"), header, [traj.times, *errors.values()])
     drifts = ", ".join(
-        f"max |{label}-{label}0| = {np.max(np.abs(traj.invariants[label] - traj.invariants[label][0])):.3e}"
-        for label in traj.invariants
+        f"max |{label}-{label}0| = {np.max(np.abs(e)):.3e}" for label, e in errors.items()
     )
     print(
         f"{problem.name} via {method.value}: {traj.steps} steps of dt={dt:g} to t={tfinal:g}; {drifts}"
@@ -230,13 +222,10 @@ def _cmd_converge(args):
         orders.append(num / den)
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "convergence.csv")
-    _write_rows(
+    _write_table(
         path,
         "dt,endpoint_error,invariant_error,observed_order",
-        (
-            [dts[k], endpoint_errors[k], invariant_errors[k], orders[k]]
-            for k in range(len(dts))
-        ),
+        [dts, endpoint_errors, invariant_errors, orders],
     )
     logs = np.log(np.asarray(dts))
     errs = np.log(np.asarray(endpoint_errors))

@@ -77,8 +77,8 @@ def _pairing_tables(p: int, q_rhs: int):
     quad = gauss_rule(q_rhs)
     E = np.asarray(incidence_matrix(p).matrix)
     Et = np.array([edge_eval_all(grid.edge_basis, t) for t in grid.dual.nodes]).T
-    Lq = np.array([nodal_eval_all(grid.primal_basis, s) for s in quad.nodes]).T
-    Ltilde = np.array([nodal_eval_all(grid.dual_basis, s) for s in quad.nodes]).T
+    Lq = nodal_eval_all(grid.primal_basis, quad.nodes).T
+    Ltilde = nodal_eval_all(grid.dual_basis, quad.nodes).T
     B = quad.weights * Ltilde / grid.dual.weights[:, None]
     D = E @ Et
     for arr in (Et, D, Lq, B):
@@ -107,12 +107,14 @@ class ElementSolution:
     def endpoint(self) -> np.ndarray:
         return self.coefficients[:, -1].copy()
 
-    def evaluate(self, tau: float) -> np.ndarray:
-        """State at reference coordinate tau."""
-        return self.coefficients @ nodal_eval_all(self.grid.primal_basis, tau)
+    def evaluate(self, tau) -> np.ndarray:
+        """State at a reference coordinate or an array tau, shape (dim,) + tau.shape."""
+        L = nodal_eval_all(self.grid.primal_basis, tau)
+        return np.moveaxis(np.matmul(self.coefficients, L[..., None])[..., 0], -1, 0)
 
-    def evaluate_time(self, t: float) -> np.ndarray:
-        return self.evaluate(float(self.grid.to_ref(t)))
+    def evaluate_time(self, t) -> np.ndarray:
+        """State at time(s) t, shape (dim,) + t.shape."""
+        return self.evaluate(self.grid.to_ref(t))
 
 
 def _field_at(sys: OdeSystem, y, where) -> np.ndarray:
@@ -365,9 +367,7 @@ def integrate(
                 y = sol.endpoint()
                 if warm_start and k + 1 < n:
                     nxt = ElementGrid.build(p, t_b, min(t_b + dt, tf))
-                    guess = np.concatenate(
-                        [sol.evaluate_time(nxt.to_time(s)) for s in nxt.primal.nodes[1:]]
-                    ).reshape(p, sys.dim).T.reshape(-1)
+                    guess = sol.evaluate_time(nxt.to_time(nxt.primal.nodes[1:])).reshape(-1)
             reason = sys.check_domain(y)
             if reason is not None:
                 raise DomainError(f"accepted state leaves the domain: {reason}")
@@ -395,7 +395,9 @@ def sample_trajectory(traj: Trajectory, sample_times) -> np.ndarray:
 
     Returns an array of shape (dim, len(sample_times)). Only methods that
     retain element polynomials support this; times must lie inside the
-    integration window.
+    integration window (up to a rounding slack, clamped onto it). One
+    searchsorted and one basis evaluation cover all times; column k equals
+    evaluate_time(sample_times[k]) on its element, bitwise.
     """
     if traj.elements is None:
         raise ValueError(f"method {traj.method.value!r} does not retain element polynomials")
@@ -405,8 +407,9 @@ def sample_trajectory(traj: Trajectory, sample_times) -> np.ndarray:
     if np.any(sample_times < t0 - slack) or np.any(sample_times > tf + slack):
         raise ValueError(f"sample times must lie within [{t0!r}, {tf!r}]")
     starts = np.array([el.grid.t_start for el in traj.elements])
-    out = np.empty((traj.dim, len(sample_times)))
-    for i, t in enumerate(sample_times):
-        idx = int(np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1))
-        out[:, i] = traj.elements[idx].evaluate_time(min(max(t, t0), tf))
-    return out
+    sqrt_g = np.array([el.grid.sqrt_g for el in traj.elements])
+    idx = np.clip(np.searchsorted(starts, sample_times, side="right") - 1, 0, len(starts) - 1)
+    tau = (np.clip(sample_times, t0, tf) - starts[idx]) / sqrt_g[idx] - 1.0  # as in to_ref
+    L = nodal_eval_all(traj.elements[0].grid.primal_basis, tau)
+    coeffs = np.stack([el.coefficients for el in traj.elements])
+    return np.matmul(coeffs[idx], L[:, :, None])[:, :, 0].T

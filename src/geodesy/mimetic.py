@@ -225,5 +225,5 @@ def dual_mass_matrix(grid: ElementGrid, q: int | None = None) -> np.ndarray:
     if q is None:
         q = 2 * grid.p
     rule = gauss_rule(q)
-    L = np.array([nodal_eval_all(grid.dual_basis, x) for x in rule.nodes])
+    L = nodal_eval_all(grid.dual_basis, rule.nodes)
     return grid.sqrt_g * (L.T * rule.weights) @ L

@@ -17,6 +17,8 @@ import scipy.linalg
 from .errors import EvaluationError, NewtonNonConvergence, SingularJacobianError
 
 _PIVOT_RTOL = 1e-14
+# a Newton update dx this small next to max|x| is rounding noise: the residual is at its floor
+_STALL_RTOL = 4 * np.finfo(float).eps
 
 
 class JacobianMode(enum.Enum):
@@ -72,8 +74,9 @@ def newton_solve(
     """Solve residual(x) = 0 by Newton iteration from x0.
 
     Convergence means the max-norm of the residual drops to config.abs_tol or
-    below within config.max_iter updates. The analytic jacobian callable is
-    used when given and the mode allows it; otherwise forward differences.
+    below, or an update shrinks to rounding size (max|dx| <= 4 eps max|x|),
+    within config.max_iter updates. The analytic jacobian callable is used
+    when given and the mode allows it; otherwise forward differences.
     Raises NewtonNonConvergence with the last iterate attached on failure.
     """
     x = np.array(x0, dtype=float)
@@ -85,6 +88,8 @@ def newton_solve(
     while True:
         norm = float(np.max(np.abs(r)))
         if norm <= config.abs_tol:
+            return NewtonResult(x, iterations, norm)
+        if iterations and np.abs(dx).max() <= _STALL_RTOL * np.abs(x).max():
             return NewtonResult(x, iterations, norm)
         if iterations >= config.max_iter:
             raise NewtonNonConvergence(
@@ -100,7 +105,8 @@ def newton_solve(
             J = forward_difference_jacobian(residual, x, r, config.fd_step)
         if not np.all(np.isfinite(J)):
             raise EvaluationError("Jacobian is non-finite during Newton iteration")
-        x = x + _lu_solve_checked(J, -r)
+        dx = _lu_solve_checked(J, -r)
+        x = x + dx
         iterations += 1
         r = np.asarray(residual(x), dtype=float)
         if not np.all(np.isfinite(r)):

@@ -71,7 +71,7 @@ def butcher_tableau_mci(p: int) -> ButcherTableau:
     ehat_inv = np.tril(np.ones((p, p)))
     G = 0.5 * ehat_inv @ np.linalg.inv(A)
     # nodal basis functions 1..p (the unknown columns) at the dual nodes
-    lhat = np.array([nodal_eval_all(grid.primal_basis, t)[1:] for t in tau])
+    lhat = nodal_eval_all(grid.primal_basis, tau)[:, 1:]
     a_rk = lhat @ G
     b = G[-1, :].copy()
     c = 0.5 * (tau + 1.0)

@@ -196,6 +196,42 @@ class TestNodalBasis:
         npt.assert_array_equal(nodal_deriv_all(basis, -0.7), [0.0])
 
 
+def scalar_nodal_eval(basis, x):
+    # the per-point barycentric formula, kept as the reference for batches
+    d = x - basis.nodes
+    hit = d == 0.0
+    if np.any(hit):
+        return hit.astype(float)
+    phi = basis.bary_weights / d
+    return phi / np.sum(phi)
+
+
+class TestNodalEvalBatched:
+    @pytest.mark.parametrize("p", [1, 2, 8, 16, 64])
+    @pytest.mark.parametrize("rule", [gll_rule, gauss_rule])
+    def test_rows_equal_scalar_calls_bitwise(self, p, rule):
+        basis = NodalBasis.from_nodes(rule(p).nodes)
+        rng = np.random.default_rng(p)
+        xs = rng.permutation(
+            np.concatenate([rng.uniform(-1.0, 1.0, 200), basis.nodes, [-1.0, 1.0]])
+        )
+        batch = nodal_eval_all(basis, xs)
+        reference = np.array([scalar_nodal_eval(basis, x) for x in xs])
+        npt.assert_array_equal(batch, reference)
+        npt.assert_array_equal(batch, [nodal_eval_all(basis, x) for x in xs])
+
+    def test_output_shapes(self):
+        basis = NodalBasis.from_nodes(gll_rule(3).nodes)
+        assert nodal_eval_all(basis, 0.3).shape == (4,)
+        assert nodal_eval_all(basis, np.array(0.3)).shape == (4,)
+        assert nodal_eval_all(basis, np.linspace(-1.0, 1.0, 7)).shape == (7, 4)
+        grid = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        vals = nodal_eval_all(basis, grid)
+        assert vals.shape == (2, 3, 4)
+        npt.assert_array_equal(vals[1, 2], nodal_eval_all(basis, grid[1, 2]))
+        assert nodal_eval_all(basis, np.empty(0)).shape == (0, 4)
+
+
 class TestNodalDerivatives:
     def test_derivative_sums_vanish(self):
         rng = np.random.default_rng(5)

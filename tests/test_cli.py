@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from geodesy import Method, get_problem, integrate, sample_trajectory
 from geodesy.cli import main
 
 
@@ -86,6 +87,25 @@ class TestRun:
         assert np.max(np.abs(r2 - 4.0)) <= 5e-3
         assert abs(r2[0] - 4.0) <= 1e-12 and abs(r2[-1] - 4.0) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "problem,method,pt,samples", [("circle", "mci", "2", 32), ("kepler", "mgi", "3", 7)]
+    )
+    def test_dense_csv_round_trips_sampled_states(self, tmp_path, problem, method, pt, samples):
+        # 17 significant digits read back to the same doubles
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"samples_per_element": samples}))
+        out = str(tmp_path / "out")
+        code = run_cli(
+            "run", "--config", str(cfg), "--problem", problem, "--method", method,
+            "--pt", pt, "--dt", "0.1", "--tfinal", "1", "--out", out,
+        )
+        assert code == 0
+        _, rows = read_csv(os.path.join(out, "trajectory.csv"))
+        spec = get_problem(problem)
+        traj = integrate(spec.system, Method(method), spec.y0, 0.0, 1.0, 0.1, p=int(pt))
+        np.testing.assert_array_equal(rows[:, 1:].T, sample_trajectory(traj, rows[:, 0]))
+        assert rows.shape[0] == traj.steps * samples + 1
+
     def test_domain_violation_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"y0": [5.0, 0.5]}))
@@ -141,6 +161,18 @@ class TestUsageErrors:
             "converge", "--problem", "lotka-volterra", "--method", "seuler"
         ) == 2
 
+    @pytest.mark.parametrize("qrhs", ["0", "65"])
+    def test_quadrature_size_out_of_range(self, qrhs, capsys):
+        assert run_cli("run", "--method", "mgi", "--qrhs", qrhs) == 2
+        assert "--qrhs must lie in [1, 64]" in capsys.readouterr().err
+
+    def test_largest_quadrature_size_runs(self, tmp_path):
+        code = run_cli(
+            "run", "--problem", "pendulum", "--method", "mgi", "--qrhs", "64",
+            "--tfinal", "0.8", "--out", str(tmp_path),
+        )
+        assert code == 0
+
     def test_converge_needs_three_sizes(self):
         assert run_cli("converge", "--problem", "circle", "--dts", "0.5,0.25") == 2
 
@@ -167,6 +199,19 @@ class TestConverge:
         assert rows.shape == (4, 4)
         assert np.isnan(rows[0, 3])
         assert np.all(np.diff(rows[:, 0]) < 0)
+        with open(tmp_path / "convergence.csv") as fh:
+            assert fh.readlines()[1].endswith(",nan\n")
+
+    def test_nonlinear_problem_under_default_newton(self, tmp_path, capsys, monkeypatch):
+        # the fine reference run takes steps of dt/64, where Newton stalls at
+        # its rounding floor above the default abs_tol
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(
+            "converge", "--problem", "kepler", "--method", "mci", "--tfinal", "0.1",
+            "--dts", "0.05,0.025,0.0125",
+        )
+        assert code == 0
+        assert fitted_order(capsys.readouterr().out) >= 3.7
 
     def test_euler_first_order(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -26,6 +26,7 @@ from geodesy import (
     sample_trajectory,
     symplectic_euler_step,
 )
+from geodesy.errors import NewtonNonConvergence
 from geodesy.newton import forward_difference_jacobian
 
 TIGHT = NewtonConfig(abs_tol=1e-13)
@@ -310,6 +311,37 @@ class TestStageJacobian:
         assert b.newton_iterations == a.newton_iterations
 
 
+class TestNewtonRoundingFloor:
+    # Newton updates of half an ulp leave residuals of 1e-12 to 6e-11 here,
+    # above the default abs_tol of 1e-12; such a stall is convergence.
+    @pytest.mark.parametrize("name", ["kepler", "lotka-volterra"])
+    @pytest.mark.parametrize("step", [mci_step, mgi_step])
+    def test_small_steps_converge_under_default_config(self, name, step):
+        prob = get_problem(name)
+        sol = step(prob.system, prob.y0, 0.0, 0.1 / 512, 4)
+        assert sol.newton_iterations < NewtonConfig().max_iter
+        assert np.max(np.abs(sol.endpoint() - prob.y0)) <= 0.1
+
+    def test_large_magnitude_field_converges(self):
+        gravity = 1e6
+        stiff = OdeSystem(
+            dim=2,
+            field=lambda y: np.array([-gravity * np.sin(y[1]), y[0]]),
+            jacobian=lambda y: np.array([[0.0, -gravity * np.cos(y[1])], [1.0, 0.0]]),
+        )
+        sol = mgi_step(stiff, np.array([0.0, np.pi / 2.0]), 0.0, 1e-3, 3)
+        assert sol.newton_iterations < NewtonConfig().max_iter
+        res = mgi_residual(stiff, sol, default_qrhs(3))
+        assert np.max(np.abs(res)) <= 1e-9
+
+    def test_genuine_divergence_still_fails(self):
+        pend = get_problem("pendulum")
+        with pytest.raises(IntegrationError) as info:
+            integrate(pend.system, Method.MCI, pend.y0, 0.0, 4.0, 2.0, p=2)
+        assert info.value.step == 1
+        assert isinstance(info.value.__cause__, NewtonNonConvergence)
+
+
 class TestBaselines:
     def test_explicit_euler_frozen_step(self):
         harm = get_problem("harmonic")
@@ -494,6 +526,43 @@ class TestSampling:
         traj = integrate(circle.system, Method.EXPLICIT_EULER, circle.y0, 0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             sample_trajectory(traj, np.array([0.25]))
+
+    def test_batched_samples_equal_per_point_evaluation_bitwise(self):
+        kep = get_problem("kepler")
+        traj = integrate(kep.system, Method.MGI, kep.y0, 0.0, 2.0, 0.1, p=5)
+        t0, tf = traj.times[0], traj.times[-1]
+        slack = 1e-12 * (1.0 + abs(t0) + abs(tf))
+        starts = np.array([el.grid.t_start for el in traj.elements])
+
+        def per_point(t):
+            k = int(np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1))
+            return traj.elements[k].evaluate_time(min(max(t, t0), tf))
+
+        rng = np.random.default_rng(5)
+        ts = np.concatenate(
+            [
+                rng.uniform(t0, tf, 300),
+                traj.times,
+                [el.grid.t_end for el in traj.elements],
+                [t0 - 0.5 * slack, tf + 0.5 * slack],
+            ]
+        )
+        ts = rng.permutation(ts)
+        ys = sample_trajectory(traj, ts)
+        assert ys.shape == (4, len(ts))
+        npt.assert_array_equal(ys, np.stack([per_point(t) for t in ts], axis=1))
+        npt.assert_array_equal(sample_trajectory(traj, [t0 - 0.5 * slack])[:, 0], kep.y0)
+        assert sample_trajectory(traj, np.empty(0)).shape == (4, 0)
+
+    def test_element_solution_evaluates_arrays(self):
+        pend = get_problem("pendulum")
+        sol = mci_step(pend.system, pend.y0, 0.0, 0.4, 3)
+        taus = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        ys = sol.evaluate(taus)
+        assert ys.shape == (2, 3, 4)
+        for idx in np.ndindex(taus.shape):
+            npt.assert_array_equal(ys[(slice(None),) + idx], sol.evaluate(taus[idx]))
+        npt.assert_array_equal(sol.evaluate_time([0.0, 0.4])[:, 1], sol.endpoint())
 
     def test_element_solution_evaluate_time_on_reversed_step(self):
         pend = get_problem("pendulum")

@@ -47,6 +47,19 @@ def test_double_root_exhausts_budget():
     assert err.x is not None
 
 
+def test_stall_at_rounding_floor_counts_as_converged():
+    # near the root one ulp of x moves the residual by ~1e-9, so abs_tol is
+    # out of reach; the solve stops once updates fall to rounding size
+    result = newton_solve(
+        lambda x: 1e6 * (x**3 - 3.0),
+        np.array([1.0]),
+        jacobian=lambda x: np.diag(3e6 * x**2),
+    )
+    assert result.iterations < NewtonConfig().max_iter
+    assert result.x[0] == pytest.approx(3.0 ** (1.0 / 3.0), rel=1e-15)
+    assert 1e-12 < result.residual_norm <= 1e-8
+
+
 def test_already_converged_zero_iterations():
     result = newton_solve(lambda x: x - 1.0, np.array([1.0]))
     assert result.iterations == 0
