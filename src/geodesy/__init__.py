@@ -75,7 +75,7 @@ from .problems import (
     make_pendulum,
     problem_names,
 )
-from .systems import OdeSystem, SeparablePartition, hamiltonian_vector_field
+from .systems import OdeSystem, SeparablePartition, hamiltonian_vector_field, pointwise
 from .tableau import ButcherTableau, butcher_tableau_mci, gauss_collocation_tableau
 
 __all__ = [
@@ -131,6 +131,7 @@ __all__ = [
     "mgi_residual",
     "mgi_step",
     "newton_solve",
+    "pointwise",
     "nodal_deriv_all",
     "nodal_eval_all",
     "problem_names",

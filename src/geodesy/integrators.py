@@ -5,8 +5,9 @@ polynomial through the Gauss-Lobatto nodes and difference it exactly with the
 incidence matrix, which gives the rate 1-cochain; the edge expansion of that
 cochain is then read at the p dual Gauss nodes. What remains is the pairing
 of the rate with the vector field, and one kernel covers both methods: the
-field is sampled at the nodes of a q-point Gauss rule and paired against the
-dual basis through B[m, nu] = omega_nu ltilde_m(sigma_nu) / w_m, with each
+field is sampled at the nodes of a q-point Gauss rule, as one (dim, q) block
+per residual (one field, domain-check and Jacobian call), and paired against
+the dual basis through B[m, nu] = omega_nu ltilde_m(sigma_nu) / w_m, with each
 row m scaled by s_m,
 
     R[i, m] = s_m (rate of y_i at dual node m / sqrt(g) - sum_nu B[m, nu] h_i(y(sigma_nu))).
@@ -118,14 +119,33 @@ class ElementSolution:
 
 
 def _field_at(sys: OdeSystem, y, where) -> np.ndarray:
-    # where() names the evaluation point; it is only called to report a failure
+    # y is one state (dim,) or a block (dim, n): one domain check, one field
+    # call and one finiteness test cover every column. where(j) names column
+    # j; it is only called to report a failure, for the first failing column.
     reason = sys.check_domain(y)
     if reason is not None:
-        raise DomainError(f"state leaves the domain at {where()}: {reason}")
+        j, reason = _first_domain_failure(sys, y, reason)
+        raise DomainError(f"state leaves the domain at {where(j)}: {reason}")
     h = np.asarray(sys.field(y), dtype=float)
-    if not np.all(np.isfinite(h)):
-        raise EvaluationError(f"vector field is non-finite at {where()}")
+    if h.shape != y.shape:
+        raise ValueError(
+            f"vector field returned shape {h.shape} for states of shape {y.shape}, expected"
+            f" {y.shape}; wrap a field written for one state with geodesy.systems.pointwise"
+        )
+    finite = np.isfinite(h)
+    if not finite.all():
+        j = int(np.argmin(finite.reshape(len(h), -1).all(axis=0)))
+        raise EvaluationError(f"vector field is non-finite at {where(j)}")
     return h
+
+
+def _first_domain_failure(sys: OdeSystem, y, block_reason):
+    cols = y.reshape(len(y), -1)
+    for j in range(cols.shape[1]):
+        reason = sys.check_domain(cols[:, j])
+        if reason is not None:
+            return j, reason
+    return 0, block_reason
 
 
 def _stage_coefficients(y0: np.ndarray, z: np.ndarray, p: int) -> np.ndarray:
@@ -142,12 +162,9 @@ def _row_scale(grid: ElementGrid, galerkin: bool) -> np.ndarray:
 def _residual(sys, grid, coeffs, q_rhs, scale) -> np.ndarray:
     E, Et, _, Lq, B, nodes = _pairing_tables(grid.p, q_rhs)
     rate = (coeffs @ E) @ Et  # coboundary per variable, then edge expansion
-    Yq = coeffs @ Lq
-    Hq = np.empty_like(Yq)
-    for n in range(len(nodes)):
-        Hq[:, n] = _field_at(
-            sys, Yq[:, n], lambda: f"quadrature node {n} (t={grid.to_time(nodes[n]):g})"
-        )
+    Hq = _field_at(
+        sys, coeffs @ Lq, lambda n: f"quadrature node {n} (t={grid.to_time(nodes[n]):g})"
+    )
     return (scale * (rate / grid.sqrt_g - Hq @ B.T)).reshape(-1)
 
 
@@ -188,7 +205,13 @@ def _element_step(sys, y0, t0, dt, p, q_rhs, config, initial_guess, galerkin):
 
     def jacobian(z):
         Yq = _stage_coefficients(y0, z, p) @ Lq
-        Jh = np.array([sys.jacobian(Yq[:, n]) for n in range(Yq.shape[1])], dtype=float)
+        Jh = np.asarray(sys.jacobian(Yq), dtype=float)
+        if Jh.shape != (Yq.shape[1], M, M):
+            raise ValueError(
+                f"jacobian returned shape {Jh.shape} for states of shape {Yq.shape}, expected"
+                f" {(Yq.shape[1], M, M)}; wrap a jacobian written for one state with"
+                " geodesy.systems.pointwise"
+            )
         field_block = np.einsum("nik,mn,bn->imkb", Jh, pairing, Lq[1:])
         return rate_block - field_block.reshape(M * p, M * p)
 
@@ -232,38 +255,35 @@ def mgi_step(
 def explicit_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
     """Forward Euler update y + dt h(y)."""
     y0 = np.asarray(y0, dtype=float)
-    return y0 + dt * _field_at(sys, y0, lambda: f"t={t0:g}")
+    return y0 + dt * _field_at(sys, y0, lambda j: f"t={t0:g}")
 
 
 def symplectic_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
     """Momentum-first symplectic Euler update for separable systems.
 
-    p_new = p + dt f(q); q_new = q + dt g(p_new). Requires sys.partition.
+    p_new = p + dt h_p(p, q); q_new = q + dt h_q(p_new, q), where h_p and h_q
+    are the rows of field at the partition's momentum and position indices.
+    Requires sys.partition.
     """
     part = sys.partition
     if part is None:
         raise ValueError("symplectic Euler needs a separable partition on the system")
     y0 = np.asarray(y0, dtype=float)
-    reason = sys.check_domain(y0)
-    if reason is not None:
-        raise DomainError(f"state leaves the domain at t={t0:g}: {reason}")
-    p_idx = np.asarray(part.p_indices, dtype=int)
-    q_idx = np.asarray(part.q_indices, dtype=int)
-    p_new = y0[p_idx] + dt * np.asarray(part.f(y0[q_idx]), dtype=float)
-    q_new = y0[q_idx] + dt * np.asarray(part.g(p_new), dtype=float)
-    y = np.empty_like(y0)
-    y[p_idx] = p_new
-    y[q_idx] = q_new
+    p_idx = list(part.p_indices)
+    q_idx = list(part.q_indices)
+    y = y0.copy()
+    y[p_idx] += dt * _field_at(sys, y0, lambda j: f"t={t0:g}")[p_idx]
+    y[q_idx] += dt * _field_at(sys, y, lambda j: f"t={t0:g} (after the momentum update)")[q_idx]
     return y
 
 
 def rk4_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
     """Classical fourth-order Runge-Kutta update."""
     y0 = np.asarray(y0, dtype=float)
-    k1 = _field_at(sys, y0, lambda: f"t={t0:g}")
-    k2 = _field_at(sys, y0 + 0.5 * dt * k1, lambda: f"t={t0:g} (stage 2)")
-    k3 = _field_at(sys, y0 + 0.5 * dt * k2, lambda: f"t={t0:g} (stage 3)")
-    k4 = _field_at(sys, y0 + dt * k3, lambda: f"t={t0:g} (stage 4)")
+    k1 = _field_at(sys, y0, lambda j: f"t={t0:g}")
+    k2 = _field_at(sys, y0 + 0.5 * dt * k1, lambda j: f"t={t0:g} (stage 2)")
+    k3 = _field_at(sys, y0 + 0.5 * dt * k2, lambda j: f"t={t0:g} (stage 3)")
+    k4 = _field_at(sys, y0 + dt * k3, lambda j: f"t={t0:g} (stage 4)")
     return y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -19,6 +19,11 @@ from .errors import EvaluationError, NewtonNonConvergence, SingularJacobianError
 _PIVOT_RTOL = 1e-14
 # a Newton update dx this small next to max|x| is rounding noise: the residual is at its floor
 _STALL_RTOL = 4 * np.finfo(float).eps
+# Newton diverges when max|dx| has not contracted over this many updates, i.e. the product of
+# the last contraction rates theta_k = |dx_k| / |dx_{k-1}| is >= 1 (Hairer & Wanner II, IV.8),
+# while the update is still above sqrt(eps) max|x|, well clear of the rounding floor
+_DIVERGENCE_WINDOW = 3
+_DIVERGENCE_RTOL = np.sqrt(np.finfo(float).eps)
 
 
 class JacobianMode(enum.Enum):
@@ -77,7 +82,9 @@ def newton_solve(
     below, or an update shrinks to rounding size (max|dx| <= 4 eps max|x|),
     within config.max_iter updates. The analytic jacobian callable is used
     when given and the mode allows it; otherwise forward differences.
-    Raises NewtonNonConvergence with the last iterate attached on failure.
+    Raises NewtonNonConvergence with the last iterate attached on failure:
+    when the budget is spent, or earlier, as divergence, once max|dx| has
+    not shrunk over three updates while still above sqrt(eps) max|x|.
     """
     x = np.array(x0, dtype=float)
     r = np.asarray(residual(x), dtype=float)
@@ -85,12 +92,30 @@ def newton_solve(
         raise EvaluationError("residual is non-finite at the initial guess")
     use_analytic = jacobian is not None and config.jacobian_mode is JacobianMode.ANALYTIC
     iterations = 0
+    updates = []  # max|dx| per update
     while True:
         norm = float(np.max(np.abs(r)))
         if norm <= config.abs_tol:
             return NewtonResult(x, iterations, norm)
-        if iterations and np.abs(dx).max() <= _STALL_RTOL * np.abs(x).max():
-            return NewtonResult(x, iterations, norm)
+        if iterations:
+            updates.append(float(np.abs(dx).max()))
+            x_max = np.abs(x).max()
+            if updates[-1] <= _STALL_RTOL * x_max:
+                return NewtonResult(x, iterations, norm)
+            if (
+                iterations > _DIVERGENCE_WINDOW
+                and updates[-1] >= updates[-1 - _DIVERGENCE_WINDOW]
+                and updates[-1] > _DIVERGENCE_RTOL * x_max
+            ):
+                theta = updates[-1] / updates[-2]
+                raise NewtonNonConvergence(
+                    f"Newton diverges: max|dx| = {updates[-1]:.3e} did not contract over the"
+                    f" last {_DIVERGENCE_WINDOW} updates (contraction rate theta = {theta:.3g},"
+                    f" residual {norm:.3e}) after {iterations} iterations",
+                    x=x,
+                    residual_norm=norm,
+                    iterations=iterations,
+                )
         if iterations >= config.max_iter:
             raise NewtonNonConvergence(
                 f"Newton did not reach {config.abs_tol:.1e} in {config.max_iter} iterations"

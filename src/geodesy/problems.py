@@ -1,4 +1,8 @@
-"""Benchmark problems: small autonomous systems with known invariants."""
+"""Benchmark problems: small autonomous systems with known invariants.
+
+Every field, Jacobian and domain check takes one state (dim,) or a block of
+states (dim, n), as OdeSystem requires.
+"""
 
 from dataclasses import dataclass
 
@@ -6,6 +10,15 @@ import numpy as np
 
 from .errors import DomainError
 from .systems import OdeSystem, SeparablePartition
+
+
+def _jacobian(y, dim, entries):
+    # (dim, dim) for a state, (n, dim, dim) for a (dim, n) block; entries maps
+    # (i, k) to dh_i/dy_k, a constant or one value per column of y
+    J = np.zeros(np.shape(y)[1:] + (dim, dim))
+    for (i, k), value in entries.items():
+        J[..., i, k] = value
+    return J
 
 
 @dataclass(frozen=True)
@@ -37,7 +50,7 @@ def make_circle() -> ProblemSpec:
         return np.array([y[1], -y[0]])
 
     def jac(y):
-        return np.array([[0.0, 1.0], [-1.0, 0.0]])
+        return _jacobian(y, 2, {(0, 1): 1.0, (1, 0): -1.0})
 
     def energy(y):
         return 0.5 * (y[0] ** 2 + y[1] ** 2)
@@ -49,9 +62,7 @@ def make_circle() -> ProblemSpec:
         ct, st = np.cos(t), np.sin(t)
         return np.array([ct * y0[0] + st * y0[1], -st * y0[0] + ct * y0[1]])
 
-    part = SeparablePartition(
-        p_indices=(0,), q_indices=(1,), f=lambda q: q.copy(), g=lambda p: -p
-    )
+    part = SeparablePartition(p_indices=(0,), q_indices=(1,))
     sys = OdeSystem(
         dim=2,
         field=field,
@@ -74,7 +85,8 @@ def make_lotka_volterra() -> ProblemSpec:
         return np.array([y[0] * (y[1] - 2.0), y[1] * (1.0 - y[0])])
 
     def jac(y):
-        return np.array([[y[1] - 2.0, y[0]], [-y[1], 1.0 - y[0]]])
+        entries = {(0, 0): y[1] - 2.0, (0, 1): y[0], (1, 0): -y[1], (1, 1): 1.0 - y[0]}
+        return _jacobian(y, 2, entries)
 
     def v(y):
         if y[0] <= 0.0 or y[1] <= 0.0:
@@ -82,9 +94,11 @@ def make_lotka_volterra() -> ProblemSpec:
         return -y[0] + np.log(y[0]) - y[1] + 2.0 * np.log(y[1])
 
     def domain(y):
-        if y[0] <= 0.0 or y[1] <= 0.0:
-            return f"populations must stay positive, got ({y[0]:.6g}, {y[1]:.6g})"
-        return None
+        if not (y <= 0.0).any():
+            return None
+        cols = y.reshape(2, -1)
+        y1, y2 = cols[:, (cols <= 0.0).any(axis=0).argmax()]
+        return f"populations must stay positive, got ({y1:.6g}, {y2:.6g})"
 
     sys = OdeSystem(
         dim=2,
@@ -106,17 +120,12 @@ def make_pendulum() -> ProblemSpec:
         return np.array([-10.0 * np.sin(y[1]), y[0]])
 
     def jac(y):
-        return np.array([[0.0, -10.0 * np.cos(y[1])], [1.0, 0.0]])
+        return _jacobian(y, 2, {(0, 1): -10.0 * np.cos(y[1]), (1, 0): 1.0})
 
     def energy(y):
         return 0.5 * y[0] ** 2 - 10.0 * np.cos(y[1])
 
-    part = SeparablePartition(
-        p_indices=(0,),
-        q_indices=(1,),
-        f=lambda q: -10.0 * np.sin(q),
-        g=lambda p: p.copy(),
-    )
+    part = SeparablePartition(p_indices=(0,), q_indices=(1,))
     sys = OdeSystem(
         dim=2,
         field=field,
@@ -144,13 +153,18 @@ def make_kepler() -> ProblemSpec:
         r2 = q1 * q1 + q2 * q2
         r3 = r2**1.5
         r5 = r2**2.5
-        return np.array(
-            [
-                [0.0, 0.0, -1.0 / r3 + 3.0 * q1 * q1 / r5, 3.0 * q1 * q2 / r5],
-                [0.0, 0.0, 3.0 * q1 * q2 / r5, -1.0 / r3 + 3.0 * q2 * q2 / r5],
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0, 0.0],
-            ]
+        cross = 3.0 * q1 * q2 / r5
+        return _jacobian(
+            y,
+            4,
+            {
+                (0, 2): -1.0 / r3 + 3.0 * q1 * q1 / r5,
+                (0, 3): cross,
+                (1, 2): cross,
+                (1, 3): -1.0 / r3 + 3.0 * q2 * q2 / r5,
+                (2, 0): 1.0,
+                (3, 1): 1.0,
+            },
         )
 
     def energy(y):
@@ -163,16 +177,12 @@ def make_kepler() -> ProblemSpec:
 
     def domain(y):
         r2 = y[2] ** 2 + y[3] ** 2
-        if r2 < 1e-12:
-            return f"bodies collide: |q|^2 = {r2:.3e}"
-        return None
+        if not (r2 < 1e-12).any():
+            return None
+        r2 = np.atleast_1d(r2)
+        return f"bodies collide: |q|^2 = {r2[(r2 < 1e-12).argmax()]:.3e}"
 
-    part = SeparablePartition(
-        p_indices=(0, 1),
-        q_indices=(2, 3),
-        f=lambda q: -q / (q[0] ** 2 + q[1] ** 2) ** 1.5,
-        g=lambda p: p.copy(),
-    )
+    part = SeparablePartition(p_indices=(0, 1), q_indices=(2, 3))
     sys = OdeSystem(
         dim=4,
         field=field,
@@ -195,7 +205,7 @@ def make_harmonic_oscillator() -> ProblemSpec:
         return np.array([y[1], -y[0]])
 
     def jac(y):
-        return np.array([[0.0, 1.0], [-1.0, 0.0]])
+        return _jacobian(y, 2, {(0, 1): 1.0, (1, 0): -1.0})
 
     def amplitude(y):
         return y[0] ** 2 + y[1] ** 2
@@ -204,9 +214,7 @@ def make_harmonic_oscillator() -> ProblemSpec:
         ct, st = np.cos(t), np.sin(t)
         return np.array([ct * y0[0] + st * y0[1], -st * y0[0] + ct * y0[1]])
 
-    part = SeparablePartition(
-        p_indices=(1,), q_indices=(0,), f=lambda q: -q, g=lambda p: p.copy()
-    )
+    part = SeparablePartition(p_indices=(1,), q_indices=(0,))
     sys = OdeSystem(
         dim=2,
         field=field,

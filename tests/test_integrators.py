@@ -8,6 +8,7 @@ import geodesy.integrators
 from geodesy import (
     DomainError,
     ElementGrid,
+    EvaluationError,
     ElementSolution,
     IntegrationError,
     Method,
@@ -22,6 +23,7 @@ from geodesy import (
     mci_step,
     mgi_residual,
     mgi_step,
+    pointwise,
     rk4_step,
     sample_trajectory,
     symplectic_euler_step,
@@ -48,13 +50,14 @@ def midpoint_circle_step(y, dt):
 
 def make_quartic_oscillator():
     # H = (p^4 + q^4) / 4 with state (p, q); field is the canonical flow.
-    return OdeSystem(
-        dim=2,
-        field=lambda y: np.array([-y[1] ** 3, y[0] ** 3]),
-        jacobian=lambda y: np.array(
-            [[0.0, -3.0 * y[1] ** 2], [3.0 * y[0] ** 2, 0.0]]
-        ),
-        invariants=(("H", lambda y: 0.25 * (y[0] ** 4 + y[1] ** 4)),),
+    # The callables are written for one state, so pointwise lifts them.
+    return pointwise(
+        OdeSystem(
+            dim=2,
+            field=lambda y: np.array([-y[1] ** 3, y[0] ** 3]),
+            jacobian=lambda y: np.array([[0.0, -3.0 * y[1] ** 2], [3.0 * y[0] ** 2, 0.0]]),
+            invariants=(("H", lambda y: 0.25 * (y[0] ** 4 + y[1] ** 4)),),
+        )
     )
 
 
@@ -95,7 +98,7 @@ class TestMciStep:
         npt.assert_array_equal(sol.endpoint(), sol.coefficients[:, -1])
 
     def test_constant_field_yields_linear_solution(self):
-        const = OdeSystem(dim=2, field=lambda y: np.array([1.5, -0.5]))
+        const = pointwise(OdeSystem(dim=2, field=lambda y: np.array([1.5, -0.5])))
         y0 = np.array([1.0, 2.0])
         sol = mci_step(const, y0, 0.0, 0.8, 3)
         res = mci_residual(const, sol)
@@ -120,10 +123,8 @@ class TestMciStep:
             C = B.T @ B + 4.0 * np.eye(4)
             W = rng.standard_normal((4, 4))
             A = np.linalg.solve(C, W - W.T)
-            sys = OdeSystem(
-                dim=4,
-                field=lambda y, A=A: A @ y,
-                jacobian=lambda y, A=A: A,
+            sys = pointwise(
+                OdeSystem(dim=4, field=lambda y, A=A: A @ y, jacobian=lambda y, A=A: A)
             )
             y = rng.standard_normal(4)
             i0 = y @ C @ y
@@ -182,13 +183,69 @@ class TestResiduals:
         # With a constant field (0, 1000) and the constant-in-time candidate,
         # the rate term vanishes, so the residual is -field per stage:
         # rows 0..p-1 belong to variable one, rows p.. to variable two.
-        sys = OdeSystem(dim=2, field=lambda y: np.array([0.0, 1000.0]))
+        sys = pointwise(OdeSystem(dim=2, field=lambda y: np.array([0.0, 1000.0])))
         p = 3
         grid = ElementGrid.build(p, 0.0, 0.5)
         coeffs = np.tile(np.array([[1.0], [2.0]]), (1, p + 1))
         res = mci_residual(sys, ElementSolution(grid, coeffs))
         npt.assert_array_equal(res[:p], 0.0)
         npt.assert_array_equal(res[p:], -1000.0)
+
+
+def _first_bad_node(grid, Yq, nodes, failing):
+    # the per-node reference: scan the quadrature nodes in order
+    for n in range(Yq.shape[1]):
+        if failing(Yq[:, n]):
+            return n, f"quadrature node {n} (t={grid.to_time(nodes[n]):g})"
+    raise AssertionError("no node fails")
+
+
+class TestBlockEvaluation:
+    def test_domain_error_names_first_bad_quadrature_node(self):
+        # y1 dips below zero inside the element, over more than one dual node
+        lv = get_problem("lotka-volterra").system
+        p = 3
+        grid = ElementGrid.build(p, 2.0, 2.6)
+        coeffs = np.array([[1.0, 0.2, -0.6, -0.5], [1.0, 1.0, 1.0, 1.0]])
+        nodes = grid.dual.nodes
+        Yq = ElementSolution(grid, coeffs).evaluate(nodes)
+        bad = [n for n in range(p) if lv.check_domain(Yq[:, n]) is not None]
+        assert len(bad) >= 2 and bad[0] > 0
+        n, where = _first_bad_node(grid, Yq, nodes, lambda y: lv.check_domain(y) is not None)
+        expected = f"state leaves the domain at {where}: {lv.check_domain(Yq[:, n])}"
+        with pytest.raises(DomainError) as info:
+            mci_residual(lv, ElementSolution(grid, coeffs))
+        assert str(info.value) == expected
+        assert expected.startswith("state leaves the domain at quadrature node 1 (t=2.")
+
+    def test_nonfinite_field_names_its_quadrature_node(self):
+        # the field is NaN wherever the first component exceeds 1.5
+        sys = OdeSystem(dim=2, field=lambda y: np.where(y[0] > 1.5, np.nan, -y))
+        p, q_rhs = 2, 7
+        grid = ElementGrid.build(p, 0.0, 0.5)
+        coeffs = np.array([[1.0, 1.5, 2.0], [0.0, 0.0, 0.0]])
+        _, _, _, Lq, _, nodes = geodesy.integrators._pairing_tables(p, q_rhs)
+        Yq = coeffs @ Lq
+        n, where = _first_bad_node(grid, Yq, nodes, lambda y: y[0] > 1.5)
+        assert 0 < n < q_rhs - 1
+        with pytest.raises(EvaluationError) as info:
+            mgi_residual(sys, ElementSolution(grid, coeffs), q_rhs)
+        assert str(info.value) == f"vector field is non-finite at {where}"
+
+    def test_one_state_field_fails_early(self):
+        const = OdeSystem(dim=2, field=lambda y: np.array([1.5, -0.5]))
+        with pytest.raises(ValueError, match=r"expected \(2, 3\).*geodesy\.systems\.pointwise"):
+            mci_step(const, np.array([1.0, 2.0]), 0.0, 0.8, 3)
+        with pytest.raises(ValueError, match=r"expected \(2, 12\).*geodesy\.systems\.pointwise"):
+            integrate(const, Method.MGI, np.array([1.0, 2.0]), 0.0, 0.8, 0.4, p=1)
+
+    def test_one_state_jacobian_fails_early(self):
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        sys = OdeSystem(dim=2, field=lambda y: A @ y, jacobian=lambda y: A)
+        with pytest.raises(ValueError, match=r"expected \(2, 2, 2\).*geodesy\.systems\.pointwise"):
+            mci_step(sys, np.array([1.0, 0.0]), 0.0, 0.5, 2)
+        sol = mci_step(pointwise(sys), np.array([1.0, 0.0]), 0.0, 0.5, 2)
+        assert sol.newton_iterations == 1
 
 
 class TestMgiStep:
@@ -324,22 +381,29 @@ class TestNewtonRoundingFloor:
 
     def test_large_magnitude_field_converges(self):
         gravity = 1e6
-        stiff = OdeSystem(
-            dim=2,
-            field=lambda y: np.array([-gravity * np.sin(y[1]), y[0]]),
-            jacobian=lambda y: np.array([[0.0, -gravity * np.cos(y[1])], [1.0, 0.0]]),
+        stiff = pointwise(
+            OdeSystem(
+                dim=2,
+                field=lambda y: np.array([-gravity * np.sin(y[1]), y[0]]),
+                jacobian=lambda y: np.array([[0.0, -gravity * np.cos(y[1])], [1.0, 0.0]]),
+            )
         )
         sol = mgi_step(stiff, np.array([0.0, np.pi / 2.0]), 0.0, 1e-3, 3)
         assert sol.newton_iterations < NewtonConfig().max_iter
         res = mgi_residual(stiff, sol, default_qrhs(3))
         assert np.max(np.abs(res)) <= 1e-9
 
-    def test_genuine_divergence_still_fails(self):
+    def test_genuine_divergence_fails_fast(self):
+        # the updates stop contracting at residual ~15; the divergence test
+        # stops the solve long before the 50-iteration budget
         pend = get_problem("pendulum")
-        with pytest.raises(IntegrationError) as info:
+        with pytest.raises(IntegrationError, match="diverg") as info:
             integrate(pend.system, Method.MCI, pend.y0, 0.0, 4.0, 2.0, p=2)
         assert info.value.step == 1
-        assert isinstance(info.value.__cause__, NewtonNonConvergence)
+        cause = info.value.__cause__
+        assert isinstance(cause, NewtonNonConvergence)
+        assert cause.iterations <= 10
+        assert cause.residual_norm > 1.0
 
 
 class TestBaselines:

@@ -47,6 +47,35 @@ def test_double_root_exhausts_budget():
     assert err.x is not None
 
 
+def test_divergence_stops_early():
+    # Newton on arctan from |x0| > 1.39 overshoots further on every update
+    with pytest.raises(NewtonNonConvergence, match="diverges") as info:
+        newton_solve(np.arctan, np.array([2.0]), jacobian=lambda x: np.diag(1.0 / (1.0 + x**2)))
+    assert info.value.iterations == 4
+    assert info.value.residual_norm > 1.0
+
+
+def test_slow_contraction_is_not_divergence():
+    # a double root contracts by only 1/2 per update; the solve runs to its budget
+    cfg = NewtonConfig(max_iter=15)
+    with pytest.raises(NewtonNonConvergence, match="did not reach") as info:
+        newton_solve(lambda x: x**2, np.array([1.0]), cfg, jacobian=lambda x: np.diag(2.0 * x))
+    assert info.value.iterations == 15
+
+
+def test_noise_floor_above_tolerance_is_not_divergence():
+    # residual noise of 1e-11 keeps the updates from contracting, but they are
+    # far below sqrt(eps) |x|: a stall, which runs to the budget
+    def residual(x):
+        return x - 1.0 + 1e-11 * np.sin(1e15 * x)
+
+    cfg = NewtonConfig(max_iter=10)
+    with pytest.raises(NewtonNonConvergence, match="did not reach") as info:
+        newton_solve(residual, np.array([3.0]), cfg, jacobian=lambda x: np.eye(1))
+    assert info.value.iterations == 10
+    assert info.value.residual_norm > 1e-12
+
+
 def test_stall_at_rounding_floor_counts_as_converged():
     # near the root one ulp of x moves the residual by ~1e-9, so abs_tol is
     # out of reach; the solve stops once updates fall to rounding size

@@ -132,22 +132,25 @@ class TestHamiltonianStructure:
 
 class TestPartitions:
     @pytest.mark.parametrize("name", ["circle", "harmonic", "kepler", "pendulum"])
-    def test_partition_blocks_reassemble_field(self, name):
+    def test_index_split_separates_field(self, name):
+        # the momentum rate field(y)[p] ignores the momenta and the position
+        # rate field(y)[q] ignores the positions, bitwise
         prob = get_problem(name)
         sys_ = prob.system
         part = sys_.partition
         assert part is not None
-        p_idx = np.asarray(part.p_indices)
-        q_idx = np.asarray(part.q_indices)
-        assert sorted(list(p_idx) + list(q_idx)) == list(range(sys_.dim))
+        p_idx = list(part.p_indices)
+        q_idx = list(part.q_indices)
+        assert sorted(p_idx + q_idx) == list(range(sys_.dim))
         rng = np.random.default_rng(53)
-        for _ in range(20):
-            y = prob.y0 + rng.uniform(-0.2, 0.2, sys_.dim)
-            if sys_.check_domain(y) is not None:
-                continue
-            h = sys_.field(y)
-            npt.assert_allclose(part.f(y[q_idx]), h[p_idx], atol=1e-13)
-            npt.assert_allclose(part.g(y[p_idx]), h[q_idx], atol=1e-13)
+        y = prob.y0[:, None] + rng.uniform(-0.2, 0.2, (sys_.dim, 20))
+        assert sys_.check_domain(y) is None
+        h = sys_.field(y)
+        moved_p, moved_q = y.copy(), y.copy()
+        moved_p[p_idx] += rng.uniform(-0.5, 0.5, (len(p_idx), 20))
+        moved_q[q_idx] += rng.uniform(-0.1, 0.1, (len(q_idx), 20))
+        npt.assert_array_equal(sys_.field(moved_p)[p_idx], h[p_idx])
+        npt.assert_array_equal(sys_.field(moved_q)[q_idx], h[q_idx])
 
     def test_lotka_volterra_not_separable(self):
         assert make_lotka_volterra().system.partition is None
@@ -168,6 +171,18 @@ class TestDomains:
         sys_ = make_kepler().system
         assert sys_.check_domain(np.array([0.0, 0.0, 1e-7, 0.0])) is not None
         assert sys_.check_domain(np.array([0.0, 0.0, 0.4, 0.0])) is None
+
+    def test_block_check_reports_first_failing_column(self):
+        lv = make_lotka_volterra().system
+        Y = np.array([[1.0, -1.0, 2.0, -3.0], [1.0, 1.0, 0.0, 1.0]])
+        assert lv.check_domain(Y) == lv.check_domain(Y[:, 1])
+        assert lv.check_domain(Y[:, 1]) != lv.check_domain(Y[:, 2])
+        assert lv.check_domain(Y[:, [0]]) is None
+        kep = make_kepler().system
+        Y = np.zeros((4, 4))
+        Y[2] = [0.4, 1e-7, 0.0, 0.5]
+        assert kep.check_domain(Y) == kep.check_domain(Y[:, 1])
+        assert kep.check_domain(Y[:, 1]) != kep.check_domain(Y[:, 2])
 
     def test_unguarded_problems(self):
         assert make_circle().system.check_domain(np.array([1e6, -1e6])) is None
