@@ -64,7 +64,7 @@ from .mimetic import (
     reduce0,
     reduce1,
 )
-from .newton import JacobianMode, NewtonConfig, NewtonResult, newton_solve
+from .newton import NewtonConfig, NewtonResult, newton_solve
 from .problems import (
     ProblemSpec,
     get_problem,
@@ -90,7 +90,6 @@ __all__ = [
     "GeodesyError",
     "IncidenceMatrix",
     "IntegrationError",
-    "JacobianMode",
     "Method",
     "NewtonConfig",
     "NewtonNonConvergence",

@@ -188,7 +188,7 @@ def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray
     return _residual(sys, grid, sol.coefficients, q_rhs, _row_scale(grid, galerkin=True))
 
 
-def _element_step(sys, y0, t0, dt, p, q_rhs, config, initial_guess, galerkin):
+def _element_step(sys, y0, t0, dt, p, q_rhs, config, galerkin):
     grid = ElementGrid.build(p, t0, t0 + dt)
     y0 = np.asarray(y0, dtype=float)
     if len(y0) != sys.dim:
@@ -215,9 +215,8 @@ def _element_step(sys, y0, t0, dt, p, q_rhs, config, initial_guess, galerkin):
         field_block = np.einsum("nik,mn,bn->imkb", Jh, pairing, Lq[1:])
         return rate_block - field_block.reshape(M * p, M * p)
 
-    z0 = np.repeat(y0, p) if initial_guess is None else np.asarray(initial_guess, dtype=float)
     jac = jacobian if sys.jacobian is not None else None
-    result = newton_solve(residual, z0, config, jacobian=jac)
+    result = newton_solve(residual, np.repeat(y0, p), config, jacobian=jac)
     coeffs = _stage_coefficients(y0, result.x, p)
     return ElementSolution(grid, coeffs, newton_iterations=result.iterations)
 
@@ -229,10 +228,9 @@ def mci_step(
     dt: float,
     p: int,
     config: NewtonConfig = NewtonConfig(),
-    initial_guess=None,
 ) -> ElementSolution:
     """One collocation-pairing step of order p over [t0, t0 + dt]; dt may be negative."""
-    return _element_step(sys, y0, t0, dt, p, p, config, initial_guess, galerkin=False)
+    return _element_step(sys, y0, t0, dt, p, p, config, galerkin=False)
 
 
 def mgi_step(
@@ -243,13 +241,12 @@ def mgi_step(
     p: int,
     q_rhs: Optional[int] = None,
     config: NewtonConfig = NewtonConfig(),
-    initial_guess=None,
 ) -> ElementSolution:
     """One Galerkin-pairing step of order p over [t0, t0 + dt]; dt may be negative."""
     if q_rhs is None:
         q_rhs = default_qrhs(p)
     _check_qrhs(q_rhs)
-    return _element_step(sys, y0, t0, dt, p, q_rhs, config, initial_guess, galerkin=True)
+    return _element_step(sys, y0, t0, dt, p, q_rhs, config, galerkin=True)
 
 
 def explicit_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
@@ -298,7 +295,13 @@ class Trajectory:
     dt: float
     order: Optional[int] = None  # polynomial order for element methods
     elements: Optional[tuple] = None  # ElementSolution per step for element methods
-    newton_iterations: Optional[tuple] = None
+
+    @property
+    def newton_iterations(self) -> Optional[tuple]:
+        """Newton iterations per step for element methods, None otherwise."""
+        if self.elements is None:
+            return None
+        return tuple(el.newton_iterations for el in self.elements)
 
     @property
     def dim(self) -> int:
@@ -336,15 +339,16 @@ def integrate(
     p: int = 2,
     newton: NewtonConfig = NewtonConfig(),
     q_rhs: Optional[int] = None,
-    warm_start: bool = False,
 ) -> Trajectory:
     """March from t0 to tf with fixed steps of dt, shortening the last one.
 
     Step times are computed as t0 + k dt (no accumulation drift) and the
-    final step lands on tf exactly. Step failures are re-raised as
-    IntegrationError annotated with the step index and start time; so is an
-    invariant that fails on a recorded state, with the index k of that state
-    in times (the state step k starts from) and its time.
+    final step lands on tf exactly. Every step has positive length: a
+    remainder within rounding of the step times is absorbed by the last step.
+    Step failures are re-raised as IntegrationError annotated with the step
+    index and start time; so is an invariant that fails on a recorded state,
+    with the index k of that state in times (the state step k starts from)
+    and its time.
     """
     if not tf > t0:
         raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")
@@ -354,25 +358,26 @@ def integrate(
     if y0.shape != (sys.dim,):
         raise ValueError(f"initial state must have shape ({sys.dim},), got {y0.shape}")
 
-    n = max(1, int(math.ceil((tf - t0) / dt - 1e-12)))
+    # t0 + k dt rounds at the magnitude of t0 and tf, so (tf - t0) / dt can
+    # exceed a whole count by far more than 1e-12 when tf = t0 + n dt
+    slack = 1e-12 * dt + 8 * np.finfo(float).eps * max(abs(t0), abs(tf))
+    n = max(1, math.ceil((tf - t0 - slack) / dt))
     times = np.empty(n + 1)
     states = np.empty((sys.dim, n + 1))
     times[0] = t0
     states[:, 0] = y0
     elements = [] if method.is_element_method else None
-    iteration_counts = [] if method.is_element_method else None
 
     y = y0
-    guess = None
     for k in range(n):
         t_a = t0 + k * dt
         t_b = tf if k == n - 1 else t0 + (k + 1) * dt
         h = t_b - t_a
         try:
             if method is Method.MCI:
-                sol = mci_step(sys, y, t_a, h, p, newton, initial_guess=guess)
+                sol = mci_step(sys, y, t_a, h, p, newton)
             elif method is Method.MGI:
-                sol = mgi_step(sys, y, t_a, h, p, q_rhs, newton, initial_guess=guess)
+                sol = mgi_step(sys, y, t_a, h, p, q_rhs, newton)
             elif method is Method.EXPLICIT_EULER:
                 y = explicit_euler_step(sys, y, t_a, h)
             elif method is Method.SYMPLECTIC_EULER:
@@ -383,11 +388,7 @@ def integrate(
                 raise ValueError(f"unknown method {method!r}")
             if method.is_element_method:
                 elements.append(sol)
-                iteration_counts.append(sol.newton_iterations)
                 y = sol.endpoint()
-                if warm_start and k + 1 < n:
-                    nxt = ElementGrid.build(p, t_b, min(t_b + dt, tf))
-                    guess = sol.evaluate_time(nxt.to_time(nxt.primal.nodes[1:])).reshape(-1)
             reason = sys.check_domain(y)
             if reason is not None:
                 raise DomainError(f"accepted state leaves the domain: {reason}")
@@ -406,7 +407,6 @@ def integrate(
         dt=dt,
         order=p if method.is_element_method else None,
         elements=tuple(elements) if elements is not None else None,
-        newton_iterations=tuple(iteration_counts) if iteration_counts is not None else None,
     )
 
 

@@ -3,11 +3,10 @@
 The linear solves use a dense LU factorization with partial pivoting; a
 factorization whose smallest pivot falls below 1e-14 relative to the largest
 is treated as singular rather than silently producing garbage. The Jacobian
-is either supplied analytically or assembled by forward differences with a
-step scaled per component.
+is the analytic callable when one is given, otherwise forward differences
+with a step scaled per component.
 """
 
-import enum
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -24,19 +23,14 @@ _STALL_RTOL = 4 * np.finfo(float).eps
 # while the update is still above sqrt(eps) max|x|, well clear of the rounding floor
 _DIVERGENCE_WINDOW = 3
 _DIVERGENCE_RTOL = np.sqrt(np.finfo(float).eps)
-
-
-class JacobianMode(enum.Enum):
-    ANALYTIC = "analytic"
-    FORWARD_DIFFERENCE = "forward-difference"
+# relative step of the forward-difference Jacobian used when no analytic one is given
+_FD_STEP = 1e-7
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
     abs_tol: float = 1e-12
     max_iter: int = 50
-    jacobian_mode: JacobianMode = JacobianMode.ANALYTIC
-    fd_step: float = 1e-7
 
 
 class NewtonResult(NamedTuple):
@@ -45,7 +39,7 @@ class NewtonResult(NamedTuple):
     residual_norm: float
 
 
-def forward_difference_jacobian(residual, x, r0=None, fd_step=1e-7):
+def forward_difference_jacobian(residual, x, r0=None, fd_step=_FD_STEP):
     """Column-wise forward-difference Jacobian with step fd_step * (1 + |x_j|)."""
     if r0 is None:
         r0 = np.asarray(residual(x), dtype=float)
@@ -81,7 +75,7 @@ def newton_solve(
     Convergence means the max-norm of the residual drops to config.abs_tol or
     below, or an update shrinks to rounding size (max|dx| <= 4 eps max|x|),
     within config.max_iter updates. The analytic jacobian callable is used
-    when given and the mode allows it; otherwise forward differences.
+    when given, otherwise forward differences.
     Raises NewtonNonConvergence with the last iterate attached on failure:
     when the budget is spent, or earlier, as divergence, once max|dx| has
     not shrunk over three updates while still above sqrt(eps) max|x|.
@@ -90,7 +84,6 @@ def newton_solve(
     r = np.asarray(residual(x), dtype=float)
     if not np.all(np.isfinite(r)):
         raise EvaluationError("residual is non-finite at the initial guess")
-    use_analytic = jacobian is not None and config.jacobian_mode is JacobianMode.ANALYTIC
     iterations = 0
     updates = []  # max|dx| per update
     while True:
@@ -124,10 +117,10 @@ def newton_solve(
                 residual_norm=norm,
                 iterations=iterations,
             )
-        if use_analytic:
+        if jacobian is not None:
             J = np.asarray(jacobian(x), dtype=float)
         else:
-            J = forward_difference_jacobian(residual, x, r, config.fd_step)
+            J = forward_difference_jacobian(residual, x, r)
         if not np.all(np.isfinite(J)):
             raise EvaluationError("Jacobian is non-finite during Newton iteration")
         dx = _lu_solve_checked(J, -r)

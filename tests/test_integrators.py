@@ -1,8 +1,12 @@
 """Tests for the element integrators, baselines, and the integrate driver."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geodesy.integrators
 from geodesy import (
@@ -356,6 +360,20 @@ class TestStageJacobian:
         J_fd = forward_difference_jacobian(residual, z, fd_step=1e-8)
         assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J))
 
+    @pytest.mark.parametrize("step", [mci_step, mgi_step])
+    def test_system_without_jacobian_uses_forward_differences(self, monkeypatch, step):
+        lv = get_problem("lotka-volterra")
+        fd_system = dataclasses.replace(lv.system, jacobian=None)
+        _, jacobian, x0 = _stage_callables(
+            monkeypatch, lambda: step(fd_system, lv.y0, 0.0, 0.3, 3)
+        )
+        assert jacobian is None
+        npt.assert_array_equal(x0, np.repeat(lv.y0, 3))
+        monkeypatch.undo()
+        fd = step(fd_system, lv.y0, 0.0, 0.3, 3)
+        analytic = step(lv.system, lv.y0, 0.0, 0.3, 3)
+        npt.assert_allclose(fd.coefficients, analytic.coefficients, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("name", ["pendulum", "kepler", "lotka-volterra"])
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_galerkin_on_dual_nodes_equals_collocation(self, name, p):
@@ -366,6 +384,32 @@ class TestStageJacobian:
         b = mgi_step(prob.system, prob.y0, 0.0, 0.1, p, q_rhs=p)
         npt.assert_allclose(b.coefficients, a.coefficients, rtol=0.0, atol=1e-13)
         assert b.newton_iterations == a.newton_iterations
+
+
+class TestReverseStep:
+    # Both pairings are time-symmetric: stepping back over the same element
+    # from the endpoint returns the start state. The perturbation stays small
+    # enough that dt = 0.2 still resolves Kepler's periapsis at |q| = 0.4; at
+    # 0.05, p = 1 Newton diverges or lands on a spurious root there.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["pendulum", "kepler"]),
+        step=st.sampled_from([mci_step, mgi_step]),
+        p=st.integers(1, 12),
+        dt=st.floats(0.02, 0.2),
+        sign=st.sampled_from([1.0, -1.0]),
+        data=st.data(),
+    )
+    def test_step_then_reverse_step_returns_the_start(self, name, step, p, dt, sign, data):
+        prob = get_problem(name)
+        offset = data.draw(
+            st.lists(st.floats(-0.01, 0.01), min_size=prob.system.dim, max_size=prob.system.dim)
+        )
+        y = prob.y0 + np.array(offset)
+        h = sign * dt
+        forth = step(prob.system, y, 0.0, h, p).endpoint()
+        back = step(prob.system, forth, h, -h, p).endpoint()
+        assert np.max(np.abs(back - y)) <= 1e-12 * np.max(np.abs(y))
 
 
 class TestNewtonRoundingFloor:
@@ -392,6 +436,17 @@ class TestNewtonRoundingFloor:
         assert sol.newton_iterations < NewtonConfig().max_iter
         res = mgi_residual(stiff, sol, default_qrhs(3))
         assert np.max(np.abs(res)) <= 1e-9
+
+    def test_near_parabolic_kepler_at_a_step_resolving_periapsis(self):
+        # e = 0.99 from periapsis |q| = 0.01: dt = 0.002 resolves the close
+        # approach, so both pairings keep their exact invariant through it
+        kep = get_problem("kepler")
+        y0 = np.array([0.0, np.sqrt(199.0), 0.01, 0.0])
+        mgi = integrate(kep.system, Method.MGI, y0, 0.0, 0.4, 0.002, p=3)
+        mci = integrate(kep.system, Method.MCI, y0, 0.0, 0.4, 0.002, p=3)
+        assert mgi.steps == mci.steps == 200
+        assert np.max(np.abs(mgi.invariants["H"] - mgi.invariants["H"][0])) <= 1e-12
+        assert np.max(np.abs(mci.invariants["L"] - mci.invariants["L"][0])) <= 1e-13
 
     def test_genuine_divergence_fails_fast(self):
         # the updates stop contracting at residual ~15; the divergence test
@@ -481,6 +536,32 @@ class TestIntegrateDriver:
         )
         assert traj.steps == 3
 
+    @pytest.mark.parametrize("t0, dt, steps", [(100.0, 0.001, 1), (1000.0, 0.01, 7)])
+    def test_time_grid_has_no_zero_length_final_step(self, t0, dt, steps):
+        # (tf - t0) / dt exceeds steps by more than 1e-12 here, from rounding
+        # at the magnitude of t0; that remainder is not a further step
+        circle = make_circle()
+        tf = t0 + steps * dt
+        for method in (Method.RK4, Method.MCI):
+            traj = integrate(circle.system, method, circle.y0, t0, tf, dt, p=2)
+            assert traj.steps == steps
+            assert np.all(np.diff(traj.times) > 0.0)
+            assert traj.times[-1] == tf
+
+    def test_time_grid_steps_are_positive_near_grid_points(self):
+        circle = make_circle()
+        for t0 in (0.0, -3.0, 1000.0, 1e6):
+            for dt in (0.01, 1.0 / 3.0, 2.0 * np.pi / 128.0):
+                for steps in (1, 2, 7, 20):
+                    tf = t0 + steps * dt
+                    for end in (np.nextafter(tf, -np.inf), tf, np.nextafter(tf, np.inf)):
+                        traj = integrate(
+                            circle.system, Method.EXPLICIT_EULER, circle.y0, t0, end, dt
+                        )
+                        assert traj.steps == steps
+                        assert np.all(np.diff(traj.times) > 0.0)
+                        assert traj.times[-1] == end
+
     def test_invariant_series_shape(self):
         circle = make_circle()
         traj = integrate(circle.system, Method.MCI, circle.y0, 0.0, 2.0, 0.5, p=2)
@@ -497,7 +578,7 @@ class TestIntegrateDriver:
         tr_m = integrate(circle.system, Method.MCI, circle.y0, 0.0, 1.0, 0.5, p=3)
         assert tr_m.order == 3
         assert len(tr_m.elements) == tr_m.steps
-        assert len(tr_m.newton_iterations) == tr_m.steps
+        assert tr_m.newton_iterations == tuple(el.newton_iterations for el in tr_m.elements)
         assert tr_m.dim == 2
 
     def test_rejects_bad_arguments(self):
@@ -534,27 +615,6 @@ class TestIntegrateDriver:
         assert info.value.step == 4
         assert info.value.time == 2.0
         assert isinstance(info.value.__cause__, DomainError)
-
-    def test_warm_start_matches_cold_start(self):
-        pend = get_problem("pendulum")
-        cold = integrate(
-            pend.system, Method.MCI, pend.y0, 0.0, 4.0, 0.4, p=3, newton=TIGHT
-        )
-        warm = integrate(
-            pend.system,
-            Method.MCI,
-            pend.y0,
-            0.0,
-            4.0,
-            0.4,
-            p=3,
-            newton=TIGHT,
-            warm_start=True,
-        )
-        npt.assert_allclose(
-            warm.states[:, -1], cold.states[:, -1], rtol=0.0, atol=1e-11
-        )
-        assert sum(warm.newton_iterations) <= sum(cold.newton_iterations)
 
 
 class TestSampling:

@@ -6,7 +6,6 @@ import pytest
 
 from geodesy.errors import EvaluationError, NewtonNonConvergence, SingularJacobianError
 from geodesy.newton import (
-    JacobianMode,
     NewtonConfig,
     forward_difference_jacobian,
     newton_solve,
@@ -131,19 +130,6 @@ def test_analytic_jacobian_used():
     result = newton_solve(residual, np.array([3.0]), jacobian=jac)
     assert calls["jac"] > 0
     assert abs(result.x[0] - 2.0) <= 1e-12
-
-
-def test_forward_difference_mode_ignores_analytic():
-    calls = {"jac": 0}
-
-    def jac(x):
-        calls["jac"] += 1
-        return np.array([[1.0]])
-
-    cfg = NewtonConfig(jacobian_mode=JacobianMode.FORWARD_DIFFERENCE)
-    result = newton_solve(lambda x: x - 5.0, np.array([0.0]), cfg, jacobian=jac)
-    assert calls["jac"] == 0
-    assert abs(result.x[0] - 5.0) <= 1e-12
 
 
 def test_forward_difference_jacobian_accuracy():
