@@ -225,33 +225,29 @@ def nodal_eval_all(basis: NodalBasis, x) -> np.ndarray:
     return np.where(np.any(hit, axis=-1, keepdims=True), hit, out)
 
 
-def nodal_deriv_all(basis: NodalBasis, x: float) -> np.ndarray:
-    """All Lagrange derivative values l_i'(x).
+def nodal_deriv_all(basis: NodalBasis, x) -> np.ndarray:
+    """All Lagrange derivative values l_i'(x) for a point or an array x, shape x.shape + (p+1,).
 
     Off-node points use the differentiated barycentric form
     l_i'(x) = l_i(x) (sum_j l_j(x)/(x-x_j) - 1/(x-x_i)); at a node the
     classical differentiation-matrix row is used so row sums vanish exactly.
+    Each row equals a scalar call's.
     """
     nodes, w = basis.nodes, basis.bary_weights
-    d = x - nodes
+    d = np.asarray(x, dtype=float)[..., None] - nodes
     hit = d == 0.0
-    if np.any(hit):
-        k = int(np.argmax(hit))
-        out = np.zeros(len(nodes))
-        for i in range(len(nodes)):
-            if i != k:
-                out[i] = (w[i] / w[k]) / (nodes[k] - nodes[i])
-        out[k] = -np.sum(out)
-        return out
+    k = np.argmax(hit, axis=-1, keepdims=True)  # the node a row hits, 0 for none
     l = nodal_eval_all(basis, x)
-    s = np.sum(l / d)
-    return l * (s - 1.0 / d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = l * ((l / d).sum(axis=-1, keepdims=True) - 1.0 / d)
+        row = np.where(hit, 0.0, (w / w[k]) / (nodes[k] - nodes))
+    on = np.where(hit, -row.sum(axis=-1, keepdims=True), row)
+    return np.where(hit.any(axis=-1, keepdims=True), on, off)
 
 
-def edge_eval_all(basis: EdgeBasis, x: float) -> np.ndarray:
-    """All edge function values e_1..e_p at x."""
-    dl = nodal_deriv_all(basis.nodal, x)
-    return -np.cumsum(dl)[:-1]
+def edge_eval_all(basis: EdgeBasis, x) -> np.ndarray:
+    """All edge function values e_1..e_p for a point or an array x, shape x.shape + (p,)."""
+    return -np.cumsum(nodal_deriv_all(basis.nodal, x), axis=-1)[..., :-1]
 
 
 def integrate_quad(rule: QuadratureRule, f) -> float:

@@ -115,10 +115,11 @@ def _resolve_common(args):
             )
     else:
         y0 = problem.y0
-    newton = NewtonConfig(
-        abs_tol=float(config.get("newton_abs_tol", 1e-12)),
-        max_iter=int(config.get("newton_max_iter", 50)),
-    )
+    keys = {"abs_tol": "newton_abs_tol", "max_iter": "newton_max_iter"}
+    try:
+        newton = NewtonConfig(**{f: config[k] for f, k in keys.items() if k in config})
+    except ValueError as err:
+        raise UsageError(f"bad newton_* config value: {err}")
     samples = int(config.get("samples_per_element", 1))
     if samples < 1:
         raise UsageError(f"samples_per_element must be at least 1, got {samples}")

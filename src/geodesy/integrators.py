@@ -77,7 +77,7 @@ def _pairing_tables(p: int, q_rhs: int):
     grid = ElementGrid.build(p, 0.0, 1.0)
     quad = gauss_rule(q_rhs)
     E = np.asarray(incidence_matrix(p).matrix)
-    Et = np.array([edge_eval_all(grid.edge_basis, t) for t in grid.dual.nodes]).T
+    Et = edge_eval_all(grid.edge_basis, grid.dual.nodes).T
     Lq = nodal_eval_all(grid.primal_basis, quad.nodes).T
     Ltilde = nodal_eval_all(grid.dual_basis, quad.nodes).T
     B = quad.weights * Ltilde / grid.dual.weights[:, None]
@@ -85,6 +85,16 @@ def _pairing_tables(p: int, q_rhs: int):
     for arr in (Et, D, Lq, B):
         arr.setflags(write=False)
     return E, Et, D, Lq, B, quad.nodes
+
+
+@lru_cache(maxsize=None)
+def _rate_block(p: int, q_rhs: int, M: int, galerkin: bool) -> np.ndarray:
+    # the stage Jacobian's rate term times sqrt(g): linear, and the same for
+    # every variable
+    D = _pairing_tables(p, q_rhs)[2]
+    block = np.kron(np.eye(M), _row_scale(p, galerkin)[:, None] * D[1:].T)
+    block.setflags(write=False)
+    return block
 
 
 @dataclass(frozen=True)
@@ -148,15 +158,8 @@ def _first_domain_failure(sys: OdeSystem, y, block_reason):
     return 0, block_reason
 
 
-def _stage_coefficients(y0: np.ndarray, z: np.ndarray, p: int) -> np.ndarray:
-    coeffs = np.empty((len(y0), p + 1))
-    coeffs[:, 0] = y0
-    coeffs[:, 1:] = z.reshape(len(y0), p)
-    return coeffs
-
-
-def _row_scale(grid: ElementGrid, galerkin: bool) -> np.ndarray:
-    return grid.dual.weights if galerkin else np.ones(grid.p)
+def _row_scale(p: int, galerkin: bool) -> np.ndarray:
+    return gauss_rule(p).weights if galerkin else np.ones(p)
 
 
 def _residual(sys, grid, coeffs, q_rhs, scale) -> np.ndarray:
@@ -174,7 +177,7 @@ def mci_residual(sys: OdeSystem, sol: ElementSolution) -> np.ndarray:
     R[i, j] = (rate of y_i at dual node j) / sqrt(g) - h_i(y at dual node j).
     """
     grid = sol.grid
-    return _residual(sys, grid, sol.coefficients, grid.p, _row_scale(grid, galerkin=False))
+    return _residual(sys, grid, sol.coefficients, grid.p, _row_scale(grid.p, galerkin=False))
 
 
 def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray:
@@ -185,7 +188,7 @@ def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray
     """
     _check_qrhs(q_rhs)
     grid = sol.grid
-    return _residual(sys, grid, sol.coefficients, q_rhs, _row_scale(grid, galerkin=True))
+    return _residual(sys, grid, sol.coefficients, q_rhs, _row_scale(grid.p, galerkin=True))
 
 
 def _element_step(sys, y0, t0, dt, p, q_rhs, config, galerkin):
@@ -193,18 +196,24 @@ def _element_step(sys, y0, t0, dt, p, q_rhs, config, galerkin):
     y0 = np.asarray(y0, dtype=float)
     if len(y0) != sys.dim:
         raise ValueError(f"state has length {len(y0)}, system dimension is {sys.dim}")
-    _, _, D, Lq, B, _ = _pairing_tables(p, q_rhs)
-    scale = _row_scale(grid, galerkin)
+    _, _, _, Lq, B, _ = _pairing_tables(p, q_rhs)
+    scale = _row_scale(p, galerkin)
     M = sys.dim
-    # the rate term is linear and the same for every variable
-    rate_block = np.kron(np.eye(M), scale[:, None] * D[1:].T / grid.sqrt_g)
+    rate_block = _rate_block(p, q_rhs, M, galerkin) / grid.sqrt_g
     pairing = scale[:, None] * B
+    # one (M, p+1) buffer per step: column 0 holds y0, the callables write
+    # the stage values z into columns 1..p
+    coeffs = np.empty((M, p + 1))
+    coeffs[:, 0] = y0
+    stages = coeffs[:, 1:]
 
     def residual(z):
-        return _residual(sys, grid, _stage_coefficients(y0, z, p), q_rhs, scale)
+        stages[...] = z.reshape(M, p)
+        return _residual(sys, grid, coeffs, q_rhs, scale)
 
     def jacobian(z):
-        Yq = _stage_coefficients(y0, z, p) @ Lq
+        stages[...] = z.reshape(M, p)
+        Yq = coeffs @ Lq
         Jh = np.asarray(sys.jacobian(Yq), dtype=float)
         if Jh.shape != (Yq.shape[1], M, M):
             raise ValueError(
@@ -217,8 +226,9 @@ def _element_step(sys, y0, t0, dt, p, q_rhs, config, galerkin):
 
     jac = jacobian if sys.jacobian is not None else None
     result = newton_solve(residual, np.repeat(y0, p), config, jacobian=jac)
-    coeffs = _stage_coefficients(y0, result.x, p)
-    return ElementSolution(grid, coeffs, newton_iterations=result.iterations)
+    stages[...] = result.x.reshape(M, p)
+    # a copy: the callables keep writing into coeffs after the step returns
+    return ElementSolution(grid, coeffs.copy(), newton_iterations=result.iterations)
 
 
 def mci_step(

@@ -192,13 +192,16 @@ def reconstruct0(c: Cochain, grid: ElementGrid, x: float) -> float:
     return float(np.dot(c.values, nodal_eval_all(basis, x)))
 
 
-def reconstruct1(c: Cochain, grid: ElementGrid, x: float) -> float:
-    """Evaluate the edge expansion of a primal 1-cochain at x (dtau coefficient)."""
+def reconstruct1(c: Cochain, grid: ElementGrid, x):
+    """Evaluate the edge expansion of a primal 1-cochain (dtau coefficient).
+
+    x is a point or an array; the result has the shape of x.
+    """
     if c.kind is not CochainKind.PRIMAL1:
         raise TypeError(f"reconstruct1 expects a primal 1-cochain, got {c.kind}")
     if c.order != grid.p:
         raise ValueError(f"cochain order {c.order} does not match grid order {grid.p}")
-    return float(np.dot(c.values, edge_eval_all(grid.edge_basis, x)))
+    return edge_eval_all(grid.edge_basis, x) @ c.values
 
 
 def canonical_hodge_1to0(c: Cochain, grid: ElementGrid) -> Cochain:
@@ -207,8 +210,7 @@ def canonical_hodge_1to0(c: Cochain, grid: ElementGrid) -> Cochain:
     The reconstructed dtau coefficient is divided by sqrt(g) so the result
     carries time-rate units on the dual grid.
     """
-    values = np.array([reconstruct1(c, grid, x) for x in grid.dual.nodes])
-    return Cochain(CochainKind.DUAL0, values / grid.sqrt_g)
+    return Cochain(CochainKind.DUAL0, reconstruct1(c, grid, grid.dual.nodes) / grid.sqrt_g)
 
 
 def galerkin_mass_dual(grid: ElementGrid) -> np.ndarray:

@@ -1,17 +1,21 @@
 """Damped-free Newton solver for the implicit stage equations.
 
-The linear solves use a dense LU factorization with partial pivoting; a
-factorization whose smallest pivot falls below 1e-14 relative to the largest
-is treated as singular rather than silently producing garbage. The Jacobian
-is the analytic callable when one is given, otherwise forward differences
-with a step scaled per component.
+The linear solves call LAPACK's dense LU routines directly: getrf factors
+with partial pivoting and getrs solves with the factors. A factorization
+whose smallest pivot falls below 1e-14 relative to the largest is treated as
+singular rather than silently producing garbage; an exactly zero pivot, which
+getrf reports with info > 0, fails the same check. The Jacobian is the
+analytic callable when one is given, otherwise forward differences with a
+step scaled per component.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import EvaluationError, NewtonNonConvergence, SingularJacobianError
 
@@ -31,6 +35,16 @@ _FD_STEP = 1e-7
 class NewtonConfig:
     abs_tol: float = 1e-12
     max_iter: int = 50
+
+    def __post_init__(self):
+        # a NaN or negative tolerance is never met, so only the rounding-floor
+        # stop would end the solve; a budget below one update solves nothing
+        tol = self.abs_tol
+        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"NewtonConfig.abs_tol must be a finite number >= 0, got {tol!r}")
+        n = self.max_iter
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"NewtonConfig.max_iter must be an integer >= 1, got {n!r}")
 
 
 class NewtonResult(NamedTuple):
@@ -54,14 +68,17 @@ def forward_difference_jacobian(residual, x, r0=None, fd_step=_FD_STEP):
 
 
 def _lu_solve_checked(J, rhs):
-    lu, piv = scipy.linalg.lu_factor(J, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    scale = np.max(diag) if diag.size else 0.0
-    if scale == 0.0 or np.min(diag) < _PIVOT_RTOL * scale:
+    # J and rhs are copied, never overwritten; stage systems are small enough
+    # that the scipy lu_factor/lu_solve wrappers cost more than these calls
+    lu, piv, _ = dgetrf(J)
+    diag = np.abs(lu.diagonal())
+    scale = diag.max()
+    if scale == 0.0 or diag.min() < _PIVOT_RTOL * scale:
         raise SingularJacobianError(
-            f"stage Jacobian is numerically singular (pivot ratio {np.min(diag):.3e} / {scale:.3e})"
+            f"stage Jacobian is numerically singular (pivot ratio {diag.min():.3e} / {scale:.3e})"
         )
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    x, _ = dgetrs(lu, piv, rhs)
+    return x
 
 
 def newton_solve(
@@ -82,12 +99,12 @@ def newton_solve(
     """
     x = np.array(x0, dtype=float)
     r = np.asarray(residual(x), dtype=float)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise EvaluationError("residual is non-finite at the initial guess")
     iterations = 0
     updates = []  # max|dx| per update
     while True:
-        norm = float(np.max(np.abs(r)))
+        norm = float(np.abs(r).max())
         if norm <= config.abs_tol:
             return NewtonResult(x, iterations, norm)
         if iterations:
@@ -121,11 +138,11 @@ def newton_solve(
             J = np.asarray(jacobian(x), dtype=float)
         else:
             J = forward_difference_jacobian(residual, x, r)
-        if not np.all(np.isfinite(J)):
+        if not np.isfinite(J).all():
             raise EvaluationError("Jacobian is non-finite during Newton iteration")
         dx = _lu_solve_checked(J, -r)
         x = x + dx
         iterations += 1
         r = np.asarray(residual(x), dtype=float)
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise EvaluationError("residual is non-finite during Newton iteration")

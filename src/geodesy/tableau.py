@@ -64,7 +64,7 @@ def butcher_tableau_mci(p: int) -> ButcherTableau:
     """
     grid = ElementGrid.build(p, 0.0, 1.0)
     tau = grid.dual.nodes
-    A = np.array([edge_eval_all(grid.edge_basis, t) for t in tau])
+    A = edge_eval_all(grid.edge_basis, tau)
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise ValueError(f"edge evaluation matrix is ill-conditioned (cond ~ {cond:.3e})")

@@ -232,6 +232,55 @@ class TestNodalEvalBatched:
         assert nodal_eval_all(basis, np.empty(0)).shape == (0, 4)
 
 
+def scalar_nodal_deriv(basis, x):
+    # the per-point derivative formulas, kept as the reference for batches
+    nodes, w = basis.nodes, basis.bary_weights
+    d = x - nodes
+    hit = d == 0.0
+    if np.any(hit):
+        k = int(np.argmax(hit))
+        out = np.zeros(len(nodes))
+        for i in range(len(nodes)):
+            if i != k:
+                out[i] = (w[i] / w[k]) / (nodes[k] - nodes[i])
+        out[k] = -np.sum(out)
+        return out
+    l = scalar_nodal_eval(basis, x)
+    return l * (np.sum(l / d) - 1.0 / d)
+
+
+class TestDerivativeAndEdgeBatched:
+    @pytest.mark.parametrize("p", [1, 2, 8, 16, 64])
+    @pytest.mark.parametrize("rule", [gll_rule, gauss_rule])
+    def test_rows_equal_scalar_calls_bitwise(self, p, rule):
+        basis = NodalBasis.from_nodes(rule(p).nodes)
+        edge = EdgeBasis(basis)
+        rng = np.random.default_rng(p)
+        xs = rng.permutation(
+            np.concatenate([rng.uniform(-1.0, 1.0, 200), basis.nodes, [-1.0, 0.0, 1.0]])
+        )
+        deriv = nodal_deriv_all(basis, xs)
+        reference = np.array([scalar_nodal_deriv(basis, x) for x in xs])
+        npt.assert_array_equal(deriv, reference)
+        npt.assert_array_equal(deriv, [nodal_deriv_all(basis, x) for x in xs])
+        edges = edge_eval_all(edge, xs)
+        npt.assert_array_equal(edges, [-np.cumsum(row)[:-1] for row in reference])
+        npt.assert_array_equal(edges, [edge_eval_all(edge, x) for x in xs])
+
+    def test_output_shapes(self):
+        basis = NodalBasis.from_nodes(gll_rule(3).nodes)
+        edge = EdgeBasis(basis)
+        grid = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        for fn, b, width in ((nodal_deriv_all, basis, 4), (edge_eval_all, edge, 3)):
+            assert fn(b, 0.3).shape == (width,)
+            assert fn(b, np.array(0.3)).shape == (width,)
+            assert fn(b, np.linspace(-1.0, 1.0, 7)).shape == (7, width)
+            vals = fn(b, grid)
+            assert vals.shape == (2, 3, width)
+            npt.assert_array_equal(vals[1, 2], fn(b, grid[1, 2]))
+            assert fn(b, np.empty(0)).shape == (0, width)
+
+
 class TestNodalDerivatives:
     def test_derivative_sums_vanish(self):
         rng = np.random.default_rng(5)

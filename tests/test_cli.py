@@ -173,6 +173,38 @@ class TestUsageErrors:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"newton_abs_tol": float("nan")},
+            {"newton_abs_tol": -1.0},
+            {"newton_abs_tol": "1e-12"},
+            {"newton_max_iter": 0},
+            {"newton_max_iter": 2.5},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    def test_bad_newton_settings(self, tmp_path, capsys, settings, command):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(settings))
+        code = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert next(iter(settings)).removeprefix("newton_") in err
+        assert not (tmp_path / "out").exists()
+
+    def test_newton_settings_from_config_are_used(self, tmp_path, capsys):
+        # one update per element cannot reach the tolerance on the pendulum
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"newton_abs_tol": 0, "newton_max_iter": 1}))
+        code = run_cli(
+            "run", "--config", str(cfg), "--problem", "pendulum", "--method", "mci",
+            "--tfinal", "0.2", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert "in 1 iterations" in capsys.readouterr().err
+
     def test_converge_needs_three_sizes(self):
         assert run_cli("converge", "--problem", "circle", "--dts", "0.5,0.25") == 2
 

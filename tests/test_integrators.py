@@ -386,6 +386,48 @@ class TestStageJacobian:
         assert b.newton_iterations == a.newton_iterations
 
 
+class TestStepBuffers:
+    # each step caches its rate block per (p, q_rhs, M, pairing) and writes
+    # the stage values into one coefficient buffer; neither may leak out
+
+    @pytest.mark.parametrize("galerkin", [False, True])
+    def test_rate_block_is_cached_and_read_only(self, galerkin):
+        block = geodesy.integrators._rate_block(3, 9, 2, galerkin)
+        assert geodesy.integrators._rate_block(3, 9, 2, galerkin) is block
+        assert block.shape == (6, 6)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_stored_coefficients_are_separate_and_read_only(self, method):
+        pend = get_problem("pendulum")
+        traj = integrate(pend.system, method, pend.y0, 0.0, 1.0, 0.1, p=2)
+        coeffs = [el.coefficients for el in traj.elements]
+        assert len(coeffs) == 10
+        for i, a in enumerate(coeffs):
+            assert not a.flags.writeable
+            for b in coeffs[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_callables_still_work_after_the_step_returns(self, monkeypatch):
+        pend = get_problem("pendulum")
+        sols = []
+        residual, jacobian, x0 = _stage_callables(
+            monkeypatch, lambda: sols.append(mci_step(pend.system, pend.y0, 0.0, 0.1, 2))
+        )
+        (sol,) = sols
+        stored = sol.coefficients.copy()
+        z = x0 + 0.05 * np.random.default_rng(2).standard_normal(len(x0))
+        J = jacobian(z)
+        J_fd = forward_difference_jacobian(residual, z, fd_step=1e-8)
+        assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J))
+        # the callables write their own buffer, never the returned solution
+        npt.assert_array_equal(sol.coefficients, stored)
+        z_final = sol.coefficients[:, 1:].reshape(-1)
+        npt.assert_array_equal(residual(z_final), mci_residual(pend.system, sol))
+
+
 class TestReverseStep:
     # Both pairings are time-symmetric: stepping back over the same element
     # from the endpoint returns the start state. The perturbation stays small

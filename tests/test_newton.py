@@ -7,6 +7,8 @@ import pytest
 from geodesy.errors import EvaluationError, NewtonNonConvergence, SingularJacobianError
 from geodesy.newton import (
     NewtonConfig,
+    _lu_solve_checked,
+    dgetrf,
     forward_difference_jacobian,
     newton_solve,
 )
@@ -93,7 +95,6 @@ def test_already_converged_zero_iterations():
     assert result.iterations == 0
 
 
-@pytest.mark.filterwarnings("ignore:Diagonal number")
 def test_singular_jacobian():
     def residual(x):
         return np.array([x[0] + x[1] - 1.0, 2.0 * x[0] + 2.0 * x[1] - 2.0])
@@ -158,3 +159,59 @@ def test_fd_step_scaling():
     # call 0 is the base point; call 1 probes x + h with h = 1e-7 * (1 + 1000)
     probe = seen[1][0]
     assert probe == pytest.approx(1000.0 + 1e-7 * 1001.0, rel=1e-12)
+
+
+class TestLuSolveChecked:
+    PIVOT_MESSAGE = r"numerically singular \(pivot ratio"
+
+    def test_exactly_singular_matrix(self):
+        J = np.array([[1.0, 2.0], [2.0, 4.0]])
+        assert dgetrf(J)[2] > 0  # LAPACK reports an exactly zero pivot
+        with pytest.raises(SingularJacobianError, match=self.PIVOT_MESSAGE):
+            _lu_solve_checked(J, np.ones(2))
+
+    def test_pivot_ratio_below_threshold_is_singular(self):
+        with pytest.raises(SingularJacobianError, match=self.PIVOT_MESSAGE):
+            _lu_solve_checked(np.diag([1.0, 1e-15]), np.ones(2))
+
+    def test_pivot_ratio_above_threshold_solves(self):
+        x = _lu_solve_checked(np.diag([1.0, 1e-13]), np.ones(2))
+        npt.assert_allclose(x, [1.0, 1e13], rtol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 16])
+    def test_matches_numpy_solve(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            J = rng.standard_normal((n, n)) + n * np.eye(n)
+            rhs = rng.standard_normal(n)
+            want = np.linalg.solve(J, rhs)
+            got = _lu_solve_checked(J, rhs)
+            assert got.shape == (n,)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inputs_are_left_unmodified(self, order):
+        rng = np.random.default_rng(7)
+        J = np.asarray(rng.standard_normal((6, 6)) + 6 * np.eye(6), order=order)
+        rhs = rng.standard_normal(6)
+        J_before, rhs_before = J.copy(), rhs.copy()
+        _lu_solve_checked(J, rhs)
+        npt.assert_array_equal(J, J_before)
+        npt.assert_array_equal(rhs, rhs_before)
+
+
+class TestNewtonConfig:
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300, "1e-12", None])
+    def test_bad_tolerance_is_rejected(self, tol):
+        with pytest.raises(ValueError, match="abs_tol"):
+            NewtonConfig(abs_tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.5, 3.0, True, "50", None])
+    def test_bad_iteration_budget_is_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            NewtonConfig(max_iter=max_iter)
+
+    def test_boundary_values_are_accepted(self):
+        NewtonConfig(abs_tol=0.0, max_iter=1)
+        NewtonConfig(abs_tol=1, max_iter=np.int64(3))
+        NewtonConfig(abs_tol=np.float32(1e-6))
