@@ -43,6 +43,7 @@ _CONFIG_KEYS = {
     "dts": list,
     "levels": int,
 }
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number", list: "a list of finite numbers"}
 
 
 class UsageError(Exception):
@@ -59,21 +60,31 @@ def _load_config(path):
         raise UsageError(f"config file {path} is not valid JSON: {err}")
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    for key in raw:
+    for key, val in raw.items():
         if key not in _CONFIG_KEYS:
             known = ", ".join(sorted(_CONFIG_KEYS))
             raise UsageError(f"unknown config key {key!r}; known keys: {known}")
+        kind = _CONFIG_KEYS[key]
+        if not _config_value_ok(kind, val):
+            raise UsageError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {val!r}")
     return raw
 
 
-def _resolve(args, config, key, cast=None):
+def _config_value_ok(kind, val) -> bool:
+    # JSON true/false are not numbers here, and NaN/Infinity are not finite
+    if kind is list:
+        return isinstance(val, list) and all(_config_value_ok(float, v) for v in val)
+    if isinstance(val, bool):
+        return False
+    if kind is float:
+        return isinstance(val, (int, float)) and math.isfinite(val)
+    return isinstance(val, kind)
+
+
+def _resolve(args, config, key, default=None):
     # CLI flag beats config file beats caller default
     val = getattr(args, key, None)
-    if val is None:
-        val = config.get(key)
-    if val is not None and cast is not None:
-        val = cast(val)
-    return val
+    return config.get(key, default) if val is None else val
 
 
 def _resolve_common(args):
@@ -92,35 +103,27 @@ def _resolve_common(args):
         raise UsageError(
             f"method 'seuler' needs a separable partition, which problem {problem.name!r} does not define"
         )
-    pt = _resolve(args, config, "pt", int)
-    if pt is None:
-        pt = 2
+    pt = _resolve(args, config, "pt", 2)
     if not 1 <= pt <= _MAX_ORDER_CLI:
         raise UsageError(f"--pt must lie in [1, {_MAX_ORDER_CLI}], got {pt}")
-    dt = _resolve(args, config, "dt", float)
-    if dt is None:
-        dt = problem.dt_ref
+    dt = _resolve(args, config, "dt", problem.dt_ref)
     if not dt > 0:
         raise UsageError(f"--dt must be positive, got {dt}")
-    qrhs = _resolve(args, config, "qrhs", int)
+    qrhs = _resolve(args, config, "qrhs")
     if qrhs is not None and not 1 <= qrhs <= MAX_ORDER:
         raise UsageError(f"--qrhs must lie in [1, {MAX_ORDER}], got {qrhs}")
     out = _resolve(args, config, "out") or "."
-    y0 = config.get("y0")
-    if y0 is not None:
-        y0 = np.asarray(y0, dtype=float)
-        if y0.shape != (problem.system.dim,):
-            raise UsageError(
-                f"y0 must have {problem.system.dim} entries for {problem.name}, got {y0.shape}"
-            )
-    else:
-        y0 = problem.y0
+    y0 = np.asarray(config.get("y0", problem.y0), dtype=float)
+    if y0.shape != (problem.system.dim,):
+        raise UsageError(
+            f"y0 must have {problem.system.dim} entries for {problem.name}, got {y0.shape}"
+        )
     keys = {"abs_tol": "newton_abs_tol", "max_iter": "newton_max_iter"}
     try:
         newton = NewtonConfig(**{f: config[k] for f, k in keys.items() if k in config})
     except ValueError as err:
         raise UsageError(f"bad newton_* config value: {err}")
-    samples = int(config.get("samples_per_element", 1))
+    samples = config.get("samples_per_element", 1)
     if samples < 1:
         raise UsageError(f"samples_per_element must be at least 1, got {samples}")
     return problem, method, pt, dt, qrhs, out, y0, newton, samples, config
@@ -140,10 +143,9 @@ def _write_table(path, header, columns):
 
 def _write_trajectory(path, traj, samples_per_element):
     header = "t," + ",".join(f"y_{i + 1}" for i in range(traj.dim))
-    if traj.elements is not None and samples_per_element > 1:
-        a = np.array([el.grid.t_start for el in traj.elements])[:, None]
-        b = np.array([el.grid.t_end for el in traj.elements])[:, None]
-        ts = a + (b - a) * np.arange(samples_per_element) / samples_per_element
+    if traj.coefficients is not None and samples_per_element > 1:
+        lengths = np.diff(traj.times)[:, None]  # element k spans times[k]..times[k+1]
+        ts = traj.times[:-1, None] + lengths * np.arange(samples_per_element) / samples_per_element
         ts = np.append(ts.ravel(), traj.times[-1])
         ys = sample_trajectory(traj, ts)
     else:
@@ -154,9 +156,7 @@ def _write_trajectory(path, traj, samples_per_element):
 
 def _cmd_run(args):
     problem, method, pt, dt, qrhs, out, y0, newton, samples, config = _resolve_common(args)
-    tfinal = _resolve(args, config, "tfinal", float)
-    if tfinal is None:
-        tfinal = 100.0 * dt
+    tfinal = _resolve(args, config, "tfinal", 100.0 * dt)
     if not tfinal > 0:
         raise UsageError(f"--tfinal must be positive, got {tfinal}")
     traj = integrate(
@@ -190,14 +190,12 @@ def _reference_states(problem, method, pt, qrhs, y0, tfinal, dts, newton):
 
 def _cmd_converge(args):
     problem, method, pt, dt, qrhs, out, y0, newton, _, config = _resolve_common(args)
-    tfinal = _resolve(args, config, "tfinal", float)
-    if tfinal is None:
-        tfinal = 10.0 * dt
+    tfinal = _resolve(args, config, "tfinal", 10.0 * dt)
     dts = _resolve(args, config, "dts")
     if dts is not None:
         dts = [float(v) for v in (dts.split(",") if isinstance(dts, str) else dts)]
     else:
-        levels = _resolve(args, config, "levels", int) or 4
+        levels = _resolve(args, config, "levels") or 4
         dts = [dt / 2**k for k in range(levels)]
     if len(dts) < 3:
         raise UsageError(f"need at least 3 step sizes for a convergence sweep, got {len(dts)}")

@@ -35,7 +35,7 @@ import numpy as np
 
 from .basis import MAX_ORDER, edge_eval_all, gauss_rule, nodal_eval_all
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
-from .mimetic import ElementGrid, incidence_matrix
+from .mimetic import ElementGrid, _reference_element, incidence_matrix
 from .newton import NewtonConfig, newton_solve
 from .systems import OdeSystem
 
@@ -296,22 +296,16 @@ def rk4_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded time grid, endpoint states, and invariant series of one run."""
+    """Recorded time grid, endpoint states, invariant series and element polynomials of one run."""
 
     method: Method
     times: np.ndarray  # (n+1,)
     states: np.ndarray  # (dim, n+1)
     invariants: dict  # label -> (n+1,) raw values
-    dt: float
     order: Optional[int] = None  # polynomial order for element methods
-    elements: Optional[tuple] = None  # ElementSolution per step for element methods
-
-    @property
-    def newton_iterations(self) -> Optional[tuple]:
-        """Newton iterations per step for element methods, None otherwise."""
-        if self.elements is None:
-            return None
-        return tuple(el.newton_iterations for el in self.elements)
+    # element methods only, read-only; element k spans times[k]..times[k+1]
+    coefficients: Optional[np.ndarray] = None  # (n, dim, p+1) values at the primal nodes
+    newton_iterations: Optional[np.ndarray] = None  # (n,) Newton iterations per step
 
     @property
     def dim(self) -> int:
@@ -360,6 +354,8 @@ def integrate(
     with the index k of that state in times (the state step k starts from)
     and its time.
     """
+    if not isinstance(method, Method):
+        raise TypeError(f"method must be a geodesy.Method, got {method!r}")
     if not tf > t0:
         raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")
     if not dt > 0:
@@ -376,7 +372,10 @@ def integrate(
     states = np.empty((sys.dim, n + 1))
     times[0] = t0
     states[:, 0] = y0
-    elements = [] if method.is_element_method else None
+    coefficients = newton_iterations = None
+    if method.is_element_method:
+        coefficients = np.empty((n, sys.dim, p + 1))
+        newton_iterations = np.empty(n, dtype=int)
 
     y = y0
     for k in range(n):
@@ -394,10 +393,9 @@ def integrate(
                 y = symplectic_euler_step(sys, y, t_a, h)
             elif method is Method.RK4:
                 y = rk4_step(sys, y, t_a, h)
-            else:
-                raise ValueError(f"unknown method {method!r}")
             if method.is_element_method:
-                elements.append(sol)
+                coefficients[k] = sol.coefficients
+                newton_iterations[k] = sol.newton_iterations
                 y = sol.endpoint()
             reason = sys.check_domain(y)
             if reason is not None:
@@ -409,14 +407,17 @@ def integrate(
         times[k + 1] = t_b
         states[:, k + 1] = y
 
+    for arr in (coefficients, newton_iterations):
+        if arr is not None:
+            arr.setflags(write=False)
     return Trajectory(
         method=method,
         times=times,
         states=states,
         invariants=_invariant_series(sys, times, states),
-        dt=dt,
         order=p if method.is_element_method else None,
-        elements=tuple(elements) if elements is not None else None,
+        coefficients=coefficients,
+        newton_iterations=newton_iterations,
     )
 
 
@@ -427,19 +428,19 @@ def sample_trajectory(traj: Trajectory, sample_times) -> np.ndarray:
     retain element polynomials support this; times must lie inside the
     integration window (up to a rounding slack, clamped onto it). One
     searchsorted and one basis evaluation cover all times; column k equals
-    evaluate_time(sample_times[k]) on its element, bitwise.
+    evaluate_time(sample_times[k]) on the element over times[j]..times[j+1]
+    that holds it, bitwise.
     """
-    if traj.elements is None:
+    if traj.coefficients is None:
         raise ValueError(f"method {traj.method.value!r} does not retain element polynomials")
     sample_times = np.asarray(sample_times, dtype=float)
     t0, tf = traj.times[0], traj.times[-1]
     slack = 1e-12 * (1.0 + abs(t0) + abs(tf))
     if np.any(sample_times < t0 - slack) or np.any(sample_times > tf + slack):
         raise ValueError(f"sample times must lie within [{t0!r}, {tf!r}]")
-    starts = np.array([el.grid.t_start for el in traj.elements])
-    sqrt_g = np.array([el.grid.sqrt_g for el in traj.elements])
+    starts = traj.times[:-1]
+    sqrt_g = 0.5 * np.diff(traj.times)  # as in ElementGrid.sqrt_g
     idx = np.clip(np.searchsorted(starts, sample_times, side="right") - 1, 0, len(starts) - 1)
     tau = (np.clip(sample_times, t0, tf) - starts[idx]) / sqrt_g[idx] - 1.0  # as in to_ref
-    L = nodal_eval_all(traj.elements[0].grid.primal_basis, tau)
-    coeffs = np.stack([el.coefficients for el in traj.elements])
-    return np.matmul(coeffs[idx], L[:, :, None])[:, :, 0].T
+    L = nodal_eval_all(_reference_element(traj.order)[2], tau)  # the primal basis
+    return np.matmul(traj.coefficients[idx], L[:, :, None])[:, :, 0].T

@@ -149,6 +149,46 @@ class TestUsageErrors:
         cfg.write_text("[1, 2, 3]")
         assert run_cli("run", "--config", str(cfg)) == 2
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"pt": 2.5},
+            {"pt": True},
+            {"pt": None},
+            {"qrhs": 14.9},
+            {"dt": "0.1"},
+            {"dt": False},
+            {"tfinal": [1]},
+            {"tfinal": float("inf")},
+            {"y0": ["a", 1]},
+            {"y0": [1.0, True]},
+            {"samples_per_element": 2.5},
+            {"problem": 3},
+            {"dts": "0.5,0.25,0.125"},
+            {"levels": 3.0},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, settings, command):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(settings))
+        code = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config key {next(iter(settings))!r} must be" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_numbers_may_be_json_integers(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"dts": [1, 0.5, 0.25], "tfinal": 2, "y0": [1, 0]}))
+        code = run_cli(
+            "converge", "--config", str(cfg), "--problem", "harmonic", "--method", "mci",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        _, rows = read_csv(tmp_path / "convergence.csv")
+        np.testing.assert_array_equal(rows[:, 0], [1.0, 0.5, 0.25])
+
     def test_y0_wrong_length(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"y0": [1.0, 2.0, 3.0]}))

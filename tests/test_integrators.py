@@ -400,15 +400,35 @@ class TestStepBuffers:
             block[0, 0] = 1.0
 
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
-    def test_stored_coefficients_are_separate_and_read_only(self, method):
+    def test_stored_coefficients_are_separate_and_read_only(self, monkeypatch, method):
         pend = get_problem("pendulum")
+        residuals = []
+        solve = geodesy.integrators.newton_solve
+
+        def spy(residual, x0, config, jacobian=None):
+            residuals.append((residual, x0))
+            return solve(residual, x0, config, jacobian=jacobian)
+
+        monkeypatch.setattr(geodesy.integrators, "newton_solve", spy)
         traj = integrate(pend.system, method, pend.y0, 0.0, 1.0, 0.1, p=2)
-        coeffs = [el.coefficients for el in traj.elements]
-        assert len(coeffs) == 10
-        for i, a in enumerate(coeffs):
-            assert not a.flags.writeable
-            for b in coeffs[i + 1:]:
-                assert not np.shares_memory(a, b)
+        coeffs = traj.coefficients
+        assert len(residuals) == 10
+        for arr in (coeffs, traj.newton_iterations):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        stored = coeffs.copy()
+        for residual, x0 in residuals:
+            buffers = [
+                c.cell_contents
+                for c in residual.__closure__
+                if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.ndim == 2
+            ]
+            assert buffers
+            for buf in buffers:
+                assert not np.shares_memory(coeffs, buf)
+            residual(x0 + 0.5)  # writes the step's buffer
+        npt.assert_array_equal(coeffs, stored)
 
     def test_callables_still_work_after_the_step_returns(self, monkeypatch):
         pend = get_problem("pendulum")
@@ -615,13 +635,41 @@ class TestIntegrateDriver:
         circle = make_circle()
         tr_e = integrate(circle.system, Method.EXPLICIT_EULER, circle.y0, 0.0, 1.0, 0.5)
         assert tr_e.order is None
-        assert tr_e.elements is None
+        assert tr_e.coefficients is None
         assert tr_e.newton_iterations is None
-        tr_m = integrate(circle.system, Method.MCI, circle.y0, 0.0, 1.0, 0.5, p=3)
+        # a short last step: element k spans times[k]..times[k+1] all the same
+        tr_m = integrate(circle.system, Method.MCI, circle.y0, 0.0, 1.2, 0.5, p=3)
         assert tr_m.order == 3
-        assert len(tr_m.elements) == tr_m.steps
-        assert tr_m.newton_iterations == tuple(el.newton_iterations for el in tr_m.elements)
+        assert tr_m.steps == 3
+        assert tr_m.coefficients.shape == (tr_m.steps, 2, 4)
+        assert tr_m.newton_iterations.shape == (tr_m.steps,)
+        for k in range(tr_m.steps):
+            t_a, t_b = tr_m.times[k], tr_m.times[k + 1]
+            sol = mci_step(circle.system, tr_m.states[:, k], t_a, t_b - t_a, 3)
+            npt.assert_array_equal(tr_m.coefficients[k], sol.coefficients)
+            assert tr_m.newton_iterations[k] == sol.newton_iterations
         assert tr_m.dim == 2
+
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_element_store_is_packed_on_the_time_grid(self, method):
+        pend = get_problem("pendulum")
+        traj = integrate(pend.system, method, pend.y0, 0.0, 1.05, 0.1, p=2)
+        coeffs = traj.coefficients
+        assert coeffs.shape == (11, 2, 3)
+        assert coeffs.dtype == np.float64
+        assert traj.newton_iterations.shape == (11,)
+        assert traj.newton_iterations.dtype.kind == "i"
+        # each element starts from the state before it and ends on the next
+        npt.assert_array_equal(coeffs[:, :, 0], traj.states[:, :-1].T)
+        npt.assert_array_equal(coeffs[:, :, -1], traj.states[:, 1:].T)
+        rk = integrate(pend.system, Method.RK4, pend.y0, 0.0, 1.05, 0.1)
+        assert rk.coefficients is None
+        assert rk.newton_iterations is None
+
+    def test_rejects_a_method_name(self):
+        circle = make_circle()
+        with pytest.raises(TypeError, match="geodesy.Method"):
+            integrate(circle.system, "mci", circle.y0, 0.0, 1.0, 0.1)
 
     def test_rejects_bad_arguments(self):
         circle = make_circle()
@@ -698,18 +746,22 @@ class TestSampling:
         traj = integrate(kep.system, Method.MGI, kep.y0, 0.0, 2.0, 0.1, p=5)
         t0, tf = traj.times[0], traj.times[-1]
         slack = 1e-12 * (1.0 + abs(t0) + abs(tf))
-        starts = np.array([el.grid.t_start for el in traj.elements])
+        elements = [
+            ElementSolution(ElementGrid.build(5, traj.times[k], traj.times[k + 1]), c)
+            for k, c in enumerate(traj.coefficients)
+        ]
+        starts = np.array([el.grid.t_start for el in elements])
 
         def per_point(t):
             k = int(np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1))
-            return traj.elements[k].evaluate_time(min(max(t, t0), tf))
+            return elements[k].evaluate_time(min(max(t, t0), tf))
 
         rng = np.random.default_rng(5)
         ts = np.concatenate(
             [
                 rng.uniform(t0, tf, 300),
                 traj.times,
-                [el.grid.t_end for el in traj.elements],
+                [el.grid.t_end for el in elements],
                 [t0 - 0.5 * slack, tf + 0.5 * slack],
             ]
         )
