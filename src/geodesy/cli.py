@@ -87,6 +87,12 @@ def _resolve(args, config, key, default=None):
     return config.get(key, default) if val is None else val
 
 
+def _positive(key, val):
+    if not (val > 0 and math.isfinite(val)):
+        raise UsageError(f"--{key} must be positive and finite, got {val}")
+    return val
+
+
 def _resolve_common(args):
     config = _load_config(args.config) if args.config else {}
     name = _resolve(args, config, "problem") or "circle"
@@ -106,9 +112,7 @@ def _resolve_common(args):
     pt = _resolve(args, config, "pt", 2)
     if not 1 <= pt <= _MAX_ORDER_CLI:
         raise UsageError(f"--pt must lie in [1, {_MAX_ORDER_CLI}], got {pt}")
-    dt = _resolve(args, config, "dt", problem.dt_ref)
-    if not dt > 0:
-        raise UsageError(f"--dt must be positive, got {dt}")
+    dt = _positive("dt", _resolve(args, config, "dt", problem.dt_ref))
     qrhs = _resolve(args, config, "qrhs")
     if qrhs is not None and not 1 <= qrhs <= MAX_ORDER:
         raise UsageError(f"--qrhs must lie in [1, {MAX_ORDER}], got {qrhs}")
@@ -156,12 +160,8 @@ def _write_trajectory(path, traj, samples_per_element):
 
 def _cmd_run(args):
     problem, method, pt, dt, qrhs, out, y0, newton, samples, config = _resolve_common(args)
-    tfinal = _resolve(args, config, "tfinal", 100.0 * dt)
-    if not tfinal > 0:
-        raise UsageError(f"--tfinal must be positive, got {tfinal}")
-    traj = integrate(
-        problem.system, method, y0, 0.0, tfinal, dt, p=pt, newton=newton, q_rhs=qrhs
-    )
+    tfinal = _positive("tfinal", _resolve(args, config, "tfinal", 100.0 * dt))
+    traj = integrate(problem.system, method, y0, 0.0, tfinal, dt, p=pt, newton=newton, q_rhs=qrhs)
     os.makedirs(out, exist_ok=True)
     _write_trajectory(os.path.join(out, "trajectory.csv"), traj, samples)
     errors = {label: s - s[0] for label, s in traj.invariants.items()}
@@ -190,16 +190,16 @@ def _reference_states(problem, method, pt, qrhs, y0, tfinal, dts, newton):
 
 def _cmd_converge(args):
     problem, method, pt, dt, qrhs, out, y0, newton, _, config = _resolve_common(args)
-    tfinal = _resolve(args, config, "tfinal", 10.0 * dt)
+    tfinal = _positive("tfinal", _resolve(args, config, "tfinal", 10.0 * dt))
     dts = _resolve(args, config, "dts")
     if dts is not None:
         dts = [float(v) for v in (dts.split(",") if isinstance(dts, str) else dts)]
     else:
-        levels = _resolve(args, config, "levels") or 4
+        levels = _positive("levels", _resolve(args, config, "levels", 4))
         dts = [dt / 2**k for k in range(levels)]
     if len(dts) < 3:
         raise UsageError(f"need at least 3 step sizes for a convergence sweep, got {len(dts)}")
-    if any(v <= 0 for v in dts) or any(v >= tfinal for v in dts):
+    if not all(0 < v < tfinal for v in dts):
         raise UsageError("step sizes must be positive and smaller than tfinal")
     y_ref = _reference_states(problem, method, pt, qrhs, y0, tfinal, dts, newton)
     label = problem.invariant_labels[0] if problem.invariant_labels else None

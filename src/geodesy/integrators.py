@@ -20,9 +20,11 @@ the dual nodes, and the method is Gauss collocation, which is symplectic.
 
 Residuals carry a 1/sqrt(g) factor so Newton tolerances are expressed in
 vector-field units regardless of the step size. Stage unknowns are flattened
-variable-major (all stages of y_1, then y_2, ...). Steps accept negative dt,
-which builds a reversed element; the integrate driver itself always walks
-forward.
+variable-major (all stages of y_1, then y_2, ...). The stage Jacobian is the
+cached rate block over sqrt(g) minus one GEMM of cached pairing weights with
+the field Jacobians at the q nodes. Steps accept negative dt, which builds a
+reversed element; the integrate driver itself always walks forward and
+solves each element into its packed store without per-step grids.
 """
 
 import enum
@@ -59,9 +61,10 @@ def default_qrhs(p: int) -> int:
     return 2 * p + _DEFAULT_QRHS_OFFSET
 
 
-def _check_qrhs(q_rhs: int) -> None:
+def _check_qrhs(q_rhs: int) -> int:
     if not 1 <= q_rhs <= MAX_ORDER:
         raise ValueError(f"q_rhs must lie in [1, {MAX_ORDER}], got {q_rhs}")
+    return q_rhs
 
 
 @lru_cache(maxsize=None)
@@ -74,13 +77,13 @@ def _pairing_tables(p: int, q_rhs: int):
     #   B      pairing matrix omega_nu ltilde_m(sigma_nu) / w_m, (p, q);
     #          exactly the identity when q_rhs == p
     #   nodes  the quadrature nodes sigma_nu
-    grid = ElementGrid.build(p, 0.0, 1.0)
+    _, dual, primal_basis, edge_basis, dual_basis = _reference_element(p)
     quad = gauss_rule(q_rhs)
     E = np.asarray(incidence_matrix(p).matrix)
-    Et = edge_eval_all(grid.edge_basis, grid.dual.nodes).T
-    Lq = nodal_eval_all(grid.primal_basis, quad.nodes).T
-    Ltilde = nodal_eval_all(grid.dual_basis, quad.nodes).T
-    B = quad.weights * Ltilde / grid.dual.weights[:, None]
+    Et = edge_eval_all(edge_basis, dual.nodes).T
+    Lq = nodal_eval_all(primal_basis, quad.nodes).T
+    Ltilde = nodal_eval_all(dual_basis, quad.nodes).T
+    B = quad.weights * Ltilde / dual.weights[:, None]
     D = E @ Et
     for arr in (Et, D, Lq, B):
         arr.setflags(write=False)
@@ -95,6 +98,15 @@ def _rate_block(p: int, q_rhs: int, M: int, galerkin: bool) -> np.ndarray:
     block = np.kron(np.eye(M), _row_scale(p, galerkin)[:, None] * D[1:].T)
     block.setflags(write=False)
     return block
+
+
+@lru_cache(maxsize=None)
+def _field_weights(p: int, q_rhs: int, galerkin: bool) -> np.ndarray:
+    # W[(m, b), n] = s_m B[m, n] Lq[1+b, n]: the stage Jacobian's field term is W @ Jh
+    _, _, _, Lq, B, _ = _pairing_tables(p, q_rhs)
+    weights = ((_row_scale(p, galerkin)[:, None] * B)[:, None] * Lq[1:]).reshape(p * p, q_rhs)
+    weights.setflags(write=False)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -162,13 +174,15 @@ def _row_scale(p: int, galerkin: bool) -> np.ndarray:
     return gauss_rule(p).weights if galerkin else np.ones(p)
 
 
-def _residual(sys, grid, coeffs, q_rhs, scale) -> np.ndarray:
-    E, Et, _, Lq, B, nodes = _pairing_tables(grid.p, q_rhs)
-    rate = (coeffs @ E) @ Et  # coboundary per variable, then edge expansion
+def _residual(sys, coeffs, q_rhs, galerkin, t0, sqrt_g) -> np.ndarray:
+    p = coeffs.shape[1] - 1
+    E, Et, _, Lq, B, nodes = _pairing_tables(p, q_rhs)
+    rate = (coeffs @ E) @ Et / sqrt_g  # coboundary per variable, then edge expansion
     Hq = _field_at(
-        sys, coeffs @ Lq, lambda n: f"quadrature node {n} (t={grid.to_time(nodes[n]):g})"
+        sys, coeffs @ Lq, lambda n: f"quadrature node {n} (t={t0 + (nodes[n] + 1.0) * sqrt_g:g})"
     )
-    return (scale * (rate / grid.sqrt_g - Hq @ B.T)).reshape(-1)
+    # collocation skips the pairing: B is the identity and the row scale is one there
+    return (_row_scale(p, True) * (rate - Hq @ B.T) if galerkin else rate - Hq).reshape(-1)
 
 
 def mci_residual(sys: OdeSystem, sol: ElementSolution) -> np.ndarray:
@@ -176,8 +190,7 @@ def mci_residual(sys: OdeSystem, sol: ElementSolution) -> np.ndarray:
 
     R[i, j] = (rate of y_i at dual node j) / sqrt(g) - h_i(y at dual node j).
     """
-    grid = sol.grid
-    return _residual(sys, grid, sol.coefficients, grid.p, _row_scale(grid.p, galerkin=False))
+    return _residual(sys, sol.coefficients, sol.grid.p, False, sol.grid.t_start, sol.grid.sqrt_g)
 
 
 def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray:
@@ -187,48 +200,50 @@ def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray
               - sum_nu omega_nu h_i(y(sigma_nu)) ltilde_m(sigma_nu).
     """
     _check_qrhs(q_rhs)
-    grid = sol.grid
-    return _residual(sys, grid, sol.coefficients, q_rhs, _row_scale(grid.p, galerkin=True))
+    return _residual(sys, sol.coefficients, q_rhs, True, sol.grid.t_start, sol.grid.sqrt_g)
 
 
-def _element_step(sys, y0, t0, dt, p, q_rhs, config, galerkin):
-    grid = ElementGrid.build(p, t0, t0 + dt)
-    y0 = np.asarray(y0, dtype=float)
-    if len(y0) != sys.dim:
-        raise ValueError(f"state has length {len(y0)}, system dimension is {sys.dim}")
-    _, _, _, Lq, B, _ = _pairing_tables(p, q_rhs)
-    scale = _row_scale(p, galerkin)
+def _solve_element(sys, y0, t0, dt, p, q_rhs, config, galerkin, coeffs) -> int:
+    # solves [t0, t0 + dt] into coeffs (M, p+1): y0 in column 0, the stages z in 1..p
     M = sys.dim
-    rate_block = _rate_block(p, q_rhs, M, galerkin) / grid.sqrt_g
-    pairing = scale[:, None] * B
-    # one (M, p+1) buffer per step: column 0 holds y0, the callables write
-    # the stage values z into columns 1..p
-    coeffs = np.empty((M, p + 1))
+    sqrt_g = 0.5 * ((t0 + dt) - t0)  # as in ElementGrid.sqrt_g
+    Lq = _pairing_tables(p, q_rhs)[3]
+    rate_block = _rate_block(p, q_rhs, M, galerkin) / sqrt_g
+    weights = _field_weights(p, q_rhs, galerkin)
     coeffs[:, 0] = y0
     stages = coeffs[:, 1:]
 
     def residual(z):
         stages[...] = z.reshape(M, p)
-        return _residual(sys, grid, coeffs, q_rhs, scale)
+        return _residual(sys, coeffs, q_rhs, galerkin, t0, sqrt_g)
 
     def jacobian(z):
         stages[...] = z.reshape(M, p)
         Yq = coeffs @ Lq
         Jh = np.asarray(sys.jacobian(Yq), dtype=float)
-        if Jh.shape != (Yq.shape[1], M, M):
+        if Jh.shape != (q_rhs, M, M):
             raise ValueError(
                 f"jacobian returned shape {Jh.shape} for states of shape {Yq.shape}, expected"
-                f" {(Yq.shape[1], M, M)}; wrap a jacobian written for one state with"
+                f" {(q_rhs, M, M)}; wrap a jacobian written for one state with"
                 " geodesy.systems.pointwise"
             )
-        field_block = np.einsum("nik,mn,bn->imkb", Jh, pairing, Lq[1:])
-        return rate_block - field_block.reshape(M * p, M * p)
+        field_block = (weights @ Jh.reshape(q_rhs, M * M)).reshape(p, p, M, M)
+        return rate_block - field_block.transpose(2, 0, 3, 1).reshape(M * p, M * p)
 
     jac = jacobian if sys.jacobian is not None else None
     result = newton_solve(residual, np.repeat(y0, p), config, jacobian=jac)
     stages[...] = result.x.reshape(M, p)
+    return result.iterations
+
+
+def _element_step(sys, y0, t0, dt, p, q_rhs, config, galerkin):
+    grid = ElementGrid.build(p, t0, t0 + dt)
+    if len(y0) != sys.dim:
+        raise ValueError(f"state has length {len(y0)}, system dimension is {sys.dim}")
+    coeffs = np.empty((sys.dim, p + 1))
+    iterations = _solve_element(sys, y0, t0, dt, p, q_rhs, config, galerkin, coeffs)
     # a copy: the callables keep writing into coeffs after the step returns
-    return ElementSolution(grid, coeffs.copy(), newton_iterations=result.iterations)
+    return ElementSolution(grid, coeffs.copy(), newton_iterations=iterations)
 
 
 def mci_step(
@@ -253,9 +268,7 @@ def mgi_step(
     config: NewtonConfig = NewtonConfig(),
 ) -> ElementSolution:
     """One Galerkin-pairing step of order p over [t0, t0 + dt]; dt may be negative."""
-    if q_rhs is None:
-        q_rhs = default_qrhs(p)
-    _check_qrhs(q_rhs)
+    q_rhs = _check_qrhs(default_qrhs(p) if q_rhs is None else q_rhs)
     return _element_step(sys, y0, t0, dt, p, q_rhs, config, galerkin=True)
 
 
@@ -356,6 +369,9 @@ def integrate(
     """
     if not isinstance(method, Method):
         raise TypeError(f"method must be a geodesy.Method, got {method!r}")
+    for name, value in (("t0", t0), ("tf", tf), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not tf > t0:
         raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")
     if not dt > 0:
@@ -373,9 +389,11 @@ def integrate(
     times[0] = t0
     states[:, 0] = y0
     coefficients = newton_iterations = None
+    q_rhs = _check_qrhs(default_qrhs(p) if q_rhs is None else q_rhs) if method is Method.MGI else p
     if method.is_element_method:
         coefficients = np.empty((n, sys.dim, p + 1))
         newton_iterations = np.empty(n, dtype=int)
+        work = np.empty((sys.dim, p + 1))  # the element being solved
 
     y = y0
     for k in range(n):
@@ -383,20 +401,18 @@ def integrate(
         t_b = tf if k == n - 1 else t0 + (k + 1) * dt
         h = t_b - t_a
         try:
-            if method is Method.MCI:
-                sol = mci_step(sys, y, t_a, h, p, newton)
-            elif method is Method.MGI:
-                sol = mgi_step(sys, y, t_a, h, p, q_rhs, newton)
+            if method.is_element_method:
+                newton_iterations[k] = _solve_element(
+                    sys, y, t_a, h, p, q_rhs, newton, method is Method.MGI, work
+                )
+                coefficients[k] = work
+                y = coefficients[k, :, -1]
             elif method is Method.EXPLICIT_EULER:
                 y = explicit_euler_step(sys, y, t_a, h)
             elif method is Method.SYMPLECTIC_EULER:
                 y = symplectic_euler_step(sys, y, t_a, h)
             elif method is Method.RK4:
                 y = rk4_step(sys, y, t_a, h)
-            if method.is_element_method:
-                coefficients[k] = sol.coefficients
-                newton_iterations[k] = sol.newton_iterations
-                y = sol.endpoint()
             reason = sys.check_domain(y)
             if reason is not None:
                 raise DomainError(f"accepted state leaves the domain: {reason}")

@@ -98,13 +98,14 @@ def newton_solve(
     not shrunk over three updates while still above sqrt(eps) max|x|.
     """
     x = np.array(x0, dtype=float)
-    r = np.asarray(residual(x), dtype=float)
-    if not np.isfinite(r).all():
-        raise EvaluationError("residual is non-finite at the initial guess")
     iterations = 0
     updates = []  # max|dx| per update
     while True:
-        norm = float(np.abs(r).max())
+        r = np.asarray(residual(x), dtype=float)
+        norm = float(np.abs(r).max())  # NaN or inf when any entry is
+        if not math.isfinite(norm):
+            where = "during Newton iteration" if iterations else "at the initial guess"
+            raise EvaluationError(f"residual is non-finite {where}")
         if norm <= config.abs_tol:
             return NewtonResult(x, iterations, norm)
         if iterations:
@@ -143,6 +144,3 @@ def newton_solve(
         dx = _lu_solve_checked(J, -r)
         x = x + dx
         iterations += 1
-        r = np.asarray(residual(x), dtype=float)
-        if not np.isfinite(r).all():
-            raise EvaluationError("residual is non-finite during Newton iteration")

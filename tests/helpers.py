@@ -39,6 +39,17 @@ def gauss_irk_step(field, y0, dt, a, b, tol=1e-14, max_iter=500):
     raise AssertionError(f"fixed-point IRK stalled at delta={delta:.3e}")
 
 
+def einsum_field_block(Jh, pairing, Lq):
+    """Field term of the stage Jacobian as one three-operand einsum, (M p, M p).
+
+    Entry [(i, m), (k, b)] = sum_n Jh[n, i, k] pairing[m, n] Lq[1 + b, n] for
+    the field Jacobians Jh (q, M, M) at the quadrature nodes, the row-scaled
+    pairing matrix (p, q) and the nodal basis at those nodes (p+1, q).
+    """
+    M, p = Jh.shape[1], pairing.shape[0]
+    return np.einsum("nik,mn,bn->imkb", Jh, pairing, Lq[1:]).reshape(M * p, M * p)
+
+
 def fit_slope(dts, errs):
     """Least-squares slope of log(err) against log(dt)."""
     return float(np.polyfit(np.log(np.asarray(dts)), np.log(np.asarray(errs)), 1)[0])

@@ -135,6 +135,23 @@ class TestUsageErrors:
     def test_negative_dt(self):
         assert run_cli("run", "--dt", "-0.1") == 2
 
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--tfinal", "inf"], "tfinal"),
+            (["--tfinal", "nan"], "tfinal"),
+            (["--dt", "inf"], "dt"),
+            (["--dt", "nan"], "dt"),
+            (["--dt", "inf", "--tfinal", "1"], "dt"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    def test_non_finite_times(self, tmp_path, capsys, flags, key, command):
+        out = tmp_path / "out"
+        assert run_cli(command, "--problem", "circle", *flags, "--out", str(out)) == 2
+        assert f"error: --{key} must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"problm": "circle"}))
@@ -247,6 +264,29 @@ class TestUsageErrors:
 
     def test_converge_needs_three_sizes(self):
         assert run_cli("converge", "--problem", "circle", "--dts", "0.5,0.25") == 2
+
+    def test_converge_rejects_a_non_finite_step_size(self, tmp_path, capsys):
+        code = run_cli(
+            "converge", "--problem", "circle", "--dts", "nan,0.2,0.1", "--tfinal", "2",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert "step sizes must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", [0, -2])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_converge_rejects_levels_below_one(self, tmp_path, capsys, levels, source):
+        args = ["converge", "--problem", "circle", "--dt", "0.4", "--tfinal", "2"]
+        if source == "flag":
+            args += ["--levels", str(levels)]
+        else:
+            cfg = tmp_path / "conv.json"
+            cfg.write_text(json.dumps({"levels": levels}))
+            args += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert run_cli(*args, "--out", str(out)) == 2
+        assert f"error: --levels must be positive and finite, got {levels}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def fitted_order(stdout):

@@ -33,7 +33,8 @@ from geodesy import (
     symplectic_euler_step,
 )
 from geodesy.errors import NewtonNonConvergence
-from geodesy.newton import forward_difference_jacobian
+from geodesy.newton import NewtonResult, forward_difference_jacobian
+from helpers import einsum_field_block
 
 TIGHT = NewtonConfig(abs_tol=1e-13)
 
@@ -67,6 +68,23 @@ def make_quartic_oscillator():
 
 def quartic_energy(y):
     return 0.25 * (y[0] ** 4 + y[1] ** 4)
+
+
+def polynomial_hamiltonian(c):
+    # H(p, q) = sum c[i, j] p^i q^j with state (p, q) and the canonical flow
+    # (-dH/dq, dH/dp); the callables take one state or a (2, n) block
+    P = np.polynomial.polynomial
+    Hp, Hq = P.polyder(c, axis=0), P.polyder(c, axis=1)
+    Hpp, Hpq, Hqq = P.polyder(Hp, axis=0), P.polyder(Hp, axis=1), P.polyder(Hq, axis=1)
+
+    def field(y):
+        return np.array([-P.polyval2d(y[0], y[1], Hq), P.polyval2d(y[0], y[1], Hp)])
+
+    def jacobian(y):
+        a, b, d = (P.polyval2d(y[0], y[1], x) for x in (Hpp, Hpq, Hqq))
+        return np.stack([np.stack([-b, -d], -1), np.stack([a, b], -1)], -2)
+
+    return OdeSystem(dim=2, field=field, jacobian=jacobian), lambda y: P.polyval2d(y[0], y[1], c)
 
 
 class TestMciStep:
@@ -286,6 +304,31 @@ class TestMgiStep:
             y = mgi_step(sys, y, 0.2 * k, 0.2, 2, config=TIGHT).endpoint()
             assert abs(quartic_energy(y) - h0) <= 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        degree=st.integers(2, 6),
+        p=st.integers(1, 4),
+        dt=st.floats(0.01, 0.05),
+        y0=st.lists(st.floats(-0.3, 0.3), min_size=2, max_size=2),
+        data=st.data(),
+    )
+    def test_energy_exact_for_random_polynomial_hamiltonians(self, degree, p, dt, y0, data):
+        # the Galerkin pairing of a degree-d Hamiltonian's field with the dual
+        # basis has degree d p - 1, which ceil(d p / 2) Gauss points integrate
+        # exactly; the states stay small enough that no flow blows up
+        terms = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+        values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(terms), max_size=len(terms)))
+        c = np.zeros((degree + 1, degree + 1))
+        for (i, j), v in zip(terms, values):
+            c[i, j] = v
+        sys, energy = polynomial_hamiltonian(c)
+        q_rhs = (degree * p + 1) // 2
+        y = np.array(y0)
+        h0 = energy(y)
+        for k in range(3):
+            y = mgi_step(sys, y, k * dt, dt, p, q_rhs=q_rhs).endpoint()
+            assert abs(energy(y) - h0) <= 1e-12 * max(1.0, abs(h0))
+
     def test_underresolved_quadrature_loses_exactness(self):
         # q_rhs = 2 cannot integrate the degree-7 pairing, so the energy
         # error reappears at the truncation level.
@@ -374,6 +417,45 @@ class TestStageJacobian:
         analytic = step(lv.system, lv.y0, 0.0, 0.3, 3)
         npt.assert_allclose(fd.coefficients, analytic.coefficients, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("M", [1, 2, 4])
+    @pytest.mark.parametrize("p", range(1, 7))
+    @pytest.mark.parametrize("method, q_rhs", [("mci", "p"), ("mgi", "p"), ("mgi", "2p+10")])
+    def test_field_term_matches_the_einsum_formula(self, monkeypatch, method, q_rhs, p, M):
+        # random field Jacobians at the quadrature nodes; the step's Jacobian
+        # is taken unsolved, so any Jh will do
+        q = p if q_rhs == "p" else 2 * p + 10
+        galerkin = method == "mgi"
+        Jh = np.random.default_rng(10 * p + M).standard_normal((q, M, M))
+        sys = OdeSystem(dim=M, field=lambda y: np.zeros_like(y), jacobian=lambda y: Jh)
+        jacobians = []
+
+        def unsolved(residual, x0, config, jacobian=None):
+            jacobians.append(jacobian)
+            return NewtonResult(x0, 0, 0.0)
+
+        monkeypatch.setattr(geodesy.integrators, "newton_solve", unsolved)
+        dt = 0.5  # sqrt(g) = 0.25, exactly
+        if galerkin:
+            mgi_step(sys, np.zeros(M), 0.0, dt, p, q_rhs=q)
+        else:
+            mci_step(sys, np.zeros(M), 0.0, dt, p)
+        (jacobian,) = jacobians
+        J = jacobian(np.random.default_rng(p).standard_normal(M * p))
+        _, _, _, Lq, B, _ = geodesy.integrators._pairing_tables(p, q)
+        pairing = geodesy.integrators._row_scale(p, galerkin)[:, None] * B
+        rate = geodesy.integrators._rate_block(p, q, M, galerkin) / (0.5 * dt)
+        want = rate - einsum_field_block(Jh, pairing, Lq)
+        if galerkin:
+            assert np.max(np.abs(J - want)) <= 4 * np.spacing(np.max(np.abs(want)))
+        else:
+            npt.assert_array_equal(J, want)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8, 16, 64])
+    def test_collocation_pairing_is_exactly_the_identity(self, p):
+        # the collocation residual relies on this to skip the pairing product
+        B = geodesy.integrators._pairing_tables(p, p)[4]
+        npt.assert_array_equal(B, np.eye(p))
+
     @pytest.mark.parametrize("name", ["pendulum", "kepler", "lotka-volterra"])
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_galerkin_on_dual_nodes_equals_collocation(self, name, p):
@@ -398,6 +480,15 @@ class TestStepBuffers:
         assert not block.flags.writeable
         with pytest.raises(ValueError):
             block[0, 0] = 1.0
+
+    @pytest.mark.parametrize("galerkin", [False, True])
+    def test_field_weights_are_cached_and_read_only(self, galerkin):
+        weights = geodesy.integrators._field_weights(3, 9, galerkin)
+        assert geodesy.integrators._field_weights(3, 9, galerkin) is weights
+        assert weights.shape == (9, 9)
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0, 0] = 1.0
 
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_stored_coefficients_are_separate_and_read_only(self, monkeypatch, method):
@@ -638,17 +729,45 @@ class TestIntegrateDriver:
         assert tr_e.coefficients is None
         assert tr_e.newton_iterations is None
         # a short last step: element k spans times[k]..times[k+1] all the same
-        tr_m = integrate(circle.system, Method.MCI, circle.y0, 0.0, 1.2, 0.5, p=3)
-        assert tr_m.order == 3
-        assert tr_m.steps == 3
-        assert tr_m.coefficients.shape == (tr_m.steps, 2, 4)
-        assert tr_m.newton_iterations.shape == (tr_m.steps,)
-        for k in range(tr_m.steps):
-            t_a, t_b = tr_m.times[k], tr_m.times[k + 1]
-            sol = mci_step(circle.system, tr_m.states[:, k], t_a, t_b - t_a, 3)
-            npt.assert_array_equal(tr_m.coefficients[k], sol.coefficients)
-            assert tr_m.newton_iterations[k] == sol.newton_iterations
-        assert tr_m.dim == 2
+        for method, step in ((Method.MCI, mci_step), (Method.MGI, mgi_step)):
+            tr_m = integrate(circle.system, method, circle.y0, 0.0, 1.2, 0.5, p=3)
+            assert tr_m.order == 3
+            assert tr_m.steps == 3
+            assert tr_m.coefficients.shape == (tr_m.steps, 2, 4)
+            assert tr_m.newton_iterations.shape == (tr_m.steps,)
+            for k in range(tr_m.steps):
+                t_a, t_b = tr_m.times[k], tr_m.times[k + 1]
+                sol = step(circle.system, tr_m.states[:, k], t_a, t_b - t_a, 3)
+                npt.assert_array_equal(tr_m.coefficients[k], sol.coefficients)
+                assert tr_m.newton_iterations[k] == sol.newton_iterations
+            assert tr_m.dim == 2
+
+    @pytest.mark.parametrize("q_rhs", [None, 7])
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_driver_builds_no_grids_and_equals_the_public_step(self, monkeypatch, method, q_rhs):
+        # the driver solves each element straight into the packed store; the
+        # public steps, which return an ElementSolution, must agree bitwise
+        kep = get_problem("kepler")
+        build = ElementGrid.build.__func__
+        builds = []
+
+        def counting(cls, *args):
+            builds.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(ElementGrid, "build", classmethod(counting))
+        traj = integrate(kep.system, method, kep.y0, 0.3, 1.35, 0.1, p=3, q_rhs=q_rhs)
+        assert builds == []
+        assert traj.steps == 11 and traj.times[-1] - traj.times[-2] < 0.1  # a short last step
+        for k in range(traj.steps):
+            t_a, t_b = traj.times[k], traj.times[k + 1]
+            if method is Method.MCI:
+                sol = mci_step(kep.system, traj.states[:, k], t_a, t_b - t_a, 3)
+            else:
+                sol = mgi_step(kep.system, traj.states[:, k], t_a, t_b - t_a, 3, q_rhs=q_rhs)
+            npt.assert_array_equal(traj.coefficients[k], sol.coefficients)
+            assert traj.newton_iterations[k] == sol.newton_iterations
+        assert len(builds) == traj.steps
 
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_element_store_is_packed_on_the_time_grid(self, method):
@@ -679,6 +798,19 @@ class TestIntegrateDriver:
             integrate(circle.system, Method.MCI, circle.y0, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate(circle.system, Method.MCI, np.array([1.0, 2.0, 3.0]), 0.0, 1.0, 0.1)
+        # non-finite times fail before the step count, naming the argument
+        for t0, tf, dt, name in [
+            (-np.inf, 1.0, 0.1, "t0"),
+            (np.nan, 1.0, 0.1, "t0"),
+            (0.0, np.inf, 0.1, "tf"),
+            (0.0, np.nan, 0.1, "tf"),
+            (0.0, 1.0, np.inf, "dt"),
+            (0.0, 1.0, np.nan, "dt"),
+            (np.inf, np.inf, 0.1, "t0"),
+        ]:
+            for method in (Method.MCI, Method.RK4):
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    integrate(circle.system, method, circle.y0, t0, tf, dt)
 
     def test_domain_violation_is_annotated(self):
         lv = get_problem("lotka-volterra")

@@ -104,8 +104,27 @@ def test_singular_jacobian():
 
 
 def test_nonfinite_residual():
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError, match="non-finite at the initial guess"):
         newton_solve(lambda x: np.array([np.nan]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("n", [1, 3])
+def test_nonfinite_residual_after_an_update(bad, n):
+    # the first update lands on x[0] = 2, where the last entry blows up for good
+    root = np.zeros(n)
+    root[0] = 2.0
+
+    def residual(x):
+        r = x - root
+        if abs(x[0] - 1.0) > 0.5:
+            r[-1] = bad
+        return r
+
+    x0 = np.zeros(n)
+    x0[0] = 1.0
+    with pytest.raises(EvaluationError, match="non-finite during Newton iteration"):
+        newton_solve(residual, x0, jacobian=lambda x: np.eye(n))
 
 
 def test_nonlinear_two_dimensional():
