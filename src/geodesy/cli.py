@@ -6,7 +6,8 @@ script for existing CSV output), list (registries). Configuration comes
 from an optional JSON file mirroring the flag names; explicit flags win.
 
 Exit codes: 0 success, 1 runtime failure during integration or file
-handling, 2 usage errors (unknown names, malformed config).
+handling, 2 usage errors (unknown names, malformed config, --qrhs with a
+method other than mgi).
 """
 
 import argparse
@@ -19,7 +20,7 @@ import numpy as np
 
 from .basis import MAX_ORDER
 from .errors import GeodesyError
-from .integrators import Method, default_qrhs, integrate, sample_trajectory
+from .integrators import Method, integrate, sample_trajectory
 from .newton import NewtonConfig
 from .problems import get_problem, problem_names
 from .tableau import butcher_tableau_mci, gauss_collocation_tableau
@@ -114,6 +115,8 @@ def _resolve_common(args):
         raise UsageError(f"--pt must lie in [1, {_MAX_ORDER_CLI}], got {pt}")
     dt = _positive("dt", _resolve(args, config, "dt", problem.dt_ref))
     qrhs = _resolve(args, config, "qrhs")
+    if qrhs is not None and method is not Method.MGI:
+        raise UsageError("--qrhs applies to --method mgi only")
     if qrhs is not None and not 1 <= qrhs <= MAX_ORDER:
         raise UsageError(f"--qrhs must lie in [1, {MAX_ORDER}], got {qrhs}")
     out = _resolve(args, config, "out") or "."
@@ -344,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--pt", type=int, help="polynomial order of the element methods (default 2)")
         sp.add_argument("--dt", type=float, help="step size (default: problem reference)")
         sp.add_argument("--tfinal", type=float, help=tfinal_help)
-        sp.add_argument("--qrhs", type=int, help="quadrature points for mgi (default 2 pt + 10)")
+        sp.add_argument("--qrhs", type=int, help="quadrature points, default 2 pt + 10 (mgi only)")
         sp.add_argument("--out", help="output directory (default .)")
 
     sp_run = sub.add_parser("run", help="integrate once and write trajectory/invariants CSVs")

@@ -18,10 +18,14 @@ Hamiltonians exactly. mci is the same pairing on the p dual nodes themselves
 with unit row scale; there B is the identity, the residual is collocation at
 the dual nodes, and the method is Gauss collocation, which is symplectic.
 
+Everything a step needs of its pairing sits in one read-only record, built
+once per (p, q, pairing, dim) and cached; one resolver picks it from the
+method, and q_rhs (default 2p + 10) is an mgi setting only.
+
 Residuals carry a 1/sqrt(g) factor so Newton tolerances are expressed in
 vector-field units regardless of the step size. Stage unknowns are flattened
 variable-major (all stages of y_1, then y_2, ...). The stage Jacobian is the
-cached rate block over sqrt(g) minus one GEMM of cached pairing weights with
+record's rate block over sqrt(g) minus one GEMM of its pairing weights with
 the field Jacobians at the q nodes. Steps accept negative dt, which builds a
 reversed element; the integrate driver itself always walks forward and
 solves each element into its packed store without per-step grids.
@@ -31,7 +35,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -40,9 +44,6 @@ from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
 from .mimetic import ElementGrid, _reference_element, incidence_matrix
 from .newton import NewtonConfig, newton_solve
 from .systems import OdeSystem
-
-_DEFAULT_QRHS_OFFSET = 10
-
 
 class Method(enum.Enum):
     MCI = "mci"
@@ -58,55 +59,48 @@ class Method(enum.Enum):
 
 def default_qrhs(p: int) -> int:
     """Default quadrature size for the Galerkin pairing: 2p + 10."""
-    return 2 * p + _DEFAULT_QRHS_OFFSET
+    return 2 * p + 10
 
 
-def _check_qrhs(q_rhs: int) -> int:
-    if not 1 <= q_rhs <= MAX_ORDER:
-        raise ValueError(f"q_rhs must lie in [1, {MAX_ORDER}], got {q_rhs}")
-    return q_rhs
+class _Pairing(NamedTuple):
+    # one pairing of order p on a q-point rule for dimension M; read-only, cached per key
+    galerkin: bool  # whether the residual applies B and the row scale
+    q: int  # quadrature size, p for the collocation pairing
+    E: np.ndarray  # incidence, (p+1, p)
+    Et: np.ndarray  # edge functions at the dual nodes, Et[l, j] = e_l(tau_j)
+    Lq: np.ndarray  # nodal basis at the quadrature nodes, (p+1, q)
+    B: np.ndarray  # omega_nu ltilde_m(sigma_nu) / w_m, (p, q); exactly I when q == p
+    scale: np.ndarray  # row scale s: the dual weights w (Galerkin) or ones
+    nodes: np.ndarray  # the quadrature nodes sigma_nu
+    rate: np.ndarray  # kron(I_M, s (E @ Et)[1:]^T): the stage Jacobian's rate term times sqrt(g)
+    weights: np.ndarray  # W[(m, b), nu] = s_m B[m, nu] Lq[1+b, nu]; its field term is W @ Jh
 
 
 @lru_cache(maxsize=None)
-def _pairing_tables(p: int, q_rhs: int):
-    # reference-element matrices shared by every step of order p:
-    #   E      incidence, (p+1, p)
-    #   Et     edge functions at the dual nodes, Et[l, j] = e_l(tau_j)
-    #   D      E @ Et, the linearization of the rate at the dual nodes
-    #   Lq     nodal basis at the quadrature nodes, (p+1, q)
-    #   B      pairing matrix omega_nu ltilde_m(sigma_nu) / w_m, (p, q);
-    #          exactly the identity when q_rhs == p
-    #   nodes  the quadrature nodes sigma_nu
-    _, dual, primal_basis, edge_basis, dual_basis = _reference_element(p)
-    quad = gauss_rule(q_rhs)
+def _pairing_record(p: int, q: int, galerkin: bool, M: int) -> _Pairing:
+    ref = _reference_element(p)
+    quad = gauss_rule(q)
     E = np.asarray(incidence_matrix(p).matrix)
-    Et = edge_eval_all(edge_basis, dual.nodes).T
-    Lq = nodal_eval_all(primal_basis, quad.nodes).T
-    Ltilde = nodal_eval_all(dual_basis, quad.nodes).T
-    B = quad.weights * Ltilde / dual.weights[:, None]
-    D = E @ Et
-    for arr in (Et, D, Lq, B):
+    Et = edge_eval_all(ref.edge_basis, ref.dual.nodes).T
+    Lq = nodal_eval_all(ref.primal_basis, quad.nodes).T
+    B = quad.weights * nodal_eval_all(ref.dual_basis, quad.nodes).T / ref.dual.weights[:, None]
+    scale = ref.dual.weights if galerkin else np.ones(p)
+    rate = np.kron(np.eye(M), scale[:, None] * (E @ Et)[1:].T)
+    weights = ((scale[:, None] * B)[:, None] * Lq[1:]).reshape(p * p, q)
+    for arr in (Et, Lq, B, scale, rate, weights):
         arr.setflags(write=False)
-    return E, Et, D, Lq, B, quad.nodes
+    return _Pairing(galerkin, q, E, Et, Lq, B, scale, quad.nodes, rate, weights)
 
 
-@lru_cache(maxsize=None)
-def _rate_block(p: int, q_rhs: int, M: int, galerkin: bool) -> np.ndarray:
-    # the stage Jacobian's rate term times sqrt(g): linear, and the same for
-    # every variable
-    D = _pairing_tables(p, q_rhs)[2]
-    block = np.kron(np.eye(M), _row_scale(p, galerkin)[:, None] * D[1:].T)
-    block.setflags(write=False)
-    return block
-
-
-@lru_cache(maxsize=None)
-def _field_weights(p: int, q_rhs: int, galerkin: bool) -> np.ndarray:
-    # W[(m, b), n] = s_m B[m, n] Lq[1+b, n]: the stage Jacobian's field term is W @ Jh
-    _, _, _, Lq, B, _ = _pairing_tables(p, q_rhs)
-    weights = ((_row_scale(p, galerkin)[:, None] * B)[:, None] * Lq[1:]).reshape(p * p, q_rhs)
-    weights.setflags(write=False)
-    return weights
+def _pairing(method: Method, p: int, q_rhs: Optional[int], M: int) -> _Pairing:
+    # the one place that knows the two pairings: mgi is the Galerkin pairing on
+    # q_rhs points (default 2p + 10), mci collocation at the p dual nodes
+    if method is Method.MGI:
+        q = default_qrhs(p) if q_rhs is None else q_rhs
+        if not 1 <= q <= MAX_ORDER:
+            raise ValueError(f"q_rhs must lie in [1, {MAX_ORDER}], got {q}")
+        return _pairing_record(p, q, True, M)
+    return _pairing_record(p, p, False, M)
 
 
 @dataclass(frozen=True)
@@ -170,19 +164,16 @@ def _first_domain_failure(sys: OdeSystem, y, block_reason):
     return 0, block_reason
 
 
-def _row_scale(p: int, galerkin: bool) -> np.ndarray:
-    return gauss_rule(p).weights if galerkin else np.ones(p)
-
-
-def _residual(sys, coeffs, q_rhs, galerkin, t0, sqrt_g) -> np.ndarray:
-    p = coeffs.shape[1] - 1
-    E, Et, _, Lq, B, nodes = _pairing_tables(p, q_rhs)
-    rate = (coeffs @ E) @ Et / sqrt_g  # coboundary per variable, then edge expansion
+def _residual(sys, coeffs, pairing, t0, sqrt_g) -> np.ndarray:
+    rate = (coeffs @ pairing.E) @ pairing.Et / sqrt_g  # coboundary, then edge expansion
+    Lq, nodes = pairing.Lq, pairing.nodes
     Hq = _field_at(
         sys, coeffs @ Lq, lambda n: f"quadrature node {n} (t={t0 + (nodes[n] + 1.0) * sqrt_g:g})"
     )
     # collocation skips the pairing: B is the identity and the row scale is one there
-    return (_row_scale(p, True) * (rate - Hq @ B.T) if galerkin else rate - Hq).reshape(-1)
+    if pairing.galerkin:
+        return (pairing.scale * (rate - Hq @ pairing.B.T)).reshape(-1)
+    return (rate - Hq).reshape(-1)
 
 
 def mci_residual(sys: OdeSystem, sol: ElementSolution) -> np.ndarray:
@@ -190,7 +181,8 @@ def mci_residual(sys: OdeSystem, sol: ElementSolution) -> np.ndarray:
 
     R[i, j] = (rate of y_i at dual node j) / sqrt(g) - h_i(y at dual node j).
     """
-    return _residual(sys, sol.coefficients, sol.grid.p, False, sol.grid.t_start, sol.grid.sqrt_g)
+    pairing = _pairing(Method.MCI, sol.grid.p, None, sol.dim)
+    return _residual(sys, sol.coefficients, pairing, sol.grid.t_start, sol.grid.sqrt_g)
 
 
 def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray:
@@ -199,35 +191,33 @@ def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray
     R[i, m] = w_m (rate of y_i at dual node m) / sqrt(g)
               - sum_nu omega_nu h_i(y(sigma_nu)) ltilde_m(sigma_nu).
     """
-    _check_qrhs(q_rhs)
-    return _residual(sys, sol.coefficients, q_rhs, True, sol.grid.t_start, sol.grid.sqrt_g)
+    pairing = _pairing(Method.MGI, sol.grid.p, q_rhs, sol.dim)
+    return _residual(sys, sol.coefficients, pairing, sol.grid.t_start, sol.grid.sqrt_g)
 
 
-def _solve_element(sys, y0, t0, dt, p, q_rhs, config, galerkin, coeffs) -> int:
+def _solve_element(sys, y0, t0, dt, pairing, config, coeffs) -> int:
     # solves [t0, t0 + dt] into coeffs (M, p+1): y0 in column 0, the stages z in 1..p
-    M = sys.dim
+    M, p, q = sys.dim, coeffs.shape[1] - 1, pairing.q
     sqrt_g = 0.5 * ((t0 + dt) - t0)  # as in ElementGrid.sqrt_g
-    Lq = _pairing_tables(p, q_rhs)[3]
-    rate_block = _rate_block(p, q_rhs, M, galerkin) / sqrt_g
-    weights = _field_weights(p, q_rhs, galerkin)
+    rate_block = pairing.rate / sqrt_g
     coeffs[:, 0] = y0
     stages = coeffs[:, 1:]
 
     def residual(z):
         stages[...] = z.reshape(M, p)
-        return _residual(sys, coeffs, q_rhs, galerkin, t0, sqrt_g)
+        return _residual(sys, coeffs, pairing, t0, sqrt_g)
 
     def jacobian(z):
         stages[...] = z.reshape(M, p)
-        Yq = coeffs @ Lq
+        Yq = coeffs @ pairing.Lq
         Jh = np.asarray(sys.jacobian(Yq), dtype=float)
-        if Jh.shape != (q_rhs, M, M):
+        if Jh.shape != (q, M, M):
             raise ValueError(
                 f"jacobian returned shape {Jh.shape} for states of shape {Yq.shape}, expected"
-                f" {(q_rhs, M, M)}; wrap a jacobian written for one state with"
+                f" {(q, M, M)}; wrap a jacobian written for one state with"
                 " geodesy.systems.pointwise"
             )
-        field_block = (weights @ Jh.reshape(q_rhs, M * M)).reshape(p, p, M, M)
+        field_block = (pairing.weights @ Jh.reshape(q, M * M)).reshape(p, p, M, M)
         return rate_block - field_block.transpose(2, 0, 3, 1).reshape(M * p, M * p)
 
     jac = jacobian if sys.jacobian is not None else None
@@ -236,12 +226,12 @@ def _solve_element(sys, y0, t0, dt, p, q_rhs, config, galerkin, coeffs) -> int:
     return result.iterations
 
 
-def _element_step(sys, y0, t0, dt, p, q_rhs, config, galerkin):
+def _element_step(sys, y0, t0, dt, p, pairing, config):
     grid = ElementGrid.build(p, t0, t0 + dt)
     if len(y0) != sys.dim:
         raise ValueError(f"state has length {len(y0)}, system dimension is {sys.dim}")
     coeffs = np.empty((sys.dim, p + 1))
-    iterations = _solve_element(sys, y0, t0, dt, p, q_rhs, config, galerkin, coeffs)
+    iterations = _solve_element(sys, y0, t0, dt, pairing, config, coeffs)
     # a copy: the callables keep writing into coeffs after the step returns
     return ElementSolution(grid, coeffs.copy(), newton_iterations=iterations)
 
@@ -255,7 +245,7 @@ def mci_step(
     config: NewtonConfig = NewtonConfig(),
 ) -> ElementSolution:
     """One collocation-pairing step of order p over [t0, t0 + dt]; dt may be negative."""
-    return _element_step(sys, y0, t0, dt, p, p, config, galerkin=False)
+    return _element_step(sys, y0, t0, dt, p, _pairing(Method.MCI, p, None, sys.dim), config)
 
 
 def mgi_step(
@@ -268,8 +258,7 @@ def mgi_step(
     config: NewtonConfig = NewtonConfig(),
 ) -> ElementSolution:
     """One Galerkin-pairing step of order p over [t0, t0 + dt]; dt may be negative."""
-    q_rhs = _check_qrhs(default_qrhs(p) if q_rhs is None else q_rhs)
-    return _element_step(sys, y0, t0, dt, p, q_rhs, config, galerkin=True)
+    return _element_step(sys, y0, t0, dt, p, _pairing(Method.MGI, p, q_rhs, sys.dim), config)
 
 
 def explicit_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
@@ -365,10 +354,12 @@ def integrate(
     Step failures are re-raised as IntegrationError annotated with the step
     index and start time; so is an invariant that fails on a recorded state,
     with the index k of that state in times (the state step k starts from)
-    and its time.
+    and its time. q_rhs is for Method.MGI only; other methods reject it.
     """
     if not isinstance(method, Method):
         raise TypeError(f"method must be a geodesy.Method, got {method!r}")
+    if q_rhs is not None and method is not Method.MGI:
+        raise ValueError(f"q_rhs applies to Method.MGI only, got q_rhs={q_rhs!r} for {method}")
     for name, value in (("t0", t0), ("tf", tf), ("dt", dt)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -389,8 +380,8 @@ def integrate(
     times[0] = t0
     states[:, 0] = y0
     coefficients = newton_iterations = None
-    q_rhs = _check_qrhs(default_qrhs(p) if q_rhs is None else q_rhs) if method is Method.MGI else p
     if method.is_element_method:
+        pairing = _pairing(method, p, q_rhs, sys.dim)
         coefficients = np.empty((n, sys.dim, p + 1))
         newton_iterations = np.empty(n, dtype=int)
         work = np.empty((sys.dim, p + 1))  # the element being solved
@@ -402,9 +393,7 @@ def integrate(
         h = t_b - t_a
         try:
             if method.is_element_method:
-                newton_iterations[k] = _solve_element(
-                    sys, y, t_a, h, p, q_rhs, newton, method is Method.MGI, work
-                )
+                newton_iterations[k] = _solve_element(sys, y, t_a, h, pairing, newton, work)
                 coefficients[k] = work
                 y = coefficients[k, :, -1]
             elif method is Method.EXPLICIT_EULER:
@@ -458,5 +447,5 @@ def sample_trajectory(traj: Trajectory, sample_times) -> np.ndarray:
     sqrt_g = 0.5 * np.diff(traj.times)  # as in ElementGrid.sqrt_g
     idx = np.clip(np.searchsorted(starts, sample_times, side="right") - 1, 0, len(starts) - 1)
     tau = (np.clip(sample_times, t0, tf) - starts[idx]) / sqrt_g[idx] - 1.0  # as in to_ref
-    L = nodal_eval_all(_reference_element(traj.order)[2], tau)  # the primal basis
+    L = nodal_eval_all(_reference_element(traj.order).primal_basis, tau)
     return np.matmul(traj.coefficients[idx], L[:, :, None])[:, :, 0].T

@@ -21,6 +21,7 @@ Grids with t_end < t_start are permitted and represent a reversed time map
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,14 +101,23 @@ def coboundary(c: Cochain, E: IncidenceMatrix) -> Cochain:
     return Cochain(CochainKind.PRIMAL1, E.matrix.T @ c.values)
 
 
-@lru_cache(maxsize=None)
-def _reference_element(p: int):
-    # GLL/Gauss rules and the primal, edge and dual bases of order p; their
+class _ReferenceElement(NamedTuple):
+    # GLL/Gauss rules and bases of order p in ElementGrid's field order; their
     # arrays are read-only, so every ElementGrid of that order shares them
-    primal = gll_rule(p)
-    dual = gauss_rule(p)
+    primal: QuadratureRule
+    dual: QuadratureRule
+    primal_basis: NodalBasis
+    edge_basis: EdgeBasis
+    dual_basis: NodalBasis
+
+
+@lru_cache(maxsize=None)
+def _reference_element(p: int) -> _ReferenceElement:
+    primal, dual = gll_rule(p), gauss_rule(p)
     primal_basis = NodalBasis.from_nodes(primal.nodes)
-    return primal, dual, primal_basis, EdgeBasis(primal_basis), NodalBasis.from_nodes(dual.nodes)
+    return _ReferenceElement(
+        primal, dual, primal_basis, EdgeBasis(primal_basis), NodalBasis.from_nodes(dual.nodes)
+    )
 
 
 @dataclass(frozen=True)

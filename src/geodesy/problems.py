@@ -21,6 +21,20 @@ def _jacobian(y, dim, entries):
     return J
 
 
+# uniform rotation y_1' = y_2, y_2' = -y_1 of the circle and the harmonic oscillator
+def _rotation_field(y):
+    return np.array([y[1], -y[0]])
+
+
+def _rotation_jacobian(y):
+    return _jacobian(y, 2, {(0, 1): 1.0, (1, 0): -1.0})
+
+
+def _rotation_exact(t, y0):
+    ct, st = np.cos(t), np.sin(t)
+    return np.array([ct * y0[0] + st * y0[1], -st * y0[0] + ct * y0[1]])
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A named system with its reference initial condition and step size."""
@@ -46,30 +60,20 @@ def make_circle() -> ProblemSpec:
     solution rotates clockwise.
     """
 
-    def field(y):
-        return np.array([y[1], -y[0]])
-
-    def jac(y):
-        return _jacobian(y, 2, {(0, 1): 1.0, (1, 0): -1.0})
-
     def energy(y):
         return 0.5 * (y[0] ** 2 + y[1] ** 2)
 
     def radius(y):
         return float(np.hypot(y[0], y[1]))
 
-    def exact(t, y0):
-        ct, st = np.cos(t), np.sin(t)
-        return np.array([ct * y0[0] + st * y0[1], -st * y0[0] + ct * y0[1]])
-
     part = SeparablePartition(p_indices=(0,), q_indices=(1,))
     sys = OdeSystem(
         dim=2,
-        field=field,
-        jacobian=jac,
+        field=_rotation_field,
+        jacobian=_rotation_jacobian,
         invariants=(("H", energy), ("R", radius)),
         partition=part,
-        exact_solution=exact,
+        exact_solution=_rotation_exact,
     )
     return ProblemSpec("circle", sys, np.array([2.0, 0.0]), 1.0)
 
@@ -201,27 +205,17 @@ def make_harmonic_oscillator() -> ProblemSpec:
     Hamiltonian problems; the partition records where each block lives.
     """
 
-    def field(y):
-        return np.array([y[1], -y[0]])
-
-    def jac(y):
-        return _jacobian(y, 2, {(0, 1): 1.0, (1, 0): -1.0})
-
     def amplitude(y):
         return y[0] ** 2 + y[1] ** 2
-
-    def exact(t, y0):
-        ct, st = np.cos(t), np.sin(t)
-        return np.array([ct * y0[0] + st * y0[1], -st * y0[0] + ct * y0[1]])
 
     part = SeparablePartition(p_indices=(1,), q_indices=(0,))
     sys = OdeSystem(
         dim=2,
-        field=field,
-        jacobian=jac,
+        field=_rotation_field,
+        jacobian=_rotation_jacobian,
         invariants=(("I", amplitude),),
         partition=part,
-        exact_solution=exact,
+        exact_solution=_rotation_exact,
     )
     return ProblemSpec("harmonic", sys, np.array([1.0, 0.0]), 0.1)
 

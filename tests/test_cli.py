@@ -223,6 +223,24 @@ class TestUsageErrors:
         assert run_cli("run", "--method", "mgi", "--qrhs", qrhs) == 2
         assert "--qrhs must lie in [1, 64]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["mci", "rk4"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    def test_quadrature_size_is_for_mgi_only(self, tmp_path, capsys, command, source, method):
+        if source == "flag":
+            given = ["--qrhs", "14"]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"qrhs": 14}))
+            given = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        code = run_cli(
+            command, "--problem", "circle", "--method", method, *given, "--out", str(out)
+        )
+        assert code == 2
+        assert "error: --qrhs applies to --method mgi only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_largest_quadrature_size_runs(self, tmp_path):
         code = run_cli(
             "run", "--problem", "pendulum", "--method", "mgi", "--qrhs", "64",

@@ -246,9 +246,9 @@ class TestBlockEvaluation:
         p, q_rhs = 2, 7
         grid = ElementGrid.build(p, 0.0, 0.5)
         coeffs = np.array([[1.0, 1.5, 2.0], [0.0, 0.0, 0.0]])
-        _, _, _, Lq, _, nodes = geodesy.integrators._pairing_tables(p, q_rhs)
-        Yq = coeffs @ Lq
-        n, where = _first_bad_node(grid, Yq, nodes, lambda y: y[0] > 1.5)
+        rec = geodesy.integrators._pairing(Method.MGI, p, q_rhs, 2)
+        Yq = coeffs @ rec.Lq
+        n, where = _first_bad_node(grid, Yq, rec.nodes, lambda y: y[0] > 1.5)
         assert 0 < n < q_rhs - 1
         with pytest.raises(EvaluationError) as info:
             mgi_residual(sys, ElementSolution(grid, coeffs), q_rhs)
@@ -441,10 +441,10 @@ class TestStageJacobian:
             mci_step(sys, np.zeros(M), 0.0, dt, p)
         (jacobian,) = jacobians
         J = jacobian(np.random.default_rng(p).standard_normal(M * p))
-        _, _, _, Lq, B, _ = geodesy.integrators._pairing_tables(p, q)
-        pairing = geodesy.integrators._row_scale(p, galerkin)[:, None] * B
-        rate = geodesy.integrators._rate_block(p, q, M, galerkin) / (0.5 * dt)
-        want = rate - einsum_field_block(Jh, pairing, Lq)
+        rec = geodesy.integrators._pairing(Method(method), p, q if galerkin else None, M)
+        assert rec.galerkin is galerkin and rec.q == q
+        rate = rec.rate / (0.5 * dt)
+        want = rate - einsum_field_block(Jh, rec.scale[:, None] * rec.B, rec.Lq)
         if galerkin:
             assert np.max(np.abs(J - want)) <= 4 * np.spacing(np.max(np.abs(want)))
         else:
@@ -453,8 +453,9 @@ class TestStageJacobian:
     @pytest.mark.parametrize("p", [1, 2, 3, 8, 16, 64])
     def test_collocation_pairing_is_exactly_the_identity(self, p):
         # the collocation residual relies on this to skip the pairing product
-        B = geodesy.integrators._pairing_tables(p, p)[4]
-        npt.assert_array_equal(B, np.eye(p))
+        rec = geodesy.integrators._pairing(Method.MCI, p, None, 1)
+        npt.assert_array_equal(rec.B, np.eye(p))
+        npt.assert_array_equal(rec.scale, np.ones(p))
 
     @pytest.mark.parametrize("name", ["pendulum", "kepler", "lotka-volterra"])
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
@@ -469,26 +470,23 @@ class TestStageJacobian:
 
 
 class TestStepBuffers:
-    # each step caches its rate block per (p, q_rhs, M, pairing) and writes
-    # the stage values into one coefficient buffer; neither may leak out
+    # each step reads one cached pairing record per (p, q, pairing, M) and
+    # writes the stage values into one coefficient buffer; neither may leak out
 
-    @pytest.mark.parametrize("galerkin", [False, True])
-    def test_rate_block_is_cached_and_read_only(self, galerkin):
-        block = geodesy.integrators._rate_block(3, 9, 2, galerkin)
-        assert geodesy.integrators._rate_block(3, 9, 2, galerkin) is block
-        assert block.shape == (6, 6)
-        assert not block.flags.writeable
-        with pytest.raises(ValueError):
-            block[0, 0] = 1.0
-
-    @pytest.mark.parametrize("galerkin", [False, True])
-    def test_field_weights_are_cached_and_read_only(self, galerkin):
-        weights = geodesy.integrators._field_weights(3, 9, galerkin)
-        assert geodesy.integrators._field_weights(3, 9, galerkin) is weights
-        assert weights.shape == (9, 9)
-        assert not weights.flags.writeable
-        with pytest.raises(ValueError):
-            weights[0, 0] = 1.0
+    @pytest.mark.parametrize("M", [1, 2, 4])
+    @pytest.mark.parametrize("method, q_rhs, q", [(Method.MCI, None, 3), (Method.MGI, 9, 9)])
+    def test_pairing_is_cached_and_read_only(self, method, q_rhs, q, M):
+        rec = geodesy.integrators._pairing(method, 3, q_rhs, M)
+        assert geodesy.integrators._pairing(method, 3, q_rhs, M) is rec
+        assert rec.galerkin is (method is Method.MGI) and rec.q == q
+        assert rec.rate.shape == (3 * M, 3 * M)
+        assert rec.weights.shape == (3 * 3, q)
+        arrays = [field for field in rec if isinstance(field, np.ndarray)]
+        assert len(arrays) == 8
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
 
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_stored_coefficients_are_separate_and_read_only(self, monkeypatch, method):
@@ -756,6 +754,12 @@ class TestIntegrateDriver:
             return build(cls, *args)
 
         monkeypatch.setattr(ElementGrid, "build", classmethod(counting))
+        if method is Method.MCI and q_rhs is not None:
+            # q_rhs is a Galerkin setting: mci rejects it before any step
+            with pytest.raises(ValueError, match="q_rhs"):
+                integrate(kep.system, method, kep.y0, 0.3, 1.35, 0.1, p=3, q_rhs=q_rhs)
+            assert builds == []
+            return
         traj = integrate(kep.system, method, kep.y0, 0.3, 1.35, 0.1, p=3, q_rhs=q_rhs)
         assert builds == []
         assert traj.steps == 11 and traj.times[-1] - traj.times[-2] < 0.1  # a short last step
@@ -789,6 +793,24 @@ class TestIntegrateDriver:
         circle = make_circle()
         with pytest.raises(TypeError, match="geodesy.Method"):
             integrate(circle.system, "mci", circle.y0, 0.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("q_rhs", [0, 7, 14])
+    @pytest.mark.parametrize(
+        "method", [Method.MCI, Method.EXPLICIT_EULER, Method.SYMPLECTIC_EULER, Method.RK4]
+    )
+    def test_q_rhs_is_for_mgi_only(self, method, q_rhs):
+        # rejected before the first step: the field is never called
+        circle = make_circle()
+        calls = []
+
+        def field(y):
+            calls.append(y)
+            return circle.system.field(y)
+
+        sys = dataclasses.replace(circle.system, field=field)
+        with pytest.raises(ValueError, match=f"q_rhs applies to Method.MGI only, got q_rhs={q_rhs}"):
+            integrate(sys, method, circle.y0, 0.0, 0.2, 0.1, p=2, q_rhs=q_rhs)
+        assert calls == []
 
     def test_rejects_bad_arguments(self):
         circle = make_circle()
