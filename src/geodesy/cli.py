@@ -11,6 +11,7 @@ method other than mgi).
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -375,9 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process and reused: parsing leaves a parser unchanged, and
+    # building one is a visible share of a short run
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as err:

@@ -164,16 +164,34 @@ def _first_domain_failure(sys: OdeSystem, y, block_reason):
     return 0, block_reason
 
 
-def _residual(sys, coeffs, pairing, t0, sqrt_g) -> np.ndarray:
-    rate = (coeffs @ pairing.E) @ pairing.Et / sqrt_g  # coboundary, then edge expansion
-    Lq, nodes = pairing.Lq, pairing.nodes
-    Hq = _field_at(
-        sys, coeffs @ Lq, lambda n: f"quadrature node {n} (t={t0 + (nodes[n] + 1.0) * sqrt_g:g})"
-    )
-    # collocation skips the pairing: B is the identity and the row scale is one there
-    if pairing.galerkin:
-        return (pairing.scale * (rate - Hq @ pairing.B.T)).reshape(-1)
-    return (rate - Hq).reshape(-1)
+def _element_residual(sys, coeffs, pairing, t0, sqrt_g):
+    # the residual of the element held in coeffs, as a function of its states
+    # Yq = coeffs @ Lq at the quadrature nodes; what stays fixed over the
+    # element (the node names for errors, B^T, the row scale) is bound once
+    E, Et, nodes = pairing.E, pairing.Et, pairing.nodes
+
+    def where(n):
+        return f"quadrature node {n} (t={t0 + (nodes[n] + 1.0) * sqrt_g:g})"
+
+    if not pairing.galerkin:
+        # collocation skips the pairing: B is the identity and the row scale is one there
+        def collocation(Yq):
+            return ((coeffs @ E) @ Et / sqrt_g - _field_at(sys, Yq, where)).reshape(-1)
+
+        return collocation
+
+    BT, scale = pairing.B.T, pairing.scale
+
+    def galerkin(Yq):
+        rate = (coeffs @ E) @ Et / sqrt_g  # coboundary, then edge expansion
+        return (scale * (rate - _field_at(sys, Yq, where) @ BT)).reshape(-1)
+
+    return galerkin
+
+
+def _residual(sys, sol: ElementSolution, pairing) -> np.ndarray:
+    coeffs, grid = sol.coefficients, sol.grid
+    return _element_residual(sys, coeffs, pairing, grid.t_start, grid.sqrt_g)(coeffs @ pairing.Lq)
 
 
 def mci_residual(sys: OdeSystem, sol: ElementSolution) -> np.ndarray:
@@ -181,8 +199,7 @@ def mci_residual(sys: OdeSystem, sol: ElementSolution) -> np.ndarray:
 
     R[i, j] = (rate of y_i at dual node j) / sqrt(g) - h_i(y at dual node j).
     """
-    pairing = _pairing(Method.MCI, sol.grid.p, None, sol.dim)
-    return _residual(sys, sol.coefficients, pairing, sol.grid.t_start, sol.grid.sqrt_g)
+    return _residual(sys, sol, _pairing(Method.MCI, sol.grid.p, None, sol.dim))
 
 
 def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray:
@@ -191,42 +208,66 @@ def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray
     R[i, m] = w_m (rate of y_i at dual node m) / sqrt(g)
               - sum_nu omega_nu h_i(y(sigma_nu)) ltilde_m(sigma_nu).
     """
-    pairing = _pairing(Method.MGI, sol.grid.p, q_rhs, sol.dim)
-    return _residual(sys, sol.coefficients, pairing, sol.grid.t_start, sol.grid.sqrt_g)
+    return _residual(sys, sol, _pairing(Method.MGI, sol.grid.p, q_rhs, sol.dim))
 
 
 def _solve_element(sys, y0, t0, dt, pairing, config, coeffs) -> int:
     # solves [t0, t0 + dt] into coeffs (M, p+1): y0 in column 0, the stages z in 1..p
     M, p, q = sys.dim, coeffs.shape[1] - 1, pairing.q
     sqrt_g = 0.5 * ((t0 + dt) - t0)  # as in ElementGrid.sqrt_g
-    rate_block = pairing.rate / sqrt_g
+    Lq = pairing.Lq
     coeffs[:, 0] = y0
     stages = coeffs[:, 1:]
+    pairing_residual = _element_residual(sys, coeffs, pairing, t0, sqrt_g)
+    # the iterate whose values the stage buffer holds and its quadrature
+    # states; the reference keeps that array alive, so identity means that iterate
+    held_z = held_Yq = None
 
     def residual(z):
+        nonlocal held_z, held_Yq
         stages[...] = z.reshape(M, p)
-        return _residual(sys, coeffs, pairing, t0, sqrt_g)
+        held_z, held_Yq = z, coeffs @ Lq
+        return pairing_residual(held_Yq)
 
-    def jacobian(z):
-        stages[...] = z.reshape(M, p)
-        Yq = coeffs @ pairing.Lq
-        Jh = np.asarray(sys.jacobian(Yq), dtype=float)
-        if Jh.shape != (q, M, M):
-            raise ValueError(
-                f"jacobian returned shape {Jh.shape} for states of shape {Yq.shape}, expected"
-                f" {(q, M, M)}; wrap a jacobian written for one state with"
-                " geodesy.systems.pointwise"
-            )
-        field_block = (pairing.weights @ Jh.reshape(q, M * M)).reshape(p, p, M, M)
-        return rate_block - field_block.transpose(2, 0, 3, 1).reshape(M * p, M * p)
+    jacobian = None
+    if sys.jacobian is not None:
+        rate_block = pairing.rate / sqrt_g
+        weights = pairing.weights
 
-    jac = jacobian if sys.jacobian is not None else None
-    result = newton_solve(residual, np.repeat(y0, p), config, jacobian=jac)
-    stages[...] = result.x.reshape(M, p)
+        def jacobian(z):
+            nonlocal held_z, held_Yq
+            # Newton takes the Jacobian at the iterate whose residual it has
+            # just evaluated, so the residual's states serve; any other z
+            # writes its own stages
+            if z is not held_z:
+                stages[...] = z.reshape(M, p)
+                held_z, held_Yq = z, coeffs @ Lq
+            Yq = held_Yq
+            Jh = np.asarray(sys.jacobian(Yq), dtype=float)
+            if Jh.shape != (q, M, M):
+                raise ValueError(
+                    f"jacobian returned shape {Jh.shape} for states of shape {Yq.shape}, expected"
+                    f" {(q, M, M)}; wrap a jacobian written for one state with"
+                    " geodesy.systems.pointwise"
+                )
+            field_block = (weights @ Jh.reshape(q, M * M)).reshape(p, p, M, M)
+            return rate_block - field_block.transpose(2, 0, 3, 1).reshape(M * p, M * p)
+
+    # the guess holds y0 at every stage: np.repeat(y0, p), from the float copy in column 0
+    result = newton_solve(residual, coeffs[:, 0].repeat(p), config, jacobian=jacobian)
+    if result.x is not held_z:  # the buffer holds the solution unless Newton ended elsewhere
+        stages[...] = result.x.reshape(M, p)
     return result.iterations
 
 
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _element_step(sys, y0, t0, dt, p, pairing, config):
+    _require_finite(t0=t0, dt=dt)
     grid = ElementGrid.build(p, t0, t0 + dt)
     if len(y0) != sys.dim:
         raise ValueError(f"state has length {len(y0)}, system dimension is {sys.dim}")
@@ -360,9 +401,7 @@ def integrate(
         raise TypeError(f"method must be a geodesy.Method, got {method!r}")
     if q_rhs is not None and method is not Method.MGI:
         raise ValueError(f"q_rhs applies to Method.MGI only, got q_rhs={q_rhs!r} for {method}")
-    for name, value in (("t0", t0), ("tf", tf), ("dt", dt)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    _require_finite(t0=t0, tf=tf, dt=dt)
     if not tf > t0:
         raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")
     if not dt > 0:
@@ -429,23 +468,26 @@ def integrate(
 def sample_trajectory(traj: Trajectory, sample_times) -> np.ndarray:
     """Evaluate an element-method trajectory densely at the given times.
 
-    Returns an array of shape (dim, len(sample_times)). Only methods that
-    retain element polynomials support this; times must lie inside the
-    integration window (up to a rounding slack, clamped onto it). One
-    searchsorted and one basis evaluation cover all times; column k equals
-    evaluate_time(sample_times[k]) on the element over times[j]..times[j+1]
-    that holds it, bitwise.
+    sample_times may be a scalar or an array of any shape; the result has
+    shape (dim,) + np.shape(sample_times), as from ElementSolution.evaluate_time.
+    Only methods that retain element polynomials support this; times must lie
+    inside the integration window (up to a rounding slack, clamped onto it).
+    The times are evaluated flattened, by one searchsorted and one basis
+    evaluation; each state equals the one the same time gives alone, bitwise,
+    and evaluate_time on the element over times[j]..times[j+1] that holds it.
     """
     if traj.coefficients is None:
         raise ValueError(f"method {traj.method.value!r} does not retain element polynomials")
     sample_times = np.asarray(sample_times, dtype=float)
+    flat = sample_times.reshape(-1)
     t0, tf = traj.times[0], traj.times[-1]
     slack = 1e-12 * (1.0 + abs(t0) + abs(tf))
-    if np.any(sample_times < t0 - slack) or np.any(sample_times > tf + slack):
+    if np.any(flat < t0 - slack) or np.any(flat > tf + slack):
         raise ValueError(f"sample times must lie within [{t0!r}, {tf!r}]")
     starts = traj.times[:-1]
     sqrt_g = 0.5 * np.diff(traj.times)  # as in ElementGrid.sqrt_g
-    idx = np.clip(np.searchsorted(starts, sample_times, side="right") - 1, 0, len(starts) - 1)
-    tau = (np.clip(sample_times, t0, tf) - starts[idx]) / sqrt_g[idx] - 1.0  # as in to_ref
+    idx = np.clip(np.searchsorted(starts, flat, side="right") - 1, 0, len(starts) - 1)
+    tau = (np.clip(flat, t0, tf) - starts[idx]) / sqrt_g[idx] - 1.0  # as in to_ref
     L = nodal_eval_all(_reference_element(traj.order).primal_basis, tau)
-    return np.matmul(traj.coefficients[idx], L[:, :, None])[:, :, 0].T
+    states = np.matmul(traj.coefficients[idx], L[:, :, None])[:, :, 0].T
+    return states.reshape((traj.dim,) + sample_times.shape)

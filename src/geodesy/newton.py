@@ -2,11 +2,20 @@
 
 The linear solves call LAPACK's dense LU routines directly: getrf factors
 with partial pivoting and getrs solves with the factors. A factorization
-whose smallest pivot falls below 1e-14 relative to the largest is treated as
-singular rather than silently producing garbage; an exactly zero pivot, which
-getrf reports with info > 0, fails the same check. The Jacobian is the
-analytic callable when one is given, otherwise forward differences with a
-step scaled per component.
+whose smallest pivot falls below 1e-14 relative to the largest, or that has
+a non-finite pivot, is treated as singular rather than silently producing
+garbage; an exactly zero pivot, which getrf reports with info > 0, fails the
+same check. The Jacobian is the analytic callable when one is given,
+otherwise forward differences with a step scaled per component.
+
+Each iterate costs one residual evaluation, one Jacobian and one LU solve,
+and the loop keeps its small-array reductions to those its decisions need:
+max|r| for the stop and finiteness tests, max|dx| once there is an update,
+the Jacobian's entrywise finiteness test and one sort of the pivots, which
+gives the smallest and the largest at once. max|x| is taken only when an
+update could be at the rounding floor or has stopped contracting; otherwise
+a running bound, the last exact max|x| plus every update since, rules the
+stall and divergence tests out.
 """
 
 import math
@@ -54,28 +63,31 @@ class NewtonResult(NamedTuple):
 
 
 def forward_difference_jacobian(residual, x, r0=None, fd_step=_FD_STEP):
-    """Column-wise forward-difference Jacobian with step fd_step * (1 + |x_j|)."""
+    """Forward-difference Jacobian with step fd_step * (1 + |x_j|) in column j.
+
+    Row j of one (n, n) array is x shifted in entry j; the n residuals at
+    those rows form one array and one quotient gives every column.
+    """
     if r0 is None:
         r0 = np.asarray(residual(x), dtype=float)
     n = len(x)
-    J = np.empty((len(r0), n))
-    for j in range(n):
-        h = fd_step * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        J[:, j] = (np.asarray(residual(xp), dtype=float) - r0) / h
-    return J
+    h = fd_step * (1.0 + np.abs(x))
+    shifted = np.tile(x, (n, 1))
+    shifted.flat[:: n + 1] += h
+    probes = np.array([np.asarray(residual(xp), dtype=float) for xp in shifted])
+    return ((probes - r0) / h[:, None]).T
 
 
 def _lu_solve_checked(J, rhs):
     # J and rhs are copied, never overwritten; stage systems are small enough
     # that the scipy lu_factor/lu_solve wrappers cost more than these calls
     lu, piv, _ = dgetrf(J)
-    diag = np.abs(lu.diagonal())
-    scale = diag.max()
-    if scale == 0.0 or diag.min() < _PIVOT_RTOL * scale:
+    pivots = np.abs(lu.diagonal())
+    pivots.sort()  # one call for both ends; a NaN pivot sorts last
+    smallest, largest = pivots[0], pivots[-1]
+    if not (0.0 < largest < math.inf and smallest >= _PIVOT_RTOL * largest):
         raise SingularJacobianError(
-            f"stage Jacobian is numerically singular (pivot ratio {diag.min():.3e} / {scale:.3e})"
+            f"stage Jacobian is numerically singular (pivot ratio {smallest:.3e} / {largest:.3e})"
         )
     x, _ = dgetrs(lu, piv, rhs)
     return x
@@ -100,6 +112,9 @@ def newton_solve(
     x = np.array(x0, dtype=float)
     iterations = 0
     updates = []  # max|dx| per update
+    # an upper bound of max|x|: its exact value when last taken plus every
+    # update since, so |x + dx| <= |x| + |dx| keeps it one; none yet
+    x_bound = math.inf
     while True:
         r = np.asarray(residual(x), dtype=float)
         norm = float(np.abs(r).max())  # NaN or inf when any entry is
@@ -109,24 +124,27 @@ def newton_solve(
         if norm <= config.abs_tol:
             return NewtonResult(x, iterations, norm)
         if iterations:
-            updates.append(float(np.abs(dx).max()))
-            x_max = np.abs(x).max()
-            if updates[-1] <= _STALL_RTOL * x_max:
-                return NewtonResult(x, iterations, norm)
-            if (
-                iterations > _DIVERGENCE_WINDOW
-                and updates[-1] >= updates[-1 - _DIVERGENCE_WINDOW]
-                and updates[-1] > _DIVERGENCE_RTOL * x_max
-            ):
-                theta = updates[-1] / updates[-2]
-                raise NewtonNonConvergence(
-                    f"Newton diverges: max|dx| = {updates[-1]:.3e} did not contract over the"
-                    f" last {_DIVERGENCE_WINDOW} updates (contraction rate theta = {theta:.3g},"
-                    f" residual {norm:.3e}) after {iterations} iterations",
-                    x=x,
-                    residual_norm=norm,
-                    iterations=iterations,
-                )
+            update = float(np.abs(dx).max())
+            updates.append(update)
+            x_bound += update
+            stuck = iterations > _DIVERGENCE_WINDOW and update >= updates[-1 - _DIVERGENCE_WINDOW]
+            # the stall and divergence tests need max|x| only for an update near the
+            # rounding floor (twice the bound absorbs its rounding) or one that has
+            # stopped contracting
+            if stuck or update <= 2.0 * _STALL_RTOL * x_bound:
+                x_bound = x_max = float(np.abs(x).max())
+                if update <= _STALL_RTOL * x_max:
+                    return NewtonResult(x, iterations, norm)
+                if stuck and update > _DIVERGENCE_RTOL * x_max:
+                    theta = update / updates[-2]
+                    raise NewtonNonConvergence(
+                        f"Newton diverges: max|dx| = {update:.3e} did not contract over the"
+                        f" last {_DIVERGENCE_WINDOW} updates (contraction rate theta = {theta:.3g},"
+                        f" residual {norm:.3e}) after {iterations} iterations",
+                        x=x,
+                        residual_norm=norm,
+                        iterations=iterations,
+                    )
         if iterations >= config.max_iter:
             raise NewtonNonConvergence(
                 f"Newton did not reach {config.abs_tol:.1e} in {config.max_iter} iterations"

@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the package's own numerics: numpy polynomial
-utilities, a tiny-step RK4 marcher, and a plain fixed-point implicit
-Runge-Kutta step. Keep them independent so the cross-checks stay honest.
+utilities, a tiny-step RK4 marcher, a plain fixed-point implicit
+Runge-Kutta step and a column-by-column forward difference. Keep them
+independent so the cross-checks stay honest.
 """
 
 import numpy as np
@@ -37,6 +38,24 @@ def gauss_irk_step(field, y0, dt, a, b, tol=1e-14, max_iter=500):
         if delta <= tol:
             return y0 + dt * (b @ k)
     raise AssertionError(f"fixed-point IRK stalled at delta={delta:.3e}")
+
+
+def column_forward_difference(residual, x, r0=None, fd_step=1e-7):
+    """Forward-difference Jacobian built one column per loop pass.
+
+    Column j is (residual(x + h_j e_j) - residual(x)) / h_j with
+    h_j = fd_step * (1 + |x_j|), each shifted point a fresh copy of x.
+    """
+    if r0 is None:
+        r0 = np.asarray(residual(x), dtype=float)
+    n = len(x)
+    J = np.empty((len(r0), n))
+    for j in range(n):
+        h = fd_step * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xp[j] += h
+        J[:, j] = (np.asarray(residual(xp), dtype=float) - r0) / h
+    return J
 
 
 def einsum_field_block(Jh, pairing, Lq):

@@ -421,3 +421,30 @@ class TestList:
             assert name in out
         for method in ("mci", "mgi", "euler", "seuler", "rk4"):
             assert method in out
+
+
+class TestParser:
+    def test_main_builds_one_parser_per_process(self, monkeypatch, capsys):
+        import geodesy.cli as cli
+
+        built = []
+        original = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+        cli._parser.cache_clear()
+        try:
+            assert run_cli("list") == 0
+            with pytest.raises(SystemExit) as info:  # argparse's own usage error
+                run_cli("tableau", "--pt", "two")
+            assert info.value.code == 2
+            assert run_cli("tableau", "--pt", "1") == 0
+            assert run_cli("run", "--problem", "nowhere") == 2
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()
+
+    def test_build_parser_stays_public_and_fresh(self):
+        import geodesy.cli as cli
+
+        parser = cli.build_parser()
+        assert parser is not cli.build_parser()
+        assert parser.format_help() == cli._parser().format_help()

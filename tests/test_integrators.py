@@ -154,6 +154,37 @@ class TestMciStep:
                 y = mci_step(sys, y, 0.3 * k, 0.3, p, config=TIGHT).endpoint()
                 assert abs(y @ C @ y - i0) <= 1e-11 * abs(i0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(2, 4),
+        p=st.integers(1, 12),
+        dt=st.floats(0.02, 0.1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_preserves_random_quadratic_invariants_at_any_order(self, dim, p, dt, seed):
+        # h(y) = g(y) inv(C) S y with SPD C, skew S and a scalar g > 0 still
+        # has y^T C h(y) = 0: I(y) = y^T C y is an invariant of a nonlinear
+        # flow, which collocation at the Gauss points keeps to rounding
+        rng = np.random.default_rng(seed)
+        B = rng.uniform(-0.5, 0.5, (dim, dim))
+        C = B.T @ B + np.eye(dim)
+        W = rng.uniform(-0.5, 0.5, (dim, dim))
+        A = np.linalg.solve(C, W - W.T)
+
+        def field(y):
+            return (1.0 + 0.25 * np.sum(y * y, axis=0)) * (A @ y)
+
+        def jacobian(y):
+            g = np.asarray(1.0 + 0.25 * np.sum(y * y, axis=0))
+            return g[..., None, None] * A + 0.5 * np.einsum("i...,k...->...ik", A @ y, y)
+
+        sys = OdeSystem(dim=dim, field=field, jacobian=jacobian)
+        y = rng.uniform(-0.5, 0.5, dim)
+        i0 = y @ C @ y
+        for k in range(3):
+            y = mci_step(sys, y, k * dt, dt, p, config=TIGHT).endpoint()
+            assert abs(y @ C @ y - i0) <= 1e-12 * i0
+
 
 class TestResiduals:
     def test_mci_residual_vanishes_at_converged_solution(self):
@@ -404,6 +435,36 @@ class TestStageJacobian:
         assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J))
 
     @pytest.mark.parametrize("step", [mci_step, mgi_step])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_jacobian_reuses_only_the_residuals_own_iterate(self, monkeypatch, step, p):
+        # the Jacobian takes the quadrature states of the residual's last
+        # iterate only when called on that very array; elsewhere it writes
+        # its own stages, so every route gives the same bits
+        kep = get_problem("kepler")
+        callables = []
+
+        def unsolved(residual, x0, config, jacobian=None):
+            callables.append((residual, jacobian))
+            return NewtonResult(x0, 0, 0.0)
+
+        monkeypatch.setattr(geodesy.integrators, "newton_solve", unsolved)
+        for _ in range(3):
+            step(kep.system, kep.y0, 1.0, 0.05, p)
+        (_, fresh_jacobian), (residual, jacobian), (other_residual, other_jacobian) = callables
+        rng = np.random.default_rng(p)
+        z = np.repeat(kep.y0, p) + 0.05 * rng.standard_normal(4 * p)
+        elsewhere = z + 0.01 * rng.standard_normal(4 * p)
+        want = fresh_jacobian(z)  # no residual call before it
+
+        residual(elsewhere)
+        npt.assert_array_equal(jacobian(z), want)
+        npt.assert_array_equal(jacobian(z), want)  # now held: reused
+        r = other_residual(z)
+        npt.assert_array_equal(other_jacobian(z), want)  # the residual's own iterate
+        npt.assert_array_equal(other_jacobian(z.copy()), want)  # equal values, another array
+        npt.assert_array_equal(other_residual(z), r)
+
+    @pytest.mark.parametrize("step", [mci_step, mgi_step])
     def test_system_without_jacobian_uses_forward_differences(self, monkeypatch, step):
         lv = get_problem("lotka-volterra")
         fd_system = dataclasses.replace(lv.system, jacobian=None)
@@ -467,6 +528,26 @@ class TestStageJacobian:
         b = mgi_step(prob.system, prob.y0, 0.0, 0.1, p, q_rhs=p)
         npt.assert_allclose(b.coefficients, a.coefficients, rtol=0.0, atol=1e-13)
         assert b.newton_iterations == a.newton_iterations
+
+
+class TestStepArguments:
+    @pytest.mark.parametrize("step", [mci_step, mgi_step])
+    @pytest.mark.parametrize(
+        "t0, dt, message",
+        [
+            (0.0, np.nan, "dt must be finite, got nan"),
+            (0.0, np.inf, "dt must be finite, got inf"),
+            (np.nan, 0.1, "t0 must be finite, got nan"),
+            (-np.inf, 0.1, "t0 must be finite, got -inf"),
+        ],
+    )
+    def test_nonfinite_time_fails_before_the_solve(self, monkeypatch, step, t0, dt, message):
+        # worded as integrate words it, not blamed on the field by Newton
+        pend = get_problem("pendulum")
+        monkeypatch.setattr(geodesy.integrators, "newton_solve", None)  # never reached
+        with pytest.raises(ValueError) as info:
+            step(pend.system, pend.y0, t0, dt, 2)
+        assert str(info.value) == message
 
 
 class TestStepBuffers:
@@ -925,6 +1006,24 @@ class TestSampling:
         npt.assert_array_equal(ys, np.stack([per_point(t) for t in ts], axis=1))
         npt.assert_array_equal(sample_trajectory(traj, [t0 - 0.5 * slack])[:, 0], kep.y0)
         assert sample_trajectory(traj, np.empty(0)).shape == (4, 0)
+
+    def test_any_shape_of_times_equals_per_point_sampling_bitwise(self):
+        kep = get_problem("kepler")
+        traj = integrate(kep.system, Method.MCI, kep.y0, 0.0, 1.0, 0.1, p=4)
+        ts = np.random.default_rng(9).uniform(0.0, 1.0, (3, 5))
+        ts[0, :3] = traj.times[:3]
+        flat = sample_trajectory(traj, ts.ravel())
+        grid = sample_trajectory(traj, ts)
+        assert grid.shape == (4, 3, 5)
+        npt.assert_array_equal(grid, flat.reshape(4, 3, 5))
+        for k, t in enumerate(ts.ravel()):
+            one = sample_trajectory(traj, t)
+            assert one.shape == (4,)
+            npt.assert_array_equal(one, flat[:, k])
+            npt.assert_array_equal(one, sample_trajectory(traj, float(t)))
+        assert sample_trajectory(traj, np.empty((2, 0))).shape == (4, 2, 0)
+        with pytest.raises(ValueError, match="within"):
+            sample_trajectory(traj, 1.5)
 
     def test_element_solution_evaluates_arrays(self):
         pend = get_problem("pendulum")

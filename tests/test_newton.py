@@ -1,5 +1,7 @@
 """Newton solver: convergence behavior, failure modes, Jacobian routes."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,11 +9,13 @@ import pytest
 from geodesy.errors import EvaluationError, NewtonNonConvergence, SingularJacobianError
 from geodesy.newton import (
     NewtonConfig,
+    NewtonResult,
     _lu_solve_checked,
     dgetrf,
     forward_difference_jacobian,
     newton_solve,
 )
+from helpers import column_forward_difference
 
 
 def test_linear_system_one_iteration():
@@ -127,6 +131,137 @@ def test_nonfinite_residual_after_an_update(bad, n):
         newton_solve(residual, x0, jacobian=lambda x: np.eye(n))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["pivot", "off-diagonal"])
+def test_nonfinite_jacobian(bad, where):
+    # the entry test runs before the factorization, so even a non-finite
+    # pivot reads as a non-finite Jacobian, not a singular one
+    def jacobian(x):
+        J = np.eye(2)
+        J[(0, 0) if where == "pivot" else (0, 1)] = bad
+        return J
+
+    with pytest.raises(EvaluationError, match="Jacobian is non-finite during Newton iteration"):
+        newton_solve(lambda x: x - 1.0, np.zeros(2), jacobian=jacobian)
+
+
+def _reference_newton(residual, x0, config, jacobian=None):
+    # the loop's decisions written out plainly: max|x| and max|dx| each
+    # iteration, the Jacobian's entries tested one by one
+    x = np.array(x0, dtype=float)
+    iterations, updates = 0, []
+    while True:
+        r = np.asarray(residual(x), dtype=float)
+        norm = float(np.abs(r).max())
+        if not math.isfinite(norm):
+            where = "during Newton iteration" if iterations else "at the initial guess"
+            raise EvaluationError(f"residual is non-finite {where}")
+        if norm <= config.abs_tol:
+            return NewtonResult(x, iterations, norm)
+        if iterations:
+            updates.append(float(np.abs(dx).max()))
+            x_max = np.abs(x).max()
+            if updates[-1] <= 4 * np.finfo(float).eps * x_max:
+                return NewtonResult(x, iterations, norm)
+            if (
+                iterations > 3
+                and updates[-1] >= updates[-4]
+                and updates[-1] > np.sqrt(np.finfo(float).eps) * x_max
+            ):
+                theta = updates[-1] / updates[-2]
+                raise NewtonNonConvergence(
+                    f"Newton diverges: max|dx| = {updates[-1]:.3e} did not contract over the"
+                    f" last 3 updates (contraction rate theta = {theta:.3g},"
+                    f" residual {norm:.3e}) after {iterations} iterations",
+                    x=x, residual_norm=norm, iterations=iterations,
+                )
+        if iterations >= config.max_iter:
+            raise NewtonNonConvergence(
+                f"Newton did not reach {config.abs_tol:.1e} in {config.max_iter} iterations"
+                f" (residual {norm:.3e})",
+                x=x, residual_norm=norm, iterations=iterations,
+            )
+        if jacobian is not None:
+            J = np.asarray(jacobian(x), dtype=float)
+        else:
+            J = forward_difference_jacobian(residual, x, r)
+        if not np.isfinite(J).all():
+            raise EvaluationError("Jacobian is non-finite during Newton iteration")
+        dx = _lu_solve_checked(J, -r)
+        x = x + dx
+        iterations += 1
+
+
+def _outcome(solve, residual, x0, config, jacobian):
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return residual(x)
+
+    try:
+        res = solve(counted, x0, config, jacobian=jacobian)
+    except (NewtonNonConvergence, EvaluationError, SingularJacobianError) as err:
+        x = getattr(err, "x", None)
+        return type(err), str(err), getattr(err, "iterations", None), None if x is None else x.tobytes(), len(calls)
+    return "converged", res.iterations, res.x.tobytes(), res.residual_norm, len(calls)
+
+
+def _shrinking_cubic(x):
+    # from a large start Newton shrinks x by a third per update, so the
+    # running bound of max|x| lags far behind the iterate
+    return x**3 - 1e-3
+
+
+def _cubic_jump(x):
+    return x**3 - 2e9
+
+
+def _cubic_jump_slope(x):
+    # a steered Newton: a tiny first update, then a jump of 1e3 next to the
+    # root 1259.9..., then the true slope down to the rounding floor; max|x|
+    # at the floor is far above its value after the first update, so a
+    # running bound that stopped adding updates would miss the stall there
+    if x[0] == 1.0:
+        return np.array([[1e12]])
+    if x[0] < 2.0:
+        return (_cubic_jump(x) - _cubic_jump(np.array([1260.0])))[:, None] / (x[0] - 1260.0)
+    return np.diag(3.0 * x**2)
+
+
+_DECISION_CASES = {
+    "cubic-shrinking": (_shrinking_cubic, [1e3, -2e2], lambda x: np.diag(3.0 * x**2)),
+    "cubic-jump": (_cubic_jump, [1.0], _cubic_jump_slope),
+    "cubic-floor": (lambda x: 1e6 * (x**3 - 3.0), [1.0], lambda x: np.diag(3e6 * x**2)),
+    "arctan-diverges": (np.arctan, [2.0], lambda x: np.diag(1.0 / (1.0 + x**2))),
+    "double-root": (lambda x: x**2, [1.0], lambda x: np.diag(2.0 * x)),
+    "noise-floor": (lambda x: x - 1.0 + 1e-11 * np.sin(1e15 * x), [3.0], lambda x: np.eye(1)),
+    "circle-line": (
+        lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 4.0, x[1] - x[0]]),
+        [1.0, 0.5],
+        lambda x: np.array([[2.0 * x[0], 2.0 * x[1]], [-1.0, 1.0]]),
+    ),
+    "exp-system": (
+        lambda x: np.exp(x) - np.array([2.0, 3.0, 0.5]) + 0.1 * x[::-1],
+        [5.0, -4.0, 0.0],
+        lambda x: np.diag(np.exp(x)) + 0.1 * np.eye(3)[::-1],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DECISION_CASES))
+@pytest.mark.parametrize("analytic", [True, False])
+@pytest.mark.parametrize("abs_tol, max_iter", [(1e-12, 50), (0.0, 50), (0.0, 7), (1e-3, 3)])
+def test_decisions_match_the_plain_loop(case, analytic, abs_tol, max_iter):
+    # abs_tol = 0 leaves the rounding-floor stop, divergence and the budget as
+    # the only ways out; iterates, counts and messages agree bitwise
+    residual, x0, jacobian = _DECISION_CASES[case]
+    config = NewtonConfig(abs_tol=abs_tol, max_iter=max_iter)
+    jac = jacobian if analytic else None
+    want = _outcome(_reference_newton, residual, np.array(x0), config, jac)
+    assert _outcome(newton_solve, residual, np.array(x0), config, jac) == want
+
+
 def test_nonlinear_two_dimensional():
     # intersection of a circle and a line
     def residual(x):
@@ -166,6 +301,37 @@ def test_forward_difference_jacobian_accuracy():
         assert np.max(np.abs(J_fd - J_exact)) / np.max(np.abs(J_exact)) <= 1e-5
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (5, 5), (12, 12), (4, 7)])
+def test_forward_difference_equals_the_column_loop_bitwise(seed, n, m):
+    rng = np.random.default_rng(100 * seed + 10 * n + m)
+    A = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    scale = 10.0 ** rng.uniform(-3, 3, n)
+    x = rng.standard_normal(n) * scale
+    x[rng.random(n) < 0.2] = -0.0  # a signed zero must reach the residual as it is
+    probes = {"vectorised": [], "loop": []}
+
+    def residual_for(name):
+        def residual(y):
+            probes[name].append(np.array(y))
+            return np.tanh(A @ y) + b * np.sum(y**3) - np.copysign(1.0, y).sum()
+
+        return residual
+
+    r0 = residual_for("vectorised")(x)
+    probes["vectorised"].clear()
+    J = forward_difference_jacobian(residual_for("vectorised"), x, r0)
+    want = column_forward_difference(residual_for("loop"), x, r0)
+    npt.assert_array_equal(J, want)
+    assert J.shape == (m, n)
+    assert len(probes["vectorised"]) == len(probes["loop"]) == n
+    for got, ref in zip(probes["vectorised"], probes["loop"]):
+        assert got.tobytes() == ref.tobytes()
+    # without r0 the base point is one more call, as in the loop
+    npt.assert_array_equal(forward_difference_jacobian(residual_for("vectorised"), x), want)
+
+
 def test_fd_step_scaling():
     # the probe step grows with the component magnitude
     seen = []
@@ -192,6 +358,11 @@ class TestLuSolveChecked:
     def test_pivot_ratio_below_threshold_is_singular(self):
         with pytest.raises(SingularJacobianError, match=self.PIVOT_MESSAGE):
             _lu_solve_checked(np.diag([1.0, 1e-15]), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_pivot_is_singular(self, bad):
+        with pytest.raises(SingularJacobianError, match=self.PIVOT_MESSAGE):
+            _lu_solve_checked(np.array([[bad, 1.0], [1.0, 1.0]]), np.ones(2))
 
     def test_pivot_ratio_above_threshold_solves(self):
         x = _lu_solve_checked(np.diag([1.0, 1e-13]), np.ones(2))
