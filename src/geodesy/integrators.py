@@ -29,6 +29,21 @@ record's rate block over sqrt(g) minus one GEMM of its pairing weights with
 the field Jacobians at the q nodes. Steps accept negative dt, which builds a
 reversed element; the integrate driver itself always walks forward and
 solves each element into its packed store without per-step grids.
+
+Newton starts cold, from y0 at every stage, on the first step; every later
+step of the driver starts from the previous element's polynomial read at
+this element's nodes (tau + 2 in the previous element's reference
+coordinate), one cached (p+1, p) matrix per p and one matmul, except a
+shortened last step, which starts cold. mci_step/mgi_step take the same
+previous element as previous=, so the public steps and the driver share
+one path. The guess is safe for the conserved quantities because Newton
+polishes its abs_tol stop (see geodesy.newton): the accepted stages do not
+depend on where the solve started by more than rounding. The residual that
+Newton iterates skips the field's finiteness test, since Newton's max|r|
+catches any non-finite value; when it does, the step re-evaluates the
+states it last held with the test on, which names the quadrature node as
+the public residuals do. A dt whose element half-length has no finite
+reciprocal is rejected with a ValueError naming dt.
 """
 
 import enum
@@ -134,10 +149,12 @@ class ElementSolution:
         return self.evaluate(self.grid.to_ref(t))
 
 
-def _field_at(sys: OdeSystem, y, where) -> np.ndarray:
+def _field_at(sys: OdeSystem, y, where, check_finite=True) -> np.ndarray:
     # y is one state (dim,) or a block (dim, n): one domain check, one field
     # call and one finiteness test cover every column. where(j) names column
     # j; it is only called to report a failure, for the first failing column.
+    # The Newton path skips the finiteness test: Newton's max|r| sees any
+    # non-finite field value, and the element step then names the node.
     reason = sys.check_domain(y)
     if reason is not None:
         j, reason = _first_domain_failure(sys, y, reason)
@@ -148,6 +165,8 @@ def _field_at(sys: OdeSystem, y, where) -> np.ndarray:
             f"vector field returned shape {h.shape} for states of shape {y.shape}, expected"
             f" {y.shape}; wrap a field written for one state with geodesy.systems.pointwise"
         )
+    if not check_finite:
+        return h
     finite = np.isfinite(h)
     if not finite.all():
         j = int(np.argmin(finite.reshape(len(h), -1).all(axis=0)))
@@ -164,7 +183,7 @@ def _first_domain_failure(sys: OdeSystem, y, block_reason):
     return 0, block_reason
 
 
-def _element_residual(sys, coeffs, pairing, t0, sqrt_g):
+def _element_residual(sys, coeffs, pairing, t0, sqrt_g, check_finite=True):
     # the residual of the element held in coeffs, as a function of its states
     # Yq = coeffs @ Lq at the quadrature nodes; what stays fixed over the
     # element (the node names for errors, B^T, the row scale) is bound once
@@ -176,7 +195,8 @@ def _element_residual(sys, coeffs, pairing, t0, sqrt_g):
     if not pairing.galerkin:
         # collocation skips the pairing: B is the identity and the row scale is one there
         def collocation(Yq):
-            return ((coeffs @ E) @ Et / sqrt_g - _field_at(sys, Yq, where)).reshape(-1)
+            h = _field_at(sys, Yq, where, check_finite)
+            return ((coeffs @ E) @ Et / sqrt_g - h).reshape(-1)
 
         return collocation
 
@@ -184,7 +204,7 @@ def _element_residual(sys, coeffs, pairing, t0, sqrt_g):
 
     def galerkin(Yq):
         rate = (coeffs @ E) @ Et / sqrt_g  # coboundary, then edge expansion
-        return (scale * (rate - _field_at(sys, Yq, where) @ BT)).reshape(-1)
+        return (scale * (rate - _field_at(sys, Yq, where, check_finite) @ BT)).reshape(-1)
 
     return galerkin
 
@@ -211,14 +231,37 @@ def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray
     return _residual(sys, sol, _pairing(Method.MGI, sol.grid.p, q_rhs, sol.dim))
 
 
-def _solve_element(sys, y0, t0, dt, pairing, config, coeffs) -> int:
-    # solves [t0, t0 + dt] into coeffs (M, p+1): y0 in column 0, the stages z in 1..p
+@lru_cache(maxsize=None)
+def _extrapolation(p: int) -> np.ndarray:
+    # (p+1, p): the primal basis at the next element's stage nodes, tau + 2 in
+    # this element's reference coordinate; coeffs @ it extrapolates the stages
+    ref = _reference_element(p)
+    ahead = nodal_eval_all(ref.primal_basis, ref.primal.nodes[1:] + 2.0).T
+    ahead.setflags(write=False)
+    return ahead
+
+
+def _half_length(t0, dt) -> float:
+    # sqrt(g) of [t0, t0 + dt], as in ElementGrid.sqrt_g; the residual and the
+    # Jacobian divide by it, so a step whose reciprocal overflows is no element
+    sqrt_g = 0.5 * ((t0 + dt) - t0)
+    if sqrt_g == 0.0 or not math.isfinite(1.0 / float(sqrt_g)):
+        raise ValueError(
+            f"dt is too small for an element step: dt={dt!r} at t0={t0!r} gives half-length"
+            f" {float(sqrt_g)!r}, whose reciprocal is not finite"
+        )
+    return sqrt_g
+
+
+def _solve_element(sys, y0, t0, dt, pairing, config, coeffs, previous=None) -> int:
+    # solves [t0, t0 + dt] into coeffs (M, p+1): y0 in column 0, the stages z in
+    # 1..p; previous, the preceding element of equal length, seeds the guess
     M, p, q = sys.dim, coeffs.shape[1] - 1, pairing.q
-    sqrt_g = 0.5 * ((t0 + dt) - t0)  # as in ElementGrid.sqrt_g
+    sqrt_g = _half_length(t0, dt)
     Lq = pairing.Lq
     coeffs[:, 0] = y0
     stages = coeffs[:, 1:]
-    pairing_residual = _element_residual(sys, coeffs, pairing, t0, sqrt_g)
+    pairing_residual = _element_residual(sys, coeffs, pairing, t0, sqrt_g, check_finite=False)
     # the iterate whose values the stage buffer holds and its quadrature
     # states; the reference keeps that array alive, so identity means that iterate
     held_z = held_Yq = None
@@ -253,8 +296,19 @@ def _solve_element(sys, y0, t0, dt, pairing, config, coeffs) -> int:
             field_block = (weights @ Jh.reshape(q, M * M)).reshape(p, p, M, M)
             return rate_block - field_block.transpose(2, 0, 3, 1).reshape(M * p, M * p)
 
-    # the guess holds y0 at every stage: np.repeat(y0, p), from the float copy in column 0
-    result = newton_solve(residual, coeffs[:, 0].repeat(p), config, jacobian=jacobian)
+    if previous is None:
+        # a cold guess holds y0 at every stage: np.repeat(y0, p), from the float copy in column 0
+        guess = coeffs[:, 0].repeat(p)
+    else:
+        guess = (previous @ _extrapolation(p)).reshape(-1)
+    try:
+        result = newton_solve(residual, guess, config, jacobian=jacobian)
+    except EvaluationError:
+        # the residual skipped the field's finiteness test; when the states it
+        # last held give a non-finite field, the checked residual names the node
+        if held_Yq is not None:
+            _element_residual(sys, coeffs, pairing, t0, sqrt_g)(held_Yq)
+        raise
     if result.x is not held_z:  # the buffer holds the solution unless Newton ended elsewhere
         stages[...] = result.x.reshape(M, p)
     return result.iterations
@@ -266,13 +320,22 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _element_step(sys, y0, t0, dt, p, pairing, config):
+def _element_step(sys, y0, t0, dt, p, pairing, config, previous):
     _require_finite(t0=t0, dt=dt)
-    grid = ElementGrid.build(p, t0, t0 + dt)
     if len(y0) != sys.dim:
         raise ValueError(f"state has length {len(y0)}, system dimension is {sys.dim}")
+    if previous is not None:
+        previous = np.asarray(previous, dtype=float)
+        if previous.shape != (sys.dim, p + 1):
+            raise ValueError(
+                f"previous must be the preceding element's coefficients of shape"
+                f" {(sys.dim, p + 1)}, got {previous.shape}"
+            )
+        if not np.isfinite(previous).all():
+            raise ValueError("previous holds non-finite coefficients")
     coeffs = np.empty((sys.dim, p + 1))
-    iterations = _solve_element(sys, y0, t0, dt, pairing, config, coeffs)
+    iterations = _solve_element(sys, y0, t0, dt, pairing, config, coeffs, previous)
+    grid = ElementGrid.build(p, t0, t0 + dt)
     # a copy: the callables keep writing into coeffs after the step returns
     return ElementSolution(grid, coeffs.copy(), newton_iterations=iterations)
 
@@ -284,9 +347,16 @@ def mci_step(
     dt: float,
     p: int,
     config: NewtonConfig = NewtonConfig(),
+    previous=None,
 ) -> ElementSolution:
-    """One collocation-pairing step of order p over [t0, t0 + dt]; dt may be negative."""
-    return _element_step(sys, y0, t0, dt, p, _pairing(Method.MCI, p, None, sys.dim), config)
+    """One collocation-pairing step of order p over [t0, t0 + dt]; dt may be negative.
+
+    previous, the (dim, p+1) coefficients of the preceding element of the
+    same length, starts Newton from that polynomial extrapolated over this
+    element, as integrate does; without it Newton starts from y0 everywhere.
+    """
+    pairing = _pairing(Method.MCI, p, None, sys.dim)
+    return _element_step(sys, y0, t0, dt, p, pairing, config, previous)
 
 
 def mgi_step(
@@ -297,9 +367,14 @@ def mgi_step(
     p: int,
     q_rhs: Optional[int] = None,
     config: NewtonConfig = NewtonConfig(),
+    previous=None,
 ) -> ElementSolution:
-    """One Galerkin-pairing step of order p over [t0, t0 + dt]; dt may be negative."""
-    return _element_step(sys, y0, t0, dt, p, _pairing(Method.MGI, p, q_rhs, sys.dim), config)
+    """One Galerkin-pairing step of order p over [t0, t0 + dt]; dt may be negative.
+
+    previous seeds Newton's guess as in mci_step.
+    """
+    pairing = _pairing(Method.MGI, p, q_rhs, sys.dim)
+    return _element_step(sys, y0, t0, dt, p, pairing, config, previous)
 
 
 def explicit_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
@@ -396,6 +471,8 @@ def integrate(
     index and start time; so is an invariant that fails on a recorded state,
     with the index k of that state in times (the state step k starts from)
     and its time. q_rhs is for Method.MGI only; other methods reject it.
+    Element steps after the first start Newton from the previous element
+    extrapolated (a shortened last step starts cold from its y0).
     """
     if not isinstance(method, Method):
         raise TypeError(f"method must be a geodesy.Method, got {method!r}")
@@ -406,6 +483,8 @@ def integrate(
         raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
+    if method.is_element_method:
+        _half_length(t0, dt)
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (sys.dim,):
         raise ValueError(f"initial state must have shape ({sys.dim},), got {y0.shape}")
@@ -425,16 +504,22 @@ def integrate(
         newton_iterations = np.empty(n, dtype=int)
         work = np.empty((sys.dim, p + 1))  # the element being solved
 
-    y = y0
+    y, previous = y0, None
     for k in range(n):
         t_a = t0 + k * dt
         t_b = tf if k == n - 1 else t0 + (k + 1) * dt
         h = t_b - t_a
         try:
             if method.is_element_method:
-                newton_iterations[k] = _solve_element(sys, y, t_a, h, pairing, newton, work)
+                # every step after the first extrapolates the previous element,
+                # except a shortened last step, which starts cold
+                if k == n - 1 and h < dt - slack:
+                    previous = None
+                newton_iterations[k] = _solve_element(
+                    sys, y, t_a, h, pairing, newton, work, previous
+                )
                 coefficients[k] = work
-                y = coefficients[k, :, -1]
+                y, previous = coefficients[k, :, -1], coefficients[k]
             elif method is Method.EXPLICIT_EULER:
                 y = explicit_euler_step(sys, y, t_a, h)
             elif method is Method.SYMPLECTIC_EULER:

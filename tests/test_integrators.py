@@ -549,6 +549,25 @@ class TestStepArguments:
             step(pend.system, pend.y0, t0, dt, 2)
         assert str(info.value) == message
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("step", [mci_step, mgi_step])
+    @pytest.mark.parametrize("t0, dt", [(0.0, 1e-320), (0.0, -1e-320), (3.0, 5e-309), (1.0, 1e-20)])
+    def test_step_without_a_finite_reciprocal_length_names_dt(self, monkeypatch, step, t0, dt):
+        # 1/sqrt(g) overflows (or sqrt(g) rounds to zero): rejected as a usage
+        # error naming dt, not blamed on the Jacobian after a RuntimeWarning
+        pend = get_problem("pendulum")
+        monkeypatch.setattr(geodesy.integrators, "newton_solve", None)  # never reached
+        with pytest.raises(ValueError, match=rf"^dt is too small .*dt={dt!r} at t0={t0!r}"):
+            step(pend.system, pend.y0, t0, dt, 2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    @pytest.mark.parametrize("tf", [1e-320, 1.0])
+    def test_integrate_without_a_finite_reciprocal_length_names_dt(self, method, tf):
+        pend = get_problem("pendulum")
+        with pytest.raises(ValueError, match=r"^dt is too small .*dt=1e-320"):
+            integrate(pend.system, method, pend.y0, 0.0, tf, 1e-320, p=2)
+
 
 class TestStepBuffers:
     # each step reads one cached pairing record per (p, q, pairing, M) and
@@ -693,6 +712,172 @@ class TestNewtonRoundingFloor:
         assert cause.residual_norm > 1.0
 
 
+class TestStartingGuessAndPolish:
+    # every step after the first starts Newton from the previous element's
+    # polynomial read one element ahead, and an abs_tol stop is polished by
+    # one more update with the last LU factors
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+    def test_extrapolation_is_cached_read_only_and_exact_on_polynomials(self, p):
+        ahead = geodesy.integrators._extrapolation(p)
+        assert geodesy.integrators._extrapolation(p) is ahead
+        assert ahead.shape == (p + 1, p)
+        assert not ahead.flags.writeable
+        rng = np.random.default_rng(40 + p)
+        nodes = ElementGrid.build(p, 0.0, 2.0).primal.nodes
+        for _ in range(5):
+            poly = np.polynomial.Polynomial(rng.standard_normal(p + 1))
+            values = poly(nodes)[None, :]
+            want = poly(nodes[1:] + 2.0)[None, :]
+            npt.assert_allclose(values @ ahead, want, rtol=1e-11, atol=1e-11)
+
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_driver_guesses_ahead_except_first_and_short_last_step(self, monkeypatch, method):
+        pend = get_problem("pendulum")
+        guesses = []
+        solve = geodesy.integrators.newton_solve
+
+        def spy(residual, x0, config, jacobian=None):
+            guesses.append(x0.copy())
+            return solve(residual, x0, config, jacobian=jacobian)
+
+        monkeypatch.setattr(geodesy.integrators, "newton_solve", spy)
+        p = 3
+        traj = integrate(pend.system, method, pend.y0, 0.0, 1.05, 0.1, p=p)
+        assert traj.steps == len(guesses) == 11
+        ahead = geodesy.integrators._extrapolation(p)
+        for k, x0 in enumerate(guesses):
+            if k in (0, traj.steps - 1):  # cold: y0 at every stage
+                npt.assert_array_equal(x0, np.repeat(traj.states[:, k], p))
+            else:
+                npt.assert_array_equal(x0, (traj.coefficients[k - 1] @ ahead).reshape(-1))
+
+    def test_a_last_step_of_full_length_is_guessed(self, monkeypatch):
+        circle = make_circle()
+        cold = []
+        solve = geodesy.integrators.newton_solve
+
+        def spy(residual, x0, config, jacobian=None):
+            cold.append(np.all(x0.reshape(2, 2) == x0.reshape(2, 2)[:, :1]))
+            return solve(residual, x0, config, jacobian=jacobian)
+
+        monkeypatch.setattr(geodesy.integrators, "newton_solve", spy)
+        traj = integrate(circle.system, Method.MCI, circle.y0, 0.3, 0.3 + 6 * 0.1, 0.1, p=2)
+        assert traj.steps == 6
+        assert cold == [True] + [False] * 5
+
+    @pytest.mark.parametrize("step", [mci_step, mgi_step])
+    def test_previous_element_saves_iterations(self, step):
+        pend = get_problem("pendulum")
+        first = step(pend.system, pend.y0, 0.0, 0.1, 2)
+        y1 = first.endpoint()
+        cold = step(pend.system, y1, 0.1, 0.1, 2)
+        warm = step(pend.system, y1, 0.1, 0.1, 2, previous=first.coefficients)
+        assert warm.newton_iterations < cold.newton_iterations
+        npt.assert_allclose(warm.coefficients, cold.coefficients, rtol=0.0, atol=1e-14)
+        npt.assert_array_equal(warm.coefficients[:, 0], y1)
+
+    @pytest.mark.parametrize(
+        "previous, message",
+        [
+            (np.zeros((2, 2)), r"previous must be .* of shape \(2, 3\), got \(2, 2\)"),
+            (np.zeros(6), r"previous must be .* of shape \(2, 3\), got \(6,\)"),
+            (np.full((2, 3), np.nan), "previous holds non-finite coefficients"),
+        ],
+    )
+    @pytest.mark.parametrize("step", [mci_step, mgi_step])
+    def test_previous_is_checked_before_the_solve(self, monkeypatch, step, previous, message):
+        pend = get_problem("pendulum")
+        monkeypatch.setattr(geodesy.integrators, "newton_solve", None)  # never reached
+        with pytest.raises(ValueError, match=message):
+            step(pend.system, pend.y0, 0.0, 0.1, 2, previous=previous)
+
+    @pytest.mark.parametrize("name", ["circle", "harmonic"])
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_linear_fields_take_one_iteration_per_step(self, name, method):
+        prob = get_problem(name)
+        traj = integrate(prob.system, method, prob.y0, 0.0, 5.05, 0.1, p=3)
+        npt.assert_array_equal(traj.newton_iterations, 1)
+
+    @pytest.mark.parametrize(
+        "name, method, p, dt, steps, label, bound",
+        [
+            ("kepler", Method.MGI, 4, 2.0 * np.pi / 128.0, 2000, "H", 5e-14),
+            ("pendulum", Method.MGI, 2, 0.1, 2000, "H", 1.5e-13),
+        ],
+    )
+    def test_long_run_energy_stays_at_rounding(self, name, method, p, dt, steps, label, bound):
+        # the polished Newton stop leaves no per-step truncation to accumulate;
+        # without it these runs drift linearly to 2.1e-13 and 3.8e-13
+        prob = get_problem(name)
+        traj = integrate(prob.system, method, prob.y0, 0.0, steps * dt, dt, p=p)
+        assert traj.steps == steps
+        series = traj.invariants[label]
+        assert np.max(np.abs(series - series[0])) <= bound
+
+    @pytest.mark.parametrize(
+        "name, method, p, dt, steps, analytic, most",
+        [
+            ("kepler", Method.MGI, 4, 2.0 * np.pi / 128.0, 400, True, 1.25),
+            ("pendulum", Method.MCI, 2, 0.1, 400, True, 2.05),
+            ("lotka-volterra", Method.MCI, 3, 0.3, 200, False, 2.65),
+        ],
+    )
+    def test_iterations_per_step(self, name, method, p, dt, steps, analytic, most):
+        # one iteration fewer than a cold start from y0 (2.25, 2.99 and 3.42)
+        prob = get_problem(name)
+        system = prob.system if analytic else dataclasses.replace(prob.system, jacobian=None)
+        traj = integrate(system, method, prob.y0, 0.0, steps * dt, dt, p=p)
+        assert traj.newton_iterations.mean() <= most
+
+
+class TestNonFiniteFieldOnTheNewtonPath:
+    # the residual Newton sees skips the field's finiteness test; the element
+    # step names the first node whose field is non-finite, as the public
+    # residuals do
+
+    @staticmethod
+    def _blows_up_above(level):
+        # a rotation whose field is NaN wherever the first component exceeds level
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        return OdeSystem(
+            dim=2,
+            field=lambda y: np.where(y[0] > level, np.nan, A @ y),
+            jacobian=lambda y: np.broadcast_to(A, (y.reshape(2, -1).shape[1], 2, 2)),
+        )
+
+    @pytest.mark.parametrize("method, q_rhs", [(Method.MCI, None), (Method.MGI, 7)])
+    def test_step_names_the_first_bad_node_of_the_guess(self, method, q_rhs):
+        sys = self._blows_up_above(1.5)
+        p, t0, dt = 2, 0.5, 0.4
+        y0 = np.array([1.0, 0.0])
+        # a previous element whose extrapolation climbs past 1.5 inside this one
+        previous = np.array([[0.0, 0.5, 1.0], [0.0, 0.0, 0.0]])
+        rec = geodesy.integrators._pairing(method, p, q_rhs, 2)
+        guess = np.column_stack([y0, previous @ geodesy.integrators._extrapolation(p)])
+        Yq = guess @ rec.Lq
+        n, where = _first_bad_node(
+            ElementGrid.build(p, t0, t0 + dt), Yq, rec.nodes, lambda y: y[0] > 1.5
+        )
+        assert n > 0
+        with pytest.raises(EvaluationError) as info:
+            if method is Method.MCI:
+                mci_step(sys, y0, t0, dt, p, previous=previous)
+            else:
+                mgi_step(sys, y0, t0, dt, p, q_rhs=q_rhs, previous=previous)
+        assert str(info.value) == f"vector field is non-finite at {where}"
+
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_integrate_reports_the_node(self, method):
+        sys = self._blows_up_above(1.9)
+        with pytest.raises(IntegrationError) as info:
+            integrate(sys, method, np.array([0.0, 2.0]), 0.0, 3.0, 0.1, p=2)
+        cause = info.value.__cause__
+        assert isinstance(cause, EvaluationError)
+        assert str(cause).startswith("vector field is non-finite at quadrature node ")
+        assert str(info.value).endswith(str(cause))
+
+
 class TestBaselines:
     def test_explicit_euler_frozen_step(self):
         harm = get_problem("harmonic")
@@ -807,7 +992,9 @@ class TestIntegrateDriver:
         assert tr_e.order is None
         assert tr_e.coefficients is None
         assert tr_e.newton_iterations is None
-        # a short last step: element k spans times[k]..times[k+1] all the same
+        # a short last step: element k spans times[k]..times[k+1] all the same;
+        # the steps between the first and the short last one start from the
+        # previous element, the two ends cold
         for method, step in ((Method.MCI, mci_step), (Method.MGI, mgi_step)):
             tr_m = integrate(circle.system, method, circle.y0, 0.0, 1.2, 0.5, p=3)
             assert tr_m.order == 3
@@ -816,7 +1003,8 @@ class TestIntegrateDriver:
             assert tr_m.newton_iterations.shape == (tr_m.steps,)
             for k in range(tr_m.steps):
                 t_a, t_b = tr_m.times[k], tr_m.times[k + 1]
-                sol = step(circle.system, tr_m.states[:, k], t_a, t_b - t_a, 3)
+                previous = tr_m.coefficients[k - 1] if 0 < k < tr_m.steps - 1 else None
+                sol = step(circle.system, tr_m.states[:, k], t_a, t_b - t_a, 3, previous=previous)
                 npt.assert_array_equal(tr_m.coefficients[k], sol.coefficients)
                 assert tr_m.newton_iterations[k] == sol.newton_iterations
             assert tr_m.dim == 2
@@ -825,7 +1013,9 @@ class TestIntegrateDriver:
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_driver_builds_no_grids_and_equals_the_public_step(self, monkeypatch, method, q_rhs):
         # the driver solves each element straight into the packed store; the
-        # public steps, which return an ElementSolution, must agree bitwise
+        # public steps, which return an ElementSolution, must agree bitwise when
+        # given the previous element as the driver uses it (not for the first
+        # step or the short last one)
         kep = get_problem("kepler")
         build = ElementGrid.build.__func__
         builds = []
@@ -846,10 +1036,13 @@ class TestIntegrateDriver:
         assert traj.steps == 11 and traj.times[-1] - traj.times[-2] < 0.1  # a short last step
         for k in range(traj.steps):
             t_a, t_b = traj.times[k], traj.times[k + 1]
+            previous = traj.coefficients[k - 1] if 0 < k < traj.steps - 1 else None
             if method is Method.MCI:
-                sol = mci_step(kep.system, traj.states[:, k], t_a, t_b - t_a, 3)
+                sol = mci_step(kep.system, traj.states[:, k], t_a, t_b - t_a, 3, previous=previous)
             else:
-                sol = mgi_step(kep.system, traj.states[:, k], t_a, t_b - t_a, 3, q_rhs=q_rhs)
+                sol = mgi_step(
+                    kep.system, traj.states[:, k], t_a, t_b - t_a, 3, q_rhs=q_rhs, previous=previous
+                )
             npt.assert_array_equal(traj.coefficients[k], sol.coefficients)
             assert traj.newton_iterations[k] == sol.newton_iterations
         assert len(builds) == traj.steps

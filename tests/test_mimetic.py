@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodesy.errors import EvaluationError
 from geodesy.mimetic import (
@@ -164,6 +166,25 @@ class TestReduction:
             left = reduce1(dpoly, grid)
             right = coboundary(reduce0(poly, grid, CochainKind.PRIMAL0), E)
             npt.assert_allclose(left.values, right.values, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 12), data=st.data())
+    def test_commuting_diagram_on_random_polynomials(self, p, data):
+        # coboundary o reduce0 = reduce1 o d/dtau for every polynomial of degree <= p
+        degree = data.draw(st.integers(0, p), label="degree")
+        coeffs = np.array(
+            data.draw(
+                st.lists(st.floats(-10.0, 10.0), min_size=degree + 1, max_size=degree + 1),
+                label="coefficients",
+            )
+        )
+        poly = np.polynomial.Polynomial(coeffs)
+        grid = ElementGrid.build(p, 0.0, 1.0)
+        left = reduce1(poly.deriv(), grid)
+        right = coboundary(reduce0(poly, grid, CochainKind.PRIMAL0), incidence_matrix(p))
+        # both sides round at the size of the monomials they sum
+        scale = 1.0 + np.sum(np.abs(coeffs) * np.arange(1, degree + 2))
+        npt.assert_allclose(left.values, right.values, rtol=0.0, atol=1e-14 * scale)
 
 
 class TestReconstruction:

@@ -10,12 +10,18 @@ from geodesy.errors import EvaluationError, NewtonNonConvergence, SingularJacobi
 from geodesy.newton import (
     NewtonConfig,
     NewtonResult,
-    _lu_solve_checked,
+    _lu_factor_checked,
     dgetrf,
+    dgetrs,
     forward_difference_jacobian,
     newton_solve,
 )
 from helpers import column_forward_difference
+
+
+def _lu_solve_checked(J, rhs):
+    # the solver's checked factorization and one getrs, as one solve
+    return dgetrs(*_lu_factor_checked(J), rhs)[0]
 
 
 def test_linear_system_one_iteration():
@@ -147,7 +153,8 @@ def test_nonfinite_jacobian(bad, where):
 
 def _reference_newton(residual, x0, config, jacobian=None):
     # the loop's decisions written out plainly: max|x| and max|dx| each
-    # iteration, the Jacobian's entries tested one by one
+    # iteration, the Jacobian's entries tested one by one, and an abs_tol stop
+    # after an update polished by one more solve with the last Jacobian
     x = np.array(x0, dtype=float)
     iterations, updates = 0, []
     while True:
@@ -157,6 +164,8 @@ def _reference_newton(residual, x0, config, jacobian=None):
             where = "during Newton iteration" if iterations else "at the initial guess"
             raise EvaluationError(f"residual is non-finite {where}")
         if norm <= config.abs_tol:
+            if iterations:
+                x = x - _lu_solve_checked(J, r)
             return NewtonResult(x, iterations, norm)
         if iterations:
             updates.append(float(np.abs(dx).max()))
@@ -260,6 +269,64 @@ def test_decisions_match_the_plain_loop(case, analytic, abs_tol, max_iter):
     jac = jacobian if analytic else None
     want = _outcome(_reference_newton, residual, np.array(x0), config, jac)
     assert _outcome(newton_solve, residual, np.array(x0), config, jac) == want
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_polish_makes_no_further_residual_or_jacobian_call(analytic):
+    # accepted on abs_tol after three updates: one more update with the last
+    # factors moves x, but residual, Jacobian and count stay those of the loop
+    seen = {"x": [], "r": [], "J": []}
+
+    def plain(x):
+        return np.exp(x) - np.array([2.0, 3.0, 0.5]) + 0.1 * x[::-1]
+
+    def residual(x):
+        seen["x"].append(x.copy())
+        seen["r"].append(plain(x))
+        return seen["r"][-1]
+
+    def jacobian(x):
+        J = np.diag(np.exp(x)) + 0.1 * np.eye(3)[::-1]
+        seen["J"].append(J)
+        return J
+
+    config = NewtonConfig(abs_tol=1e-6)
+    result = newton_solve(residual, np.zeros(3), config, jacobian=jacobian if analytic else None)
+    n = result.iterations
+    assert n >= 1
+    fd_calls = 0 if analytic else 3 * n  # forward differences: one call per column
+    assert len(seen["x"]) == n + 1 + fd_calls
+    if analytic:
+        assert len(seen["J"]) == n
+        J_last = seen["J"][-1]
+    else:  # the last Jacobian's base point precedes its three probes
+        J_last = forward_difference_jacobian(plain, seen["x"][-5], seen["r"][-5])
+    x_acc, r_acc = seen["x"][-1], seen["r"][-1]
+    assert result.residual_norm == np.abs(r_acc).max() <= 1e-6
+    npt.assert_array_equal(result.x, x_acc - _lu_solve_checked(J_last, r_acc))
+    # the polish lands far below the tolerance it was accepted at
+    assert np.abs(plain(result.x)).max() < 1e-3 * result.residual_norm
+
+
+@pytest.mark.parametrize("x0", [[0.0, 0.0, 0.0], [2.0, -1.0, 0.5]])
+def test_no_polish_without_an_update(x0):
+    # an initial guess that already meets abs_tol comes back as it is; after
+    # the one exact update of a linear residual the polish adds zero
+    a = np.array([2.0, -1.0, 0.5]) + 1e-13
+    calls = []
+
+    def jacobian(x):
+        calls.append(x)
+        return np.eye(3)
+
+    config = NewtonConfig(abs_tol=1e-12)
+    result = newton_solve(lambda x: x - a, np.array(x0), config, jacobian=jacobian)
+    if x0[0] == 2.0:
+        assert result.iterations == 0 and calls == []
+        npt.assert_array_equal(result.x, x0)
+    else:
+        assert result.iterations == 1 and len(calls) == 1
+        npt.assert_array_equal(result.x, a)
 
 
 def test_nonlinear_two_dimensional():
