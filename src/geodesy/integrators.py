@@ -30,20 +30,15 @@ the field Jacobians at the q nodes. Steps accept negative dt, which builds a
 reversed element; the integrate driver itself always walks forward and
 solves each element into its packed store without per-step grids.
 
-Newton starts cold, from y0 at every stage, on the first step; every later
-step of the driver starts from the previous element's polynomial read at
-this element's nodes (tau + 2 in the previous element's reference
-coordinate), one cached (p+1, p) matrix per p and one matmul, except a
-shortened last step, which starts cold. mci_step/mgi_step take the same
-previous element as previous=, so the public steps and the driver share
-one path. The guess is safe for the conserved quantities because Newton
+Newton starts cold, from y0 at every stage, on the first step of the
+driver and in the public steps mci_step/mgi_step; every later step of the
+driver starts from the previous element's polynomial read at this element's
+nodes (tau + 2 in the previous element's reference coordinate), one cached
+(p+1, p) matrix per p and one matmul, except a shortened last step, which
+starts cold. The guess is safe for the conserved quantities because Newton
 polishes its abs_tol stop (see geodesy.newton): the accepted stages do not
-depend on where the solve started by more than rounding. The residual that
-Newton iterates skips the field's finiteness test, since Newton's max|r|
-catches any non-finite value; when it does, the step re-evaluates the
-states it last held with the test on, which names the quadrature node as
-the public residuals do. A dt whose element half-length has no finite
-reciprocal is rejected with a ValueError naming dt.
+depend on where the solve started by more than rounding. A dt whose element
+half-length has no finite reciprocal is rejected with a ValueError naming dt.
 """
 
 import enum
@@ -149,12 +144,10 @@ class ElementSolution:
         return self.evaluate(self.grid.to_ref(t))
 
 
-def _field_at(sys: OdeSystem, y, where, check_finite=True) -> np.ndarray:
+def _field_at(sys: OdeSystem, y, where) -> np.ndarray:
     # y is one state (dim,) or a block (dim, n): one domain check, one field
     # call and one finiteness test cover every column. where(j) names column
     # j; it is only called to report a failure, for the first failing column.
-    # The Newton path skips the finiteness test: Newton's max|r| sees any
-    # non-finite field value, and the element step then names the node.
     reason = sys.check_domain(y)
     if reason is not None:
         j, reason = _first_domain_failure(sys, y, reason)
@@ -165,8 +158,6 @@ def _field_at(sys: OdeSystem, y, where, check_finite=True) -> np.ndarray:
             f"vector field returned shape {h.shape} for states of shape {y.shape}, expected"
             f" {y.shape}; wrap a field written for one state with geodesy.systems.pointwise"
         )
-    if not check_finite:
-        return h
     finite = np.isfinite(h)
     if not finite.all():
         j = int(np.argmin(finite.reshape(len(h), -1).all(axis=0)))
@@ -183,7 +174,7 @@ def _first_domain_failure(sys: OdeSystem, y, block_reason):
     return 0, block_reason
 
 
-def _element_residual(sys, coeffs, pairing, t0, sqrt_g, check_finite=True):
+def _element_residual(sys, coeffs, pairing, t0, sqrt_g):
     # the residual of the element held in coeffs, as a function of its states
     # Yq = coeffs @ Lq at the quadrature nodes; what stays fixed over the
     # element (the node names for errors, B^T, the row scale) is bound once
@@ -195,8 +186,7 @@ def _element_residual(sys, coeffs, pairing, t0, sqrt_g, check_finite=True):
     if not pairing.galerkin:
         # collocation skips the pairing: B is the identity and the row scale is one there
         def collocation(Yq):
-            h = _field_at(sys, Yq, where, check_finite)
-            return ((coeffs @ E) @ Et / sqrt_g - h).reshape(-1)
+            return ((coeffs @ E) @ Et / sqrt_g - _field_at(sys, Yq, where)).reshape(-1)
 
         return collocation
 
@@ -204,7 +194,7 @@ def _element_residual(sys, coeffs, pairing, t0, sqrt_g, check_finite=True):
 
     def galerkin(Yq):
         rate = (coeffs @ E) @ Et / sqrt_g  # coboundary, then edge expansion
-        return (scale * (rate - _field_at(sys, Yq, where, check_finite) @ BT)).reshape(-1)
+        return (scale * (rate - _field_at(sys, Yq, where) @ BT)).reshape(-1)
 
     return galerkin
 
@@ -261,7 +251,7 @@ def _solve_element(sys, y0, t0, dt, pairing, config, coeffs, previous=None) -> i
     Lq = pairing.Lq
     coeffs[:, 0] = y0
     stages = coeffs[:, 1:]
-    pairing_residual = _element_residual(sys, coeffs, pairing, t0, sqrt_g, check_finite=False)
+    pairing_residual = _element_residual(sys, coeffs, pairing, t0, sqrt_g)
     # the iterate whose values the stage buffer holds and its quadrature
     # states; the reference keeps that array alive, so identity means that iterate
     held_z = held_Yq = None
@@ -301,14 +291,7 @@ def _solve_element(sys, y0, t0, dt, pairing, config, coeffs, previous=None) -> i
         guess = coeffs[:, 0].repeat(p)
     else:
         guess = (previous @ _extrapolation(p)).reshape(-1)
-    try:
-        result = newton_solve(residual, guess, config, jacobian=jacobian)
-    except EvaluationError:
-        # the residual skipped the field's finiteness test; when the states it
-        # last held give a non-finite field, the checked residual names the node
-        if held_Yq is not None:
-            _element_residual(sys, coeffs, pairing, t0, sqrt_g)(held_Yq)
-        raise
+    result = newton_solve(residual, guess, config, jacobian=jacobian)
     if result.x is not held_z:  # the buffer holds the solution unless Newton ended elsewhere
         stages[...] = result.x.reshape(M, p)
     return result.iterations
@@ -320,21 +303,12 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _element_step(sys, y0, t0, dt, p, pairing, config, previous):
+def _element_step(sys, y0, t0, dt, p, pairing, config):
     _require_finite(t0=t0, dt=dt)
     if len(y0) != sys.dim:
         raise ValueError(f"state has length {len(y0)}, system dimension is {sys.dim}")
-    if previous is not None:
-        previous = np.asarray(previous, dtype=float)
-        if previous.shape != (sys.dim, p + 1):
-            raise ValueError(
-                f"previous must be the preceding element's coefficients of shape"
-                f" {(sys.dim, p + 1)}, got {previous.shape}"
-            )
-        if not np.isfinite(previous).all():
-            raise ValueError("previous holds non-finite coefficients")
     coeffs = np.empty((sys.dim, p + 1))
-    iterations = _solve_element(sys, y0, t0, dt, pairing, config, coeffs, previous)
+    iterations = _solve_element(sys, y0, t0, dt, pairing, config, coeffs)
     grid = ElementGrid.build(p, t0, t0 + dt)
     # a copy: the callables keep writing into coeffs after the step returns
     return ElementSolution(grid, coeffs.copy(), newton_iterations=iterations)
@@ -347,16 +321,9 @@ def mci_step(
     dt: float,
     p: int,
     config: NewtonConfig = NewtonConfig(),
-    previous=None,
 ) -> ElementSolution:
-    """One collocation-pairing step of order p over [t0, t0 + dt]; dt may be negative.
-
-    previous, the (dim, p+1) coefficients of the preceding element of the
-    same length, starts Newton from that polynomial extrapolated over this
-    element, as integrate does; without it Newton starts from y0 everywhere.
-    """
-    pairing = _pairing(Method.MCI, p, None, sys.dim)
-    return _element_step(sys, y0, t0, dt, p, pairing, config, previous)
+    """One collocation-pairing step of order p over [t0, t0 + dt]; dt may be negative."""
+    return _element_step(sys, y0, t0, dt, p, _pairing(Method.MCI, p, None, sys.dim), config)
 
 
 def mgi_step(
@@ -367,14 +334,9 @@ def mgi_step(
     p: int,
     q_rhs: Optional[int] = None,
     config: NewtonConfig = NewtonConfig(),
-    previous=None,
 ) -> ElementSolution:
-    """One Galerkin-pairing step of order p over [t0, t0 + dt]; dt may be negative.
-
-    previous seeds Newton's guess as in mci_step.
-    """
-    pairing = _pairing(Method.MGI, p, q_rhs, sys.dim)
-    return _element_step(sys, y0, t0, dt, p, pairing, config, previous)
+    """One Galerkin-pairing step of order p over [t0, t0 + dt]; dt may be negative."""
+    return _element_step(sys, y0, t0, dt, p, _pairing(Method.MGI, p, q_rhs, sys.dim), config)
 
 
 def explicit_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:

@@ -245,6 +245,16 @@ class TestResiduals:
         npt.assert_array_equal(res[p:], -1000.0)
 
 
+def _driver_step(sys, method, y0, t0, dt, p, previous, q_rhs=None):
+    # one element solved as integrate solves it, started from previous
+    coeffs = np.empty((sys.dim, p + 1))
+    rec = geodesy.integrators._pairing(method, p, q_rhs, sys.dim)
+    iterations = geodesy.integrators._solve_element(
+        sys, y0, t0, dt, rec, NewtonConfig(), coeffs, previous
+    )
+    return coeffs, iterations
+
+
 def _first_bad_node(grid, Yq, nodes, failing):
     # the per-node reference: scan the quadrature nodes in order
     for n in range(Yq.shape[1]):
@@ -766,31 +776,16 @@ class TestStartingGuessAndPolish:
         assert traj.steps == 6
         assert cold == [True] + [False] * 5
 
-    @pytest.mark.parametrize("step", [mci_step, mgi_step])
-    def test_previous_element_saves_iterations(self, step):
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_previous_element_saves_iterations(self, method):
         pend = get_problem("pendulum")
-        first = step(pend.system, pend.y0, 0.0, 0.1, 2)
-        y1 = first.endpoint()
-        cold = step(pend.system, y1, 0.1, 0.1, 2)
-        warm = step(pend.system, y1, 0.1, 0.1, 2, previous=first.coefficients)
-        assert warm.newton_iterations < cold.newton_iterations
-        npt.assert_allclose(warm.coefficients, cold.coefficients, rtol=0.0, atol=1e-14)
-        npt.assert_array_equal(warm.coefficients[:, 0], y1)
-
-    @pytest.mark.parametrize(
-        "previous, message",
-        [
-            (np.zeros((2, 2)), r"previous must be .* of shape \(2, 3\), got \(2, 2\)"),
-            (np.zeros(6), r"previous must be .* of shape \(2, 3\), got \(6,\)"),
-            (np.full((2, 3), np.nan), "previous holds non-finite coefficients"),
-        ],
-    )
-    @pytest.mark.parametrize("step", [mci_step, mgi_step])
-    def test_previous_is_checked_before_the_solve(self, monkeypatch, step, previous, message):
-        pend = get_problem("pendulum")
-        monkeypatch.setattr(geodesy.integrators, "newton_solve", None)  # never reached
-        with pytest.raises(ValueError, match=message):
-            step(pend.system, pend.y0, 0.0, 0.1, 2, previous=previous)
+        first, _ = _driver_step(pend.system, method, pend.y0, 0.0, 0.1, 2, None)
+        y1 = first[:, -1]
+        cold, cold_iterations = _driver_step(pend.system, method, y1, 0.1, 0.1, 2, None)
+        warm, warm_iterations = _driver_step(pend.system, method, y1, 0.1, 0.1, 2, first)
+        assert warm_iterations < cold_iterations
+        npt.assert_allclose(warm, cold, rtol=0.0, atol=1e-14)
+        npt.assert_array_equal(warm[:, 0], y1)
 
     @pytest.mark.parametrize("name", ["circle", "harmonic"])
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
@@ -832,9 +827,10 @@ class TestStartingGuessAndPolish:
 
 
 class TestNonFiniteFieldOnTheNewtonPath:
-    # the residual Newton sees skips the field's finiteness test; the element
-    # step names the first node whose field is non-finite, as the public
-    # residuals do
+    # the residual Newton iterates tests the field's finiteness itself, so an
+    # element step names the first node whose field is non-finite, as the
+    # public residuals do, whether that happens at the starting guess or at a
+    # forward-difference probe
 
     @staticmethod
     def _blows_up_above(level):
@@ -861,10 +857,30 @@ class TestNonFiniteFieldOnTheNewtonPath:
         )
         assert n > 0
         with pytest.raises(EvaluationError) as info:
+            _driver_step(sys, method, y0, t0, dt, p, previous, q_rhs=q_rhs)
+        assert str(info.value) == f"vector field is non-finite at {where}"
+
+    @pytest.mark.parametrize("method, q_rhs", [(Method.MCI, None), (Method.MGI, 7)])
+    def test_forward_difference_probe_names_its_node(self, method, q_rhs):
+        # the field is NaN wherever y[1] < 0. The cold guess holds y[1] = 0;
+        # of the six probes (y1 at stages 1..3, then y2 at stages 1..3), the
+        # fourth is the first to push y[1] below zero, after tau = 1/sqrt(5)
+        # where the stage-1 basis function turns negative; two probes follow it
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        sys = OdeSystem(dim=2, field=lambda y: np.where(y[1] < -1e-12, np.nan, A @ y))
+        p, t0, dt = 3, 0.5, 0.4
+        y0 = np.array([1.0, 0.0])
+        rec = geodesy.integrators._pairing(method, p, q_rhs, 2)
+        probe = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
+        n, where = _first_bad_node(
+            ElementGrid.build(p, t0, t0 + dt), probe @ rec.Lq, rec.nodes, lambda y: y[1] < 0.0
+        )
+        assert n > 0
+        with pytest.raises(EvaluationError) as info:
             if method is Method.MCI:
-                mci_step(sys, y0, t0, dt, p, previous=previous)
+                mci_step(sys, y0, t0, dt, p)
             else:
-                mgi_step(sys, y0, t0, dt, p, q_rhs=q_rhs, previous=previous)
+                mgi_step(sys, y0, t0, dt, p, q_rhs=q_rhs)
         assert str(info.value) == f"vector field is non-finite at {where}"
 
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
@@ -993,8 +1009,8 @@ class TestIntegrateDriver:
         assert tr_e.coefficients is None
         assert tr_e.newton_iterations is None
         # a short last step: element k spans times[k]..times[k+1] all the same;
-        # the steps between the first and the short last one start from the
-        # previous element, the two ends cold
+        # the first and the short last step start cold, as the public steps
+        # do, and the one between starts from the previous element
         for method, step in ((Method.MCI, mci_step), (Method.MGI, mgi_step)):
             tr_m = integrate(circle.system, method, circle.y0, 0.0, 1.2, 0.5, p=3)
             assert tr_m.order == 3
@@ -1003,19 +1019,26 @@ class TestIntegrateDriver:
             assert tr_m.newton_iterations.shape == (tr_m.steps,)
             for k in range(tr_m.steps):
                 t_a, t_b = tr_m.times[k], tr_m.times[k + 1]
-                previous = tr_m.coefficients[k - 1] if 0 < k < tr_m.steps - 1 else None
-                sol = step(circle.system, tr_m.states[:, k], t_a, t_b - t_a, 3, previous=previous)
-                npt.assert_array_equal(tr_m.coefficients[k], sol.coefficients)
-                assert tr_m.newton_iterations[k] == sol.newton_iterations
+                y_a = tr_m.states[:, k]
+                if 0 < k < tr_m.steps - 1:
+                    previous = tr_m.coefficients[k - 1]
+                    coeffs, iterations = _driver_step(
+                        circle.system, method, y_a, t_a, t_b - t_a, 3, previous
+                    )
+                else:
+                    sol = step(circle.system, y_a, t_a, t_b - t_a, 3)
+                    coeffs, iterations = sol.coefficients, sol.newton_iterations
+                npt.assert_array_equal(tr_m.coefficients[k], coeffs)
+                assert tr_m.newton_iterations[k] == iterations
             assert tr_m.dim == 2
 
     @pytest.mark.parametrize("q_rhs", [None, 7])
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_driver_builds_no_grids_and_equals_the_public_step(self, monkeypatch, method, q_rhs):
         # the driver solves each element straight into the packed store; the
-        # public steps, which return an ElementSolution, must agree bitwise when
-        # given the previous element as the driver uses it (not for the first
-        # step or the short last one)
+        # public steps, which return an ElementSolution and start cold, must
+        # agree bitwise on the cold first and short last steps, and the element
+        # solver started from the previous element on every step between
         kep = get_problem("kepler")
         build = ElementGrid.build.__func__
         builds = []
@@ -1036,16 +1059,21 @@ class TestIntegrateDriver:
         assert traj.steps == 11 and traj.times[-1] - traj.times[-2] < 0.1  # a short last step
         for k in range(traj.steps):
             t_a, t_b = traj.times[k], traj.times[k + 1]
-            previous = traj.coefficients[k - 1] if 0 < k < traj.steps - 1 else None
-            if method is Method.MCI:
-                sol = mci_step(kep.system, traj.states[:, k], t_a, t_b - t_a, 3, previous=previous)
-            else:
-                sol = mgi_step(
-                    kep.system, traj.states[:, k], t_a, t_b - t_a, 3, q_rhs=q_rhs, previous=previous
+            y_a = traj.states[:, k]
+            if 0 < k < traj.steps - 1:
+                previous = traj.coefficients[k - 1]
+                coeffs, iterations = _driver_step(
+                    kep.system, method, y_a, t_a, t_b - t_a, 3, previous, q_rhs=q_rhs
                 )
-            npt.assert_array_equal(traj.coefficients[k], sol.coefficients)
-            assert traj.newton_iterations[k] == sol.newton_iterations
-        assert len(builds) == traj.steps
+            else:
+                if method is Method.MCI:
+                    sol = mci_step(kep.system, y_a, t_a, t_b - t_a, 3)
+                else:
+                    sol = mgi_step(kep.system, y_a, t_a, t_b - t_a, 3, q_rhs=q_rhs)
+                coeffs, iterations = sol.coefficients, sol.newton_iterations
+            npt.assert_array_equal(traj.coefficients[k], coeffs)
+            assert traj.newton_iterations[k] == iterations
+        assert len(builds) == 2  # the two public steps; the element solver builds none
 
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_element_store_is_packed_on_the_time_grid(self, method):
