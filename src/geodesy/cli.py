@@ -197,7 +197,10 @@ def _cmd_converge(args):
     tfinal = _positive("tfinal", _resolve(args, config, "tfinal", 10.0 * dt))
     dts = _resolve(args, config, "dts")
     if dts is not None:
-        dts = [float(v) for v in (dts.split(",") if isinstance(dts, str) else dts)]
+        try:
+            dts = [float(v) for v in (dts.split(",") if isinstance(dts, str) else dts)]
+        except ValueError:  # only the flag's string can fail; config lists are checked on load
+            raise UsageError(f"--dts must be comma-separated numbers, got {dts!r}")
     else:
         levels = _positive("levels", _resolve(args, config, "levels", 4))
         dts = [dt / 2**k for k in range(levels)]

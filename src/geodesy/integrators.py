@@ -26,9 +26,10 @@ Residuals carry a 1/sqrt(g) factor so Newton tolerances are expressed in
 vector-field units regardless of the step size. Stage unknowns are flattened
 variable-major (all stages of y_1, then y_2, ...). The stage Jacobian is the
 record's rate block over sqrt(g) minus one GEMM of its pairing weights with
-the field Jacobians at the q nodes. Steps accept negative dt, which builds a
-reversed element; the integrate driver itself always walks forward and
-solves each element into its packed store without per-step grids.
+the field Jacobians at the q nodes. Steps accept negative dt (a reversed
+element); the integrate driver walks forward. No step builds a grid: an
+element is its bounds and its values at the primal nodes (ElementSolution),
+and sample_trajectory is the one way to read it between them.
 
 Newton starts cold, from y0 at every stage, on the first step of the
 driver and in the public steps mci_step/mgi_step; every later step of the
@@ -51,7 +52,7 @@ import numpy as np
 
 from .basis import MAX_ORDER, edge_eval_all, gauss_rule, nodal_eval_all
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
-from .mimetic import ElementGrid, _reference_element, incidence_matrix
+from .mimetic import _reference_element, incidence_matrix
 from .newton import NewtonConfig, newton_solve
 from .systems import OdeSystem
 
@@ -115,12 +116,13 @@ def _pairing(method: Method, p: int, q_rhs: Optional[int], M: int) -> _Pairing:
 
 @dataclass(frozen=True)
 class ElementSolution:
-    """Polynomial solution on one element: values at the p+1 primal nodes.
+    """One solved element: its bounds, values at the p+1 primal nodes and Newton iterations.
 
-    Column 0 of coefficients is the element's initial condition, bitwise.
+    t_end < t_start for a reversed step; coefficients[:, 0] is the initial condition, bitwise.
     """
 
-    grid: ElementGrid
+    t_start: float
+    t_end: float
     coefficients: np.ndarray  # (dim, p+1)
     newton_iterations: int = 0
 
@@ -133,15 +135,6 @@ class ElementSolution:
 
     def endpoint(self) -> np.ndarray:
         return self.coefficients[:, -1].copy()
-
-    def evaluate(self, tau) -> np.ndarray:
-        """State at a reference coordinate or an array tau, shape (dim,) + tau.shape."""
-        L = nodal_eval_all(self.grid.primal_basis, tau)
-        return np.moveaxis(np.matmul(self.coefficients, L[..., None])[..., 0], -1, 0)
-
-    def evaluate_time(self, t) -> np.ndarray:
-        """State at time(s) t, shape (dim,) + t.shape."""
-        return self.evaluate(self.grid.to_ref(t))
 
 
 def _field_at(sys: OdeSystem, y, where) -> np.ndarray:
@@ -199,17 +192,15 @@ def _element_residual(sys, coeffs, pairing, t0, sqrt_g):
     return galerkin
 
 
-def _residual(sys, sol: ElementSolution, pairing) -> np.ndarray:
-    coeffs, grid = sol.coefficients, sol.grid
-    return _element_residual(sys, coeffs, pairing, grid.t_start, grid.sqrt_g)(coeffs @ pairing.Lq)
-
-
 def mci_residual(sys: OdeSystem, sol: ElementSolution) -> np.ndarray:
     """Collocation residual at the dual nodes, flattened variable-major.
 
     R[i, j] = (rate of y_i at dual node j) / sqrt(g) - h_i(y at dual node j).
     """
-    return _residual(sys, sol, _pairing(Method.MCI, sol.grid.p, None, sol.dim))
+    coeffs = sol.coefficients
+    pairing = _pairing(Method.MCI, coeffs.shape[1] - 1, None, sol.dim)
+    sqrt_g = _half_length(sol.t_start, sol.t_end, sol.t_end - sol.t_start)
+    return _element_residual(sys, coeffs, pairing, sol.t_start, sqrt_g)(coeffs @ pairing.Lq)
 
 
 def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray:
@@ -218,7 +209,10 @@ def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray
     R[i, m] = w_m (rate of y_i at dual node m) / sqrt(g)
               - sum_nu omega_nu h_i(y(sigma_nu)) ltilde_m(sigma_nu).
     """
-    return _residual(sys, sol, _pairing(Method.MGI, sol.grid.p, q_rhs, sol.dim))
+    coeffs = sol.coefficients
+    pairing = _pairing(Method.MGI, coeffs.shape[1] - 1, q_rhs, sol.dim)
+    sqrt_g = _half_length(sol.t_start, sol.t_end, sol.t_end - sol.t_start)
+    return _element_residual(sys, coeffs, pairing, sol.t_start, sqrt_g)(coeffs @ pairing.Lq)
 
 
 @lru_cache(maxsize=None)
@@ -231,13 +225,12 @@ def _extrapolation(p: int) -> np.ndarray:
     return ahead
 
 
-def _half_length(t0, dt) -> float:
-    # sqrt(g) of [t0, t0 + dt], as in ElementGrid.sqrt_g; the residual and the
-    # Jacobian divide by it, so a step whose reciprocal overflows is no element
-    sqrt_g = 0.5 * ((t0 + dt) - t0)
+def _half_length(t_start, t_end, dt) -> float:
+    # sqrt(g) of the element t_start..t_end; dt, the step that gave t_end, names it in errors
+    sqrt_g = 0.5 * (t_end - t_start)
     if sqrt_g == 0.0 or not math.isfinite(1.0 / float(sqrt_g)):
         raise ValueError(
-            f"dt is too small for an element step: dt={dt!r} at t0={t0!r} gives half-length"
+            f"dt is too small for an element step: dt={dt!r} at t0={t_start!r} gives half-length"
             f" {float(sqrt_g)!r}, whose reciprocal is not finite"
         )
     return sqrt_g
@@ -247,7 +240,7 @@ def _solve_element(sys, y0, t0, dt, pairing, config, coeffs, previous=None) -> i
     # solves [t0, t0 + dt] into coeffs (M, p+1): y0 in column 0, the stages z in
     # 1..p; previous, the preceding element of equal length, seeds the guess
     M, p, q = sys.dim, coeffs.shape[1] - 1, pairing.q
-    sqrt_g = _half_length(t0, dt)
+    sqrt_g = _half_length(t0, t0 + dt, dt)
     Lq = pairing.Lq
     coeffs[:, 0] = y0
     stages = coeffs[:, 1:]
@@ -303,15 +296,22 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _initial_state(sys, y0) -> np.ndarray:
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape != (sys.dim,):
+        raise ValueError(f"initial state must have shape ({sys.dim},), got {y0.shape}")
+    if not np.isfinite(y0).all():
+        raise ValueError(f"initial state must be finite, got {y0.tolist()}")
+    return y0
+
+
 def _element_step(sys, y0, t0, dt, p, pairing, config):
     _require_finite(t0=t0, dt=dt)
-    if len(y0) != sys.dim:
-        raise ValueError(f"state has length {len(y0)}, system dimension is {sys.dim}")
+    y0 = _initial_state(sys, y0)
     coeffs = np.empty((sys.dim, p + 1))
     iterations = _solve_element(sys, y0, t0, dt, pairing, config, coeffs)
-    grid = ElementGrid.build(p, t0, t0 + dt)
     # a copy: the callables keep writing into coeffs after the step returns
-    return ElementSolution(grid, coeffs.copy(), newton_iterations=iterations)
+    return ElementSolution(t0, t0 + dt, coeffs.copy(), iterations)
 
 
 def mci_step(
@@ -446,10 +446,8 @@ def integrate(
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     if method.is_element_method:
-        _half_length(t0, dt)
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (sys.dim,):
-        raise ValueError(f"initial state must have shape ({sys.dim},), got {y0.shape}")
+        _half_length(t0, t0 + dt, dt)
+    y0 = _initial_state(sys, y0)
 
     # t0 + k dt rounds at the magnitude of t0 and tf, so (tf - t0) / dt can
     # exceed a whole count by far more than 1e-12 when tf = t0 + n dt
@@ -516,23 +514,22 @@ def sample_trajectory(traj: Trajectory, sample_times) -> np.ndarray:
     """Evaluate an element-method trajectory densely at the given times.
 
     sample_times may be a scalar or an array of any shape; the result has
-    shape (dim,) + np.shape(sample_times), as from ElementSolution.evaluate_time.
-    Only methods that retain element polynomials support this; times must lie
-    inside the integration window (up to a rounding slack, clamped onto it).
-    The times are evaluated flattened, by one searchsorted and one basis
-    evaluation; each state equals the one the same time gives alone, bitwise,
-    and evaluate_time on the element over times[j]..times[j+1] that holds it.
+    shape (dim,) + np.shape(sample_times). Only methods that retain element
+    polynomials support this; times must be finite and lie inside the
+    integration window (up to a rounding slack, clamped onto it). The times
+    are evaluated flattened, by one searchsorted and one basis evaluation;
+    each state equals the one the same time gives alone, bitwise.
     """
     if traj.coefficients is None:
         raise ValueError(f"method {traj.method.value!r} does not retain element polynomials")
     sample_times = np.asarray(sample_times, dtype=float)
     flat = sample_times.reshape(-1)
-    t0, tf = traj.times[0], traj.times[-1]
+    t0, tf = float(traj.times[0]), float(traj.times[-1])
     slack = 1e-12 * (1.0 + abs(t0) + abs(tf))
-    if np.any(flat < t0 - slack) or np.any(flat > tf + slack):
-        raise ValueError(f"sample times must lie within [{t0!r}, {tf!r}]")
+    if not np.all((flat >= t0 - slack) & (flat <= tf + slack)):  # NaN fails both tests
+        raise ValueError(f"sample times must be finite and lie within [{t0!r}, {tf!r}]")
     starts = traj.times[:-1]
-    sqrt_g = 0.5 * np.diff(traj.times)  # as in ElementGrid.sqrt_g
+    sqrt_g = 0.5 * np.diff(traj.times)  # half of each element's length, as in _half_length
     idx = np.clip(np.searchsorted(starts, flat, side="right") - 1, 0, len(starts) - 1)
     tau = (np.clip(flat, t0, tf) - starts[idx]) / sqrt_g[idx] - 1.0  # as in to_ref
     L = nodal_eval_all(_reference_element(traj.order).primal_basis, tau)

@@ -15,7 +15,7 @@ against the dual basis, whose mass matrix is exactly diagonal because the
 dual Lagrange basis sits on Gauss points: entries sqrt(g) * w_j.
 
 Grids with t_end < t_start are permitted and represent a reversed time map
-(sqrt(g) < 0); integrators use them for backward steps.
+(sqrt(g) < 0), as a backward integrator step does.
 """
 
 import enum

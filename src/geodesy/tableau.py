@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import edge_eval_all, nodal_eval_all
-from .mimetic import ElementGrid
+from .mimetic import _reference_element
 
 _SUM_B_TOL = 1e-13
 _ROW_SUM_TOL = 1e-12
@@ -62,16 +62,16 @@ def butcher_tableau_mci(p: int) -> ButcherTableau:
     a = Lhat G with Lhat the nodal basis at the dual nodes, b = last row
     of G, c = dual nodes mapped to (0, 1).
     """
-    grid = ElementGrid.build(p, 0.0, 1.0)
-    tau = grid.dual.nodes
-    A = edge_eval_all(grid.edge_basis, tau)
+    ref = _reference_element(p)
+    tau = ref.dual.nodes
+    A = edge_eval_all(ref.edge_basis, tau)
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise ValueError(f"edge evaluation matrix is ill-conditioned (cond ~ {cond:.3e})")
     ehat_inv = np.tril(np.ones((p, p)))
     G = 0.5 * ehat_inv @ np.linalg.inv(A)
     # nodal basis functions 1..p (the unknown columns) at the dual nodes
-    lhat = nodal_eval_all(grid.primal_basis, tau)[:, 1:]
+    lhat = nodal_eval_all(ref.primal_basis, tau)[:, 1:]
     a_rk = lhat @ G
     b = G[-1, :].copy()
     c = 0.5 * (tau + 1.0)
@@ -88,8 +88,7 @@ def gauss_collocation_tableau(p: int) -> ButcherTableau:
     """
     from numpy.polynomial import polynomial as P
 
-    grid = ElementGrid.build(p, 0.0, 1.0)
-    c = 0.5 * (grid.dual.nodes + 1.0)
+    c = 0.5 * (_reference_element(p).dual.nodes + 1.0)
     a = np.empty((p, p))
     b = np.empty(p)
     for j in range(p):

@@ -152,6 +152,15 @@ class TestUsageErrors:
         assert f"error: --{key} must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dts", ["0.1,abc,0.05", "0.1,,0.05", "0.1,0.05,", ""])
+    def test_step_sizes_that_are_not_numbers(self, tmp_path, capsys, dts):
+        out = tmp_path / "out"
+        code = run_cli("converge", "--problem", "circle", "--dts", dts, "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --dts must be comma-separated numbers, got {dts!r}\n"
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"problm": "circle"}))

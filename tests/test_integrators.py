@@ -27,6 +27,7 @@ from geodesy import (
     mci_step,
     mgi_residual,
     mgi_step,
+    nodal_eval_all,
     pointwise,
     rk4_step,
     sample_trajectory,
@@ -114,10 +115,12 @@ class TestMciStep:
     def test_solution_stores_initial_condition_exactly(self):
         pend = get_problem("pendulum")
         sol = mci_step(pend.system, pend.y0, 0.0, 0.4, 3)
-        # column 0 is the initial condition, bitwise
+        # column 0 is the initial condition, bitwise, and the record spans the step
         assert np.array_equal(sol.coefficients[:, 0], pend.y0)
-        npt.assert_array_equal(sol.evaluate(-1.0), pend.y0)
         npt.assert_array_equal(sol.endpoint(), sol.coefficients[:, -1])
+        assert (sol.t_start, sol.t_end) == (0.0, 0.4)
+        assert not sol.coefficients.flags.writeable
+        assert not hasattr(sol, "grid") and not hasattr(sol, "evaluate_time")
 
     def test_constant_field_yields_linear_solution(self):
         const = pointwise(OdeSystem(dim=2, field=lambda y: np.array([1.5, -0.5])))
@@ -126,15 +129,20 @@ class TestMciStep:
         res = mci_residual(const, sol)
         assert np.max(np.abs(res)) <= 1e-13
         # y(t) = y0 + c t at every node of the element
-        nodes_t = sol.grid.to_time(sol.grid.primal.nodes)
+        grid = ElementGrid.build(3, sol.t_start, sol.t_end)
+        nodes_t = grid.to_time(grid.primal.nodes)
         want = y0[:, None] + np.array([1.5, -0.5])[:, None] * nodes_t[None, :]
         npt.assert_allclose(sol.coefficients, want, rtol=0.0, atol=1e-13)
 
     def test_negative_dt_reverses_the_step(self):
         pend = get_problem("pendulum")
         fwd = mci_step(pend.system, pend.y0, 0.0, 0.4, 2, config=TIGHT).endpoint()
-        back = mci_step(pend.system, fwd, 0.4, -0.4, 2, config=TIGHT).endpoint()
-        npt.assert_allclose(back, pend.y0, rtol=0.0, atol=1e-11)
+        sol = mci_step(pend.system, fwd, 0.4, -0.4, 2, config=TIGHT)
+        npt.assert_allclose(sol.endpoint(), pend.y0, rtol=0.0, atol=1e-11)
+        # the reversed element's record runs backward from its initial condition
+        assert sol.t_start == 0.4 and sol.t_end == 0.4 + -0.4 < sol.t_start
+        assert np.array_equal(sol.coefficients[:, 0], fwd)
+        npt.assert_array_equal(sol.endpoint(), sol.coefficients[:, -1])
 
     def test_preserves_random_quadratic_invariants(self):
         # I(y) = y^T C y is conserved whenever y^T C h(y) = 0 everywhere.
@@ -198,7 +206,7 @@ class TestResiduals:
         sol = mci_step(pend.system, pend.y0, 0.0, 0.4, 3, config=TIGHT)
         coeffs = sol.coefficients.copy()
         coeffs[0, 2] += 1e-3
-        res = mci_residual(pend.system, ElementSolution(sol.grid, coeffs))
+        res = mci_residual(pend.system, ElementSolution(sol.t_start, sol.t_end, coeffs))
         assert np.max(np.abs(res)) > 1e-6
 
     def test_mgi_residual_vanishes_at_converged_solution(self):
@@ -232,15 +240,30 @@ class TestResiduals:
             sol = mgi_step(pend.system, pend.y0, 0.0, 0.1, 1, q_rhs=q_rhs)
             assert np.all(np.isfinite(mgi_residual(pend.system, sol, q_rhs)))
 
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_every_stored_element_is_a_record_the_residuals_accept(self, method):
+        # element k of a trajectory, rebuilt from times[k], times[k+1] and
+        # coefficients[k], is a solved element: its residual vanishes, the
+        # short last step's included
+        kep = get_problem("kepler")
+        traj = integrate(kep.system, method, kep.y0, 0.3, 1.35, 0.1, p=3)
+        assert traj.times[-1] - traj.times[-2] < 0.1
+        for k in range(traj.steps):
+            sol = ElementSolution(traj.times[k], traj.times[k + 1], traj.coefficients[k])
+            if method is Method.MCI:
+                res = mci_residual(kep.system, sol)
+            else:
+                res = mgi_residual(kep.system, sol, default_qrhs(3))
+            assert np.max(np.abs(res)) <= 1e-12
+
     def test_residual_rows_are_variable_major(self):
         # With a constant field (0, 1000) and the constant-in-time candidate,
         # the rate term vanishes, so the residual is -field per stage:
         # rows 0..p-1 belong to variable one, rows p.. to variable two.
         sys = pointwise(OdeSystem(dim=2, field=lambda y: np.array([0.0, 1000.0])))
         p = 3
-        grid = ElementGrid.build(p, 0.0, 0.5)
         coeffs = np.tile(np.array([[1.0], [2.0]]), (1, p + 1))
-        res = mci_residual(sys, ElementSolution(grid, coeffs))
+        res = mci_residual(sys, ElementSolution(0.0, 0.5, coeffs))
         npt.assert_array_equal(res[:p], 0.0)
         npt.assert_array_equal(res[p:], -1000.0)
 
@@ -271,13 +294,13 @@ class TestBlockEvaluation:
         grid = ElementGrid.build(p, 2.0, 2.6)
         coeffs = np.array([[1.0, 0.2, -0.6, -0.5], [1.0, 1.0, 1.0, 1.0]])
         nodes = grid.dual.nodes
-        Yq = ElementSolution(grid, coeffs).evaluate(nodes)
+        Yq = coeffs @ nodal_eval_all(grid.primal_basis, nodes).T
         bad = [n for n in range(p) if lv.check_domain(Yq[:, n]) is not None]
         assert len(bad) >= 2 and bad[0] > 0
         n, where = _first_bad_node(grid, Yq, nodes, lambda y: lv.check_domain(y) is not None)
         expected = f"state leaves the domain at {where}: {lv.check_domain(Yq[:, n])}"
         with pytest.raises(DomainError) as info:
-            mci_residual(lv, ElementSolution(grid, coeffs))
+            mci_residual(lv, ElementSolution(2.0, 2.6, coeffs))
         assert str(info.value) == expected
         assert expected.startswith("state leaves the domain at quadrature node 1 (t=2.")
 
@@ -292,7 +315,7 @@ class TestBlockEvaluation:
         n, where = _first_bad_node(grid, Yq, rec.nodes, lambda y: y[0] > 1.5)
         assert 0 < n < q_rhs - 1
         with pytest.raises(EvaluationError) as info:
-            mgi_residual(sys, ElementSolution(grid, coeffs), q_rhs)
+            mgi_residual(sys, ElementSolution(0.0, 0.5, coeffs), q_rhs)
         assert str(info.value) == f"vector field is non-finite at {where}"
 
     def test_one_state_field_fails_early(self):
@@ -543,20 +566,24 @@ class TestStageJacobian:
 class TestStepArguments:
     @pytest.mark.parametrize("step", [mci_step, mgi_step])
     @pytest.mark.parametrize(
-        "t0, dt, message",
+        "y0, t0, dt, message",
         [
-            (0.0, np.nan, "dt must be finite, got nan"),
-            (0.0, np.inf, "dt must be finite, got inf"),
-            (np.nan, 0.1, "t0 must be finite, got nan"),
-            (-np.inf, 0.1, "t0 must be finite, got -inf"),
+            ([0.5, 0.0], 0.0, np.nan, "dt must be finite, got nan"),
+            ([0.5, 0.0], 0.0, np.inf, "dt must be finite, got inf"),
+            ([0.5, 0.0], np.nan, 0.1, "t0 must be finite, got nan"),
+            ([0.5, 0.0], -np.inf, 0.1, "t0 must be finite, got -inf"),
+            ([np.inf, 0.0], 0.0, 0.1, "initial state must be finite, got [inf, 0.0]"),
+            ([0.5, np.nan], 0.0, 0.1, "initial state must be finite, got [0.5, nan]"),
         ],
     )
-    def test_nonfinite_time_fails_before_the_solve(self, monkeypatch, step, t0, dt, message):
+    def test_nonfinite_argument_fails_before_the_solve(
+        self, monkeypatch, step, y0, t0, dt, message
+    ):
         # worded as integrate words it, not blamed on the field by Newton
         pend = get_problem("pendulum")
         monkeypatch.setattr(geodesy.integrators, "newton_solve", None)  # never reached
         with pytest.raises(ValueError) as info:
-            step(pend.system, pend.y0, t0, dt, 2)
+            step(pend.system, y0, t0, dt, 2)
         assert str(info.value) == message
 
     @pytest.mark.filterwarnings("error")
@@ -1035,10 +1062,11 @@ class TestIntegrateDriver:
     @pytest.mark.parametrize("q_rhs", [None, 7])
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_driver_builds_no_grids_and_equals_the_public_step(self, monkeypatch, method, q_rhs):
-        # the driver solves each element straight into the packed store; the
-        # public steps, which return an ElementSolution and start cold, must
-        # agree bitwise on the cold first and short last steps, and the element
-        # solver started from the previous element on every step between
+        # the driver solves each element straight into the packed store and the
+        # public steps return the bare record; neither builds a grid. The public
+        # steps start cold, so they must agree bitwise on the cold first and
+        # short last steps, and the element solver started from the previous
+        # element on every step between
         kep = get_problem("kepler")
         build = ElementGrid.build.__func__
         builds = []
@@ -1073,7 +1101,7 @@ class TestIntegrateDriver:
                 coeffs, iterations = sol.coefficients, sol.newton_iterations
             npt.assert_array_equal(traj.coefficients[k], coeffs)
             assert traj.newton_iterations[k] == iterations
-        assert len(builds) == 2  # the two public steps; the element solver builds none
+        assert builds == []
 
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_element_store_is_packed_on_the_time_grid(self, method):
@@ -1135,6 +1163,15 @@ class TestIntegrateDriver:
             for method in (Method.MCI, Method.RK4):
                 with pytest.raises(ValueError, match=f"^{name} must be finite"):
                     integrate(circle.system, method, circle.y0, t0, tf, dt)
+        # so does a non-finite initial state, before the field is ever called
+        def field(y):
+            raise AssertionError("the field must not be called")
+
+        sys = dataclasses.replace(circle.system, field=field)
+        for y0 in ([np.inf, 0.0], [0.0, -np.inf], [np.nan, 1.0]):
+            for method in Method:
+                with pytest.raises(ValueError, match=r"^initial state must be finite, got \["):
+                    integrate(sys, method, y0, 0.0, 1.0, 0.1)
 
     def test_domain_violation_is_annotated(self):
         lv = get_problem("lotka-volterra")
@@ -1190,6 +1227,12 @@ class TestSampling:
             sample_trajectory(traj, np.array([-0.5]))
         with pytest.raises(ValueError):
             sample_trajectory(traj, np.array([1.5]))
+        # non-finite times are outside every window, as a scalar or in an array
+        message = r"^sample times must be finite and lie within \[0\.0, 1\.0\]$"
+        for bad in (np.nan, np.inf, -np.inf):
+            for times in (bad, [0.2, bad], [[0.2, 0.4], [bad, 0.6]]):
+                with pytest.raises(ValueError, match=message):
+                    sample_trajectory(traj, times)
 
     def test_rejects_trajectories_without_elements(self):
         circle = make_circle()
@@ -1202,22 +1245,21 @@ class TestSampling:
         traj = integrate(kep.system, Method.MGI, kep.y0, 0.0, 2.0, 0.1, p=5)
         t0, tf = traj.times[0], traj.times[-1]
         slack = 1e-12 * (1.0 + abs(t0) + abs(tf))
-        elements = [
-            ElementSolution(ElementGrid.build(5, traj.times[k], traj.times[k + 1]), c)
-            for k, c in enumerate(traj.coefficients)
-        ]
-        starts = np.array([el.grid.t_start for el in elements])
+        grids = [ElementGrid.build(5, a, b) for a, b in zip(traj.times[:-1], traj.times[1:])]
+        starts = traj.times[:-1]
 
         def per_point(t):
+            # the mimetic layer's own map from time to element values
             k = int(np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1))
-            return elements[k].evaluate_time(min(max(t, t0), tf))
+            tau = grids[k].to_ref(min(max(t, t0), tf))
+            return traj.coefficients[k] @ nodal_eval_all(grids[k].primal_basis, tau)
 
         rng = np.random.default_rng(5)
         ts = np.concatenate(
             [
                 rng.uniform(t0, tf, 300),
                 traj.times,
-                [el.grid.t_end for el in elements],
+                [grid.t_end for grid in grids],
                 [t0 - 0.5 * slack, tf + 0.5 * slack],
             ]
         )
@@ -1245,19 +1287,3 @@ class TestSampling:
         assert sample_trajectory(traj, np.empty((2, 0))).shape == (4, 2, 0)
         with pytest.raises(ValueError, match="within"):
             sample_trajectory(traj, 1.5)
-
-    def test_element_solution_evaluates_arrays(self):
-        pend = get_problem("pendulum")
-        sol = mci_step(pend.system, pend.y0, 0.0, 0.4, 3)
-        taus = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
-        ys = sol.evaluate(taus)
-        assert ys.shape == (2, 3, 4)
-        for idx in np.ndindex(taus.shape):
-            npt.assert_array_equal(ys[(slice(None),) + idx], sol.evaluate(taus[idx]))
-        npt.assert_array_equal(sol.evaluate_time([0.0, 0.4])[:, 1], sol.endpoint())
-
-    def test_element_solution_evaluate_time_on_reversed_step(self):
-        pend = get_problem("pendulum")
-        sol = mci_step(pend.system, pend.y0, 0.0, -0.4, 2, config=TIGHT)
-        npt.assert_allclose(sol.evaluate_time(0.0), pend.y0, rtol=0.0, atol=1e-14)
-        npt.assert_array_equal(sol.evaluate_time(-0.4), sol.endpoint())
