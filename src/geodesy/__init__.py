@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .basis import (
     EdgeBasis,
     NodalBasis,
-    QuadratureFamily,
     QuadratureRule,
     edge_eval_all,
     gauss_rule,
@@ -53,7 +52,6 @@ from .mimetic import (
     Cochain,
     CochainKind,
     ElementGrid,
-    IncidenceMatrix,
     canonical_hodge_1to0,
     coboundary,
     dual_mass_matrix,
@@ -88,7 +86,6 @@ __all__ = [
     "ElementSolution",
     "EvaluationError",
     "GeodesyError",
-    "IncidenceMatrix",
     "IntegrationError",
     "Method",
     "NewtonConfig",
@@ -97,7 +94,6 @@ __all__ = [
     "NodalBasis",
     "OdeSystem",
     "ProblemSpec",
-    "QuadratureFamily",
     "QuadratureRule",
     "RootFindError",
     "SeparablePartition",

@@ -11,7 +11,6 @@ second barycentric formula, which returns an exact Kronecker delta when the
 evaluation point coincides with a node.
 """
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,22 +58,23 @@ def legendre_eval(n: int, x):
     return p_cur[()], d_cur[()]
 
 
-class QuadratureFamily(enum.Enum):
-    GAUSS_LOBATTO_LEGENDRE = "gauss-lobatto-legendre"
-    GAUSS_LEGENDRE = "gauss-legendre"
+def _read_only(values) -> np.ndarray:
+    # a record's own read-only float copy; the caller's array keeps its flags
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights on [-1, 1]; exactness degree 2n-3 (GLL) or 2n-1 (Gauss)."""
 
-    family: QuadratureFamily
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+        object.__setattr__(self, "nodes", _read_only(self.nodes))
+        object.__setattr__(self, "weights", _read_only(self.weights))
 
     def __len__(self):
         return len(self.nodes)
@@ -134,7 +134,7 @@ def gauss_rule(q: int) -> QuadratureRule:
     nodes = _symmetrize(np.sort(nodes))
     _, dP = legendre_eval(q, nodes)
     weights = 2.0 / ((1.0 - nodes**2) * dP**2)
-    return QuadratureRule(QuadratureFamily.GAUSS_LEGENDRE, nodes, weights)
+    return QuadratureRule(nodes, weights)
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +164,7 @@ def gll_rule(p: int) -> QuadratureRule:
     nodes = _symmetrize(nodes)
     P, _ = legendre_eval(p, nodes)
     weights = 2.0 / (p * (p + 1) * P**2)
-    return QuadratureRule(QuadratureFamily.GAUSS_LOBATTO_LEGENDRE, nodes, weights)
+    return QuadratureRule(nodes, weights)
 
 
 @dataclass(frozen=True)
@@ -175,16 +175,12 @@ class NodalBasis:
     bary_weights: np.ndarray
 
     def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.bary_weights.setflags(write=False)
-
-    @property
-    def degree(self) -> int:
-        return len(self.nodes) - 1
+        object.__setattr__(self, "nodes", _read_only(self.nodes))
+        object.__setattr__(self, "bary_weights", _read_only(self.bary_weights))
 
     @classmethod
     def from_nodes(cls, nodes) -> "NodalBasis":
-        nodes = np.array(nodes, dtype=float)
+        nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) == 0:
             raise ValueError("nodes must be a nonempty 1-d array")
         diff = np.subtract.outer(nodes, nodes)
@@ -206,10 +202,6 @@ class EdgeBasis:
     """
 
     nodal: NodalBasis
-
-    @property
-    def count(self) -> int:
-        return self.nodal.degree
 
 
 def nodal_eval_all(basis: NodalBasis, x) -> np.ndarray:

@@ -18,8 +18,9 @@ Hamiltonians exactly. mci is the same pairing on the p dual nodes themselves
 with unit row scale; there B is the identity, the residual is collocation at
 the dual nodes, and the method is Gauss collocation, which is symplectic.
 
-Everything a step needs of its pairing sits in one read-only record, built
-once per (p, q, pairing, dim) and cached; one resolver picks it from the
+Everything a step needs of its pairing, the driver's guess table included,
+sits in one read-only record, built once per (p, q, pairing, dim) from the
+unit ElementGrid of order p and cached; one resolver picks it from the
 method, and q_rhs (default 2p + 10) is an mgi setting only.
 
 Residuals carry a 1/sqrt(g) factor so Newton tolerances are expressed in
@@ -34,11 +35,11 @@ and sample_trajectory is the one way to read it between them.
 Newton starts cold, from y0 at every stage, on the first step of the
 driver and in the public steps mci_step/mgi_step; every later step of the
 driver starts from the previous element's polynomial read at this element's
-nodes (tau + 2 in the previous element's reference coordinate), one cached
-(p+1, p) matrix per p and one matmul, except a shortened last step, which
-starts cold. The guess is safe for the conserved quantities because Newton
-polishes its abs_tol stop (see geodesy.newton): the accepted stages do not
-depend on where the solve started by more than rounding. A dt whose element
+nodes (tau + 2 in the previous element's reference coordinate), one matmul
+with the pairing record's (p+1, p) guess table, except a shortened last step,
+which starts cold. The guess is safe for the conserved quantities because
+Newton polishes its abs_tol stop (see geodesy.newton): the accepted stages do
+not depend on where the solve started by more than rounding. A dt whose element
 half-length has no finite reciprocal is rejected with a ValueError naming dt.
 """
 
@@ -50,7 +51,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import MAX_ORDER, edge_eval_all, gauss_rule, nodal_eval_all
+from .basis import MAX_ORDER, _read_only, edge_eval_all, gauss_rule, nodal_eval_all
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
 from .mimetic import _reference_element, incidence_matrix
 from .newton import NewtonConfig, newton_solve
@@ -85,22 +86,24 @@ class _Pairing(NamedTuple):
     nodes: np.ndarray  # the quadrature nodes sigma_nu
     rate: np.ndarray  # kron(I_M, s (E @ Et)[1:]^T): the stage Jacobian's rate term times sqrt(g)
     weights: np.ndarray  # W[(m, b), nu] = s_m B[m, nu] Lq[1+b, nu]; its field term is W @ Jh
+    ahead: np.ndarray  # (p+1, p): coeffs @ ahead reads an element at the next one's stages, tau + 2
 
 
 @lru_cache(maxsize=None)
 def _pairing_record(p: int, q: int, galerkin: bool, M: int) -> _Pairing:
     ref = _reference_element(p)
     quad = gauss_rule(q)
-    E = np.asarray(incidence_matrix(p).matrix)
+    E = incidence_matrix(p)
     Et = edge_eval_all(ref.edge_basis, ref.dual.nodes).T
     Lq = nodal_eval_all(ref.primal_basis, quad.nodes).T
     B = quad.weights * nodal_eval_all(ref.dual_basis, quad.nodes).T / ref.dual.weights[:, None]
     scale = ref.dual.weights if galerkin else np.ones(p)
     rate = np.kron(np.eye(M), scale[:, None] * (E @ Et)[1:].T)
     weights = ((scale[:, None] * B)[:, None] * Lq[1:]).reshape(p * p, q)
-    for arr in (Et, Lq, B, scale, rate, weights):
+    ahead = nodal_eval_all(ref.primal_basis, ref.primal.nodes[1:] + 2.0).T
+    for arr in (Et, Lq, B, scale, rate, weights, ahead):
         arr.setflags(write=False)
-    return _Pairing(galerkin, q, E, Et, Lq, B, scale, quad.nodes, rate, weights)
+    return _Pairing(galerkin, q, E, Et, Lq, B, scale, quad.nodes, rate, weights, ahead)
 
 
 def _pairing(method: Method, p: int, q_rhs: Optional[int], M: int) -> _Pairing:
@@ -127,7 +130,7 @@ class ElementSolution:
     newton_iterations: int = 0
 
     def __post_init__(self):
-        self.coefficients.setflags(write=False)
+        object.__setattr__(self, "coefficients", _read_only(self.coefficients))
 
     @property
     def dim(self) -> int:
@@ -215,16 +218,6 @@ def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray
     return _element_residual(sys, coeffs, pairing, sol.t_start, sqrt_g)(coeffs @ pairing.Lq)
 
 
-@lru_cache(maxsize=None)
-def _extrapolation(p: int) -> np.ndarray:
-    # (p+1, p): the primal basis at the next element's stage nodes, tau + 2 in
-    # this element's reference coordinate; coeffs @ it extrapolates the stages
-    ref = _reference_element(p)
-    ahead = nodal_eval_all(ref.primal_basis, ref.primal.nodes[1:] + 2.0).T
-    ahead.setflags(write=False)
-    return ahead
-
-
 def _half_length(t_start, t_end, dt) -> float:
     # sqrt(g) of the element t_start..t_end; dt, the step that gave t_end, names it in errors
     sqrt_g = 0.5 * (t_end - t_start)
@@ -283,7 +276,7 @@ def _solve_element(sys, y0, t0, dt, pairing, config, coeffs, previous=None) -> i
         # a cold guess holds y0 at every stage: np.repeat(y0, p), from the float copy in column 0
         guess = coeffs[:, 0].repeat(p)
     else:
-        guess = (previous @ _extrapolation(p)).reshape(-1)
+        guess = (previous @ pairing.ahead).reshape(-1)
     result = newton_solve(residual, guess, config, jacobian=jacobian)
     if result.x is not held_z:  # the buffer holds the solution unless Newton ended elsewhere
         stages[...] = result.x.reshape(M, p)
@@ -310,8 +303,8 @@ def _element_step(sys, y0, t0, dt, p, pairing, config):
     y0 = _initial_state(sys, y0)
     coeffs = np.empty((sys.dim, p + 1))
     iterations = _solve_element(sys, y0, t0, dt, pairing, config, coeffs)
-    # a copy: the callables keep writing into coeffs after the step returns
-    return ElementSolution(t0, t0 + dt, coeffs.copy(), iterations)
+    # the record copies coeffs, which the callables keep writing into after the step returns
+    return ElementSolution(t0, t0 + dt, coeffs, iterations)
 
 
 def mci_step(

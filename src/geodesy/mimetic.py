@@ -14,14 +14,15 @@ metric root sqrt(g) = (t_end - t_start)/2. The Galerkin pairing integrates
 against the dual basis, whose mass matrix is exactly diagonal because the
 dual Lagrange basis sits on Gauss points: entries sqrt(g) * w_j.
 
-Grids with t_end < t_start are permitted and represent a reversed time map
-(sqrt(g) < 0), as a backward integrator step does.
+The reference element of order p is the ElementGrid on [-1, 1], built once
+and cached; any other element is that grid with its own bounds and shares its
+rules and bases. Grids with t_end < t_start are permitted and represent a
+reversed time map (sqrt(g) < 0), as a backward integrator step does.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .basis import (
     EdgeBasis,
     NodalBasis,
     QuadratureRule,
+    _read_only,
     edge_eval_all,
     gauss_rule,
     gll_rule,
@@ -54,13 +56,12 @@ class Cochain:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _read_only(self.values)
         if v.ndim != 1 or len(v) == 0:
             raise ValueError("cochain values must be a nonempty 1-d array")
         if self.kind is CochainKind.PRIMAL0 and len(v) < 2:
             raise ValueError("a primal 0-cochain needs at least two values")
         object.__setattr__(self, "values", v)
-        v.setflags(write=False)
 
     @property
     def order(self) -> int:
@@ -70,54 +71,22 @@ class Cochain:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Signed node-to-interval incidence of the primal grid, shape (p+1, p)."""
-
-    p: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
-def incidence_matrix(p: int) -> IncidenceMatrix:
-    """Incidence matrix with column j carrying -1 at node j-1 and +1 at node j."""
+def incidence_matrix(p: int) -> np.ndarray:
+    """Read-only incidence matrix (p+1, p): column j carries -1 at node j and +1 at node j+1."""
     if p < 1:
         raise ValueError(f"order must be at least 1, got {p}")
-    E = np.zeros((p + 1, p))
-    for j in range(p):
-        E[j, j] = -1.0
-        E[j + 1, j] = 1.0
-    return IncidenceMatrix(p, E)
+    E = np.eye(p + 1, p, -1) - np.eye(p + 1, p)
+    E.setflags(write=False)
+    return E
 
 
-def coboundary(c: Cochain, E: IncidenceMatrix) -> Cochain:
+def coboundary(c: Cochain, E: np.ndarray) -> Cochain:
     """Exterior derivative of a primal 0-cochain: successive differences."""
     if c.kind is not CochainKind.PRIMAL0:
         raise TypeError(f"coboundary expects a primal 0-cochain, got {c.kind}")
-    if c.order != E.p:
-        raise ValueError(f"cochain order {c.order} does not match incidence order {E.p}")
-    return Cochain(CochainKind.PRIMAL1, E.matrix.T @ c.values)
-
-
-class _ReferenceElement(NamedTuple):
-    # GLL/Gauss rules and bases of order p in ElementGrid's field order; their
-    # arrays are read-only, so every ElementGrid of that order shares them
-    primal: QuadratureRule
-    dual: QuadratureRule
-    primal_basis: NodalBasis
-    edge_basis: EdgeBasis
-    dual_basis: NodalBasis
-
-
-@lru_cache(maxsize=None)
-def _reference_element(p: int) -> _ReferenceElement:
-    primal, dual = gll_rule(p), gauss_rule(p)
-    primal_basis = NodalBasis.from_nodes(primal.nodes)
-    return _ReferenceElement(
-        primal, dual, primal_basis, EdgeBasis(primal_basis), NodalBasis.from_nodes(dual.nodes)
-    )
+    if c.order != E.shape[1]:
+        raise ValueError(f"cochain order {c.order} does not match incidence order {E.shape[1]}")
+    return Cochain(CochainKind.PRIMAL1, E.T @ c.values)
 
 
 @dataclass(frozen=True)
@@ -138,10 +107,10 @@ class ElementGrid:
 
     @classmethod
     def build(cls, p: int, t_start: float, t_end: float) -> "ElementGrid":
-        """Element over [t_start, t_end]; rules and bases are shared per order p."""
+        """Element over [t_start, t_end]; rules and bases are those of the reference element."""
         if t_end == t_start:
             raise ValueError("element must have nonzero extent")
-        return cls(p, float(t_start), float(t_end), *_reference_element(p))
+        return replace(_reference_element(p), t_start=float(t_start), t_end=float(t_end))
 
     @property
     def sqrt_g(self) -> float:
@@ -153,6 +122,18 @@ class ElementGrid:
 
     def to_ref(self, t):
         return (np.asarray(t) - self.t_start) / self.sqrt_g - 1.0
+
+
+@lru_cache(maxsize=None)
+def _reference_element(p: int) -> ElementGrid:
+    # the element of order p on [-1, 1]; its rules and bases hold read-only
+    # arrays, so every ElementGrid of that order shares them
+    primal, dual = gll_rule(p), gauss_rule(p)
+    primal_basis = NodalBasis.from_nodes(primal.nodes)
+    dual_basis = NodalBasis.from_nodes(dual.nodes)
+    return ElementGrid(
+        p, -1.0, 1.0, primal, dual, primal_basis, EdgeBasis(primal_basis), dual_basis
+    )
 
 
 def reduce0(f, grid: ElementGrid, target: CochainKind) -> Cochain:
@@ -228,14 +209,12 @@ def galerkin_mass_dual(grid: ElementGrid) -> np.ndarray:
     return grid.sqrt_g * grid.dual.weights
 
 
-def dual_mass_matrix(grid: ElementGrid, q: int | None = None) -> np.ndarray:
-    """Dual-basis mass matrix assembled by explicit quadrature.
+def dual_mass_matrix(grid: ElementGrid) -> np.ndarray:
+    """Dual-basis mass matrix assembled by explicit quadrature on 2p Gauss points.
 
     Kept separate from galerkin_mass_dual on purpose: this is the slow route
     used to check that the off-diagonal entries really vanish.
     """
-    if q is None:
-        q = 2 * grid.p
-    rule = gauss_rule(q)
+    rule = gauss_rule(2 * grid.p)
     L = nodal_eval_all(grid.dual_basis, rule.nodes)
     return grid.sqrt_g * (L.T * rule.weights) @ L

@@ -79,8 +79,8 @@ class NewtonResult(NamedTuple):
     residual_norm: float
 
 
-def forward_difference_jacobian(residual, x, r0=None, fd_step=_FD_STEP):
-    """Forward-difference Jacobian with step fd_step * (1 + |x_j|) in column j.
+def forward_difference_jacobian(residual, x, r0=None):
+    """Forward-difference Jacobian with step _FD_STEP * (1 + |x_j|) in column j.
 
     Row j of one (n, n) array is x shifted in entry j; the n residuals at
     those rows form one array and one quotient gives every column.
@@ -88,7 +88,7 @@ def forward_difference_jacobian(residual, x, r0=None, fd_step=_FD_STEP):
     if r0 is None:
         r0 = np.asarray(residual(x), dtype=float)
     n = len(x)
-    h = fd_step * (1.0 + np.abs(x))
+    h = _FD_STEP * (1.0 + np.abs(x))
     shifted = np.tile(x, (n, 1))
     shifted.flat[:: n + 1] += h
     probes = np.array([np.asarray(residual(xp), dtype=float) for xp in shifted])

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _read_only
 from .errors import DomainError
 from .systems import OdeSystem, SeparablePartition
 
@@ -45,7 +46,7 @@ class ProblemSpec:
     dt_ref: float
 
     def __post_init__(self):
-        self.y0.setflags(write=False)
+        object.__setattr__(self, "y0", _read_only(self.y0))
 
     @property
     def invariant_labels(self) -> tuple:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import edge_eval_all, nodal_eval_all
+from .basis import _read_only, edge_eval_all, nodal_eval_all
 from .mimetic import _reference_element
 
 _SUM_B_TOL = 1e-13
@@ -30,9 +30,7 @@ class ButcherTableau:
     c: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        a, b, c = _read_only(self.a), _read_only(self.b), _read_only(self.c)
         s = len(b)
         if a.shape != (s, s) or c.shape != (s,):
             raise ValueError("tableau arrays have inconsistent shapes")
@@ -42,8 +40,6 @@ class ButcherTableau:
             raise ValueError("abscissae must be strictly increasing inside (0, 1)")
         if np.max(np.abs(a.sum(axis=1) - c)) > _ROW_SUM_TOL:
             raise ValueError("row sums of A must equal c")
-        for arr in (a, b, c):
-            arr.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -73,7 +69,7 @@ def butcher_tableau_mci(p: int) -> ButcherTableau:
     # nodal basis functions 1..p (the unknown columns) at the dual nodes
     lhat = nodal_eval_all(ref.primal_basis, tau)[:, 1:]
     a_rk = lhat @ G
-    b = G[-1, :].copy()
+    b = G[-1, :]
     c = 0.5 * (tau + 1.0)
     return ButcherTableau(a_rk, b, c)
 
@@ -81,21 +77,21 @@ def butcher_tableau_mci(p: int) -> ButcherTableau:
 def gauss_collocation_tableau(p: int) -> ButcherTableau:
     """Classical s = p Gauss collocation tableau built from first principles.
 
-    Uses a_ij = integral of the j-th Lagrange cardinal polynomial on the
-    abscissae from 0 to c_i, with the polynomials integrated exactly via
-    their monomial coefficients. Serves as the independent cross-check for
-    butcher_tableau_mci; do not merge the two routes.
+    a_ij is the integral of the j-th Lagrange cardinal on the abscissae from
+    0 to c_i and b_j its integral from 0 to 1, each taken by numpy's p-point
+    Gauss rule (x_k, w_k), exact for the degree p-1 cardinals:
+    a_ij = (c_i/2) sum_k w_k l_j(c_i (1+x_k)/2), b_j = (1/2) sum_k w_k l_j((1+x_k)/2).
+    Serves as the independent cross-check for butcher_tableau_mci; do not
+    merge the two routes.
     """
-    from numpy.polynomial import polynomial as P
-
     c = 0.5 * (_reference_element(p).dual.nodes + 1.0)
-    a = np.empty((p, p))
-    b = np.empty(p)
-    for j in range(p):
-        roots = np.delete(c, j)
-        coeffs = P.polyfromroots(roots)
-        coeffs = coeffs / P.polyval(c[j], coeffs)
-        anti = P.polyint(coeffs)
-        b[j] = P.polyval(1.0, anti)
-        a[:, j] = P.polyval(c, anti)
-    return ButcherTableau(a, b, c)
+    x, w = np.polynomial.legendre.leggauss(p)
+    ends = np.append(c, 1.0)  # rows 0..p-1 integrate up to c_i, row p up to 1
+    t = ends[:, None] * (0.5 * (1.0 + x))
+    # l_j(t) = prod_{m != j} (t - c_m) / (c_j - c_m), factor [..., j, m]
+    span = c[:, None] - c
+    np.fill_diagonal(span, 1.0)
+    factors = (t[..., None, None] - c) / span
+    factors[..., range(p), range(p)] = 1.0
+    integrals = 0.5 * ends[:, None] * (w @ factors.prod(axis=-1))
+    return ButcherTableau(integrals[:-1], integrals[-1], c)

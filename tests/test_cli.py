@@ -402,6 +402,12 @@ class TestTableau:
     def test_rejects_bad_order(self):
         assert run_cli("tableau", "--pt", "0") == 2
 
+    def test_builds_the_oracle_at_order_sixteen(self, capsys):
+        assert run_cli("tableau", "--pt", "16") == 0
+        out = capsys.readouterr().out
+        assert "stages: 16" in out
+        assert float(out.rsplit(":", 1)[1]) <= 1e-13
+
 
 class TestPlot:
     def test_requires_existing_csv(self, tmp_path, capsys):

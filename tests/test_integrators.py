@@ -34,8 +34,8 @@ from geodesy import (
     symplectic_euler_step,
 )
 from geodesy.errors import NewtonNonConvergence
-from geodesy.newton import NewtonResult, forward_difference_jacobian
-from helpers import einsum_field_block
+from geodesy.newton import NewtonResult
+from helpers import column_forward_difference, einsum_field_block
 
 TIGHT = NewtonConfig(abs_tol=1e-13)
 
@@ -464,7 +464,7 @@ class TestStageJacobian:
         z = x0 + 0.05 * np.random.default_rng(p).standard_normal(len(x0))
         J = jacobian(z)
         assert J.shape == (4 * p, 4 * p)
-        J_fd = forward_difference_jacobian(residual, z, fd_step=1e-8)
+        J_fd = column_forward_difference(residual, z, fd_step=1e-8)
         assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J))
 
     @pytest.mark.parametrize("step", [mci_step, mgi_step])
@@ -619,7 +619,7 @@ class TestStepBuffers:
         assert rec.rate.shape == (3 * M, 3 * M)
         assert rec.weights.shape == (3 * 3, q)
         arrays = [field for field in rec if isinstance(field, np.ndarray)]
-        assert len(arrays) == 8
+        assert len(arrays) == 9
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -666,7 +666,7 @@ class TestStepBuffers:
         stored = sol.coefficients.copy()
         z = x0 + 0.05 * np.random.default_rng(2).standard_normal(len(x0))
         J = jacobian(z)
-        J_fd = forward_difference_jacobian(residual, z, fd_step=1e-8)
+        J_fd = column_forward_difference(residual, z, fd_step=1e-8)
         assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J))
         # the callables write their own buffer, never the returned solution
         npt.assert_array_equal(sol.coefficients, stored)
@@ -756,8 +756,8 @@ class TestStartingGuessAndPolish:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
     def test_extrapolation_is_cached_read_only_and_exact_on_polynomials(self, p):
-        ahead = geodesy.integrators._extrapolation(p)
-        assert geodesy.integrators._extrapolation(p) is ahead
+        ahead = geodesy.integrators._pairing(Method.MCI, p, None, 2).ahead
+        assert geodesy.integrators._pairing(Method.MCI, p, None, 2).ahead is ahead
         assert ahead.shape == (p + 1, p)
         assert not ahead.flags.writeable
         rng = np.random.default_rng(40 + p)
@@ -782,7 +782,7 @@ class TestStartingGuessAndPolish:
         p = 3
         traj = integrate(pend.system, method, pend.y0, 0.0, 1.05, 0.1, p=p)
         assert traj.steps == len(guesses) == 11
-        ahead = geodesy.integrators._extrapolation(p)
+        ahead = geodesy.integrators._pairing(method, p, None, pend.system.dim).ahead
         for k, x0 in enumerate(guesses):
             if k in (0, traj.steps - 1):  # cold: y0 at every stage
                 npt.assert_array_equal(x0, np.repeat(traj.states[:, k], p))
@@ -877,7 +877,7 @@ class TestNonFiniteFieldOnTheNewtonPath:
         # a previous element whose extrapolation climbs past 1.5 inside this one
         previous = np.array([[0.0, 0.5, 1.0], [0.0, 0.0, 0.0]])
         rec = geodesy.integrators._pairing(method, p, q_rhs, 2)
-        guess = np.column_stack([y0, previous @ geodesy.integrators._extrapolation(p)])
+        guess = np.column_stack([y0, previous @ rec.ahead])
         Yq = guess @ rec.Lq
         n, where = _first_bad_node(
             ElementGrid.build(p, t0, t0 + dt), Yq, rec.nodes, lambda y: y[0] > 1.5

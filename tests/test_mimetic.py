@@ -11,6 +11,7 @@ from geodesy.mimetic import (
     Cochain,
     CochainKind,
     ElementGrid,
+    _reference_element,
     canonical_hodge_1to0,
     coboundary,
     dual_mass_matrix,
@@ -28,13 +29,14 @@ from helpers import random_poly
 class TestIncidence:
     def test_p2_matrix(self):
         E = incidence_matrix(2)
-        npt.assert_array_equal(E.matrix, [[-1, 0], [1, -1], [0, 1]])
+        npt.assert_array_equal(E, [[-1, 0], [1, -1], [0, 1]])
 
     @pytest.mark.parametrize("p", [1, 2, 5, 8])
     def test_shape_and_column_sums(self, p):
         E = incidence_matrix(p)
-        assert E.matrix.shape == (p + 1, p)
-        npt.assert_array_equal(E.matrix.sum(axis=0), np.zeros(p))
+        assert E.shape == (p + 1, p)
+        assert not E.flags.writeable
+        npt.assert_array_equal(E.sum(axis=0), np.zeros(p))
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
@@ -121,6 +123,15 @@ class TestElementGrid:
                 arr[0] = 0.0
         assert (b.t_start, b.t_end) == (5.0, 4.5)
         assert ElementGrid.build(p + 1, 0.0, 1.0).primal_basis is not a.primal_basis
+
+    @pytest.mark.parametrize("p", [1, 3, 8])
+    def test_reference_element_is_the_unit_grid_every_grid_shares(self, p):
+        ref = _reference_element(p)
+        assert isinstance(ref, ElementGrid)
+        assert (ref.p, ref.t_start, ref.t_end, ref.sqrt_g) == (p, -1.0, 1.0, 1.0)
+        grid = ElementGrid.build(p, 0.25, 0.75)
+        for attr in ("primal", "dual", "primal_basis", "edge_basis", "dual_basis"):
+            assert getattr(grid, attr) is getattr(ref, attr)
 
 
 class TestReduction:

@@ -407,7 +407,7 @@ def test_fd_step_scaling():
         seen.append(x.copy())
         return x - 1000.0
 
-    forward_difference_jacobian(residual, np.array([1000.0]), fd_step=1e-7)
+    forward_difference_jacobian(residual, np.array([1000.0]))
     # call 0 is the base point; call 1 probes x + h with h = 1e-7 * (1 + 1000)
     probe = seen[1][0]
     assert probe == pytest.approx(1000.0 + 1e-7 * 1001.0, rel=1e-12)

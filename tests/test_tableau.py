@@ -38,7 +38,7 @@ def _deviation(t1, t2):
     )
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16])
 def test_equals_collocation_oracle(p):
     assert _deviation(butcher_tableau_mci(p), gauss_collocation_tableau(p)) <= 1e-12
 
