@@ -208,6 +208,8 @@ def _cmd_converge(args):
         raise UsageError(f"need at least 3 step sizes for a convergence sweep, got {len(dts)}")
     if not all(0 < v < tfinal for v in dts):
         raise UsageError("step sizes must be positive and smaller than tfinal")
+    if len(set(dts)) < len(dts):  # a repeated size has no observed order
+        raise UsageError(f"step sizes must be distinct, got {', '.join(f'{v:g}' for v in dts)}")
     y_ref = _reference_states(problem, method, pt, qrhs, y0, tfinal, dts, newton)
     label = problem.invariant_labels[0] if problem.invariant_labels else None
 
@@ -221,11 +223,14 @@ def _cmd_converge(args):
             series = traj.invariants[label]
             invariant_errors.append(float(np.max(np.abs(series - series[0]))))
 
+    # an error that is zero (an exact run) or not finite has no logarithm: its orders are nan
+    measured = [0.0 < e < math.inf for e in endpoint_errors]
     orders = [float("nan")]
     for k in range(1, len(dts)):
-        num = math.log(endpoint_errors[k - 1] / endpoint_errors[k])
-        den = math.log(dts[k - 1] / dts[k])
-        orders.append(num / den)
+        num = math.nan
+        if measured[k - 1] and measured[k]:
+            num = math.log(endpoint_errors[k - 1] / endpoint_errors[k])
+        orders.append(num / math.log(dts[k - 1] / dts[k]))
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "convergence.csv")
     _write_table(
@@ -233,9 +238,9 @@ def _cmd_converge(args):
         "dt,endpoint_error,invariant_error,observed_order",
         [dts, endpoint_errors, invariant_errors, orders],
     )
-    logs = np.log(np.asarray(dts))
-    errs = np.log(np.asarray(endpoint_errors))
-    slope = float(np.polyfit(logs, errs, 1)[0])
+    slope = float("nan")
+    if all(measured):
+        slope = float(np.polyfit(np.log(dts), np.log(endpoint_errors), 1)[0])
     print(f"{problem.name} via {method.value} (pt={pt}): fitted endpoint order {slope:.3f}")
     for k, h in enumerate(dts):
         print(

@@ -21,7 +21,10 @@ the dual nodes, and the method is Gauss collocation, which is symplectic.
 Everything a step needs of its pairing, the driver's guess table included,
 sits in one read-only record, built once per (p, q, pairing, dim) from the
 unit ElementGrid of order p and cached; one resolver picks it from the
-method, and q_rhs (default 2p + 10) is an mgi setting only.
+method, and q_rhs (default 2p + 10) is an mgi setting only. Its tables carry
+the row scale, D[l, m] = s_m e_l(tau_m) and P[nu, m] = s_m B[m, nu], so one
+residual, (c E) D / sqrt(g) - h P for nodal values c and field values h,
+serves both pairings; mci has no P and skips that product.
 
 Residuals carry a 1/sqrt(g) factor so Newton tolerances are expressed in
 vector-field units regardless of the step size. Stage unknowns are flattened
@@ -76,15 +79,13 @@ def default_qrhs(p: int) -> int:
 
 class _Pairing(NamedTuple):
     # one pairing of order p on a q-point rule for dimension M; read-only, cached per key
-    galerkin: bool  # whether the residual applies B and the row scale
     q: int  # quadrature size, p for the collocation pairing
     E: np.ndarray  # incidence, (p+1, p)
-    Et: np.ndarray  # edge functions at the dual nodes, Et[l, j] = e_l(tau_j)
+    D: np.ndarray  # edge functions at the dual nodes, row-scaled: D[l, m] = s_m e_l(tau_m)
     Lq: np.ndarray  # nodal basis at the quadrature nodes, (p+1, q)
-    B: np.ndarray  # omega_nu ltilde_m(sigma_nu) / w_m, (p, q); exactly I when q == p
-    scale: np.ndarray  # row scale s: the dual weights w (Galerkin) or ones
+    P: Optional[np.ndarray]  # P[nu, m] = s_m B[m, nu], (q, p); None for collocation, where s B = I
     nodes: np.ndarray  # the quadrature nodes sigma_nu
-    rate: np.ndarray  # kron(I_M, s (E @ Et)[1:]^T): the stage Jacobian's rate term times sqrt(g)
+    rate: np.ndarray  # kron(I_M, (E @ D)[1:]^T): the stage Jacobian's rate term times sqrt(g)
     weights: np.ndarray  # W[(m, b), nu] = s_m B[m, nu] Lq[1+b, nu]; its field term is W @ Jh
     ahead: np.ndarray  # (p+1, p): coeffs @ ahead reads an element at the next one's stages, tau + 2
 
@@ -94,16 +95,18 @@ def _pairing_record(p: int, q: int, galerkin: bool, M: int) -> _Pairing:
     ref = _reference_element(p)
     quad = gauss_rule(q)
     E = incidence_matrix(p)
-    Et = edge_eval_all(ref.edge_basis, ref.dual.nodes).T
     Lq = nodal_eval_all(ref.primal_basis, quad.nodes).T
     B = quad.weights * nodal_eval_all(ref.dual_basis, quad.nodes).T / ref.dual.weights[:, None]
-    scale = ref.dual.weights if galerkin else np.ones(p)
-    rate = np.kron(np.eye(M), scale[:, None] * (E @ Et)[1:].T)
-    weights = ((scale[:, None] * B)[:, None] * Lq[1:]).reshape(p * p, q)
+    scale = ref.dual.weights if galerkin else np.ones(p)  # the row scale s
+    D = edge_eval_all(ref.edge_basis, ref.dual.nodes).T * scale
+    Pfull = (scale[:, None] * B).T
+    P = Pfull if galerkin else None
+    rate = np.kron(np.eye(M), (E @ D)[1:].T)
+    weights = (Pfull.T[:, None] * Lq[1:]).reshape(p * p, q)
     ahead = nodal_eval_all(ref.primal_basis, ref.primal.nodes[1:] + 2.0).T
-    for arr in (Et, Lq, B, scale, rate, weights, ahead):
+    for arr in (D, Lq, Pfull, rate, weights, ahead):
         arr.setflags(write=False)
-    return _Pairing(galerkin, q, E, Et, Lq, B, scale, quad.nodes, rate, weights, ahead)
+    return _Pairing(q, E, D, Lq, P, quad.nodes, rate, weights, ahead)
 
 
 def _pairing(method: Method, p: int, q_rhs: Optional[int], M: int) -> _Pairing:
@@ -173,26 +176,28 @@ def _first_domain_failure(sys: OdeSystem, y, block_reason):
 def _element_residual(sys, coeffs, pairing, t0, sqrt_g):
     # the residual of the element held in coeffs, as a function of its states
     # Yq = coeffs @ Lq at the quadrature nodes; what stays fixed over the
-    # element (the node names for errors, B^T, the row scale) is bound once
-    E, Et, nodes = pairing.E, pairing.Et, pairing.nodes
+    # element (the node names for errors, the row-scaled tables) is bound once
+    E, D, P, nodes = pairing.E, pairing.D, pairing.P, pairing.nodes
 
     def where(n):
         return f"quadrature node {n} (t={t0 + (nodes[n] + 1.0) * sqrt_g:g})"
 
-    if not pairing.galerkin:
-        # collocation skips the pairing: B is the identity and the row scale is one there
-        def collocation(Yq):
-            return ((coeffs @ E) @ Et / sqrt_g - _field_at(sys, Yq, where)).reshape(-1)
+    def residual(Yq):
+        h = _field_at(sys, Yq, where)
+        if P is not None:  # collocation skips the product: its s B is exactly I
+            h = h @ P
+        # the coboundary coeffs @ E first: it differences nodal values exactly,
+        # where a folded E @ D would round the differences into the table
+        return ((coeffs @ E) @ D / sqrt_g - h).reshape(-1)
 
-        return collocation
+    return residual
 
-    BT, scale = pairing.B.T, pairing.scale
 
-    def galerkin(Yq):
-        rate = (coeffs @ E) @ Et / sqrt_g  # coboundary, then edge expansion
-        return (scale * (rate - _field_at(sys, Yq, where) @ BT)).reshape(-1)
-
-    return galerkin
+def _public_residual(sys, sol, method, q_rhs):
+    coeffs = sol.coefficients
+    pairing = _pairing(method, coeffs.shape[1] - 1, q_rhs, sol.dim)
+    sqrt_g = _half_length(sol.t_start, sol.t_end, sol.t_end - sol.t_start)
+    return _element_residual(sys, coeffs, pairing, sol.t_start, sqrt_g)(coeffs @ pairing.Lq)
 
 
 def mci_residual(sys: OdeSystem, sol: ElementSolution) -> np.ndarray:
@@ -200,10 +205,7 @@ def mci_residual(sys: OdeSystem, sol: ElementSolution) -> np.ndarray:
 
     R[i, j] = (rate of y_i at dual node j) / sqrt(g) - h_i(y at dual node j).
     """
-    coeffs = sol.coefficients
-    pairing = _pairing(Method.MCI, coeffs.shape[1] - 1, None, sol.dim)
-    sqrt_g = _half_length(sol.t_start, sol.t_end, sol.t_end - sol.t_start)
-    return _element_residual(sys, coeffs, pairing, sol.t_start, sqrt_g)(coeffs @ pairing.Lq)
+    return _public_residual(sys, sol, Method.MCI, None)
 
 
 def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray:
@@ -212,10 +214,7 @@ def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray
     R[i, m] = w_m (rate of y_i at dual node m) / sqrt(g)
               - sum_nu omega_nu h_i(y(sigma_nu)) ltilde_m(sigma_nu).
     """
-    coeffs = sol.coefficients
-    pairing = _pairing(Method.MGI, coeffs.shape[1] - 1, q_rhs, sol.dim)
-    sqrt_g = _half_length(sol.t_start, sol.t_end, sol.t_end - sol.t_start)
-    return _element_residual(sys, coeffs, pairing, sol.t_start, sqrt_g)(coeffs @ pairing.Lq)
+    return _public_residual(sys, sol, Method.MGI, q_rhs)
 
 
 def _half_length(t_start, t_end, dt) -> float:
@@ -278,8 +277,7 @@ def _solve_element(sys, y0, t0, dt, pairing, config, coeffs, previous=None) -> i
     else:
         guess = (previous @ pairing.ahead).reshape(-1)
     result = newton_solve(residual, guess, config, jacobian=jacobian)
-    if result.x is not held_z:  # the buffer holds the solution unless Newton ended elsewhere
-        stages[...] = result.x.reshape(M, p)
+    stages[...] = result.x.reshape(M, p)
     return result.iterations
 
 

@@ -10,12 +10,10 @@ otherwise forward differences with a step scaled per component.
 
 Each iterate costs one residual evaluation, one Jacobian and one LU solve,
 and the loop keeps its small-array reductions to those its decisions need:
-max|r| for the stop and finiteness tests, max|dx| once there is an update,
-the Jacobian's entrywise finiteness test and one sort of the pivots, which
-gives the smallest and the largest at once. max|x| is taken only when an
-update could be at the rounding floor or has stopped contracting; otherwise
-a running bound, the last exact max|x| plus every update since, rules the
-stall and divergence tests out.
+max|r| for the stop and finiteness tests, max|dx| and max|x| once there is
+an update (the stall test, then the divergence test), the Jacobian's
+entrywise finiteness test and one sort of the pivots, which gives the
+smallest and the largest at once.
 
 A solve that meets abs_tol after at least one update is polished: one more
 update x <- x - J^-1 r(x) with the last LU factors, a single getrs call with
@@ -56,10 +54,11 @@ class NewtonConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        # a NaN or negative tolerance is never met, so only the rounding-floor
+        # a bool is no tolerance; a NaN or negative one is never met, so only the rounding-floor
         # stop would end the solve; a budget below one update solves nothing
         tol = self.abs_tol
-        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+        if not (real and math.isfinite(tol) and tol >= 0):
             raise ValueError(f"NewtonConfig.abs_tol must be a finite number >= 0, got {tol!r}")
         n = self.max_iter
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
@@ -130,9 +129,6 @@ def newton_solve(
     x = np.array(x0, dtype=float)
     iterations = 0
     updates = []  # max|dx| per update
-    # an upper bound of max|x|: its exact value when last taken plus every
-    # update since, so |x + dx| <= |x| + |dx| keeps it one; none yet
-    x_bound = math.inf
     while True:
         r = np.asarray(residual(x), dtype=float)
         norm = float(np.abs(r).max())  # NaN or inf when any entry is
@@ -146,25 +142,20 @@ def newton_solve(
         if iterations:
             update = float(np.abs(dx).max())
             updates.append(update)
-            x_bound += update
+            x_max = float(np.abs(x).max())
+            if update <= _STALL_RTOL * x_max:
+                return NewtonResult(x, iterations, norm)
             stuck = iterations > _DIVERGENCE_WINDOW and update >= updates[-1 - _DIVERGENCE_WINDOW]
-            # the stall and divergence tests need max|x| only for an update near the
-            # rounding floor (twice the bound absorbs its rounding) or one that has
-            # stopped contracting
-            if stuck or update <= 2.0 * _STALL_RTOL * x_bound:
-                x_bound = x_max = float(np.abs(x).max())
-                if update <= _STALL_RTOL * x_max:
-                    return NewtonResult(x, iterations, norm)
-                if stuck and update > _DIVERGENCE_RTOL * x_max:
-                    theta = update / updates[-2]
-                    raise NewtonNonConvergence(
-                        f"Newton diverges: max|dx| = {update:.3e} did not contract over the"
-                        f" last {_DIVERGENCE_WINDOW} updates (contraction rate theta = {theta:.3g},"
-                        f" residual {norm:.3e}) after {iterations} iterations",
-                        x=x,
-                        residual_norm=norm,
-                        iterations=iterations,
-                    )
+            if stuck and update > _DIVERGENCE_RTOL * x_max:
+                theta = update / updates[-2]
+                raise NewtonNonConvergence(
+                    f"Newton diverges: max|dx| = {update:.3e} did not contract over the"
+                    f" last {_DIVERGENCE_WINDOW} updates (contraction rate theta = {theta:.3g},"
+                    f" residual {norm:.3e}) after {iterations} iterations",
+                    x=x,
+                    residual_norm=norm,
+                    iterations=iterations,
+                )
         if iterations >= config.max_iter:
             raise NewtonNonConvergence(
                 f"Newton did not reach {config.abs_tol:.1e} in {config.max_iter} iterations"

@@ -300,6 +300,22 @@ class TestUsageErrors:
         assert code == 2
         assert "step sizes must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_converge_rejects_a_repeated_step_size(self, tmp_path, capsys, monkeypatch, source):
+        # before any integration: a repeat would divide by log(1) = 0 in its observed order
+        monkeypatch.setattr("geodesy.cli.integrate", None)  # never reached
+        args = ["converge", "--problem", "circle", "--tfinal", "2"]
+        if source == "flag":
+            args += ["--dts", "0.1,0.1,0.05"]
+        else:
+            cfg = tmp_path / "conv.json"
+            cfg.write_text(json.dumps({"dts": [0.1, 0.05, 0.1]}))
+            args += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert run_cli(*args, "--out", str(out)) == 2
+        assert "error: step sizes must be distinct, got 0.1, " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("levels", [0, -2])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_converge_rejects_levels_below_one(self, tmp_path, capsys, levels, source):
@@ -371,6 +387,23 @@ class TestConverge:
         assert code == 0
         slope = fitted_order(capsys.readouterr().out)
         assert slope >= 3.5
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_solution_has_nan_orders(self, tmp_path, capsys, monkeypatch):
+        # the circle's rest state is solved exactly, so every endpoint error is
+        # 0: no observed order and no fitted slope, but the sweep still writes
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "rest.json"
+        cfg.write_text(json.dumps({"y0": [0, 0]}))
+        code = run_cli("converge", "--problem", "circle", "--config", str(cfg), "--levels", "3")
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert np.isnan(fitted_order(stdout))
+        assert stdout.count("order=nan") == 3
+        _, rows = read_csv(tmp_path / "convergence.csv")
+        assert rows.shape == (3, 4)
+        assert (rows[:, 1] == 0.0).all()
+        assert np.isnan(rows[:, 3]).all()
 
     def test_levels_default_sweep(self, tmp_path, capsys, monkeypatch):
         # --levels n halves --dt n-1 times

@@ -34,6 +34,7 @@ from geodesy import (
     symplectic_euler_step,
 )
 from geodesy.errors import NewtonNonConvergence
+from geodesy.mimetic import _reference_element
 from geodesy.newton import NewtonResult
 from helpers import column_forward_difference, einsum_field_block
 
@@ -536,9 +537,10 @@ class TestStageJacobian:
         (jacobian,) = jacobians
         J = jacobian(np.random.default_rng(p).standard_normal(M * p))
         rec = geodesy.integrators._pairing(Method(method), p, q if galerkin else None, M)
-        assert rec.galerkin is galerkin and rec.q == q
+        assert (rec.P is not None) is galerkin and rec.q == q
         rate = rec.rate / (0.5 * dt)
-        want = rate - einsum_field_block(Jh, rec.scale[:, None] * rec.B, rec.Lq)
+        scaled_pairing = np.eye(p) if rec.P is None else rec.P.T  # s_m B[m, nu]
+        want = rate - einsum_field_block(Jh, scaled_pairing, rec.Lq)
         if galerkin:
             assert np.max(np.abs(J - want)) <= 4 * np.spacing(np.max(np.abs(want)))
         else:
@@ -546,10 +548,12 @@ class TestStageJacobian:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 8, 16, 64])
     def test_collocation_pairing_is_exactly_the_identity(self, p):
-        # the collocation residual relies on this to skip the pairing product
-        rec = geodesy.integrators._pairing(Method.MCI, p, None, 1)
-        npt.assert_array_equal(rec.B, np.eye(p))
-        npt.assert_array_equal(rec.scale, np.ones(p))
+        # the collocation residual skips the pairing product; the Galerkin
+        # pairing on the p dual nodes shows that s B is exactly I there: its
+        # row-scaled table P = (s B)^T is the diagonal of the dual weights s = w
+        assert geodesy.integrators._pairing(Method.MCI, p, None, 1).P is None
+        rec = geodesy.integrators._pairing(Method.MGI, p, p, 1)
+        npt.assert_array_equal(rec.P, np.diag(_reference_element(p).dual.weights))
 
     @pytest.mark.parametrize("name", ["pendulum", "kepler", "lotka-volterra"])
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
@@ -615,11 +619,11 @@ class TestStepBuffers:
     def test_pairing_is_cached_and_read_only(self, method, q_rhs, q, M):
         rec = geodesy.integrators._pairing(method, 3, q_rhs, M)
         assert geodesy.integrators._pairing(method, 3, q_rhs, M) is rec
-        assert rec.galerkin is (method is Method.MGI) and rec.q == q
+        assert (rec.P is not None) is (method is Method.MGI) and rec.q == q
         assert rec.rate.shape == (3 * M, 3 * M)
         assert rec.weights.shape == (3 * 3, q)
         arrays = [field for field in rec if isinstance(field, np.ndarray)]
-        assert len(arrays) == 9
+        assert len(arrays) == (8 if method is Method.MGI else 7)
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):

@@ -217,8 +217,9 @@ def _outcome(solve, residual, x0, config, jacobian):
 
 
 def _shrinking_cubic(x):
-    # from a large start Newton shrinks x by a third per update, so the
-    # running bound of max|x| lags far behind the iterate
+    # from a large start Newton shrinks x by a third per update, so max|x|
+    # falls by four orders between the start and the root 0.1, where the
+    # stall test reads it
     return x**3 - 1e-3
 
 
@@ -229,8 +230,8 @@ def _cubic_jump(x):
 def _cubic_jump_slope(x):
     # a steered Newton: a tiny first update, then a jump of 1e3 next to the
     # root 1259.9..., then the true slope down to the rounding floor; max|x|
-    # at the floor is far above its value after the first update, so a
-    # running bound that stopped adding updates would miss the stall there
+    # grows by three orders after the first update, and the stall test at
+    # the floor reads the iterate's size there
     if x[0] == 1.0:
         return np.array([[1e12]])
     if x[0] < 2.0:
@@ -458,7 +459,9 @@ class TestLuSolveChecked:
 
 
 class TestNewtonConfig:
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300, "1e-12", None])
+    @pytest.mark.parametrize(
+        "tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300, "1e-12", None, True, False]
+    )
     def test_bad_tolerance_is_rejected(self, tol):
         with pytest.raises(ValueError, match="abs_tol"):
             NewtonConfig(abs_tol=tol)
