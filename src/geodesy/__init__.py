@@ -30,7 +30,6 @@ from .errors import (
     GeodesyError,
     IntegrationError,
     NewtonNonConvergence,
-    RootFindError,
     SingularJacobianError,
 )
 from .integrators import (
@@ -95,7 +94,6 @@ __all__ = [
     "OdeSystem",
     "ProblemSpec",
     "QuadratureRule",
-    "RootFindError",
     "SeparablePartition",
     "SingularJacobianError",
     "Trajectory",

@@ -5,10 +5,13 @@ which include both endpoints and carry the degree-p nodal (Lagrange) and
 degree-(p-1) edge (histopolation) bases, and Gauss-Legendre nodes, which are
 interior and serve both as collocation points and as quadrature abscissae.
 
-Nodes are found by bracketed Newton iteration on the Legendre recurrence,
-seeded with Chebyshev-point initial guesses. Lagrange evaluation uses the
-second barycentric formula, which returns an exact Kronecker delta when the
-evaluation point coincides with a node.
+Nodes are eigenvalues of symmetric tridiagonal Jacobi matrices (Golub and
+Welsch, 1969): numpy's Legendre-Gauss rule for the Gauss nodes, and the
+matrix of the weight 1 - x^2 for the interior Gauss-Lobatto nodes, each
+followed by one Newton update on the Legendre recurrence, so no node search
+iterates or can fail. Lagrange evaluation uses the second barycentric
+formula, which returns an exact Kronecker delta when the evaluation point
+coincides with a node.
 """
 
 from dataclasses import dataclass
@@ -16,11 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EvaluationError, RootFindError
+from .errors import EvaluationError
 
 MAX_ORDER = 64
-_NEWTON_TOL = 1e-14
-_NEWTON_MAX_ITER = 100
 
 
 def legendre_eval(n: int, x):
@@ -81,33 +82,11 @@ class QuadratureRule:
 
 
 def _check_order(n: int, smallest: int, what: str):
-    if not isinstance(n, (int, np.integer)):
-        raise TypeError(f"{what} order must be an integer, got {type(n).__name__}")
+    # a bool is no order, though it is an int and hashes like 0 or 1 in a cache
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {type(n).__name__}")
     if n < smallest or n > MAX_ORDER:
-        raise ValueError(f"{what} order must lie in [{smallest}, {MAX_ORDER}], got {n}")
-
-
-def _newton_root(f, x0, lo, hi):
-    # Newton safeguarded by a bracket [lo, hi] containing exactly one simple
-    # root: fall back to bisection whenever the update would leave it.
-    # f returns (residual, derivative).
-    flo = f(lo)[0]
-    x = min(max(x0, lo), hi)
-    for _ in range(_NEWTON_MAX_ITER):
-        r, dr = f(x)
-        if abs(r) <= _NEWTON_TOL:
-            return x
-        if flo * r < 0:
-            hi = x
-        else:
-            lo, flo = x, r
-        x_new = x - r / dr if dr != 0.0 else 0.5 * (lo + hi)
-        if not (lo <= x_new <= hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 4 * np.finfo(float).eps * max(1.0, abs(x)):
-            return x_new
-        x = x_new
-    raise RootFindError(f"node search did not converge within {_NEWTON_MAX_ITER} iterations")
+        raise ValueError(f"{what} must lie in [{smallest}, {MAX_ORDER}], got {n}")
 
 
 def _symmetrize(nodes: np.ndarray) -> np.ndarray:
@@ -119,19 +98,12 @@ def _symmetrize(nodes: np.ndarray) -> np.ndarray:
 def gauss_rule(q: int) -> QuadratureRule:
     """Gauss-Legendre rule with q nodes, exact through degree 2q-1.
 
-    Nodes are the roots of P_q, seeded with the Chebyshev-point estimates
-    cos(pi (i + 3/4) / (q + 1/2)) and polished by Newton iteration; weights
-    are 2 / ((1 - x^2) P_q'(x)^2).
+    Nodes are the roots of P_q from numpy's leggauss (eigenvalues of the
+    Jacobi matrix, refined by one Newton update); weights are
+    2 / ((1 - x^2) P_q'(x)^2), which is more accurate than leggauss's own.
     """
-    _check_order(q, 1, "Gauss")
-    nodes = np.empty(q)
-    for j in range(1, q + 1):
-        # Bruns inequality: the j-th root angle lies in ((j-1/2)pi, j pi)/(q+1/2)
-        lo = np.cos(np.pi * j / (q + 0.5))
-        hi = np.cos(np.pi * (j - 0.5) / (q + 0.5))
-        seed = np.cos(np.pi * (j - 0.25) / (q + 0.5))
-        nodes[j - 1] = _newton_root(lambda x: legendre_eval(q, x), seed, lo, hi)
-    nodes = _symmetrize(np.sort(nodes))
+    _check_order(q, 1, "Gauss order")
+    nodes = _symmetrize(np.polynomial.legendre.leggauss(q)[0])
     _, dP = legendre_eval(q, nodes)
     weights = 2.0 / ((1.0 - nodes**2) * dP**2)
     return QuadratureRule(nodes, weights)
@@ -141,27 +113,19 @@ def gauss_rule(q: int) -> QuadratureRule:
 def gll_rule(p: int) -> QuadratureRule:
     """Gauss-Lobatto-Legendre rule with p+1 nodes, exact through degree 2p-1.
 
-    Interior nodes are the roots of P_p'; each lies between two consecutive
-    Gauss nodes of order p, which gives a safe bracket for the Newton search.
-    Weights are 2 / (p (p+1) P_p(x)^2), endpoints included.
+    Interior nodes are the roots of P_p', the eigenvalues of the (p-1)-point
+    Jacobi matrix of the weight 1 - x^2 (zero diagonal, off-diagonal
+    sqrt(k (k+2) / ((2k+1) (2k+3))), k = 1..p-2), refined by one Newton
+    update on P_p'. Weights are 2 / (p (p+1) P_p(x)^2), endpoints included.
     """
-    _check_order(p, 1, "GLL")
-    nodes = np.empty(p + 1)
-    nodes[0], nodes[-1] = -1.0, 1.0
-    if p >= 2:
-        brackets = gauss_rule(p).nodes
-
-        def dleg(x):
-            P, dP = legendre_eval(p, x)
-            # (1 - x^2) P'' = 2 x P' - p (p+1) P
-            ddP = (2 * x * dP - p * (p + 1) * P) / (1.0 - x * x)
-            return dP, ddP
-
-        for k in range(1, p):
-            lo, hi = brackets[k - 1], brackets[k]
-            seed = np.cos(np.pi * (p - k) / p)  # Chebyshev-Lobatto estimate
-            nodes[k] = _newton_root(dleg, seed, lo, hi)
-    nodes = _symmetrize(nodes)
+    _check_order(p, 1, "GLL order")
+    k = np.arange(1.0, p - 1)
+    off = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)) if p > 1 else np.empty(0)
+    P, dP = legendre_eval(p, x)
+    # Newton on P_p' with (1 - x^2) P_p'' = 2 x P_p' - p (p+1) P_p
+    x = x - dP * (1.0 - x * x) / (2 * x * dP - p * (p + 1) * P)
+    nodes = _symmetrize(np.concatenate(([-1.0], x, [1.0])))
     P, _ = legendre_eval(p, nodes)
     weights = 2.0 / (p * (p + 1) * P**2)
     return QuadratureRule(nodes, weights)

@@ -13,10 +13,6 @@ class DomainError(GeodesyError):
     """A state left the admissible domain of the problem."""
 
 
-class RootFindError(GeodesyError):
-    """Quadrature node search failed to converge."""
-
-
 class SingularJacobianError(GeodesyError):
     """The Newton linear system is numerically singular."""
 

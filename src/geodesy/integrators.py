@@ -54,7 +54,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import MAX_ORDER, _read_only, edge_eval_all, gauss_rule, nodal_eval_all
+from .basis import _check_order, _read_only, edge_eval_all, gauss_rule, nodal_eval_all
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
 from .mimetic import _reference_element, incidence_matrix
 from .newton import NewtonConfig, newton_solve
@@ -87,7 +87,9 @@ class _Pairing(NamedTuple):
     nodes: np.ndarray  # the quadrature nodes sigma_nu
     rate: np.ndarray  # kron(I_M, (E @ D)[1:]^T): the stage Jacobian's rate term times sqrt(g)
     weights: np.ndarray  # W[(m, b), nu] = s_m B[m, nu] Lq[1+b, nu]; its field term is W @ Jh
-    ahead: np.ndarray  # (p+1, p): coeffs @ ahead reads an element at the next one's stages, tau + 2
+    # (p+1, p): coeffs @ ahead reads an element at the next one's stages, tau + 2;
+    # built in Lagrange product form, as the barycentric form loses digits outside [-1, 1]
+    ahead: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +105,13 @@ def _pairing_record(p: int, q: int, galerkin: bool, M: int) -> _Pairing:
     P = Pfull if galerkin else None
     rate = np.kron(np.eye(M), (E @ D)[1:].T)
     weights = (Pfull.T[:, None] * Lq[1:]).reshape(p * p, q)
-    ahead = nodal_eval_all(ref.primal_basis, ref.primal.nodes[1:] + 2.0).T
+    # ahead[j, m] = l_j(t_m) = prod_{k != j} (t_m - x_k) / (x_j - x_k) at t = x[1:] + 2
+    x = ref.primal.nodes
+    span = x[:, None] - x
+    np.fill_diagonal(span, 1.0)
+    factors = (x[1:, None, None] + 2.0 - x) / span
+    factors[:, range(p + 1), range(p + 1)] = 1.0
+    ahead = factors.prod(axis=-1).T
     for arr in (D, Lq, Pfull, rate, weights, ahead):
         arr.setflags(write=False)
     return _Pairing(q, E, D, Lq, P, quad.nodes, rate, weights, ahead)
@@ -111,11 +119,12 @@ def _pairing_record(p: int, q: int, galerkin: bool, M: int) -> _Pairing:
 
 def _pairing(method: Method, p: int, q_rhs: Optional[int], M: int) -> _Pairing:
     # the one place that knows the two pairings: mgi is the Galerkin pairing on
-    # q_rhs points (default 2p + 10), mci collocation at the p dual nodes
+    # q_rhs points (default 2p + 10), mci collocation at the p dual nodes; p and
+    # q_rhs are checked here, before a cache that takes True for 1 and 2.0 for 2
+    _check_order(p, 1, "order p")
     if method is Method.MGI:
         q = default_qrhs(p) if q_rhs is None else q_rhs
-        if not 1 <= q <= MAX_ORDER:
-            raise ValueError(f"q_rhs must lie in [1, {MAX_ORDER}], got {q}")
+        _check_order(q, 1, "q_rhs")
         return _pairing_record(p, q, True, M)
     return _pairing_record(p, p, False, M)
 

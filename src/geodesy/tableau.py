@@ -79,13 +79,14 @@ def gauss_collocation_tableau(p: int) -> ButcherTableau:
 
     a_ij is the integral of the j-th Lagrange cardinal on the abscissae from
     0 to c_i and b_j its integral from 0 to 1, each taken by numpy's p-point
-    Gauss rule (x_k, w_k), exact for the degree p-1 cardinals:
+    Gauss rule (x_k, w_k), exact for the degree p-1 cardinals; the same rule
+    gives the abscissae c_i = (1 + x_i)/2:
     a_ij = (c_i/2) sum_k w_k l_j(c_i (1+x_k)/2), b_j = (1/2) sum_k w_k l_j((1+x_k)/2).
     Serves as the independent cross-check for butcher_tableau_mci; do not
     merge the two routes.
     """
-    c = 0.5 * (_reference_element(p).dual.nodes + 1.0)
     x, w = np.polynomial.legendre.leggauss(p)
+    c = 0.5 * (x + 1.0)
     ends = np.append(c, 1.0)  # rows 0..p-1 integrate up to c_i, row p up to 1
     t = ends[:, None] * (0.5 * (1.0 + x))
     # l_j(t) = prod_{m != j} (t - c_m) / (c_j - c_m), factor [..., j, m]

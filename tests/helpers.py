@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own numerics: numpy polynomial
 utilities, a tiny-step RK4 marcher, a plain fixed-point implicit
-Runge-Kutta step and a column-by-column forward difference. Keep them
+Runge-Kutta step, a column-by-column forward difference and Legendre
+rules refined in long double. Keep them
 independent so the cross-checks stay honest.
 """
 
@@ -67,6 +68,42 @@ def einsum_field_block(Jh, pairing, Lq):
     """
     M, p = Jh.shape[1], pairing.shape[0]
     return np.einsum("nik,mn,bn->imkb", Jh, pairing, Lq[1:]).reshape(M * p, M * p)
+
+
+def legendre_longdouble(n, x):
+    """P_n(x) and P_n'(x) in np.longdouble by the three-term recurrence."""
+    x = np.asarray(x, dtype=np.longdouble)
+    p_prev, p_cur = np.ones_like(x), x.copy()
+    d_prev, d_cur = np.zeros_like(x), np.ones_like(x)
+    if n == 0:
+        return p_prev, d_prev
+    for k in range(1, n):
+        p_next = ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
+        d_next = ((2 * k + 1) * (p_cur + x * d_cur) - k * d_prev) / (k + 1)
+        p_prev, p_cur, d_prev, d_cur = p_cur, p_next, d_cur, d_next
+    return p_cur, d_cur
+
+
+def longdouble_rule(nodes, n, lobatto=False, updates=3):
+    """Reference nodes and weights of a Legendre rule in np.longdouble.
+
+    Gauss (lobatto=False): the roots of P_n, weights 2 / ((1 - x^2) P_n'(x)^2).
+    Gauss-Lobatto: -1, 1 and the roots of P_n', weights 2 / (n (n+1) P_n(x)^2).
+    Starts from the given double nodes and takes a few Newton updates on the
+    long-double recurrence, which the double nodes are close enough to converge.
+    """
+    x = np.asarray(nodes, dtype=np.longdouble).copy()
+    inner = slice(1, -1) if lobatto else slice(None)
+    for _ in range(updates):
+        xi = x[inner]
+        P, dP = legendre_longdouble(n, xi)
+        if lobatto:  # Newton on P_n', with (1 - x^2) P_n'' = 2 x P_n' - n (n+1) P_n
+            x[inner] = xi - dP * (1 - xi * xi) / (2 * xi * dP - n * (n + 1) * P)
+        else:
+            x[inner] = xi - P / dP
+    P, dP = legendre_longdouble(n, x)
+    weights = 2 / (n * (n + 1) * P**2) if lobatto else 2 / ((1 - x * x) * dP**2)
+    return x, weights
 
 
 def fit_slope(dts, errs):

@@ -26,7 +26,22 @@ from geodesy.basis import (
 )
 from geodesy.errors import EvaluationError
 
-from helpers import random_poly
+from helpers import longdouble_rule, random_poly
+
+# the long-double reference must resolve far below a double ulp; on a
+# platform whose long double is only a double it cannot, so the check skips
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18,
+    reason="np.longdouble is no wider than a double here, so it is no reference for node ulps",
+)
+
+
+def assert_matches_long_double(rule, n, lobatto):
+    x, w = longdouble_rule(rule.nodes, n, lobatto)
+    ulp = np.spacing(np.abs(x.astype(float)))
+    node_ulps = np.abs(rule.nodes.astype(np.longdouble) - x) / ulp
+    assert float(node_ulps.max()) <= 2.0
+    assert float(np.max(np.abs(rule.weights - w))) <= 1e-15
 
 
 class TestLegendre:
@@ -76,13 +91,11 @@ class TestGaussRule:
         npt.assert_allclose(r3.nodes, [-np.sqrt(0.6), 0.0, np.sqrt(0.6)], atol=1e-15)
         npt.assert_allclose(r3.weights, [5 / 9, 8 / 9, 5 / 9], atol=1e-15)
 
-    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 13, 21, 34, 55, 64])
-    def test_against_numpy(self, q):
-        # independent construction route: numpy's Golub-Welsch based rule
-        xn, wn = np.polynomial.legendre.leggauss(q)
-        rule = gauss_rule(q)
-        npt.assert_allclose(rule.nodes, xn, atol=5e-15, rtol=0)
-        npt.assert_allclose(rule.weights, wn, atol=5e-14, rtol=0)
+    @needs_long_double
+    @pytest.mark.parametrize("q", range(1, 65))
+    def test_against_long_double_reference(self, q):
+        # nodes within 2 ulp of the roots of P_q refined in long double
+        assert_matches_long_double(gauss_rule(q), q, lobatto=False)
 
     @pytest.mark.parametrize("q", [1, 2, 4, 7, 12])
     def test_monomial_exactness(self, q):
@@ -152,6 +165,12 @@ class TestGLLRule:
         primal = gll_rule(p).nodes
         dual = gauss_rule(p).nodes
         assert np.all(primal[:-1] < dual) and np.all(dual < primal[1:])
+
+    @needs_long_double
+    @pytest.mark.parametrize("p", range(1, 65))
+    def test_against_long_double_reference(self, p):
+        # interior nodes within 2 ulp of the roots of P_p' refined in long double
+        assert_matches_long_double(gll_rule(p), p, lobatto=True)
 
     def test_interior_nodes_are_derivative_roots(self):
         for p in (4, 9, 16):

@@ -590,6 +590,38 @@ class TestStepArguments:
             step(pend.system, y0, t0, dt, 2)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "bad, good, name",
+        [(True, 1, "order p"), (2.0, 2, "order p"), (True, 1, "q_rhs"), (14.0, 14, "q_rhs")],
+    )
+    def test_non_integer_order_fails_alike_cold_and_warm(self, bad, good, name):
+        # the pairing cache takes True for 1 and 2.0 for 2, so the order must be
+        # rejected before it: the same TypeError whether or not the valid twin is cached
+        pend = get_problem("pendulum")
+        sys, y0 = pend.system, pend.y0
+        if name == "order p":
+            calls = [
+                lambda p: integrate(sys, Method.MCI, y0, 0.0, 0.2, 0.1, p=p),
+                lambda p: mci_step(sys, y0, 0.0, 0.1, p),
+                lambda p: mgi_step(sys, y0, 0.0, 0.1, p),
+            ]
+        else:
+            sol = mgi_step(sys, y0, 0.0, 0.1, 2)
+            calls = [
+                lambda q: integrate(sys, Method.MGI, y0, 0.0, 0.2, 0.1, p=2, q_rhs=q),
+                lambda q: mgi_step(sys, y0, 0.0, 0.1, 2, q_rhs=q),
+                lambda q: mgi_residual(sys, sol, q),
+            ]
+        message = f"{name} must be an integer, got {type(bad).__name__}"
+        for call in calls:
+            geodesy.integrators._pairing_record.cache_clear()
+            with pytest.raises(TypeError) as cold:
+                call(bad)
+            call(good)
+            with pytest.raises(TypeError) as warm:
+                call(bad)
+            assert str(cold.value) == str(warm.value) == message
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("step", [mci_step, mgi_step])
     @pytest.mark.parametrize("t0, dt", [(0.0, 1e-320), (0.0, -1e-320), (3.0, 5e-309), (1.0, 1e-20)])
@@ -770,7 +802,7 @@ class TestStartingGuessAndPolish:
             poly = np.polynomial.Polynomial(rng.standard_normal(p + 1))
             values = poly(nodes)[None, :]
             want = poly(nodes[1:] + 2.0)[None, :]
-            npt.assert_allclose(values @ ahead, want, rtol=1e-11, atol=1e-11)
+            npt.assert_allclose(values @ ahead, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_driver_guesses_ahead_except_first_and_short_last_step(self, monkeypatch, method):
