@@ -1,12 +1,15 @@
 """Damped-free Newton solver for the implicit stage equations.
 
 The linear solves call LAPACK's dense LU routines directly: getrf factors
-with partial pivoting and getrs solves with the factors. A factorization
-whose smallest pivot falls below 1e-14 relative to the largest, or that has
-a non-finite pivot, is treated as singular rather than silently producing
-garbage; an exactly zero pivot, which getrf reports with info > 0, fails the
-same check. The Jacobian is the analytic callable when one is given,
-otherwise forward differences with a step scaled per component.
+with partial pivoting and getrs solves with the factors. They come from
+scipy's compiled LAPACK module, loaded on its own without importing
+scipy.linalg, which keeps a cold start short (see _lapack_getrf_getrs). A
+factorization whose smallest pivot falls below 1e-14 relative to the
+largest, or that has a non-finite pivot, is treated as singular rather than
+silently producing garbage; an exactly zero pivot, which getrf reports with
+info > 0, fails the same check. The Jacobian is the analytic callable when
+one is given, otherwise forward differences with a step scaled per
+component.
 
 Each iterate costs one residual evaluation, one Jacobian and one LU solve,
 and the loop keeps its small-array reductions to those its decisions need:
@@ -26,15 +29,49 @@ BIT 48, 2008). The iteration count and the reported residual norm are those
 before the polish.
 """
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import EvaluationError, NewtonNonConvergence, SingularJacobianError
+
+
+def _lapack_getrf_getrs():
+    """dgetrf and dgetrs from scipy's compiled LAPACK module, loaded alone.
+
+    Importing them through scipy.linalg runs scipy/__init__.py and
+    scipy/linalg/__init__.py, whose array-API layer imports numpy.f2py,
+    numpy.ma, numpy.testing and numpy.random: most of a cold start's time
+    and memory. The extension is loaded under its own name, so a later
+    import of scipy.linalg reuses it and its routines are the same objects.
+    An install where the lookup finds nothing falls back to scipy.linalg.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy_spec = importlib.util.find_spec("scipy")  # finds the package, does not import it
+        dirs = scipy_spec and scipy_spec.submodule_search_locations
+        spec = dirs and importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(d, "linalg") for d in dirs]
+        )
+        if not spec:
+            from scipy.linalg.lapack import dgetrf, dgetrs
+
+            return dgetrf, dgetrs
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module.dgetrf, module.dgetrs
+
+
+dgetrf, dgetrs = _lapack_getrf_getrs()
 
 _PIVOT_RTOL = 1e-14
 # a Newton update dx this small next to max|x| is rounding noise: the residual is at its floor
@@ -95,8 +132,8 @@ def forward_difference_jacobian(residual, x, r0=None):
 
 
 def _lu_factor_checked(J):
-    # J is copied, never overwritten; stage systems are small enough that the
-    # scipy lu_factor/lu_solve wrappers cost more than these calls
+    # J is copied, never overwritten; the raw LAPACK calls skip the argument checks
+    # that scipy's lu_factor/lu_solve wrappers would spend on these small stage systems
     lu, piv, _ = dgetrf(J)
     pivots = np.abs(lu.diagonal())
     pivots.sort()  # one call for both ends; a NaN pivot sorts last

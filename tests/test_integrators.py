@@ -14,6 +14,7 @@ from geodesy import (
     ElementGrid,
     EvaluationError,
     ElementSolution,
+    GeodesyError,
     IntegrationError,
     Method,
     NewtonConfig,
@@ -29,6 +30,7 @@ from geodesy import (
     mgi_step,
     nodal_eval_all,
     pointwise,
+    problem_names,
     rk4_step,
     sample_trajectory,
     symplectic_euler_step,
@@ -1234,6 +1236,37 @@ class TestIntegrateDriver:
         assert info.value.step == 4
         assert info.value.time == 2.0
         assert isinstance(info.value.__cause__, DomainError)
+
+
+class TestIntegrateSweep:
+    """Random runs of integrate fail only through the library's own errors.
+
+    Every problem and method, p = 1..8, dt log-uniform in [1e-3, 6], at most
+    20 steps, from a perturbed initial state, under the suite's -W error: a
+    run either raises GeodesyError or ValueError (arguments the method
+    rejects, such as an initial state outside the domain), or returns finite
+    states.
+    """
+
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("name", problem_names())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 8),
+        log_dt=st.floats(np.log(1e-3), np.log(6.0)),
+        span=st.floats(0.1, 20.0),
+        shift=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+    )
+    def test_fails_only_with_library_errors(self, name, method, p, log_dt, span, shift):
+        spec = get_problem(name)
+        dt = float(np.exp(log_dt))
+        y0 = spec.y0 + np.array(shift[: spec.system.dim]) * (1.0 + np.abs(spec.y0))
+        try:
+            traj = integrate(spec.system, method, y0, 0.0, span * dt, dt, p=p)
+        except (GeodesyError, ValueError):
+            return
+        assert 1 <= traj.steps <= 20
+        assert np.isfinite(traj.states).all()
 
 
 class TestSampling:
