@@ -51,23 +51,29 @@ def _lapack_getrf_getrs():
     numpy.ma, numpy.testing and numpy.random: most of a cold start's time
     and memory. The extension is loaded under its own name, so a later
     import of scipy.linalg reuses it and its routines are the same objects.
-    An install where the lookup finds nothing falls back to scipy.linalg.
+    If loading it alone raises ImportError (an install whose extensions need
+    scipy/__init__.py to run first, say to put a bundled BLAS on the DLL
+    search path), the half-loaded module is dropped and the routines come
+    through scipy.linalg instead.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
-        scipy_spec = importlib.util.find_spec("scipy")  # finds the package, does not import it
-        dirs = scipy_spec and scipy_spec.submodule_search_locations
-        spec = dirs and importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(d, "linalg") for d in dirs]
-        )
-        if not spec:
+        try:
+            scipy_spec = importlib.util.find_spec("scipy")  # finds the package, does not import it
+            spec = scipy_spec and importlib.machinery.PathFinder.find_spec(
+                name, [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations]
+            )
+            if spec is None:
+                raise ModuleNotFoundError(f"no {name} beside scipy", name=name)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+        except ImportError:
+            sys.modules.pop(name, None)
             from scipy.linalg.lapack import dgetrf, dgetrs
 
             return dgetrf, dgetrs
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
     return module.dgetrf, module.dgetrs
 
 

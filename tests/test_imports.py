@@ -10,6 +10,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import geodesy
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(geodesy.__file__)))
@@ -26,19 +28,36 @@ for k in range(10):
 print("\\n".join(records))
 """
 
-# makes the first lookup of _flapack, the one geodesy.newton makes itself, find nothing
-NO_DIRECT_LOOKUP = """
+# makes geodesy.newton's own load of _flapack, the first one, fail at one point: the lookup
+# finds nothing, creating the extension raises ImportError (an extension whose libraries are not
+# on the search path), or running it does; each failed module object is kept in `failed`
+FAILED_DIRECT_LOAD = """
 import importlib.machinery
-find_spec = importlib.machinery.PathFinder.find_spec
-missed = []
+PathFinder, Loader = importlib.machinery.PathFinder, importlib.machinery.ExtensionFileLoader
+failed = []
 
-def find_spec_without_flapack_once(fullname, path=None, target=None):
-    if fullname.rpartition(".")[2] == "_flapack" and not missed:
-        missed.append(fullname)
-        return None
-    return find_spec(fullname, path, target)
+def fails(fullname):
+    if fullname.rpartition(".")[2] == "_flapack" and not failed:
+        failed.append(fullname)
+        return True
+    return False
 
-importlib.machinery.PathFinder.find_spec = staticmethod(find_spec_without_flapack_once)
+def find_spec(fullname, path=None, target=None, real=PathFinder.find_spec):
+    return None if {where!r} == "find_spec" and fails(fullname) else real(fullname, path, target)
+
+def create_module(self, spec, real=Loader.create_module):
+    if {where!r} == "create_module" and fails(spec.name):
+        raise ImportError("creating " + spec.name + " failed")
+    return real(self, spec)
+
+def exec_module(self, module, real=Loader.exec_module):
+    if {where!r} == "exec_module" and fails(module.__name__):
+        failed.append(module)
+        raise ImportError("running " + module.__name__ + " failed")
+    return real(self, module)
+
+PathFinder.find_spec = staticmethod(find_spec)
+Loader.create_module, Loader.exec_module = create_module, exec_module
 """
 
 
@@ -74,14 +93,17 @@ def test_cold_start_loads_lapack_without_scipy_linalg():
     )
 
 
-def test_failed_direct_lookup_falls_back_to_scipy_linalg_bitwise():
+@pytest.mark.parametrize("where", ["find_spec", "create_module", "exec_module"])
+def test_failed_direct_load_falls_back_to_scipy_linalg_bitwise(where):
     fallback = run_fresh(
-        NO_DIRECT_LOOKUP
+        FAILED_DIRECT_LOAD.format(where=where)
         + """
 import sys
 import geodesy.newton
-assert missed == ["scipy.linalg._flapack"], missed
+assert failed[0] == "scipy.linalg._flapack", failed
 assert "scipy.linalg" in sys.modules
+# the half-loaded module was dropped: scipy.linalg loaded _flapack afresh
+assert all(sys.modules["scipy.linalg._flapack"] is not m for m in failed[1:])
 import scipy.linalg.lapack
 assert geodesy.newton.dgetrf is scipy.linalg.lapack.dgetrf
 assert geodesy.newton.dgetrs is scipy.linalg.lapack.dgetrs
