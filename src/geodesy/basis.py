@@ -206,10 +206,15 @@ def edge_eval_all(basis: EdgeBasis, x) -> np.ndarray:
     return -np.cumsum(nodal_deriv_all(basis.nodal, x), axis=-1)[..., :-1]
 
 
+def _samples(f, nodes, what: str) -> np.ndarray:
+    # f called at each node in turn; a non-finite value names the first node that gave one
+    values = np.array([f(x) for x in nodes], dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise EvaluationError(f"{what} is non-finite at node {float(nodes[~finite][0])!r}")
+    return values
+
+
 def integrate_quad(rule: QuadratureRule, f) -> float:
     """Apply the quadrature rule to a scalar callable on [-1, 1]."""
-    values = np.array([f(x) for x in rule.nodes], dtype=float)
-    if not np.all(np.isfinite(values)):
-        bad = rule.nodes[~np.isfinite(values)][0]
-        raise EvaluationError(f"integrand is non-finite at node {bad!r}")
-    return float(np.dot(rule.weights, values))
+    return float(np.dot(rule.weights, _samples(f, rule.nodes, "integrand")))

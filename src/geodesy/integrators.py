@@ -26,8 +26,10 @@ the row scale, D[l, m] = s_m e_l(tau_m) and P[nu, m] = s_m B[m, nu], so one
 residual, (c E) D / sqrt(g) - h P for nodal values c and field values h,
 serves both pairings; mci has no P and skips that product.
 
-Residuals carry a 1/sqrt(g) factor so Newton tolerances are expressed in
-vector-field units regardless of the step size. Stage unknowns are flattened
+One factory builds an element's residual and stage Jacobian over its stage
+buffer, for Newton in a step and for mci_residual/mgi_residual at a solved
+element's stages. Residuals carry a 1/sqrt(g) factor so Newton tolerances are
+in vector-field units whatever the step size. Stage unknowns are flattened
 variable-major (all stages of y_1, then y_2, ...). The stage Jacobian is the
 record's rate block over sqrt(g) minus one GEMM of its pairing weights with
 the field Jacobians at the q nodes. Steps accept negative dt (a reversed
@@ -182,31 +184,64 @@ def _first_domain_failure(sys: OdeSystem, y, block_reason):
     return 0, block_reason
 
 
-def _element_residual(sys, coeffs, pairing, t0, sqrt_g):
-    # the residual of the element held in coeffs, as a function of its states
-    # Yq = coeffs @ Lq at the quadrature nodes; what stays fixed over the
-    # element (the node names for errors, the row-scaled tables) is bound once
-    E, D, P, nodes = pairing.E, pairing.D, pairing.P, pairing.nodes
+def _element_callables(sys, coeffs, pairing, t0, sqrt_g):
+    # residual(z) and jacobian(z) (None without sys.jacobian) of the element in
+    # coeffs (M, p+1), y0 in column 0; each writes the stages z into columns 1..p
+    M, p, q = sys.dim, coeffs.shape[1] - 1, pairing.q
+    E, D, Lq, P, nodes = pairing.E, pairing.D, pairing.Lq, pairing.P, pairing.nodes
+    stages = coeffs[:, 1:]
+    # the iterate whose values the stage buffer holds and its quadrature
+    # states; the reference keeps that array alive, so identity means that iterate
+    held_z = held_Yq = None
 
     def where(n):
         return f"quadrature node {n} (t={t0 + (nodes[n] + 1.0) * sqrt_g:g})"
 
-    def residual(Yq):
-        h = _field_at(sys, Yq, where)
+    def residual(z):
+        nonlocal held_z, held_Yq
+        stages[...] = z.reshape(M, p)
+        held_z, held_Yq = z, coeffs @ Lq
+        h = _field_at(sys, held_Yq, where)
         if P is not None:  # collocation skips the product: its s B is exactly I
             h = h @ P
         # the coboundary coeffs @ E first: it differences nodal values exactly,
         # where a folded E @ D would round the differences into the table
         return ((coeffs @ E) @ D / sqrt_g - h).reshape(-1)
 
-    return residual
+    if sys.jacobian is None:
+        return residual, None
+    rate_block = pairing.rate / sqrt_g
+    weights = pairing.weights
+
+    def jacobian(z):
+        nonlocal held_z, held_Yq
+        # Newton takes the Jacobian at the iterate whose residual it has
+        # just evaluated, so the residual's states serve; any other z
+        # writes its own stages
+        if z is not held_z:
+            stages[...] = z.reshape(M, p)
+            held_z, held_Yq = z, coeffs @ Lq
+        Yq = held_Yq
+        Jh = np.asarray(sys.jacobian(Yq), dtype=float)
+        if Jh.shape != (q, M, M):
+            raise ValueError(
+                f"jacobian returned shape {Jh.shape} for states of shape {Yq.shape}, expected"
+                f" {(q, M, M)}; wrap a jacobian written for one state with"
+                " geodesy.systems.pointwise"
+            )
+        field_block = (weights @ Jh.reshape(q, M * M)).reshape(p, p, M, M)
+        return rate_block - field_block.transpose(2, 0, 3, 1).reshape(M * p, M * p)
+
+    return residual, jacobian
 
 
 def _public_residual(sys, sol, method, q_rhs):
-    coeffs = sol.coefficients
+    # the step's own residual, on a writable copy of the record, at its stages
+    coeffs = sol.coefficients.copy()
     pairing = _pairing(method, coeffs.shape[1] - 1, q_rhs, sol.dim)
     sqrt_g = _half_length(sol.t_start, sol.t_end, sol.t_end - sol.t_start)
-    return _element_residual(sys, coeffs, pairing, sol.t_start, sqrt_g)(coeffs @ pairing.Lq)
+    residual, _ = _element_callables(sys, coeffs, pairing, sol.t_start, sqrt_g)
+    return residual(coeffs[:, 1:].reshape(-1))
 
 
 def mci_residual(sys: OdeSystem, sol: ElementSolution) -> np.ndarray:
@@ -240,53 +275,16 @@ def _half_length(t_start, t_end, dt) -> float:
 def _solve_element(sys, y0, t0, dt, pairing, config, coeffs, previous=None) -> int:
     # solves [t0, t0 + dt] into coeffs (M, p+1): y0 in column 0, the stages z in
     # 1..p; previous, the preceding element of equal length, seeds the guess
-    M, p, q = sys.dim, coeffs.shape[1] - 1, pairing.q
     sqrt_g = _half_length(t0, t0 + dt, dt)
-    Lq = pairing.Lq
     coeffs[:, 0] = y0
-    stages = coeffs[:, 1:]
-    pairing_residual = _element_residual(sys, coeffs, pairing, t0, sqrt_g)
-    # the iterate whose values the stage buffer holds and its quadrature
-    # states; the reference keeps that array alive, so identity means that iterate
-    held_z = held_Yq = None
-
-    def residual(z):
-        nonlocal held_z, held_Yq
-        stages[...] = z.reshape(M, p)
-        held_z, held_Yq = z, coeffs @ Lq
-        return pairing_residual(held_Yq)
-
-    jacobian = None
-    if sys.jacobian is not None:
-        rate_block = pairing.rate / sqrt_g
-        weights = pairing.weights
-
-        def jacobian(z):
-            nonlocal held_z, held_Yq
-            # Newton takes the Jacobian at the iterate whose residual it has
-            # just evaluated, so the residual's states serve; any other z
-            # writes its own stages
-            if z is not held_z:
-                stages[...] = z.reshape(M, p)
-                held_z, held_Yq = z, coeffs @ Lq
-            Yq = held_Yq
-            Jh = np.asarray(sys.jacobian(Yq), dtype=float)
-            if Jh.shape != (q, M, M):
-                raise ValueError(
-                    f"jacobian returned shape {Jh.shape} for states of shape {Yq.shape}, expected"
-                    f" {(q, M, M)}; wrap a jacobian written for one state with"
-                    " geodesy.systems.pointwise"
-                )
-            field_block = (weights @ Jh.reshape(q, M * M)).reshape(p, p, M, M)
-            return rate_block - field_block.transpose(2, 0, 3, 1).reshape(M * p, M * p)
-
+    residual, jacobian = _element_callables(sys, coeffs, pairing, t0, sqrt_g)
     if previous is None:
         # a cold guess holds y0 at every stage: np.repeat(y0, p), from the float copy in column 0
-        guess = coeffs[:, 0].repeat(p)
+        guess = coeffs[:, 0].repeat(coeffs.shape[1] - 1)
     else:
         guess = (previous @ pairing.ahead).reshape(-1)
     result = newton_solve(residual, guess, config, jacobian=jacobian)
-    stages[...] = result.x.reshape(M, p)
+    coeffs[:, 1:] = result.x.reshape(sys.dim, -1)
     return result.iterations
 
 

@@ -31,12 +31,12 @@ from .basis import (
     NodalBasis,
     QuadratureRule,
     _read_only,
+    _samples,
     edge_eval_all,
     gauss_rule,
     gll_rule,
     nodal_eval_all,
 )
-from .errors import EvaluationError
 
 # quadrature points per sub-interval when reducing a density to a 1-cochain
 _REDUCE1_EXTRA = 4
@@ -144,11 +144,7 @@ def reduce0(f, grid: ElementGrid, target: CochainKind) -> Cochain:
         nodes = grid.dual.nodes
     else:
         raise TypeError(f"reduce0 target must be a 0-cochain kind, got {target}")
-    values = np.array([f(x) for x in nodes], dtype=float)
-    if not np.all(np.isfinite(values)):
-        bad = nodes[~np.isfinite(values)][0]
-        raise EvaluationError(f"sample is non-finite at node {bad!r}")
-    return Cochain(target, values)
+    return Cochain(target, _samples(f, nodes, "sample"))
 
 
 def reduce1(density, grid: ElementGrid) -> Cochain:
@@ -163,9 +159,7 @@ def reduce1(density, grid: ElementGrid) -> Cochain:
     for j in range(grid.p):
         a, b = xi[j], xi[j + 1]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        samples = np.array([density(mid + half * s) for s in rule.nodes], dtype=float)
-        if not np.all(np.isfinite(samples)):
-            raise EvaluationError(f"density is non-finite inside interval ({a!r}, {b!r})")
+        samples = _samples(density, mid + half * rule.nodes, "density")
         values[j] = half * np.dot(rule.weights, samples)
     return Cochain(CochainKind.PRIMAL1, values)
 

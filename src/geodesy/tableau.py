@@ -2,19 +2,19 @@
 
 The stage unknowns of the collocation integrator are the solution values at
 the interior and final Gauss-Lobatto nodes; a Runge-Kutta method wants stage
-derivative values at the Gauss nodes instead. The change of variables runs
-through two small matrices: A with entries e_l(tau_j) (edge functions at the
-dual nodes) and the inverse incidence difference, a lower-triangular matrix
-of ones. Composing with the nodal basis evaluated at the dual nodes yields
-the classical (A, b, c) arrays, which coincide with Gauss collocation.
+derivative values at the Gauss nodes instead. The step's own pairing record
+holds the change of variables: half the inverse of its rate block maps stage
+derivatives to increments at the Gauss-Lobatto nodes, and the nodal basis at
+the dual nodes then yields the classical (A, b, c) arrays, which coincide
+with Gauss collocation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _read_only, edge_eval_all, nodal_eval_all
-from .mimetic import _reference_element
+from .basis import _read_only
+from .integrators import Method, _pairing
 
 _SUM_B_TOL = 1e-13
 _ROW_SUM_TOL = 1e-12
@@ -52,26 +52,19 @@ class ButcherTableau:
 def butcher_tableau_mci(p: int) -> ButcherTableau:
     """Extract the s = p tableau of the collocation-pairing integrator.
 
-    Builds A[i, l] = e_l at the i-th dual node, inverts it (condition
-    estimate guarded), forms G = (1/2) Ehat^{-1} A^{-1} mapping stage
-    derivatives to increments at the Gauss-Lobatto nodes, and reads off
-    a = Lhat G with Lhat the nodal basis at the dual nodes, b = last row
-    of G, c = dual nodes mapped to (0, 1).
+    Reads the step's cached MCI pairing record: rate[m, b] is sqrt(g) times
+    the rate at dual node m per unit increment y(x_b) - y0, so collocation
+    reads rate @ increments = (dt/2) k for stage derivatives k, and
+    G = (1/2) rate^{-1} (condition estimate guarded) maps k to increments
+    per unit dt. a = Lhat G with Lhat[i, b] = l_b(tau_i), b = last row of G,
+    c = dual nodes mapped to (0, 1).
     """
-    ref = _reference_element(p)
-    tau = ref.dual.nodes
-    A = edge_eval_all(ref.edge_basis, tau)
-    cond = np.linalg.cond(A)
+    pairing = _pairing(Method.MCI, p, None, 1)
+    cond = np.linalg.cond(pairing.rate)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise ValueError(f"edge evaluation matrix is ill-conditioned (cond ~ {cond:.3e})")
-    ehat_inv = np.tril(np.ones((p, p)))
-    G = 0.5 * ehat_inv @ np.linalg.inv(A)
-    # nodal basis functions 1..p (the unknown columns) at the dual nodes
-    lhat = nodal_eval_all(ref.primal_basis, tau)[:, 1:]
-    a_rk = lhat @ G
-    b = G[-1, :]
-    c = 0.5 * (tau + 1.0)
-    return ButcherTableau(a_rk, b, c)
+        raise ValueError(f"collocation rate block is ill-conditioned (cond ~ {cond:.3e})")
+    G = 0.5 * np.linalg.inv(pairing.rate)
+    return ButcherTableau(pairing.Lq[1:].T @ G, G[-1], 0.5 * (pairing.nodes + 1.0))
 
 
 def gauss_collocation_tableau(p: int) -> ButcherTableau:

@@ -388,6 +388,13 @@ class TestIntegrateQuad:
         with pytest.raises(EvaluationError):
             integrate_quad(rule, lambda x: np.inf if x > 0 else 1.0)
 
+    def test_nonfinite_integrand_names_its_node(self):
+        # the first node with a non-finite value, printed as a plain float
+        rule = gauss_rule(3)
+        with pytest.raises(EvaluationError) as info:
+            integrate_quad(rule, lambda x: np.inf if x > 0 else 1.0)
+        assert str(info.value) == f"integrand is non-finite at node {float(rule.nodes[2])!r}"
+
 
 # each record keeps its own read-only float copy of the array it is built
 # from; the caller's array stays writable and the record does not see it change

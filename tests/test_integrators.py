@@ -259,6 +259,27 @@ class TestResiduals:
                 res = mgi_residual(kep.system, sol, default_qrhs(3))
             assert np.max(np.abs(res)) <= 1e-12
 
+    @pytest.mark.parametrize("step", [mci_step, mgi_step])
+    @pytest.mark.parametrize("problem, analytic", [("kepler", True), ("lotka-volterra", False)])
+    @pytest.mark.parametrize("dt", [0.1, -0.1])
+    def test_public_residuals_are_the_steps_own(self, monkeypatch, step, problem, analytic, dt):
+        # the residual a step hands to Newton, read at the stages it accepted,
+        # is bitwise the public residual of the element it returned, with the
+        # analytic Jacobian and without one
+        spec = get_problem(problem)
+        sys = spec.system if analytic else dataclasses.replace(spec.system, jacobian=None)
+        sols = []
+        residual, jacobian, _ = _stage_callables(
+            monkeypatch, lambda: sols.append(step(sys, spec.y0, 0.2, dt, 3))
+        )
+        assert (jacobian is not None) is analytic
+        (sol,) = sols
+        if step is mci_step:
+            public = mci_residual(sys, sol)
+        else:
+            public = mgi_residual(sys, sol, default_qrhs(3))
+        npt.assert_array_equal(residual(sol.coefficients[:, 1:].reshape(-1)), public)
+
     def test_residual_rows_are_variable_major(self):
         # With a constant field (0, 1000) and the constant-in-time candidate,
         # the rate term vanishes, so the residual is -field per stage:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodesy.basis import gauss_rule
 from geodesy.errors import EvaluationError
 from geodesy.mimetic import (
     Cochain,
@@ -165,6 +166,17 @@ class TestReduction:
         grid = ElementGrid.build(1, 0.0, 1.0)
         c = reduce1(lambda t: t * t, grid)
         npt.assert_allclose(c.values, [2 / 3], atol=1e-14)
+
+    def test_reduce1_nonfinite_names_the_point(self):
+        # the message names the first sample point whose density is not
+        # finite: on p=2, the first point of the mapped p + 4 Gauss rule on
+        # the second sub-interval (0, 1) past 0.6
+        grid = ElementGrid.build(2, 0.0, 1.0)
+        points = 0.5 + 0.5 * gauss_rule(6).nodes
+        bad = float(points[points > 0.6][0])
+        with pytest.raises(EvaluationError) as info:
+            reduce1(lambda t: np.nan if t > 0.6 else t, grid)
+        assert str(info.value) == f"density is non-finite at node {bad!r}"
 
     @pytest.mark.parametrize("p", list(range(1, 9)))
     def test_commuting_diagram(self, p):

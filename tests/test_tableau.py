@@ -4,7 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from geodesy import NewtonConfig, get_problem, mci_step
 from geodesy.tableau import ButcherTableau, butcher_tableau_mci, gauss_collocation_tableau
+
+from helpers import gauss_irk_step
 
 
 def test_p1_is_implicit_midpoint():
@@ -81,3 +84,14 @@ def test_tableau_immutable():
     tab = butcher_tableau_mci(2)
     with pytest.raises(ValueError):
         tab.a[0, 0] = 9.9
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_extracted_tableau_steps_as_the_collocation_integrator(p):
+    # the tables read off the step's own pairing record, run as an implicit
+    # Runge-Kutta method, take the step mci_step takes
+    kep = get_problem("kepler")
+    tab = butcher_tableau_mci(p)
+    y_irk = gauss_irk_step(kep.system.field, kep.y0, 0.01, tab.a, tab.b)
+    y_mci = mci_step(kep.system, kep.y0, 0.0, 0.01, p, config=NewtonConfig(abs_tol=1e-13))
+    npt.assert_allclose(y_irk, y_mci.endpoint(), rtol=0.0, atol=1e-14)
