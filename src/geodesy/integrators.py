@@ -24,11 +24,16 @@ unit ElementGrid of order p and cached; one resolver picks it from the
 method, and q_rhs (default 2p + 10) is an mgi setting only. Its tables carry
 the row scale, D[l, m] = s_m e_l(tau_m) and P[nu, m] = s_m B[m, nu], so one
 residual, (c E) D / sqrt(g) - h P for nodal values c and field values h,
-serves both pairings; mci has no P and skips that product.
+serves both pairings; mci has no P and skips that product. One product
+c [Lq | E] gives both the quadrature states c Lq and the coboundary c E, whose
+entries are each one exactly rounded difference of nodal values.
 
 One factory builds an element's residual and stage Jacobian over its stage
-buffer, for Newton in a step and for mci_residual/mgi_residual at a solved
-element's stages. Residuals carry a 1/sqrt(g) factor so Newton tolerances are
+buffer, once per buffer: once per integrate run, which solves every element
+in one buffer, and once per public step or public residual
+(mci_residual/mgi_residual, at a solved element's stages). A bind call then
+sets each element's bounds, which the error messages name, and its rate block
+over sqrt(g). Residuals carry a 1/sqrt(g) factor so Newton tolerances are
 in vector-field units whatever the step size. Stage unknowns are flattened
 variable-major (all stages of y_1, then y_2, ...). The stage Jacobian is the
 record's rate block over sqrt(g) minus one GEMM of its pairing weights with
@@ -59,7 +64,7 @@ import numpy as np
 from .basis import _check_order, _read_only, edge_eval_all, gauss_rule, nodal_eval_all
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
 from .mimetic import _reference_element, incidence_matrix
-from .newton import NewtonConfig, newton_solve
+from .newton import NewtonConfig, _all, newton_solve
 from .systems import OdeSystem
 
 class Method(enum.Enum):
@@ -83,6 +88,8 @@ class _Pairing(NamedTuple):
     # one pairing of order p on a q-point rule for dimension M; read-only, cached per key
     q: int  # quadrature size, p for the collocation pairing
     E: np.ndarray  # incidence, (p+1, p)
+    # [Lq | E], (p+1, q+p): one product coeffs @ LE gives the quadrature states and the coboundary
+    LE: np.ndarray
     D: np.ndarray  # edge functions at the dual nodes, row-scaled: D[l, m] = s_m e_l(tau_m)
     Lq: np.ndarray  # nodal basis at the quadrature nodes, (p+1, q)
     P: Optional[np.ndarray]  # P[nu, m] = s_m B[m, nu], (q, p); None for collocation, where s B = I
@@ -114,9 +121,10 @@ def _pairing_record(p: int, q: int, galerkin: bool, M: int) -> _Pairing:
     factors = (x[1:, None, None] + 2.0 - x) / span
     factors[:, range(p + 1), range(p + 1)] = 1.0
     ahead = factors.prod(axis=-1).T
-    for arr in (D, Lq, Pfull, rate, weights, ahead):
+    LE = np.concatenate((Lq, E), axis=1)
+    for arr in (LE, D, Lq, Pfull, rate, weights, ahead):
         arr.setflags(write=False)
-    return _Pairing(q, E, D, Lq, P, quad.nodes, rate, weights, ahead)
+    return _Pairing(q, E, LE, D, Lq, P, quad.nodes, rate, weights, ahead)
 
 
 def _pairing(method: Method, p: int, q_rhs: Optional[int], M: int) -> _Pairing:
@@ -169,7 +177,7 @@ def _field_at(sys: OdeSystem, y, where) -> np.ndarray:
             f" {y.shape}; wrap a field written for one state with geodesy.systems.pointwise"
         )
     finite = np.isfinite(h)
-    if not finite.all():
+    if not _all(finite, axis=None):
         j = int(np.argmin(finite.reshape(len(h), -1).all(axis=0)))
         raise EvaluationError(f"vector field is non-finite at {where(j)}")
     return h
@@ -184,15 +192,25 @@ def _first_domain_failure(sys: OdeSystem, y, block_reason):
     return 0, block_reason
 
 
-def _element_callables(sys, coeffs, pairing, t0, sqrt_g):
-    # residual(z) and jacobian(z) (None without sys.jacobian) of the element in
-    # coeffs (M, p+1), y0 in column 0; each writes the stages z into columns 1..p
+def _element_callables(sys, coeffs, pairing):
+    # bind(t0, sqrt_g), residual(z) and jacobian(z) (None without sys.jacobian)
+    # of the element in coeffs (M, p+1), y0 in column 0; residual and jacobian
+    # write the stages z into columns 1..p. Built once per buffer, bound per
+    # element: bind sets the bounds the error messages name and the rate block
     M, p, q = sys.dim, coeffs.shape[1] - 1, pairing.q
-    E, D, Lq, P, nodes = pairing.E, pairing.D, pairing.Lq, pairing.P, pairing.nodes
+    LE, D, P, nodes = pairing.LE, pairing.D, pairing.P, pairing.nodes
     stages = coeffs[:, 1:]
     # the iterate whose values the stage buffer holds and its quadrature
     # states; the reference keeps that array alive, so identity means that iterate
     held_z = held_Yq = None
+    t0 = sqrt_g = rate_block = None
+
+    def bind(t_start, half_length):
+        nonlocal t0, sqrt_g, rate_block, held_z, held_Yq
+        t0, sqrt_g = t_start, half_length
+        if sys.jacobian is not None:
+            rate_block = pairing.rate / sqrt_g
+        held_z = held_Yq = None
 
     def where(n):
         return f"quadrature node {n} (t={t0 + (nodes[n] + 1.0) * sqrt_g:g})"
@@ -200,17 +218,18 @@ def _element_callables(sys, coeffs, pairing, t0, sqrt_g):
     def residual(z):
         nonlocal held_z, held_Yq
         stages[...] = z.reshape(M, p)
-        held_z, held_Yq = z, coeffs @ Lq
+        # the coboundary comes from the same product as the states: each entry
+        # of coeffs @ E is one exactly rounded difference of nodal values,
+        # where a folded E @ D would round the differences into the table
+        both = coeffs @ LE
+        held_z, held_Yq = z, both[:, :q]
         h = _field_at(sys, held_Yq, where)
         if P is not None:  # collocation skips the product: its s B is exactly I
             h = h @ P
-        # the coboundary coeffs @ E first: it differences nodal values exactly,
-        # where a folded E @ D would round the differences into the table
-        return ((coeffs @ E) @ D / sqrt_g - h).reshape(-1)
+        return (both[:, q:] @ D / sqrt_g - h).reshape(-1)
 
     if sys.jacobian is None:
-        return residual, None
-    rate_block = pairing.rate / sqrt_g
+        return bind, residual, None
     weights = pairing.weights
 
     def jacobian(z):
@@ -220,7 +239,7 @@ def _element_callables(sys, coeffs, pairing, t0, sqrt_g):
         # writes its own stages
         if z is not held_z:
             stages[...] = z.reshape(M, p)
-            held_z, held_Yq = z, coeffs @ Lq
+            held_z, held_Yq = z, (coeffs @ LE)[:, :q]
         Yq = held_Yq
         Jh = np.asarray(sys.jacobian(Yq), dtype=float)
         if Jh.shape != (q, M, M):
@@ -232,15 +251,15 @@ def _element_callables(sys, coeffs, pairing, t0, sqrt_g):
         field_block = (weights @ Jh.reshape(q, M * M)).reshape(p, p, M, M)
         return rate_block - field_block.transpose(2, 0, 3, 1).reshape(M * p, M * p)
 
-    return residual, jacobian
+    return bind, residual, jacobian
 
 
 def _public_residual(sys, sol, method, q_rhs):
     # the step's own residual, on a writable copy of the record, at its stages
     coeffs = sol.coefficients.copy()
     pairing = _pairing(method, coeffs.shape[1] - 1, q_rhs, sol.dim)
-    sqrt_g = _half_length(sol.t_start, sol.t_end, sol.t_end - sol.t_start)
-    residual, _ = _element_callables(sys, coeffs, pairing, sol.t_start, sqrt_g)
+    bind, residual, _ = _element_callables(sys, coeffs, pairing)
+    bind(sol.t_start, _half_length(sol.t_start, sol.t_end, sol.t_end - sol.t_start))
     return residual(coeffs[:, 1:].reshape(-1))
 
 
@@ -272,19 +291,20 @@ def _half_length(t_start, t_end, dt) -> float:
     return sqrt_g
 
 
-def _solve_element(sys, y0, t0, dt, pairing, config, coeffs, previous=None) -> int:
-    # solves [t0, t0 + dt] into coeffs (M, p+1): y0 in column 0, the stages z in
-    # 1..p; previous, the preceding element of equal length, seeds the guess
-    sqrt_g = _half_length(t0, t0 + dt, dt)
+def _solve_element(coeffs, pairing, callables, y0, t0, dt, config, previous=None) -> int:
+    # solves [t0, t0 + dt] into coeffs (M, p+1), the buffer callables were built
+    # over: y0 in column 0, the stages z in 1..p; previous, the preceding
+    # element of equal length, seeds the guess
+    bind, residual, jacobian = callables
+    bind(t0, _half_length(t0, t0 + dt, dt))
     coeffs[:, 0] = y0
-    residual, jacobian = _element_callables(sys, coeffs, pairing, t0, sqrt_g)
     if previous is None:
         # a cold guess holds y0 at every stage: np.repeat(y0, p), from the float copy in column 0
         guess = coeffs[:, 0].repeat(coeffs.shape[1] - 1)
     else:
         guess = (previous @ pairing.ahead).reshape(-1)
     result = newton_solve(residual, guess, config, jacobian=jacobian)
-    coeffs[:, 1:] = result.x.reshape(sys.dim, -1)
+    coeffs[:, 1:] = result.x.reshape(len(coeffs), -1)
     return result.iterations
 
 
@@ -307,7 +327,8 @@ def _element_step(sys, y0, t0, dt, p, pairing, config):
     _require_finite(t0=t0, dt=dt)
     y0 = _initial_state(sys, y0)
     coeffs = np.empty((sys.dim, p + 1))
-    iterations = _solve_element(sys, y0, t0, dt, pairing, config, coeffs)
+    callables = _element_callables(sys, coeffs, pairing)
+    iterations = _solve_element(coeffs, pairing, callables, y0, t0, dt, config)
     # the record copies coeffs, which the callables keep writing into after the step returns
     return ElementSolution(t0, t0 + dt, coeffs, iterations)
 
@@ -461,6 +482,7 @@ def integrate(
         coefficients = np.empty((n, sys.dim, p + 1))
         newton_iterations = np.empty(n, dtype=int)
         work = np.empty((sys.dim, p + 1))  # the element being solved
+        callables = _element_callables(sys, work, pairing)
 
     y, previous = y0, None
     for k in range(n):
@@ -474,7 +496,7 @@ def integrate(
                 if k == n - 1 and h < dt - slack:
                     previous = None
                 newton_iterations[k] = _solve_element(
-                    sys, y, t_a, h, pairing, newton, work, previous
+                    work, pairing, callables, y, t_a, h, newton, previous
                 )
                 coefficients[k] = work
                 y, previous = coefficients[k, :, -1], coefficients[k]

@@ -16,7 +16,11 @@ and the loop keeps its small-array reductions to those its decisions need:
 max|r| for the stop and finiteness tests, max|dx| and max|x| once there is
 an update (the stall test, then the divergence test), the Jacobian's
 entrywise finiteness test and one sort of the pivots, which gives the
-smallest and the largest at once.
+smallest and the largest at once. The reductions call the ufuncs' own reduce
+with axis=None (np.maximum.reduce, np.logical_and.reduce): ndarray.max() and
+.all() run a Python function in numpy's _methods module on every call, which
+on arrays this small costs more than the reduction. The update dx = J^-1 r is
+solved from r itself and applied as x - dx, with no negated copy of r.
 
 A solve that meets abs_tol after at least one update is polished: one more
 update x <- x - J^-1 r(x) with the last LU factors, a single getrs call with
@@ -79,6 +83,9 @@ def _lapack_getrf_getrs():
 
 dgetrf, dgetrs = _lapack_getrf_getrs()
 
+# called with axis=None, as ndarray.max()/.all() add a Python frame per call on tiny arrays
+_max, _all = np.maximum.reduce, np.logical_and.reduce
+
 _PIVOT_RTOL = 1e-14
 # a Newton update dx this small next to max|x| is rounding noise: the residual is at its floor
 _STALL_RTOL = 4 * np.finfo(float).eps
@@ -131,7 +138,7 @@ def forward_difference_jacobian(residual, x, r0=None):
         r0 = np.asarray(residual(x), dtype=float)
     n = len(x)
     h = _FD_STEP * (1.0 + np.abs(x))
-    shifted = np.tile(x, (n, 1))
+    shifted = x[None, :].repeat(n, 0)
     shifted.flat[:: n + 1] += h
     probes = np.array([np.asarray(residual(xp), dtype=float) for xp in shifted])
     return ((probes - r0) / h[:, None]).T
@@ -174,7 +181,7 @@ def newton_solve(
     updates = []  # max|dx| per update
     while True:
         r = np.asarray(residual(x), dtype=float)
-        norm = float(np.abs(r).max())  # NaN or inf when any entry is
+        norm = float(_max(np.abs(r), axis=None))  # NaN or inf when any entry is
         if not math.isfinite(norm):
             where = "during Newton iteration" if iterations else "at the initial guess"
             raise EvaluationError(f"residual is non-finite {where}")
@@ -183,9 +190,9 @@ def newton_solve(
                 x = x - dgetrs(lu, piv, r)[0]
             return NewtonResult(x, iterations, norm)
         if iterations:
-            update = float(np.abs(dx).max())
+            update = float(_max(np.abs(dx), axis=None))
             updates.append(update)
-            x_max = float(np.abs(x).max())
+            x_max = float(_max(np.abs(x), axis=None))
             if update <= _STALL_RTOL * x_max:
                 return NewtonResult(x, iterations, norm)
             stuck = iterations > _DIVERGENCE_WINDOW and update >= updates[-1 - _DIVERGENCE_WINDOW]
@@ -211,9 +218,9 @@ def newton_solve(
             J = np.asarray(jacobian(x), dtype=float)
         else:
             J = forward_difference_jacobian(residual, x, r)
-        if not np.isfinite(J).all():
+        if not _all(np.isfinite(J), axis=None):
             raise EvaluationError("Jacobian is non-finite during Newton iteration")
         lu, piv = _lu_factor_checked(J)
-        dx = dgetrs(lu, piv, -r)[0]
-        x = x + dx
+        dx = dgetrs(lu, piv, r)[0]  # the update is -dx: x - dx, with no negated copy of r
+        x = x - dx
         iterations += 1

@@ -13,13 +13,14 @@ from .errors import DomainError
 from .systems import OdeSystem, SeparablePartition
 
 
-def _jacobian(y, dim, entries):
-    # (dim, dim) for a state, (n, dim, dim) for a (dim, n) block; entries maps
-    # (i, k) to dh_i/dy_k, a constant or one value per column of y
-    J = np.zeros(np.shape(y)[1:] + (dim, dim))
-    for (i, k), value in entries.items():
-        J[..., i, k] = value
-    return J
+# called with axis=None, as ndarray.any() adds a Python frame per call on tiny arrays
+_any = np.logical_or.reduce
+
+
+def _zero_jacobian(y, dim):
+    # (dim, dim) zeros for a state, (n, dim, dim) for a (dim, n) block; the
+    # problems assign their nonzero entries dh_i/dy_k into J[..., i, k]
+    return np.zeros(np.shape(y)[1:] + (dim, dim))
 
 
 # uniform rotation y_1' = y_2, y_2' = -y_1 of the circle and the harmonic oscillator
@@ -28,7 +29,10 @@ def _rotation_field(y):
 
 
 def _rotation_jacobian(y):
-    return _jacobian(y, 2, {(0, 1): 1.0, (1, 0): -1.0})
+    J = _zero_jacobian(y, 2)
+    J[..., 0, 1] = 1.0
+    J[..., 1, 0] = -1.0
+    return J
 
 
 def _rotation_exact(t, y0):
@@ -90,8 +94,12 @@ def make_lotka_volterra() -> ProblemSpec:
         return np.array([y[0] * (y[1] - 2.0), y[1] * (1.0 - y[0])])
 
     def jac(y):
-        entries = {(0, 0): y[1] - 2.0, (0, 1): y[0], (1, 0): -y[1], (1, 1): 1.0 - y[0]}
-        return _jacobian(y, 2, entries)
+        J = _zero_jacobian(y, 2)
+        J[..., 0, 0] = y[1] - 2.0
+        J[..., 0, 1] = y[0]
+        J[..., 1, 0] = -y[1]
+        J[..., 1, 1] = 1.0 - y[0]
+        return J
 
     def v(y):
         if y[0] <= 0.0 or y[1] <= 0.0:
@@ -99,7 +107,7 @@ def make_lotka_volterra() -> ProblemSpec:
         return -y[0] + np.log(y[0]) - y[1] + 2.0 * np.log(y[1])
 
     def domain(y):
-        if not (y <= 0.0).any():
+        if not _any(y <= 0.0, axis=None):
             return None
         cols = y.reshape(2, -1)
         y1, y2 = cols[:, (cols <= 0.0).any(axis=0).argmax()]
@@ -125,7 +133,10 @@ def make_pendulum() -> ProblemSpec:
         return np.array([-10.0 * np.sin(y[1]), y[0]])
 
     def jac(y):
-        return _jacobian(y, 2, {(0, 1): -10.0 * np.cos(y[1]), (1, 0): 1.0})
+        J = _zero_jacobian(y, 2)
+        J[..., 0, 1] = -10.0 * np.cos(y[1])
+        J[..., 1, 0] = 1.0
+        return J
 
     def energy(y):
         return 0.5 * y[0] ** 2 - 10.0 * np.cos(y[1])
@@ -159,18 +170,14 @@ def make_kepler() -> ProblemSpec:
         r3 = r2**1.5
         r5 = r2**2.5
         cross = 3.0 * q1 * q2 / r5
-        return _jacobian(
-            y,
-            4,
-            {
-                (0, 2): -1.0 / r3 + 3.0 * q1 * q1 / r5,
-                (0, 3): cross,
-                (1, 2): cross,
-                (1, 3): -1.0 / r3 + 3.0 * q2 * q2 / r5,
-                (2, 0): 1.0,
-                (3, 1): 1.0,
-            },
-        )
+        J = _zero_jacobian(y, 4)
+        J[..., 0, 2] = -1.0 / r3 + 3.0 * q1 * q1 / r5
+        J[..., 0, 3] = cross
+        J[..., 1, 2] = cross
+        J[..., 1, 3] = -1.0 / r3 + 3.0 * q2 * q2 / r5
+        J[..., 2, 0] = 1.0
+        J[..., 3, 1] = 1.0
+        return J
 
     def energy(y):
         p1, p2, q1, q2 = y
@@ -182,7 +189,7 @@ def make_kepler() -> ProblemSpec:
 
     def domain(y):
         r2 = y[2] ** 2 + y[3] ** 2
-        if not (r2 < 1e-12).any():
+        if not _any(r2 < 1e-12, axis=None):
             return None
         r2 = np.atleast_1d(r2)
         return f"bodies collide: |q|^2 = {r2[(r2 < 1e-12).argmax()]:.3e}"

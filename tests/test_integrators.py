@@ -296,8 +296,9 @@ def _driver_step(sys, method, y0, t0, dt, p, previous, q_rhs=None):
     # one element solved as integrate solves it, started from previous
     coeffs = np.empty((sys.dim, p + 1))
     rec = geodesy.integrators._pairing(method, p, q_rhs, sys.dim)
+    callables = geodesy.integrators._element_callables(sys, coeffs, rec)
     iterations = geodesy.integrators._solve_element(
-        sys, y0, t0, dt, rec, NewtonConfig(), coeffs, previous
+        coeffs, rec, callables, y0, t0, dt, NewtonConfig(), previous
     )
     return coeffs, iterations
 
@@ -678,7 +679,7 @@ class TestStepBuffers:
         assert rec.rate.shape == (3 * M, 3 * M)
         assert rec.weights.shape == (3 * 3, q)
         arrays = [field for field in rec if isinstance(field, np.ndarray)]
-        assert len(arrays) == (8 if method is Method.MGI else 7)
+        assert len(arrays) == (9 if method is Method.MGI else 8)
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -731,6 +732,57 @@ class TestStepBuffers:
         npt.assert_array_equal(sol.coefficients, stored)
         z_final = sol.coefficients[:, 1:].reshape(-1)
         npt.assert_array_equal(residual(z_final), mci_residual(pend.system, sol))
+
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_integrate_builds_the_callables_once(self, monkeypatch, method):
+        pend = get_problem("pendulum")
+        built, solved = [], []
+        factory, solve = geodesy.integrators._element_callables, geodesy.integrators.newton_solve
+
+        def counted(*args):
+            built.append(args)
+            return factory(*args)
+
+        def spy(residual, x0, config, jacobian=None):
+            solved.append((residual, jacobian))
+            return solve(residual, x0, config, jacobian=jacobian)
+
+        monkeypatch.setattr(geodesy.integrators, "_element_callables", counted)
+        monkeypatch.setattr(geodesy.integrators, "newton_solve", spy)
+        integrate(pend.system, method, pend.y0, 0.0, 1.0, 0.1, p=2)
+        assert len(built) == 1 and len(solved) == 10
+        assert all(pair == solved[0] for pair in solved)
+
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    @pytest.mark.parametrize("tf", [3.0, 1.24])
+    def test_rebound_callables_name_their_own_step(self, method, tf):
+        # the rotation y = (2 sin t, 2 cos t) leaves the domain y[0] <= 1.88 first
+        # inside step 12: at tf = 3 a full step 1.2..1.3 started from the previous
+        # element, at tf = 1.24 a shortened last step 1.2..1.24 started cold. The
+        # node time in the message comes from the bounds bound for that step, so
+        # the callables' first t0, or the full steps' half-length, would put it outside
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+        def domain(y):
+            over = y.reshape(2, -1)[0] > 1.88
+            return f"y[0] = {y.reshape(2, -1)[0, over.argmax()]:.6g}" if over.any() else None
+
+        sys = OdeSystem(
+            dim=2,
+            field=lambda y: A @ y,
+            jacobian=lambda y: np.broadcast_to(A, (y.reshape(2, -1).shape[1], 2, 2)),
+            domain_check=domain,
+        )
+        with pytest.raises(IntegrationError) as info:
+            integrate(sys, method, np.array([0.0, 2.0]), 0.0, tf, 0.1, p=2)
+        err = info.value
+        assert isinstance(err.__cause__, DomainError)
+        t_a, t_b = 0.1 * 12, min(tf, 0.1 * 13)
+        assert err.step == 12 and err.time == t_a
+        prefix = f"step 12 starting at t={t_a:g} failed: state leaves the domain at quadrature node "
+        assert str(err).startswith(prefix)
+        node_time = float(str(err)[len(prefix) :].split("(t=")[1].split(")")[0])
+        assert t_a < node_time < t_b
 
 
 class TestReverseStep:
