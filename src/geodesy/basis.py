@@ -5,11 +5,11 @@ which include both endpoints and carry the degree-p nodal (Lagrange) and
 degree-(p-1) edge (histopolation) bases, and Gauss-Legendre nodes, which are
 interior and serve both as collocation points and as quadrature abscissae.
 
-Nodes are eigenvalues of symmetric tridiagonal Jacobi matrices (Golub and
-Welsch, 1969): numpy's Legendre-Gauss rule for the Gauss nodes, and the
-matrix of the weight 1 - x^2 for the interior Gauss-Lobatto nodes, each
-followed by one Newton update on the Legendre recurrence, so no node search
-iterates or can fail. Lagrange evaluation uses the second barycentric
+Both node families come from one route (Golub and Welsch, 1969): the
+eigenvalues of a symmetric tridiagonal Jacobi matrix, of the Legendre weight
+for the Gauss nodes and of the weight 1 - x^2 for the interior Gauss-Lobatto
+nodes, each followed by one Newton update on the Legendre recurrence, so no
+node search iterates or can fail, and no rule imports numpy.polynomial. Lagrange evaluation uses the second barycentric
 formula, which returns an exact Kronecker delta when the evaluation point
 coincides with a node.
 """
@@ -94,16 +94,32 @@ def _symmetrize(nodes: np.ndarray) -> np.ndarray:
     return 0.5 * (nodes - nodes[::-1])
 
 
+def _golub_welsch(n: int, off: np.ndarray, newton_step) -> np.ndarray:
+    # the n eigenvalues of the symmetric tridiagonal Jacobi matrix with zero
+    # diagonal and off-diagonal off, each refined by one update x - newton_step(x)
+    if n == 0:
+        return np.empty(0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    return x - newton_step(x)
+
+
 @lru_cache(maxsize=None)
 def gauss_rule(q: int) -> QuadratureRule:
     """Gauss-Legendre rule with q nodes, exact through degree 2q-1.
 
-    Nodes are the roots of P_q from numpy's leggauss (eigenvalues of the
-    Jacobi matrix, refined by one Newton update); weights are
-    2 / ((1 - x^2) P_q'(x)^2), which is more accurate than leggauss's own.
+    Nodes are the roots of P_q, the eigenvalues of the q-point Jacobi matrix
+    of the Legendre weight (zero diagonal, off-diagonal k / sqrt(4 k^2 - 1),
+    k = 1..q-1), refined by one Newton update on P_q. Weights are
+    2 / ((1 - x^2) P_q'(x)^2).
     """
     _check_order(q, 1, "Gauss order")
-    nodes = _symmetrize(np.polynomial.legendre.leggauss(q)[0])
+    k = np.arange(1.0, q)
+
+    def newton_step(x):
+        P, dP = legendre_eval(q, x)
+        return P / dP
+
+    nodes = _symmetrize(_golub_welsch(q, k / np.sqrt(4.0 * k * k - 1.0), newton_step))
     _, dP = legendre_eval(q, nodes)
     weights = 2.0 / ((1.0 - nodes**2) * dP**2)
     return QuadratureRule(nodes, weights)
@@ -120,12 +136,14 @@ def gll_rule(p: int) -> QuadratureRule:
     """
     _check_order(p, 1, "GLL order")
     k = np.arange(1.0, p - 1)
+
+    def newton_step(x):
+        # Newton on P_p' with (1 - x^2) P_p'' = 2 x P_p' - p (p+1) P_p
+        P, dP = legendre_eval(p, x)
+        return dP * (1.0 - x * x) / (2 * x * dP - p * (p + 1) * P)
+
     off = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)) if p > 1 else np.empty(0)
-    P, dP = legendre_eval(p, x)
-    # Newton on P_p' with (1 - x^2) P_p'' = 2 x P_p' - p (p+1) P_p
-    x = x - dP * (1.0 - x * x) / (2 * x * dP - p * (p + 1) * P)
-    nodes = _symmetrize(np.concatenate(([-1.0], x, [1.0])))
+    nodes = _symmetrize(np.concatenate(([-1.0], _golub_welsch(p - 1, off, newton_step), [1.0])))
     P, _ = legendre_eval(p, nodes)
     weights = 2.0 / (p * (p + 1) * P**2)
     return QuadratureRule(nodes, weights)

@@ -2,7 +2,8 @@
 
 geodesy takes only LAPACK's dgetrf and dgetrs from scipy, loaded from scipy's
 compiled LAPACK module alone: scipy/__init__.py and scipy.linalg, whose
-array-API layer imports numpy.f2py, stay out of a cold start.
+array-API layer imports numpy.f2py, stay out of a cold start, and so does
+numpy.polynomial, as the quadrature nodes come from numpy.linalg.eigvalsh.
 """
 
 import os
@@ -85,6 +86,8 @@ def test_cold_start_loads_lapack_without_scipy_linalg():
         mci_step(pendulum.system, pendulum.y0, 0.0, pendulum.dt_ref, 2)
         loaded = [m for m in ("scipy", "scipy.linalg", "numpy.f2py") if m in sys.modules]
         assert not loaded, loaded
+        # both quadrature rules come from the Jacobi-matrix eigenvalues, not numpy.polynomial
+        assert "numpy.polynomial" not in sys.modules
         # a later scipy.linalg reuses the loaded module: the same routines, not lookalikes
         import scipy.linalg.lapack
         assert geodesy.newton.dgetrf is scipy.linalg.lapack.dgetrf
