@@ -87,8 +87,8 @@ def default_qrhs(p: int) -> int:
 class _Pairing(NamedTuple):
     # one pairing of order p on a q-point rule for dimension M; read-only, cached per key
     q: int  # quadrature size, p for the collocation pairing
-    E: np.ndarray  # incidence, (p+1, p)
-    # [Lq | E], (p+1, q+p): one product coeffs @ LE gives the quadrature states and the coboundary
+    # [Lq | E] with the incidence E, (p+1, q+p): one product coeffs @ LE gives
+    # the quadrature states and the coboundary
     LE: np.ndarray
     D: np.ndarray  # edge functions at the dual nodes, row-scaled: D[l, m] = s_m e_l(tau_m)
     Lq: np.ndarray  # nodal basis at the quadrature nodes, (p+1, q)
@@ -124,7 +124,7 @@ def _pairing_record(p: int, q: int, galerkin: bool, M: int) -> _Pairing:
     LE = np.concatenate((Lq, E), axis=1)
     for arr in (LE, D, Lq, Pfull, rate, weights, ahead):
         arr.setflags(write=False)
-    return _Pairing(q, E, LE, D, Lq, P, quad.nodes, rate, weights, ahead)
+    return _Pairing(q, LE, D, Lq, P, quad.nodes, rate, weights, ahead)
 
 
 def _pairing(method: Method, p: int, q_rhs: Optional[int], M: int) -> _Pairing:

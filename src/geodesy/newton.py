@@ -221,6 +221,6 @@ def newton_solve(
         if not _all(np.isfinite(J), axis=None):
             raise EvaluationError("Jacobian is non-finite during Newton iteration")
         lu, piv = _lu_factor_checked(J)
-        dx = dgetrs(lu, piv, r)[0]  # the update is -dx: x - dx, with no negated copy of r
+        dx = dgetrs(lu, piv, r)[0]  # J^-1 r: the update is -dx
         x = x - dx
         iterations += 1

@@ -679,7 +679,7 @@ class TestStepBuffers:
         assert rec.rate.shape == (3 * M, 3 * M)
         assert rec.weights.shape == (3 * 3, q)
         arrays = [field for field in rec if isinstance(field, np.ndarray)]
-        assert len(arrays) == (9 if method is Method.MGI else 8)
+        assert len(arrays) == (8 if method is Method.MGI else 7)
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
