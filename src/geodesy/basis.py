@@ -9,9 +9,9 @@ Both node families come from one route (Golub and Welsch, 1969): the
 eigenvalues of a symmetric tridiagonal Jacobi matrix, of the Legendre weight
 for the Gauss nodes and of the weight 1 - x^2 for the interior Gauss-Lobatto
 nodes, each followed by one Newton update on the Legendre recurrence, so no
-node search iterates or can fail, and no rule imports numpy.polynomial. Lagrange evaluation uses the second barycentric
-formula, which returns an exact Kronecker delta when the evaluation point
-coincides with a node.
+node search iterates or can fail, and no rule imports numpy.polynomial.
+Lagrange evaluation uses the second barycentric formula, which returns an
+exact Kronecker delta when the evaluation point coincides with a node.
 """
 
 from dataclasses import dataclass
