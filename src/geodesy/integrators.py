@@ -19,7 +19,7 @@ with unit row scale; there B is the identity, the residual is collocation at
 the dual nodes, and the method is Gauss collocation, which is symplectic.
 
 Everything a step needs of its pairing, the driver's guess table included,
-sits in one read-only record, built once per (p, q, pairing, dim) from the
+sits in one read-only record, built once per (p, q, pairing) from the
 unit ElementGrid of order p and cached; one resolver picks it from the
 method, and q_rhs (default 2p + 10) is an mgi setting only. Its tables carry
 the row scale, D[l, m] = s_m e_l(tau_m) and P[nu, m] = s_m B[m, nu], so one
@@ -31,16 +31,16 @@ entries are each one exactly rounded difference of nodal values.
 One factory builds an element's residual and stage Jacobian over its stage
 buffer, once per buffer: once per integrate run, which solves every element
 in one buffer, and once per public step or public residual
-(mci_residual/mgi_residual, at a solved element's stages). A bind call then
-sets each element's bounds, which the error messages name, and its rate block
-over sqrt(g). Residuals carry a 1/sqrt(g) factor so Newton tolerances are
-in vector-field units whatever the step size. Stage unknowns are flattened
-variable-major (all stages of y_1, then y_2, ...). The stage Jacobian is the
-record's rate block over sqrt(g) minus one GEMM of its pairing weights with
-the field Jacobians at the q nodes. Steps accept negative dt (a reversed
-element); the integrate driver walks forward. No step builds a grid: an
-element is its bounds and its values at the primal nodes (ElementSolution),
-and sample_trajectory is the one way to read it between them.
+(mci_residual/mgi_residual, at a solved element's stages). Stage unknowns are
+variable-major, so only the factory meets the dimension: its rate term is the
+record's p x p rate block once per variable on the diagonal. A bind call sets
+each element's bounds, which the error messages name, and that term over
+sqrt(g); the stage Jacobian is it minus one GEMM of the pairing weights with
+the field Jacobians at the q nodes. Residuals carry a 1/sqrt(g) factor so
+Newton tolerances are in vector-field units whatever the step size. Steps
+accept negative dt (a reversed element); the integrate driver walks forward.
+No step builds a grid: an element is its bounds and its values at the primal
+nodes (ElementSolution), and sample_trajectory is the one way to read it.
 
 Newton starts cold, from y0 at every stage, on the first step of the
 driver and in the public steps mci_step/mgi_step; every later step of the
@@ -85,16 +85,14 @@ def default_qrhs(p: int) -> int:
 
 
 class _Pairing(NamedTuple):
-    # one pairing of order p on a q-point rule for dimension M; read-only, cached per key
-    q: int  # quadrature size, p for the collocation pairing
-    # [Lq | E] with the incidence E, (p+1, q+p): one product coeffs @ LE gives
-    # the quadrature states and the coboundary
+    # one pairing of order p on a q-point rule, q = len(nodes), for every dimension; read-only
+    # [Lq | E], (p+1, q+p): the nodal basis Lq at the quadrature nodes and the incidence E;
+    # one product coeffs @ LE gives the quadrature states and the coboundary
     LE: np.ndarray
     D: np.ndarray  # edge functions at the dual nodes, row-scaled: D[l, m] = s_m e_l(tau_m)
-    Lq: np.ndarray  # nodal basis at the quadrature nodes, (p+1, q)
     P: Optional[np.ndarray]  # P[nu, m] = s_m B[m, nu], (q, p); None for collocation, where s B = I
     nodes: np.ndarray  # the quadrature nodes sigma_nu
-    rate: np.ndarray  # kron(I_M, (E @ D)[1:]^T): the stage Jacobian's rate term times sqrt(g)
+    rate: np.ndarray  # (E @ D)[1:]^T, (p, p): one variable's stage Jacobian rate term times sqrt(g)
     weights: np.ndarray  # W[(m, b), nu] = s_m B[m, nu] Lq[1+b, nu]; its field term is W @ Jh
     # (p+1, p): coeffs @ ahead reads an element at the next one's stages, tau + 2;
     # built in Lagrange product form, as the barycentric form loses digits outside [-1, 1]
@@ -102,7 +100,7 @@ class _Pairing(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _pairing_record(p: int, q: int, galerkin: bool, M: int) -> _Pairing:
+def _pairing_record(p: int, q: int, galerkin: bool) -> _Pairing:
     ref = _reference_element(p)
     quad = gauss_rule(q)
     E = incidence_matrix(p)
@@ -112,7 +110,7 @@ def _pairing_record(p: int, q: int, galerkin: bool, M: int) -> _Pairing:
     D = edge_eval_all(ref.edge_basis, ref.dual.nodes).T * scale
     Pfull = (scale[:, None] * B).T
     P = Pfull if galerkin else None
-    rate = np.kron(np.eye(M), (E @ D)[1:].T)
+    rate = (E @ D)[1:].T
     weights = (Pfull.T[:, None] * Lq[1:]).reshape(p * p, q)
     # ahead[j, m] = l_j(t_m) = prod_{k != j} (t_m - x_k) / (x_j - x_k) at t = x[1:] + 2
     x = ref.primal.nodes
@@ -122,12 +120,12 @@ def _pairing_record(p: int, q: int, galerkin: bool, M: int) -> _Pairing:
     factors[:, range(p + 1), range(p + 1)] = 1.0
     ahead = factors.prod(axis=-1).T
     LE = np.concatenate((Lq, E), axis=1)
-    for arr in (LE, D, Lq, Pfull, rate, weights, ahead):
+    for arr in (LE, D, Pfull, rate, weights, ahead):
         arr.setflags(write=False)
-    return _Pairing(q, LE, D, Lq, P, quad.nodes, rate, weights, ahead)
+    return _Pairing(LE, D, P, quad.nodes, rate, weights, ahead)
 
 
-def _pairing(method: Method, p: int, q_rhs: Optional[int], M: int) -> _Pairing:
+def _pairing(method: Method, p: int, q_rhs: Optional[int]) -> _Pairing:
     # the one place that knows the two pairings: mgi is the Galerkin pairing on
     # q_rhs points (default 2p + 10), mci collocation at the p dual nodes; p and
     # q_rhs are checked here, before a cache that takes True for 1 and 2.0 for 2
@@ -135,8 +133,8 @@ def _pairing(method: Method, p: int, q_rhs: Optional[int], M: int) -> _Pairing:
     if method is Method.MGI:
         q = default_qrhs(p) if q_rhs is None else q_rhs
         _check_order(q, 1, "q_rhs")
-        return _pairing_record(p, q, True, M)
-    return _pairing_record(p, p, False, M)
+        return _pairing_record(p, q, True)
+    return _pairing_record(p, p, False)
 
 
 @dataclass(frozen=True)
@@ -196,8 +194,8 @@ def _element_callables(sys, coeffs, pairing):
     # bind(t0, sqrt_g), residual(z) and jacobian(z) (None without sys.jacobian)
     # of the element in coeffs (M, p+1), y0 in column 0; residual and jacobian
     # write the stages z into columns 1..p. Built once per buffer, bound per
-    # element: bind sets the bounds the error messages name and the rate block
-    M, p, q = sys.dim, coeffs.shape[1] - 1, pairing.q
+    # element: bind sets the bounds the error messages name and the rate term
+    M, p, q = sys.dim, coeffs.shape[1] - 1, len(pairing.nodes)
     LE, D, P, nodes = pairing.LE, pairing.D, pairing.P, pairing.nodes
     stages = coeffs[:, 1:]
     # the iterate whose values the stage buffer holds and its quadrature
@@ -209,7 +207,7 @@ def _element_callables(sys, coeffs, pairing):
         nonlocal t0, sqrt_g, rate_block, held_z, held_Yq
         t0, sqrt_g = t_start, half_length
         if sys.jacobian is not None:
-            rate_block = pairing.rate / sqrt_g
+            rate_block = rate / sqrt_g
         held_z = held_Yq = None
 
     def where(n):
@@ -231,6 +229,8 @@ def _element_callables(sys, coeffs, pairing):
     if sys.jacobian is None:
         return bind, residual, None
     weights = pairing.weights
+    # the one place the dimension meets the record: np.kron(np.eye(M), rate)'s products
+    rate = (np.eye(M)[:, None, :, None] * pairing.rate[:, None, :]).reshape(M * p, M * p)
 
     def jacobian(z):
         nonlocal held_z, held_Yq
@@ -257,7 +257,7 @@ def _element_callables(sys, coeffs, pairing):
 def _public_residual(sys, sol, method, q_rhs):
     # the step's own residual, on a writable copy of the record, at its stages
     coeffs = sol.coefficients.copy()
-    pairing = _pairing(method, coeffs.shape[1] - 1, q_rhs, sol.dim)
+    pairing = _pairing(method, coeffs.shape[1] - 1, q_rhs)
     bind, residual, _ = _element_callables(sys, coeffs, pairing)
     bind(sol.t_start, _half_length(sol.t_start, sol.t_end, sol.t_end - sol.t_start))
     return residual(coeffs[:, 1:].reshape(-1))
@@ -342,7 +342,7 @@ def mci_step(
     config: NewtonConfig = NewtonConfig(),
 ) -> ElementSolution:
     """One collocation-pairing step of order p over [t0, t0 + dt]; dt may be negative."""
-    return _element_step(sys, y0, t0, dt, p, _pairing(Method.MCI, p, None, sys.dim), config)
+    return _element_step(sys, y0, t0, dt, p, _pairing(Method.MCI, p, None), config)
 
 
 def mgi_step(
@@ -355,7 +355,7 @@ def mgi_step(
     config: NewtonConfig = NewtonConfig(),
 ) -> ElementSolution:
     """One Galerkin-pairing step of order p over [t0, t0 + dt]; dt may be negative."""
-    return _element_step(sys, y0, t0, dt, p, _pairing(Method.MGI, p, q_rhs, sys.dim), config)
+    return _element_step(sys, y0, t0, dt, p, _pairing(Method.MGI, p, q_rhs), config)
 
 
 def explicit_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
@@ -478,7 +478,7 @@ def integrate(
     states[:, 0] = y0
     coefficients = newton_iterations = None
     if method.is_element_method:
-        pairing = _pairing(method, p, q_rhs, sys.dim)
+        pairing = _pairing(method, p, q_rhs)
         coefficients = np.empty((n, sys.dim, p + 1))
         newton_iterations = np.empty(n, dtype=int)
         work = np.empty((sys.dim, p + 1))  # the element being solved

@@ -3,10 +3,10 @@
 The stage unknowns of the collocation integrator are the solution values at
 the interior and final Gauss-Lobatto nodes; a Runge-Kutta method wants stage
 derivative values at the Gauss nodes instead. The step's own pairing record
-holds the change of variables: half the inverse of its rate block maps stage
-derivatives to increments at the Gauss-Lobatto nodes, and the nodal basis at
-the dual nodes then yields the classical (A, b, c) arrays, which coincide
-with Gauss collocation.
+holds the change of variables: half the inverse of its p x p rate block maps
+stage derivatives to increments at the Gauss-Lobatto nodes, and the nodal
+basis at the dual nodes (the first p columns of its [Lq | E] table) then
+yields the classical (A, b, c) arrays, which coincide with Gauss collocation.
 """
 
 from dataclasses import dataclass
@@ -52,19 +52,19 @@ class ButcherTableau:
 def butcher_tableau_mci(p: int) -> ButcherTableau:
     """Extract the s = p tableau of the collocation-pairing integrator.
 
-    Reads the step's cached MCI pairing record: rate[m, b] is sqrt(g) times
-    the rate at dual node m per unit increment y(x_b) - y0, so collocation
-    reads rate @ increments = (dt/2) k for stage derivatives k, and
+    Reads the cached MCI pairing record's p x p block directly: rate[m, b]
+    is sqrt(g) times the rate at dual node m per unit increment y(x_b) - y0,
+    so collocation reads rate @ increments = (dt/2) k for stage derivatives k, and
     G = (1/2) rate^{-1} (condition estimate guarded) maps k to increments
-    per unit dt. a = Lhat G with Lhat[i, b] = l_b(tau_i), b = last row of G,
-    c = dual nodes mapped to (0, 1).
+    per unit dt. a = Lhat G with Lhat[i, b] = l_b(tau_i) = LE[1 + b, i],
+    b = last row of G, c = dual nodes mapped to (0, 1).
     """
-    pairing = _pairing(Method.MCI, p, None, 1)
+    pairing = _pairing(Method.MCI, p, None)
     cond = np.linalg.cond(pairing.rate)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise ValueError(f"collocation rate block is ill-conditioned (cond ~ {cond:.3e})")
     G = 0.5 * np.linalg.inv(pairing.rate)
-    return ButcherTableau(pairing.Lq[1:].T @ G, G[-1], 0.5 * (pairing.nodes + 1.0))
+    return ButcherTableau(pairing.LE[1:, :p].T @ G, G[-1], 0.5 * (pairing.nodes + 1.0))
 
 
 def gauss_collocation_tableau(p: int) -> ButcherTableau:

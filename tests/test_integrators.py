@@ -1,6 +1,7 @@
 """Tests for the element integrators, baselines, and the integrate driver."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import numpy.testing as npt
@@ -295,7 +296,7 @@ class TestResiduals:
 def _driver_step(sys, method, y0, t0, dt, p, previous, q_rhs=None):
     # one element solved as integrate solves it, started from previous
     coeffs = np.empty((sys.dim, p + 1))
-    rec = geodesy.integrators._pairing(method, p, q_rhs, sys.dim)
+    rec = geodesy.integrators._pairing(method, p, q_rhs)
     callables = geodesy.integrators._element_callables(sys, coeffs, rec)
     iterations = geodesy.integrators._solve_element(
         coeffs, rec, callables, y0, t0, dt, NewtonConfig(), previous
@@ -335,8 +336,8 @@ class TestBlockEvaluation:
         p, q_rhs = 2, 7
         grid = ElementGrid.build(p, 0.0, 0.5)
         coeffs = np.array([[1.0, 1.5, 2.0], [0.0, 0.0, 0.0]])
-        rec = geodesy.integrators._pairing(Method.MGI, p, q_rhs, 2)
-        Yq = coeffs @ rec.Lq
+        rec = geodesy.integrators._pairing(Method.MGI, p, q_rhs)
+        Yq = (coeffs @ rec.LE)[:, :q_rhs]
         n, where = _first_bad_node(grid, Yq, rec.nodes, lambda y: y[0] > 1.5)
         assert 0 < n < q_rhs - 1
         with pytest.raises(EvaluationError) as info:
@@ -560,11 +561,11 @@ class TestStageJacobian:
             mci_step(sys, np.zeros(M), 0.0, dt, p)
         (jacobian,) = jacobians
         J = jacobian(np.random.default_rng(p).standard_normal(M * p))
-        rec = geodesy.integrators._pairing(Method(method), p, q if galerkin else None, M)
-        assert (rec.P is not None) is galerkin and rec.q == q
-        rate = rec.rate / (0.5 * dt)
+        rec = geodesy.integrators._pairing(Method(method), p, q if galerkin else None)
+        assert (rec.P is not None) is galerkin and len(rec.nodes) == q
+        rate = np.kron(np.eye(M), rec.rate) / (0.5 * dt)  # one p x p block per variable
         scaled_pairing = np.eye(p) if rec.P is None else rec.P.T  # s_m B[m, nu]
-        want = rate - einsum_field_block(Jh, scaled_pairing, rec.Lq)
+        want = rate - einsum_field_block(Jh, scaled_pairing, rec.LE[:, :q])
         if galerkin:
             assert np.max(np.abs(J - want)) <= 4 * np.spacing(np.max(np.abs(want)))
         else:
@@ -575,8 +576,8 @@ class TestStageJacobian:
         # the collocation residual skips the pairing product; the Galerkin
         # pairing on the p dual nodes shows that s B is exactly I there: its
         # row-scaled table P = (s B)^T is the diagonal of the dual weights s = w
-        assert geodesy.integrators._pairing(Method.MCI, p, None, 1).P is None
-        rec = geodesy.integrators._pairing(Method.MGI, p, p, 1)
+        assert geodesy.integrators._pairing(Method.MCI, p, None).P is None
+        rec = geodesy.integrators._pairing(Method.MGI, p, p)
         npt.assert_array_equal(rec.P, np.diag(_reference_element(p).dual.weights))
 
     @pytest.mark.parametrize("name", ["pendulum", "kepler", "lotka-volterra"])
@@ -667,23 +668,47 @@ class TestStepArguments:
 
 
 class TestStepBuffers:
-    # each step reads one cached pairing record per (p, q, pairing, M) and
-    # writes the stage values into one coefficient buffer; neither may leak out
+    # each step reads one cached pairing record per (p, q, pairing), whatever
+    # the system's dimension, and writes the stage values into one coefficient
+    # buffer; neither may leak out
 
-    @pytest.mark.parametrize("M", [1, 2, 4])
     @pytest.mark.parametrize("method, q_rhs, q", [(Method.MCI, None, 3), (Method.MGI, 9, 9)])
-    def test_pairing_is_cached_and_read_only(self, method, q_rhs, q, M):
-        rec = geodesy.integrators._pairing(method, 3, q_rhs, M)
-        assert geodesy.integrators._pairing(method, 3, q_rhs, M) is rec
-        assert (rec.P is not None) is (method is Method.MGI) and rec.q == q
-        assert rec.rate.shape == (3 * M, 3 * M)
+    def test_pairing_is_cached_and_read_only(self, method, q_rhs, q):
+        rec = geodesy.integrators._pairing(method, 3, q_rhs)
+        assert geodesy.integrators._pairing(method, 3, q_rhs) is rec
+        assert (rec.P is not None) is (method is Method.MGI) and len(rec.nodes) == q
+        assert rec.rate.shape == (3, 3)
+        assert rec.LE.shape == (3 + 1, q + 3)
         assert rec.weights.shape == (3 * 3, q)
         arrays = [field for field in rec if isinstance(field, np.ndarray)]
-        assert len(arrays) == (8 if method is Method.MGI else 7)
+        assert len(arrays) == (7 if method is Method.MGI else 6)
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 1.0
+
+    @pytest.mark.parametrize("method, q_rhs", [(Method.MCI, None), (Method.MGI, 13)])
+    def test_one_record_serves_every_dimension(self, monkeypatch, method, q_rhs):
+        # the record depends on the discretisation only: a dimension-2 and a
+        # dimension-4 step at the same (p, q) read one cached object
+        records = []
+        factory = geodesy.integrators._element_callables
+
+        def spy(sys, coeffs, pairing):
+            records.append(pairing)
+            return factory(sys, coeffs, pairing)
+
+        monkeypatch.setattr(geodesy.integrators, "_element_callables", spy)
+        cache = geodesy.integrators._pairing_record
+        cache.cache_clear()
+        step = mci_step if method is Method.MCI else functools.partial(mgi_step, q_rhs=q_rhs)
+        for name in ("pendulum", "kepler"):
+            prob = get_problem(name)
+            step(prob.system, prob.y0, 0.0, 0.1, 5)
+        pendulum_record, kepler_record = records
+        assert kepler_record is pendulum_record
+        assert cache.cache_info().currsize == 1
+        assert pendulum_record.rate.shape == (5, 5)
 
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_stored_coefficients_are_separate_and_read_only(self, monkeypatch, method):
@@ -867,8 +892,8 @@ class TestStartingGuessAndPolish:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
     def test_extrapolation_is_cached_read_only_and_exact_on_polynomials(self, p):
-        ahead = geodesy.integrators._pairing(Method.MCI, p, None, 2).ahead
-        assert geodesy.integrators._pairing(Method.MCI, p, None, 2).ahead is ahead
+        ahead = geodesy.integrators._pairing(Method.MCI, p, None).ahead
+        assert geodesy.integrators._pairing(Method.MCI, p, None).ahead is ahead
         assert ahead.shape == (p + 1, p)
         assert not ahead.flags.writeable
         rng = np.random.default_rng(40 + p)
@@ -893,7 +918,7 @@ class TestStartingGuessAndPolish:
         p = 3
         traj = integrate(pend.system, method, pend.y0, 0.0, 1.05, 0.1, p=p)
         assert traj.steps == len(guesses) == 11
-        ahead = geodesy.integrators._pairing(method, p, None, pend.system.dim).ahead
+        ahead = geodesy.integrators._pairing(method, p, None).ahead
         for k, x0 in enumerate(guesses):
             if k in (0, traj.steps - 1):  # cold: y0 at every stage
                 npt.assert_array_equal(x0, np.repeat(traj.states[:, k], p))
@@ -987,9 +1012,9 @@ class TestNonFiniteFieldOnTheNewtonPath:
         y0 = np.array([1.0, 0.0])
         # a previous element whose extrapolation climbs past 1.5 inside this one
         previous = np.array([[0.0, 0.5, 1.0], [0.0, 0.0, 0.0]])
-        rec = geodesy.integrators._pairing(method, p, q_rhs, 2)
+        rec = geodesy.integrators._pairing(method, p, q_rhs)
         guess = np.column_stack([y0, previous @ rec.ahead])
-        Yq = guess @ rec.Lq
+        Yq = (guess @ rec.LE)[:, : len(rec.nodes)]
         n, where = _first_bad_node(
             ElementGrid.build(p, t0, t0 + dt), Yq, rec.nodes, lambda y: y[0] > 1.5
         )
@@ -1008,10 +1033,11 @@ class TestNonFiniteFieldOnTheNewtonPath:
         sys = OdeSystem(dim=2, field=lambda y: np.where(y[1] < -1e-12, np.nan, A @ y))
         p, t0, dt = 3, 0.5, 0.4
         y0 = np.array([1.0, 0.0])
-        rec = geodesy.integrators._pairing(method, p, q_rhs, 2)
+        rec = geodesy.integrators._pairing(method, p, q_rhs)
         probe = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
+        Yq = (probe @ rec.LE)[:, : len(rec.nodes)]
         n, where = _first_bad_node(
-            ElementGrid.build(p, t0, t0 + dt), probe @ rec.Lq, rec.nodes, lambda y: y[1] < 0.0
+            ElementGrid.build(p, t0, t0 + dt), Yq, rec.nodes, lambda y: y[1] < 0.0
         )
         assert n > 0
         with pytest.raises(EvaluationError) as info:
