@@ -61,7 +61,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import _check_order, _read_only, edge_eval_all, gauss_rule, nodal_eval_all
+from .basis import MAX_ORDER, _check_order, _read_only, edge_eval_all, gauss_rule, nodal_eval_all
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
 from .mimetic import _reference_element, incidence_matrix
 from .newton import NewtonConfig, _all, newton_solve
@@ -132,6 +132,11 @@ def _pairing(method: Method, p: int, q_rhs: Optional[int]) -> _Pairing:
     _check_order(p, 1, "order p")
     if method is Method.MGI:
         q = default_qrhs(p) if q_rhs is None else q_rhs
+        if q_rhs is None and q > MAX_ORDER:
+            raise ValueError(
+                f"order p={p} needs q_rhs: the default 2p + 10 = {q} exceeds {MAX_ORDER};"
+                f" pass q_rhs <= {MAX_ORDER}"
+            )
         _check_order(q, 1, "q_rhs")
         return _pairing_record(p, q, True)
     return _pairing_record(p, p, False)
@@ -257,6 +262,11 @@ def _element_callables(sys, coeffs, pairing):
 def _public_residual(sys, sol, method, q_rhs):
     # the step's own residual, on a writable copy of the record, at its stages
     coeffs = sol.coefficients.copy()
+    if coeffs.ndim != 2 or coeffs.shape[0] != sys.dim or coeffs.shape[1] < 2:
+        raise ValueError(
+            f"element coefficients must have shape ({sys.dim}, p+1) with p >= 1 for this"
+            f" system, got {coeffs.shape}"
+        )
     pairing = _pairing(method, coeffs.shape[1] - 1, q_rhs)
     bind, residual, _ = _element_callables(sys, coeffs, pairing)
     bind(sol.t_start, _half_length(sol.t_start, sol.t_end, sol.t_end - sol.t_start))
@@ -469,9 +479,16 @@ def integrate(
     y0 = _initial_state(sys, y0)
 
     # t0 + k dt rounds at the magnitude of t0 and tf, so (tf - t0) / dt can
-    # exceed a whole count by far more than 1e-12 when tf = t0 + n dt
-    slack = 1e-12 * dt + 8 * np.finfo(float).eps * max(abs(t0), abs(tf))
-    n = max(1, math.ceil((tf - t0 - slack) / dt))
+    # exceed a whole count by far more than 1e-12 when tf = t0 + n dt; Python
+    # floats take the count to inf without a warning, where numpy's would warn
+    t0, tf, dt = float(t0), float(tf), float(dt)
+    slack = 1e-12 * dt + 8 * math.ulp(1.0) * max(abs(t0), abs(tf))
+    count = (tf - t0 - slack) / dt
+    if not math.isfinite(count):
+        raise ValueError(
+            f"too many steps: (tf - t0) / dt is not finite for t0={t0!r}, tf={tf!r}, dt={dt!r}"
+        )
+    n = max(1, math.ceil(count))
     times = np.empty(n + 1)
     states = np.empty((sys.dim, n + 1))
     times[0] = t0

@@ -117,6 +117,20 @@ class TestRun:
         assert code == 1
         assert "failed:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["mci", "rk4"])
+    def test_non_finite_step_count_exits_one(self, tmp_path, capsys, method):
+        # (tf - t0) / dt overflows: a failed run naming the times, not a traceback
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--problem", "pendulum", "--method", method, "--dt", "1e-300",
+            "--tfinal", "1e300", "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("failed: ") and "t0=0.0, tf=1e+300, dt=1e-300" in err
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_unknown_problem(self, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -281,6 +282,22 @@ class TestResiduals:
             public = mgi_residual(sys, sol, default_qrhs(3))
         npt.assert_array_equal(residual(sol.coefficients[:, 1:].reshape(-1)), public)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (3,), (2, 1)])
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_mismatched_element_names_both_shapes(self, method, shape):
+        # the record's shape is checked against the system, not read from it
+        pend = get_problem("pendulum")
+        sol = ElementSolution(0.0, 0.1, np.zeros(shape))
+        expected = (
+            rf"element coefficients must have shape \(2, p\+1\) with p >= 1 for this system,"
+            rf" got {re.escape(str(shape))}"
+        )
+        with pytest.raises(ValueError, match=expected):
+            if method is Method.MCI:
+                mci_residual(pend.system, sol)
+            else:
+                mgi_residual(pend.system, sol, None)
+
     def test_residual_rows_are_variable_major(self):
         # With a constant field (0, 1000) and the constant-in-time candidate,
         # the rate term vanishes, so the residual is -field per stage:
@@ -457,6 +474,30 @@ class TestMgiStep:
     def test_default_quadrature_size(self):
         assert default_qrhs(1) == 12
         assert default_qrhs(4) == 18
+
+    def test_default_quadrature_size_reaches_the_largest_rule_at_order_27(self):
+        # p = 27 runs on the default 2p + 10 = 64 points; from p = 28 on the
+        # default exceeds the largest rule and every entry point says so,
+        # while an explicit q_rhs keeps its own message
+        pend = get_problem("pendulum")
+        sys, y0 = pend.system, pend.y0
+        assert len(geodesy.integrators._pairing(Method.MGI, 27, None).nodes) == 64
+        sol = mgi_step(sys, y0, 0.0, 0.1, 27)
+        npt.assert_array_equal(mgi_residual(sys, sol, None), mgi_residual(sys, sol, 64))
+        traj = integrate(sys, Method.MGI, y0, 0.0, 0.2, 0.1, p=27)
+        npt.assert_array_equal(traj.coefficients[0], sol.coefficients)
+        expected = r"^order p=28 needs q_rhs: the default 2p \+ 10 = 66 exceeds 64; pass q_rhs <= 64$"
+        sol28 = mgi_step(sys, y0, 0.0, 0.1, 28, q_rhs=64)
+        calls = [
+            lambda q: integrate(sys, Method.MGI, y0, 0.0, 0.2, 0.1, p=28, q_rhs=q),
+            lambda q: mgi_step(sys, y0, 0.0, 0.1, 28, q_rhs=q),
+            lambda q: mgi_residual(sys, sol28, q),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=expected):
+                call(None)
+            with pytest.raises(ValueError, match=r"^q_rhs must lie in \[1, 64\], got 66$"):
+                call(66)
 
 
 def _stage_callables(monkeypatch, step):
@@ -1309,6 +1350,29 @@ class TestIntegrateDriver:
             for method in Method:
                 with pytest.raises(ValueError, match=r"^initial state must be finite, got \["):
                     integrate(sys, method, y0, 0.0, 1.0, 0.1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize(
+        "t0, tf, dt, names",
+        [
+            (0.0, 1e300, 1e-300, "t0=0.0, tf=1e+300, dt=1e-300"),
+            (np.float64(0.0), np.float64(1e300), np.float64(1e-300), "t0=0.0, tf=1e+300, dt=1e-300"),
+            (-1e308, 1e308, 1e300, "t0=-1e+308, tf=1e+308, dt=1e+300"),
+        ],
+        ids=["quotient-overflows", "numpy-scalars", "span-overflows"],
+    )
+    def test_non_finite_step_count_is_rejected_up_front(self, method, t0, tf, dt, names):
+        # (tf - t0) / dt overflows: a ValueError naming the three times, with no
+        # overflow warning on the way and before the field is ever called
+        circle = make_circle()
+
+        def field(y):
+            raise AssertionError("the field must not be called")
+
+        sys = dataclasses.replace(circle.system, field=field)
+        with pytest.raises(ValueError, match=rf"^too many steps: .* not finite for {re.escape(names)}$"):
+            integrate(sys, method, circle.y0, t0, tf, dt)
 
     def test_domain_violation_is_annotated(self):
         lv = get_problem("lotka-volterra")
