@@ -486,7 +486,9 @@ class TestMgiStep:
         npt.assert_array_equal(mgi_residual(sys, sol, None), mgi_residual(sys, sol, 64))
         traj = integrate(sys, Method.MGI, y0, 0.0, 0.2, 0.1, p=27)
         npt.assert_array_equal(traj.coefficients[0], sol.coefficients)
-        expected = r"^order p=28 needs q_rhs: the default 2p \+ 10 = 66 exceeds 64; pass q_rhs <= 64$"
+        expected = (
+            r"^order p=28 needs q_rhs: the default 2p \+ 10 = 66 exceeds 64; pass q_rhs <= 64$"
+        )
         sol28 = mgi_step(sys, y0, 0.0, 0.1, 28, q_rhs=64)
         calls = [
             lambda q: integrate(sys, Method.MGI, y0, 0.0, 0.2, 0.1, p=28, q_rhs=q),
@@ -1357,7 +1359,7 @@ class TestIntegrateDriver:
         "t0, tf, dt, names",
         [
             (0.0, 1e300, 1e-300, "t0=0.0, tf=1e+300, dt=1e-300"),
-            (np.float64(0.0), np.float64(1e300), np.float64(1e-300), "t0=0.0, tf=1e+300, dt=1e-300"),
+            (*np.array([0.0, 1e300, 1e-300]), "t0=0.0, tf=1e+300, dt=1e-300"),
             (-1e308, 1e308, 1e300, "t0=-1e+308, tf=1e+308, dt=1e+300"),
         ],
         ids=["quotient-overflows", "numpy-scalars", "span-overflows"],
@@ -1371,7 +1373,8 @@ class TestIntegrateDriver:
             raise AssertionError("the field must not be called")
 
         sys = dataclasses.replace(circle.system, field=field)
-        with pytest.raises(ValueError, match=rf"^too many steps: .* not finite for {re.escape(names)}$"):
+        expected = rf"^too many steps: .* not finite for {re.escape(names)}$"
+        with pytest.raises(ValueError, match=expected):
             integrate(sys, method, circle.y0, t0, tf, dt)
 
     def test_domain_violation_is_annotated(self):
