@@ -42,6 +42,16 @@ accept negative dt (a reversed element); the integrate driver walks forward.
 No step builds a grid: an element is its bounds and its values at the primal
 nodes (ElementSolution), and sample_trajectory is the one way to read it.
 
+The kernel's products (c [Lq | E], the coboundary times D, h P, the pairing
+weights times the field Jacobians, and the driver's guess) are 2-D and a few
+dozen entries a side at most, so they call ndarray.dot rather than the @
+operator. Both reach the same BLAS gemm, and on these shapes they give the
+same bits, but @ dispatches through the matmul ufunc, which costs about a
+microsecond more per call than the product itself. sample_trajectory's
+batched 3-D product stays np.matmul, which gives every sampled point the
+bits it gets alone. The residual reads sys.domain_check itself rather than
+through OdeSystem.check_domain, one Python frame fewer per call.
+
 Newton starts cold, from y0 at every stage, on the first step of the
 driver and in the public steps mci_step/mgi_step; every later step of the
 driver starts from the previous element's polynomial read at this element's
@@ -169,10 +179,13 @@ def _field_at(sys: OdeSystem, y, where) -> np.ndarray:
     # y is one state (dim,) or a block (dim, n): one domain check, one field
     # call and one finiteness test cover every column. where(j) names column
     # j; it is only called to report a failure, for the first failing column.
-    reason = sys.check_domain(y)
-    if reason is not None:
-        j, reason = _first_domain_failure(sys, y, reason)
-        raise DomainError(f"state leaves the domain at {where(j)}: {reason}")
+    # the field read, not OdeSystem.check_domain: one Python frame fewer per residual
+    check = sys.domain_check
+    if check is not None:
+        reason = check(y)
+        if reason is not None:
+            j, reason = _first_domain_failure(sys, y, reason)
+            raise DomainError(f"state leaves the domain at {where(j)}: {reason}")
     h = np.asarray(sys.field(y), dtype=float)
     if h.shape != y.shape:
         raise ValueError(
@@ -224,12 +237,12 @@ def _element_callables(sys, coeffs, pairing):
         # the coboundary comes from the same product as the states: each entry
         # of coeffs @ E is one exactly rounded difference of nodal values,
         # where a folded E @ D would round the differences into the table
-        both = coeffs @ LE
+        both = coeffs.dot(LE)
         held_z, held_Yq = z, both[:, :q]
         h = _field_at(sys, held_Yq, where)
         if P is not None:  # collocation skips the product: its s B is exactly I
-            h = h @ P
-        return (both[:, q:] @ D / sqrt_g - h).reshape(-1)
+            h = h.dot(P)
+        return (both[:, q:].dot(D) / sqrt_g - h).reshape(-1)
 
     if sys.jacobian is None:
         return bind, residual, None
@@ -244,7 +257,7 @@ def _element_callables(sys, coeffs, pairing):
         # writes its own stages
         if z is not held_z:
             stages[...] = z.reshape(M, p)
-            held_z, held_Yq = z, (coeffs @ LE)[:, :q]
+            held_z, held_Yq = z, coeffs.dot(LE)[:, :q]
         Yq = held_Yq
         Jh = np.asarray(sys.jacobian(Yq), dtype=float)
         if Jh.shape != (q, M, M):
@@ -253,7 +266,7 @@ def _element_callables(sys, coeffs, pairing):
                 f" {(q, M, M)}; wrap a jacobian written for one state with"
                 " geodesy.systems.pointwise"
             )
-        field_block = (weights @ Jh.reshape(q, M * M)).reshape(p, p, M, M)
+        field_block = weights.dot(Jh.reshape(q, M * M)).reshape(p, p, M, M)
         return rate_block - field_block.transpose(2, 0, 3, 1).reshape(M * p, M * p)
 
     return bind, residual, jacobian
@@ -312,7 +325,7 @@ def _solve_element(coeffs, pairing, callables, y0, t0, dt, config, previous=None
         # a cold guess holds y0 at every stage: np.repeat(y0, p), from the float copy in column 0
         guess = coeffs[:, 0].repeat(coeffs.shape[1] - 1)
     else:
-        guess = (previous @ pairing.ahead).reshape(-1)
+        guess = previous.dot(pairing.ahead).reshape(-1)
     result = newton_solve(residual, guess, config, jacobian=jacobian)
     coeffs[:, 1:] = result.x.reshape(len(coeffs), -1)
     return result.iterations

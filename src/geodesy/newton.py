@@ -22,6 +22,11 @@ with axis=None (np.maximum.reduce, np.logical_and.reduce): ndarray.max() and
 on arrays this small costs more than the reduction. The update dx = J^-1 r is
 solved from r itself and applied as x - dx, with no negated copy of r.
 
+Without an analytic Jacobian, each Jacobian costs n residual calls, one per
+unknown, and they dominate the iterate. forward_difference_jacobian writes
+the n probe residuals into the rows of one preallocated block and takes the
+difference quotient in place, with no list of probes to convert and stack.
+
 A solve that meets abs_tol after at least one update is polished: one more
 update x <- x - J^-1 r(x) with the last LU factors, a single getrs call with
 no residual or Jacobian evaluation. The abs_tol stop leaves the iterate one
@@ -132,16 +137,28 @@ def forward_difference_jacobian(residual, x, r0=None):
     """Forward-difference Jacobian with step _FD_STEP * (1 + |x_j|) in column j.
 
     Row j of one (n, n) array is x shifted in entry j; the n residuals at
-    those rows form one array and one quotient gives every column.
+    those rows are written into the rows of one preallocated block, and one
+    in-place quotient gives every column. A residual whose shape differs
+    from r0's is rejected rather than broadcast into its row.
     """
     if r0 is None:
         r0 = np.asarray(residual(x), dtype=float)
     n = len(x)
     h = _FD_STEP * (1.0 + np.abs(x))
     shifted = x[None, :].repeat(n, 0)
-    shifted.flat[:: n + 1] += h
-    probes = np.array([np.asarray(residual(xp), dtype=float) for xp in shifted])
-    return ((probes - r0) / h[:, None]).T
+    shifted.reshape(-1)[:: n + 1] += h  # the diagonal, through a view of the contiguous copy
+    probes = np.empty((n, len(r0)))
+    for j, (row, xp) in enumerate(zip(probes, shifted)):
+        rj = residual(xp)
+        if np.shape(rj) != r0.shape:
+            raise ValueError(
+                f"residual returned shape {np.shape(rj)} at forward-difference probe {j},"
+                f" expected {r0.shape}, the shape at the base point"
+            )
+        row[...] = rj
+    probes -= r0
+    probes /= h[:, None]
+    return probes.T
 
 
 def _lu_factor_checked(J):
