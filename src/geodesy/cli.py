@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (GeodesyError, OSError, ValueError) as err:
+    except (GeodesyError, OSError, ValueError, MemoryError) as err:
         print(f"failed: {err}", file=sys.stderr)
         return 1
 

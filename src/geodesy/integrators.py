@@ -54,13 +54,17 @@ through OdeSystem.check_domain, one Python frame fewer per call.
 
 Newton starts cold, from y0 at every stage, on the first step of the
 driver and in the public steps mci_step/mgi_step; every later step of the
-driver starts from the previous element's polynomial read at this element's
-nodes (tau + 2 in the previous element's reference coordinate), one matmul
-with the pairing record's (p+1, p) guess table, except a shortened last step,
-which starts cold. The guess is safe for the conserved quantities because
-Newton polishes its abs_tol stop (see geodesy.newton): the accepted stages do
-not depend on where the solve started by more than rounding. A dt whose element
-half-length has no finite reciprocal is rejected with a ValueError naming dt.
+driver starts from the previous element read at this element's nodes
+(tau + 2 in the previous element's reference coordinate), one product with
+the pairing record's (p+1, p) guess table, except a shortened last step,
+which starts cold. Up to p = 8 the table reads the element's own polynomial;
+above, it extrapolates the degree-8 interpolant of 9 nodes spread over the
+element, as extrapolating through every node would amplify the rounding and
+Newton errors in the nodal values by up to 5e48 (at p = 64). The guess is
+safe for the conserved quantities because Newton polishes its abs_tol stop
+(see geodesy.newton): the accepted stages do not depend on where the solve
+started by more than rounding. A dt whose element half-length has no finite
+reciprocal is rejected with a ValueError naming dt.
 """
 
 import enum
@@ -89,6 +93,15 @@ class Method(enum.Enum):
         return self in (Method.MCI, Method.MGI)
 
 
+# the driver's guess extrapolates through at most this degree. A guessed stage is a sum of
+# nodal values weighted by one column of ahead, so the column's sum of |entries| bounds how
+# much it amplifies their errors: below 1e6 at every order this way, where through all p + 1
+# nodes it reaches 9.4e11 at p = 16 and 5.3e48 at p = 64
+_GUESS_DEGREE = 8
+
+_MAX_BYTES = np.iinfo(np.intp).max  # the largest byte size numpy can give an array
+
+
 def default_qrhs(p: int) -> int:
     """Default quadrature size for the Galerkin pairing: 2p + 10."""
     return 2 * p + 10
@@ -104,7 +117,8 @@ class _Pairing(NamedTuple):
     nodes: np.ndarray  # the quadrature nodes sigma_nu
     rate: np.ndarray  # (E @ D)[1:]^T, (p, p): one variable's stage Jacobian rate term times sqrt(g)
     weights: np.ndarray  # W[(m, b), nu] = s_m B[m, nu] Lq[1+b, nu]; its field term is W @ Jh
-    # (p+1, p): coeffs @ ahead reads an element at the next one's stages, tau + 2;
+    # (p+1, p): coeffs @ ahead reads an element at the next one's stages, tau + 2, through the
+    # interpolant of at most _GUESS_DEGREE + 1 of its nodes (the rows of the others are zero);
     # built in Lagrange product form, as the barycentric form loses digits outside [-1, 1]
     ahead: np.ndarray
 
@@ -122,13 +136,17 @@ def _pairing_record(p: int, q: int, galerkin: bool) -> _Pairing:
     P = Pfull if galerkin else None
     rate = (E @ D)[1:].T
     weights = (Pfull.T[:, None] * Lq[1:]).reshape(p * p, q)
-    # ahead[j, m] = l_j(t_m) = prod_{k != j} (t_m - x_k) / (x_j - x_k) at t = x[1:] + 2
-    x = ref.primal.nodes
+    # ahead[j, m] = l_j(t_m) = prod_{k != j} (t_m - x_k) / (x_j - x_k) at t = x[1:] + 2, over
+    # the d + 1 nodes x = nodes[subset] spread over the element, d = min(p, _GUESS_DEGREE)
+    d = min(p, _GUESS_DEGREE)
+    subset = np.round(np.linspace(0, p, d + 1)).astype(int)  # every node while p <= 8
+    x = ref.primal.nodes[subset]
     span = x[:, None] - x
     np.fill_diagonal(span, 1.0)
-    factors = (x[1:, None, None] + 2.0 - x) / span
-    factors[:, range(p + 1), range(p + 1)] = 1.0
-    ahead = factors.prod(axis=-1).T
+    factors = (ref.primal.nodes[1:, None, None] + 2.0 - x) / span
+    factors[:, range(d + 1), range(d + 1)] = 1.0
+    ahead = np.zeros((p + 1, p))
+    ahead[subset] = factors.prod(axis=-1).T
     LE = np.concatenate((Lq, E), axis=1)
     for arr in (LE, D, Pfull, rate, weights, ahead):
         arr.setflags(write=False)
@@ -474,7 +492,10 @@ def integrate(
     Step failures are re-raised as IntegrationError annotated with the step
     index and start time; so is an invariant that fails on a recorded state,
     with the index k of that state in times (the state step k starts from)
-    and its time. q_rhs is for Method.MGI only; other methods reject it.
+    and its time. q_rhs is for Method.MGI only; other methods reject it. A
+    step count that is not finite, or whose records would exceed the bytes
+    numpy can address, is rejected up front with a ValueError naming t0, tf
+    and dt; one within that but past the memory at hand raises MemoryError.
     Element steps after the first start Newton from the previous element
     extrapolated (a shortened last step starts cold from its y0).
     """
@@ -487,8 +508,10 @@ def integrate(
         raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
+    pairing = None
     if method.is_element_method:
         _half_length(t0, t0 + dt, dt)
+        pairing = _pairing(method, p, q_rhs)
     y0 = _initial_state(sys, y0)
 
     # t0 + k dt rounds at the magnitude of t0 and tf, so (tf - t0) / dt can
@@ -502,13 +525,23 @@ def integrate(
             f"too many steps: (tf - t0) / dt is not finite for t0={t0!r}, tf={tf!r}, dt={dt!r}"
         )
     n = max(1, math.ceil(count))
+    # the records' bytes, in Python ints: past what numpy can address, its own error would
+    # name no argument; a count within that but past memory raises MemoryError
+    per_step = 8 * (1 + sys.dim)  # times and states
+    if method.is_element_method:  # coefficients and Newton iterations
+        per_step += 8 * (sys.dim * (p + 1) + 1)
+    if per_step * (n + 1) > _MAX_BYTES:
+        raise ValueError(
+            f"too many steps: t0={t0!r}, tf={tf!r}, dt={dt!r} give {count:.3g} steps; at"
+            f" {per_step} bytes per step the records exceed the {_MAX_BYTES} bytes numpy can"
+            " address"
+        )
     times = np.empty(n + 1)
     states = np.empty((sys.dim, n + 1))
     times[0] = t0
     states[:, 0] = y0
     coefficients = newton_iterations = None
     if method.is_element_method:
-        pairing = _pairing(method, p, q_rhs)
         coefficients = np.empty((n, sys.dim, p + 1))
         newton_iterations = np.empty(n, dtype=int)
         work = np.empty((sys.dim, p + 1))  # the element being solved

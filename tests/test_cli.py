@@ -131,6 +131,40 @@ class TestRun:
         assert err.startswith("failed: ") and "t0=0.0, tf=1e+300, dt=1e-300" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["mci", "rk4"])
+    def test_step_count_past_what_numpy_can_address_exits_one(self, tmp_path, capsys, method):
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--problem", "pendulum", "--method", method, "--dt", "1e-200",
+            "--tfinal", "1e100", "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("failed: too many steps: t0=0.0, tf=1e+100, dt=1e-200 give ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["mci", "rk4"])
+    def test_step_count_past_memory_exits_one(self, tmp_path, capsys, monkeypatch, method):
+        # 1e9 steps fit numpy's limit but not this machine's memory; the
+        # allocation is patched to fail as it would, without asking for it
+        empty = np.empty
+
+        def out_of_memory(shape, *args, **kwargs):
+            if np.prod(shape, dtype=float) > 1e8:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", out_of_memory)
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--problem", "pendulum", "--method", method, "--dt", "1e-9",
+            "--tfinal", "1", "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("failed: Unable to allocate an array")
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_unknown_problem(self, capsys):

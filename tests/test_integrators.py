@@ -39,7 +39,7 @@ from geodesy import (
 )
 from geodesy.errors import NewtonNonConvergence
 from geodesy.mimetic import _reference_element
-from geodesy.newton import NewtonResult
+from geodesy.newton import NewtonResult, forward_difference_jacobian
 from helpers import column_forward_difference, einsum_field_block
 
 TIGHT = NewtonConfig(abs_tol=1e-13)
@@ -635,6 +635,54 @@ class TestStageJacobian:
         assert b.newton_iterations == a.newton_iterations
 
 
+class TestKernelProducts:
+    # the kernel's 2-D products call ndarray.dot, which skips the matmul
+    # ufunc's dispatch; every output stays bitwise only if the two agree
+
+    @pytest.mark.parametrize("M", [1, 2, 4])
+    @pytest.mark.parametrize("method, q_rhs", [(Method.MCI, None), (Method.MGI, None)])
+    def test_dot_equals_matmul_bitwise_on_every_record_shape(self, method, q_rhs, M):
+        rng = np.random.default_rng(M)
+        for p in range(1, 17):
+            rec = geodesy.integrators._pairing(method, p, q_rhs)
+            q = len(rec.nodes)
+            for _ in range(3):
+                coeffs = rng.standard_normal((M, p + 1))
+                both = coeffs @ rec.LE
+                assert coeffs.dot(rec.LE).tobytes() == both.tobytes()
+                cob = both[:, q:]  # the residual's strided view of the coboundary
+                assert cob.dot(rec.D).tobytes() == (cob @ rec.D).tobytes()
+                if rec.P is not None:
+                    h = rng.standard_normal((M, q))
+                    assert h.dot(rec.P).tobytes() == (h @ rec.P).tobytes()
+                Jh = rng.standard_normal((q, M, M)).reshape(q, M * M)
+                assert rec.weights.dot(Jh).tobytes() == (rec.weights @ Jh).tobytes()
+                assert coeffs.dot(rec.ahead).tobytes() == (coeffs @ rec.ahead).tobytes()
+
+    def test_forward_differences_of_the_element_residual(self, monkeypatch):
+        # on a Lotka-Volterra MCI step without an analytic Jacobian: M p
+        # residual calls per Jacobian, and the column loop's bits
+        lv = get_problem("lotka-volterra")
+        fd_system = dataclasses.replace(lv.system, jacobian=None)
+        p = 3
+        residual, jacobian, x0 = _stage_callables(
+            monkeypatch, lambda: mci_step(fd_system, lv.y0, 0.0, 0.3, p)
+        )
+        assert jacobian is None
+        calls = []
+
+        def counted(z):
+            calls.append(z.copy())
+            return residual(z)
+
+        z = x0 + 0.05 * np.random.default_rng(3).standard_normal(len(x0))
+        r0 = residual(z)
+        J = forward_difference_jacobian(counted, z, r0)
+        assert len(calls) == lv.system.dim * p
+        assert J.shape == (lv.system.dim * p, lv.system.dim * p)
+        npt.assert_array_equal(J, column_forward_difference(residual, z, r0))
+
+
 class TestStepArguments:
     @pytest.mark.parametrize("step", [mci_step, mgi_step])
     @pytest.mark.parametrize(
@@ -946,6 +994,60 @@ class TestStartingGuessAndPolish:
             values = poly(nodes)[None, :]
             want = poly(nodes[1:] + 2.0)[None, :]
             npt.assert_allclose(values @ ahead, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_extrapolation_up_to_order_8_reads_every_node(self, p):
+        # the table through all p + 1 nodes, as built before the subset: bit for bit
+        x = ElementGrid.build(p, -1.0, 1.0).primal.nodes
+        span = x[:, None] - x
+        np.fill_diagonal(span, 1.0)
+        factors = (x[1:, None, None] + 2.0 - x) / span
+        factors[:, range(p + 1), range(p + 1)] = 1.0
+        want = factors.prod(axis=-1).T
+        npt.assert_array_equal(geodesy.integrators._pairing(Method.MCI, p, None).ahead, want)
+
+    @pytest.mark.parametrize("p", [9, 12, 16, 23, 32, 64])
+    def test_extrapolation_above_order_8_reads_nine_spread_nodes(self, p):
+        ahead = geodesy.integrators._pairing(Method.MCI, p, None).ahead
+        assert geodesy.integrators._pairing(Method.MGI, p, 64).ahead.tobytes() == ahead.tobytes()
+        assert ahead.shape == (p + 1, p)
+        subset = np.round(np.linspace(0, p, 9)).astype(int)
+        assert len(set(subset)) == 9 and subset[0] == 0 and subset[-1] == p
+        npt.assert_array_equal(np.delete(ahead, subset, axis=0), 0.0)
+        # a guessed stage weighs the nodal values by one column: its |sum| bounds the
+        # amplification of their errors, which reaches 9.4e11 at p = 16 through every node
+        assert np.abs(ahead).sum(axis=0).max() < 1e6
+        rng = np.random.default_rng(60 + p)
+        nodes = ElementGrid.build(p, 0.0, 2.0).primal.nodes
+        for _ in range(5):  # exact on the interpolant's degree
+            poly = np.polynomial.Polynomial(rng.standard_normal(9))
+            values = poly(nodes)[None, :]
+            want = poly(nodes[1:] + 2.0)[None, :]
+            npt.assert_allclose(values @ ahead, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+    @pytest.mark.parametrize("p", [16, 23, 24, 32, 48, 64])
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 0.3])
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_lotka_volterra_runs_at_high_order(self, method, dt, p):
+        # extrapolating through every node left the domain at step 1 from p = 23 on
+        lv = get_problem("lotka-volterra")
+        q_rhs = 64 if method is Method.MGI and p >= 28 else None
+        traj = integrate(lv.system, method, lv.y0, 0.0, 200 * dt, dt, p=p, q_rhs=q_rhs)
+        assert traj.steps == 200
+        assert traj.newton_iterations.mean() <= 2.5
+
+    @pytest.mark.parametrize("p", [16, 32, 64])
+    def test_high_order_guess_saves_iterations(self, p):
+        # through every node the warm start took 5.2 and 11.8 iterations per
+        # step at p = 32 and 64, against 3.3 and 3.9 for cold public steps
+        pend = get_problem("pendulum")
+        traj = integrate(pend.system, Method.MCI, pend.y0, 0.0, 2.0, 0.1, p=p)
+        assert traj.steps == 20
+        cold = [
+            mci_step(pend.system, traj.states[:, k], t, traj.times[k + 1] - t, p).newton_iterations
+            for k, t in enumerate(traj.times[:-1])
+        ]
+        assert traj.newton_iterations.mean() <= np.mean(cold)
 
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_driver_guesses_ahead_except_first_and_short_last_step(self, monkeypatch, method):
@@ -1377,6 +1479,40 @@ class TestIntegrateDriver:
         with pytest.raises(ValueError, match=expected):
             integrate(sys, method, circle.y0, t0, tf, dt)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "name, method, p, tf, dt",
+        [
+            ("pendulum", Method.RK4, 2, 1e100, 1e-200),
+            ("pendulum", Method.MCI, 2, 1e100, 1e-200),
+            # 1e16 steps: times and states alone would fit, the (4, 65) elements would not
+            ("kepler", Method.MCI, 64, 1.0, 1e-16),
+            ("kepler", Method.MGI, 27, 1.0, 1e-16),
+        ],
+    )
+    def test_step_count_past_what_numpy_can_address_is_rejected_up_front(
+        self, monkeypatch, name, method, p, tf, dt
+    ):
+        # a finite count whose records exceed 2**63 - 1 bytes: a ValueError naming
+        # the three times, with no large allocation and no field call on the way
+        spec = get_problem(name)
+
+        def field(y):
+            raise AssertionError("the field must not be called")
+
+        sys = dataclasses.replace(spec.system, field=field)
+        empty = np.empty
+
+        def small_only(shape, *args, **kwargs):
+            assert np.prod(shape, dtype=float) <= 1e6, f"allocates {shape}"
+            return empty(shape, *args, **kwargs)
+
+        geodesy.integrators._pairing(method, p, None)  # build the record outside the patch
+        monkeypatch.setattr(np, "empty", small_only)
+        expected = rf"^too many steps: t0=0\.0, tf={re.escape(repr(tf))}, dt={dt!r} give "
+        with pytest.raises(ValueError, match=expected):
+            integrate(sys, method, spec.y0, 0.0, tf, dt, p=p)
+
     def test_domain_violation_is_annotated(self):
         lv = get_problem("lotka-volterra")
         with pytest.raises(IntegrationError) as info:
@@ -1434,6 +1570,29 @@ class TestIntegrateSweep:
             return
         try:
             traj = integrate(spec.system, method, y0, 0.0, span * dt, dt, p=p)
+        except GeodesyError:
+            return
+        assert 1 <= traj.steps <= 20
+        assert np.isfinite(traj.states).all()
+
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    @pytest.mark.parametrize("name", problem_names())
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(9, 64),
+        log_dt=st.floats(np.log(1e-3), np.log(6.0)),
+        span=st.floats(0.1, 20.0),
+        shift=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+    )
+    def test_high_orders_fail_only_with_library_errors(self, name, method, p, log_dt, span, shift):
+        # the same contract above p = 8, where the driver's guess extrapolates
+        # through 9 of the p + 1 nodes; MGI passes q_rhs where 2p + 10 exceeds 64
+        spec = get_problem(name)
+        dt = float(np.exp(log_dt))
+        y0 = spec.y0 + np.array(shift[: spec.system.dim]) * (1.0 + np.abs(spec.y0))
+        q_rhs = min(default_qrhs(p), 64) if method is Method.MGI else None
+        try:
+            traj = integrate(spec.system, method, y0, 0.0, span * dt, dt, p=p, q_rhs=q_rhs)
         except GeodesyError:
             return
         assert 1 <= traj.steps <= 20

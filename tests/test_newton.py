@@ -400,6 +400,22 @@ def test_forward_difference_equals_the_column_loop_bitwise(seed, n, m):
     npt.assert_array_equal(forward_difference_jacobian(residual_for("vectorised"), x), want)
 
 
+def test_forward_difference_rejects_a_mis_shaped_probe_residual():
+    # a probe residual is not broadcast into its row of the block
+    expected = r"shape \(1,\) at forward-difference probe 0, expected \(3,\)"
+    with pytest.raises(ValueError, match=expected):
+        forward_difference_jacobian(lambda y: np.zeros(1), np.array([0.5, 1.0]), np.ones(3))
+    calls = []
+
+    def residual(y):
+        calls.append(1)
+        return np.zeros(2 if len(calls) < 3 else (1, 2))
+
+    expected = r"shape \(1, 2\) at forward-difference probe 1, expected \(2,\)"
+    with pytest.raises(ValueError, match=expected):
+        forward_difference_jacobian(residual, np.array([0.5, 1.0, -2.0]))
+
+
 def test_fd_step_scaling():
     # the probe step grows with the component magnitude
     seen = []

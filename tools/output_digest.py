@@ -1,0 +1,143 @@
+"""One SHA-256 over geodesy's numerical outputs, to compare two trees bit for bit.
+
+Usage, from the repository root:
+
+    python3 tools/output_digest.py [--src PATH]
+
+--src names the src/ directory of the tree to hash (default: this
+repository's), so a change is checked against its parent with two runs, one
+per tree, whose last lines must match. The digest covers:
+
+- runs: 60 integrate runs, 200 steps at the problem's dt_ref: circle,
+  harmonic, kepler, lotka-volterra, pendulum and lotka-volterra without its
+  analytic Jacobian (forward differences), each with MCI and MGI at
+  p in {1, 2, 3, 4, 6}; their times, states, invariant series, element
+  coefficients and Newton iterations;
+- public: per run, a forward mci_step and a reversed mgi_step from the run's
+  last state, and mci_residual plus mgi_residual (default q_rhs and
+  q_rhs = p + 1) at the run's middle element;
+- tableau: butcher_tableau_mci(p) for p = 1..16;
+- high-order: lotka-volterra at p = 12 with both methods, where the driver's
+  starting guess reads the previous element through more than 9 nodes.
+
+A failing call is hashed as its error type and message. One line per part
+is printed, then the digest over all of them.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # must precede the numpy import
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+STEPS = 200
+ORDERS = (1, 2, 3, 4, 6)
+PROBLEMS = ("circle", "harmonic", "kepler", "lotka-volterra", "pendulum", "lotka-volterra-fd")
+
+
+def _feed(sha, *items):
+    for item in items:
+        if hasattr(item, "tobytes"):
+            sha.update(f"{item.dtype}{item.shape}".encode())
+            sha.update(item.tobytes())
+        else:
+            sha.update(repr(item).encode())
+
+
+def _guarded(sha, call):
+    try:
+        return call()
+    except Exception as err:  # a failure is part of the output
+        _feed(sha, f"{type(err).__name__}: {err}")
+        return None
+
+
+def _spec(g, name):
+    if name == "lotka-volterra-fd":
+        spec = g.get_problem("lotka-volterra")
+        return dataclasses.replace(spec, system=dataclasses.replace(spec.system, jacobian=None))
+    return g.get_problem(name)
+
+
+def _hash_trajectory(sha, traj):
+    if traj is not None:
+        _feed(sha, traj.times, traj.states, traj.coefficients, traj.newton_iterations)
+        for label in sorted(traj.invariants):
+            _feed(sha, label, traj.invariants[label])
+
+
+def _hash_element(sha, sol):
+    if sol is not None:
+        _feed(sha, sol.t_start, sol.t_end, sol.coefficients, sol.newton_iterations)
+
+
+def digests(g):
+    parts = {name: hashlib.sha256() for name in ("runs", "public", "tableau", "high-order")}
+    for name in PROBLEMS:
+        spec = _spec(g, name)
+        sys_, dt = spec.system, spec.dt_ref
+        for method in (g.Method.MCI, g.Method.MGI):
+            for p in ORDERS:
+                sha = parts["runs"]
+                _feed(sha, name, method.value, p)
+                traj = _guarded(
+                    sha, lambda: g.integrate(sys_, method, spec.y0, 0.0, STEPS * dt, dt, p=p)
+                )
+                _hash_trajectory(sha, traj)
+                if traj is None:
+                    continue
+                sha = parts["public"]
+                _feed(sha, name, method.value, p)
+                y, t = traj.states[:, -1], traj.times[-1]
+                _hash_element(sha, _guarded(sha, lambda: g.mci_step(sys_, y, t, dt, p)))
+                _hash_element(sha, _guarded(sha, lambda: g.mgi_step(sys_, y, t, -dt, p)))
+                k = traj.steps // 2
+                sol = g.ElementSolution(traj.times[k], traj.times[k + 1], traj.coefficients[k])
+                _feed(sha, _guarded(sha, lambda: g.mci_residual(sys_, sol)))
+                _feed(sha, _guarded(sha, lambda: g.mgi_residual(sys_, sol, None)))
+                _feed(sha, _guarded(sha, lambda: g.mgi_residual(sys_, sol, p + 1)))
+    for p in range(1, 17):
+        tab = _guarded(parts["tableau"], lambda: g.butcher_tableau_mci(p))
+        if tab is not None:
+            _feed(parts["tableau"], p, tab.a, tab.b, tab.c)
+    spec = g.get_problem("lotka-volterra")
+    for method in (g.Method.MCI, g.Method.MGI):
+        sha = parts["high-order"]
+        _feed(sha, method.value)
+        _hash_trajectory(
+            sha,
+            _guarded(
+                sha,
+                lambda: g.integrate(
+                    spec.system, method, spec.y0, 0.0, STEPS * spec.dt_ref, spec.dt_ref, p=12
+                ),
+            ),
+        )
+    total = hashlib.sha256()
+    for sha in parts.values():
+        total.update(sha.digest())
+    return {name: sha.hexdigest() for name, sha in parts.items()}, total.hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--src", default=os.path.join(ROOT, "src"), help="the src/ directory of the tree to hash"
+    )
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    import geodesy
+
+    parts, total = digests(geodesy)
+    for name, hexdigest in parts.items():
+        print(f"{name:<11} {hexdigest}")
+    print(f"sha256      {total}")
+
+
+if __name__ == "__main__":
+    main()
