@@ -148,14 +148,16 @@ def forward_difference_jacobian(residual, x, r0=None):
     shifted = x[None, :].repeat(n, 0)
     shifted.reshape(-1)[:: n + 1] += h  # the diagonal, through a view of the contiguous copy
     probes = np.empty((n, len(r0)))
-    for j, (row, xp) in enumerate(zip(probes, shifted)):
+    shape = r0.shape
+    for j, xp in enumerate(shifted):
         rj = residual(xp)
-        if np.shape(rj) != r0.shape:
+        # an array's own shape first: np.shape, which also takes lists, is a Python call
+        if getattr(rj, "shape", None) != shape and np.shape(rj) != shape:
             raise ValueError(
                 f"residual returned shape {np.shape(rj)} at forward-difference probe {j},"
-                f" expected {r0.shape}, the shape at the base point"
+                f" expected {shape}, the shape at the base point"
             )
-        row[...] = rj
+        probes[j] = rj
     probes -= r0
     probes /= h[:, None]
     return probes.T
