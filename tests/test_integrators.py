@@ -640,11 +640,11 @@ class TestKernelProducts:
     # ufunc's dispatch; every output stays bitwise only if the two agree
 
     @pytest.mark.parametrize("M", [1, 2, 4])
-    @pytest.mark.parametrize("method, q_rhs", [(Method.MCI, None), (Method.MGI, None)])
-    def test_dot_equals_matmul_bitwise_on_every_record_shape(self, method, q_rhs, M):
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_dot_equals_matmul_bitwise_on_every_record_shape(self, method, M):
         rng = np.random.default_rng(M)
         for p in range(1, 17):
-            rec = geodesy.integrators._pairing(method, p, q_rhs)
+            rec = geodesy.integrators._pairing(method, p, None)
             q = len(rec.nodes)
             for _ in range(3):
                 coeffs = rng.standard_normal((M, p + 1))
@@ -672,7 +672,7 @@ class TestKernelProducts:
         calls = []
 
         def counted(z):
-            calls.append(z.copy())
+            calls.append(1)
             return residual(z)
 
         z = x0 + 0.05 * np.random.default_rng(3).standard_normal(len(x0))
