@@ -43,9 +43,9 @@ No step builds a grid: an element is its bounds and its values at the primal
 nodes (ElementSolution), and sample_trajectory is the one way to read it.
 
 The kernel's products (c [Lq | E], the coboundary times D, h P, the pairing
-weights times the field Jacobians, and the driver's guess) are 2-D and a few
-dozen entries a side at most, so they call ndarray.dot rather than the @
-operator. Both reach the same BLAS gemm, and on these shapes they give the
+weights times the field Jacobians, and the driver's guess) are 2-D and, at
+low orders, a few dozen entries a side at most, so they call ndarray.dot
+rather than the @ operator. Both reach the same BLAS gemm, and on these shapes they give the
 same bits, but @ dispatches through the matmul ufunc, which makes a call
 take about twice as long: 1.1 against 0.45 us for a (2, 4) by (4, 6)
 product (numpy 2.4, one x86-64 core). sample_trajectory's batched 3-D
