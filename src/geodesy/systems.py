@@ -1,6 +1,7 @@
 """Autonomous first-order ODE systems and their structure metadata."""
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,6 +45,12 @@ class OdeSystem:
     partition: Optional[SeparablePartition] = None
     exact_solution: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     domain_check: Optional[Callable[[np.ndarray], Optional[str]]] = None
+
+    def __post_init__(self):
+        # a system with no unknowns has no stage equations to solve; a bool is no dimension
+        n = self.dim
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"OdeSystem.dim must be an integer >= 1, got {n!r}")
 
     def check_domain(self, y) -> Optional[str]:
         if self.domain_check is None:

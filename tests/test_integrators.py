@@ -659,6 +659,28 @@ class TestKernelProducts:
                 assert rec.weights.dot(Jh).tobytes() == (rec.weights @ Jh).tobytes()
                 assert coeffs.dot(rec.ahead).tobytes() == (coeffs @ rec.ahead).tobytes()
 
+    @pytest.mark.parametrize("M", [1, 2, 4])
+    @pytest.mark.parametrize("method, q_rhs", [(Method.MCI, None), (Method.MGI, None), (Method.MGI, "p+1")])
+    def test_gathered_stage_jacobian_equals_the_transposed_assembly_bitwise(self, method, q_rhs, M):
+        # the stage Jacobian reads W @ Jh through one cached index array; the
+        # reshape/transpose it replaces moves the same entries
+        rng = np.random.default_rng(M)
+        for p in range(1, 17):
+            rec = geodesy.integrators._pairing(method, p, None if q_rhs is None else p + 1)
+            q = len(rec.nodes)
+            Jh = rng.standard_normal((q, M, M))
+            sys = OdeSystem(dim=M, field=lambda y: np.zeros_like(y), jacobian=lambda y, Jh=Jh: Jh)
+            coeffs = rng.standard_normal((M, p + 1))
+            bind, _, jacobian = geodesy.integrators._element_callables(sys, coeffs, rec)
+            sqrt_g = 0.3
+            bind(0.0, sqrt_g)
+            rate = (np.eye(M)[:, None, :, None] * rec.rate[:, None, :]).reshape(M * p, M * p)
+            field = rec.weights.dot(Jh.reshape(q, M * M)).reshape(p, p, M, M)
+            want = rate / sqrt_g - field.transpose(2, 0, 3, 1).reshape(M * p, M * p)
+            got = jacobian(coeffs[:, 1:].reshape(-1))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_forward_differences_of_the_element_residual(self, monkeypatch):
         # on a Lotka-Volterra MCI step without an analytic Jacobian: M p
         # residual calls per Jacobian, and the column loop's bits

@@ -239,6 +239,34 @@ def _cubic_jump_slope(x):
     return np.diag(3.0 * x**2)
 
 
+def _last_nan(x):
+    r = x - 1.0
+    r[-1] = np.nan
+    return r
+
+
+def _moved(entry, bad):
+    # the root is (2, 0, 0); once the first update moves x[0] off 1, entry turns bad
+    def residual(x):
+        r = x - np.array([2.0, 0.0, 0.0])
+        if x[0] != 1.0:
+            r[entry] = bad
+        return r
+
+    return residual
+
+
+def _nan_iterate(x):
+    # the finite entry reaches its root at once; the NaN one reads a tiny constant, so
+    # every later update is far below max|x| taken over the finite entries
+    return np.where(np.isnan(x), 1e-300, x - 1.0)
+
+
+def _nan_iterate_arctan(x):
+    # arctan's Newton iterate grows without bound from 2, past the divergence test
+    return np.where(np.isnan(x), 1.0, np.arctan(x))
+
+
 _DECISION_CASES = {
     "cubic-shrinking": (_shrinking_cubic, [1e3, -2e2], lambda x: np.diag(3.0 * x**2)),
     "cubic-jump": (_cubic_jump, [1.0], _cubic_jump_slope),
@@ -255,6 +283,18 @@ _DECISION_CASES = {
         lambda x: np.exp(x) - np.array([2.0, 3.0, 0.5]) + 0.1 * x[::-1],
         [5.0, -4.0, 0.0],
         lambda x: np.diag(np.exp(x)) + 0.1 * np.eye(3)[::-1],
+    ),
+    # a non-finite residual entry that Python's max would skip: not first
+    "nan-last-at-guess": (_last_nan, [1.0, 2.0, 3.0], lambda x: np.eye(3)),
+    "inf-middle-after-update": (_moved(1, np.inf), [1.0, 0.0, 0.0], lambda x: np.eye(3)),
+    "nan-last-after-update": (_moved(2, np.nan), [1.0, 0.0, 0.0], lambda x: np.eye(3)),
+    # a NaN iterate, not first, where the residual stays finite: neither the stall test nor
+    # the divergence test may end the solve there
+    "nan-iterate-stalls": (_nan_iterate, [3.0, np.nan], lambda x: np.eye(2)),
+    "nan-iterate-diverges": (
+        _nan_iterate_arctan,
+        [2.0, np.nan],
+        lambda x: np.diag([1.0 / (1.0 + x[0] ** 2), 1.0]),
     ),
 }
 
@@ -414,6 +454,40 @@ def test_forward_difference_rejects_a_mis_shaped_probe_residual():
     expected = r"shape \(1, 2\) at forward-difference probe 1, expected \(2,\)"
     with pytest.raises(ValueError, match=expected):
         forward_difference_jacobian(residual, np.array([0.5, 1.0, -2.0]))
+
+
+@pytest.mark.parametrize("x", [np.array([1, 2]), [1.0, 2.0], [1, 2], (1.0, 2.0)])
+def test_forward_difference_takes_any_real_sequence(x):
+    # converted to floats on entry, as the float array itself
+    def residual(y):
+        return y * 2.0 + y[::-1] ** 2
+
+    want = forward_difference_jacobian(residual, np.array([1.0, 2.0]))
+    got = forward_difference_jacobian(residual, x)
+    assert got.tobytes() == want.tobytes()
+    doubled = forward_difference_jacobian(lambda y: y * 2.0, x)
+    assert doubled.tobytes() == forward_difference_jacobian(lambda y: y * 2.0, [1.0, 2.0]).tobytes()
+    npt.assert_allclose(doubled, 2.0 * np.eye(2), atol=1e-8)
+
+
+def test_forward_difference_does_not_copy_a_float_array():
+    x = np.array([1.0, -2.0, 0.5])
+    seen = []
+
+    def residual(y):
+        seen.append(y)
+        return y.copy()
+
+    forward_difference_jacobian(residual, x)
+    assert seen[0] is x  # the base point is the caller's array
+
+
+@pytest.mark.parametrize("x0", [[], np.zeros(0), np.zeros((2, 0))])
+def test_an_empty_initial_guess_is_rejected(x0):
+    calls = []
+    with pytest.raises(ValueError, match=r"x0 must have at least one unknown, got shape \("):
+        newton_solve(lambda x: calls.append(1) or x, x0)
+    assert calls == []
 
 
 def test_fd_step_scaling():

@@ -1,5 +1,7 @@
 """The block contract of OdeSystem callables, for every problem and for pointwise."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from geodesy import OdeSystem, get_problem, pointwise, problem_names
+from geodesy import Method, OdeSystem, get_problem, integrate, pointwise, problem_names
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -130,3 +132,27 @@ class TestPointwise:
         assert lifted.field(np.zeros((2, 0))).shape == (2, 0)
         assert lifted.jacobian(np.zeros((2, 0))).shape == (0, 2, 2)
         assert lifted.check_domain(np.zeros((2, 0))) is None
+
+
+class TestDimension:
+    @pytest.mark.parametrize("dim", [0, -1, 2.0, True, False, "2", None, np.float64(2.0)])
+    def test_anything_but_a_positive_integer_is_rejected(self, dim):
+        with pytest.raises(ValueError, match=r"OdeSystem\.dim must be an integer >= 1, got"):
+            OdeSystem(dim=dim, field=lambda y: y)
+
+    def test_a_system_with_no_unknowns_fails_before_integrating(self):
+        # it used to reach Newton and fail there on an empty reduction
+        with pytest.raises(ValueError, match=r"OdeSystem\.dim must be an integer >= 1, got 0"):
+            integrate(OdeSystem(dim=0, field=lambda y: y), Method.MCI, [], 0.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("dim", [1, 3, np.int64(2), np.int32(4)])
+    def test_integers_are_accepted(self, dim):
+        assert OdeSystem(dim=dim, field=lambda y: y).dim == dim
+
+    def test_copies_still_build(self):
+        # dataclasses.replace re-runs the check on the copy's dimension
+        base = get_problem("pendulum").system
+        assert dataclasses.replace(base, jacobian=None).dim == base.dim
+        assert pointwise(base).dim == base.dim
+        with pytest.raises(ValueError, match="got 0"):
+            dataclasses.replace(base, dim=0)
