@@ -39,9 +39,9 @@ sqrt(g); the stage Jacobian is it minus one GEMM of the pairing weights with
 the field Jacobians at the q nodes. That product is (p p, M M), indexed by
 (stage pair, variable pair); one take with an index array the factory caches
 beside the rate term reads it into the variable-major (M p, M p) layout.
-The take only moves entries, so it gives the bits of the reshape and
-transpose it replaces, in one call instead of four: 1.7 against 3.6 us at
-pendulum's shape (M = 2, p = 2). Residuals carry a 1/sqrt(g) factor so
+The take only moves entries, so its bits are those of a reshape, transpose
+and reshape, in one call: 1.7 against 3.6 us at pendulum's shape (M = 2,
+p = 2). Residuals carry a 1/sqrt(g) factor so
 Newton tolerances are in vector-field units whatever the step size. Steps
 accept negative dt (a reversed element); the integrate driver walks forward.
 No step builds a grid: an element is its bounds and its values at the primal

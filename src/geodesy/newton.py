@@ -16,21 +16,20 @@ and the loop keeps its reductions to those its decisions need: max|r| for
 the stop and finiteness tests, max|dx| and max|x| once there is an update
 (the stall test, then the divergence test), the Jacobian's entrywise
 finiteness test and one sort of the pivots, which gives the smallest and the
-largest at once. The three vectors r, dx and x have n entries, a few dozen
-in a step, so their reductions run on Python floats: one tolist() each, then
-max(map(abs, ...)), whose values equal numpy's exactly, since abs and max
-are exact; on a 4-vector that takes 0.75 us against 2.8 us through
-np.maximum.reduce(np.abs(r), axis=None). Python's max skips a NaN that is
-not the first entry where numpy's returns it, so r is tested with
-math.isfinite before its max is taken, and the two tests that read max|x| (a
-stall or a divergence, rare, so the hot path pays nothing) first check x for
-a NaN, which a residual can leave finite: neither test ends the solve at
-such an iterate, as a NaN max|x| made them. The Jacobian's finiteness test
-has n^2 entries, and stays on the ufunc's own reduce with axis=None
-(np.logical_and.reduce): ndarray.all() runs a Python function in numpy's
-_methods module on every call, which on arrays this small costs more than
-the reduction. The update dx = J^-1 r is solved from r itself and applied
-as x - dx, with no negated copy of r.
+largest at once. The vectors r, dx and x have n entries, a few hundred at
+most in a step, so their maxima are taken on Python floats,
+max(map(abs, v.tolist())): abs and max are exact, so the values are numpy's,
+and on a 4-vector this takes 0.75 us against 2.8 us for
+np.maximum.reduce(np.abs(v), axis=None) (numpy 2.4, one x86-64 core).
+Python's max skips a NaN that is not the first entry, so r's entries are
+tested with math.isfinite before its max, and the stall and divergence tests
+check x for a NaN before they end the solve: a residual may stay finite at
+such an iterate, and neither test may stop there. The Jacobian's n^2-entry
+finiteness test stays on the ufunc's own reduce with axis=None
+(np.logical_and.reduce), where Python would be slower, and ndarray.all()
+would add a Python function in numpy's _methods module on every call. The
+update dx = J^-1 r is solved from r itself and applied as x - dx, with no
+negated copy of r.
 
 Without an analytic Jacobian, each Jacobian costs n residual calls, one per
 unknown, and they dominate the iterate. forward_difference_jacobian writes
@@ -229,8 +228,8 @@ def newton_solve(
             updates.append(update)
             xl = x.ravel().tolist()
             x_max = max(map(abs, xl))
-            # a NaN in x (where the residual is finite) stops neither test, as numpy's NaN
-            # max|x| did; a NaN in dx leaves one in x, so update is exact whenever they run
+            # max skipped any NaN in x, where the residual can be finite: neither test may
+            # end the solve there. A NaN in dx leaves one in x, so update is exact where they do
             if update <= _STALL_RTOL * x_max and not any(map(math.isnan, xl)):
                 return NewtonResult(x, iterations, norm)
             stuck = iterations > _DIVERGENCE_WINDOW and update >= updates[-1 - _DIVERGENCE_WINDOW]
