@@ -662,8 +662,8 @@ class TestKernelProducts:
     @pytest.mark.parametrize("M", [1, 2, 4])
     @pytest.mark.parametrize("method, q_rhs", [(Method.MCI, None), (Method.MGI, None), (Method.MGI, "p+1")])
     def test_gathered_stage_jacobian_equals_the_transposed_assembly_bitwise(self, method, q_rhs, M):
-        # the stage Jacobian reads W @ Jh through one cached index array; the
-        # reshape/transpose it replaces moves the same entries
+        # the stage Jacobian reads W @ Jh through one cached index array, which
+        # must put every entry where a reshape/transpose/reshape would
         rng = np.random.default_rng(M)
         for p in range(1, 17):
             rec = geodesy.integrators._pairing(method, p, None if q_rhs is None else p + 1)

@@ -59,12 +59,9 @@ _ROOTS = {
 
 
 def _root_key(stats, name):
-    filename, funcname = _ROOTS[name]
-    for key in stats:
-        if key[2] == funcname and os.path.basename(key[0]) == filename:
-            if os.path.basename(os.path.dirname(key[0])) == "geodesy":
-                return key
-    return None
+    path = os.path.join("geodesy", _ROOTS[name][0])
+    funcname = _ROOTS[name][1]
+    return next((key for key in stats if key[2] == funcname and key[0].endswith(path)), None)
 
 
 def layer_seconds(stats):
