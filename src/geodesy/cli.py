@@ -7,7 +7,7 @@ from an optional JSON file mirroring the flag names; explicit flags win.
 
 Exit codes: 0 success, 1 runtime failure during integration or file
 handling, 2 usage errors (unknown names, malformed config, --qrhs with a
-method other than mgi).
+method other than mgi, --levels whose smallest step is 0).
 """
 
 import argparse
@@ -203,7 +203,11 @@ def _cmd_converge(args):
             raise UsageError(f"--dts must be comma-separated numbers, got {dts!r}")
     else:
         levels = _positive("levels", _resolve(args, config, "levels", 4))
-        dts = [dt / 2**k for k in range(levels)]
+        # ldexp is dt / 2**k bit for bit, without 2**k's overflow past 1023 halvings;
+        # checked first, so no list is built for a count whose steps underflow
+        if math.ldexp(dt, 1 - levels) == 0.0:
+            raise UsageError(f"--levels {levels} halves --dt {dt:g} to a step of 0; use fewer levels")
+        dts = [math.ldexp(dt, -k) for k in range(levels)]
     if len(dts) < 3:
         raise UsageError(f"need at least 3 step sizes for a convergence sweep, got {len(dts)}")
     if not all(0 < v < tfinal for v in dts):

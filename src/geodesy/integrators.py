@@ -28,20 +28,22 @@ serves both pairings; mci has no P and skips that product. One product
 c [Lq | E] gives both the quadrature states c Lq and the coboundary c E, whose
 entries are each one exactly rounded difference of nodal values.
 
-One factory builds an element's residual and stage Jacobian over its stage
-buffer, once per buffer: once per integrate run, which solves every element
-in one buffer, and once per public step or public residual
-(mci_residual/mgi_residual, at a solved element's stages). Stage unknowns are
-variable-major, so only the factory meets the dimension: its rate term is the
-record's p x p rate block once per variable on the diagonal. A bind call sets
-each element's bounds, which the error messages name, and that term over
-sqrt(g); the stage Jacobian is it minus one GEMM of the pairing weights with
-the field Jacobians at the q nodes. That product is (p p, M M), indexed by
-(stage pair, variable pair); one take with an index array the factory caches
-beside the rate term reads it into the variable-major (M p, M p) layout.
-The take only moves entries, so its bits are those of a reshape, transpose
-and reshape, in one call: 1.7 against 3.6 us at pendulum's shape (M = 2,
-p = 2). Residuals carry a 1/sqrt(g) factor so
+One factory builds, binds and solves an element over its stage buffer, once
+per buffer: its residual, stage Jacobian, bind and solve. integrate builds it
+once per run and solves every element in one buffer, and each public step
+builds its own; a public residual (mci_residual/mgi_residual) binds one at a
+solved element's stages. solve writes y0, the guess and Newton's stages: the
+stage layout is written there and read once more in the public residual.
+Stage unknowns are variable-major, so only the factory meets the dimension:
+its rate term is the record's p x p rate block once per variable on the
+diagonal. A bind call sets each element's bounds, which the error messages
+name, and that term over sqrt(g); the stage Jacobian is it minus one GEMM of
+the pairing weights with the field Jacobians at the q nodes. That product is
+(p p, M M), indexed by (stage pair, variable pair); one take with an index
+array the factory caches beside the rate term reads it into the
+variable-major (M p, M p) layout. The take only moves entries, so its bits
+are those of a reshape, transpose and reshape, in one call: 1.7 against 3.6
+us at pendulum's shape (M = 2, p = 2). Residuals carry a 1/sqrt(g) factor so
 Newton tolerances are in vector-field units whatever the step size. Steps
 accept negative dt (a reversed element); the integrate driver walks forward.
 No step builds a grid: an element is its bounds and its values at the primal
@@ -232,12 +234,13 @@ def _first_domain_failure(sys: OdeSystem, y, block_reason):
 
 
 def _element_callables(sys, coeffs, pairing):
-    # bind(t0, sqrt_g), residual(z) and jacobian(z) (None without sys.jacobian)
-    # of the element in coeffs (M, p+1), y0 in column 0; residual and jacobian
-    # write the stages z into columns 1..p. Built once per buffer, bound per
-    # element: bind sets the bounds the error messages name and the rate term
+    # bind(t0, sqrt_g), residual(z), jacobian(z) (None without sys.jacobian) and
+    # solve(y0, t0, dt, config, previous) of the element in coeffs (M, p+1), y0
+    # in column 0; residual and jacobian write the stages z into columns 1..p.
+    # Built once per buffer, bound per element: bind sets the bounds the error
+    # messages name and the rate term, and solve binds, guesses and solves
     M, p, q = sys.dim, coeffs.shape[1] - 1, len(pairing.nodes)
-    LE, D, P, nodes = pairing.LE, pairing.D, pairing.P, pairing.nodes
+    LE, D, P, nodes, ahead = pairing.LE, pairing.D, pairing.P, pairing.nodes, pairing.ahead
     stages = coeffs[:, 1:]
     # the iterate whose values the stage buffer holds and its quadrature
     # states; the reference keeps that array alive, so identity means that iterate
@@ -267,33 +270,46 @@ def _element_callables(sys, coeffs, pairing):
             h = h.dot(P)
         return (both[:, q:].dot(D) / sqrt_g - h).reshape(-1)
 
-    if sys.jacobian is None:
-        return bind, residual, None
-    weights = pairing.weights
-    # the one place the dimension meets the record: np.kron(np.eye(M), rate)'s products,
-    # and the flat positions in W @ Jh, (p p, M M), of the stage Jacobian's entries
-    rate = (np.eye(M)[:, None, :, None] * pairing.rate[:, None, :]).reshape(M * p, M * p)
-    gather = np.arange(p * p * M * M).reshape(p, p, M, M).transpose(2, 0, 3, 1).reshape(M * p, -1)
+    jacobian = None
+    if sys.jacobian is not None:
+        weights = pairing.weights
+        # the one place the dimension meets the record: np.kron(np.eye(M), rate)'s products,
+        # and the flat positions in W @ Jh, (p p, M M), of the stage Jacobian's entries
+        rate = (np.eye(M)[:, None, :, None] * pairing.rate[:, None, :]).reshape(M * p, M * p)
+        gather = np.arange(p * p * M * M).reshape(p, p, M, M).transpose(2, 0, 3, 1)
+        gather = gather.reshape(M * p, -1)
 
-    def jacobian(z):
-        nonlocal held_z, held_Yq
-        # Newton takes the Jacobian at the iterate whose residual it has
-        # just evaluated, so the residual's states serve; any other z
-        # writes its own stages
-        if z is not held_z:
-            stages[...] = z.reshape(M, p)
-            held_z, held_Yq = z, coeffs.dot(LE)[:, :q]
-        Yq = held_Yq
-        Jh = np.asarray(sys.jacobian(Yq), dtype=float)
-        if Jh.shape != (q, M, M):
-            raise ValueError(
-                f"jacobian returned shape {Jh.shape} for states of shape {Yq.shape}, expected"
-                f" {(q, M, M)}; wrap a jacobian written for one state with"
-                " geodesy.systems.pointwise"
-            )
-        return rate_block - weights.dot(Jh.reshape(q, M * M)).take(gather)
+        def jacobian(z):
+            nonlocal held_z, held_Yq
+            # Newton takes the Jacobian at the iterate whose residual it has
+            # just evaluated, so the residual's states serve; any other z
+            # writes its own stages
+            if z is not held_z:
+                stages[...] = z.reshape(M, p)
+                held_z, held_Yq = z, coeffs.dot(LE)[:, :q]
+            Yq = held_Yq
+            Jh = np.asarray(sys.jacobian(Yq), dtype=float)
+            if Jh.shape != (q, M, M):
+                raise ValueError(
+                    f"jacobian returned shape {Jh.shape} for states of shape {Yq.shape}, expected"
+                    f" {(q, M, M)}; wrap a jacobian written for one state with"
+                    " geodesy.systems.pointwise"
+                )
+            return rate_block - weights.dot(Jh.reshape(q, M * M)).take(gather)
 
-    return bind, residual, jacobian
+    def solve(y0, t_start, dt, config, previous=None):
+        # solves [t_start, t_start + dt] into coeffs and returns Newton's iterations. previous,
+        # the preceding element of equal length, seeds the guess; without it, a cold guess
+        # holds y0 at every stage, np.repeat(y0, p), from the float copy in column 0
+        bind(t_start, _half_length(t_start, t_start + dt, dt))
+        coeffs[:, 0] = y0
+        guess = coeffs[:, 0].repeat(p) if previous is None else previous.dot(ahead).reshape(-1)
+        # through the module's name, which tracers and tests patch
+        result = newton_solve(residual, guess, config, jacobian=jacobian)
+        stages[...] = result.x.reshape(M, p)
+        return result.iterations
+
+    return bind, residual, jacobian, solve
 
 
 def _public_residual(sys, sol, method, q_rhs):
@@ -305,7 +321,7 @@ def _public_residual(sys, sol, method, q_rhs):
             f" system, got {coeffs.shape}"
         )
     pairing = _pairing(method, coeffs.shape[1] - 1, q_rhs)
-    bind, residual, _ = _element_callables(sys, coeffs, pairing)
+    bind, residual, _, _ = _element_callables(sys, coeffs, pairing)
     bind(sol.t_start, _half_length(sol.t_start, sol.t_end, sol.t_end - sol.t_start))
     return residual(coeffs[:, 1:].reshape(-1))
 
@@ -338,23 +354,6 @@ def _half_length(t_start, t_end, dt) -> float:
     return sqrt_g
 
 
-def _solve_element(coeffs, pairing, callables, y0, t0, dt, config, previous=None) -> int:
-    # solves [t0, t0 + dt] into coeffs (M, p+1), the buffer callables were built
-    # over: y0 in column 0, the stages z in 1..p; previous, the preceding
-    # element of equal length, seeds the guess
-    bind, residual, jacobian = callables
-    bind(t0, _half_length(t0, t0 + dt, dt))
-    coeffs[:, 0] = y0
-    if previous is None:
-        # a cold guess holds y0 at every stage: np.repeat(y0, p), from the float copy in column 0
-        guess = coeffs[:, 0].repeat(coeffs.shape[1] - 1)
-    else:
-        guess = previous.dot(pairing.ahead).reshape(-1)
-    result = newton_solve(residual, guess, config, jacobian=jacobian)
-    coeffs[:, 1:] = result.x.reshape(len(coeffs), -1)
-    return result.iterations
-
-
 def _require_finite(**values):
     for name, value in values.items():
         if not math.isfinite(value):
@@ -374,8 +373,8 @@ def _element_step(sys, y0, t0, dt, p, pairing, config):
     _require_finite(t0=t0, dt=dt)
     y0 = _initial_state(sys, y0)
     coeffs = np.empty((sys.dim, p + 1))
-    callables = _element_callables(sys, coeffs, pairing)
-    iterations = _solve_element(coeffs, pairing, callables, y0, t0, dt, config)
+    *_, solve = _element_callables(sys, coeffs, pairing)
+    iterations = solve(y0, t0, dt, config)
     # the record copies coeffs, which the callables keep writing into after the step returns
     return ElementSolution(t0, t0 + dt, coeffs, iterations)
 
@@ -550,7 +549,7 @@ def integrate(
         coefficients = np.empty((n, sys.dim, p + 1))
         newton_iterations = np.empty(n, dtype=int)
         work = np.empty((sys.dim, p + 1))  # the element being solved
-        callables = _element_callables(sys, work, pairing)
+        *_, solve = _element_callables(sys, work, pairing)
 
     y, previous = y0, None
     for k in range(n):
@@ -563,9 +562,7 @@ def integrate(
                 # except a shortened last step, which starts cold
                 if k == n - 1 and h < dt - slack:
                     previous = None
-                newton_iterations[k] = _solve_element(
-                    work, pairing, callables, y, t_a, h, newton, previous
-                )
+                newton_iterations[k] = solve(y, t_a, h, newton, previous)
                 coefficients[k] = work
                 y, previous = coefficients[k, :, -1], coefficients[k]
             elif method is Method.EXPLICIT_EULER:

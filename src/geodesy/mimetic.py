@@ -21,6 +21,7 @@ reversed time map (sqrt(g) < 0), as a backward integrator step does.
 """
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -107,10 +108,19 @@ class ElementGrid:
 
     @classmethod
     def build(cls, p: int, t_start: float, t_end: float) -> "ElementGrid":
-        """Element over [t_start, t_end]; rules and bases are those of the reference element."""
-        if t_end == t_start:
-            raise ValueError("element must have nonzero extent")
-        return replace(_reference_element(p), t_start=float(t_start), t_end=float(t_end))
+        """Element over [t_start, t_end]; rules and bases are those of the reference element.
+
+        The bounds must give a nonzero, finite half-length sqrt_g with a finite reciprocal,
+        the rule element steps apply to dt, so NaN and infinite bounds fail too: ValueError.
+        """
+        t_start, t_end = float(t_start), float(t_end)  # Python floats: inf - inf is NaN, silently
+        sqrt_g = 0.5 * (t_end - t_start)
+        if sqrt_g == 0.0 or not (math.isfinite(sqrt_g) and math.isfinite(1.0 / sqrt_g)):
+            raise ValueError(
+                f"element must have nonzero extent with a finite half-length whose reciprocal is"
+                f" finite: t_start={t_start!r}, t_end={t_end!r} give half-length {sqrt_g!r}"
+            )
+        return replace(_reference_element(p), t_start=t_start, t_end=t_end)
 
     @property
     def sqrt_g(self) -> float:

@@ -202,9 +202,11 @@ def newton_solve(
     when given, otherwise forward differences. A solve accepted on abs_tol
     after at least one update is polished by one more update with the last
     LU factors (no further residual or Jacobian call; see NewtonResult).
-    Raises NewtonNonConvergence with the last iterate attached on failure:
-    when the budget is spent, or earlier, as divergence, once max|dx| has
-    not shrunk over three updates while still above sqrt(eps) max|x|.
+    A first residual whose shape differs from x0's raises ValueError before
+    any Jacobian call. Raises NewtonNonConvergence with the last iterate
+    attached on failure: when the budget is spent, or earlier, as
+    divergence, once max|dx| has not shrunk over three updates while still
+    above sqrt(eps) max|x|.
     """
     x = np.array(x0, dtype=float)
     if not x.size:
@@ -213,6 +215,11 @@ def newton_solve(
     updates = []  # max|dx| per update
     while True:
         r = np.asarray(residual(x), dtype=float)
+        if not iterations and r.shape != x.shape:  # before max, which an empty r fails
+            raise ValueError(
+                f"residual returned shape {r.shape} at the initial guess of shape {x.shape};"
+                " the shapes must match"
+            )
         rl = r.ravel().tolist()
         # before max, which skips a NaN that is not the first entry
         if not all(map(math.isfinite, rl)):

@@ -379,6 +379,20 @@ class TestUsageErrors:
         assert f"error: --levels must be positive and finite, got {levels}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("levels", [1100, 2000])
+    def test_converge_rejects_levels_whose_smallest_step_is_zero(
+        self, tmp_path, capsys, monkeypatch, levels
+    ):
+        # 2**k has no float past 1023 halvings; the sweep's last step underflows to 0 first
+        monkeypatch.setattr("geodesy.cli.integrate", None)  # never reached
+        out = tmp_path / "out"
+        args = ["converge", "--problem", "circle", "--levels", str(levels), "--out", str(out)]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --levels {levels} halves --dt ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 def fitted_order(stdout):
     for line in stdout.splitlines():
@@ -463,6 +477,16 @@ class TestConverge:
         assert code == 0
         _, rows = read_csv(tmp_path / "convergence.csv")
         np.testing.assert_allclose(rows[:, 0], [0.4, 0.2, 0.1], rtol=0.0, atol=1e-15)
+
+    def test_levels_sweep_writes_the_bytes_of_dt_over_powers_of_two(self, tmp_path, monkeypatch):
+        # the halvings are dt / 2**k bit for bit: the same file as that --dts list
+        monkeypatch.chdir(tmp_path)
+        args = ["converge", "--problem", "circle", "--dt", "0.3", "--tfinal", "1.2"]
+        assert run_cli(*args, "--levels", "4", "--out", "levels") == 0
+        dts = ",".join(repr(0.3 / 2**k) for k in range(4))
+        assert run_cli(*args, "--dts", dts, "--out", "dts") == 0
+        written = (tmp_path / "levels" / "convergence.csv").read_bytes()
+        assert written == (tmp_path / "dts" / "convergence.csv").read_bytes()
 
 
 class TestTableau:

@@ -314,11 +314,8 @@ def _driver_step(sys, method, y0, t0, dt, p, previous, q_rhs=None):
     # one element solved as integrate solves it, started from previous
     coeffs = np.empty((sys.dim, p + 1))
     rec = geodesy.integrators._pairing(method, p, q_rhs)
-    callables = geodesy.integrators._element_callables(sys, coeffs, rec)
-    iterations = geodesy.integrators._solve_element(
-        coeffs, rec, callables, y0, t0, dt, NewtonConfig(), previous
-    )
-    return coeffs, iterations
+    *_, solve = geodesy.integrators._element_callables(sys, coeffs, rec)
+    return coeffs, solve(y0, t0, dt, NewtonConfig(), previous)
 
 
 def _first_bad_node(grid, Yq, nodes, failing):
@@ -671,7 +668,7 @@ class TestKernelProducts:
             Jh = rng.standard_normal((q, M, M))
             sys = OdeSystem(dim=M, field=lambda y: np.zeros_like(y), jacobian=lambda y, Jh=Jh: Jh)
             coeffs = rng.standard_normal((M, p + 1))
-            bind, _, jacobian = geodesy.integrators._element_callables(sys, coeffs, rec)
+            bind, _, jacobian, _ = geodesy.integrators._element_callables(sys, coeffs, rec)
             sqrt_g = 0.3
             bind(0.0, sqrt_g)
             rate = (np.eye(M)[:, None, :, None] * rec.rate[:, None, :]).reshape(M * p, M * p)

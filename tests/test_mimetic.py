@@ -1,5 +1,7 @@
 """Mimetic structure: incidence, reduction/reconstruction, Hodge pairings."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -92,9 +94,24 @@ class TestElementGrid:
         assert grid.sqrt_g == -0.5
         assert grid.to_time(1.0) == 0.0 and grid.to_time(-1.0) == 1.0
 
-    def test_zero_extent_rejected(self):
-        with pytest.raises(ValueError):
-            ElementGrid.build(2, 1.0, 1.0)
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ((1.0, 1.0), "t_start=1.0, t_end=1.0 give half-length 0.0"),
+            ((math.nan, 1.0), "t_start=nan, t_end=1.0 give half-length nan"),
+            ((0.0, math.inf), "t_start=0.0, t_end=inf give half-length inf"),
+            ((-math.inf, 0.0), "t_start=-inf, t_end=0.0 give half-length inf"),
+            ((0.0, 1e-320), "t_start=0.0, t_end=1e-320 give half-length 5e-321"),
+            ((-1e308, 1e308), "t_start=-1e+308, t_end=1e+308 give half-length inf"),
+            ((math.inf, math.inf), "t_start=inf, t_end=inf give half-length nan"),
+        ],
+        ids=["zero", "nan", "inf-end", "inf-start", "subnormal", "overflowing", "both-inf"],
+    )
+    def test_zero_extent_rejected(self, bounds, message):
+        # and every other pair of bounds that gives no finite sqrt_g with a finite reciprocal
+        with pytest.raises(ValueError, match="element must have nonzero extent") as err:
+            ElementGrid.build(2, *bounds)
+        assert message in str(err.value)
 
     @pytest.mark.parametrize("p", [1, 2, 4, 8])
     def test_dual_interleaves_primal(self, p):

@@ -1,6 +1,7 @@
 """Newton solver: convergence behavior, failure modes, Jacobian routes."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -116,6 +117,19 @@ def test_singular_jacobian():
 def test_nonfinite_residual():
     with pytest.raises(EvaluationError, match="non-finite at the initial guess"):
         newton_solve(lambda x: np.array([np.nan]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (0,), (1, 2)])
+@pytest.mark.parametrize("analytic", [False, True])
+def test_residual_of_another_shape_names_both_shapes(shape, analytic):
+    # rejected at the first residual, before any Jacobian: not a singular pivot,
+    # a LAPACK dimension error, an empty max or a broadcast
+    def jacobian(x):
+        raise AssertionError("the Jacobian must not be reached")
+
+    expected = rf"residual returned shape {re.escape(str(shape))} at the initial guess of shape \(2,\)"
+    with pytest.raises(ValueError, match=expected):
+        newton_solve(lambda x: np.ones(shape), np.ones(2), jacobian=jacobian if analytic else None)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
