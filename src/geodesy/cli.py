@@ -7,7 +7,8 @@ from an optional JSON file mirroring the flag names; explicit flags win.
 
 Exit codes: 0 success, 1 runtime failure during integration or file
 handling, 2 usage errors (unknown names, malformed config, --qrhs with a
-method other than mgi, --levels whose smallest step is 0).
+method other than mgi, a --levels or --dts sweep whose finest level, or
+reference run, integrate would refuse).
 """
 
 import argparse
@@ -21,7 +22,7 @@ import numpy as np
 
 from .basis import MAX_ORDER
 from .errors import GeodesyError
-from .integrators import Method, integrate, sample_trajectory
+from .integrators import Method, _step_count, integrate, sample_trajectory
 from .newton import NewtonConfig
 from .problems import get_problem, problem_names
 from .tableau import butcher_tableau_mci, gauss_collocation_tableau
@@ -181,21 +182,30 @@ def _cmd_run(args):
     return 0
 
 
-def _reference_states(problem, method, pt, qrhs, y0, tfinal, dts, newton):
+def _reference_states(problem, method, ref_pt, qrhs, y0, tfinal, ref_dt, newton):
     """Endpoint truth: exact solution when known, else a much finer run."""
     sys_ = problem.system
     if sys_.exact_solution is not None:
         return sys_.exact_solution(tfinal, y0)
-    ref_dt = min(dts) / 64.0
-    ref_pt = pt + 2 if method.is_element_method else pt
     traj = integrate(sys_, method, y0, 0.0, tfinal, ref_dt, p=ref_pt, newton=newton, q_rhs=qrhs)
     return traj.states[:, -1]
+
+
+def _check_steps(problem, method, p, tfinal, dt, flag, what):
+    # integrate's step-count rule, before anything is integrated: a run it would refuse
+    # is found before the coarser levels, which can take minutes, not after them
+    try:
+        if not dt > 0.0:  # a reference step below the smallest subnormal
+            raise ValueError(f"dt must be positive, got {dt!r}")
+        _step_count(problem.system, method, p, 0.0, float(tfinal), dt)
+    except ValueError as err:
+        raise UsageError(f"{flag} gives {what} steps that integrate refuses: {err}") from None
 
 
 def _cmd_converge(args):
     problem, method, pt, dt, qrhs, out, y0, newton, _, config = _resolve_common(args)
     tfinal = _positive("tfinal", _resolve(args, config, "tfinal", 10.0 * dt))
-    dts = _resolve(args, config, "dts")
+    dts, levels = _resolve(args, config, "dts"), None
     if dts is not None:
         try:
             dts = [float(v) for v in (dts.split(",") if isinstance(dts, str) else dts)]
@@ -214,7 +224,12 @@ def _cmd_converge(args):
         raise UsageError("step sizes must be positive and smaller than tfinal")
     if len(set(dts)) < len(dts):  # a repeated size has no observed order
         raise UsageError(f"step sizes must be distinct, got {', '.join(f'{v:g}' for v in dts)}")
-    y_ref = _reference_states(problem, method, pt, qrhs, y0, tfinal, dts, newton)
+    ref_dt, ref_pt = min(dts) / 64.0, pt + 2 if method.is_element_method else pt
+    flag = "--dts" if levels is None else f"--levels {levels}"
+    _check_steps(problem, method, pt, tfinal, min(dts), flag, "the finest level")
+    if problem.system.exact_solution is None:
+        _check_steps(problem, method, ref_pt, tfinal, ref_dt, flag, "the reference run")
+    y_ref = _reference_states(problem, method, ref_pt, qrhs, y0, tfinal, ref_dt, newton)
     label = problem.invariant_labels[0] if problem.invariant_labels else None
 
     endpoint_errors, invariant_errors = [], []

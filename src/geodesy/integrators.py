@@ -204,33 +204,40 @@ def _field_at(sys: OdeSystem, y, where) -> np.ndarray:
     # y is one state (dim,) or a block (dim, n): one domain check, one field
     # call and one finiteness test cover every column. where(j) names column
     # j; it is only called to report a failure, for the first failing column.
-    # the field read, not OdeSystem.check_domain: one Python frame fewer per residual
+    # the field read, not OdeSystem.check_domain: one Python frame fewer per call.
+    # The element residual makes the same pass inline
     check = sys.domain_check
     if check is not None:
         reason = check(y)
         if reason is not None:
-            j, reason = _first_domain_failure(sys, y, reason)
-            raise DomainError(f"state leaves the domain at {where(j)}: {reason}")
+            _domain_failure(sys, y, reason, where)
     h = np.asarray(sys.field(y), dtype=float)
+    if h.shape != y.shape or not _all(np.isfinite(h), axis=None):
+        _field_failure(h, y, where)
+    return h
+
+
+def _domain_failure(sys, y, block_reason, where):
+    # raises the DomainError of the first column of y that fails the domain check
+    cols = y.reshape(len(y), -1)
+    for j in range(cols.shape[1]):
+        reason = sys.check_domain(cols[:, j])
+        if reason is not None:
+            break
+    else:
+        j, reason = 0, block_reason
+    raise DomainError(f"state leaves the domain at {where(j)}: {reason}")
+
+
+def _field_failure(h, y, where):
+    # raises the error of a field value h at y of the wrong shape or not finite
     if h.shape != y.shape:
         raise ValueError(
             f"vector field returned shape {h.shape} for states of shape {y.shape}, expected"
             f" {y.shape}; wrap a field written for one state with geodesy.systems.pointwise"
         )
-    finite = np.isfinite(h)
-    if not _all(finite, axis=None):
-        j = int(np.argmin(finite.reshape(len(h), -1).all(axis=0)))
-        raise EvaluationError(f"vector field is non-finite at {where(j)}")
-    return h
-
-
-def _first_domain_failure(sys: OdeSystem, y, block_reason):
-    cols = y.reshape(len(y), -1)
-    for j in range(cols.shape[1]):
-        reason = sys.check_domain(cols[:, j])
-        if reason is not None:
-            return j, reason
-    return 0, block_reason
+    j = int(np.argmin(np.isfinite(h).reshape(len(h), -1).all(axis=0)))
+    raise EvaluationError(f"vector field is non-finite at {where(j)}")
 
 
 def _element_callables(sys, coeffs, pairing):
@@ -257,6 +264,8 @@ def _element_callables(sys, coeffs, pairing):
     def where(n):
         return f"quadrature node {n} (t={t0 + (nodes[n] + 1.0) * sqrt_g:g})"
 
+    field, check = sys.field, sys.domain_check
+
     def residual(z):
         nonlocal held_z, held_Yq
         stages[...] = z.reshape(M, p)
@@ -265,7 +274,16 @@ def _element_callables(sys, coeffs, pairing):
         # where a folded E @ D would round the differences into the table
         both = coeffs.dot(LE)
         held_z, held_Yq = z, both[:, :q]
-        h = _field_at(sys, held_Yq, where)
+        Yq = held_Yq
+        # _field_at's checked pass, inline: one Python frame fewer per residual, and
+        # the callables bound once per factory
+        if check is not None:
+            reason = check(Yq)
+            if reason is not None:
+                _domain_failure(sys, Yq, reason, where)
+        h = np.asarray(field(Yq), dtype=float)
+        if h.shape != Yq.shape or not _all(np.isfinite(h), axis=None):
+            _field_failure(h, Yq, where)
         if P is not None:  # collocation skips the product: its s B is exactly I
             h = h.dot(P)
         return (both[:, q:].dot(D) / sqrt_g - h).reshape(-1)
@@ -478,6 +496,35 @@ def _invariant_series(sys: OdeSystem, times: np.ndarray, states: np.ndarray) -> 
     return series
 
 
+def _step_count(sys, method, p, t0, tf, dt):
+    # integrate's step-count rule, which geodesy converge also applies to its sweep:
+    # the count n >= 1 of steps of dt > 0 from t0 to tf, and the slack within which
+    # the last step absorbs a remainder. A count that is not finite, or whose records
+    # numpy cannot address, raises a ValueError naming t0, tf and dt.
+    # t0 + k dt rounds at the magnitude of t0 and tf, so (tf - t0) / dt can
+    # exceed a whole count by far more than 1e-12 when tf = t0 + n dt; Python
+    # floats take the count to inf without a warning, where numpy's would warn
+    slack = 1e-12 * dt + 8 * math.ulp(1.0) * max(abs(t0), abs(tf))
+    count = (tf - t0 - slack) / dt
+    if not math.isfinite(count):
+        raise ValueError(
+            f"too many steps: (tf - t0) / dt is not finite for t0={t0!r}, tf={tf!r}, dt={dt!r}"
+        )
+    n = max(1, math.ceil(count))
+    # the records' bytes, in Python ints: past what numpy can address, its own error would
+    # name no argument; a count within that but past memory raises MemoryError
+    per_step = 8 * (1 + sys.dim)  # times and states
+    if method.is_element_method:  # coefficients and Newton iterations
+        per_step += 8 * (sys.dim * (p + 1) + 1)
+    if per_step * (n + 1) > _MAX_BYTES:
+        raise ValueError(
+            f"too many steps: t0={t0!r}, tf={tf!r}, dt={dt!r} give {count:.3g} steps; at"
+            f" {per_step} bytes per step the records exceed the {_MAX_BYTES} bytes numpy can"
+            " address"
+        )
+    return n, slack
+
+
 def integrate(
     sys: OdeSystem,
     method: Method,
@@ -518,28 +565,8 @@ def integrate(
         pairing = _pairing(method, p, q_rhs)
     y0 = _initial_state(sys, y0)
 
-    # t0 + k dt rounds at the magnitude of t0 and tf, so (tf - t0) / dt can
-    # exceed a whole count by far more than 1e-12 when tf = t0 + n dt; Python
-    # floats take the count to inf without a warning, where numpy's would warn
     t0, tf, dt = float(t0), float(tf), float(dt)
-    slack = 1e-12 * dt + 8 * math.ulp(1.0) * max(abs(t0), abs(tf))
-    count = (tf - t0 - slack) / dt
-    if not math.isfinite(count):
-        raise ValueError(
-            f"too many steps: (tf - t0) / dt is not finite for t0={t0!r}, tf={tf!r}, dt={dt!r}"
-        )
-    n = max(1, math.ceil(count))
-    # the records' bytes, in Python ints: past what numpy can address, its own error would
-    # name no argument; a count within that but past memory raises MemoryError
-    per_step = 8 * (1 + sys.dim)  # times and states
-    if method.is_element_method:  # coefficients and Newton iterations
-        per_step += 8 * (sys.dim * (p + 1) + 1)
-    if per_step * (n + 1) > _MAX_BYTES:
-        raise ValueError(
-            f"too many steps: t0={t0!r}, tf={tf!r}, dt={dt!r} give {count:.3g} steps; at"
-            f" {per_step} bytes per step the records exceed the {_MAX_BYTES} bytes numpy can"
-            " address"
-        )
+    n, slack = _step_count(sys, method, p, t0, tf, dt)
     times = np.empty(n + 1)
     states = np.empty((sys.dim, n + 1))
     times[0] = t0

@@ -2,6 +2,15 @@
 
 Every field, Jacobian and domain check takes one state (dim,) or a block of
 states (dim, n), as OdeSystem requires.
+
+The Lotka-Volterra kernels run in every residual under forward differences,
+so they keep numpy calls few. field writes both rows into one output array
+and multiplies by the state in place, with no np.array stack of rows; each
+entry is y1 (y2 - 2) or y2 (1 - y1), bit for bit. domain admits a block with
+one reduction, min(y) > 0 (initial=inf admits an empty block); only when that
+fails does it run the y <= 0 test, which a NaN passes, as the field's
+finiteness test reports it, and a zero or negative entry fails with the
+reason, naming the first such column.
 """
 
 from dataclasses import dataclass
@@ -15,6 +24,7 @@ from .systems import OdeSystem, SeparablePartition
 
 # called with axis=None, as ndarray.any() adds a Python frame per call on tiny arrays
 _any = np.logical_or.reduce
+_min = np.minimum.reduce
 
 
 def _zero_jacobian(y, dim):
@@ -91,7 +101,11 @@ def make_lotka_volterra() -> ProblemSpec:
     """
 
     def field(y):
-        return np.array([y[0] * (y[1] - 2.0), y[1] * (1.0 - y[0])])
+        h = np.empty(np.shape(y))
+        np.subtract(y[1:], 2.0, out=h[:1])
+        np.subtract(1.0, y[:1], out=h[1:])
+        h *= y
+        return h
 
     def jac(y):
         J = _zero_jacobian(y, 2)
@@ -107,7 +121,8 @@ def make_lotka_volterra() -> ProblemSpec:
         return -y[0] + np.log(y[0]) - y[1] + 2.0 * np.log(y[1])
 
     def domain(y):
-        if not _any(y <= 0.0, axis=None):
+        # one reduction admits a block; a NaN fails it and passes the y <= 0 test
+        if _min(y, axis=None, initial=np.inf) > 0.0 or not _any(y <= 0.0, axis=None):
             return None
         cols = y.reshape(2, -1)
         y1, y2 = cols[:, (cols <= 0.0).any(axis=0).argmax()]

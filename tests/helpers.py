@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own numerics: numpy polynomial
 utilities, a tiny-step RK4 marcher, a plain fixed-point implicit
-Runge-Kutta step, a column-by-column forward difference and Legendre
-rules refined in long double. Keep them
+Runge-Kutta step, a column-by-column forward difference, Legendre
+rules refined in long double and the Lotka-Volterra kernels written as
+plain row expressions. Keep them
 independent so the cross-checks stay honest.
 """
 
@@ -104,6 +105,24 @@ def longdouble_rule(nodes, n, lobatto=False, updates=3):
     P, dP = legendre_longdouble(n, x)
     weights = 2 / (n * (n + 1) * P**2) if lobatto else 2 / ((1 - x * x) * dP**2)
     return x, weights
+
+
+def lotka_volterra_field_stacked(y):
+    """The Lotka-Volterra field as the stack of its two rows, y1 (y2 - 2) and y2 (1 - y1)."""
+    return np.array([y[0] * (y[1] - 2.0), y[1] * (1.0 - y[0])])
+
+
+def lotka_volterra_domain_any(y):
+    """The Lotka-Volterra domain check as one test of y <= 0 over the whole block.
+
+    Returns None when no entry is zero or negative, else the reason naming the
+    first column that has one.
+    """
+    if not np.any(y <= 0.0):
+        return None
+    cols = y.reshape(2, -1)
+    y1, y2 = cols[:, (cols <= 0.0).any(axis=0).argmax()]
+    return f"populations must stay positive, got ({y1:.6g}, {y2:.6g})"
 
 
 def fit_slope(dts, errs):

@@ -393,6 +393,54 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "sweep, refused",
+        [
+            (["--levels", "1030"], "is not finite"),  # 10 * 2**1029 steps
+            (["--levels", "60"], "bytes numpy can address"),  # 5.8e18 steps
+            (["--dts", "0.1,0.05,1e-300"], "bytes numpy can address"),
+        ],
+        ids=["levels-inf", "levels-bytes", "dts-bytes"],
+    )
+    def test_converge_checks_its_finest_level_before_integrating(
+        self, tmp_path, capsys, monkeypatch, sweep, refused
+    ):
+        # circle has an exact solution: the finest level alone would be refused by integrate,
+        # which a sweep used to reach only after every coarser level had run
+        monkeypatch.setattr("geodesy.cli.integrate", None)  # never reached
+        out = tmp_path / "out"
+        assert run_cli("converge", "--problem", "circle", *sweep, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        flag = " ".join(sweep) if sweep[0] == "--levels" else "--dts"
+        assert err.startswith(f"error: {flag} gives the finest level steps that integrate refuses:")
+        assert refused in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sweep, dt",
+        [
+            # the finest level takes 10 * 2**49 steps, the reference run 64 times as many at
+            # order pt + 2, past the bytes numpy can address
+            (["--levels", "50"], "1.1102230246251566e-17"),
+            # rk4 keeps its order; a finest step of 1e-322 leaves a reference step of 0
+            (["--method", "rk4", "--tfinal", "1e-310", "--dts", "4e-311,3e-311,1e-322"], "0.0"),
+        ],
+        ids=["levels", "dts-zero-reference"],
+    )
+    def test_converge_checks_its_reference_run_before_integrating(
+        self, tmp_path, capsys, monkeypatch, sweep, dt
+    ):
+        # pendulum has no exact solution, so the sweep's truth is a finer run
+        monkeypatch.setattr("geodesy.cli.integrate", None)  # never reached
+        out = tmp_path / "out"
+        assert run_cli("converge", "--problem", "pendulum", *sweep, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        flag = " ".join(sweep) if sweep[0] == "--levels" else "--dts"
+        assert err.startswith(f"error: {flag} gives the reference run steps that integrate refuses:")
+        assert f"dt={dt}" in err or f"got {dt}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 def fitted_order(stdout):
     for line in stdout.splitlines():

@@ -1222,6 +1222,68 @@ class TestNonFiniteFieldOnTheNewtonPath:
         assert str(info.value).endswith(str(cause))
 
 
+def _counting(system):
+    # a copy of system whose field and domain check count their calls in the dict returned
+    calls = {"field": 0, "domain_check": 0}
+
+    def counted(name, fn):
+        def wrapped(y):
+            calls[name] += 1
+            return fn(y)
+
+        return wrapped
+
+    counted_fns = {name: counted(name, getattr(system, name)) for name in calls}
+    return dataclasses.replace(system, **counted_fns), calls
+
+
+class TestOneCheckedFieldPassPerResidual:
+    # every stage residual, whether Newton or a forward difference calls it,
+    # checks the domain of its (dim, q) block once and evaluates the field once
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_a_residual_that_succeeds_makes_one_call_of_each(self, monkeypatch, method, analytic):
+        lv = get_problem("lotka-volterra")
+        system = lv.system if analytic else dataclasses.replace(lv.system, jacobian=None)
+        system, calls = _counting(system)
+        per_residual = []
+        solve = geodesy.integrators.newton_solve
+
+        def spy(residual, x0, config, jacobian=None):
+            def counted(z):
+                before = dict(calls)
+                r = residual(z)
+                per_residual.append({name: calls[name] - before[name] for name in calls})
+                return r
+
+            return solve(counted, x0, config, jacobian=jacobian)
+
+        monkeypatch.setattr(geodesy.integrators, "newton_solve", spy)
+        step = mci_step if method is Method.MCI else mgi_step
+        step(system, lv.y0, 0.0, lv.dt_ref, 3)
+        assert len(per_residual) >= (2 if analytic else 8)  # fd: 1 + M p per iterate
+        assert all(c == {"field": 1, "domain_check": 1} for c in per_residual)
+        assert calls == {"field": len(per_residual), "domain_check": len(per_residual)}
+
+    @pytest.mark.parametrize(
+        "field, error",
+        [
+            (lambda y: np.full(y.shape, np.nan), EvaluationError),
+            (lambda y: np.where(y == y.max(), np.inf, y), EvaluationError),
+            (lambda y: y[:1], ValueError),
+        ],
+        ids=["nan", "one-inf", "wrong-shape"],
+    )
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_a_failing_field_is_evaluated_once(self, method, field, error):
+        system, calls = _counting(OdeSystem(dim=2, field=field, domain_check=lambda y: None))
+        step = mci_step if method is Method.MCI else mgi_step
+        with pytest.raises(error):
+            step(system, np.array([1.0, 2.0]), 0.0, 0.1, 2)
+        assert calls == {"field": 1, "domain_check": 1}
+
+
 class TestBaselines:
     def test_explicit_euler_frozen_step(self):
         harm = get_problem("harmonic")

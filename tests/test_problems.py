@@ -16,7 +16,7 @@ from geodesy.problems import (
 )
 from geodesy.systems import hamiltonian_vector_field
 
-from helpers import rk4_reference
+from helpers import lotka_volterra_domain_any, lotka_volterra_field_stacked, rk4_reference
 
 
 def test_registry():
@@ -186,6 +186,79 @@ class TestDomains:
 
     def test_unguarded_problems(self):
         assert make_circle().system.check_domain(np.array([1e6, -1e6])) is None
+
+
+def _same_bytes(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestLotkaVolterraKernels:
+    # the one-output field and the one-reduction domain check against the
+    # plain row expressions: the same entries, bit for bit, and the same reasons
+    SPECIAL = [0.0, -0.0, -1.5, np.inf, -np.inf, np.nan, 1e308, 5e-324]
+
+    @pytest.mark.parametrize("n", [1, 3, 18])
+    def test_field_is_byte_equal_on_blocks(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.uniform(-4.0, 8.0, (2, n))
+        field = make_lotka_volterra().system.field
+        assert _same_bytes(field(y), lotka_volterra_field_stacked(y))
+        for a in self.SPECIAL:  # the specials in either row, one column at a time
+            for row in (0, 1):
+                z = y.copy()
+                z[row, n // 2] = a
+                with np.errstate(all="ignore"):  # inf * 0 and 1e308 * y overflow in both
+                    assert _same_bytes(field(z), lotka_volterra_field_stacked(z)), (a, row)
+
+    @pytest.mark.parametrize(
+        "y",
+        [
+            np.array([3.0, 3.0]),
+            np.array([0.7, -2.25]),
+            np.array([-0.0, np.nan]),
+            [3.0, 2.5],
+            [[1.0, 2.0, 3.5], [0.5, 4.0, 6.0]],
+            np.array([3, 5]),
+            np.array([[1, -2, 3], [4, 5, 0]]),
+        ],
+        ids=["state", "negative", "signed-zero-nan", "list", "nested-list", "int", "int-block"],
+    )
+    def test_field_is_byte_equal_on_states_lists_and_ints(self, y):
+        got = make_lotka_volterra().system.field(y)
+        assert _same_bytes(got, lotka_volterra_field_stacked(np.asarray(y)))
+
+    @pytest.mark.parametrize(
+        "y",
+        [
+            np.array([3.0, 3.0]),
+            np.array([[1.0, 2.0, 5e-324], [0.5, 4.0, 1e308]]),
+            np.array([[1.0, np.nan, 2.0], [0.5, 4.0, 1.0]]),
+            np.array([[1.0, 2.0], [np.nan, np.nan]]),
+            np.empty((2, 0)),
+        ],
+        ids=["state", "admissible", "nan-column", "nan-row", "empty"],
+    )
+    def test_domain_admits(self, y):
+        check = make_lotka_volterra().system.domain_check
+        assert lotka_volterra_domain_any(y) is None
+        assert check(y) is None
+
+    @pytest.mark.parametrize(
+        "y",
+        [
+            np.array([0.0, 1.0]),
+            np.array([1.0, -2.5]),
+            np.array([-0.0, 1.0]),
+            np.array([[1.0, 2.0, 0.0, -1.0], [0.5, 4.0, 1.0, 1.0]]),
+            np.array([[1.0, 2.0, 3.0], [0.5, -np.inf, 0.0]]),
+            np.array([[np.nan, 2.0, 3.0], [0.5, 1.0, -1e-300]]),
+        ],
+        ids=["zero", "negative", "negative-zero", "third-column", "minus-inf", "nan-then-negative"],
+    )
+    def test_domain_names_the_first_failing_column(self, y):
+        got = make_lotka_volterra().system.domain_check(y)
+        assert got is not None
+        assert got == lotka_volterra_domain_any(y)
 
 
 class TestExactSolutions:

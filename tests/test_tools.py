@@ -29,7 +29,7 @@ def test_step_profile_finds_every_layer_of_its_case(step_profile, index):
     shares, iters, us = step_profile.profile_case(geodesy, case, 20)
     assert sum(shares.values()) == pytest.approx(100.0, abs=1e-9)
     analytic = case[-1]
-    expected = {"residual", "newton", "lu", "driver", "jacobian" if analytic else "fd"}
+    expected = {"problem", "residual", "newton", "lu", "driver", "jacobian" if analytic else "fd"}
     for name in step_profile.LAYERS:
         assert (shares[name] > 0.0) == (name in expected), name
     assert iters >= 1.0 and us > 0.0

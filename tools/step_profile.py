@@ -7,14 +7,17 @@ Usage, from the repository root:
 Each case integrates N steps (default 2000) under cProfile, R times (default
 5), and prints the median share of the integrate call's time per layer:
 
-- residual: the stage residual closure, with _field_at, the domain check and
-  the field, whoever calls it (Newton or the forward differences);
-- jacobian: the stage Jacobian closure with the problem's jacobian;
+- problem: the system's own field, jacobian and domain_check, wherever they
+  are called from: the residual, the stage Jacobian, or the driver's check
+  of each accepted state;
+- residual: the stage residual closure without the problem's kernels, whoever
+  calls it (Newton or the forward differences);
+- jacobian: the stage Jacobian closure without the problem's jacobian;
 - fd: forward_difference_jacobian's own work, without its residual calls;
 - newton: newton_solve's own work, without the layers above and the LU;
 - lu: _lu_factor_checked, with LAPACK's getrf;
-- driver: the rest of integrate: element set-up, the guess, the records and
-  the invariant series.
+- driver: the rest of integrate: element set-up, the guess, the records,
+  the invariant series and OdeSystem.check_domain's own frame.
 
 In each run the shares sum to 100%. The cases are pendulum MCI p=2 at dt=0.1, Lotka-
 Volterra MCI p=3 at dt=0.3 without its analytic Jacobian (forward
@@ -22,7 +25,9 @@ differences), and kepler MGI p=4 at dt=2 pi/128 with the default q_rhs. The
 profiler adds a fixed cost to every Python call, so the shares of call-heavy
 layers read high; compare them between trees, not with unprofiled times.
 Calls into C (numpy, LAPACK, builtins such as max) are not profiled on
-their own: their time counts in the layer that makes them.
+their own: their time counts in the layer that makes them. The kernels are
+found in the table by their code objects (file, first line, name), so a
+closure of the same name elsewhere is not mistaken for them.
 """
 
 import argparse
@@ -45,7 +50,7 @@ CASES = (
     ("lotka-volterra MCI p=3, no jacobian", "lotka-volterra", "MCI", 3, 0.3, False),
     ("kepler MGI p=4", "kepler", "MGI", 4, 2.0 * math.pi / 128.0, True),
 )
-LAYERS = ("residual", "jacobian", "fd", "newton", "lu", "driver")
+LAYERS = ("problem", "residual", "jacobian", "fd", "newton", "lu", "driver")
 
 # (module file, function name) of each layer's root
 _ROOTS = {
@@ -58,14 +63,48 @@ _ROOTS = {
 }
 
 
+# (module file, function name) of each caller of the problem's kernels, and its layer;
+# _field_at is the residual's caller in a tree without the inline checked pass
+_CALLERS = {
+    ("integrators.py", "residual"): "residual",
+    ("integrators.py", "_field_at"): "residual",
+    ("integrators.py", "jacobian"): "jacobian",
+    ("systems.py", "check_domain"): "driver",
+}
+
+
+def _caller_layer(caller):
+    filename, _, funcname = caller
+    for (module, name), layer in _CALLERS.items():
+        if name == funcname and filename.endswith(os.path.join("geodesy", module)):
+            return layer
+    raise ValueError(f"no layer holds the problem's kernel calls from {funcname} in {filename}")
+
+
 def _root_key(stats, name):
     path = os.path.join("geodesy", _ROOTS[name][0])
     funcname = _ROOTS[name][1]
     return next((key for key in stats if key[2] == funcname and key[0].endswith(path)), None)
 
 
-def layer_seconds(stats):
-    """Disjoint layer times, in seconds, from a pstats table of one integrate call."""
+def kernel_keys(system):
+    """The pstats keys of the system's own field, jacobian and domain_check."""
+    fns = (system.field, system.jacobian, system.domain_check)
+    return tuple(
+        (f.__code__.co_filename, f.__code__.co_firstlineno, f.__code__.co_name)
+        for f in fns
+        if f is not None
+    )
+
+
+def layer_seconds(stats, kernels):
+    """Disjoint layer times, in seconds, from a pstats table of one integrate call.
+
+    kernels holds the pstats keys of the problem's own callables (kernel_keys).
+    Their time leaves the layer of the function that calls them: the residual,
+    the stage Jacobian or the driver. The forward differences call them only
+    through the residual, whose calls are not in fd's layer.
+    """
     keys = {name: _root_key(stats, name) for name in _ROOTS}
 
     def cum(name):
@@ -79,15 +118,22 @@ def layer_seconds(stats):
             return 0.0
         return stats[key][4].get(by, (0, 0, 0.0, 0.0))[3]
 
+    # the kernels' inclusive time, split by the layer of each direct caller
+    under = {"residual": 0.0, "jacobian": 0.0, "driver": 0.0}
+    for kernel in kernels:
+        for caller, (*_, seconds) in stats.get(kernel, (0, 0, 0, 0, {}))[4].items():
+            under[_caller_layer(caller)] += seconds
+
     total = cum("integrate")
     seconds = {
-        "residual": cum("residual"),
-        "jacobian": cum("jacobian"),
+        "problem": sum(under.values()),
+        "residual": cum("residual") - under["residual"],
+        "jacobian": cum("jacobian") - under["jacobian"],
         "fd": cum("fd") - called_from("residual", "fd"),
         "lu": cum("lu"),
         "newton": cum("newton")
         - sum(called_from(name, "newton") for name in ("residual", "jacobian", "fd", "lu")),
-        "driver": total - cum("newton"),
+        "driver": total - cum("newton") - under["driver"],
     }
     return seconds, total
 
@@ -100,7 +146,7 @@ def profile_case(g, case, steps):
     method = g.Method[method]
     profiler = cProfile.Profile(builtins=False)  # C calls count in their caller's own time
     traj = profiler.runcall(g.integrate, system, method, spec.y0, 0.0, steps * dt, dt, p=p)
-    seconds, total = layer_seconds(pstats.Stats(profiler).stats)
+    seconds, total = layer_seconds(pstats.Stats(profiler).stats, kernel_keys(system))
     shares = {name: 100.0 * seconds[name] / total for name in LAYERS}
     return shares, float(traj.newton_iterations.mean()), 1e6 * total / traj.steps
 
