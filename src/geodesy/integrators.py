@@ -204,8 +204,8 @@ def _field_at(sys: OdeSystem, y, where) -> np.ndarray:
     # y is one state (dim,) or a block (dim, n): one domain check, one field
     # call and one finiteness test cover every column. where(j) names column
     # j; it is only called to report a failure, for the first failing column.
-    # the field read, not OdeSystem.check_domain: one Python frame fewer per call.
-    # The element residual makes the same pass inline
+    # the field read, not OdeSystem.check_domain: one Python frame fewer per call;
+    # the element residual makes this same pass inline
     check = sys.domain_check
     if check is not None:
         reason = check(y)
@@ -273,8 +273,8 @@ def _element_callables(sys, coeffs, pairing):
         # of coeffs @ E is one exactly rounded difference of nodal values,
         # where a folded E @ D would round the differences into the table
         both = coeffs.dot(LE)
-        held_z, held_Yq = z, both[:, :q]
-        Yq = held_Yq
+        Yq = both[:, :q]
+        held_z, held_Yq = z, Yq
         # _field_at's checked pass, inline: one Python frame fewer per residual, and
         # the callables bound once per factory
         if check is not None:
