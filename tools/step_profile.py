@@ -8,7 +8,7 @@ Each case integrates N steps (default 2000) under cProfile, R times (default
 5), and prints the median share of the integrate call's time per layer:
 
 - problem: the system's own field, jacobian and domain_check, wherever they
-  are called from: the residual, the stage Jacobian, or the driver's check
+  are called from: the residual, the stage Jacobian, or integrate's check
   of each accepted state;
 - residual: the stage residual closure without the problem's kernels, whoever
   calls it (Newton or the forward differences);
@@ -102,8 +102,8 @@ def layer_seconds(stats, kernels):
 
     kernels holds the pstats keys of the problem's own callables (kernel_keys).
     Their time leaves the layer of the function that calls them: the residual,
-    the stage Jacobian or the driver. The forward differences call them only
-    through the residual, whose calls are not in fd's layer.
+    the stage Jacobian or integrate itself. The forward differences call them
+    only through the residual, whose calls are not in fd's layer.
     """
     keys = {name: _root_key(stats, name) for name in _ROOTS}
 
