@@ -204,40 +204,33 @@ def _field_at(sys: OdeSystem, y, where) -> np.ndarray:
     # y is one state (dim,) or a block (dim, n): one domain check, one field
     # call and one finiteness test cover every column. where(j) names column
     # j; it is only called to report a failure, for the first failing column.
-    # the field read, not OdeSystem.check_domain: one Python frame fewer per call;
-    # the element residual makes this same pass inline
+    # the field read, not OdeSystem.check_domain: one Python frame fewer per residual
     check = sys.domain_check
     if check is not None:
         reason = check(y)
         if reason is not None:
-            _domain_failure(sys, y, reason, where)
+            j, reason = _first_domain_failure(sys, y, reason)
+            raise DomainError(f"state leaves the domain at {where(j)}: {reason}")
     h = np.asarray(sys.field(y), dtype=float)
-    if h.shape != y.shape or not _all(np.isfinite(h), axis=None):
-        _field_failure(h, y, where)
-    return h
-
-
-def _domain_failure(sys, y, block_reason, where):
-    # raises the DomainError of the first column of y that fails the domain check
-    cols = y.reshape(len(y), -1)
-    for j in range(cols.shape[1]):
-        reason = sys.check_domain(cols[:, j])
-        if reason is not None:
-            break
-    else:
-        j, reason = 0, block_reason
-    raise DomainError(f"state leaves the domain at {where(j)}: {reason}")
-
-
-def _field_failure(h, y, where):
-    # raises the error of a field value h at y of the wrong shape or not finite
     if h.shape != y.shape:
         raise ValueError(
             f"vector field returned shape {h.shape} for states of shape {y.shape}, expected"
             f" {y.shape}; wrap a field written for one state with geodesy.systems.pointwise"
         )
-    j = int(np.argmin(np.isfinite(h).reshape(len(h), -1).all(axis=0)))
-    raise EvaluationError(f"vector field is non-finite at {where(j)}")
+    finite = np.isfinite(h)
+    if not _all(finite, axis=None):
+        j = int(np.argmin(finite.reshape(len(h), -1).all(axis=0)))
+        raise EvaluationError(f"vector field is non-finite at {where(j)}")
+    return h
+
+
+def _first_domain_failure(sys: OdeSystem, y, block_reason):
+    cols = y.reshape(len(y), -1)
+    for j in range(cols.shape[1]):
+        reason = sys.check_domain(cols[:, j])
+        if reason is not None:
+            return j, reason
+    return 0, block_reason
 
 
 def _element_callables(sys, coeffs, pairing):
@@ -264,8 +257,6 @@ def _element_callables(sys, coeffs, pairing):
     def where(n):
         return f"quadrature node {n} (t={t0 + (nodes[n] + 1.0) * sqrt_g:g})"
 
-    field, check = sys.field, sys.domain_check
-
     def residual(z):
         nonlocal held_z, held_Yq
         stages[...] = z.reshape(M, p)
@@ -273,17 +264,8 @@ def _element_callables(sys, coeffs, pairing):
         # of coeffs @ E is one exactly rounded difference of nodal values,
         # where a folded E @ D would round the differences into the table
         both = coeffs.dot(LE)
-        Yq = both[:, :q]
-        held_z, held_Yq = z, Yq
-        # _field_at's checked pass, inline: one Python frame fewer per residual, and
-        # the callables bound once per factory
-        if check is not None:
-            reason = check(Yq)
-            if reason is not None:
-                _domain_failure(sys, Yq, reason, where)
-        h = np.asarray(field(Yq), dtype=float)
-        if h.shape != Yq.shape or not _all(np.isfinite(h), axis=None):
-            _field_failure(h, Yq, where)
+        held_z, held_Yq = z, both[:, :q]
+        h = _field_at(sys, held_Yq, where)
         if P is not None:  # collocation skips the product: its s B is exactly I
             h = h.dot(P)
         return (both[:, q:].dot(D) / sqrt_g - h).reshape(-1)

@@ -7,10 +7,10 @@ The Lotka-Volterra kernels run in every residual under forward differences,
 so they keep numpy calls few. field writes both rows into one output array
 and multiplies by the state in place, with no np.array stack of rows; each
 entry is y1 (y2 - 2) or y2 (1 - y1), bit for bit. domain admits a block with
-one reduction, min(y) > 0 (initial=inf admits an empty block); only when that
-fails does it run the y <= 0 test, which a NaN passes, as the field's
-finiteness test reports it, and a zero or negative entry fails with the
-reason, naming the first such column.
+one reduction, min(y) > 0 taken in floats, so that initial=inf admits an
+empty block of any real dtype; only when that fails does it run the y <= 0
+test, which a NaN passes, as the field's finiteness test reports it, and a
+zero or negative entry fails with the reason, naming the first such column.
 """
 
 from dataclasses import dataclass
@@ -121,8 +121,9 @@ def make_lotka_volterra() -> ProblemSpec:
         return -y[0] + np.log(y[0]) - y[1] + 2.0 * np.log(y[1])
 
     def domain(y):
-        # one reduction admits a block; a NaN fails it and passes the y <= 0 test
-        if _min(y, axis=None, initial=np.inf) > 0.0 or not _any(y <= 0.0, axis=None):
+        # one reduction admits a block, in floats so that initial=inf fits an int
+        # block; a NaN fails it and passes the y <= 0 test
+        if _min(y, axis=None, initial=np.inf, dtype=float) > 0.0 or not _any(y <= 0.0, axis=None):
             return None
         cols = y.reshape(2, -1)
         y1, y2 = cols[:, (cols <= 0.0).any(axis=0).argmax()]

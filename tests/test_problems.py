@@ -235,8 +235,10 @@ class TestLotkaVolterraKernels:
             np.array([[1.0, np.nan, 2.0], [0.5, 4.0, 1.0]]),
             np.array([[1.0, 2.0], [np.nan, np.nan]]),
             np.empty((2, 0)),
+            np.array([[1, 2, 3], [4, 5, 6]]),
+            np.empty((2, 0), dtype=int),
         ],
-        ids=["state", "admissible", "nan-column", "nan-row", "empty"],
+        ids=["state", "admissible", "nan-column", "nan-row", "empty", "int", "empty-int"],
     )
     def test_domain_admits(self, y):
         check = make_lotka_volterra().system.domain_check
@@ -252,8 +254,19 @@ class TestLotkaVolterraKernels:
             np.array([[1.0, 2.0, 0.0, -1.0], [0.5, 4.0, 1.0, 1.0]]),
             np.array([[1.0, 2.0, 3.0], [0.5, -np.inf, 0.0]]),
             np.array([[np.nan, 2.0, 3.0], [0.5, 1.0, -1e-300]]),
+            np.array([3, 0]),
+            np.array([[1, 2, 3], [4, -5, 0]]),
         ],
-        ids=["zero", "negative", "negative-zero", "third-column", "minus-inf", "nan-then-negative"],
+        ids=[
+            "zero",
+            "negative",
+            "negative-zero",
+            "third-column",
+            "minus-inf",
+            "nan-then-negative",
+            "int-zero",
+            "int-second-column",
+        ],
     )
     def test_domain_names_the_first_failing_column(self, y):
         got = make_lotka_volterra().system.domain_check(y)

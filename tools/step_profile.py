@@ -64,9 +64,8 @@ _ROOTS = {
 
 
 # (module file, function name) of each caller of the problem's kernels, and its layer;
-# _field_at is the residual's caller in a tree without the inline checked pass
+# the profiled cases reach _field_at only through the residual
 _CALLERS = {
-    ("integrators.py", "residual"): "residual",
     ("integrators.py", "_field_at"): "residual",
     ("integrators.py", "jacobian"): "jacobian",
     ("systems.py", "check_domain"): "driver",
