@@ -49,6 +49,16 @@ accept negative dt (a reversed element); the integrate driver walks forward.
 No step builds a grid: an element is its bounds and its values at the primal
 nodes (ElementSolution), and sample_trajectory is the one way to read it.
 
+integrate keeps a run as one primal 0-cochain on the time mesh: one (dim, n p + 1)
+nodal record, in which element k is columns k p .. k p + p, so neighbouring
+elements share their boundary column. The driver passes that column on as the
+next step's y0, bitwise, and after each solve copies the element's p stage
+columns from the factory's buffer into the record, which stays separate from
+the buffer. Trajectory.coefficients is a read-only (n, dim, p+1) view of the
+record with a stride of p columns between elements, and Trajectory.states the
+view of every p-th column, so each nodal value is stored once: 8 (dim p + 2 + L)
+bytes per step with times, Newton iterations and L invariant series.
+
 The kernel's products (c [Lq | E], the coboundary times D, h P, the pairing
 weights times the field Jacobians, and the driver's guess) are 2-D and, at
 low orders, a few dozen entries a side at most, so they call ndarray.dot
@@ -441,15 +451,23 @@ def rk4_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded time grid, endpoint states, invariant series and element polynomials of one run."""
+    """Recorded time grid, endpoint states, invariant series and element polynomials of one run.
+
+    An element method's run keeps one read-only nodal record, (dim, n p + 1): the primal
+    0-cochain on the time mesh, in which neighbouring elements share their boundary node.
+    states and coefficients are views of it, so each nodal value is held once.
+    """
 
     method: Method
     times: np.ndarray  # (n+1,)
-    states: np.ndarray  # (dim, n+1)
+    # (dim, n+1), read-only; for element methods every p-th column of the nodal record
+    states: np.ndarray
     invariants: dict  # label -> (n+1,) raw values
     order: Optional[int] = None  # polynomial order for element methods
     # element methods only, read-only; element k spans times[k]..times[k+1]
-    coefficients: Optional[np.ndarray] = None  # (n, dim, p+1) values at the primal nodes
+    # (n, dim, p+1) values at the primal nodes: element k is the record's columns k p .. k p + p,
+    # so coefficients[k, :, -1] and coefficients[k + 1, :, 0] are one value
+    coefficients: Optional[np.ndarray] = None
     newton_iterations: Optional[np.ndarray] = None  # (n,) Newton iterations per step
 
     @property
@@ -495,9 +513,11 @@ def _step_count(sys, method, p, t0, tf, dt):
     n = max(1, math.ceil(count))
     # the records' bytes, in Python ints: past what numpy can address, its own error would
     # name no argument; a count within that but past memory raises MemoryError
-    per_step = 8 * (1 + sys.dim)  # times and states
-    if method.is_element_method:  # coefficients and Newton iterations
-        per_step += 8 * (sys.dim * (p + 1) + 1)
+    per_step = 8 * (1 + len(sys.invariants))  # times and the invariant series
+    if method.is_element_method:  # p nodal columns and Newton iterations
+        per_step += 8 * (sys.dim * p + 1)
+    else:  # one state column
+        per_step += 8 * sys.dim
     if per_step * (n + 1) > _MAX_BYTES:
         raise ValueError(
             f"too many steps: t0={t0!r}, tf={tf!r}, dt={dt!r} give {count:.3g} steps; at"
@@ -549,15 +569,17 @@ def integrate(
 
     t0, tf, dt = float(t0), float(tf), float(dt)
     n, slack = _step_count(sys, method, p, t0, tf, dt)
+    element = method.is_element_method
+    stride = p if element else 1  # record columns per step
     times = np.empty(n + 1)
-    states = np.empty((sys.dim, n + 1))
+    record = np.empty((sys.dim, n * stride + 1))
     times[0] = t0
-    states[:, 0] = y0
-    coefficients = newton_iterations = None
-    if method.is_element_method:
-        coefficients = np.empty((n, sys.dim, p + 1))
+    record[:, 0] = y0
+    newton_iterations = None
+    if element:
         newton_iterations = np.empty(n, dtype=int)
         work = np.empty((sys.dim, p + 1))  # the element being solved
+        stages = work[:, 1:]
         *_, solve = _element_callables(sys, work, pairing)
 
     y, previous = y0, None
@@ -566,14 +588,17 @@ def integrate(
         t_b = tf if k == n - 1 else t0 + (k + 1) * dt
         h = t_b - t_a
         try:
-            if method.is_element_method:
+            if element:
                 # every step after the first extrapolates the previous element,
                 # except a shortened last step, which starts cold
                 if k == n - 1 and h < dt - slack:
                     previous = None
                 newton_iterations[k] = solve(y, t_a, h, newton, previous)
-                coefficients[k] = work
-                y, previous = coefficients[k, :, -1], coefficients[k]
+                # column k p already holds y0, bitwise: the previous element's last column
+                j = k * p
+                record[:, j + 1 : j + p + 1] = stages
+                previous = record[:, j : j + p + 1]
+                y = previous[:, -1]
             elif method is Method.EXPLICIT_EULER:
                 y = explicit_euler_step(sys, y, t_a, h)
             elif method is Method.SYMPLECTIC_EULER:
@@ -588,17 +613,26 @@ def integrate(
                 f"step {k} starting at t={t_a:g} failed: {err}", step=k, time=t_a
             ) from err
         times[k + 1] = t_b
-        states[:, k + 1] = y
+        if not element:
+            record[:, k + 1] = y
 
-    for arr in (coefficients, newton_iterations):
-        if arr is not None:
-            arr.setflags(write=False)
+    # views taken of the frozen record are read-only and cannot be made writeable again
+    record.setflags(write=False)
+    states = record[:, ::stride]
+    coefficients = None
+    if element:
+        newton_iterations.setflags(write=False)
+        # element k is columns k p .. k p + p: p columns' stride between elements, built
+        # directly, since as_strided wraps its view in one more object
+        row, col = record.strides
+        shape = (n, sys.dim, p + 1)
+        coefficients = np.ndarray(shape, float, buffer=record, strides=(p * col, row, col))
     return Trajectory(
         method=method,
         times=times,
         states=states,
         invariants=_invariant_series(sys, times, states),
-        order=p if method.is_element_method else None,
+        order=p if element else None,
         coefficients=coefficients,
         newton_iterations=newton_iterations,
     )

@@ -400,6 +400,23 @@ class TestMgiStep:
         ).endpoint()
         npt.assert_allclose(got, y1, rtol=0.0, atol=1e-11)
 
+    def test_p1_is_the_average_vector_field_method_not_the_midpoint_rule(self):
+        # at p = 1 and the default q_rhs, mgi solves the AVF equation
+        # y1 - y0 = dt int_0^1 h(y0 + s (y1 - y0)) ds; with q_rhs = 1 it reads the
+        # field at the chord's midpoint only, and solves the MCI equations: the
+        # implicit midpoint rule
+        pend = get_problem("pendulum")
+        y0, dt = pend.y0, 0.4
+        avf = mgi_step(pend.system, y0, 0.0, dt, 1).endpoint()
+        midpoint = mci_step(pend.system, y0, 0.0, dt, 1).endpoint()
+        assert np.max(np.abs(avf - midpoint)) > 1e-2
+        x, w = np.polynomial.legendre.leggauss(40)
+        chord = y0[:, None] + (avf - y0)[:, None] * (0.5 * (x + 1.0))
+        defect = (avf - y0) / dt - pend.system.field(chord) @ (0.5 * w)
+        assert np.max(np.abs(defect)) <= 1e-14
+        one_point = mgi_step(pend.system, y0, 0.0, dt, 1, q_rhs=1).endpoint()
+        assert np.max(np.abs(one_point - midpoint)) <= 1e-15
+
     def test_energy_exact_for_polynomial_hamiltonian(self):
         sys = make_quartic_oscillator()
         y = np.array([1.0, 0.5])
@@ -918,6 +935,89 @@ class TestStepBuffers:
         assert str(err).startswith(prefix + " ")
         node_time = float(str(err).split("(t=")[1].split(")")[0])
         assert t_a < node_time < t_b
+
+
+def _record_bytes(traj):
+    # the bytes of the distinct buffers behind a trajectory's arrays, each counted once:
+    # every array is followed through .base to the array that owns its memory
+    roots = {}
+    arrays = [traj.times, traj.states, traj.coefficients, traj.newton_iterations]
+    for arr in arrays + list(traj.invariants.values()):
+        while isinstance(arr, np.ndarray) and isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        if arr is not None:
+            roots[id(arr)] = arr
+    return sum(arr.nbytes for arr in roots.values())
+
+
+def _record_system(name, jacobian=True):
+    sys = get_problem(name).system
+    return sys if jacobian else dataclasses.replace(sys, jacobian=None)
+
+
+RECORD_CASES = [
+    ("pendulum", True, Method.MCI, 2),
+    ("lotka-volterra", False, Method.MCI, 3),
+    ("kepler", True, Method.MGI, 4),
+    ("pendulum", True, Method.RK4, 2),  # p is not used by rk4
+    ("kepler", True, Method.RK4, 2),
+]
+RECORD_IDS = ["pendulum-mci", "lv-fd-mci", "kepler-mgi", "pendulum-rk4", "kepler-rk4"]
+
+
+class TestNodalRecord:
+    # an element run keeps one primal 0-cochain, (dim, n p + 1): neighbouring elements
+    # share their boundary column, and states and coefficients are read-only views of it
+
+    @pytest.mark.parametrize("name, jac, method, p", RECORD_CASES, ids=RECORD_IDS)
+    @pytest.mark.parametrize("tf", [1.0, 1.25])  # 10 steps; 13 with a shortened last one
+    def test_each_nodal_value_is_stored_once(self, name, jac, method, p, tf):
+        sys = _record_system(name, jac)
+        traj = integrate(sys, method, get_problem(name).y0, 0.0, tf, 0.1, p=p)
+        n, dim, L = traj.steps, sys.dim, len(sys.invariants)
+        if method.is_element_method:
+            want = 8 * (n + 1) + 8 * dim * (n * p + 1) + 8 * n + 8 * L * (n + 1)
+        else:
+            want = 8 * (n + 1) * (1 + dim + L)
+        assert _record_bytes(traj) == want
+
+    @pytest.mark.parametrize("name, jac, method, p", RECORD_CASES[:3], ids=RECORD_IDS[:3])
+    def test_neighbouring_elements_share_their_boundary_node(self, name, jac, method, p):
+        sys = _record_system(name, jac)
+        traj = integrate(sys, method, get_problem(name).y0, 0.0, 1.25, 0.1, p=p)
+        coeffs = traj.coefficients
+        assert np.shares_memory(coeffs[1:, :, 0], coeffs[:-1, :, -1])
+        assert np.shares_memory(traj.states, coeffs)
+        npt.assert_array_equal(traj.states[:, :-1], coeffs[:, :, 0].T)
+        npt.assert_array_equal(traj.states[:, 1:], coeffs[:, :, -1].T)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_records_are_read_only_for_every_method(self, method):
+        circle = make_circle()
+        traj = integrate(circle.system, method, circle.y0, 0.0, 1.0, 0.25, p=2)
+        arrays = [traj.states, traj.coefficients, traj.newton_iterations]
+        if not method.is_element_method:
+            assert traj.coefficients is None and traj.newton_iterations is None
+            arrays = arrays[:1]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        # views of the frozen record cannot be made writeable again
+        for arr in arrays[:2]:
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+
+    @pytest.mark.parametrize("name, jac, method, p", RECORD_CASES, ids=RECORD_IDS)
+    def test_too_many_steps_names_the_bytes_a_step_stores(self, name, jac, method, p):
+        # the refusal's bytes per step are what a small run of the same system and p holds
+        sys, y0 = _record_system(name, jac), get_problem(name).y0
+        with pytest.raises(ValueError, match="too many steps") as info:
+            integrate(sys, method, y0, 0.0, 1e100, 1e-200, p=p)
+        named = int(re.search(r"at (\d+) bytes per step", str(info.value)).group(1))
+        short, long = (integrate(sys, method, y0, 0.0, tf, 0.1, p=p) for tf in (1.0, 2.0))
+        measured = (_record_bytes(long) - _record_bytes(short)) / (long.steps - short.steps)
+        assert named == measured
 
 
 class TestReverseStep:
@@ -1566,9 +1666,10 @@ class TestIntegrateDriver:
         [
             ("pendulum", Method.RK4, 2, 1e100, 1e-200),
             ("pendulum", Method.MCI, 2, 1e100, 1e-200),
-            # 1e16 steps: times and states alone would fit, the (4, 65) elements would not
+            # 1e16 steps: times, Newton iterations and the invariant series alone would fit,
+            # the (4, 64 n + 1) nodal record would not; at p = 27 it would fit, 2e16 not
             ("kepler", Method.MCI, 64, 1.0, 1e-16),
-            ("kepler", Method.MGI, 27, 1.0, 1e-16),
+            ("kepler", Method.MGI, 27, 1.0, 5e-17),
         ],
     )
     def test_step_count_past_what_numpy_can_address_is_rejected_up_front(
