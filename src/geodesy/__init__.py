@@ -19,7 +19,6 @@ from .basis import (
     edge_eval_all,
     gauss_rule,
     gll_rule,
-    integrate_quad,
     legendre_eval,
     nodal_deriv_all,
     nodal_eval_all,
@@ -55,6 +54,7 @@ from .mimetic import (
     coboundary,
     dual_mass_matrix,
     galerkin_mass_dual,
+    galerkin_pairing,
     incidence_matrix,
     reconstruct0,
     reconstruct1,
@@ -105,6 +105,7 @@ __all__ = [
     "edge_eval_all",
     "explicit_euler_step",
     "galerkin_mass_dual",
+    "galerkin_pairing",
     "gauss_collocation_tableau",
     "gauss_rule",
     "get_problem",
@@ -112,7 +113,6 @@ __all__ = [
     "hamiltonian_vector_field",
     "incidence_matrix",
     "integrate",
-    "integrate_quad",
     "legendre_eval",
     "make_circle",
     "make_harmonic_oscillator",

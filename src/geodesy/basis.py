@@ -232,7 +232,3 @@ def _samples(f, nodes, what: str) -> np.ndarray:
         raise EvaluationError(f"{what} is non-finite at node {float(nodes[~finite][0])!r}")
     return values
 
-
-def integrate_quad(rule: QuadratureRule, f) -> float:
-    """Apply the quadrature rule to a scalar callable on [-1, 1]."""
-    return float(np.dot(rule.weights, _samples(f, rule.nodes, "integrand")))

@@ -2,31 +2,38 @@
 
 The element methods expand the solution inside a step as a degree-p
 polynomial through the Gauss-Lobatto nodes and difference it exactly with the
-incidence matrix, which gives the rate 1-cochain; the edge expansion of that
-cochain is then read at the p dual Gauss nodes. What remains is the pairing
-of the rate with the vector field, and one kernel covers both methods: the
-field is sampled at the nodes of a q-point Gauss rule, as one (dim, q) block
-per residual (one field, domain-check and Jacobian call), and paired against
-the dual basis through B[m, nu] = omega_nu ltilde_m(sigma_nu) / w_m, with each
-row m scaled by s_m,
+incidence matrix, which gives the rate 1-cochain. The two methods differ only
+in the discrete Hodge-star that pairs the rate with the vector field h, and
+one kernel covers both: the field is sampled at the nodes sigma_nu of a
+q-point Gauss rule, as one (dim, q) block per residual (one field,
+domain-check and Jacobian call). mci takes the canonical Hodge
+(geodesy.mimetic.canonical_hodge_1to0), the rate's edge expansion read at the
+p dual Gauss nodes tau_m, and collocates the field there (q = p):
 
-    R[i, m] = s_m (rate of y_i at dual node m / sqrt(g) - sum_nu B[m, nu] h_i(y(sigma_nu))).
+    R[i, m] = (rate of y_i at tau_m) / sqrt(g) - h_i(y(tau_m)),
 
-mgi is the Galerkin pairing on a q_rhs-point rule with row scale s = w, the
-dual weights; with enough quadrature points it conserves polynomial
-Hamiltonians exactly. mci is the same pairing on the p dual nodes themselves
-with unit row scale; there B is the identity, the residual is collocation at
-the dual nodes, and the method is Gauss collocation, which is symplectic.
+which is Gauss collocation, a symplectic method. mgi takes the Galerkin
+Hodge, which weights the rate by the dual mass sqrt(g) w_m
+(galerkin_mass_dual) and integrates the field against each dual basis
+function ltilde_m on a q_rhs-point rule (galerkin_pairing); divided by sqrt(g),
+with y_nu the state at sigma_nu,
+
+    R[i, m] = w_m (rate of y_i at tau_m) / sqrt(g) - sum_nu omega_nu ltilde_m(sigma_nu) h_i(y_nu).
+
+With enough quadrature points it conserves polynomial Hamiltonians exactly.
 
 Everything a step needs of its pairing, the driver's guess table included,
-sits in one read-only record, built once per (p, q, pairing) from the
-unit ElementGrid of order p and cached; one resolver picks it from the
-method, and q_rhs (default 2p + 10) is an mgi setting only. Its tables carry
-the row scale, D[l, m] = s_m e_l(tau_m) and P[nu, m] = s_m B[m, nu], so one
-residual, (c E) D / sqrt(g) - h P for nodal values c and field values h,
-serves both pairings; mci has no P and skips that product. One product
-c [Lq | E] gives both the quadrature states c Lq and the coboundary c E, whose
-entries are each one exactly rounded difference of nodal values.
+sits in one read-only record, built once per (p, q, pairing) from those
+toolkit operators on the reference element of order p, where sqrt(g) = 1, and
+cached; one resolver picks it from the method, and q_rhs (default 2p + 10) is
+an mgi setting only. Row l of D is the canonical Hodge of the unit primal
+1-cochain l, D[l, m] = e_l(tau_m), times the dual mass w_m for mgi, and mgi's
+P is the Galerkin pairing on its rule, transposed, P[nu, m] = omega_nu
+ltilde_m(sigma_nu). So one residual, (c E) D / sqrt(g) - h P for nodal values
+c and field values h, serves both pairings; mci's pairing is the identity, so
+it has no P and skips that product. One product c [Lq | E] gives both the
+quadrature states c Lq and the coboundary c E, whose entries are each one
+exactly rounded difference of nodal values.
 
 One factory builds, binds and solves an element over its stage buffer, once
 per buffer: its residual, stage Jacobian, bind and solve. integrate builds it
@@ -80,8 +87,8 @@ element, as extrapolating through every node would amplify the rounding and
 Newton errors in the nodal values by up to 5e48 (at p = 64). The guess is
 safe for the conserved quantities because Newton polishes its abs_tol stop
 (see geodesy.newton): the accepted stages do not depend on where the solve
-started by more than rounding. A dt whose element half-length has no finite
-reciprocal is rejected with a ValueError naming dt.
+started by more than rounding. A dt whose element half-length is zero or
+infinite, or has no finite reciprocal, is rejected with a ValueError naming dt.
 """
 
 import enum
@@ -92,9 +99,18 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import MAX_ORDER, _check_order, _read_only, edge_eval_all, gauss_rule, nodal_eval_all
+from .basis import MAX_ORDER, _check_order, _read_only, gauss_rule, nodal_eval_all
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
-from .mimetic import _reference_element, incidence_matrix
+from .mimetic import (
+    Cochain,
+    CochainKind,
+    _reference_element,
+    _usable_half_length,
+    canonical_hodge_1to0,
+    galerkin_mass_dual,
+    galerkin_pairing,
+    incidence_matrix,
+)
 from .newton import NewtonConfig, _all, newton_solve
 from .systems import OdeSystem
 
@@ -129,11 +145,15 @@ class _Pairing(NamedTuple):
     # [Lq | E], (p+1, q+p): the nodal basis Lq at the quadrature nodes and the incidence E;
     # one product coeffs @ LE gives the quadrature states and the coboundary
     LE: np.ndarray
-    D: np.ndarray  # edge functions at the dual nodes, row-scaled: D[l, m] = s_m e_l(tau_m)
-    P: Optional[np.ndarray]  # P[nu, m] = s_m B[m, nu], (q, p); None for collocation, where s B = I
+    # (p, p): row l is the canonical Hodge of the unit primal 1-cochain l, D[l, m] = e_l(tau_m),
+    # times the dual mass w_m for mgi
+    D: np.ndarray
+    # (q, p): mgi's Galerkin pairing on its rule, transposed,
+    # P[nu, m] = omega_nu ltilde_m(sigma_nu); None for mci, whose pairing is the identity
+    P: Optional[np.ndarray]
     nodes: np.ndarray  # the quadrature nodes sigma_nu
     rate: np.ndarray  # (E @ D)[1:]^T, (p, p): one variable's stage Jacobian rate term times sqrt(g)
-    weights: np.ndarray  # W[(m, b), nu] = s_m B[m, nu] Lq[1+b, nu]; its field term is W @ Jh
+    weights: np.ndarray  # W[(m, b), nu] = P[nu, m] Lq[1+b, nu], P = I for mci; field term W @ Jh
     # (p+1, p): coeffs @ ahead reads an element at the next one's stages, tau + 2, through the
     # interpolant of at most _GUESS_DEGREE + 1 of its nodes (the rows of the others are zero);
     # built in Lagrange product form, as the barycentric form loses digits outside [-1, 1]
@@ -142,15 +162,20 @@ class _Pairing(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _pairing_record(p: int, q: int, galerkin: bool) -> _Pairing:
-    ref = _reference_element(p)
+    ref = _reference_element(p)  # sqrt(g) = 1
     quad = gauss_rule(q)
     E = incidence_matrix(p)
     Lq = nodal_eval_all(ref.primal_basis, quad.nodes).T
-    B = quad.weights * nodal_eval_all(ref.dual_basis, quad.nodes).T / ref.dual.weights[:, None]
-    scale = ref.dual.weights if galerkin else np.ones(p)  # the row scale s
-    D = edge_eval_all(ref.edge_basis, ref.dual.nodes).T * scale
-    Pfull = (scale[:, None] * B).T
-    P = Pfull if galerkin else None
+    # row l is the canonical Hodge of the unit primal 1-cochain l. Fortran order: the layout
+    # the kernel's dot products are timed and checked bitwise with, as BLAS may round another
+    # layout differently
+    units = (Cochain(CochainKind.PRIMAL1, unit) for unit in np.eye(p))
+    D = np.array([canonical_hodge_1to0(c, ref).values for c in units], order="F")
+    if galerkin:  # rows scaled by the dual mass, the field paired on the q-point rule
+        D = D * galerkin_mass_dual(ref)
+        P = Pfull = galerkin_pairing(ref, quad).T
+    else:  # collocation at the dual nodes: the pairing is the identity, which the kernel skips
+        P, Pfull = None, np.eye(p)
     rate = (E @ D)[1:].T
     weights = (Pfull.T[:, None] * Lq[1:]).reshape(p * p, q)
     # ahead[j, m] = l_j(t_m) = prod_{k != j} (t_m - x_k) / (x_j - x_k) at t = x[1:] + 2, over
@@ -276,7 +301,7 @@ def _element_callables(sys, coeffs, pairing):
         both = coeffs.dot(LE)
         held_z, held_Yq = z, both[:, :q]
         h = _field_at(sys, held_Yq, where)
-        if P is not None:  # collocation skips the product: its s B is exactly I
+        if P is not None:  # collocation skips the product: its pairing is the identity
             h = h.dot(P)
         return (both[:, q:].dot(D) / sqrt_g - h).reshape(-1)
 
@@ -355,11 +380,12 @@ def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray
 
 def _half_length(t_start, t_end, dt) -> float:
     # sqrt(g) of the element t_start..t_end; dt, the step that gave t_end, names it in errors
-    sqrt_g = 0.5 * (t_end - t_start)
-    if sqrt_g == 0.0 or not math.isfinite(1.0 / float(sqrt_g)):
+    sqrt_g = _usable_half_length(t_start, t_end)
+    if sqrt_g is None:
         raise ValueError(
-            f"dt is too small for an element step: dt={dt!r} at t0={t_start!r} gives half-length"
-            f" {float(sqrt_g)!r}, whose reciprocal is not finite"
+            f"dt is too small or too large for an element step: dt={dt!r} at t0={t_start!r}"
+            f" gives half-length {float(0.5 * (t_end - t_start))!r}, which must be nonzero and"
+            " finite with a finite reciprocal"
         )
     return sqrt_g
 
@@ -493,6 +519,7 @@ def _invariant_series(sys: OdeSystem, times: np.ndarray, states: np.ndarray) -> 
                     time=times[k],
                 ) from err
         series[label] = np.array(values)
+        series[label].setflags(write=False)
     return series
 
 
@@ -562,8 +589,8 @@ def integrate(
         raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    if method.is_element_method:
-        _half_length(t0, t0 + dt, dt)
+    if method.is_element_method:  # the first step, which ends by tf
+        _half_length(t0, min(t0 + dt, tf), min(dt, tf - t0))
         pairing = _pairing(method, p, q_rhs)
     y0 = _initial_state(sys, y0)
 
@@ -618,6 +645,7 @@ def integrate(
 
     # views taken of the frozen record are read-only and cannot be made writeable again
     record.setflags(write=False)
+    times.setflags(write=False)  # sample_trajectory locates elements by it
     states = record[:, ::stride]
     coefficients = None
     if element:

@@ -12,12 +12,20 @@ Two pairings move a primal 1-cochain to the dual grid. The canonical pairing
 resamples the reconstructed density at the dual nodes and divides by the
 metric root sqrt(g) = (t_end - t_start)/2. The Galerkin pairing integrates
 against the dual basis, whose mass matrix is exactly diagonal because the
-dual Lagrange basis sits on Gauss points: entries sqrt(g) * w_j.
+dual Lagrange basis sits on Gauss points: entries sqrt(g) * w_j. On a
+quadrature rule with nodes sigma_nu and weights omega_nu, the Galerkin pairing
+of a function sampled at the nodes is the matrix sqrt(g) omega_nu
+ltilde_m(sigma_nu) (galerkin_pairing), which dual_mass_matrix applies to the
+dual basis itself. These operators on the reference element are the tables
+of the element integrators' steps (geodesy.integrators): the canonical Hodge
+for mci, the dual mass and the Galerkin pairing for mgi.
 
 The reference element of order p is the ElementGrid on [-1, 1], built once
 and cached; any other element is that grid with its own bounds and shares its
 rules and bases. Grids with t_end < t_start are permitted and represent a
-reversed time map (sqrt(g) < 0), as a backward integrator step does.
+reversed time map (sqrt(g) < 0), as a backward integrator step does. Bounds
+whose half-length is zero, infinite or NaN, or has an infinite reciprocal,
+give no element.
 """
 
 import enum
@@ -114,11 +122,11 @@ class ElementGrid:
         the rule element steps apply to dt, so NaN and infinite bounds fail too: ValueError.
         """
         t_start, t_end = float(t_start), float(t_end)  # Python floats: inf - inf is NaN, silently
-        sqrt_g = 0.5 * (t_end - t_start)
-        if sqrt_g == 0.0 or not (math.isfinite(sqrt_g) and math.isfinite(1.0 / sqrt_g)):
+        if _usable_half_length(t_start, t_end) is None:
             raise ValueError(
                 f"element must have nonzero extent with a finite half-length whose reciprocal is"
-                f" finite: t_start={t_start!r}, t_end={t_end!r} give half-length {sqrt_g!r}"
+                f" finite: t_start={t_start!r}, t_end={t_end!r} give half-length"
+                f" {0.5 * (t_end - t_start)!r}"
             )
         return replace(_reference_element(p), t_start=t_start, t_end=t_end)
 
@@ -132,6 +140,16 @@ class ElementGrid:
 
     def to_ref(self, t):
         return (np.asarray(t) - self.t_start) / self.sqrt_g - 1.0
+
+
+def _usable_half_length(t_start, t_end):
+    # sqrt(g) = (t_end - t_start) / 2, or None where it is zero, infinite or NaN, or its
+    # reciprocal overflows: no element can be built on it. The one rule for ElementGrid.build
+    # and the element steps, which each name their own arguments when it fails
+    sqrt_g = 0.5 * (t_end - t_start)
+    if sqrt_g == 0.0 or not (math.isfinite(sqrt_g) and math.isfinite(1.0 / float(sqrt_g))):
+        return None
+    return sqrt_g
 
 
 @lru_cache(maxsize=None)
@@ -213,12 +231,21 @@ def galerkin_mass_dual(grid: ElementGrid) -> np.ndarray:
     return grid.sqrt_g * grid.dual.weights
 
 
+def galerkin_pairing(grid: ElementGrid, rule: QuadratureRule) -> np.ndarray:
+    """Galerkin pairing on a quadrature rule: G[m, nu] = sqrt(g) omega_nu ltilde_m(sigma_nu).
+
+    Shape (p, len(rule)), for the rule's nodes sigma_nu and weights omega_nu. G @ f, for the
+    values f of a function at the nodes, integrates it against each dual basis function
+    ltilde_m over the element; the result is exact when the rule integrates f ltilde_m exactly.
+    """
+    return grid.sqrt_g * (nodal_eval_all(grid.dual_basis, rule.nodes).T * rule.weights)
+
+
 def dual_mass_matrix(grid: ElementGrid) -> np.ndarray:
-    """Dual-basis mass matrix assembled by explicit quadrature on 2p Gauss points.
+    """Dual-basis mass matrix: the Galerkin pairing on 2p Gauss points of the dual basis.
 
     Kept separate from galerkin_mass_dual on purpose: this is the slow route
     used to check that the off-diagonal entries really vanish.
     """
     rule = gauss_rule(2 * grid.p)
-    L = nodal_eval_all(grid.dual_basis, rule.nodes)
-    return grid.sqrt_g * (L.T * rule.weights) @ L
+    return galerkin_pairing(grid, rule) @ nodal_eval_all(grid.dual_basis, rule.nodes)

@@ -5,10 +5,16 @@ utilities, a tiny-step RK4 marcher, a plain fixed-point implicit
 Runge-Kutta step, a column-by-column forward difference, Legendre
 rules refined in long double and the Lotka-Volterra kernels written as
 plain row expressions. Keep them
-independent so the cross-checks stay honest.
+independent so the cross-checks stay honest. The one exception is
+step_tangent, which differentiates the package's own element step, so
+that a test can ask whether the map that step computes is symplectic.
 """
 
 import numpy as np
+
+from geodesy.integrators import _element_callables, _pairing
+from geodesy.mimetic import incidence_matrix
+from geodesy.newton import NewtonConfig
 
 
 def rk4_reference(field, y0, t, n_steps=20000):
@@ -69,6 +75,43 @@ def einsum_field_block(Jh, pairing, Lq):
     """
     M, p = Jh.shape[1], pairing.shape[0]
     return np.einsum("nik,mn,bn->imkb", Jh, pairing, Lq[1:]).reshape(M * p, M * p)
+
+
+def step_tangent(sys, method, y0, dt, p, q_rhs=None):
+    """Endpoint y1 and tangent map Phi = dy1/dy0 of one element step from t = 0.
+
+    The step's stages Z solve R(Z, y0) = 0, so at the converged stages
+    dZ/dy0 = -J^-1 dR/dy0, with J the element factory's own stage Jacobian,
+    and Phi is the last stage's block. y0 is column 0 of the element:
+
+        dR[i, m]/dy0[j] = delta_ij (E D)[0, m] / sqrt(g)
+                          - sum_nu Jh[nu, i, j] Lq[0, nu] P[nu, m],
+
+    with the pairing record's D and P (P = I for mci), Lq the nodal basis at
+    its quadrature nodes and Jh the field Jacobians there. Needs sys.jacobian.
+    """
+    pairing = _pairing(method, p, q_rhs)
+    q = len(pairing.nodes)
+    coeffs = np.empty((sys.dim, p + 1))
+    _, _, jacobian, solve = _element_callables(sys, coeffs, pairing)
+    solve(np.asarray(y0, dtype=float), 0.0, dt, NewtonConfig())
+    J = jacobian(coeffs[:, 1:].reshape(-1))
+    Lq = pairing.LE[:, :q]
+    Jh = sys.jacobian(coeffs @ Lq)
+    P = np.eye(p) if pairing.P is None else pairing.P
+    rate0 = (incidence_matrix(p) @ pairing.D)[0] / (0.5 * dt)
+    dR = np.einsum("ij,m->imj", np.eye(sys.dim), rate0)
+    dR -= np.einsum("nij,n,nm->imj", Jh, Lq[0], P)
+    dZ = -np.linalg.solve(J, dR.reshape(sys.dim * p, sys.dim)).reshape(sys.dim, p, sys.dim)
+    return coeffs[:, -1].copy(), dZ[:, -1, :]
+
+
+def canonical_form(partition, dim):
+    """The symplectic form Omega of a state with the partition's momentum and position indices."""
+    omega = np.zeros((dim, dim))
+    omega[partition.q_indices, partition.p_indices] = 1.0
+    omega[partition.p_indices, partition.q_indices] = -1.0
+    return omega
 
 
 def legendre_longdouble(n, x):

@@ -19,12 +19,10 @@ from geodesy.basis import (
     edge_eval_all,
     gauss_rule,
     gll_rule,
-    integrate_quad,
     legendre_eval,
     nodal_deriv_all,
     nodal_eval_all,
 )
-from geodesy.errors import EvaluationError
 
 from helpers import longdouble_rule, random_poly
 
@@ -376,24 +374,6 @@ class TestEdgeBasis:
             diff[-1] = e[-1]
             npt.assert_allclose(-np.cumsum(dl)[:-1], e, atol=1e-10)
             npt.assert_allclose(diff[1:-1], dl[1:-1], atol=1e-10)
-
-
-class TestIntegrateQuad:
-    def test_polynomial(self):
-        rule = gauss_rule(4)
-        assert integrate_quad(rule, lambda x: x**6) == pytest.approx(2 / 7, abs=1e-14)
-
-    def test_nonfinite_integrand(self):
-        rule = gauss_rule(3)
-        with pytest.raises(EvaluationError):
-            integrate_quad(rule, lambda x: np.inf if x > 0 else 1.0)
-
-    def test_nonfinite_integrand_names_its_node(self):
-        # the first node with a non-finite value, printed as a plain float
-        rule = gauss_rule(3)
-        with pytest.raises(EvaluationError) as info:
-            integrate_quad(rule, lambda x: np.inf if x > 0 else 1.0)
-        assert str(info.value) == f"integrand is non-finite at node {float(rule.nodes[2])!r}"
 
 
 # each record keeps its own read-only float copy of the array it is built

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 import geodesy.integrators
 from geodesy import (
+    Cochain,
+    CochainKind,
     DomainError,
     ElementGrid,
     EvaluationError,
@@ -21,8 +23,12 @@ from geodesy import (
     Method,
     NewtonConfig,
     OdeSystem,
+    canonical_hodge_1to0,
     default_qrhs,
     explicit_euler_step,
+    galerkin_mass_dual,
+    galerkin_pairing,
+    gauss_rule,
     get_problem,
     integrate,
     make_circle,
@@ -40,7 +46,7 @@ from geodesy import (
 from geodesy.errors import NewtonNonConvergence
 from geodesy.mimetic import _reference_element
 from geodesy.newton import NewtonResult, forward_difference_jacobian
-from helpers import column_forward_difference, einsum_field_block
+from helpers import canonical_form, column_forward_difference, einsum_field_block, step_tangent
 
 TIGHT = NewtonConfig(abs_tol=1e-13)
 
@@ -776,22 +782,34 @@ class TestStepArguments:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("step", [mci_step, mgi_step])
-    @pytest.mark.parametrize("t0, dt", [(0.0, 1e-320), (0.0, -1e-320), (3.0, 5e-309), (1.0, 1e-20)])
+    @pytest.mark.parametrize(
+        "t0, dt", [(0.0, 1e-320), (0.0, -1e-320), (3.0, 5e-309), (1.0, 1e-20), (1e308, 1e308)]
+    )
     def test_step_without_a_finite_reciprocal_length_names_dt(self, monkeypatch, step, t0, dt):
-        # 1/sqrt(g) overflows (or sqrt(g) rounds to zero): rejected as a usage
-        # error naming dt, not blamed on the Jacobian after a RuntimeWarning
+        # 1/sqrt(g) overflows (or sqrt(g) rounds to zero, or t0 + dt overflows): rejected as a
+        # usage error naming dt, not blamed on the Jacobian after a RuntimeWarning
         pend = get_problem("pendulum")
         monkeypatch.setattr(geodesy.integrators, "newton_solve", None)  # never reached
-        with pytest.raises(ValueError, match=rf"^dt is too small .*dt={dt!r} at t0={t0!r}"):
+        named = re.escape(f"dt={dt!r} at t0={t0!r}")
+        with pytest.raises(ValueError, match=rf"^dt is too small .*{named}"):
             step(pend.system, pend.y0, t0, dt, 2)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
-    @pytest.mark.parametrize("tf", [1e-320, 1.0])
-    def test_integrate_without_a_finite_reciprocal_length_names_dt(self, method, tf):
+    # a dt past tf names the first step's own length, tf - t0
+    @pytest.mark.parametrize("tf, dt", [(1e-320, 1e-320), (1.0, 1e-320), (1e-320, 1.0)])
+    def test_integrate_without_a_finite_reciprocal_length_names_dt(self, method, tf, dt):
         pend = get_problem("pendulum")
-        with pytest.raises(ValueError, match=r"^dt is too small .*dt=1e-320"):
-            integrate(pend.system, method, pend.y0, 0.0, tf, 1e-320, p=2)
+        with pytest.raises(ValueError, match=r"^dt is too small .*dt=1e-320 at t0=0.0 "):
+            integrate(pend.system, method, pend.y0, 0.0, tf, dt, p=2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_integrate_checks_the_first_step_it_takes(self, method):
+        # t0 + dt overflows, but the run's one step ends at tf with a finite half-length
+        harmonic = get_problem("harmonic")
+        traj = integrate(harmonic.system, method, harmonic.y0, 1e308, 1.5e308, 1e308, p=2)
+        assert traj.steps == 1 and traj.times[-1] == 1.5e308
 
 
 class TestStepBuffers:
@@ -937,6 +955,30 @@ class TestStepBuffers:
         assert t_a < node_time < t_b
 
 
+class TestPairingRecordIsTheToolkit:
+    # the step's tables are the mimetic toolkit's two Hodge operators on the reference
+    # element, where sqrt(g) = 1: row l of D is the canonical Hodge of the unit primal
+    # 1-cochain l, times the dual mass for mgi, whose P is the Galerkin pairing on its rule
+
+    @pytest.mark.parametrize("p", range(1, 17))
+    def test_tables_are_the_toolkit_operators_bitwise(self, p):
+        ref = ElementGrid.build(p, -1.0, 1.0)
+        units = [Cochain(CochainKind.PRIMAL1, unit) for unit in np.eye(p)]
+        hodge = np.array([canonical_hodge_1to0(c, ref).values for c in units])
+        mci = geodesy.integrators._pairing(Method.MCI, p, None)
+        assert mci.P is None  # collocation: the pairing is the identity
+        npt.assert_array_equal(mci.D, hodge)
+        pairings = [(mci, np.eye(p))]
+        for q in (p, p + 1, min(2 * p + 10, 64)):
+            mgi = geodesy.integrators._pairing(Method.MGI, p, q)
+            npt.assert_array_equal(mgi.D, hodge * galerkin_mass_dual(ref))
+            npt.assert_array_equal(mgi.P, galerkin_pairing(ref, gauss_rule(q)).T)
+            pairings.append((mgi, mgi.P))
+        for rec, P in pairings:
+            Lq = rec.LE[:, : len(rec.nodes)]
+            npt.assert_array_equal(rec.weights, (P.T[:, None] * Lq[1:]).reshape(p * p, -1))
+
+
 def _record_bytes(traj):
     # the bytes of the distinct buffers behind a trajectory's arrays, each counted once:
     # every array is followed through .base to the array that owns its memory
@@ -999,7 +1041,9 @@ class TestNodalRecord:
         if not method.is_element_method:
             assert traj.coefficients is None and traj.newton_iterations is None
             arrays = arrays[:1]
-        for arr in arrays:
+        # the time grid, which sample_trajectory locates elements by, and the invariant series
+        assert traj.invariants
+        for arr in arrays + [traj.times, *traj.invariants.values()]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1
@@ -1018,6 +1062,53 @@ class TestNodalRecord:
         short, long = (integrate(sys, method, y0, 0.0, tf, 0.1, p=p) for tf in (1.0, 2.0))
         measured = (_record_bytes(long) - _record_bytes(short)) / (long.steps - short.steps)
         assert named == measured
+
+
+TANGENT_CASES = [("pendulum", 0.4), ("pendulum", 0.1), ("kepler", 0.1), ("harmonic", 0.1)]
+TANGENT_PAIRINGS = [(Method.MCI, False), (Method.MGI, True), (Method.MGI, False)]
+TANGENT_IDS = ["mci", "mgi-q_rhs=p", "mgi-default-q"]
+
+
+class TestSymplecticTangent:
+    # a step is symplectic when its tangent map Phi = dy1/dy0 keeps the canonical form,
+    # Phi^T Omega Phi = Omega (Hairer, Lubich and Wanner, GNI VI.4); step_tangent reads Phi
+    # off the step's own stage Jacobian at its converged stages
+
+    @pytest.mark.parametrize("method, q_is_p", TANGENT_PAIRINGS[:2], ids=TANGENT_IDS[:2])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8])
+    @pytest.mark.parametrize("name, dt", TANGENT_CASES)
+    def test_step_keeps_the_canonical_form(self, name, dt, p, method, q_is_p):
+        # mci is Gauss collocation; mgi on the p dual nodes solves its equations row-scaled
+        prob = get_problem(name)
+        _, phi = step_tangent(prob.system, method, prob.y0, dt, p, p if q_is_p else None)
+        omega = canonical_form(prob.system.partition, prob.system.dim)
+        assert np.max(np.abs(phi.T @ omega @ phi - omega)) <= 1e-14
+
+    def test_default_q_mgi_is_not_symplectic(self):
+        # a fact, not a defect: mgi at the default q_rhs conserves polynomial energies
+        # instead; pendulum at p=2, dt=0.4 reads 1.0e-3
+        prob = get_problem("pendulum")
+        _, phi = step_tangent(prob.system, Method.MGI, prob.y0, 0.4, 2)
+        omega = canonical_form(prob.system.partition, prob.system.dim)
+        assert np.max(np.abs(phi.T @ omega @ phi - omega)) > 1e-4
+
+    @pytest.mark.parametrize("method, q_is_p", TANGENT_PAIRINGS, ids=TANGENT_IDS)
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8])
+    @pytest.mark.parametrize("name, dt", TANGENT_CASES)
+    def test_tangent_matches_central_differences(self, name, dt, p, method, q_is_p):
+        prob = get_problem(name)
+        sys, y0, q_rhs = prob.system, prob.y0, p if q_is_p else None
+        y1, phi = step_tangent(sys, method, y0, dt, p, q_rhs)
+
+        def step(y):
+            if method is Method.MCI:
+                return mci_step(sys, y, 0.0, dt, p).endpoint()
+            return mgi_step(sys, y, 0.0, dt, p, q_rhs).endpoint()
+
+        npt.assert_array_equal(y1, step(y0))  # the oracle solves the public step's element
+        eps = 1e-6
+        fd = [(step(y0 + eps * e) - step(y0 - eps * e)) / (2.0 * eps) for e in np.eye(sys.dim)]
+        assert np.max(np.abs(np.column_stack(fd) - phi)) <= 1e-8
 
 
 class TestReverseStep:

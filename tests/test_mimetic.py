@@ -19,6 +19,7 @@ from geodesy.mimetic import (
     coboundary,
     dual_mass_matrix,
     galerkin_mass_dual,
+    galerkin_pairing,
     incidence_matrix,
     reconstruct0,
     reconstruct1,
@@ -297,6 +298,23 @@ class TestHodge:
     def test_galerkin_mass_values(self):
         grid = ElementGrid.build(2, 0.0, 2.0)
         npt.assert_allclose(galerkin_mass_dual(grid), [1.0, 1.0], atol=1e-15)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("span", [(0.0, 2.0), (1.0, 1.4), (2.0, 1.5)])
+    def test_galerkin_pairing_integrates_against_the_dual_basis(self, p, span):
+        # oracle: numpy's Legendre-Gauss rule and the dual Lagrange basis as plain products
+        grid = ElementGrid.build(p, *span)
+        f = np.polynomial.Polynomial(np.random.default_rng(p).standard_normal(p + 5))
+        rule = gauss_rule(p + 3)  # exact through degree 2p + 5 >= deg(f ltilde_m) = 2p + 3
+        got = galerkin_pairing(grid, rule) @ f(rule.nodes)
+        assert got.shape == (p,)
+        x, w = np.polynomial.legendre.leggauss(2 * p + 4)
+        s = grid.dual.nodes
+        for m in range(p):
+            others = np.delete(s, m)
+            ltilde = np.prod((x[:, None] - others) / (s[m] - others), axis=1)
+            want = grid.sqrt_g * np.sum(w * f(x) * ltilde)
+            assert got[m] == pytest.approx(want, rel=1e-13, abs=1e-13)
 
     @pytest.mark.parametrize("p", list(range(1, 9)))
     @pytest.mark.parametrize("span", [(0.0, 2.0), (1.0, 1.4)])

@@ -18,7 +18,10 @@ per tree, whose last lines must match. The digest covers:
   q_rhs = p + 1) at the run's middle element;
 - tableau: butcher_tableau_mci(p) for p = 1..16;
 - high-order: lotka-volterra at p = 12 with both methods, where the driver's
-  starting guess reads the previous element through more than 9 nodes.
+  starting guess reads the previous element through more than 9 nodes;
+- mci-tables, mgi-tables: every field of the element step's pairing record
+  for p = 1..16, mgi at q_rhs in {p, p + 1, min(2p + 10, 64)}, so a change to
+  the tables shows apart from the runs that use them.
 
 A failing call is hashed as its error type and message. One line per part
 is printed, then the digest over all of them.
@@ -77,7 +80,8 @@ def _hash_element(sha, sol):
 
 
 def digests(g):
-    parts = {name: hashlib.sha256() for name in ("runs", "public", "tableau", "high-order")}
+    names = ("runs", "public", "tableau", "high-order", "mci-tables", "mgi-tables")
+    parts = {name: hashlib.sha256() for name in names}
     for name in PROBLEMS:
         spec = _spec(g, name)
         sys_, dt = spec.system, spec.dt_ref
@@ -118,6 +122,11 @@ def digests(g):
                 ),
             ),
         )
+    record = g.integrators._pairing_record
+    for p in range(1, 17):
+        _feed(parts["mci-tables"], p, *record(p, p, False))
+        for q in (p, p + 1, min(2 * p + 10, 64)):
+            _feed(parts["mgi-tables"], p, q, *record(p, q, True))
     total = hashlib.sha256()
     for sha in parts.values():
         total.update(sha.digest())
