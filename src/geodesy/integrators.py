@@ -87,8 +87,10 @@ element, as extrapolating through every node would amplify the rounding and
 Newton errors in the nodal values by up to 5e48 (at p = 64). The guess is
 safe for the conserved quantities because Newton polishes its abs_tol stop
 (see geodesy.newton): the accepted stages do not depend on where the solve
-started by more than rounding. A dt whose element half-length is zero or
-infinite, or has no finite reciprocal, is rejected with a ValueError naming dt.
+started by more than rounding. Every element path (ElementSolution, the
+steps, their public residuals, integrate's first step) asks
+geodesy.mimetic._half_length about its own bounds, which the one ValueError
+for bounds that give no element names.
 """
 
 import enum
@@ -104,8 +106,8 @@ from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
 from .mimetic import (
     Cochain,
     CochainKind,
+    _half_length,
     _reference_element,
-    _usable_half_length,
     canonical_hodge_1to0,
     galerkin_mass_dual,
     galerkin_pairing,
@@ -225,6 +227,7 @@ class ElementSolution:
     newton_iterations: int = 0
 
     def __post_init__(self):
+        _half_length(self.t_start, self.t_end)
         object.__setattr__(self, "coefficients", _read_only(self.coefficients))
 
     @property
@@ -336,7 +339,7 @@ def _element_callables(sys, coeffs, pairing):
         # solves [t_start, t_start + dt] into coeffs and returns Newton's iterations. previous,
         # the preceding element of equal length, seeds the guess; without it, a cold guess
         # holds y0 at every stage, np.repeat(y0, p), from the float copy in column 0
-        bind(t_start, _half_length(t_start, t_start + dt, dt))
+        bind(t_start, _half_length(t_start, t_start + dt))
         coeffs[:, 0] = y0
         guess = coeffs[:, 0].repeat(p) if previous is None else previous.dot(ahead).reshape(-1)
         # through the module's name, which tracers and tests patch
@@ -357,7 +360,7 @@ def _public_residual(sys, sol, method, q_rhs):
         )
     pairing = _pairing(method, coeffs.shape[1] - 1, q_rhs)
     bind, residual, _, _ = _element_callables(sys, coeffs, pairing)
-    bind(sol.t_start, _half_length(sol.t_start, sol.t_end, sol.t_end - sol.t_start))
+    bind(sol.t_start, _half_length(sol.t_start, sol.t_end))
     return residual(coeffs[:, 1:].reshape(-1))
 
 
@@ -376,18 +379,6 @@ def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray
               - sum_nu omega_nu h_i(y(sigma_nu)) ltilde_m(sigma_nu).
     """
     return _public_residual(sys, sol, Method.MGI, q_rhs)
-
-
-def _half_length(t_start, t_end, dt) -> float:
-    # sqrt(g) of the element t_start..t_end; dt, the step that gave t_end, names it in errors
-    sqrt_g = _usable_half_length(t_start, t_end)
-    if sqrt_g is None:
-        raise ValueError(
-            f"dt is too small or too large for an element step: dt={dt!r} at t0={t_start!r}"
-            f" gives half-length {float(0.5 * (t_end - t_start))!r}, which must be nonzero and"
-            " finite with a finite reciprocal"
-        )
-    return sqrt_g
 
 
 def _require_finite(**values):
@@ -589,12 +580,12 @@ def integrate(
         raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
+    t0, tf, dt = float(t0), float(tf), float(dt)
     if method.is_element_method:  # the first step, which ends by tf
-        _half_length(t0, min(t0 + dt, tf), min(dt, tf - t0))
+        _half_length(t0, min(t0 + dt, tf))
         pairing = _pairing(method, p, q_rhs)
     y0 = _initial_state(sys, y0)
 
-    t0, tf, dt = float(t0), float(tf), float(dt)
     n, slack = _step_count(sys, method, p, t0, tf, dt)
     element = method.is_element_method
     stride = p if element else 1  # record columns per step

@@ -25,7 +25,8 @@ and cached; any other element is that grid with its own bounds and shares its
 rules and bases. Grids with t_end < t_start are permitted and represent a
 reversed time map (sqrt(g) < 0), as a backward integrator step does. Bounds
 whose half-length is zero, infinite or NaN, or has an infinite reciprocal,
-give no element.
+give no element: _half_length, the one rule for the grid and every element
+path of geodesy.integrators, whose ValueError names the bounds.
 """
 
 import enum
@@ -119,16 +120,10 @@ class ElementGrid:
         """Element over [t_start, t_end]; rules and bases are those of the reference element.
 
         The bounds must give a nonzero, finite half-length sqrt_g with a finite reciprocal,
-        the rule element steps apply to dt, so NaN and infinite bounds fail too: ValueError.
+        the rule of every element path, so NaN and infinite bounds fail too: ValueError.
         """
-        t_start, t_end = float(t_start), float(t_end)  # Python floats: inf - inf is NaN, silently
-        if _usable_half_length(t_start, t_end) is None:
-            raise ValueError(
-                f"element must have nonzero extent with a finite half-length whose reciprocal is"
-                f" finite: t_start={t_start!r}, t_end={t_end!r} give half-length"
-                f" {0.5 * (t_end - t_start)!r}"
-            )
-        return replace(_reference_element(p), t_start=t_start, t_end=t_end)
+        _half_length(t_start, t_end)
+        return replace(_reference_element(p), t_start=float(t_start), t_end=float(t_end))
 
     @property
     def sqrt_g(self) -> float:
@@ -142,13 +137,18 @@ class ElementGrid:
         return (np.asarray(t) - self.t_start) / self.sqrt_g - 1.0
 
 
-def _usable_half_length(t_start, t_end):
-    # sqrt(g) = (t_end - t_start) / 2, or None where it is zero, infinite or NaN, or its
-    # reciprocal overflows: no element can be built on it. The one rule for ElementGrid.build
-    # and the element steps, which each name their own arguments when it fails
+def _half_length(t_start, t_end) -> float:
+    # sqrt(g) = (t_end - t_start) / 2 of the element t_start..t_end, in Python floats (numpy's
+    # would warn where inf - inf is NaN or 1 / sqrt(g) overflows). The one rule for whether
+    # bounds give an element: zero, infinite or NaN, or with a reciprocal that overflows, no
+    # element can be built on it, and the error names the bounds, which every caller has
+    t_start, t_end = float(t_start), float(t_end)
     sqrt_g = 0.5 * (t_end - t_start)
-    if sqrt_g == 0.0 or not (math.isfinite(sqrt_g) and math.isfinite(1.0 / float(sqrt_g))):
-        return None
+    if sqrt_g == 0.0 or not (math.isfinite(sqrt_g) and math.isfinite(1.0 / sqrt_g)):
+        raise ValueError(
+            f"element must have nonzero extent with a finite half-length whose reciprocal is"
+            f" finite: t_start={t_start!r}, t_end={t_end!r} give half-length {sqrt_g!r}"
+        )
     return sqrt_g
 
 

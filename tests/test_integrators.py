@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import math
 import re
+import types
 
 import numpy as np
 import numpy.testing as npt
@@ -787,21 +789,84 @@ class TestStepArguments:
     )
     def test_step_without_a_finite_reciprocal_length_names_dt(self, monkeypatch, step, t0, dt):
         # 1/sqrt(g) overflows (or sqrt(g) rounds to zero, or t0 + dt overflows): rejected as a
-        # usage error naming dt, not blamed on the Jacobian after a RuntimeWarning
+        # usage error naming the step's bounds [t0, t0 + dt], not blamed on the Jacobian after
+        # a RuntimeWarning
         pend = get_problem("pendulum")
         monkeypatch.setattr(geodesy.integrators, "newton_solve", None)  # never reached
-        named = re.escape(f"dt={dt!r} at t0={t0!r}")
-        with pytest.raises(ValueError, match=rf"^dt is too small .*{named}"):
+        t_end = t0 + dt
+        named = f"t_start={t0!r}, t_end={t_end!r} give half-length {0.5 * (t_end - t0)!r}"
+        with pytest.raises(ValueError, match="^element must have nonzero extent") as err:
             step(pend.system, pend.y0, t0, dt, 2)
+        assert str(err.value).endswith(named)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
-    # a dt past tf names the first step's own length, tf - t0
+    # a dt past tf names the first step's own bounds, t0 and tf
     @pytest.mark.parametrize("tf, dt", [(1e-320, 1e-320), (1.0, 1e-320), (1e-320, 1.0)])
     def test_integrate_without_a_finite_reciprocal_length_names_dt(self, method, tf, dt):
+        # every case's first step is [0, 1e-320]
         pend = get_problem("pendulum")
-        with pytest.raises(ValueError, match=r"^dt is too small .*dt=1e-320 at t0=0.0 "):
+        with pytest.raises(ValueError, match="^element must have nonzero extent") as err:
             integrate(pend.system, method, pend.y0, 0.0, tf, dt, p=2)
+        assert str(err.value).endswith("t_start=0.0, t_end=1e-320 give half-length 5e-321")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "t_start, t_end, dt",
+        [
+            (0.0, 1e-320, 1e-320),
+            (1.0, 1.0, 1e-20),
+            (1e308, math.inf, 1e308),
+            (1.0, 1.0, None),
+            (math.nan, 1.0, None),
+            (0.0, math.inf, None),
+            (-math.inf, 0.0, None),
+            (math.inf, math.inf, None),
+        ],
+        ids=["subnormal", "end-rounds-to-start", "end-overflows", "zero", "nan", "inf-end",
+             "inf-start", "both-inf"],
+    )
+    def test_every_element_path_refuses_with_the_bounds_message(
+        self, monkeypatch, t_start, t_end, dt
+    ):
+        # one rule and one message, naming the bounds, from the grid, the element record, the
+        # public residuals (on a record that skipped the record's own check), the steps over
+        # [t0, t0 + dt] and integrate's first step; the steps and integrate refuse a non-finite
+        # t0 or dt first (test_nonfinite_argument_fails_before_the_solve), so they take the
+        # finite (t0, dt) cases, and integrate those whose first step ends by a finite tf
+        pend = get_problem("pendulum")
+        sys, y0 = pend.system, pend.y0
+        monkeypatch.setattr(geodesy.integrators, "newton_solve", None)  # never reached
+        coeffs = np.zeros((2, 3))
+        unchecked = types.SimpleNamespace(t_start=t_start, t_end=t_end, coefficients=coeffs)
+        entries = [
+            lambda: ElementGrid.build(2, t_start, t_end),
+            lambda: ElementSolution(t_start, t_end, coeffs),
+            lambda: mci_residual(sys, unchecked),
+            lambda: mgi_residual(sys, unchecked, None),
+        ]
+        if dt is not None:
+            assert t_start + dt == t_end
+            entries += [
+                lambda: mci_step(sys, y0, t_start, dt, 2),
+                lambda: mgi_step(sys, y0, t_start, dt, 2),
+            ]
+            if math.isfinite(t_end):
+                entries += [
+                    lambda m=m: integrate(sys, m, y0, t_start, t_start + 1.0, dt, p=2)
+                    for m in (Method.MCI, Method.MGI)
+                ]
+        messages = []
+        for entry in entries:
+            with pytest.raises(ValueError) as err:
+                entry()
+            messages.append(str(err.value))
+        want = (
+            "element must have nonzero extent with a finite half-length whose reciprocal is"
+            f" finite: t_start={t_start!r}, t_end={t_end!r} give half-length"
+            f" {0.5 * (t_end - t_start)!r}"
+        )
+        assert messages == [want] * len(entries)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
