@@ -90,7 +90,10 @@ safe for the conserved quantities because Newton polishes its abs_tol stop
 started by more than rounding. Every element path (ElementSolution, the
 steps, their public residuals, integrate's first step) asks
 geodesy.mimetic._half_length about its own bounds, which the one ValueError
-for bounds that give no element names.
+for bounds that give no element names. The classical steps refuse a
+non-finite t0 or dt, or an initial state of the wrong shape or not finite,
+as the element steps do; integrate checks its start once and then calls
+their unchecked updates.
 """
 
 import enum
@@ -311,9 +314,9 @@ def _element_callables(sys, coeffs, pairing):
     jacobian = None
     if sys.jacobian is not None:
         weights = pairing.weights
-        # the one place the dimension meets the record: np.kron(np.eye(M), rate)'s products,
-        # and the flat positions in W @ Jh, (p p, M M), of the stage Jacobian's entries
-        rate = (np.eye(M)[:, None, :, None] * pairing.rate[:, None, :]).reshape(M * p, M * p)
+        # the one place the dimension meets the record: the rate block once per variable, and
+        # the flat positions in W @ Jh, (p p, M M), of the stage Jacobian's entries
+        rate = np.kron(np.eye(M), pairing.rate)
         gather = np.arange(p * p * M * M).reshape(p, p, M, M).transpose(2, 0, 3, 1)
         gather = gather.reshape(M * p, -1)
 
@@ -396,9 +399,19 @@ def _initial_state(sys, y0) -> np.ndarray:
     return y0
 
 
-def _element_step(sys, y0, t0, dt, p, pairing, config):
+def _start(sys, y0, t0, dt) -> np.ndarray:
+    # every public step's argument check: finite t0 and dt, then the initial state
     _require_finite(t0=t0, dt=dt)
-    y0 = _initial_state(sys, y0)
+    return _initial_state(sys, y0)
+
+
+def _require_partition(sys):
+    if sys.partition is None:
+        raise ValueError("symplectic Euler needs a separable partition on the system")
+
+
+def _element_step(sys, y0, t0, dt, p, pairing, config):
+    y0 = _start(sys, y0, t0, dt)
     coeffs = np.empty((sys.dim, p + 1))
     *_, solve = _element_callables(sys, coeffs, pairing)
     iterations = solve(y0, t0, dt, config)
@@ -431,10 +444,40 @@ def mgi_step(
     return _element_step(sys, y0, t0, dt, p, _pairing(Method.MGI, p, q_rhs), config)
 
 
+def _explicit_euler(sys, y0, t0, dt):
+    return y0 + dt * _field_at(sys, y0, lambda j: f"t={t0:g}")
+
+
+def _symplectic_euler(sys, y0, t0, dt):
+    part = sys.partition
+    p_idx = list(part.p_indices)
+    q_idx = list(part.q_indices)
+    y = y0.copy()
+    y[p_idx] += dt * _field_at(sys, y0, lambda j: f"t={t0:g}")[p_idx]
+    y[q_idx] += dt * _field_at(sys, y, lambda j: f"t={t0:g} (after the momentum update)")[q_idx]
+    return y
+
+
+def _rk4(sys, y0, t0, dt):
+    k1 = _field_at(sys, y0, lambda j: f"t={t0:g}")
+    k2 = _field_at(sys, y0 + 0.5 * dt * k1, lambda j: f"t={t0:g} (stage 2)")
+    k3 = _field_at(sys, y0 + 0.5 * dt * k2, lambda j: f"t={t0:g} (stage 3)")
+    k4 = _field_at(sys, y0 + dt * k3, lambda j: f"t={t0:g} (stage 4)")
+    return y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# the classical updates, unchecked: the public steps check their arguments first, and
+# integrate once before its loop
+_UPDATES = {
+    Method.EXPLICIT_EULER: _explicit_euler,
+    Method.SYMPLECTIC_EULER: _symplectic_euler,
+    Method.RK4: _rk4,
+}
+
+
 def explicit_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
     """Forward Euler update y + dt h(y)."""
-    y0 = np.asarray(y0, dtype=float)
-    return y0 + dt * _field_at(sys, y0, lambda j: f"t={t0:g}")
+    return _explicit_euler(sys, _start(sys, y0, t0, dt), t0, dt)
 
 
 def symplectic_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
@@ -444,26 +487,13 @@ def symplectic_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarra
     are the rows of field at the partition's momentum and position indices.
     Requires sys.partition.
     """
-    part = sys.partition
-    if part is None:
-        raise ValueError("symplectic Euler needs a separable partition on the system")
-    y0 = np.asarray(y0, dtype=float)
-    p_idx = list(part.p_indices)
-    q_idx = list(part.q_indices)
-    y = y0.copy()
-    y[p_idx] += dt * _field_at(sys, y0, lambda j: f"t={t0:g}")[p_idx]
-    y[q_idx] += dt * _field_at(sys, y, lambda j: f"t={t0:g} (after the momentum update)")[q_idx]
-    return y
+    _require_partition(sys)
+    return _symplectic_euler(sys, _start(sys, y0, t0, dt), t0, dt)
 
 
 def rk4_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
     """Classical fourth-order Runge-Kutta update."""
-    y0 = np.asarray(y0, dtype=float)
-    k1 = _field_at(sys, y0, lambda j: f"t={t0:g}")
-    k2 = _field_at(sys, y0 + 0.5 * dt * k1, lambda j: f"t={t0:g} (stage 2)")
-    k3 = _field_at(sys, y0 + 0.5 * dt * k2, lambda j: f"t={t0:g} (stage 3)")
-    k4 = _field_at(sys, y0 + dt * k3, lambda j: f"t={t0:g} (stage 4)")
-    return y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _rk4(sys, _start(sys, y0, t0, dt), t0, dt)
 
 
 @dataclass(frozen=True)
@@ -584,6 +614,9 @@ def integrate(
     if method.is_element_method:  # the first step, which ends by tf
         _half_length(t0, min(t0 + dt, tf))
         pairing = _pairing(method, p, q_rhs)
+    elif method is Method.SYMPLECTIC_EULER:
+        _require_partition(sys)
+    update = _UPDATES.get(method)  # None for the element methods
     y0 = _initial_state(sys, y0)
 
     n, slack = _step_count(sys, method, p, t0, tf, dt)
@@ -617,12 +650,8 @@ def integrate(
                 record[:, j + 1 : j + p + 1] = stages
                 previous = record[:, j : j + p + 1]
                 y = previous[:, -1]
-            elif method is Method.EXPLICIT_EULER:
-                y = explicit_euler_step(sys, y, t_a, h)
-            elif method is Method.SYMPLECTIC_EULER:
-                y = symplectic_euler_step(sys, y, t_a, h)
-            elif method is Method.RK4:
-                y = rk4_step(sys, y, t_a, h)
+            else:
+                y = update(sys, y, t_a, h)
             reason = sys.check_domain(y)
             if reason is not None:
                 raise DomainError(f"accepted state leaves the domain: {reason}")

@@ -223,6 +223,24 @@ class TestUsageErrors:
         cfg.write_text("[1, 2, 3]")
         assert run_cli("run", "--config", str(cfg)) == 2
 
+    def test_config_not_valid_json(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"dt": 0.1,}')
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"error: config file {cfg} is not valid JSON: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_per_element_below_one(self, tmp_path, capsys, samples):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"samples_per_element": samples}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: samples_per_element must be at least 1, got {samples}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "settings",
         [

@@ -750,6 +750,36 @@ class TestStepArguments:
             step(pend.system, y0, t0, dt, 2)
         assert str(info.value) == message
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("step", [explicit_euler_step, symplectic_euler_step, rk4_step])
+    @pytest.mark.parametrize(
+        "y0, t0, dt, message",
+        [
+            ([0.5, 1.0], np.nan, 0.1, "t0 must be finite, got nan"),
+            ([0.5, 1.0], 0.0, np.inf, "dt must be finite, got inf"),
+            ([0.5, 1.0], 0.0, -np.inf, "dt must be finite, got -inf"),
+            ([0.5, 1.0], 0.0, np.nan, "dt must be finite, got nan"),
+            ([0.5, 1.0, 0.0], 0.0, 0.1, "initial state must have shape (2,), got (3,)"),
+            ([0.5], 0.0, 0.1, "initial state must have shape (2,), got (1,)"),
+            ([0.5, np.inf], 0.0, 0.1, "initial state must be finite, got [0.5, inf]"),
+        ],
+        ids=["t0-nan", "dt-inf", "dt-minus-inf", "dt-nan", "y0-long", "y0-short", "y0-inf"],
+    )
+    def test_classical_step_refuses_a_bad_start_as_the_element_steps_do(
+        self, monkeypatch, step, y0, t0, dt, message
+    ):
+        # the same ValueError as mci_step's, before the field is called
+        pend = get_problem("pendulum")
+        system, calls = _counting(pend.system)
+        with pytest.raises(ValueError) as classical:
+            step(system, y0, t0, dt)
+        assert str(classical.value) == message
+        assert calls == {"field": 0, "domain_check": 0}
+        monkeypatch.setattr(geodesy.integrators, "newton_solve", None)  # never reached
+        with pytest.raises(ValueError) as element:
+            mci_step(pend.system, y0, t0, dt, 2)
+        assert str(element.value) == message
+
     @pytest.mark.parametrize(
         "bad, good, name",
         [(True, 1, "order p"), (2.0, 2, "order p"), (True, 1, "q_rhs"), (14.0, 14, "q_rhs")],

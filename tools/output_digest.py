@@ -19,6 +19,9 @@ per tree, whose last lines must match. The digest covers:
 - tableau: butcher_tableau_mci(p) for p = 1..16;
 - high-order: lotka-volterra at p = 12 with both methods, where the driver's
   starting guess reads the previous element through more than 9 nodes;
+- baselines: integrate with explicit Euler and RK4 on the runs' problems,
+  and symplectic Euler on those with a separable partition, 200 steps at
+  dt_ref; per run, the public step of its method from the run's last state;
 - mci-tables, mgi-tables: every field of the element step's pairing record
   for p = 1..16, mgi at q_rhs in {p, p + 1, min(2p + 10, 64)}, so a change to
   the tables shows apart from the runs that use them.
@@ -80,7 +83,7 @@ def _hash_element(sha, sol):
 
 
 def digests(g):
-    names = ("runs", "public", "tableau", "high-order", "mci-tables", "mgi-tables")
+    names = ("runs", "public", "tableau", "high-order", "baselines", "mci-tables", "mgi-tables")
     parts = {name: hashlib.sha256() for name in names}
     for name in PROBLEMS:
         spec = _spec(g, name)
@@ -122,6 +125,24 @@ def digests(g):
                 ),
             ),
         )
+    steps = {
+        g.Method.EXPLICIT_EULER: g.explicit_euler_step,
+        g.Method.SYMPLECTIC_EULER: g.symplectic_euler_step,
+        g.Method.RK4: g.rk4_step,
+    }
+    sha = parts["baselines"]
+    for name in PROBLEMS:
+        spec = _spec(g, name)
+        sys_, dt = spec.system, spec.dt_ref
+        for method, step in steps.items():
+            if method is g.Method.SYMPLECTIC_EULER and sys_.partition is None:
+                continue
+            _feed(sha, name, method.value)
+            traj = _guarded(sha, lambda: g.integrate(sys_, method, spec.y0, 0.0, STEPS * dt, dt))
+            _hash_trajectory(sha, traj)
+            if traj is not None:
+                y, t = traj.states[:, -1], traj.times[-1]
+                _feed(sha, _guarded(sha, lambda: step(sys_, y, t, dt)))
     record = g.integrators._pairing_record
     for p in range(1, 17):
         _feed(parts["mci-tables"], p, *record(p, p, False))
