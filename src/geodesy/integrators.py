@@ -222,6 +222,7 @@ class ElementSolution:
     """One solved element: its bounds, values at the p+1 primal nodes and Newton iterations.
 
     t_end < t_start for a reversed step; coefficients[:, 0] is the initial condition, bitwise.
+    Bounds that give no element (geodesy.mimetic) raise ValueError naming them.
     """
 
     t_start: float

@@ -138,10 +138,9 @@ class ElementGrid:
 
 
 def _half_length(t_start, t_end) -> float:
-    # sqrt(g) = (t_end - t_start) / 2 of the element t_start..t_end, in Python floats (numpy's
-    # would warn where inf - inf is NaN or 1 / sqrt(g) overflows). The one rule for whether
-    # bounds give an element: zero, infinite or NaN, or with a reciprocal that overflows, no
-    # element can be built on it, and the error names the bounds, which every caller has
+    # sqrt(g) = (t_end - t_start) / 2, in Python floats, which stay silent where numpy's warn
+    # (inf - inf, an overflowing reciprocal). The one rule for whether bounds give an element:
+    # none where sqrt(g) is zero, infinite or NaN, or its reciprocal overflows
     t_start, t_end = float(t_start), float(t_end)
     sqrt_g = 0.5 * (t_end - t_start)
     if sqrt_g == 0.0 or not (math.isfinite(sqrt_g) and math.isfinite(1.0 / sqrt_g)):
