@@ -56,15 +56,20 @@ accept negative dt (a reversed element); the integrate driver walks forward.
 No step builds a grid: an element is its bounds and its values at the primal
 nodes (ElementSolution), and sample_trajectory is the one way to read it.
 
-integrate keeps a run as one primal 0-cochain on the time mesh: one (dim, n p + 1)
-nodal record, in which element k is columns k p .. k p + p, so neighbouring
-elements share their boundary column. The driver passes that column on as the
-next step's y0, bitwise, and after each solve copies the element's p stage
-columns from the factory's buffer into the record, which stays separate from
-the buffer. Trajectory.coefficients is a read-only (n, dim, p+1) view of the
-record with a stride of p columns between elements, and Trajectory.states the
-view of every p-th column, so each nodal value is stored once: 8 (dim p + 2 + L)
-bytes per step with times, Newton iterations and L invariant series.
+integrate keeps a run as one primal 0-cochain on the time mesh: one (dim, n s + 1)
+nodal record, with s = p columns per step for the element methods and s = 1 for
+the classical ones, and no other copy of the state. One rule places every step
+of every method: step k reads its start state from column k s, writes columns
+k s + 1 .. (k + 1) s, and the accepted state it checks against the domain is
+column (k + 1) s. So element k is columns k p .. k p + p, and neighbouring
+elements share their boundary column, which reaches the next step as its y0
+bitwise; after each solve the driver copies the element's p stage columns from
+the factory's buffer into the record, which stays separate from the buffer.
+Trajectory.coefficients is a read-only (n, dim, p+1) view of the record with a
+stride of p columns between elements, and Trajectory.states the view of every
+s-th column, so each nodal value is stored once: 8 (dim s + 1 + L) bytes per
+step with times and L invariant series, plus 8 for Newton iterations on the
+element methods.
 
 The kernel's products (c [Lq | E], the coboundary times D, h P, the pairing
 weights times the field Jacobians, and the driver's guess) are 2-D and, at
@@ -501,14 +506,15 @@ def rk4_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
 class Trajectory:
     """Recorded time grid, endpoint states, invariant series and element polynomials of one run.
 
-    An element method's run keeps one read-only nodal record, (dim, n p + 1): the primal
-    0-cochain on the time mesh, in which neighbouring elements share their boundary node.
-    states and coefficients are views of it, so each nodal value is held once.
+    A run keeps one read-only nodal record, (dim, n s + 1) with s = p for an element method
+    and 1 for a classical one: the primal 0-cochain on the time mesh, in which neighbouring
+    elements share their boundary node. states and coefficients are views of it, so each
+    nodal value is held once.
     """
 
     method: Method
     times: np.ndarray  # (n+1,)
-    # (dim, n+1), read-only; for element methods every p-th column of the nodal record
+    # (dim, n+1), read-only; every s-th column of the nodal record
     states: np.ndarray
     invariants: dict  # label -> (n+1,) raw values
     order: Optional[int] = None  # polynomial order for element methods
@@ -561,12 +567,11 @@ def _step_count(sys, method, p, t0, tf, dt):
         )
     n = max(1, math.ceil(count))
     # the records' bytes, in Python ints: past what numpy can address, its own error would
-    # name no argument; a count within that but past memory raises MemoryError
-    per_step = 8 * (1 + len(sys.invariants))  # times and the invariant series
-    if method.is_element_method:  # p nodal columns and Newton iterations
-        per_step += 8 * (sys.dim * p + 1)
-    else:  # one state column
-        per_step += 8 * sys.dim
+    # name no argument; a count within that but past memory raises MemoryError. Per step:
+    # the record's s columns (s = p for the element methods, 1 for the classical ones), a
+    # time, the L invariant values and, for the element methods, Newton's iterations
+    element = method.is_element_method
+    per_step = 8 * (sys.dim * (p if element else 1) + 1 + len(sys.invariants) + element)
     if per_step * (n + 1) > _MAX_BYTES:
         raise ValueError(
             f"too many steps: t0={t0!r}, tf={tf!r}, dt={dt!r} give {count:.3g} steps; at"
@@ -612,7 +617,8 @@ def integrate(
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     t0, tf, dt = float(t0), float(tf), float(dt)
-    if method.is_element_method:  # the first step, which ends by tf
+    element = method.is_element_method
+    if element:  # the first step, which ends by tf
         _half_length(t0, min(t0 + dt, tf))
         pairing = _pairing(method, p, q_rhs)
     elif method is Method.SYMPLECTIC_EULER:
@@ -621,7 +627,6 @@ def integrate(
     y0 = _initial_state(sys, y0)
 
     n, slack = _step_count(sys, method, p, t0, tf, dt)
-    element = method.is_element_method
     stride = p if element else 1  # record columns per step
     times = np.empty(n + 1)
     record = np.empty((sys.dim, n * stride + 1))
@@ -634,26 +639,27 @@ def integrate(
         stages = work[:, 1:]
         *_, solve = _element_callables(sys, work, pairing)
 
-    y, previous = y0, None
+    # one layout rule for every method: step k reads its start state from column j = k stride
+    # (y0, or the last column the step before wrote), writes the stride columns after it, and
+    # its accepted state is column j + stride
+    previous = None
     for k in range(n):
         t_a = t0 + k * dt
         t_b = tf if k == n - 1 else t0 + (k + 1) * dt
         h = t_b - t_a
+        j = k * stride
         try:
             if element:
                 # every step after the first extrapolates the previous element,
                 # except a shortened last step, which starts cold
                 if k == n - 1 and h < dt - slack:
                     previous = None
-                newton_iterations[k] = solve(y, t_a, h, newton, previous)
-                # column k p already holds y0, bitwise: the previous element's last column
-                j = k * p
+                newton_iterations[k] = solve(record[:, j], t_a, h, newton, previous)
                 record[:, j + 1 : j + p + 1] = stages
                 previous = record[:, j : j + p + 1]
-                y = previous[:, -1]
             else:
-                y = update(sys, y, t_a, h)
-            reason = sys.check_domain(y)
+                record[:, j + 1] = update(sys, record[:, j], t_a, h)
+            reason = sys.check_domain(record[:, j + stride])
             if reason is not None:
                 raise DomainError(f"accepted state leaves the domain: {reason}")
         except GeodesyError as err:
@@ -661,8 +667,6 @@ def integrate(
                 f"step {k} starting at t={t_a:g} failed: {err}", step=k, time=t_a
             ) from err
         times[k + 1] = t_b
-        if not element:
-            record[:, k + 1] = y
 
     # views taken of the frozen record are read-only and cannot be made writeable again
     record.setflags(write=False)
