@@ -77,9 +77,6 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", _read_only(self.nodes))
         object.__setattr__(self, "weights", _read_only(self.weights))
 
-    def __len__(self):
-        return len(self.nodes)
-
 
 def _check_order(n: int, smallest: int, what: str):
     # a bool is no order, though it is an int and hashes like 0 or 1 in a cache

@@ -239,10 +239,6 @@ class ElementSolution:
         _half_length(self.t_start, self.t_end)
         object.__setattr__(self, "coefficients", _read_only(self.coefficients))
 
-    @property
-    def dim(self) -> int:
-        return self.coefficients.shape[0]
-
     def endpoint(self) -> np.ndarray:
         return self.coefficients[:, -1].copy()
 

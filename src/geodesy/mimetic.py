@@ -233,8 +233,8 @@ def galerkin_mass_dual(grid: ElementGrid) -> np.ndarray:
 def galerkin_pairing(grid: ElementGrid, rule: QuadratureRule) -> np.ndarray:
     """Galerkin pairing on a quadrature rule: G[m, nu] = sqrt(g) omega_nu ltilde_m(sigma_nu).
 
-    Shape (p, len(rule)), for the rule's nodes sigma_nu and weights omega_nu. G @ f, for the
-    values f of a function at the nodes, integrates it against each dual basis function
+    Shape (p, len(rule.nodes)), for the rule's nodes sigma_nu and weights omega_nu. G @ f, for
+    the values f of a function at the nodes, integrates it against each dual basis function
     ltilde_m over the element; the result is exact when the rule integrates f ltilde_m exactly.
     """
     return grid.sqrt_g * (nodal_eval_all(grid.dual_basis, rule.nodes).T * rule.weights)

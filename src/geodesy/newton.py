@@ -202,8 +202,9 @@ def newton_solve(
     when given, otherwise forward differences. A solve accepted on abs_tol
     after at least one update is polished by one more update with the last
     LU factors (no further residual or Jacobian call; see NewtonResult).
-    A first residual whose shape differs from x0's raises ValueError before
-    any Jacobian call. Raises NewtonNonConvergence with the last iterate
+    An x0 that is empty or not 1-d raises ValueError, naming its shape, before
+    any residual call, and a first residual whose shape differs from x0's
+    before any Jacobian call. Raises NewtonNonConvergence with the last iterate
     attached on failure: when the budget is spent, or earlier, as
     divergence, once max|dx| has not shrunk over three updates while still
     above sqrt(eps) max|x|.
@@ -211,6 +212,8 @@ def newton_solve(
     x = np.array(x0, dtype=float)
     if not x.size:
         raise ValueError(f"x0 must have at least one unknown, got shape {x.shape}")
+    if x.ndim != 1:
+        raise ValueError(f"x0 must be a 1-d array of unknowns, got shape {x.shape}")
     iterations = 0
     updates = []  # max|dx| per update
     while True:

@@ -211,6 +211,11 @@ class TestNodalBasis:
         with pytest.raises(ValueError):
             NodalBasis.from_nodes([0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("nodes", [[], np.zeros((2, 2))], ids=["empty", "2-d"])
+    def test_empty_or_2d_nodes_rejected(self, nodes):
+        with pytest.raises(ValueError, match="nodes must be a nonempty 1-d array"):
+            NodalBasis.from_nodes(nodes)
+
     def test_single_node_constant(self):
         basis = NodalBasis.from_nodes([0.3])
         npt.assert_array_equal(nodal_eval_all(basis, -0.7), [1.0])

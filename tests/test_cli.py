@@ -598,6 +598,16 @@ class TestPlot:
         assert "trajectory.csv" in script
         assert "invariants.csv" in script
 
+    def test_one_variable_plots_y1_against_t(self, tmp_path):
+        # plot reads whatever CSVs sit in --out: a two-column trajectory has no phase plane
+        (tmp_path / "trajectory.csv").write_text("t,y_1\n0,1\n0.5,0.5\n")
+        (tmp_path / "invariants.csv").write_text("t,energy\n0,0\n0.5,1e-16\n")
+        assert run_cli("plot", "--out", str(tmp_path)) == 0
+        script = (tmp_path / "plot.gp").read_text()
+        assert "plot 'trajectory.csv' using 1:2 with lines title 'trajectory'" in script
+        assert "set ylabel 'y_1'" in script
+        assert "using 2:3" not in script
+
 
 class TestList:
     def test_lists_problems_and_methods(self, capsys):

@@ -1614,6 +1614,35 @@ class TestBaselines:
         assert abs(got[0] - taylor) <= 1e-15
         assert abs(got[0] - math.exp(0.1)) <= 1e-7
 
+    @pytest.mark.parametrize("name", ["pendulum", "kepler"])
+    @pytest.mark.parametrize(
+        "method, step",
+        [
+            (Method.EXPLICIT_EULER, explicit_euler_step),
+            (Method.RK4, rk4_step),
+            (Method.SYMPLECTIC_EULER, symplectic_euler_step),
+        ],
+        ids=["euler", "rk4", "seuler"],
+    )
+    def test_a_run_is_its_public_step_applied_step_by_step(self, name, method, step):
+        # bit for bit, over 12 steps of which the last is shortened: step k is the public
+        # step at t0 + k dt over t_b - t_a, from the state step k - 1 returned
+        prob = get_problem(name)
+        t0, dt = 0.25, prob.dt_ref
+        tf = t0 + 11.5 * dt
+        traj = integrate(prob.system, method, prob.y0, t0, tf, dt)
+        n = traj.steps
+        assert n == 12
+        stepped = [np.asarray(prob.y0, dtype=float)]
+        for k in range(n):
+            t_a = t0 + k * dt
+            t_b = tf if k == n - 1 else t0 + (k + 1) * dt
+            stepped.append(step(prob.system, stepped[-1], t_a, t_b - t_a))
+        assert t_b - t_a < 0.75 * dt
+        want = np.stack(stepped, axis=1)
+        assert traj.states.shape == want.shape
+        assert traj.states.tobytes() == want.tobytes()
+
     def test_baseline_steps_do_not_mutate_input(self):
         harm = get_problem("harmonic")
         y0 = np.array([1.0, 0.0])

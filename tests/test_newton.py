@@ -498,6 +498,25 @@ def test_an_empty_initial_guess_is_rejected(x0):
     assert calls == []
 
 
+@pytest.mark.parametrize("x0", [np.ones((2, 2)), np.ones((1, 3)), np.float64(1.0), 2.0])
+@pytest.mark.parametrize("analytic", [False, True], ids=["fd", "jacobian"])
+def test_an_initial_guess_that_is_not_1d_is_rejected(x0, analytic):
+    calls = []
+
+    def residual(x):
+        calls.append("residual")
+        return x**2 - 2.0
+
+    def jacobian(x):
+        calls.append("jacobian")
+        return np.diag(2.0 * x.ravel())
+
+    shape = re.escape(str(np.shape(x0)))
+    with pytest.raises(ValueError, match=rf"x0 must be a 1-d array of unknowns, got shape {shape}"):
+        newton_solve(residual, x0, jacobian=jacobian if analytic else None)
+    assert calls == []
+
+
 def test_fd_step_scaling():
     # the probe step grows with the component magnitude
     seen = []

@@ -63,6 +63,11 @@ def test_quadrature_order_conditions(p):
         assert float(tab.b @ tab.c ** (k - 1)) == pytest.approx(1.0 / k, abs=1e-12)
 
 
+def test_validation_rejects_inconsistent_shapes():
+    with pytest.raises(ValueError, match="tableau arrays have inconsistent shapes"):
+        ButcherTableau(np.eye(2), [0.5, 0.5], [0.5])
+
+
 def test_validation_rejects_bad_weights():
     with pytest.raises(ValueError):
         ButcherTableau(np.array([[0.3]]), np.array([0.9]), np.array([0.3]))
