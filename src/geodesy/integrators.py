@@ -26,14 +26,16 @@ Everything a step needs of its pairing, the driver's guess table included,
 sits in one read-only record, built once per (p, q, pairing) from those
 toolkit operators on the reference element of order p, where sqrt(g) = 1, and
 cached; one resolver picks it from the method, and q_rhs (default 2p + 10) is
-an mgi setting only. Row l of D is the canonical Hodge of the unit primal
-1-cochain l, D[l, m] = e_l(tau_m), times the dual mass w_m for mgi, and mgi's
-P is the Galerkin pairing on its rule, transposed, P[nu, m] = omega_nu
-ltilde_m(sigma_nu). So one residual, (c E) D / sqrt(g) - h P for nodal values
-c and field values h, serves both pairings; mci's pairing is the identity, so
-it has no P and skips that product. One product c [Lq | E] gives both the
-quadrature states c Lq and the coboundary c E, whose entries are each one
-exactly rounded difference of nodal values.
+an mgi setting only. D is the toolkit's edge table at the dual nodes, read in
+one evaluation: the matrix canonical_hodge_1to0 applies, so row l is the
+canonical Hodge of the unit primal 1-cochain l, D[l, m] = e_l(tau_m). mgi
+scales it by the dual mass w_m, and its P is the Galerkin pairing on its
+rule, transposed, P[nu, m] = omega_nu ltilde_m(sigma_nu). So one residual,
+(c E) D / sqrt(g) - h P for nodal values c and field values h, serves both
+pairings; mci's pairing is the identity, so it has no P and skips that
+product. One product c [Lq | E] gives both the quadrature states c Lq and the
+coboundary c E, whose entries are each one exactly rounded difference of
+nodal values.
 
 One factory builds, binds and solves an element over its stage buffer, once
 per buffer: its residual, stage Jacobian, bind and solve. integrate builds it
@@ -98,7 +100,11 @@ geodesy.mimetic._half_length about its own bounds, which the one ValueError
 for bounds that give no element names. The classical steps refuse a
 non-finite t0 or dt, or an initial state of the wrong shape or not finite,
 as the element steps do; integrate checks its start once and then calls
-their unchecked updates.
+their unchecked updates. No run returns data that is not finite: integrate,
+the steps and the residuals evaluate with floating-point exceptions ignored,
+so an overflow warns nowhere, and what it leaves fails as a named error, a
+field value or a classical step's new state as EvaluationError, and in
+integrate, with an invariant value, as IntegrationError naming the step.
 """
 
 import enum
@@ -109,14 +115,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import MAX_ORDER, _check_order, _read_only, gauss_rule, nodal_eval_all
+from .basis import MAX_ORDER, _check_order, _read_only, edge_eval_all, gauss_rule, nodal_eval_all
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
 from .mimetic import (
-    Cochain,
-    CochainKind,
     _half_length,
     _reference_element,
-    canonical_hodge_1to0,
     galerkin_mass_dual,
     galerkin_pairing,
     incidence_matrix,
@@ -155,8 +158,8 @@ class _Pairing(NamedTuple):
     # [Lq | E], (p+1, q+p): the nodal basis Lq at the quadrature nodes and the incidence E;
     # one product coeffs @ LE gives the quadrature states and the coboundary
     LE: np.ndarray
-    # (p, p): row l is the canonical Hodge of the unit primal 1-cochain l, D[l, m] = e_l(tau_m),
-    # times the dual mass w_m for mgi
+    # (p, p): the toolkit's edge table at the dual nodes, read once, D[l, m] = e_l(tau_m): row l
+    # is the canonical Hodge of the unit primal 1-cochain l; times the dual mass w_m for mgi
     D: np.ndarray
     # (q, p): mgi's Galerkin pairing on its rule, transposed,
     # P[nu, m] = omega_nu ltilde_m(sigma_nu); None for mci, whose pairing is the identity
@@ -176,11 +179,11 @@ def _pairing_record(p: int, q: int, galerkin: bool) -> _Pairing:
     quad = gauss_rule(q)
     E = incidence_matrix(p)
     Lq = nodal_eval_all(ref.primal_basis, quad.nodes).T
-    # row l is the canonical Hodge of the unit primal 1-cochain l. Fortran order: the layout
-    # the kernel's dot products are timed and checked bitwise with, as BLAS may round another
-    # layout differently
-    units = (Cochain(CochainKind.PRIMAL1, unit) for unit in np.eye(p))
-    D = np.array([canonical_hodge_1to0(c, ref).values for c in units], order="F")
+    # the matrix canonical_hodge_1to0 applies, the edge table at the dual nodes, read in one
+    # evaluation: row l is the Hodge of the unit primal 1-cochain l. The transpose of the fresh
+    # C-ordered table is in Fortran order: the layout the kernel's dot products are timed and
+    # checked bitwise with, as BLAS may round another layout differently
+    D = edge_eval_all(ref.edge_basis, ref.dual.nodes).T
     if galerkin:  # rows scaled by the dual mass, the field paired on the q-point rule
         D = D * galerkin_mass_dual(ref)
         P = Pfull = galerkin_pairing(ref, quad).T
@@ -227,7 +230,8 @@ class ElementSolution:
     """One solved element: its bounds, values at the p+1 primal nodes and Newton iterations.
 
     t_end < t_start for a reversed step; coefficients[:, 0] is the initial condition, bitwise.
-    Bounds that give no element (geodesy.mimetic) raise ValueError naming them.
+    Bounds that give no element (geodesy.mimetic) raise ValueError naming them; then values
+    that give none, anything but 2-d with p + 1 >= 2 columns, raise ValueError naming their shape.
     """
 
     t_start: float
@@ -237,7 +241,13 @@ class ElementSolution:
 
     def __post_init__(self):
         _half_length(self.t_start, self.t_end)
-        object.__setattr__(self, "coefficients", _read_only(self.coefficients))
+        coefficients = _read_only(self.coefficients)
+        if coefficients.ndim != 2 or coefficients.shape[1] < 2:
+            raise ValueError(
+                f"element coefficients must have shape (dim, p+1) with p >= 1, got"
+                f" {coefficients.shape}"
+            )
+        object.__setattr__(self, "coefficients", coefficients)
 
     def endpoint(self) -> np.ndarray:
         return self.coefficients[:, -1].copy()
@@ -358,7 +368,7 @@ def _element_callables(sys, coeffs, pairing):
 def _public_residual(sys, sol, method, q_rhs):
     # the step's own residual, on a writable copy of the record, at its stages
     coeffs = sol.coefficients.copy()
-    if coeffs.ndim != 2 or coeffs.shape[0] != sys.dim or coeffs.shape[1] < 2:
+    if coeffs.shape[0] != sys.dim:  # the record has checked the rest of its shape
         raise ValueError(
             f"element coefficients must have shape ({sys.dim}, p+1) with p >= 1 for this"
             f" system, got {coeffs.shape}"
@@ -366,7 +376,8 @@ def _public_residual(sys, sol, method, q_rhs):
     pairing = _pairing(method, coeffs.shape[1] - 1, q_rhs)
     bind, residual, _, _ = _element_callables(sys, coeffs, pairing)
     bind(sol.t_start, _half_length(sol.t_start, sol.t_end))
-    return residual(coeffs[:, 1:].reshape(-1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return residual(coeffs[:, 1:].reshape(-1))
 
 
 def mci_residual(sys: OdeSystem, sol: ElementSolution) -> np.ndarray:
@@ -416,7 +427,8 @@ def _element_step(sys, y0, t0, dt, p, pairing, config):
     y0 = _start(sys, y0, t0, dt)
     coeffs = np.empty((sys.dim, p + 1))
     *_, solve = _element_callables(sys, coeffs, pairing)
-    iterations = solve(y0, t0, dt, config)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        iterations = solve(y0, t0, dt, config)
     # the record copies coeffs, which the callables keep writing into after the step returns
     return ElementSolution(t0, t0 + dt, coeffs, iterations)
 
@@ -477,9 +489,23 @@ _UPDATES = {
 }
 
 
+def _finite_state(y):
+    # a classical update's new state, refused unless finite: an element step needs no such
+    # test, as Newton accepts only finite residuals
+    if not _all(np.isfinite(y)):
+        raise EvaluationError(f"new state is not finite: {y.tolist()}")
+    return y
+
+
+def _classical_step(update, sys, y0, t0, dt):
+    y0 = _start(sys, y0, t0, dt)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _finite_state(update(sys, y0, t0, dt))
+
+
 def explicit_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
     """Forward Euler update y + dt h(y)."""
-    return _explicit_euler(sys, _start(sys, y0, t0, dt), t0, dt)
+    return _classical_step(_explicit_euler, sys, y0, t0, dt)
 
 
 def symplectic_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
@@ -490,12 +516,12 @@ def symplectic_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarra
     Requires sys.partition.
     """
     _require_partition(sys)
-    return _symplectic_euler(sys, _start(sys, y0, t0, dt), t0, dt)
+    return _classical_step(_symplectic_euler, sys, y0, t0, dt)
 
 
 def rk4_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
     """Classical fourth-order Runge-Kutta update."""
-    return _rk4(sys, _start(sys, y0, t0, dt), t0, dt)
+    return _classical_step(_rk4, sys, y0, t0, dt)
 
 
 @dataclass(frozen=True)
@@ -530,20 +556,30 @@ class Trajectory:
 
 
 def _invariant_series(sys: OdeSystem, times: np.ndarray, states: np.ndarray) -> dict:
+    # a value that is not finite fails as an invariant that raises does, naming the state
     series = {}
     for label, fn in sys.invariants:
+
+        def failed(k, why):
+            return IntegrationError(
+                f"invariant {label!r} failed on the state at t={times[k]:g} (step {k}): {why}",
+                step=k,
+                time=times[k],
+            )
+
         values = []
         for k in range(len(times)):
             try:
                 values.append(fn(states[:, k]))
             except GeodesyError as err:
-                raise IntegrationError(
-                    f"invariant {label!r} failed on the state at t={times[k]:g} (step {k}): {err}",
-                    step=k,
-                    time=times[k],
-                ) from err
-        series[label] = np.array(values)
-        series[label].setflags(write=False)
+                raise failed(k, err) from err
+        values = np.array(values)
+        finite = np.isfinite(values)
+        if not _all(finite):
+            k = int(np.argmin(finite))
+            raise failed(k, f"value {values[k]} is not finite")
+        values.setflags(write=False)
+        series[label] = values
     return series
 
 
@@ -613,6 +649,7 @@ def integrate(
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     t0, tf, dt = float(t0), float(tf), float(dt)
+    _check_order(p, 1, "order p")  # for every method, though only the element methods read it
     element = method.is_element_method
     if element:  # the first step, which ends by tf
         _half_length(t0, min(t0 + dt, tf))
@@ -637,37 +674,40 @@ def integrate(
 
     # one layout rule for every method: step k reads its start state from column j = k stride
     # (y0, or the last column the step before wrote), writes the stride columns after it, and
-    # its accepted state is column j + stride
+    # its accepted state is column j + stride. A floating-point exception warns nowhere: what
+    # it leaves that is not finite, a state or an invariant value, fails as a named error
     previous = None
-    for k in range(n):
-        t_a = t0 + k * dt
-        t_b = tf if k == n - 1 else t0 + (k + 1) * dt
-        h = t_b - t_a
-        j = k * stride
-        try:
-            if element:
-                # every step after the first extrapolates the previous element,
-                # except a shortened last step, which starts cold
-                if k == n - 1 and h < dt - slack:
-                    previous = None
-                newton_iterations[k] = solve(record[:, j], t_a, h, newton, previous)
-                record[:, j + 1 : j + p + 1] = stages
-                previous = record[:, j : j + p + 1]
-            else:
-                record[:, j + 1] = update(sys, record[:, j], t_a, h)
-            reason = sys.check_domain(record[:, j + stride])
-            if reason is not None:
-                raise DomainError(f"accepted state leaves the domain: {reason}")
-        except GeodesyError as err:
-            raise IntegrationError(
-                f"step {k} starting at t={t_a:g} failed: {err}", step=k, time=t_a
-            ) from err
-        times[k + 1] = t_b
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(n):
+            t_a = t0 + k * dt
+            t_b = tf if k == n - 1 else t0 + (k + 1) * dt
+            h = t_b - t_a
+            j = k * stride
+            try:
+                if element:
+                    # every step after the first extrapolates the previous element,
+                    # except a shortened last step, which starts cold
+                    if k == n - 1 and h < dt - slack:
+                        previous = None
+                    newton_iterations[k] = solve(record[:, j], t_a, h, newton, previous)
+                    record[:, j + 1 : j + p + 1] = stages
+                    previous = record[:, j : j + p + 1]
+                else:
+                    record[:, j + 1] = _finite_state(update(sys, record[:, j], t_a, h))
+                reason = sys.check_domain(record[:, j + stride])
+                if reason is not None:
+                    raise DomainError(f"accepted state leaves the domain: {reason}")
+            except GeodesyError as err:
+                raise IntegrationError(
+                    f"step {k} starting at t={t_a:g} failed: {err}", step=k, time=t_a
+                ) from err
+            times[k + 1] = t_b
 
-    # views taken of the frozen record are read-only and cannot be made writeable again
-    record.setflags(write=False)
-    times.setflags(write=False)  # sample_trajectory locates elements by it
-    states = record[:, ::stride]
+        # views taken of the frozen record are read-only and cannot be made writeable again
+        record.setflags(write=False)
+        times.setflags(write=False)  # sample_trajectory locates elements by it
+        states = record[:, ::stride]
+        invariants = _invariant_series(sys, times, states)
     coefficients = None
     if element:
         newton_iterations.setflags(write=False)
@@ -680,7 +720,7 @@ def integrate(
         method=method,
         times=times,
         states=states,
-        invariants=_invariant_series(sys, times, states),
+        invariants=invariants,
         order=p if element else None,
         coefficients=coefficients,
         newton_iterations=newton_iterations,

@@ -118,6 +118,31 @@ class TestRun:
         assert "failed:" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "problem, method, y0, dt, tfinal, reason",
+        [
+            ("circle", "euler", 2e300, "1e300", "1e300", "new state is not finite: [2e+300, -inf]"),
+            ("harmonic", "mci", 1e300, "0.1", "0.3", "value inf is not finite"),
+        ],
+        ids=["state", "invariant"],
+    )
+    def test_run_that_overflows_exits_one(
+        self, tmp_path, capsys, problem, method, y0, dt, tfinal, reason
+    ):
+        # the run refuses what overflows, naming step 0, and writes no CSV of inf or nan
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"y0": [y0, 0.0]}))
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--config", str(cfg), "--problem", problem, "--method", method,
+            "--dt", dt, "--tfinal", tfinal, "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("failed: ") and "step 0" in err and err.rstrip().endswith(reason)
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", ["mci", "rk4"])
     def test_non_finite_step_count_exits_one(self, tmp_path, capsys, method):
         # (tf - t0) / dt overflows: a failed run naming the times, not a traceback

@@ -5,6 +5,7 @@ import functools
 import math
 import re
 import types
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -293,8 +294,13 @@ class TestResiduals:
     @pytest.mark.parametrize("shape", [(3, 3), (3,), (2, 1)])
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_mismatched_element_names_both_shapes(self, method, shape):
-        # the record's shape is checked against the system, not read from it
+        # the record refuses values that make no element when it is built; the residual
+        # checks the row count of one that does against the system, not reading it from it
         pend = get_problem("pendulum")
+        if len(shape) != 2 or shape[1] < 2:
+            with pytest.raises(ValueError, match=re.escape(f"p >= 1, got {shape}")):
+                ElementSolution(0.0, 0.1, np.zeros(shape))
+            return
         sol = ElementSolution(0.0, 0.1, np.zeros(shape))
         expected = (
             rf"element coefficients must have shape \(2, p\+1\) with p >= 1 for this system,"
@@ -305,6 +311,18 @@ class TestResiduals:
                 mci_residual(pend.system, sol)
             else:
                 mgi_residual(pend.system, sol, None)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 1), (2, 2, 2)])
+    def test_record_refuses_values_that_make_no_element(self, shape):
+        # the record owns the values rule, 2-d with p + 1 >= 2 columns, and applies it after
+        # its bounds, so endpoint() never meets values it cannot read
+        with pytest.raises(ValueError) as err:
+            ElementSolution(0.0, 1.0, np.ones(shape))
+        assert str(err.value) == (
+            f"element coefficients must have shape (dim, p+1) with p >= 1, got {shape}"
+        )
+        with pytest.raises(ValueError, match="^element must have nonzero extent"):
+            ElementSolution(1.0, 1.0, np.ones(shape))
 
     def test_residual_rows_are_variable_major(self):
         # With a constant field (0, 1000) and the constant-in-time candidate,
@@ -781,6 +799,28 @@ class TestStepArguments:
         assert str(element.value) == message
 
     @pytest.mark.parametrize(
+        "method", [Method.EXPLICIT_EULER, Method.SYMPLECTIC_EULER, Method.RK4]
+    )
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ("x", TypeError, "order p must be an integer, got str"),
+            (0, ValueError, "order p must lie in [1, 64], got 0"),
+            (3.5, TypeError, "order p must be an integer, got float"),
+            (True, TypeError, "order p must be an integer, got bool"),
+        ],
+    )
+    def test_classical_run_applies_the_order_rule(self, method, bad, error, message):
+        # integrate checks p for every method, as the steps and residuals do, though only
+        # the element methods read it: before the first field call
+        pend = get_problem("pendulum")
+        system, calls = _counting(pend.system)
+        with pytest.raises(error) as err:
+            integrate(system, method, pend.y0, 0.0, 1.0, 0.4, p=bad)
+        assert str(err.value) == message
+        assert calls == {"field": 0, "domain_check": 0}
+
+    @pytest.mark.parametrize(
         "bad, good, name",
         [(True, 1, "order p"), (2.0, 2, "order p"), (True, 1, "q_rhs"), (14.0, 14, "q_rhs")],
     )
@@ -1055,18 +1095,25 @@ class TestPairingRecordIsTheToolkit:
     # element, where sqrt(g) = 1: row l of D is the canonical Hodge of the unit primal
     # 1-cochain l, times the dual mass for mgi, whose P is the Galerkin pairing on its rule
 
-    @pytest.mark.parametrize("p", range(1, 17))
+    @pytest.mark.parametrize("p", range(1, 65))
     def test_tables_are_the_toolkit_operators_bitwise(self, p):
+        # D, read in one evaluation of the edge table, is the stacked Hodge of every unit
+        # 1-cochain byte for byte, in the Fortran order the kernel's products are checked in
         ref = ElementGrid.build(p, -1.0, 1.0)
         units = [Cochain(CochainKind.PRIMAL1, unit) for unit in np.eye(p)]
-        hodge = np.array([canonical_hodge_1to0(c, ref).values for c in units])
+        hodge = np.array([canonical_hodge_1to0(c, ref).values for c in units], order="F")
+
+        def assert_same_bytes(got, want):
+            assert got.flags.f_contiguous and want.flags.f_contiguous
+            assert got.tobytes(order="F") == want.tobytes(order="F")
+
         mci = geodesy.integrators._pairing(Method.MCI, p, None)
         assert mci.P is None  # collocation: the pairing is the identity
-        npt.assert_array_equal(mci.D, hodge)
+        assert_same_bytes(mci.D, hodge)
         pairings = [(mci, np.eye(p))]
-        for q in (p, p + 1, min(2 * p + 10, 64)):
+        for q in sorted({p, min(p + 1, 64), min(2 * p + 10, 64)}):
             mgi = geodesy.integrators._pairing(Method.MGI, p, q)
-            npt.assert_array_equal(mgi.D, hodge * galerkin_mass_dual(ref))
+            assert_same_bytes(mgi.D, hodge * galerkin_mass_dual(ref))
             npt.assert_array_equal(mgi.P, galerkin_pairing(ref, gauss_rule(q)).T)
             pairings.append((mgi, mgi.P))
         for rec, P in pairings:
@@ -1994,6 +2041,134 @@ class TestIntegrateSweep:
             return
         assert 1 <= traj.steps <= 20
         assert np.isfinite(traj.states).all()
+
+
+def _no_warning(call):
+    # call() under every warning shown and recorded; it must raise or return without one
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        try:
+            return call()
+        finally:
+            assert shown == []
+
+
+class TestFiniteOrRefused:
+    """No run returns data that is not finite: an overflow is refused as a named error.
+
+    Each call evaluates with floating-point exceptions ignored, so an overflow warns nowhere,
+    under the suite's -W error or without it; a state or an invariant value it leaves that
+    is not finite fails with the library's own error, which integrate annotates with the step.
+    """
+
+    def test_classical_state_that_overflows_names_the_step(self):
+        circle = get_problem("circle").system
+        with pytest.raises(IntegrationError) as err:
+            _no_warning(
+                lambda: integrate(circle, Method.EXPLICIT_EULER, [2e300, 0.0], 0.0, 1e300, 1e300)
+            )
+        assert str(err.value) == (
+            "step 0 starting at t=0 failed: new state is not finite: [2e+300, -inf]"
+        )
+        assert (err.value.step, err.value.time) == (0, 0.0)
+        assert isinstance(err.value.__cause__, EvaluationError)
+
+    def test_invariant_that_overflows_names_the_state(self):
+        # the states stay finite; I = (p^2 + q^2) / 2 overflows on the first of them
+        harmonic = get_problem("harmonic").system
+        with pytest.raises(IntegrationError) as err:
+            _no_warning(lambda: integrate(harmonic, Method.MCI, [1e300, 0.0], 0.0, 0.3, 0.1, p=2))
+        assert str(err.value) == (
+            "invariant 'I' failed on the state at t=0 (step 0): value inf is not finite"
+        )
+        assert (err.value.step, err.value.time) == (0, 0.0)
+
+    def test_invariant_series_names_the_first_state_that_is_not_finite(self):
+        # one test per series: the first non-finite value is the state named, as for an
+        # invariant that raises (test_invariant_failure_is_annotated)
+        circle = make_circle()
+
+        def guarded(y):
+            return math.inf if y[1] < 0.0 else float(y @ y)
+
+        sys = OdeSystem(dim=2, field=circle.system.field, invariants=(("R", guarded),))
+        y0 = np.array([0.0, 1.0])  # y(t) = (sin t, cos t): y[1] < 0 after t = pi/2
+        with pytest.raises(IntegrationError, match="^invariant 'R' failed on") as err:
+            integrate(sys, Method.RK4, y0, 0.0, 3.0, 0.5)
+        assert (err.value.step, err.value.time) == (4, 2.0)
+
+    @pytest.mark.parametrize("step", [explicit_euler_step, symplectic_euler_step, rk4_step])
+    def test_classical_step_refuses_a_result_that_is_not_finite(self, step):
+        circle = get_problem("circle").system
+        with pytest.raises(EvaluationError, match="is non-finite|is not finite"):
+            _no_warning(lambda: step(circle, [2e300, 0.0], 0.0, 1e300))
+
+    @pytest.mark.parametrize("path", ["mci_step", "mgi_step", "mci_residual", "mgi_residual"])
+    def test_element_paths_refuse_a_field_that_overflows(self, path):
+        # y1 (y2 - 2) overflows at y ~ 1e200
+        lv = get_problem("lotka-volterra")
+        y0 = lv.y0 * 1e200
+        sol = ElementSolution(0.0, 0.1, np.tile(y0[:, None], 3))
+        calls = {
+            "mci_step": lambda: mci_step(lv.system, y0, 0.0, 0.1, 2),
+            "mgi_step": lambda: mgi_step(lv.system, y0, 0.0, 0.1, 2),
+            "mci_residual": lambda: mci_residual(lv.system, sol),
+            "mgi_residual": lambda: mgi_residual(lv.system, sol, None),
+        }
+        with pytest.raises(EvaluationError, match="^vector field is non-finite at quadrature node"):
+            _no_warning(calls[path])
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(problem_names()),
+        method=st.sampled_from(list(Method)),
+        p=st.integers(1, 64),
+        scale=st.integers(-300, 300),
+        shift=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+        t0_sign=st.sampled_from([-1.0, 0.0, 1.0]),
+        t0_exponent=st.integers(-320, 300),
+        dt_exponent=st.integers(-320, 300),
+        steps=st.integers(1, 4),
+    )
+    def test_every_call_is_finite_or_refused(
+        self, name, method, p, scale, shift, t0_sign, t0_exponent, dt_exponent, steps
+    ):
+        # integrate, the matching public step and sample_trajectory, with y0, t0 and dt
+        # across the float range (1e-320 to 1e300): each returns finite values or raises
+        # ValueError, TypeError or a GeodesyError, and none warns under -W error. About 4 ms
+        # an example, most of them refused
+        spec = get_problem(name)
+        sys = spec.system
+        y0 = (spec.y0 + np.array(shift[: sys.dim]) * (1.0 + np.abs(spec.y0))) * 10.0**scale
+        t0, dt = t0_sign * 10.0**t0_exponent, 10.0**dt_exponent
+        q_rhs = min(default_qrhs(p), 64) if method is Method.MGI else None
+        refused = (ValueError, TypeError, GeodesyError)
+        try:
+            traj = integrate(sys, method, y0, t0, t0 + steps * dt, dt, p=p, q_rhs=q_rhs)
+        except refused:
+            pass
+        else:
+            assert np.isfinite(traj.states).all()
+            assert all(np.isfinite(series).all() for series in traj.invariants.values())
+            try:
+                dense = sample_trajectory(traj, np.linspace(traj.times[0], traj.times[-1], 7))
+            except refused:
+                pass
+            else:
+                assert np.isfinite(dense).all()
+        steps_by_method = {
+            Method.MCI: lambda: mci_step(sys, y0, t0, dt, p).coefficients,
+            Method.MGI: lambda: mgi_step(sys, y0, t0, dt, p, q_rhs).coefficients,
+            Method.EXPLICIT_EULER: lambda: explicit_euler_step(sys, y0, t0, dt),
+            Method.SYMPLECTIC_EULER: lambda: symplectic_euler_step(sys, y0, t0, dt),
+            Method.RK4: lambda: rk4_step(sys, y0, t0, dt),
+        }
+        try:
+            values = steps_by_method[method]()
+        except refused:
+            return
+        assert np.isfinite(values).all()
 
 
 class TestSampling:
