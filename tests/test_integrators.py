@@ -295,7 +295,7 @@ class TestResiduals:
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_mismatched_element_names_both_shapes(self, method, shape):
         # the record refuses values that make no element when it is built; the residual
-        # checks the row count of one that does against the system, not reading it from it
+        # checks a record's row count against the system, not reading the dimension from it
         pend = get_problem("pendulum")
         if len(shape) != 2 or shape[1] < 2:
             with pytest.raises(ValueError, match=re.escape(f"p >= 1, got {shape}")):
