@@ -43,20 +43,20 @@ once per run and solves every element in one buffer, and each public step
 builds its own; a public residual (mci_residual/mgi_residual) binds one at a
 solved element's stages. solve writes y0, the guess and Newton's stages: the
 stage layout is written there and read once more in the public residual.
-Stage unknowns are variable-major, so only the factory meets the dimension:
-its rate term is the record's p x p rate block once per variable on the
-diagonal. A bind call sets each element's bounds, which the error messages
-name, and that term over sqrt(g); the stage Jacobian is it minus one GEMM of
-the pairing weights with the field Jacobians at the q nodes. That product is
-(p p, M M), indexed by (stage pair, variable pair); one take with an index
-array the factory caches beside the rate term reads it into the
-variable-major (M p, M p) layout. The take only moves entries, so its bits
-are those of a reshape, transpose and reshape, in one call: 1.7 against 3.6
-us at pendulum's shape (M = 2, p = 2). Residuals carry a 1/sqrt(g) factor so
-Newton tolerances are in vector-field units whatever the step size. Steps
-accept negative dt (a reversed element); the integrate driver walks forward.
-No step builds a grid: an element is its bounds and its values at the primal
-nodes (ElementSolution), and sample_trajectory is the one way to read it.
+Stage unknowns are variable-major, so only the factory meets the dimension, in
+one layout: the stage Jacobian is a rate term, the record's p x p rate block
+times the M x M identity in one outer product, minus one GEMM of the pairing
+weights with the field Jacobians at the q nodes, both (p p, M M), indexed by
+(stage pair, variable pair). A bind call sets each element's bounds, which the
+error messages name, and the rate term over sqrt(g); one take with an index
+array the factory caches beside it reads the difference into the
+variable-major (M p, M p) layout. The take only moves entries, so its bits are
+those of a reshape, transpose and reshape, in one call: 1.7 against 3.6 us at
+pendulum's shape (M = 2, p = 2). Residuals carry a 1/sqrt(g) factor so Newton
+tolerances are in vector-field units whatever the step size. Steps accept
+negative dt (a reversed element); the integrate driver walks forward. No step
+builds a grid: an element is its bounds and its values at the primal nodes
+(ElementSolution), and sample_trajectory is the one way to read it.
 
 integrate keeps a run as one primal 0-cochain on the time mesh: one (dim, n s + 1)
 nodal record, with s = p columns per step for the element methods and s = 1 for
@@ -326,9 +326,9 @@ def _element_callables(sys, coeffs, pairing):
     jacobian = None
     if sys.jacobian is not None:
         weights = pairing.weights
-        # the one place the dimension meets the record: the rate block once per variable, and
-        # the flat positions in W @ Jh, (p p, M M), of the stage Jacobian's entries
-        rate = np.kron(np.eye(M), pairing.rate)
+        # the one place the dimension meets the record: the rate term in the layout of W @ Jh,
+        # (p p, M M), and the flat positions in that layout of the stage Jacobian's entries
+        rate = np.multiply.outer(pairing.rate.ravel(), np.eye(M).ravel())
         gather = np.arange(p * p * M * M).reshape(p, p, M, M).transpose(2, 0, 3, 1)
         gather = gather.reshape(M * p, -1)
 
@@ -348,7 +348,7 @@ def _element_callables(sys, coeffs, pairing):
                     f" {(q, M, M)}; wrap a jacobian written for one state with"
                     " geodesy.systems.pointwise"
                 )
-            return rate_block - weights.dot(Jh.reshape(q, M * M)).take(gather)
+            return (rate_block - weights.dot(Jh.reshape(q, M * M))).take(gather)
 
     def solve(y0, t_start, dt, config, previous=None):
         # solves [t_start, t_start + dt] into coeffs and returns Newton's iterations. previous,

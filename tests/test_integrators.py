@@ -620,7 +620,7 @@ class TestStageJacobian:
         analytic = step(lv.system, lv.y0, 0.0, 0.3, 3)
         npt.assert_allclose(fd.coefficients, analytic.coefficients, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("M", [1, 2, 4])
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 6])
     @pytest.mark.parametrize("p", range(1, 7))
     @pytest.mark.parametrize("method, q_rhs", [("mci", "p"), ("mgi", "p"), ("mgi", "2p+10")])
     def test_field_term_matches_the_einsum_formula(self, monkeypatch, method, q_rhs, p, M):
@@ -699,7 +699,7 @@ class TestKernelProducts:
                 assert rec.weights.dot(Jh).tobytes() == (rec.weights @ Jh).tobytes()
                 assert coeffs.dot(rec.ahead).tobytes() == (coeffs @ rec.ahead).tobytes()
 
-    @pytest.mark.parametrize("M", [1, 2, 4])
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 6])
     @pytest.mark.parametrize("method, q_rhs", [(Method.MCI, None), (Method.MGI, None), (Method.MGI, "p+1")])
     def test_gathered_stage_jacobian_equals_the_transposed_assembly_bitwise(self, method, q_rhs, M):
         # the stage Jacobian reads W @ Jh through one cached index array, which
