@@ -633,7 +633,8 @@ def integrate(
     Step failures are re-raised as IntegrationError annotated with the step
     index and start time; so is an invariant that fails on a recorded state,
     with the index k of that state in times (the state step k starts from)
-    and its time. q_rhs is for Method.MGI only; other methods reject it. A
+    and its time. q_rhs is for Method.MGI only; other methods reject it. p
+    and newton, a NewtonConfig, are checked for every method. A
     step count that is not finite, or whose records would exceed the bytes
     numpy can address, is rejected up front with a ValueError naming t0, tf
     and dt; one within that but past the memory at hand raises MemoryError.
@@ -650,7 +651,10 @@ def integrate(
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     t0, tf, dt = float(t0), float(tf), float(dt)
-    _check_order(p, 1, "order p")  # for every method, though only the element methods read it
+    # p and newton for every method, though only the element methods read them
+    _check_order(p, 1, "order p")
+    if not isinstance(newton, NewtonConfig):
+        raise TypeError(f"newton must be a geodesy.NewtonConfig, got {newton!r}")
     element = method.is_element_method
     if element:  # the first step, which ends by tf
         _half_length(t0, min(t0 + dt, tf))

@@ -202,13 +202,16 @@ def newton_solve(
     when given, otherwise forward differences. A solve accepted on abs_tol
     after at least one update is polished by one more update with the last
     LU factors (no further residual or Jacobian call; see NewtonResult).
-    An x0 that is empty or not 1-d raises ValueError, naming its shape, before
-    any residual call, and a first residual whose shape differs from x0's
+    A config that is not a NewtonConfig raises TypeError, naming it, and an x0
+    that is empty or not 1-d ValueError, naming its shape, before any residual
+    call; a first residual whose shape differs from x0's raises ValueError
     before any Jacobian call. Raises NewtonNonConvergence with the last iterate
     attached on failure: when the budget is spent, or earlier, as
     divergence, once max|dx| has not shrunk over three updates while still
     above sqrt(eps) max|x|.
     """
+    if not isinstance(config, NewtonConfig):
+        raise TypeError(f"config must be a geodesy.NewtonConfig, got {config!r}")
     x = np.array(x0, dtype=float)
     if not x.size:
         raise ValueError(f"x0 must have at least one unknown, got shape {x.shape}")

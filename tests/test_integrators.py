@@ -820,6 +820,28 @@ class TestStepArguments:
         assert str(err.value) == message
         assert calls == {"field": 0, "domain_check": 0}
 
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("bad", [None, {}, 0.5], ids=["none", "dict", "float"])
+    def test_run_refuses_newton_settings_that_are_not_a_config(self, method, bad):
+        # every method, though only the element methods solve: before the first field call
+        pend = get_problem("pendulum")
+        system, calls = _counting(pend.system)
+        with pytest.raises(TypeError) as err:
+            integrate(system, method, pend.y0, 0.0, 1.0, 0.1, newton=bad)
+        assert str(err.value) == f"newton must be a geodesy.NewtonConfig, got {bad!r}"
+        assert calls == {"field": 0, "domain_check": 0}
+
+    @pytest.mark.parametrize("bad", [None, {}, 0.5], ids=["none", "dict", "float"])
+    @pytest.mark.parametrize("step", [mci_step, mgi_step])
+    def test_element_step_refuses_newton_settings_that_are_not_a_config(self, step, bad):
+        # newton_solve's refusal, before the first residual and so before any field call
+        pend = get_problem("pendulum")
+        system, calls = _counting(pend.system)
+        with pytest.raises(TypeError) as err:
+            step(system, pend.y0, 0.0, 0.1, 2, config=bad)
+        assert str(err.value) == f"config must be a geodesy.NewtonConfig, got {bad!r}"
+        assert calls == {"field": 0, "domain_check": 0}
+
     @pytest.mark.parametrize(
         "bad, good, name",
         [(True, 1, "order p"), (2.0, 2, "order p"), (True, 1, "q_rhs"), (14.0, 14, "q_rhs")],

@@ -592,3 +592,18 @@ class TestNewtonConfig:
         NewtonConfig(abs_tol=0.0, max_iter=1)
         NewtonConfig(abs_tol=1, max_iter=np.int64(3))
         NewtonConfig(abs_tol=np.float32(1e-6))
+
+    @pytest.mark.parametrize("config", [None, {}, 0.5], ids=["none", "dict", "float"])
+    def test_solve_refuses_settings_that_are_not_a_config(self, config):
+        # a TypeError naming the value, before the first residual call, where a missing
+        # abs_tol attribute would surface only after one
+        calls = []
+
+        def residual(x):
+            calls.append(x)
+            return x
+
+        with pytest.raises(TypeError) as err:
+            newton_solve(residual, [0.0], config)
+        assert str(err.value) == f"config must be a geodesy.NewtonConfig, got {config!r}"
+        assert calls == []
