@@ -2,11 +2,14 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geodesy import Method, get_problem, integrate, sample_trajectory
+from geodesy import Method, get_problem, integrate, problem_names, sample_trajectory
 from geodesy.cli import main
 
 
@@ -189,6 +192,39 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err.startswith("failed: Unable to allocate an array")
         assert not out.exists()
+
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(problem_names()),
+        method=st.sampled_from([m.value for m in Method]),
+        pt=st.integers(1, 4),
+        scale=st.integers(-300, 300),
+        dt_exponent=st.integers(-320, 300),
+        steps=st.integers(1, 4),
+    )
+    def test_every_run_is_finite_or_refused(self, name, method, pt, scale, dt_exponent, steps):
+        # a run either succeeds with every CSV value finite or exits 1 (failed) or 2 (usage)
+        # before writing a trajectory; no exception or warning escapes main. A tempfile
+        # directory per example, as a function-scoped tmp_path fails Hypothesis's health check
+        dt = float(f"1e{dt_exponent}")
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "run.json")
+            with open(cfg, "w") as fh:
+                json.dump({"y0": (get_problem(name).y0 * 10.0**scale).tolist()}, fh)
+            out = os.path.join(tmp, "out")
+            code = run_cli(
+                "run", "--config", cfg, "--problem", name, "--method", method, "--pt", str(pt),
+                "--dt", repr(dt), "--tfinal", repr(steps * dt), "--out", out,
+            )
+            if code == 0:
+                for csv in ("trajectory.csv", "invariants.csv"):
+                    _, rows = read_csv(os.path.join(out, csv))
+                    assert np.isfinite(rows).all(), csv
+            else:
+                assert code in (1, 2)
+                assert not os.path.exists(os.path.join(out, "trajectory.csv"))
 
 
 class TestUsageErrors:
