@@ -22,7 +22,7 @@ def step_profile():
     return _load("step_profile")
 
 
-@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("index", [0, 1, 2, 3, 4])
 def test_step_profile_finds_every_layer_of_its_case(step_profile, index):
     # a renamed closure would read 0 rather than fail; its layer must read time
     case = step_profile.CASES[index]

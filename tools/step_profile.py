@@ -21,7 +21,9 @@ Each case integrates N steps (default 2000) under cProfile, R times (default
 
 In each run the shares sum to 100%. The cases are pendulum MCI p=2 at dt=0.1, Lotka-
 Volterra MCI p=3 at dt=0.3 without its analytic Jacobian (forward
-differences), and kepler MGI p=4 at dt=2 pi/128 with the default q_rhs. The
+differences), kepler MGI p=4 at dt=2 pi/128 with the default q_rhs, and
+kepler MGI (default q_rhs) and MCI at p=8 and dt=2 pi/32, four times the
+step of the p=4 case, where higher order keeps its accuracy. The
 profiler adds a fixed cost to every Python call, so the shares of call-heavy
 layers read high; compare them between trees, not with unprofiled times.
 Calls into C (numpy, LAPACK, builtins such as max) are not profiled on
@@ -49,6 +51,8 @@ CASES = (
     ("pendulum MCI p=2", "pendulum", "MCI", 2, 0.1, True),
     ("lotka-volterra MCI p=3, no jacobian", "lotka-volterra", "MCI", 3, 0.3, False),
     ("kepler MGI p=4", "kepler", "MGI", 4, 2.0 * math.pi / 128.0, True),
+    ("kepler MGI p=8, dt=2 pi/32", "kepler", "MGI", 8, 2.0 * math.pi / 32.0, True),
+    ("kepler MCI p=8, dt=2 pi/32", "kepler", "MCI", 8, 2.0 * math.pi / 32.0, True),
 )
 LAYERS = ("problem", "residual", "jacobian", "fd", "newton", "lu", "driver")
 
