@@ -23,7 +23,7 @@ In each run the shares sum to 100%. The cases are pendulum MCI p=2 at dt=0.1, Lo
 Volterra MCI p=3 at dt=0.3 without its analytic Jacobian (forward
 differences), kepler MGI p=4 at dt=2 pi/128 with the default q_rhs, and
 kepler MGI (default q_rhs) and MCI at p=8 and dt=2 pi/32, four times the
-step of the p=4 case, where higher order keeps its accuracy. The
+p=4 case's step. The
 profiler adds a fixed cost to every Python call, so the shares of call-heavy
 layers read high; compare them between trees, not with unprofiled times.
 Calls into C (numpy, LAPACK, builtins such as max) are not profiled on
