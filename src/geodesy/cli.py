@@ -2,8 +2,9 @@
 
 Subcommands: run (one integration, CSV output), converge (step-size sweep),
 tableau (print the extracted Runge-Kutta arrays), plot (emit a gnuplot
-script for existing CSV output), list (registries). Configuration comes
-from an optional JSON file mirroring the flag names; explicit flags win.
+script for existing CSV output), list (registries). A setting of run or
+converge is its flag when given, else its value in the optional JSON config
+file (whose keys mirror the flag names), else its default.
 
 Exit codes: 0 success, 1 runtime failure during integration or file
 handling, 2 usage errors (unknown names, malformed config, --qrhs with a
@@ -84,26 +85,32 @@ def _config_value_ok(kind, val) -> bool:
     return isinstance(val, kind)
 
 
-def _resolve(args, config, key, default=None):
-    # CLI flag beats config file beats caller default
-    val = getattr(args, key, None)
-    return config.get(key, default) if val is None else val
-
-
 def _positive(key, val):
     if not (val > 0 and math.isfinite(val)):
         raise UsageError(f"--{key} must be positive and finite, got {val}")
     return val
 
 
-def _resolve_common(args):
-    config = _load_config(args.config) if args.config else {}
-    name = _resolve(args, config, "problem") or "circle"
+def _bounded(key, val, top):
+    if not 1 <= val <= top:
+        raise UsageError(f"--{key} must lie in [1, {top}], got {val}")
+    return val
+
+
+def _settings(args, tfinal_steps):
+    """Run's or converge's checked settings; tfinal defaults to tfinal_steps * dt.
+
+    The record's `given` keeps the merged flag and config values, where converge
+    finds dts and levels.
+    """
+    given = _load_config(args.config) if args.config else {}
+    given.update((k, v) for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None)
+    name = given.get("problem") or "circle"
     try:
         problem = get_problem(name)
     except KeyError as err:
         raise UsageError(err.args[0])
-    method_name = _resolve(args, config, "method") or "mci"
+    method_name = given.get("method") or "mci"
     try:
         method = Method(method_name)
     except ValueError:
@@ -112,30 +119,38 @@ def _resolve_common(args):
         raise UsageError(
             f"method 'seuler' needs a separable partition, which problem {problem.name!r} does not define"
         )
-    pt = _resolve(args, config, "pt", 2)
-    if not 1 <= pt <= _MAX_ORDER_CLI:
-        raise UsageError(f"--pt must lie in [1, {_MAX_ORDER_CLI}], got {pt}")
-    dt = _positive("dt", _resolve(args, config, "dt", problem.dt_ref))
-    qrhs = _resolve(args, config, "qrhs")
-    if qrhs is not None and method is not Method.MGI:
-        raise UsageError("--qrhs applies to --method mgi only")
-    if qrhs is not None and not 1 <= qrhs <= MAX_ORDER:
-        raise UsageError(f"--qrhs must lie in [1, {MAX_ORDER}], got {qrhs}")
-    out = _resolve(args, config, "out") or "."
-    y0 = np.asarray(config.get("y0", problem.y0), dtype=float)
+    pt = _bounded("pt", given.get("pt", 2), _MAX_ORDER_CLI)
+    dt = _positive("dt", given.get("dt", problem.dt_ref))
+    qrhs = given.get("qrhs")
+    if qrhs is not None:
+        if method is not Method.MGI:
+            raise UsageError("--qrhs applies to --method mgi only")
+        _bounded("qrhs", qrhs, MAX_ORDER)
+    y0 = np.asarray(given.get("y0", problem.y0), dtype=float)
     if y0.shape != (problem.system.dim,):
         raise UsageError(
             f"y0 must have {problem.system.dim} entries for {problem.name}, got {y0.shape}"
         )
     keys = {"abs_tol": "newton_abs_tol", "max_iter": "newton_max_iter"}
     try:
-        newton = NewtonConfig(**{f: config[k] for f, k in keys.items() if k in config})
+        newton = NewtonConfig(**{f: given[k] for f, k in keys.items() if k in given})
     except ValueError as err:
         raise UsageError(f"bad newton_* config value: {err}")
-    samples = config.get("samples_per_element", 1)
+    samples = given.get("samples_per_element", 1)
     if samples < 1:
         raise UsageError(f"samples_per_element must be at least 1, got {samples}")
-    return problem, method, pt, dt, qrhs, out, y0, newton, samples, config
+    tfinal = _positive("tfinal", given.get("tfinal", tfinal_steps * dt))
+    return argparse.Namespace(
+        given=given, problem=problem, method=method, pt=pt, dt=dt, tfinal=tfinal, qrhs=qrhs,
+        y0=y0, newton=newton, samples=samples, out=given.get("out") or ".")
+
+
+def _integrate(opts, dt, p):
+    # the one integrate call of run, converge's levels and converge's reference
+    return integrate(
+        opts.problem.system, opts.method, opts.y0, 0.0, opts.tfinal, dt,
+        p=p, newton=opts.newton, q_rhs=opts.qrhs,
+    )
 
 
 def _write_table(path, header, columns):
@@ -164,11 +179,11 @@ def _write_trajectory(path, traj, samples_per_element):
 
 
 def _cmd_run(args):
-    problem, method, pt, dt, qrhs, out, y0, newton, samples, config = _resolve_common(args)
-    tfinal = _positive("tfinal", _resolve(args, config, "tfinal", 100.0 * dt))
-    traj = integrate(problem.system, method, y0, 0.0, tfinal, dt, p=pt, newton=newton, q_rhs=qrhs)
+    opts = _settings(args, 100.0)
+    traj = _integrate(opts, opts.dt, opts.pt)
+    out = opts.out
     os.makedirs(out, exist_ok=True)
-    _write_trajectory(os.path.join(out, "trajectory.csv"), traj, samples)
+    _write_trajectory(os.path.join(out, "trajectory.csv"), traj, opts.samples)
     errors = {label: s - s[0] for label, s in traj.invariants.items()}
     header = "t," + ",".join(f"{label}_error" for label in errors)
     _write_table(os.path.join(out, "invariants.csv"), header, [traj.times, *errors.values()])
@@ -176,43 +191,35 @@ def _cmd_run(args):
         f"max |{label}-{label}0| = {np.max(np.abs(e)):.3e}" for label, e in errors.items()
     )
     print(
-        f"{problem.name} via {method.value}: {traj.steps} steps of dt={dt:g} to t={tfinal:g}; {drifts}"
+        f"{opts.problem.name} via {opts.method.value}: {traj.steps} steps of dt={opts.dt:g} "
+        f"to t={opts.tfinal:g}; {drifts}"
     )
     print(f"wrote {os.path.join(out, 'trajectory.csv')} and {os.path.join(out, 'invariants.csv')}")
     return 0
 
 
-def _reference_states(problem, method, ref_pt, qrhs, y0, tfinal, ref_dt, newton):
-    """Endpoint truth: exact solution when known, else a much finer run."""
-    sys_ = problem.system
-    if sys_.exact_solution is not None:
-        return sys_.exact_solution(tfinal, y0)
-    traj = integrate(sys_, method, y0, 0.0, tfinal, ref_dt, p=ref_pt, newton=newton, q_rhs=qrhs)
-    return traj.states[:, -1]
-
-
-def _check_steps(problem, method, p, tfinal, dt, flag, what):
+def _check_steps(opts, p, dt, flag, what):
     # integrate's step-count rule, before anything is integrated: a run it would refuse
     # is found before the coarser levels, which can take minutes, not after them
     try:
         if not dt > 0.0:  # a reference step below the smallest subnormal
             raise ValueError(f"dt must be positive, got {dt!r}")
-        _step_count(problem.system, method, p, 0.0, float(tfinal), dt)
+        _step_count(opts.problem.system, opts.method, p, 0.0, float(opts.tfinal), dt)
     except ValueError as err:
         raise UsageError(f"{flag} gives {what} steps that integrate refuses: {err}") from None
 
 
 def _cmd_converge(args):
-    problem, method, pt, dt, qrhs, out, y0, newton, _, config = _resolve_common(args)
-    tfinal = _positive("tfinal", _resolve(args, config, "tfinal", 10.0 * dt))
-    dts, levels = _resolve(args, config, "dts"), None
+    opts = _settings(args, 10.0)
+    problem, method, pt, dt, tfinal = opts.problem, opts.method, opts.pt, opts.dt, opts.tfinal
+    dts, levels = opts.given.get("dts"), None
     if dts is not None:
         try:
             dts = [float(v) for v in (dts.split(",") if isinstance(dts, str) else dts)]
         except ValueError:  # only the flag's string can fail; config lists are checked on load
             raise UsageError(f"--dts must be comma-separated numbers, got {dts!r}")
     else:
-        levels = _positive("levels", _resolve(args, config, "levels", 4))
+        levels = _positive("levels", opts.given.get("levels", 4))
         # ldexp is dt / 2**k bit for bit, without 2**k's overflow past 1023 halvings;
         # checked first, so no list is built for a count whose steps underflow
         if math.ldexp(dt, 1 - levels) == 0.0:
@@ -226,21 +233,21 @@ def _cmd_converge(args):
         raise UsageError(f"step sizes must be distinct, got {', '.join(f'{v:g}' for v in dts)}")
     ref_dt, ref_pt = min(dts) / 64.0, pt + 2 if method.is_element_method else pt
     flag = "--dts" if levels is None else f"--levels {levels}"
-    _check_steps(problem, method, pt, tfinal, min(dts), flag, "the finest level")
+    _check_steps(opts, pt, min(dts), flag, "the finest level")
+    # endpoint truth: the exact solution when known, else a much finer run
     if problem.system.exact_solution is None:
-        _check_steps(problem, method, ref_pt, tfinal, ref_dt, flag, "the reference run")
-    y_ref = _reference_states(problem, method, ref_pt, qrhs, y0, tfinal, ref_dt, newton)
-    label = problem.invariant_labels[0] if problem.invariant_labels else None
+        _check_steps(opts, ref_pt, ref_dt, flag, "the reference run")
+        y_ref = _integrate(opts, ref_dt, ref_pt).states[:, -1]
+    else:
+        y_ref = problem.system.exact_solution(tfinal, opts.y0)
+    label = problem.invariant_labels[0]  # every registered problem declares one
 
     endpoint_errors, invariant_errors = [], []
     for h in dts:
-        traj = integrate(problem.system, method, y0, 0.0, tfinal, h, p=pt, newton=newton, q_rhs=qrhs)
+        traj = _integrate(opts, h, pt)
         endpoint_errors.append(float(np.linalg.norm(traj.states[:, -1] - y_ref)))
-        if label is None:
-            invariant_errors.append(float("nan"))
-        else:
-            series = traj.invariants[label]
-            invariant_errors.append(float(np.max(np.abs(series - series[0]))))
+        series = traj.invariants[label]
+        invariant_errors.append(float(np.max(np.abs(series - series[0]))))
 
     # an error that is zero (an exact run) or not finite has no logarithm: its orders are nan
     measured = [0.0 < e < math.inf for e in endpoint_errors]
@@ -250,8 +257,8 @@ def _cmd_converge(args):
         if measured[k - 1] and measured[k]:
             num = math.log(endpoint_errors[k - 1] / endpoint_errors[k])
         orders.append(num / math.log(dts[k - 1] / dts[k]))
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "convergence.csv")
+    os.makedirs(opts.out, exist_ok=True)
+    path = os.path.join(opts.out, "convergence.csv")
     _write_table(
         path,
         "dt,endpoint_error,invariant_error,observed_order",
@@ -271,16 +278,10 @@ def _cmd_converge(args):
 
 
 def _cmd_tableau(args):
-    pt = args.pt if args.pt is not None else 2
-    if not 1 <= pt <= _MAX_ORDER_CLI:
-        raise UsageError(f"--pt must lie in [1, {_MAX_ORDER_CLI}], got {pt}")
+    pt = _bounded("pt", 2 if args.pt is None else args.pt, _MAX_ORDER_CLI)
     tab = butcher_tableau_mci(pt)
     oracle = gauss_collocation_tableau(pt)
-    dev = max(
-        np.max(np.abs(tab.a - oracle.a)),
-        np.max(np.abs(tab.b - oracle.b)),
-        np.max(np.abs(tab.c - oracle.c)),
-    )
+    dev = max(np.max(np.abs(getattr(tab, k) - getattr(oracle, k))) for k in "abc")
     print(f"stages: {tab.stages}")
     print("c:", "  ".join(f"{v:.15g}" for v in tab.c))
     print("b:", "  ".join(f"{v:.15g}" for v in tab.b))
