@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _read_only
+from .basis import _check_order, _read_only
 from .integrators import Method, _pairing
 
 _SUM_B_TOL = 1e-13
@@ -78,6 +78,7 @@ def gauss_collocation_tableau(p: int) -> ButcherTableau:
     Serves as the independent cross-check for butcher_tableau_mci; do not
     merge the two routes.
     """
+    _check_order(p, 1, "order p")  # the extraction's order rule, before numpy sees p
     x, w = np.polynomial.legendre.leggauss(p)
     c = 0.5 * (x + 1.0)
     ends = np.append(c, 1.0)  # rows 0..p-1 integrate up to c_i, row p up to 1

@@ -63,6 +63,17 @@ def test_quadrature_order_conditions(p):
         assert float(tab.b @ tab.c ** (k - 1)) == pytest.approx(1.0 / k, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [True, 65, 100, 0, -1, 1.5])
+def test_oracle_refuses_the_orders_the_extraction_refuses(p):
+    # the oracle holds p to the library's order rule, not numpy's leggauss rule
+    with pytest.raises((TypeError, ValueError)) as extracted:
+        butcher_tableau_mci(p)
+    with pytest.raises((TypeError, ValueError)) as oracle:
+        gauss_collocation_tableau(p)
+    assert oracle.type is extracted.type
+    assert str(oracle.value) == str(extracted.value)
+
+
 def test_validation_rejects_inconsistent_shapes():
     with pytest.raises(ValueError, match="tableau arrays have inconsistent shapes"):
         ButcherTableau(np.eye(2), [0.5, 0.5], [0.5])
