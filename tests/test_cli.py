@@ -594,6 +594,38 @@ class TestConverge:
         assert (rows[:, 1] == 0.0).all()
         assert np.isnan(rows[:, 3]).all()
 
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(problem_names()),
+        method=st.sampled_from([m.value for m in Method]),
+        pt=st.integers(1, 3),
+        scale=st.integers(-300, 300),
+        dt=st.floats(1e-3, 1.0),
+        spans=st.floats(2.0, 4.0),
+    )
+    def test_every_sweep_is_finite_or_refused(self, name, method, pt, scale, dt, spans):
+        # a sweep either succeeds with finite step sizes and errors (an observed order may be
+        # nan) or exits 1 (failed) or 2 (usage) before writing convergence.csv; no exception
+        # or warning escapes main
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "sweep.json")
+            with open(cfg, "w") as fh:
+                json.dump({"y0": (get_problem(name).y0 * 10.0**scale).tolist()}, fh)
+            out = os.path.join(tmp, "out")
+            code = run_cli(
+                "converge", "--config", cfg, "--problem", name, "--method", method,
+                "--pt", str(pt), "--dt", repr(dt), "--tfinal", repr(spans * dt),
+                "--levels", "3", "--out", out,
+            )
+            if code == 0:
+                header, rows = read_csv(os.path.join(out, "convergence.csv"))
+                assert header == "dt,endpoint_error,invariant_error,observed_order"
+                assert np.isfinite(rows[:, :3]).all()
+            else:
+                assert code in (1, 2)
+                assert not os.path.exists(os.path.join(out, "convergence.csv"))
+
     def test_levels_default_sweep(self, tmp_path, capsys, monkeypatch):
         # --levels n halves --dt n-1 times
         monkeypatch.chdir(tmp_path)

@@ -28,6 +28,12 @@ def test_registry():
         assert prob.dt_ref > 0
 
 
+def test_every_problem_declares_an_invariant():
+    # geodesy converge reports the drift of each problem's first invariant
+    for name in problem_names():
+        assert len(get_problem(name).invariant_labels) >= 1, name
+
+
 def test_unknown_problem():
     with pytest.raises(KeyError):
         get_problem("brusselator")
