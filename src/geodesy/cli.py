@@ -9,7 +9,8 @@ file (whose keys mirror the flag names), else its default.
 Exit codes: 0 success, 1 runtime failure during integration or file
 handling, 2 usage errors (unknown names, malformed config, --qrhs with a
 method other than mgi, a --levels or --dts sweep whose finest level, or
-reference run, integrate would refuse).
+reference run, integrate would refuse up front: too many steps or a first
+element with no finite 1/sqrt(g)), found before any level runs.
 """
 
 import argparse
@@ -199,12 +200,10 @@ def _cmd_run(args):
 
 
 def _check_steps(opts, p, dt, flag, what):
-    # integrate's step-count rule, before anything is integrated: a run it would refuse
-    # is found before the coarser levels, which can take minutes, not after them
+    # integrate's rule for whether t0, tf and dt give a run, before anything is integrated:
+    # a run it would refuse is found before the coarser levels, which can take minutes
     try:
-        if not dt > 0.0:  # a reference step below the smallest subnormal
-            raise ValueError(f"dt must be positive, got {dt!r}")
-        _step_count(opts.problem.system, opts.method, p, 0.0, float(opts.tfinal), dt)
+        _step_count(opts.problem.system, opts.method, p, 0.0, opts.tfinal, dt)
     except ValueError as err:
         raise UsageError(f"{flag} gives {what} steps that integrate refuses: {err}") from None
 

@@ -585,10 +585,21 @@ def _invariant_series(sys: OdeSystem, times: np.ndarray, states: np.ndarray) -> 
 
 
 def _step_count(sys, method, p, t0, tf, dt):
-    # integrate's step-count rule, which geodesy converge also applies to its sweep:
-    # the count n >= 1 of steps of dt > 0 from t0 to tf, and the slack within which
-    # the last step absorbs a remainder. A count that is not finite, or whose records
-    # numpy cannot address, raises a ValueError naming t0, tf and dt.
+    # the one rule for whether t0, tf and dt give a run, which integrate and geodesy
+    # converge's sweep both apply: it returns t0, tf and dt as Python floats, the count
+    # n >= 1 of steps and the slack within which the last step absorbs a remainder. It
+    # raises a ValueError, in this order, for t0, tf or dt not finite, tf <= t0, dt <= 0,
+    # an element method's first step that gives no element, and a count that is not finite
+    # or whose records numpy cannot address
+    _require_finite(t0=t0, tf=tf, dt=dt)
+    if not tf > t0:
+        raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    t0, tf, dt = float(t0), float(tf), float(dt)
+    element = method.is_element_method
+    if element:  # the first step, which ends by tf
+        _half_length(t0, min(t0 + dt, tf))
     # t0 + k dt rounds at the magnitude of t0 and tf, so (tf - t0) / dt can
     # exceed a whole count by far more than 1e-12 when tf = t0 + n dt; Python
     # floats take the count to inf without a warning, where numpy's would warn
@@ -603,7 +614,6 @@ def _step_count(sys, method, p, t0, tf, dt):
     # name no argument; a count within that but past memory raises MemoryError. Per step:
     # the record's s columns (s = p for the element methods, 1 for the classical ones), a
     # time, the L invariant values and, for the element methods, Newton's iterations
-    element = method.is_element_method
     per_step = 8 * (sys.dim * (p if element else 1) + 1 + len(sys.invariants) + element)
     if per_step * (n + 1) > _MAX_BYTES:
         raise ValueError(
@@ -611,7 +621,7 @@ def _step_count(sys, method, p, t0, tf, dt):
             f" {per_step} bytes per step the records exceed the {_MAX_BYTES} bytes numpy can"
             " address"
         )
-    return n, slack
+    return t0, tf, dt, n, slack
 
 
 def integrate(
@@ -634,37 +644,33 @@ def integrate(
     index and start time; so is an invariant that fails on a recorded state,
     with the index k of that state in times (the state step k starts from)
     and its time. q_rhs is for Method.MGI only; other methods reject it. p
-    and newton, a NewtonConfig, are checked for every method. A
+    and newton, a NewtonConfig, are checked for every method. Refused up
+    front, before any field call, with a ValueError naming the values: t0, tf
+    or dt not finite, tf <= t0, dt <= 0; for the element methods, a first
+    step whose half-length sqrt(g) is zero or has no finite reciprocal; a
     step count that is not finite, or whose records would exceed the bytes
-    numpy can address, is rejected up front with a ValueError naming t0, tf
-    and dt; one within that but past the memory at hand raises MemoryError.
-    Element steps after the first start Newton from the previous element
-    extrapolated (a shortened last step starts cold from its y0).
+    numpy can address (one within that but past the memory at hand raises
+    MemoryError); and a misshapen y0. Element steps after the first start
+    Newton from the previous element extrapolated (a shortened last step
+    starts cold from its y0).
     """
     if not isinstance(method, Method):
         raise TypeError(f"method must be a geodesy.Method, got {method!r}")
     if q_rhs is not None and method is not Method.MGI:
         raise ValueError(f"q_rhs applies to Method.MGI only, got q_rhs={q_rhs!r} for {method}")
-    _require_finite(t0=t0, tf=tf, dt=dt)
-    if not tf > t0:
-        raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    t0, tf, dt = float(t0), float(tf), float(dt)
     # p and newton for every method, though only the element methods read them
     _check_order(p, 1, "order p")
     if not isinstance(newton, NewtonConfig):
         raise TypeError(f"newton must be a geodesy.NewtonConfig, got {newton!r}")
+    t0, tf, dt, n, slack = _step_count(sys, method, p, t0, tf, dt)
     element = method.is_element_method
-    if element:  # the first step, which ends by tf
-        _half_length(t0, min(t0 + dt, tf))
+    if element:
         pairing = _pairing(method, p, q_rhs)
     elif method is Method.SYMPLECTIC_EULER:
         _require_partition(sys)
     update = _UPDATES.get(method)  # None for the element methods
     y0 = _initial_state(sys, y0)
 
-    n, slack = _step_count(sys, method, p, t0, tf, dt)
     stride = p if element else 1  # record columns per step
     times = np.empty(n + 1)
     record = np.empty((sys.dim, n * stride + 1))

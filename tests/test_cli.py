@@ -475,7 +475,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "sweep, refused",
         [
-            (["--levels", "1030"], "is not finite"),  # 10 * 2**1029 steps
+            # the finest step, 2**-1029, is subnormal: its first element's half-length
+            # has no finite reciprocal, which integrate checks before the count
+            (["--levels", "1030"], "finite half-length whose reciprocal is finite"),
             (["--levels", "60"], "bytes numpy can address"),  # 5.8e18 steps
             (["--dts", "0.1,0.05,1e-300"], "bytes numpy can address"),
         ],
