@@ -9,8 +9,9 @@ file (whose keys mirror the flag names), else its default.
 Exit codes: 0 success, 1 runtime failure during integration or file
 handling, 2 usage errors (unknown names, malformed config, --qrhs with a
 method other than mgi, a --levels or --dts sweep whose finest level, or
-reference run, integrate would refuse up front: too many steps or a first
-element with no finite 1/sqrt(g)), found before any level runs.
+reference run, integrate would refuse up front: too many steps, steps that
+round to zero length, or a first or last element with no finite 1/sqrt(g)),
+found before any level runs.
 """
 
 import argparse

@@ -95,7 +95,7 @@ Newton errors in the nodal values by up to 5e48 (at p = 64). The guess is
 safe for the conserved quantities because Newton polishes its abs_tol stop
 (see geodesy.newton): the accepted stages do not depend on where the solve
 started by more than rounding. Every element path (ElementSolution, the
-steps, their public residuals, integrate's first step) asks
+steps, their public residuals, integrate's first and last steps) asks
 geodesy.mimetic._half_length about its own bounds, which the one ValueError
 for bounds that give no element names. The classical steps refuse a
 non-finite t0 or dt, or an initial state of the wrong shape or not finite,
@@ -589,8 +589,9 @@ def _step_count(sys, method, p, t0, tf, dt):
     # converge's sweep both apply: it returns t0, tf and dt as Python floats, the count
     # n >= 1 of steps and the slack within which the last step absorbs a remainder. It
     # raises a ValueError, in this order, for t0, tf or dt not finite, tf <= t0, dt <= 0,
-    # an element method's first step that gives no element, and a count that is not finite
-    # or whose records numpy cannot address
+    # an element method's first step that gives no element, a count that is not finite or
+    # whose records numpy cannot address, a dt within the slack (steps that round to zero
+    # length) and an element method's last step that gives no element
     _require_finite(t0=t0, tf=tf, dt=dt)
     if not tf > t0:
         raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")
@@ -621,6 +622,15 @@ def _step_count(sys, method, p, t0, tf, dt):
             f" {per_step} bytes per step the records exceed the {_MAX_BYTES} bytes numpy can"
             " address"
         )
+    # at or below the slack the last step may absorb a whole step, and t0 + k dt may
+    # round to its neighbour's time: steps of zero length
+    if dt <= slack:
+        raise ValueError(
+            f"dt={dt!r} is within the rounding of the step times from t0={t0!r} to tf={tf!r},"
+            f" so steps would round to zero length"
+        )
+    if element:  # the last step, whose length the others share within rounding
+        _half_length(t0 + (n - 1) * dt, tf)
     return t0, tf, dt, n, slack
 
 
@@ -646,13 +656,14 @@ def integrate(
     and its time. q_rhs is for Method.MGI only; other methods reject it. p
     and newton, a NewtonConfig, are checked for every method. Refused up
     front, before any field call, with a ValueError naming the values: t0, tf
-    or dt not finite, tf <= t0, dt <= 0; for the element methods, a first
-    step whose half-length sqrt(g) is zero or has no finite reciprocal; a
-    step count that is not finite, or whose records would exceed the bytes
+    or dt not finite, tf <= t0, dt <= 0; for the element methods, a first or
+    last step whose half-length sqrt(g) is zero or has no finite reciprocal;
+    a step count that is not finite, or whose records would exceed the bytes
     numpy can address (one within that but past the memory at hand raises
-    MemoryError); and a misshapen y0. Element steps after the first start
-    Newton from the previous element extrapolated (a shortened last step
-    starts cold from its y0).
+    MemoryError); a dt within the rounding of the step times, whose steps
+    would round to zero length; and a misshapen y0. Element steps after the
+    first start Newton from the previous element extrapolated (a shortened
+    last step starts cold from its y0).
     """
     if not isinstance(method, Method):
         raise TypeError(f"method must be a geodesy.Method, got {method!r}")

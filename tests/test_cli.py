@@ -500,9 +500,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "sweep, dt",
         [
-            # the finest level takes 10 * 2**49 steps, the reference run 64 times as many at
-            # order pt + 2, past the bytes numpy can address
-            (["--levels", "50"], "1.1102230246251566e-17"),
+            # the finest level takes 10 * 2**43 steps of 4.5e-14; the reference run's step,
+            # 64 times smaller, is within the rounding of the step times to tfinal 4
+            (["--levels", "44"], "7.105427357601002e-16"),
             # rk4 keeps its order; a finest step of 1e-322 leaves a reference step of 0
             (["--method", "rk4", "--tfinal", "1e-310", "--dts", "4e-311,3e-311,1e-322"], "0.0"),
         ],

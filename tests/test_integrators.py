@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geodesy.integrators
@@ -2075,6 +2075,19 @@ def _no_warning(call):
             assert shown == []
 
 
+@st.composite
+def _windows(draw):
+    # (t0, dt, tf): t0 = 0 or +-10**e, dt 0.5 to 100 ulps of |t0| or 10**e, and tf after
+    # 1 to 64 steps plus a fraction of one
+    t0 = draw(st.sampled_from([0.0, -1.0, 1.0])) * 10.0 ** draw(st.integers(-300, 300))
+    if draw(st.booleans()):
+        dt = draw(st.floats(0.5, 100.0)) * math.ulp(abs(t0))
+    else:
+        dt = 10.0 ** draw(st.integers(-320, 2))
+    steps = draw(st.integers(1, 64)) + draw(st.sampled_from([0.0, 1e-11, 0.37]))
+    return t0, dt, t0 + steps * dt
+
+
 class TestFiniteOrRefused:
     """No run returns data that is not finite: an overflow is refused as a named error.
 
@@ -2191,6 +2204,43 @@ class TestFiniteOrRefused:
         except refused:
             return
         assert np.isfinite(values).all()
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(["circle", "pendulum"]),
+        method=st.sampled_from(list(Method)),
+        window=_windows(),
+    )
+    # 64 steps of 1 from 1e16, where t0 + k dt rounds: 23 steps had zero length
+    @example(name="circle", method=Method.RK4, window=(1e16, 1.0, 1e16 + 64))
+    # an element run whose last step's half-length, 1e-312, has no finite reciprocal: it
+    # raised a bare ValueError after integrating three steps
+    @example(name="circle", method=Method.MCI, window=(0.0, 1e-300, 3e-300 + 2e-312))
+    def test_every_step_has_positive_length_or_the_run_is_refused_up_front(
+        self, name, method, window
+    ):
+        # t0, dt and tf from across the float range, down to dt below one ulp of t0: each run
+        # returns times that increase strictly, raises ValueError before any field call, or
+        # fails as a GeodesyError
+        spec = get_problem(name)
+        calls = []
+
+        def field(y):
+            calls.append(y)
+            return spec.system.field(y)
+
+        sys = dataclasses.replace(spec.system, field=field)
+        t0, dt, tf = window
+        try:
+            traj = integrate(sys, method, spec.y0, t0, tf, dt)
+        except GeodesyError:
+            return
+        except ValueError:
+            assert calls == []
+            return
+        assert (traj.times[0], traj.times[-1]) == (t0, tf)
+        assert np.all(np.diff(traj.times) > 0)
 
 
 class TestSampling:
