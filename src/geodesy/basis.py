@@ -59,9 +59,18 @@ def legendre_eval(n: int, x):
     return p_cur[()], d_cur[()]
 
 
+def _real(values, what="values") -> np.ndarray:
+    # values as an array, refused if complex: a float conversion would keep each real part
+    # alone, with a ComplexWarning
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{what} must be real, got {arr.dtype} values")
+    return arr
+
+
 def _read_only(values) -> np.ndarray:
     # a record's own read-only float copy; the caller's array keeps its flags
-    arr = np.array(values, dtype=float)
+    arr = np.array(_real(values), dtype=float)
     arr.setflags(write=False)
     return arr
 

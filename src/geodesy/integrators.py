@@ -98,13 +98,14 @@ started by more than rounding. Every element path (ElementSolution, the
 steps, their public residuals, integrate's first and last steps) asks
 geodesy.mimetic._half_length about its own bounds, which the one ValueError
 for bounds that give no element names. The classical steps refuse a
-non-finite t0 or dt, or an initial state of the wrong shape or not finite,
-as the element steps do; integrate checks its start once and then calls
-their unchecked updates. No run returns data that is not finite: integrate,
-the steps and the residuals evaluate with floating-point exceptions ignored,
-so an overflow warns nowhere, and what it leaves fails as a named error, a
-field value or a classical step's new state as EvaluationError, and in
-integrate, with an invariant value, as IntegrationError naming the step.
+non-finite t0 or dt, or an initial state that is complex, of the wrong
+shape or not finite, as the element steps do; integrate checks its start
+once and then calls their unchecked updates. No run returns data that is
+not finite: integrate, the steps and the residuals evaluate with
+floating-point exceptions ignored, so an overflow warns nowhere, and what
+it leaves fails as a named error, a field value or a classical step's new
+state as EvaluationError, and in integrate, with an invariant value, as
+IntegrationError naming the step.
 """
 
 import enum
@@ -115,7 +116,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .basis import MAX_ORDER, _check_order, _read_only, edge_eval_all, gauss_rule, nodal_eval_all
+from .basis import (
+    MAX_ORDER, _check_order, _read_only, _real, edge_eval_all, gauss_rule, nodal_eval_all,
+)
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
 from .mimetic import (
     _half_length,
@@ -230,8 +233,9 @@ class ElementSolution:
     """One solved element: its bounds, values at the p+1 primal nodes and Newton iterations.
 
     t_end < t_start for a reversed step; coefficients[:, 0] is the initial condition, bitwise.
-    Bounds that give no element (geodesy.mimetic) raise ValueError naming them; then values
-    that give none, anything but 2-d with p + 1 >= 2 columns, raise ValueError naming their shape.
+    Bounds that give no element (geodesy.mimetic) raise ValueError naming them; then complex
+    values, and values that give none, anything but 2-d with p + 1 >= 2 columns, raise
+    ValueError, the latter naming their shape.
     """
 
     t_start: float
@@ -404,7 +408,7 @@ def _require_finite(**values):
 
 
 def _initial_state(sys, y0) -> np.ndarray:
-    y0 = np.asarray(y0, dtype=float)
+    y0 = np.asarray(_real(y0, "initial state"), dtype=float)
     if y0.shape != (sys.dim,):
         raise ValueError(f"initial state must have shape ({sys.dim},), got {y0.shape}")
     if not np.isfinite(y0).all():
@@ -661,9 +665,9 @@ def integrate(
     a step count that is not finite, or whose records would exceed the bytes
     numpy can address (one within that but past the memory at hand raises
     MemoryError); a dt within the rounding of the step times, whose steps
-    would round to zero length; and a misshapen y0. Element steps after the
-    first start Newton from the previous element extrapolated (a shortened
-    last step starts cold from its y0).
+    would round to zero length; and a y0 that is complex, misshapen or not
+    finite. Element steps after the first start Newton from the previous
+    element extrapolated (a shortened last step starts cold from its y0).
     """
     if not isinstance(method, Method):
         raise TypeError(f"method must be a geodesy.Method, got {method!r}")
@@ -754,14 +758,14 @@ def sample_trajectory(traj: Trajectory, sample_times) -> np.ndarray:
 
     sample_times may be a scalar or an array of any shape; the result has
     shape (dim,) + np.shape(sample_times). Only methods that retain element
-    polynomials support this; times must be finite and lie inside the
+    polynomials support this; times must be real, finite and lie inside the
     integration window (up to a rounding slack, clamped onto it). The times
     are evaluated flattened, by one searchsorted and one basis evaluation;
     each state equals the one the same time gives alone, bitwise.
     """
     if traj.coefficients is None:
         raise ValueError(f"method {traj.method.value!r} does not retain element polynomials")
-    sample_times = np.asarray(sample_times, dtype=float)
+    sample_times = np.asarray(_real(sample_times, "sample times"), dtype=float)
     flat = sample_times.reshape(-1)
     t0, tf = float(traj.times[0]), float(traj.times[-1])
     slack = 1e-12 * (1.0 + abs(t0) + abs(tf))

@@ -2242,6 +2242,40 @@ class TestFiniteOrRefused:
         assert (traj.times[0], traj.times[-1]) == (t0, tf)
         assert np.all(np.diff(traj.times) > 0)
 
+    @pytest.mark.parametrize(
+        "entry, what",
+        [
+            ("integrate", "initial state"),
+            ("mci_step", "initial state"),
+            ("rk4_step", "initial state"),
+            ("ElementSolution", "values"),
+            ("sample_trajectory", "sample times"),
+        ],
+        ids=["integrate", "mci_step", "rk4_step", "ElementSolution", "sample_trajectory"],
+    )
+    def test_complex_values_are_refused_not_truncated(self, entry, what):
+        # a float conversion would keep the real parts alone, with a ComplexWarning
+        pend = get_problem("pendulum")
+        calls = []
+
+        def field(y):
+            calls.append(y)
+            return pend.system.field(y)
+
+        sys = dataclasses.replace(pend.system, field=field)
+        traj = integrate(pend.system, Method.MCI, pend.y0, 0.0, 1.0, 0.1)
+        y0 = [1j, 1.5]
+        entries = {
+            "integrate": lambda: integrate(sys, Method.MCI, y0, 0.0, 1.0, 0.1),
+            "mci_step": lambda: mci_step(sys, y0, 0.0, 0.1, 2),
+            "rk4_step": lambda: rk4_step(sys, y0, 0.0, 0.1),
+            "ElementSolution": lambda: ElementSolution(0.0, 1.0, (1 + 1j) * np.ones((2, 3))),
+            "sample_trajectory": lambda: sample_trajectory(traj, [0.5 + 0j]),
+        }
+        with pytest.raises(ValueError, match=f"^{what} must be real, got complex128 values$"):
+            _no_warning(entries[entry])
+        assert calls == []
+
 
 class TestSampling:
     def test_samples_match_step_states_at_grid_times(self):
