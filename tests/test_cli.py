@@ -480,8 +480,14 @@ class TestUsageErrors:
             (["--levels", "1030"], "finite half-length whose reciprocal is finite"),
             (["--levels", "60"], "bytes numpy can address"),  # 5.8e18 steps
             (["--dts", "0.1,0.05,1e-300"], "bytes numpy can address"),
+            # the finest level's first element, [0, 1e-308], has a half-length whose
+            # reciprocal overflows; the coarser levels' do not, and used to run first
+            (
+                ["--dts", "2.5e-308,1.5e-308,1e-308", "--tfinal", "5e-308"],
+                "t_start=0.0, t_end=1e-308 give half-length 5e-309",
+            ),
         ],
-        ids=["levels-inf", "levels-bytes", "dts-bytes"],
+        ids=["levels-inf", "levels-bytes", "dts-bytes", "dts-subnormal"],
     )
     def test_converge_checks_its_finest_level_before_integrating(
         self, tmp_path, capsys, monkeypatch, sweep, refused
@@ -495,21 +501,6 @@ class TestUsageErrors:
         flag = " ".join(sweep) if sweep[0] == "--levels" else "--dts"
         assert err.startswith(f"error: {flag} gives the finest level steps that integrate refuses:")
         assert refused in err and "Traceback" not in err
-        assert not out.exists()
-
-    def test_converge_checks_its_finest_first_element_before_integrating(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # the finest level's first element, [0, 1e-308], has a half-length whose reciprocal
-        # overflows; the coarser levels' do not, and used to run before integrate refused it
-        monkeypatch.setattr("geodesy.cli.integrate", None)  # never reached
-        out = tmp_path / "out"
-        sweep = ["--dts", "2.5e-308,1.5e-308,1e-308", "--tfinal", "5e-308"]
-        assert run_cli("converge", "--problem", "circle", *sweep, "--out", str(out)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: --dts gives the finest level steps that integrate refuses:")
-        assert "t_start=0.0, t_end=1e-308 give half-length 5e-309" in err
-        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
