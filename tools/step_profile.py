@@ -68,8 +68,10 @@ _ROOTS = {
 
 
 # (module file, function name) of each caller of the problem's kernels, and its layer;
-# the profiled cases reach _field_at only through the residual
+# the profiled cases reach the field only through the residual: _field_values, or
+# _field_at in trees older than _field_values, so --src can profile either
 _CALLERS = {
+    ("integrators.py", "_field_values"): "residual",
     ("integrators.py", "_field_at"): "residual",
     ("integrators.py", "jacobian"): "jacobian",
     ("systems.py", "check_domain"): "driver",
