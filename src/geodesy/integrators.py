@@ -118,7 +118,9 @@ the dual basis sums to one. Only when r fails is the block read again, to
 name its first node whose value is not finite; an r that fails with finite
 field values goes back to the caller, which names the residual (Newton) or,
 through a forward difference, the Jacobian. The classical steps test their
-field values themselves, with the same message.
+field values themselves, with the same message. A field or Jacobian that
+returns complex values is refused with a ValueError naming it, where a
+float conversion would keep the real parts.
 """
 
 import enum
@@ -130,7 +132,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, _check_order, _read_only, _real, edge_eval_all, gauss_rule, nodal_eval_all,
+    MAX_ORDER, _check_order, _float_output, _read_only, _real, edge_eval_all, gauss_rule,
+    nodal_eval_all,
 )
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
 from .mimetic import (
@@ -282,7 +285,7 @@ def _field_values(sys: OdeSystem, y, where) -> np.ndarray:
         if reason is not None:
             j, reason = _first_domain_failure(sys, y, reason)
             raise DomainError(f"state leaves the domain at {where(j)}: {reason}")
-    h = np.asarray(sys.field(y), dtype=float)
+    h = _float_output(sys.field(y), "vector field")
     if h.shape != y.shape:
         raise ValueError(
             f"vector field returned shape {h.shape} for states of shape {y.shape}, expected"
@@ -376,7 +379,7 @@ def _element_callables(sys, coeffs, pairing):
                 stages[...] = z.reshape(M, p)
                 held_z, held_Yq = z, coeffs.dot(LE)[:, :q]
             Yq = held_Yq
-            Jh = np.asarray(sys.jacobian(Yq), dtype=float)
+            Jh = _float_output(sys.jacobian(Yq), "jacobian")
             if Jh.shape != (q, M, M):
                 raise ValueError(
                     f"jacobian returned shape {Jh.shape} for states of shape {Yq.shape}, expected"

@@ -58,6 +58,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .basis import _float_output
 from .errors import EvaluationError, NewtonNonConvergence, SingularJacobianError
 
 
@@ -148,12 +149,14 @@ def forward_difference_jacobian(residual, x, r0=None):
     Row j of one (n, n) array is x shifted in entry j; the n residuals at
     those rows are written into the rows of one preallocated block, and one
     in-place quotient gives every column. A residual whose shape differs
-    from r0's is rejected rather than broadcast into its row. x may be any
-    real sequence; a float array is used as it is, without a copy.
+    from r0's is rejected rather than broadcast into its row, and a residual
+    that returns complex values is refused with a ValueError rather than cut
+    to its real part. x may be any real sequence; a float array is used as it
+    is, without a copy.
     """
     x = np.asarray(x, dtype=float)
     if r0 is None:
-        r0 = np.asarray(residual(x), dtype=float)
+        r0 = _float_output(residual(x), "residual")
     n = len(x)
     h = _FD_STEP * (1.0 + np.abs(x))
     shifted = x[None, :].repeat(n, 0)
@@ -168,7 +171,7 @@ def forward_difference_jacobian(residual, x, r0=None):
                 f"residual returned shape {np.shape(rj)} at forward-difference probe {j},"
                 f" expected {shape}, the shape at the base point"
             )
-        probes[j] = rj
+        probes[j] = _float_output(rj, "residual")
     probes -= r0
     probes /= h[:, None]
     return probes.T
@@ -205,7 +208,8 @@ def newton_solve(
     A config that is not a NewtonConfig raises TypeError, naming it, and an x0
     that is empty or not 1-d ValueError, naming its shape, before any residual
     call; a first residual whose shape differs from x0's raises ValueError
-    before any Jacobian call. Raises NewtonNonConvergence with the last iterate
+    before any Jacobian call, and so does a residual or Jacobian that returns
+    complex values, naming it. Raises NewtonNonConvergence with the last iterate
     attached on failure: when the budget is spent, or earlier, as
     divergence, once max|dx| has not shrunk over three updates while still
     above sqrt(eps) max|x|.
@@ -220,7 +224,7 @@ def newton_solve(
     iterations = 0
     updates = []  # max|dx| per update
     while True:
-        r = np.asarray(residual(x), dtype=float)
+        r = _float_output(residual(x), "residual")
         if not iterations and r.shape != x.shape:  # before max, which an empty r fails
             raise ValueError(
                 f"residual returned shape {r.shape} at the initial guess of shape {x.shape};"
@@ -265,7 +269,7 @@ def newton_solve(
                 iterations=iterations,
             )
         if jacobian is not None:
-            J = np.asarray(jacobian(x), dtype=float)
+            J = _float_output(jacobian(x), "jacobian")
         else:
             J = forward_difference_jacobian(residual, x, r)
         if not _all(np.isfinite(J), axis=None):

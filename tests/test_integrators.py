@@ -2266,6 +2266,52 @@ class TestFiniteOrRefused:
             _no_warning(entries[entry])
         assert calls["field"] == 0
 
+    @pytest.mark.parametrize("action", ["always", "error"])
+    @pytest.mark.parametrize(
+        "entry, who",
+        [
+            ("integrate-mci", "vector field"),
+            ("integrate-mgi", "vector field"),
+            ("integrate-rk4", "vector field"),
+            ("stage-jacobian", "jacobian"),
+            ("newton_solve", "residual"),
+            ("newton_solve-jacobian", "jacobian"),
+            ("forward-difference-probe", "residual"),
+        ],
+    )
+    def test_complex_outputs_are_refused_naming_the_callable(self, entry, who, action):
+        # a float conversion of a callable's output would keep the real parts alone, with a
+        # ComplexWarning: y' = (1 + 1j) y ran as y' = y, and x - (1 + 2j) = 0 solved to x = 1.
+        # Refused with every warning shown and with warnings as errors
+        from geodesy.newton import newton_solve
+
+        grows = OdeSystem(dim=1, field=lambda y: (1 + 1j) * y)
+        complex_jacobian = OdeSystem(
+            dim=1, field=lambda y: -y, jacobian=lambda y: np.full((y.shape[1], 1, 1), -1 + 0j)
+        )
+
+        def real_at_the_base_point(x):
+            return x - 1.0 if x[0] == 0.5 else (x - 1.0) * (1 + 1j)
+
+        entries = {
+            "integrate-mci": lambda: integrate(grows, Method.MCI, [1.0], 0.0, 1.0, 0.1),
+            "integrate-mgi": lambda: integrate(grows, Method.MGI, [1.0], 0.0, 1.0, 0.1),
+            "integrate-rk4": lambda: integrate(grows, Method.RK4, [1.0], 0.0, 1.0, 0.1),
+            "stage-jacobian": lambda: mci_step(complex_jacobian, [1.0], 0.0, 0.1, 2),
+            "newton_solve": lambda: newton_solve(lambda x: x - (1 + 2j), [0.5]),
+            "newton_solve-jacobian": lambda: newton_solve(
+                lambda x: x - 1.0, [0.5], jacobian=lambda x: np.eye(1) + 0j
+            ),
+            "forward-difference-probe": lambda: forward_difference_jacobian(
+                real_at_the_base_point, [0.5]
+            ),
+        }
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter(action)
+            with pytest.raises(ValueError, match=f"^{who} returned complex128 values, expected real"):
+                entries[entry]()
+        assert shown == []
+
 
 class TestSampling:
     def test_samples_match_step_states_at_grid_times(self):
