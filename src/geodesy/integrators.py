@@ -622,6 +622,14 @@ def _invariant_series(sys: OdeSystem, times: np.ndarray, states: np.ndarray) -> 
     return series
 
 
+def _slack(t0, tf, dt):
+    # the rounding of a run's step times, Python floats in and out: t0 + k dt rounds at the
+    # magnitude of t0 and tf, so (tf - t0) / dt can exceed a whole count by far more than
+    # 1e-12 when tf = t0 + n dt. Within it the last step absorbs a remainder, and
+    # sample_trajectory takes a time outside the run for its end
+    return 1e-12 * dt + 8 * math.ulp(1.0) * max(abs(t0), abs(tf))
+
+
 def _step_count(sys, method, p, t0, tf, dt):
     # the one rule for whether t0, tf and dt give a run, which integrate and geodesy
     # converge's sweep both apply: it returns t0, tf and dt as Python floats, the count
@@ -639,10 +647,8 @@ def _step_count(sys, method, p, t0, tf, dt):
     element = method.is_element_method
     if element:  # the first step, which ends by tf
         _half_length(t0, min(t0 + dt, tf))
-    # t0 + k dt rounds at the magnitude of t0 and tf, so (tf - t0) / dt can
-    # exceed a whole count by far more than 1e-12 when tf = t0 + n dt; Python
-    # floats take the count to inf without a warning, where numpy's would warn
-    slack = 1e-12 * dt + 8 * math.ulp(1.0) * max(abs(t0), abs(tf))
+    # Python floats take the count to inf without a warning, where numpy's would warn
+    slack = _slack(t0, tf, dt)
     count = (tf - t0 - slack) / dt
     if not math.isfinite(count):
         raise ValueError(
@@ -793,7 +799,9 @@ def sample_trajectory(traj: Trajectory, sample_times) -> np.ndarray:
     sample_times may be a scalar or an array of any shape; the result has
     shape (dim,) + np.shape(sample_times). Only methods that retain element
     polynomials support this; times must be real, finite and lie inside the
-    integration window (up to a rounding slack, clamped onto it). The times
+    integration window, up to the run rule's rounding slack of the step
+    times, 1e-12 dt + 8 eps max(|t0|, |tf|) with dt the first step's length,
+    and are clamped onto it. The times
     are evaluated flattened, by one searchsorted and one basis evaluation;
     each state equals the one the same time gives alone, bitwise.
     """
@@ -802,7 +810,7 @@ def sample_trajectory(traj: Trajectory, sample_times) -> np.ndarray:
     sample_times = np.asarray(_real(sample_times, "sample times"), dtype=float)
     flat = sample_times.reshape(-1)
     t0, tf = float(traj.times[0]), float(traj.times[-1])
-    slack = 1e-12 * (1.0 + abs(t0) + abs(tf))
+    slack = _slack(t0, tf, float(traj.times[1] - traj.times[0]))
     if not np.all((flat >= t0 - slack) & (flat <= tf + slack)):  # NaN fails both tests
         raise ValueError(f"sample times must be finite and lie within [{t0!r}, {tf!r}]")
     starts = traj.times[:-1]

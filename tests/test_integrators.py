@@ -2346,6 +2346,13 @@ class TestSampling:
             for times in (bad, [0.2, bad], [[0.2, 0.4], [bad, 0.6]]):
                 with pytest.raises(ValueError, match=message):
                     sample_trajectory(traj, times)
+        # the end slack is the run rule's, 17.8 here, not 1e-12 (1 + |t0| + |tf|) = 2e4:
+        # a time 100 steps before the start is outside the run
+        far = integrate(circle.system, Method.MCI, circle.y0, 1e16, 1e16 + 1000.0, 100.0, p=2)
+        window = r"^sample times must be finite and lie within \[1e\+16, 1\.0000000000001e\+16\]$"
+        with pytest.raises(ValueError, match=window):
+            sample_trajectory(far, [1e16 - 1e4])
+        npt.assert_array_equal(sample_trajectory(far, [1e16 - 16.0])[:, 0], circle.y0)
 
     def test_rejects_trajectories_without_elements(self):
         circle = make_circle()
@@ -2357,7 +2364,7 @@ class TestSampling:
         kep = get_problem("kepler")
         traj = integrate(kep.system, Method.MGI, kep.y0, 0.0, 2.0, 0.1, p=5)
         t0, tf = traj.times[0], traj.times[-1]
-        slack = 1e-12 * (1.0 + abs(t0) + abs(tf))
+        slack = 1e-12 * 0.1 + 8 * np.finfo(float).eps * max(abs(t0), abs(tf))  # the run rule's
         grids = [ElementGrid.build(5, a, b) for a, b in zip(traj.times[:-1], traj.times[1:])]
         starts = traj.times[:-1]
 
