@@ -1566,6 +1566,94 @@ class TestNonFiniteFieldOnTheNewtonPath:
                 mgi_step(sys, y0, t0, dt, p, q_rhs=q_rhs)
         assert str(info.value) == f"vector field is non-finite at {where}"
 
+    # (method, p, q_rhs): mci; mgi at the default q_rhs; mgi at q_rhs = p, where its pairing
+    # P is diagonal, so a value that is not finite meets P's exact zeros (NaN 0 = NaN)
+    PAIRINGS = [(Method.MCI, 2, None), (Method.MGI, 2, None), (Method.MGI, 2, 2), (Method.MGI, 3, 3)]
+    PAIRING_IDS = ["mci-p2", "mgi-p2-default-q", "mgi-p2-q2", "mgi-p3-q3"]
+
+    @staticmethod
+    def _poisoned(value, node, call, analytic):
+        # a rotation whose field holds value at quadrature node `node` on its call-th call
+        # and on no other, whatever the states: call 1 is the starting guess's residual, and
+        # call 2 a later iterate's with the analytic Jacobian, the first probe's without
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        calls = []
+
+        def field(y):
+            calls.append(y)
+            h = A.dot(y)
+            if len(calls) == call:
+                h[0, node] = value
+            return h
+
+        def jacobian(y):
+            return np.broadcast_to(A, (y.shape[1], 2, 2))
+
+        return OdeSystem(dim=2, field=field, jacobian=jacobian if analytic else None)
+
+    @pytest.mark.parametrize(
+        "path, call, analytic",
+        [("guess", 1, True), ("iterate", 2, True), ("probe", 2, False), ("residual", 1, True)],
+    )
+    @pytest.mark.parametrize("method, p, q_rhs", PAIRINGS, ids=PAIRING_IDS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_a_value_that_is_not_finite_names_its_node(
+        self, value, method, p, q_rhs, path, call, analytic
+    ):
+        # one value at the last node, in the residual of the starting guess, of a later
+        # iterate, of a forward-difference probe or of a public residual, is named there
+        rec = geodesy.integrators._pairing(method, p, q_rhs)
+        if q_rhs == p:
+            assert (rec.P == 0.0).any()
+        node = len(rec.nodes) - 1
+        sys = self._poisoned(value, node, call, analytic)
+        t0, dt = 0.5, 0.4
+        y0 = np.array([1.0, 0.0])
+        sol = ElementSolution(t0, t0 + dt, np.tile(y0[:, None], p + 1))
+        calls = {
+            (Method.MCI, False): lambda: mci_step(sys, y0, t0, dt, p),
+            (Method.MGI, False): lambda: mgi_step(sys, y0, t0, dt, p, q_rhs),
+            (Method.MCI, True): lambda: mci_residual(sys, sol),
+            (Method.MGI, True): lambda: mgi_residual(sys, sol, q_rhs),
+        }
+        t = ElementGrid.build(p, t0, t0 + dt).to_time(rec.nodes[node])
+        with pytest.raises(EvaluationError) as info:
+            calls[method, path == "residual"]()
+        assert str(info.value) == f"vector field is non-finite at quadrature node {node} (t={t:g})"
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ("guess", "residual is non-finite at the initial guess"),
+            ("iterate", "residual is non-finite during Newton iteration"),
+            ("probe", "Jacobian is non-finite during Newton iteration"),
+        ],
+    )
+    @pytest.mark.parametrize("method, p, q_rhs", PAIRINGS, ids=PAIRING_IDS)
+    def test_a_residual_that_overflows_from_a_finite_field_is_newtons_to_name(
+        self, method, p, q_rhs, path, message
+    ):
+        # a constant field, finite at every state, with residuals that overflow in the rate:
+        # from a starting guess extrapolated past the largest float, after an update that
+        # overflows (1e308 over four time units), or at a probe of 1.7e301 over a 2e-10 step
+        def constant(c, analytic):
+            zeros = lambda y: np.zeros((y.shape[1], 2, 2))  # noqa: E731
+            return OdeSystem(
+                dim=2, field=lambda y: np.full(y.shape, c), jacobian=zeros if analytic else None
+            )
+
+        y0, previous, sys, t0, dt = np.zeros(2), None, constant(1.0, True), 0.0, 0.1
+        if path == "guess":
+            previous = np.array([np.linspace(0.0, 1.7e308, p + 1), np.zeros(p + 1)])
+        elif path == "iterate":
+            sys, dt = constant(1e308, True), 4.0
+        else:
+            y0, sys, dt = np.array([1.7e308, 0.0]), constant(1.0, False), 2e-10
+        # as integrate solves an element: with floating-point exceptions ignored
+        with pytest.raises(EvaluationError) as info, np.errstate(all="ignore"):
+            _driver_step(sys, method, y0, t0, dt, p, previous, q_rhs=q_rhs)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_integrate_reports_the_node(self, method):
         sys = self._blows_up_above(1.9)
