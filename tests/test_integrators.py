@@ -48,7 +48,7 @@ from geodesy import (
 )
 from geodesy.errors import NewtonNonConvergence
 from geodesy.mimetic import _reference_element
-from geodesy.newton import NewtonResult, forward_difference_jacobian
+from geodesy.newton import NewtonResult, forward_difference_jacobian, newton_solve
 from helpers import canonical_form, column_forward_difference, einsum_field_block, step_tangent
 
 TIGHT = NewtonConfig(abs_tol=1e-13)
@@ -1580,7 +1580,7 @@ class TestNonFiniteFieldOnTheNewtonPath:
         calls = []
 
         def field(y):
-            calls.append(y)
+            calls.append(None)
             h = A.dot(y)
             if len(calls) == call:
                 h[0, node] = value
@@ -1637,7 +1637,9 @@ class TestNonFiniteFieldOnTheNewtonPath:
         # from a starting guess extrapolated past the largest float, after an update that
         # overflows (1e308 over four time units), or at a probe of 1.7e301 over a 2e-10 step
         def constant(c, analytic):
-            zeros = lambda y: np.zeros((y.shape[1], 2, 2))  # noqa: E731
+            def zeros(y):
+                return np.zeros((y.shape[1], 2, 2))
+
             return OdeSystem(
                 dim=2, field=lambda y: np.full(y.shape, c), jacobian=zeros if analytic else None
             )
@@ -2371,8 +2373,6 @@ class TestFiniteOrRefused:
         # a float conversion of a callable's output would keep the real parts alone, with a
         # ComplexWarning: y' = (1 + 1j) y ran as y' = y, and x - (1 + 2j) = 0 solved to x = 1.
         # Refused with every warning shown and with warnings as errors
-        from geodesy.newton import newton_solve
-
         grows = OdeSystem(dim=1, field=lambda y: (1 + 1j) * y)
         complex_jacobian = OdeSystem(
             dim=1, field=lambda y: -y, jacobian=lambda y: np.full((y.shape[1], 1, 1), -1 + 0j)
