@@ -71,16 +71,20 @@ def _real(values, what="values") -> np.ndarray:
 _FLOAT = np.dtype(float)
 
 
-def _float_output(values, who) -> np.ndarray:
-    # what the callable named by who returned, as a float array, refused if complex for the
-    # same reason as _real. A float64 ndarray, what the library's own callables return, is
-    # used as it is after one type and one dtype test: 0.07 us, where
+def _float_output(values, who, shape, hint="") -> np.ndarray:
+    # the one conversion, and refusal, of what the callable named by who returned: a float
+    # array of the given shape (None where the caller cannot know it). Values that are not
+    # real (complex, object, str) are refused as in _real, and so is another shape, which
+    # numpy would broadcast or LAPACK misread. A float64 ndarray of the shape, what the
+    # library's own callables return, passes one combined test: 0.07 us, where
     # np.asarray(values, dtype=float) takes 0.12 (numpy 2.4, one x86-64 core)
-    if type(values) is np.ndarray and values.dtype is _FLOAT:
+    if type(values) is np.ndarray and values.dtype is _FLOAT and values.shape == shape:
         return values
     arr = np.asarray(values)
-    if np.iscomplexobj(arr):
-        raise ValueError(f"{who} returned {arr.dtype} values, expected real values")
+    if arr.dtype.kind not in "biuf":
+        raise EvaluationError(f"{who} returned {arr.dtype} values, expected real values")
+    if shape is not None and arr.shape != shape:
+        raise EvaluationError(f"{who} returned shape {arr.shape}, expected {shape}{hint}")
     return np.asarray(arr, dtype=float)
 
 
@@ -248,7 +252,7 @@ def edge_eval_all(basis: EdgeBasis, x) -> np.ndarray:
 
 def _samples(f, nodes, what: str) -> np.ndarray:
     # f called at each node in turn; a non-finite value names the first node that gave one
-    values = np.array([f(x) for x in nodes], dtype=float)
+    values = _float_output([f(x) for x in nodes], what, nodes.shape)
     finite = np.isfinite(values)
     if not finite.all():
         raise EvaluationError(f"{what} is non-finite at node {float(nodes[~finite][0])!r}")

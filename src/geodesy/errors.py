@@ -5,8 +5,12 @@ class GeodesyError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EvaluationError(GeodesyError):
-    """A callable produced a non-finite value where a finite one is required."""
+class EvaluationError(GeodesyError, ValueError):
+    """A callable returned values the package refuses: not finite, not real or misshapen.
+
+    So is a domain_check result that is neither None nor a reason string. A ValueError
+    too; integrate annotates it with the step, as any GeodesyError.
+    """
 
 
 class DomainError(GeodesyError):

@@ -118,9 +118,17 @@ the dual basis sums to one. Only when r fails is the block read again, to
 name its first node whose value is not finite; an r that fails with finite
 field values goes back to the caller, which names the residual (Newton) or,
 through a forward difference, the Jacobian. The classical steps test their
-field values themselves, with the same message. A field or Jacobian that
-returns complex values is refused with a ValueError naming it, where a
-float conversion would keep the real parts.
+field values themselves, with the same message.
+
+The field's block, the stage Jacobian's and each invariant series go
+through geodesy.basis._float_output, the one conversion of a callable's
+values: values that are not real, which a float conversion would cut to
+their real parts, or not of the expected shape are refused with an
+EvaluationError naming the callable and, for a shape, both shapes and the
+hint to wrap a one-state callable with geodesy.systems.pointwise. A
+domain_check result that is neither None nor a reason string is refused the
+same way, on the failure path only. integrate annotates each refusal with
+its step.
 """
 
 import enum
@@ -165,6 +173,9 @@ class Method(enum.Enum):
 _GUESS_DEGREE = 8
 
 _MAX_BYTES = np.iinfo(np.intp).max  # the largest byte size numpy can give an array
+
+# the refusal of a field or stage Jacobian of another shape, which usually takes one state only
+_POINTWISE = "; wrap a callable written for one state with geodesy.systems.pointwise"
 
 
 def default_qrhs(p: int) -> int:
@@ -285,13 +296,7 @@ def _field_values(sys: OdeSystem, y, where) -> np.ndarray:
         if reason is not None:
             j, reason = _first_domain_failure(sys, y, reason)
             raise DomainError(f"state leaves the domain at {where(j)}: {reason}")
-    h = _float_output(sys.field(y), "vector field")
-    if h.shape != y.shape:
-        raise ValueError(
-            f"vector field returned shape {h.shape} for states of shape {y.shape}, expected"
-            f" {y.shape}; wrap a field written for one state with geodesy.systems.pointwise"
-        )
-    return h
+    return _float_output(sys.field(y), "vector field", y.shape, _POINTWISE)
 
 
 def _refuse_nonfinite(h, where):
@@ -310,13 +315,21 @@ def _field_at(sys: OdeSystem, y, where) -> np.ndarray:
     return h
 
 
+def _domain_reason(reason) -> str:
+    # what a domain_check returned for a state it does not admit: a reason string, else
+    # refused, as a bool False would read as a reason. Only the failure path asks
+    if not isinstance(reason, str):
+        raise EvaluationError(f"domain_check returned {reason!r}, expected None or a reason string")
+    return reason
+
+
 def _first_domain_failure(sys: OdeSystem, y, block_reason):
     cols = y.reshape(len(y), -1)
     for j in range(cols.shape[1]):
         reason = sys.check_domain(cols[:, j])
         if reason is not None:
-            return j, reason
-    return 0, block_reason
+            return j, _domain_reason(reason)
+    return 0, _domain_reason(block_reason)
 
 
 def _element_callables(sys, coeffs, pairing):
@@ -369,6 +382,7 @@ def _element_callables(sys, coeffs, pairing):
         rate = np.multiply.outer(pairing.rate.ravel(), np.eye(M).ravel())
         gather = np.arange(p * p * M * M).reshape(p, p, M, M).transpose(2, 0, 3, 1)
         gather = gather.reshape(M * p, -1)
+        block = (q, M, M)  # the field Jacobians' shape
 
         def jacobian(z):
             nonlocal held_z, held_Yq
@@ -378,14 +392,7 @@ def _element_callables(sys, coeffs, pairing):
             if z is not held_z:
                 stages[...] = z.reshape(M, p)
                 held_z, held_Yq = z, coeffs.dot(LE)[:, :q]
-            Yq = held_Yq
-            Jh = _float_output(sys.jacobian(Yq), "jacobian")
-            if Jh.shape != (q, M, M):
-                raise ValueError(
-                    f"jacobian returned shape {Jh.shape} for states of shape {Yq.shape}, expected"
-                    f" {(q, M, M)}; wrap a jacobian written for one state with"
-                    " geodesy.systems.pointwise"
-                )
+            Jh = _float_output(sys.jacobian(held_Yq), "jacobian", block, _POINTWISE)
             return (rate_block - weights.dot(Jh.reshape(q, M * M))).take(gather)
 
     def solve(y0, t_start, dt, config, previous=None):
@@ -595,7 +602,9 @@ class Trajectory:
 
 
 def _invariant_series(sys: OdeSystem, times: np.ndarray, states: np.ndarray) -> dict:
-    # a value that is not finite fails as an invariant that raises does, naming the state
+    # one conversion per series, as this runs on every run: values that are not real or not
+    # one per state are refused naming the invariant, and a value that is not finite fails
+    # as an invariant that raises does, naming the state
     series = {}
     for label, fn in sys.invariants:
 
@@ -612,7 +621,11 @@ def _invariant_series(sys: OdeSystem, times: np.ndarray, states: np.ndarray) -> 
                 values.append(fn(states[:, k]))
             except GeodesyError as err:
                 raise failed(k, err) from err
-        values = np.array(values)
+        who = f"invariant {label!r} on the {len(times)} recorded states"
+        try:
+            values = _float_output(values, who, times.shape)
+        except EvaluationError as err:
+            raise IntegrationError(str(err)) from err
         finite = np.isfinite(values)
         if not _all(finite):
             k = int(np.argmin(finite))
@@ -694,11 +707,14 @@ def integrate(
     Step times are computed as t0 + k dt (no accumulation drift) and the
     final step lands on tf exactly. Every step has positive length: a
     remainder within rounding of the step times is absorbed by the last step.
-    Step failures are re-raised as IntegrationError annotated with the step
-    index and start time; so is an invariant that fails on a recorded state,
-    with the index k of that state in times (the state step k starts from)
-    and its time. q_rhs is for Method.MGI only; other methods reject it. p
-    and newton, a NewtonConfig, are checked for every method. Refused up
+    Step failures, the refusal of what a field, Jacobian or domain_check
+    returned among them, are re-raised as IntegrationError annotated with the
+    step index and start time, the failure as its __cause__; so is an
+    invariant that fails on a recorded state, with the index k of that state
+    in times (the state step k starts from) and its time. An invariant series
+    that is not real, or not one value per state, raises IntegrationError
+    naming the invariant. q_rhs is for Method.MGI only; other methods reject
+    it. p and newton, a NewtonConfig, are checked for every method. Refused up
     front, before any field call, with a ValueError naming the values: t0, tf
     or dt not finite, tf <= t0, dt <= 0; for the element methods, a first or
     last step whose half-length sqrt(g) is zero or has no finite reciprocal;
@@ -762,6 +778,7 @@ def integrate(
                     record[:, j + 1] = _finite_state(update(sys, record[:, j], t_a, h))
                 reason = sys.check_domain(record[:, j + stride])
                 if reason is not None:
+                    reason = _domain_reason(reason)
                     raise DomainError(f"accepted state leaves the domain: {reason}")
             except GeodesyError as err:
                 raise IntegrationError(

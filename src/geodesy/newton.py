@@ -148,15 +148,16 @@ def forward_difference_jacobian(residual, x, r0=None):
 
     Row j of one (n, n) array is x shifted in entry j; the n residuals at
     those rows are written into the rows of one preallocated block, and one
-    in-place quotient gives every column. A residual whose shape differs
-    from r0's is rejected rather than broadcast into its row, and a residual
-    that returns complex values is refused with a ValueError rather than cut
-    to its real part. x may be any real sequence; a float array is used as it
-    is, without a copy.
+    in-place quotient gives every column. A probe residual whose shape differs
+    from r0's is refused rather than broadcast into its row, and a residual
+    that returns values that are not real, complex ones say, rather than cut
+    to its real part: each with an EvaluationError (a ValueError too) naming
+    the residual and, for a shape, both shapes. x may be any real sequence; a
+    float array is used as it is, without a copy.
     """
     x = np.asarray(x, dtype=float)
     if r0 is None:
-        r0 = _float_output(residual(x), "residual")
+        r0 = _float_output(residual(x), "residual", None)
     n = len(x)
     h = _FD_STEP * (1.0 + np.abs(x))
     shifted = x[None, :].repeat(n, 0)
@@ -164,14 +165,7 @@ def forward_difference_jacobian(residual, x, r0=None):
     probes = np.empty((n, len(r0)))
     shape = r0.shape
     for j, xp in enumerate(shifted):
-        rj = residual(xp)
-        # an array's own shape first: np.shape, which also takes lists, is a Python call
-        if getattr(rj, "shape", None) != shape and np.shape(rj) != shape:
-            raise ValueError(
-                f"residual returned shape {np.shape(rj)} at forward-difference probe {j},"
-                f" expected {shape}, the shape at the base point"
-            )
-        probes[j] = _float_output(rj, "residual")
+        probes[j] = _float_output(residual(xp), "residual", shape)
     probes -= r0
     probes /= h[:, None]
     return probes.T
@@ -207,12 +201,14 @@ def newton_solve(
     LU factors (no further residual or Jacobian call; see NewtonResult).
     A config that is not a NewtonConfig raises TypeError, naming it, and an x0
     that is empty or not 1-d ValueError, naming its shape, before any residual
-    call; a first residual whose shape differs from x0's raises ValueError
-    before any Jacobian call, and so does a residual or Jacobian that returns
-    complex values, naming it. Raises NewtonNonConvergence with the last iterate
-    attached on failure: when the budget is spent, or earlier, as
-    divergence, once max|dx| has not shrunk over three updates while still
-    above sqrt(eps) max|x|.
+    call. A residual whose shape differs from x0's, a Jacobian of another
+    shape than (n, n) for n unknowns, and a residual or Jacobian whose values
+    are not real (complex ones say) raise EvaluationError, a ValueError too,
+    naming the callable and, for a shape, both shapes; a residual is refused
+    before the Jacobian at its iterate. Raises NewtonNonConvergence with the
+    last iterate attached on failure: when the budget is spent, or earlier,
+    as divergence, once max|dx| has not shrunk over three updates while
+    still above sqrt(eps) max|x|.
     """
     if not isinstance(config, NewtonConfig):
         raise TypeError(f"config must be a geodesy.NewtonConfig, got {config!r}")
@@ -223,13 +219,9 @@ def newton_solve(
         raise ValueError(f"x0 must be a 1-d array of unknowns, got shape {x.shape}")
     iterations = 0
     updates = []  # max|dx| per update
+    shape, jacobian_shape = x.shape, (x.size, x.size)  # hoisted: the conversions' one test
     while True:
-        r = _float_output(residual(x), "residual")
-        if not iterations and r.shape != x.shape:  # before max, which an empty r fails
-            raise ValueError(
-                f"residual returned shape {r.shape} at the initial guess of shape {x.shape};"
-                " the shapes must match"
-            )
+        r = _float_output(residual(x), "residual", shape)  # before max, which an empty r fails
         rl = r.ravel().tolist()
         # before max, which skips a NaN that is not the first entry
         if not all(map(math.isfinite, rl)):
@@ -269,7 +261,7 @@ def newton_solve(
                 iterations=iterations,
             )
         if jacobian is not None:
-            J = _float_output(jacobian(x), "jacobian")
+            J = _float_output(jacobian(x), "jacobian", jacobian_shape)
         else:
             J = forward_difference_jacobian(residual, x, r)
         if not _all(np.isfinite(J), axis=None):

@@ -64,7 +64,8 @@ def pointwise(system: OdeSystem) -> OdeSystem:
     A block is evaluated column by column: field stacks the columns' rates
     into (dim, n), jacobian stacks their matrices into (n, dim, dim), and
     domain_check returns the reason of the first failing column. A single
-    state is passed through unchanged.
+    state is passed through unchanged, and stacked values keep their dtype,
+    so the integrators' own conversion refuses complex ones.
     """
 
     def lift(fn, combine):
@@ -82,10 +83,8 @@ def pointwise(system: OdeSystem) -> OdeSystem:
     dim = system.dim
     return dataclasses.replace(
         system,
-        field=lift(system.field, lambda cols: np.array(list(cols), dtype=float).reshape(-1, dim).T),
-        jacobian=lift(
-            system.jacobian, lambda mats: np.array(list(mats), dtype=float).reshape(-1, dim, dim)
-        ),
+        field=lift(system.field, lambda cols: np.array(list(cols)).reshape(-1, dim).T),
+        jacobian=lift(system.jacobian, lambda mats: np.array(list(mats)).reshape(-1, dim, dim)),
         domain_check=lift(
             system.domain_check, lambda reasons: next((r for r in reasons if r is not None), None)
         ),
@@ -101,7 +100,7 @@ def hamiltonian_vector_field(grad_h: Callable[[np.ndarray], np.ndarray], m: int)
     """
 
     def h(y):
-        g = np.asarray(grad_h(y), dtype=float)
+        g = np.asarray(grad_h(y))
         return np.concatenate([-g[m:], g[:m]])
 
     return h

@@ -33,6 +33,7 @@ from geodesy import (
     galerkin_pairing,
     gauss_rule,
     get_problem,
+    hamiltonian_vector_field,
     integrate,
     make_circle,
     mci_residual,
@@ -42,6 +43,8 @@ from geodesy import (
     nodal_eval_all,
     pointwise,
     problem_names,
+    reduce0,
+    reduce1,
     rk4_step,
     sample_trajectory,
     symplectic_euler_step,
@@ -388,8 +391,12 @@ class TestBlockEvaluation:
         const = OdeSystem(dim=2, field=lambda y: np.array([1.5, -0.5]))
         with pytest.raises(ValueError, match=r"expected \(2, 3\).*geodesy\.systems\.pointwise"):
             mci_step(const, np.array([1.0, 2.0]), 0.0, 0.8, 3)
-        with pytest.raises(ValueError, match=r"expected \(2, 12\).*geodesy\.systems\.pointwise"):
+        with pytest.raises(IntegrationError, match="^step 0 starting at t=0 failed: ") as err:
             integrate(const, Method.MGI, np.array([1.0, 2.0]), 0.0, 0.8, 0.4, p=1)
+        assert isinstance(err.value.__cause__, EvaluationError)
+        assert re.search(
+            r"expected \(2, 12\).*geodesy\.systems\.pointwise", str(err.value.__cause__)
+        )
 
     def test_one_state_jacobian_fails_early(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -2363,17 +2370,40 @@ class TestFiniteOrRefused:
             ("integrate-mci", "vector field"),
             ("integrate-mgi", "vector field"),
             ("integrate-rk4", "vector field"),
+            ("integrate-mci-later", "vector field"),
+            ("integrate-mgi-later", "vector field"),
+            ("integrate-rk4-later", "vector field"),
+            ("integrate-pointwise", "vector field"),
+            ("integrate-hamiltonian", "vector field"),
+            pytest.param(
+                "integrate-mci-invariant",
+                "invariant 'I' on the 11 recorded states",
+                id="integrate-mci-invariant",
+            ),
+            pytest.param(
+                "integrate-rk4-invariant",
+                "invariant 'I' on the 11 recorded states",
+                id="integrate-rk4-invariant",
+            ),
             ("stage-jacobian", "jacobian"),
             ("newton_solve", "residual"),
             ("newton_solve-jacobian", "jacobian"),
             ("forward-difference-probe", "residual"),
+            ("reduce0", "sample"),
+            ("reduce1", "density"),
         ],
     )
     def test_complex_outputs_are_refused_naming_the_callable(self, entry, who, action):
         # a float conversion of a callable's output would keep the real parts alone, with a
         # ComplexWarning: y' = (1 + 1j) y ran as y' = y, and x - (1 + 2j) = 0 solved to x = 1.
-        # Refused with every warning shown and with warnings as errors
+        # Refused with every warning shown and with warnings as errors, as a ValueError; inside
+        # integrate it is the cause of an IntegrationError naming the step, a later one for a
+        # field that turns complex only past y = 1.5, except for an invariant series, refused
+        # after the run, naming the invariant
         grows = OdeSystem(dim=1, field=lambda y: (1 + 1j) * y)
+        later = OdeSystem(dim=1, field=lambda y: (1 + 1j) * y if y.max() > 1.5 else y)
+        hamiltonian = OdeSystem(dim=2, field=hamiltonian_vector_field(lambda y: (1 + 1j) * y, 1))
+        invariant = OdeSystem(dim=1, field=lambda y: -y, invariants=(("I", lambda y: 1 + 1j),))
         complex_jacobian = OdeSystem(
             dim=1, field=lambda y: -y, jacobian=lambda y: np.full((y.shape[1], 1, 1), -1 + 0j)
         )
@@ -2381,10 +2411,26 @@ class TestFiniteOrRefused:
         def real_at_the_base_point(x):
             return x - 1.0 if x[0] == 0.5 else (x - 1.0) * (1 + 1j)
 
+        grid = ElementGrid.build(2, 0.0, 1.0)
         entries = {
             "integrate-mci": lambda: integrate(grows, Method.MCI, [1.0], 0.0, 1.0, 0.1),
             "integrate-mgi": lambda: integrate(grows, Method.MGI, [1.0], 0.0, 1.0, 0.1),
             "integrate-rk4": lambda: integrate(grows, Method.RK4, [1.0], 0.0, 1.0, 0.1),
+            "integrate-mci-later": lambda: integrate(later, Method.MCI, [1.0], 0.0, 1.0, 0.1),
+            "integrate-mgi-later": lambda: integrate(later, Method.MGI, [1.0], 0.0, 1.0, 0.1),
+            "integrate-rk4-later": lambda: integrate(later, Method.RK4, [1.0], 0.0, 1.0, 0.1),
+            "integrate-pointwise": lambda: integrate(
+                pointwise(grows), Method.MCI, [1.0], 0.0, 1.0, 0.1
+            ),
+            "integrate-hamiltonian": lambda: integrate(
+                hamiltonian, Method.MCI, [1.0, 0.0], 0.0, 1.0, 0.1
+            ),
+            "integrate-mci-invariant": lambda: integrate(
+                invariant, Method.MCI, [1.0], 0.0, 1.0, 0.1
+            ),
+            "integrate-rk4-invariant": lambda: integrate(
+                invariant, Method.RK4, [1.0], 0.0, 1.0, 0.1
+            ),
             "stage-jacobian": lambda: mci_step(complex_jacobian, [1.0], 0.0, 0.1, 2),
             "newton_solve": lambda: newton_solve(lambda x: x - (1 + 2j), [0.5]),
             "newton_solve-jacobian": lambda: newton_solve(
@@ -2393,12 +2439,75 @@ class TestFiniteOrRefused:
             "forward-difference-probe": lambda: forward_difference_jacobian(
                 real_at_the_base_point, [0.5]
             ),
+            # a numpy complex scalar was cut to its real part, a Python complex raised TypeError
+            "reduce0": lambda: reduce0(
+                lambda x: np.complex128(1j * x + 2), grid, CochainKind.PRIMAL0
+            ),
+            "reduce1": lambda: reduce1(lambda x: complex(1j * x + 2), grid),
         }
+        inside = entry.startswith("integrate")
         with warnings.catch_warnings(record=True) as shown:
             warnings.simplefilter(action)
-            with pytest.raises(ValueError, match=f"^{who} returned complex128 values, expected real"):
+            with pytest.raises(IntegrationError if inside else ValueError) as err:
                 entries[entry]()
         assert shown == []
+        refusal = err.value.__cause__ if inside else err.value
+        assert re.match(f"^{who} returned complex128 values, expected real", str(refusal))
+        if entry.endswith("invariant"):
+            assert str(err.value) == str(refusal) and err.value.step is None
+        elif inside:
+            step = err.value.step
+            assert step > 0 if entry.endswith("later") else step == 0
+            where = f"step {step} starting at t={err.value.time:g}"
+            assert str(err.value) == f"{where} failed: {refusal}"
+
+    @pytest.mark.parametrize("method", [Method.MCI, Method.RK4])
+    @pytest.mark.parametrize(
+        "value, refusal",
+        [
+            (np.array([1.0, 2.0]), r"returned shape \(11, 2\), expected \(11,\)"),
+            ("x", "returned <U1 values, expected real values"),
+            (None, "returned object values, expected real values"),
+        ],
+        ids=["array", "str", "None"],
+    )
+    def test_invariant_values_are_refused_naming_the_invariant(self, method, value, refusal):
+        # one conversion per series: numpy's truth-value ValueError or isfinite's TypeError
+        # named no invariant
+        sys = OdeSystem(dim=1, field=lambda y: -y, invariants=(("I", lambda y: value),))
+        expected = f"^invariant 'I' on the 11 recorded states {refusal}$"
+        with pytest.raises(IntegrationError, match=expected) as err:
+            _no_warning(lambda: integrate(sys, method, [1.0], 0.0, 1.0, 0.1))
+        assert isinstance(err.value.__cause__, EvaluationError)
+
+    @pytest.mark.parametrize(
+        "method, block_only",
+        [
+            (Method.MCI, False),
+            (Method.MGI, False),
+            (Method.RK4, False),
+            (Method.EXPLICIT_EULER, False),
+            (Method.MCI, True),
+        ],
+        ids=["mci", "mgi", "rk4", "euler", "mci-block"],
+    )
+    def test_domain_check_result_that_is_no_reason_is_refused(self, method, block_only):
+        # False read as a reason, so every state left the domain. Refused on the failure
+        # path: for a state below 0.95 in a residual's block or a classical stage, for
+        # explicit Euler's accepted state, and for a block whose columns all pass, whose
+        # own result is the reason reported
+        def check(y):
+            if block_only:
+                return False if y.ndim == 2 else None
+            return False if y.min() < 0.95 else None
+
+        sys = OdeSystem(dim=1, field=lambda y: -y, domain_check=check)
+        with pytest.raises(IntegrationError, match="^step 0 starting at t=0 failed: ") as err:
+            _no_warning(lambda: integrate(sys, method, [1.0], 0.0, 1.0, 0.1))
+        assert isinstance(err.value.__cause__, EvaluationError)
+        assert str(err.value.__cause__) == (
+            "domain_check returned False, expected None or a reason string"
+        )
 
 
 class TestSampling:

@@ -127,9 +127,30 @@ def test_residual_of_another_shape_names_both_shapes(shape, analytic):
     def jacobian(x):
         raise AssertionError("the Jacobian must not be reached")
 
-    expected = rf"residual returned shape {re.escape(str(shape))} at the initial guess of shape \(2,\)"
-    with pytest.raises(ValueError, match=expected):
+    expected = rf"^residual returned shape {re.escape(str(shape))}, expected \(2,\)$"
+    with pytest.raises(EvaluationError, match=expected):
         newton_solve(lambda x: np.ones(shape), np.ones(2), jacobian=jacobian if analytic else None)
+
+
+@pytest.mark.parametrize(
+    "J", [np.eye(3), np.eye(2)[:, :1], np.ones((2, 2, 1))], ids=["3x3", "2x1", "2x2x1"]
+)
+def test_jacobian_of_another_shape_names_both_shapes(J):
+    # refused before LAPACK reads it: f2py's dimension error, a _flapack.error that is no
+    # ValueError, or a truth-value error named neither shape
+    expected = rf"^jacobian returned shape {re.escape(str(J.shape))}, expected \(2, 2\)$"
+    with pytest.raises(EvaluationError, match=expected) as err:
+        newton_solve(lambda x: x - 1, [0.5, 0.25], jacobian=lambda x: J)
+    assert isinstance(err.value, ValueError)
+
+
+def test_residual_of_another_shape_after_an_update_is_refused():
+    # the shape is checked at every iterate, not only the first
+    def residual(x):
+        return x - 1.0 if x[0] == 0.5 else np.ones(3)
+
+    with pytest.raises(EvaluationError, match=r"^residual returned shape \(3,\), expected \(2,\)$"):
+        newton_solve(residual, [0.5, 0.25], jacobian=lambda x: np.eye(2))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -456,8 +477,8 @@ def test_forward_difference_equals_the_column_loop_bitwise(seed, n, m):
 
 def test_forward_difference_rejects_a_mis_shaped_probe_residual():
     # a probe residual is not broadcast into its row of the block
-    expected = r"shape \(1,\) at forward-difference probe 0, expected \(3,\)"
-    with pytest.raises(ValueError, match=expected):
+    expected = r"^residual returned shape \(1,\), expected \(3,\)$"
+    with pytest.raises(EvaluationError, match=expected):
         forward_difference_jacobian(lambda y: np.zeros(1), np.array([0.5, 1.0]), np.ones(3))
     calls = []
 
@@ -465,8 +486,8 @@ def test_forward_difference_rejects_a_mis_shaped_probe_residual():
         calls.append(1)
         return np.zeros(2 if len(calls) < 3 else (1, 2))
 
-    expected = r"shape \(1, 2\) at forward-difference probe 1, expected \(2,\)"
-    with pytest.raises(ValueError, match=expected):
+    expected = r"^residual returned shape \(1, 2\), expected \(2,\)$"
+    with pytest.raises(EvaluationError, match=expected):
         forward_difference_jacobian(residual, np.array([0.5, 1.0, -2.0]))
 
 

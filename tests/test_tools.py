@@ -41,3 +41,22 @@ def test_step_profile_prints_one_row_per_case(step_profile, capsys):
     assert len(lines) == 2 + len(step_profile.CASES)
     for line, case in zip(lines[2:], step_profile.CASES):
         assert line.startswith(case[0])
+
+
+@pytest.fixture(scope="module")
+def output_digest():
+    return _load("output_digest")
+
+
+def test_output_digest_lists_only_refused_calls(output_digest):
+    # a listed call that returned would hash a marker, which a later change could not tell
+    # from a refusal it removed. Each refusal is an EvaluationError, a ValueError too, or,
+    # from integrate, the cause of an IntegrationError
+    for name, call in output_digest.refusals(geodesy):
+        with pytest.raises(geodesy.GeodesyError) as err:
+            call()
+        refusal = err.value
+        if isinstance(refusal, geodesy.IntegrationError):
+            refusal = refusal.__cause__
+        assert isinstance(refusal, geodesy.EvaluationError), name
+        assert isinstance(refusal, ValueError), name

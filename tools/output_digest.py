@@ -24,7 +24,13 @@ per tree, whose last lines must match. The digest covers:
   dt_ref; per run, the public step of its method from the run's last state;
 - mci-tables, mgi-tables: every field of the element step's pairing record
   for p = 1..16, mgi at q_rhs in {p, p + 1, min(2p + 10, 64)}, so a change to
-  the tables shows apart from the runs that use them.
+  the tables shows apart from the runs that use them;
+- refusals: one call per place the package refuses what a user's callable
+  returned (values that are not real or not of the expected shape, from the
+  field, the Jacobians, Newton's residual, the sampled functions, the
+  invariants and domain_check), listed by refusals(); each is hashed as its
+  error type and message, or as a marker when it returns, with warnings
+  ignored, so a change to a refusal's wording shows as this part alone.
 
 A failing call is hashed as its error type and message. One line per part
 is printed, then the digest over all of them.
@@ -35,6 +41,7 @@ import dataclasses
 import hashlib
 import os
 import sys
+import warnings
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # must precede the numpy import
@@ -82,8 +89,84 @@ def _hash_element(sha, sol):
         _feed(sha, sol.t_start, sol.t_end, sol.coefficients, sol.newton_iterations)
 
 
+def refusals(g):
+    """(name, call) pairs, one call per place geodesy refuses a callable's values.
+
+    The package's functions are looked up inside each call, so a tree that lacks one hashes
+    the error.
+    """
+    import numpy as np  # after main() has set the thread count
+
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def system(dim=1, field=lambda y: -y, **kwargs):
+        return g.OdeSystem(dim=dim, field=field, **kwargs)
+
+    def run(method, y0=(1.0,), **kwargs):
+        # 10 steps of 0.1 from t = 0 at p = 2
+        return lambda: g.integrate(system(**kwargs), method, list(y0), 0.0, 1.0, 0.1)
+
+    def grows(y):
+        return (1 + 1j) * y
+
+    def grid():
+        return g.ElementGrid.build(2, 0.0, 1.0)
+
+    def fd(*args):
+        return g.newton.forward_difference_jacobian(*args)
+
+    return [
+        ("field complex", run(g.Method.MCI, field=grows)),
+        ("field complex later", run(
+            g.Method.RK4, field=lambda y: grows(y) if y.max() > 1.5 else y
+        )),
+        ("field shape", run(g.Method.MGI, (1.0, 2.0), dim=2, field=lambda y: np.ones(2))),
+        ("pointwise field complex", lambda: g.integrate(
+            g.pointwise(system(field=grows)), g.Method.MCI, [1.0], 0.0, 1.0, 0.1
+        )),
+        ("hamiltonian field complex", lambda: g.integrate(
+            system(dim=2, field=g.hamiltonian_vector_field(grows, 1)),
+            g.Method.MCI, [1.0, 0.0], 0.0, 1.0, 0.1,
+        )),
+        ("stage jacobian complex", lambda: g.mci_step(
+            system(jacobian=lambda y: np.full((y.shape[1], 1, 1), -1 + 0j)), [1.0], 0.0, 0.1, 2
+        )),
+        ("stage jacobian shape", lambda: g.mci_step(
+            system(dim=2, field=lambda y: A @ y, jacobian=lambda y: A), [1.0, 0.0], 0.0, 0.5, 2
+        )),
+        ("newton residual complex", lambda: g.newton_solve(lambda x: x - (1 + 2j), [0.5])),
+        ("newton residual shape", lambda: g.newton_solve(lambda x: np.ones(3), np.ones(2))),
+        ("newton jacobian complex", lambda: g.newton_solve(
+            lambda x: x - 1.0, [0.5], jacobian=lambda x: np.eye(1) + 0j
+        )),
+        ("newton jacobian shape", lambda: g.newton_solve(
+            lambda x: x - 1.0, [0.5, 0.25], jacobian=lambda x: np.eye(3)
+        )),
+        ("probe complex", lambda: fd(lambda x: x - 1.0 if x[0] == 0.5 else grows(x - 1.0), [0.5])),
+        ("probe shape", lambda: fd(lambda x: np.zeros(1), np.array([0.5, 1.0]), np.ones(3))),
+        ("reduce0 complex", lambda: g.reduce0(
+            lambda x: np.complex128(1j * x + 2), grid(), g.CochainKind.PRIMAL0
+        )),
+        ("reduce1 complex", lambda: g.reduce1(lambda x: complex(1j * x + 2), grid())),
+        ("invariant complex", run(g.Method.MCI, invariants=(("I", lambda y: 1 + 1j),))),
+        ("invariant shape", run(g.Method.RK4, invariants=(("I", lambda y: np.ones(2)),))),
+        ("invariant str", run(g.Method.RK4, invariants=(("I", lambda y: "x"),))),
+        ("domain_check bool", run(
+            g.Method.MCI, domain_check=lambda y: False if y.min() < 0.95 else None
+        )),
+    ]
+
+
+def _returned(call):
+    call()
+    return "returned without a refusal"
+
+
 def digests(g):
-    names = ("runs", "public", "tableau", "high-order", "baselines", "mci-tables", "mgi-tables")
+    names = (
+        "runs", "public", "tableau", "high-order", "baselines", "mci-tables", "mgi-tables",
+        "refusals",
+    )
     parts = {name: hashlib.sha256() for name in names}
     for name in PROBLEMS:
         spec = _spec(g, name)
@@ -148,6 +231,12 @@ def digests(g):
         _feed(parts["mci-tables"], p, *record(p, p, False))
         for q in (p, p + 1, min(2 * p + 10, 64)):
             _feed(parts["mgi-tables"], p, q, *record(p, q, True))
+    sha = parts["refusals"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name, call in refusals(g):
+            _feed(sha, name)
+            _feed(sha, _guarded(sha, lambda: _returned(call)))
     total = hashlib.sha256()
     for sha in parts.values():
         total.update(sha.digest())
