@@ -12,6 +12,13 @@ nodes, each followed by one Newton update on the Legendre recurrence, so no
 node search iterates or can fail, and no rule imports numpy.polynomial.
 Lagrange evaluation uses the second barycentric formula, which returns an
 exact Kronecker delta when the evaluation point coincides with a node.
+
+This module also owns the package's array conversions. _real turns a
+caller's array (points, nodes, an initial state, Newton's x0) into float64
+and refuses complex values with a ValueError, where a float conversion would
+keep their real parts alone; _float_output does the same for what a user's
+callable returns, refusing values that are not real, ragged or of another
+shape with an EvaluationError naming the callable.
 """
 
 from dataclasses import dataclass
@@ -44,7 +51,7 @@ def legendre_eval(n: int, x):
     """
     if n < 0:
         raise ValueError(f"Legendre degree must be nonnegative, got {n}")
-    x = np.asarray(x, dtype=float)
+    x = _real(x, "x")
     p_prev = np.ones_like(x)
     d_prev = np.zeros_like(x)
     if n == 0:
@@ -59,28 +66,36 @@ def legendre_eval(n: int, x):
     return p_cur[()], d_cur[()]
 
 
+_FLOAT = np.dtype(float)
+
+
 def _real(values, what="values") -> np.ndarray:
-    # values as an array, refused if complex: a float conversion would keep each real part
-    # alone, with a ComplexWarning
+    # the one conversion of a caller's array to float64, refused if complex: a float
+    # conversion would keep each real part alone, with a ComplexWarning. A float64 ndarray
+    # is returned as it is on one test, as in _float_output, since newton_solve converts its
+    # x0 on every step
+    if type(values) is np.ndarray and values.dtype is _FLOAT:
+        return values
     arr = np.asarray(values)
     if np.iscomplexobj(arr):
         raise ValueError(f"{what} must be real, got {arr.dtype} values")
-    return arr
-
-
-_FLOAT = np.dtype(float)
+    return np.asarray(arr, dtype=float)
 
 
 def _float_output(values, who, shape, hint="") -> np.ndarray:
     # the one conversion, and refusal, of what the callable named by who returned: a float
     # array of the given shape (None where the caller cannot know it). Values that are not
-    # real (complex, object, str) are refused as in _real, and so is another shape, which
-    # numpy would broadcast or LAPACK misread. A float64 ndarray of the shape, what the
+    # real (complex, object, str) are refused as in _real, and so are ragged values, which
+    # numpy's constructor refuses naming no callable, and another shape, which numpy would
+    # broadcast or LAPACK misread. A float64 ndarray of the shape, what the
     # library's own callables return, passes one combined test: 0.07 us, where
     # np.asarray(values, dtype=float) takes 0.12 (numpy 2.4, one x86-64 core)
     if type(values) is np.ndarray and values.dtype is _FLOAT and values.shape == shape:
         return values
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError as err:  # ragged values
+        raise EvaluationError(f"{who} returned ragged values, which form no array") from err
     if arr.dtype.kind not in "biuf":
         raise EvaluationError(f"{who} returned {arr.dtype} values, expected real values")
     if shape is not None and arr.shape != shape:
@@ -90,7 +105,7 @@ def _float_output(values, who, shape, hint="") -> np.ndarray:
 
 def _read_only(values) -> np.ndarray:
     # a record's own read-only float copy; the caller's array keeps its flags
-    arr = np.array(_real(values), dtype=float)
+    arr = np.array(_real(values))
     arr.setflags(write=False)
     return arr
 
@@ -188,7 +203,7 @@ class NodalBasis:
 
     @classmethod
     def from_nodes(cls, nodes) -> "NodalBasis":
-        nodes = np.asarray(nodes, dtype=float)
+        nodes = _real(nodes, "nodes")
         if nodes.ndim != 1 or len(nodes) == 0:
             raise ValueError("nodes must be a nonempty 1-d array")
         diff = np.subtract.outer(nodes, nodes)
@@ -217,7 +232,7 @@ def nodal_eval_all(basis: NodalBasis, x) -> np.ndarray:
 
     A point equal to a node gets the exact Kronecker row; each row equals a scalar call's.
     """
-    d = np.asarray(x, dtype=float)[..., None] - basis.nodes
+    d = _real(x, "x")[..., None] - basis.nodes
     hit = d == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = basis.bary_weights / d
@@ -234,7 +249,8 @@ def nodal_deriv_all(basis: NodalBasis, x) -> np.ndarray:
     Each row equals a scalar call's.
     """
     nodes, w = basis.nodes, basis.bary_weights
-    d = np.asarray(x, dtype=float)[..., None] - nodes
+    x = _real(x, "x")
+    d = x[..., None] - nodes
     hit = d == 0.0
     k = np.argmax(hit, axis=-1, keepdims=True)  # the node a row hits, 0 for none
     l = nodal_eval_all(basis, x)

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .basis import MAX_ORDER
+from .basis import MAX_ORDER, _real
 from .errors import GeodesyError
 from .integrators import Method, _step_count, integrate, sample_trajectory
 from .newton import NewtonConfig
@@ -128,7 +128,7 @@ def _settings(args, tfinal_steps):
         if method is not Method.MGI:
             raise UsageError("--qrhs applies to --method mgi only")
         _bounded("qrhs", qrhs, MAX_ORDER)
-    y0 = np.asarray(given.get("y0", problem.y0), dtype=float)
+    y0 = _real(given.get("y0", problem.y0), "y0")
     if y0.shape != (problem.system.dim,):
         raise UsageError(
             f"y0 must have {problem.system.dim} entries for {problem.name}, got {y0.shape}"

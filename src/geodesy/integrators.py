@@ -123,7 +123,7 @@ field values themselves, with the same message.
 The field's block, the stage Jacobian's and each invariant series go
 through geodesy.basis._float_output, the one conversion of a callable's
 values: values that are not real, which a float conversion would cut to
-their real parts, or not of the expected shape are refused with an
+their real parts, ragged or not of the expected shape are refused with an
 EvaluationError naming the callable and, for a shape, both shapes and the
 hint to wrap a one-state callable with geodesy.systems.pointwise. A
 domain_check result that is neither None nor a reason string is refused the
@@ -449,7 +449,7 @@ def _require_finite(**values):
 
 
 def _initial_state(sys, y0) -> np.ndarray:
-    y0 = np.asarray(_real(y0, "initial state"), dtype=float)
+    y0 = _real(y0, "initial state")
     if y0.shape != (sys.dim,):
         raise ValueError(f"initial state must have shape ({sys.dim},), got {y0.shape}")
     if not np.isfinite(y0).all():
@@ -824,7 +824,7 @@ def sample_trajectory(traj: Trajectory, sample_times) -> np.ndarray:
     """
     if traj.coefficients is None:
         raise ValueError(f"method {traj.method.value!r} does not retain element polynomials")
-    sample_times = np.asarray(_real(sample_times, "sample times"), dtype=float)
+    sample_times = _real(sample_times, "sample times")
     flat = sample_times.reshape(-1)
     t0, tf = float(traj.times[0]), float(traj.times[-1])
     slack = _slack(t0, tf, float(traj.times[1] - traj.times[0]))

@@ -9,7 +9,10 @@ largest, or that has a non-finite pivot, is treated as singular rather than
 silently producing garbage; an exactly zero pivot, which getrf reports with
 info > 0, fails the same check. The Jacobian is the analytic callable when
 one is given, otherwise forward differences with a step scaled per
-component.
+component. The unknowns are converted by geodesy.basis._real, so a complex
+x0 (or forward-difference point) raises ValueError rather than lose its
+imaginary parts; every residual and Jacobian value is converted by
+geodesy.basis._float_output.
 
 Each iterate costs one residual evaluation, one Jacobian and one LU solve,
 and the loop keeps its reductions to those its decisions need: max|r| for
@@ -58,7 +61,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .basis import _float_output
+from .basis import _float_output, _real
 from .errors import EvaluationError, NewtonNonConvergence, SingularJacobianError
 
 
@@ -152,12 +155,17 @@ def forward_difference_jacobian(residual, x, r0=None):
     from r0's is refused rather than broadcast into its row, and a residual
     that returns values that are not real, complex ones say, rather than cut
     to its real part: each with an EvaluationError (a ValueError too) naming
-    the residual and, for a shape, both shapes. x may be any real sequence; a
-    float array is used as it is, without a copy.
+    the residual and, for a shape, both shapes. Without r0, a base residual
+    that is not 1-d is refused the same way, before any probe. x may be any
+    real sequence, converted by geodesy.basis._real: complex values raise
+    ValueError rather than lose their imaginary parts, and a float array is
+    used as it is, without a copy.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real(x, "x")
     if r0 is None:
         r0 = _float_output(residual(x), "residual", None)
+        if r0.ndim != 1:
+            raise EvaluationError(f"residual returned shape {r0.shape}, expected a 1-d array")
     n = len(x)
     h = _FD_STEP * (1.0 + np.abs(x))
     shifted = x[None, :].repeat(n, 0)
@@ -201,10 +209,12 @@ def newton_solve(
     LU factors (no further residual or Jacobian call; see NewtonResult).
     A config that is not a NewtonConfig raises TypeError, naming it, and an x0
     that is empty or not 1-d ValueError, naming its shape, before any residual
-    call. A residual whose shape differs from x0's, a Jacobian of another
-    shape than (n, n) for n unknowns, and a residual or Jacobian whose values
-    are not real (complex ones say) raise EvaluationError, a ValueError too,
-    naming the callable and, for a shape, both shapes; a residual is refused
+    call; so does a complex x0, which geodesy.basis._real refuses rather than
+    cut to its real part. A residual whose shape differs from x0's, a Jacobian
+    of another shape than (n, n) for n unknowns, and a residual or Jacobian
+    whose values are not real (complex ones say) or are ragged raise
+    EvaluationError, a ValueError too, naming the callable and, for a shape,
+    both shapes; a residual is refused
     before the Jacobian at its iterate. Raises NewtonNonConvergence with the
     last iterate attached on failure: when the budget is spent, or earlier,
     as divergence, once max|dx| has not shrunk over three updates while
@@ -212,7 +222,7 @@ def newton_solve(
     """
     if not isinstance(config, NewtonConfig):
         raise TypeError(f"config must be a geodesy.NewtonConfig, got {config!r}")
-    x = np.array(x0, dtype=float)
+    x = _real(x0, "x0").copy()
     if not x.size:
         raise ValueError(f"x0 must have at least one unknown, got shape {x.shape}")
     if x.ndim != 1:

@@ -7,6 +7,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .basis import _float_output
+
 
 @dataclass(frozen=True)
 class SeparablePartition:
@@ -64,8 +66,10 @@ def pointwise(system: OdeSystem) -> OdeSystem:
     A block is evaluated column by column: field stacks the columns' rates
     into (dim, n), jacobian stacks their matrices into (n, dim, dim), and
     domain_check returns the reason of the first failing column. A single
-    state is passed through unchanged, and stacked values keep their dtype,
-    so the integrators' own conversion refuses complex ones.
+    state is passed through unchanged. The columns' values are stacked by
+    geodesy.basis._float_output, the one conversion of a callable's values,
+    so values that are not real (complex ones say) or ragged are refused
+    with an EvaluationError naming the callable.
     """
 
     def lift(fn, combine):
@@ -80,11 +84,15 @@ def pointwise(system: OdeSystem) -> OdeSystem:
 
         return lifted
 
+    def stack(values, who):
+        # no shape to expect: an empty block's (0,) becomes (dim, 0) through the reshape
+        return _float_output(list(values), who, None)
+
     dim = system.dim
     return dataclasses.replace(
         system,
-        field=lift(system.field, lambda cols: np.array(list(cols)).reshape(-1, dim).T),
-        jacobian=lift(system.jacobian, lambda mats: np.array(list(mats)).reshape(-1, dim, dim)),
+        field=lift(system.field, lambda cols: stack(cols, "vector field").reshape(-1, dim).T),
+        jacobian=lift(system.jacobian, lambda mats: stack(mats, "jacobian").reshape(-1, dim, dim)),
         domain_check=lift(
             system.domain_check, lambda reasons: next((r for r in reasons if r is not None), None)
         ),
@@ -96,11 +104,12 @@ def hamiltonian_vector_field(grad_h: Callable[[np.ndarray], np.ndarray], m: int)
 
     For y = (p_1..p_m, q_1..q_m) returns h(y) = (-dH/dq, +dH/dp), i.e. the
     inverse symplectic matrix applied to the gradient. A (dim, n) block maps
-    to a block when grad_h does.
+    to a block when grad_h does. The gradient goes through
+    geodesy.basis._float_output, refused as the vector field's values are.
     """
 
     def h(y):
-        g = np.asarray(grad_h(y))
+        g = _float_output(grad_h(y), "vector field", None)
         return np.concatenate([-g[m:], g[:m]])
 
     return h

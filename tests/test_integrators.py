@@ -49,6 +49,7 @@ from geodesy import (
     sample_trajectory,
     symplectic_euler_step,
 )
+from geodesy.basis import NodalBasis, legendre_eval, nodal_deriv_all
 from geodesy.errors import NewtonNonConvergence
 from geodesy.mimetic import _reference_element
 from geodesy.newton import NewtonResult, forward_difference_jacobian, newton_solve
@@ -283,7 +284,7 @@ class TestResiduals:
         spec = get_problem(problem)
         sys = spec.system if analytic else dataclasses.replace(spec.system, jacobian=None)
         sols = []
-        residual, jacobian, _ = _stage_callables(
+        ((residual, jacobian, _),) = _stage_callables(
             monkeypatch, lambda: sols.append(step(sys, spec.y0, 0.2, dt, 3))
         )
         assert (jacobian is not None) is analytic
@@ -549,19 +550,28 @@ class TestMgiStep:
                 call(66)
 
 
-def _stage_callables(monkeypatch, step):
-    # the residual and analytic Jacobian a step hands to newton_solve
+def _replace_newton(monkeypatch, solve):
+    # the element step's Newton entry, replaced by solve(residual, x0, config, jacobian=None)
+    # or by None where it is never reached; returns the entry it replaced
+    entry = geodesy.integrators.newton_solve
+    monkeypatch.setattr(geodesy.integrators, "newton_solve", solve)
+    return entry
+
+
+def _stage_callables(monkeypatch, step=None, wrap=None):
+    # the (residual, jacobian, x0) the element steps hand to newton_solve, one per solve, x0
+    # copied as it came; the solve still runs, on wrap(residual) when wrap is given. The list
+    # fills as steps run: step() first when given
     seen = []
-    solve = geodesy.integrators.newton_solve
 
     def spy(residual, x0, config, jacobian=None):
-        seen.append((residual, jacobian, x0))
-        return solve(residual, x0, config, jacobian=jacobian)
+        seen.append((residual, jacobian, x0.copy()))
+        return solve(residual if wrap is None else wrap(residual), x0, config, jacobian=jacobian)
 
-    monkeypatch.setattr(geodesy.integrators, "newton_solve", spy)
-    step()
-    (residual, jacobian, x0), = seen
-    return residual, jacobian, x0
+    solve = _replace_newton(monkeypatch, spy)
+    if step is not None:
+        step()
+    return seen
 
 
 class TestStageJacobian:
@@ -575,7 +585,7 @@ class TestStageJacobian:
             step = lambda: mci_step(kep.system, kep.y0, 1.0, dt, p)
         else:
             step = lambda: mgi_step(kep.system, kep.y0, 1.0, dt, p)
-        residual, jacobian, x0 = _stage_callables(monkeypatch, step)
+        ((residual, jacobian, x0),) = _stage_callables(monkeypatch, step)
         # a generic stage vector: the initial guess moved off the constant state
         z = x0 + 0.05 * np.random.default_rng(p).standard_normal(len(x0))
         J = jacobian(z)
@@ -596,7 +606,7 @@ class TestStageJacobian:
             callables.append((residual, jacobian))
             return NewtonResult(x0, 0, 0.0)
 
-        monkeypatch.setattr(geodesy.integrators, "newton_solve", unsolved)
+        _replace_newton(monkeypatch, unsolved)
         for _ in range(3):
             step(kep.system, kep.y0, 1.0, 0.05, p)
         (_, fresh_jacobian), (residual, jacobian), (other_residual, other_jacobian) = callables
@@ -617,7 +627,7 @@ class TestStageJacobian:
     def test_system_without_jacobian_uses_forward_differences(self, monkeypatch, step):
         lv = get_problem("lotka-volterra")
         fd_system = dataclasses.replace(lv.system, jacobian=None)
-        _, jacobian, x0 = _stage_callables(
+        ((_, jacobian, x0),) = _stage_callables(
             monkeypatch, lambda: step(fd_system, lv.y0, 0.0, 0.3, 3)
         )
         assert jacobian is None
@@ -643,7 +653,7 @@ class TestStageJacobian:
             jacobians.append(jacobian)
             return NewtonResult(x0, 0, 0.0)
 
-        monkeypatch.setattr(geodesy.integrators, "newton_solve", unsolved)
+        _replace_newton(monkeypatch, unsolved)
         dt = 0.5  # sqrt(g) = 0.25, exactly
         if galerkin:
             mgi_step(sys, np.zeros(M), 0.0, dt, p, q_rhs=q)
@@ -734,7 +744,7 @@ class TestKernelProducts:
         lv = get_problem("lotka-volterra")
         fd_system = dataclasses.replace(lv.system, jacobian=None)
         p = 3
-        residual, jacobian, x0 = _stage_callables(
+        ((residual, jacobian, x0),) = _stage_callables(
             monkeypatch, lambda: mci_step(fd_system, lv.y0, 0.0, 0.3, p)
         )
         assert jacobian is None
@@ -770,7 +780,7 @@ class TestStepArguments:
     ):
         # worded as integrate words it, not blamed on the field by Newton
         pend = get_problem("pendulum")
-        monkeypatch.setattr(geodesy.integrators, "newton_solve", None)  # never reached
+        _replace_newton(monkeypatch, None)  # never reached
         with pytest.raises(ValueError) as info:
             step(pend.system, y0, t0, dt, 2)
         assert str(info.value) == message
@@ -800,7 +810,7 @@ class TestStepArguments:
             step(system, y0, t0, dt)
         assert str(classical.value) == message
         assert calls == {"field": 0, "domain_check": 0}
-        monkeypatch.setattr(geodesy.integrators, "newton_solve", None)  # never reached
+        _replace_newton(monkeypatch, None)  # never reached
         with pytest.raises(ValueError) as element:
             mci_step(pend.system, y0, t0, dt, 2)
         assert str(element.value) == message
@@ -891,7 +901,7 @@ class TestStepArguments:
         # usage error naming the step's bounds [t0, t0 + dt], not blamed on the Jacobian after
         # a RuntimeWarning
         pend = get_problem("pendulum")
-        monkeypatch.setattr(geodesy.integrators, "newton_solve", None)  # never reached
+        _replace_newton(monkeypatch, None)  # never reached
         t_end = t0 + dt
         named = f"t_start={t0!r}, t_end={t_end!r} give half-length {0.5 * (t_end - t0)!r}"
         with pytest.raises(ValueError, match="^element must have nonzero extent") as err:
@@ -935,7 +945,7 @@ class TestStepArguments:
         # finite (t0, dt) cases, and integrate those whose first step ends by a finite tf
         pend = get_problem("pendulum")
         sys, y0 = pend.system, pend.y0
-        monkeypatch.setattr(geodesy.integrators, "newton_solve", None)  # never reached
+        _replace_newton(monkeypatch, None)  # never reached
         coeffs = np.zeros((2, 3))
         unchecked = types.SimpleNamespace(t_start=t_start, t_end=t_end, coefficients=coeffs)
         entries = [
@@ -1022,14 +1032,7 @@ class TestStepBuffers:
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_stored_coefficients_are_separate_and_read_only(self, monkeypatch, method):
         pend = get_problem("pendulum")
-        residuals = []
-        solve = geodesy.integrators.newton_solve
-
-        def spy(residual, x0, config, jacobian=None):
-            residuals.append((residual, x0))
-            return solve(residual, x0, config, jacobian=jacobian)
-
-        monkeypatch.setattr(geodesy.integrators, "newton_solve", spy)
+        residuals = _stage_callables(monkeypatch)
         traj = integrate(pend.system, method, pend.y0, 0.0, 1.0, 0.1, p=2)
         coeffs = traj.coefficients
         assert len(residuals) == 10
@@ -1038,7 +1041,7 @@ class TestStepBuffers:
             with pytest.raises(ValueError):
                 arr[0] = 1
         stored = coeffs.copy()
-        for residual, x0 in residuals:
+        for residual, _, x0 in residuals:
             buffers = [
                 c.cell_contents
                 for c in residual.__closure__
@@ -1053,7 +1056,7 @@ class TestStepBuffers:
     def test_callables_still_work_after_the_step_returns(self, monkeypatch):
         pend = get_problem("pendulum")
         sols = []
-        residual, jacobian, x0 = _stage_callables(
+        ((residual, jacobian, x0),) = _stage_callables(
             monkeypatch, lambda: sols.append(mci_step(pend.system, pend.y0, 0.0, 0.1, 2))
         )
         (sol,) = sols
@@ -1070,20 +1073,17 @@ class TestStepBuffers:
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_integrate_builds_the_callables_once(self, monkeypatch, method):
         pend = get_problem("pendulum")
-        built, solved = [], []
-        factory, solve = geodesy.integrators._element_callables, geodesy.integrators.newton_solve
+        built = []
+        factory = geodesy.integrators._element_callables
 
         def counted(*args):
             built.append(args)
             return factory(*args)
 
-        def spy(residual, x0, config, jacobian=None):
-            solved.append((residual, jacobian))
-            return solve(residual, x0, config, jacobian=jacobian)
-
         monkeypatch.setattr(geodesy.integrators, "_element_callables", counted)
-        monkeypatch.setattr(geodesy.integrators, "newton_solve", spy)
+        seen = _stage_callables(monkeypatch)
         integrate(pend.system, method, pend.y0, 0.0, 1.0, 0.1, p=2)
+        solved = [(residual, jacobian) for residual, jacobian, _ in seen]
         assert len(built) == 1 and len(solved) == 10
         assert all(pair == solved[0] for pair in solved)
 
@@ -1433,16 +1433,10 @@ class TestStartingGuessAndPolish:
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_driver_guesses_ahead_except_first_and_short_last_step(self, monkeypatch, method):
         pend = get_problem("pendulum")
-        guesses = []
-        solve = geodesy.integrators.newton_solve
-
-        def spy(residual, x0, config, jacobian=None):
-            guesses.append(x0.copy())
-            return solve(residual, x0, config, jacobian=jacobian)
-
-        monkeypatch.setattr(geodesy.integrators, "newton_solve", spy)
+        seen = _stage_callables(monkeypatch)
         p = 3
         traj = integrate(pend.system, method, pend.y0, 0.0, 1.05, 0.1, p=p)
+        guesses = [x0 for _, _, x0 in seen]
         assert traj.steps == len(guesses) == 11
         ahead = geodesy.integrators._pairing(method, p, None).ahead
         for k, x0 in enumerate(guesses):
@@ -1453,15 +1447,9 @@ class TestStartingGuessAndPolish:
 
     def test_a_last_step_of_full_length_is_guessed(self, monkeypatch):
         circle = make_circle()
-        cold = []
-        solve = geodesy.integrators.newton_solve
-
-        def spy(residual, x0, config, jacobian=None):
-            cold.append(np.all(x0.reshape(2, 2) == x0.reshape(2, 2)[:, :1]))
-            return solve(residual, x0, config, jacobian=jacobian)
-
-        monkeypatch.setattr(geodesy.integrators, "newton_solve", spy)
+        seen = _stage_callables(monkeypatch)
         traj = integrate(circle.system, Method.MCI, circle.y0, 0.3, 0.3 + 6 * 0.1, 0.1, p=2)
+        cold = [np.all(x0.reshape(2, 2) == x0.reshape(2, 2)[:, :1]) for _, _, x0 in seen]
         assert traj.steps == 6
         assert cold == [True] + [False] * 5
 
@@ -1702,18 +1690,17 @@ class TestOneCheckedFieldPassPerResidual:
         system = lv.system if analytic else dataclasses.replace(lv.system, jacobian=None)
         system, calls = _counting(system)
         per_residual = []
-        solve = geodesy.integrators.newton_solve
 
-        def spy(residual, x0, config, jacobian=None):
-            def counted(z):
+        def counted(residual):
+            def call(z):
                 before = dict(calls)
                 r = residual(z)
                 per_residual.append({name: calls[name] - before[name] for name in calls})
                 return r
 
-            return solve(counted, x0, config, jacobian=jacobian)
+            return call
 
-        monkeypatch.setattr(geodesy.integrators, "newton_solve", spy)
+        _stage_callables(monkeypatch, wrap=counted)
         step = mci_step if method is Method.MCI else mgi_step
         step(system, lv.y0, 0.0, lv.dt_ref, 3)
         assert len(per_residual) >= (2 if analytic else 8)  # fd: 1 + M p per iterate
@@ -2343,21 +2330,40 @@ class TestFiniteOrRefused:
             ("rk4_step", "initial state"),
             ("ElementSolution", "values"),
             ("sample_trajectory", "sample times"),
+            ("newton_solve", "x0"),
+            ("forward_difference_jacobian", "x"),
+            ("legendre_eval", "x"),
+            ("nodal_eval_all", "x"),
+            ("nodal_deriv_all", "x"),
+            ("NodalBasis.from_nodes", "nodes"),
         ],
-        ids=["integrate", "mci_step", "rk4_step", "ElementSolution", "sample_trajectory"],
+        ids=[
+            "integrate", "mci_step", "rk4_step", "ElementSolution", "sample_trajectory",
+            "newton_solve", "forward_difference_jacobian", "legendre_eval", "nodal_eval_all",
+            "nodal_deriv_all", "NodalBasis.from_nodes",
+        ],
     )
     def test_complex_values_are_refused_not_truncated(self, entry, what):
-        # a float conversion would keep the real parts alone, with a ComplexWarning
+        # a float conversion would keep the real parts alone, with a ComplexWarning:
+        # newton_solve(lambda x: x - 1.0, [0.5 + 1j]) returned x = [1.]
         pend = get_problem("pendulum")
         sys, calls = _counting(pend.system)
         traj = integrate(pend.system, Method.MCI, pend.y0, 0.0, 1.0, 0.1)
         y0 = [1j, 1.5]
+        points = np.array(y0)
+        basis = NodalBasis.from_nodes([-1.0, 0.0, 1.0])
         entries = {
             "integrate": lambda: integrate(sys, Method.MCI, y0, 0.0, 1.0, 0.1),
             "mci_step": lambda: mci_step(sys, y0, 0.0, 0.1, 2),
             "rk4_step": lambda: rk4_step(sys, y0, 0.0, 0.1),
             "ElementSolution": lambda: ElementSolution(0.0, 1.0, (1 + 1j) * np.ones((2, 3))),
             "sample_trajectory": lambda: sample_trajectory(traj, [0.5 + 0j]),
+            "newton_solve": lambda: newton_solve(sys.field, points),
+            "forward_difference_jacobian": lambda: forward_difference_jacobian(sys.field, points),
+            "legendre_eval": lambda: legendre_eval(3, points),
+            "nodal_eval_all": lambda: nodal_eval_all(basis, points),
+            "nodal_deriv_all": lambda: nodal_deriv_all(basis, points),
+            "NodalBasis.from_nodes": lambda: NodalBasis.from_nodes(points),
         }
         with pytest.raises(ValueError, match=f"^{what} must be real, got complex128 values$"):
             _no_warning(entries[entry])
@@ -2479,6 +2485,30 @@ class TestFiniteOrRefused:
         with pytest.raises(IntegrationError, match=expected) as err:
             _no_warning(lambda: integrate(sys, method, [1.0], 0.0, 1.0, 0.1))
         assert isinstance(err.value.__cause__, EvaluationError)
+
+    def test_ragged_pointwise_field_is_refused_naming_the_step(self):
+        # the lift's stacking raised numpy's own ValueError, no GeodesyError, so no step was
+        # named: past y[0] = 1.05 a column's rate has three entries, not two
+        sys = pointwise(
+            OdeSystem(dim=2, field=lambda y: np.ones(2) if y[0] < 1.05 else np.ones(3))
+        )
+        with pytest.raises(IntegrationError) as err:
+            _no_warning(lambda: integrate(sys, Method.MCI, [1.0, 1.0], 0.0, 1.0, 0.1))
+        refusal = err.value.__cause__
+        assert isinstance(refusal, EvaluationError)
+        assert str(refusal) == "vector field returned ragged values, which form no array"
+        assert err.value.step == 0
+        assert str(err.value) == f"step 0 starting at t=0 failed: {refusal}"
+
+    def test_ragged_invariant_is_refused_naming_the_invariant(self):
+        # the series' conversion raised numpy's own ValueError, naming no invariant
+        invariant = ("I", lambda y: 1.0 if y[0] > 0.5 else [1.0, 2.0])
+        sys = OdeSystem(dim=1, field=lambda y: -y, invariants=(invariant,))
+        expected = "^invariant 'I' on the 11 recorded states returned ragged values, which form no"
+        with pytest.raises(IntegrationError, match=expected) as err:
+            _no_warning(lambda: integrate(sys, Method.RK4, [1.0], 0.0, 1.0, 0.1))
+        assert isinstance(err.value.__cause__, EvaluationError)
+        assert err.value.step is None
 
     @pytest.mark.parametrize(
         "method, block_only",

@@ -491,6 +491,28 @@ def test_forward_difference_rejects_a_mis_shaped_probe_residual():
         forward_difference_jacobian(residual, np.array([0.5, 1.0, -2.0]))
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
+def test_forward_difference_refuses_a_base_residual_that_is_not_1d(shape):
+    # without r0 the block is sized from the base residual: a probe then failed numpy's
+    # broadcast into its row, naming no callable
+    calls = []
+
+    def residual(y):
+        calls.append(1)
+        return np.zeros(shape)
+
+    expected = rf"^residual returned shape {re.escape(str(shape))}, expected a 1-d array$"
+    with pytest.raises(EvaluationError, match=expected):
+        forward_difference_jacobian(residual, np.array([0.5, 1.0]))
+    assert len(calls) == 1  # before any probe
+
+
+def test_ragged_residual_is_refused_naming_it():
+    # numpy's own ValueError about an inhomogeneous shape named no callable
+    with pytest.raises(EvaluationError, match="^residual returned ragged values, which form no"):
+        newton_solve(lambda x: [x[0], [1.0, 2.0]], np.array([0.5, 0.25]))
+
+
 @pytest.mark.parametrize("x", [np.array([1, 2]), [1.0, 2.0], [1, 2], (1.0, 2.0)])
 def test_forward_difference_takes_any_real_sequence(x):
     # converted to floats on entry: the bits of the float array itself

@@ -26,11 +26,13 @@ per tree, whose last lines must match. The digest covers:
   for p = 1..16, mgi at q_rhs in {p, p + 1, min(2p + 10, 64)}, so a change to
   the tables shows apart from the runs that use them;
 - refusals: one call per place the package refuses what a user's callable
-  returned (values that are not real or not of the expected shape, from the
-  field, the Jacobians, Newton's residual, the sampled functions, the
-  invariants and domain_check), listed by refusals(); each is hashed as its
-  error type and message, or as a marker when it returns, with warnings
-  ignored, so a change to a refusal's wording shows as this part alone.
+  returned (values that are not real, ragged or not of the expected shape,
+  from the field, the Jacobians, Newton's residual, the sampled functions,
+  the invariants and domain_check), and per array of a caller's it refuses
+  as complex (Newton's x0, a basis's nodes), listed by refusals(); each is
+  hashed as its error type and message, or as a marker when it returns, with
+  warnings ignored, so a change to a refusal's wording shows as this part
+  alone.
 
 A failing call is hashed as its error type and message. One line per part
 is printed, then the digest over all of them.
@@ -50,6 +52,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 STEPS = 200
 ORDERS = (1, 2, 3, 4, 6)
+# the refusals() entries that refuse a caller's array, not a callable's values
+INPUT_REFUSALS = ("x0 complex", "nodes complex")
 PROBLEMS = ("circle", "harmonic", "kepler", "lotka-volterra", "pendulum", "lotka-volterra-fd")
 
 
@@ -92,6 +96,8 @@ def _hash_element(sha, sol):
 def refusals(g):
     """(name, call) pairs, one call per place geodesy refuses a callable's values.
 
+    The entries in INPUT_REFUSALS refuse a caller's array instead, with a plain ValueError.
+
     The package's functions are looked up inside each call, so a tree that lacks one hashes
     the error.
     """
@@ -124,6 +130,10 @@ def refusals(g):
         ("pointwise field complex", lambda: g.integrate(
             g.pointwise(system(field=grows)), g.Method.MCI, [1.0], 0.0, 1.0, 0.1
         )),
+        ("pointwise field ragged", lambda: g.integrate(
+            g.pointwise(system(dim=2, field=lambda y: np.ones(2 if y[0] < 1.05 else 3))),
+            g.Method.MCI, [1.0, 1.0], 0.0, 1.0, 0.1,
+        )),
         ("hamiltonian field complex", lambda: g.integrate(
             system(dim=2, field=g.hamiltonian_vector_field(grows, 1)),
             g.Method.MCI, [1.0, 0.0], 0.0, 1.0, 0.1,
@@ -135,6 +145,7 @@ def refusals(g):
             system(dim=2, field=lambda y: A @ y, jacobian=lambda y: A), [1.0, 0.0], 0.0, 0.5, 2
         )),
         ("newton residual complex", lambda: g.newton_solve(lambda x: x - (1 + 2j), [0.5])),
+        ("x0 complex", lambda: g.newton_solve(lambda x: x - 1.0, np.array([0.5 + 1j]))),
         ("newton residual shape", lambda: g.newton_solve(lambda x: np.ones(3), np.ones(2))),
         ("newton jacobian complex", lambda: g.newton_solve(
             lambda x: x - 1.0, [0.5], jacobian=lambda x: np.eye(1) + 0j
@@ -144,13 +155,18 @@ def refusals(g):
         )),
         ("probe complex", lambda: fd(lambda x: x - 1.0 if x[0] == 0.5 else grows(x - 1.0), [0.5])),
         ("probe shape", lambda: fd(lambda x: np.zeros(1), np.array([0.5, 1.0]), np.ones(3))),
+        ("fd base shape", lambda: fd(lambda x: np.zeros((1, 2)), np.array([0.5, 1.0]))),
         ("reduce0 complex", lambda: g.reduce0(
             lambda x: np.complex128(1j * x + 2), grid(), g.CochainKind.PRIMAL0
         )),
         ("reduce1 complex", lambda: g.reduce1(lambda x: complex(1j * x + 2), grid())),
+        ("nodes complex", lambda: g.NodalBasis.from_nodes(np.array([0.5 + 1j, -0.25]))),
         ("invariant complex", run(g.Method.MCI, invariants=(("I", lambda y: 1 + 1j),))),
         ("invariant shape", run(g.Method.RK4, invariants=(("I", lambda y: np.ones(2)),))),
         ("invariant str", run(g.Method.RK4, invariants=(("I", lambda y: "x"),))),
+        ("invariant ragged", run(
+            g.Method.RK4, invariants=(("I", lambda y: 1.0 if y[0] > 0.5 else [1.0, 2.0]),)
+        )),
         ("domain_check bool", run(
             g.Method.MCI, domain_check=lambda y: False if y.min() < 0.95 else None
         )),
