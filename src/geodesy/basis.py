@@ -13,12 +13,17 @@ node search iterates or can fail, and no rule imports numpy.polynomial.
 Lagrange evaluation uses the second barycentric formula, which returns an
 exact Kronecker delta when the evaluation point coincides with a node.
 
-This module also owns the package's array conversions. _real turns a
-caller's array (points, nodes, an initial state, Newton's x0) into float64
-and refuses complex values with a ValueError, where a float conversion would
-keep their real parts alone; _float_output does the same for what a user's
-callable returns, refusing values that are not real, ragged or of another
-shape with an EvaluationError naming the callable.
+This module also owns the package's conversions of a user's numbers, by one
+rule: a value is real when numpy reads it with a dtype of kind bool, integer
+or float (_REAL_KINDS). So complex values are refused, where a float
+conversion would keep their real parts alone, and so are numeric strings,
+which it would parse, and object values (Fraction, Decimal, None). _real
+turns a caller's array (points, nodes, an initial state, Newton's x0) into
+float64 and _real_scalar a caller's number, such as a time, into a Python
+float, refusing what is not real or ragged, or for a number not 0-d, with a
+ValueError naming it; _float_output does the same for what a user's callable
+returns, refusing values that are not real, ragged or of another shape with
+an EvaluationError naming the callable.
 """
 
 from dataclasses import dataclass
@@ -67,19 +72,34 @@ def legendre_eval(n: int, x):
 
 
 _FLOAT = np.dtype(float)
+_REAL_KINDS = "biuf"  # the dtype kinds of a real value: bool, int, uint and float
 
 
 def _real(values, what="values") -> np.ndarray:
-    # the one conversion of a caller's array to float64, refused if complex: a float
-    # conversion would keep each real part alone, with a ComplexWarning. A float64 ndarray
-    # is returned as it is on one test, as in _float_output, since newton_solve converts its
-    # x0 on every step
+    # the one conversion of a caller's array to float64, refused unless real: a float
+    # conversion would keep each real part alone, with a ComplexWarning, and parse numeric
+    # strings. A float64 ndarray is returned as it is on one test, as in _float_output, since
+    # newton_solve converts its x0 on every step
     if type(values) is np.ndarray and values.dtype is _FLOAT:
         return values
-    arr = np.asarray(values)
-    if np.iscomplexobj(arr):
+    try:
+        arr = np.asarray(values)
+    except ValueError as err:  # ragged values
+        raise ValueError(f"{what} is ragged, which forms no array") from err
+    if arr.dtype.kind not in _REAL_KINDS:
         raise ValueError(f"{what} must be real, got {arr.dtype} values")
     return np.asarray(arr, dtype=float)
+
+
+def _real_scalar(value, what) -> float:
+    # the one conversion of a caller's number, such as a time, to a Python float, by _real's
+    # rule; a Python float, what the library's own callers pass, returns on one test
+    if type(value) is float:
+        return value
+    arr = _real(value, what)
+    if arr.ndim != 0:
+        raise ValueError(f"{what} must be a real number, got shape {arr.shape}")
+    return float(arr)
 
 
 def _float_output(values, who, shape, hint="") -> np.ndarray:
@@ -96,7 +116,7 @@ def _float_output(values, who, shape, hint="") -> np.ndarray:
         arr = np.asarray(values)
     except ValueError as err:  # ragged values
         raise EvaluationError(f"{who} returned ragged values, which form no array") from err
-    if arr.dtype.kind not in "biuf":
+    if arr.dtype.kind not in _REAL_KINDS:
         raise EvaluationError(f"{who} returned {arr.dtype} values, expected real values")
     if shape is not None and arr.shape != shape:
         raise EvaluationError(f"{who} returned shape {arr.shape}, expected {shape}{hint}")

@@ -97,10 +97,13 @@ safe for the conserved quantities because Newton polishes its abs_tol stop
 started by more than rounding. Every element path (ElementSolution, the
 steps, their public residuals, integrate's first and last steps) asks
 geodesy.mimetic._half_length about its own bounds, which the one ValueError
-for bounds that give no element names. The classical steps refuse a
-non-finite t0 or dt, or an initial state that is complex, of the wrong
-shape or not finite, as the element steps do; integrate checks its start
-once and then calls their unchecked updates. No run returns data that is
+for bounds that give no element names. Each time is converted once, where
+it enters, to a Python float by geodesy.basis._real_scalar, which refuses
+one that is not a real number, so _half_length converts nothing. The
+classical steps refuse a t0 or dt that is not a real number or not finite,
+or an initial state that is not real, of the wrong shape or not finite, as
+the element steps do; integrate checks its start once and then calls their
+unchecked updates. No run returns data that is
 not finite: integrate, the steps and the residuals evaluate with
 floating-point exceptions ignored, so an overflow warns nowhere, and what
 it leaves fails as a named error, a field value or a classical step's new
@@ -140,8 +143,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, _check_order, _float_output, _read_only, _real, edge_eval_all, gauss_rule,
-    nodal_eval_all,
+    MAX_ORDER, _check_order, _float_output, _read_only, _real, _real_scalar, edge_eval_all,
+    gauss_rule, nodal_eval_all,
 )
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
 from .mimetic import (
@@ -260,9 +263,10 @@ class ElementSolution:
     """One solved element: its bounds, values at the p+1 primal nodes and Newton iterations.
 
     t_end < t_start for a reversed step; coefficients[:, 0] is the initial condition, bitwise.
-    Bounds that give no element (geodesy.mimetic) raise ValueError naming them; then complex
-    values, and values that give none, anything but 2-d with p + 1 >= 2 columns, raise
-    ValueError, the latter naming their shape.
+    The bounds are stored as Python floats. Bounds that are not real numbers, or give no element
+    (geodesy.mimetic), raise ValueError naming them; then values that are not real, and values
+    that give none, anything but 2-d with p + 1 >= 2 columns, raise ValueError, the latter
+    naming their shape.
     """
 
     t_start: float
@@ -271,6 +275,8 @@ class ElementSolution:
     newton_iterations: int = 0
 
     def __post_init__(self):
+        for name in ("t_start", "t_end"):
+            object.__setattr__(self, name, _real_scalar(getattr(self, name), name))
         _half_length(self.t_start, self.t_end)
         coefficients = _read_only(self.coefficients)
         if coefficients.ndim != 2 or coefficients.shape[1] < 2:
@@ -442,10 +448,15 @@ def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray
     return _public_residual(sys, sol, Method.MGI, q_rhs)
 
 
-def _require_finite(**values):
-    for name, value in values.items():
+def _finite_times(**times) -> list:
+    # each time converted once, by geodesy.basis._real_scalar, then refused unless finite
+    converted = []
+    for name, value in times.items():
+        value = _real_scalar(value, name)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+        converted.append(value)
+    return converted
 
 
 def _initial_state(sys, y0) -> np.ndarray:
@@ -457,10 +468,11 @@ def _initial_state(sys, y0) -> np.ndarray:
     return y0
 
 
-def _start(sys, y0, t0, dt) -> np.ndarray:
-    # every public step's argument check: finite t0 and dt, then the initial state
-    _require_finite(t0=t0, dt=dt)
-    return _initial_state(sys, y0)
+def _start(sys, y0, t0, dt):
+    # every public step's argument check: finite t0 and dt, then the initial state; returns
+    # the three converted, which the step then uses
+    t0, dt = _finite_times(t0=t0, dt=dt)
+    return _initial_state(sys, y0), t0, dt
 
 
 def _require_partition(sys):
@@ -469,7 +481,7 @@ def _require_partition(sys):
 
 
 def _element_step(sys, y0, t0, dt, p, pairing, config):
-    y0 = _start(sys, y0, t0, dt)
+    y0, t0, dt = _start(sys, y0, t0, dt)
     coeffs = np.empty((sys.dim, p + 1))
     *_, solve = _element_callables(sys, coeffs, pairing)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -544,7 +556,7 @@ def _finite_state(y):
 
 
 def _classical_step(update, sys, y0, t0, dt):
-    y0 = _start(sys, y0, t0, dt)
+    y0, t0, dt = _start(sys, y0, t0, dt)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _finite_state(update(sys, y0, t0, dt))
 
@@ -647,16 +659,16 @@ def _step_count(sys, method, p, t0, tf, dt):
     # the one rule for whether t0, tf and dt give a run, which integrate and geodesy
     # converge's sweep both apply: it returns t0, tf and dt as Python floats, the count
     # n >= 1 of steps and the slack within which the last step absorbs a remainder. It
-    # raises a ValueError, in this order, for t0, tf or dt not finite, tf <= t0, dt <= 0,
-    # an element method's first step that gives no element, a count that is not finite or
-    # whose records numpy cannot address, a dt within the slack (steps that round to zero
-    # length) and an element method's last step that gives no element
-    _require_finite(t0=t0, tf=tf, dt=dt)
+    # raises a ValueError, in this order, for t0, tf or dt not a real number (see
+    # geodesy.basis._real_scalar) or not finite, tf <= t0, dt <= 0, an element method's
+    # first step that gives no element, a count that is not finite or whose records numpy
+    # cannot address, a dt within the slack (steps that round to zero length) and an
+    # element method's last step that gives no element
+    t0, tf, dt = _finite_times(t0=t0, tf=tf, dt=dt)
     if not tf > t0:
         raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    t0, tf, dt = float(t0), float(tf), float(dt)
     element = method.is_element_method
     if element:  # the first step, which ends by tf
         _half_length(t0, min(t0 + dt, tf))
@@ -716,14 +728,15 @@ def integrate(
     naming the invariant. q_rhs is for Method.MGI only; other methods reject
     it. p and newton, a NewtonConfig, are checked for every method. Refused up
     front, before any field call, with a ValueError naming the values: t0, tf
-    or dt not finite, tf <= t0, dt <= 0; for the element methods, a first or
-    last step whose half-length sqrt(g) is zero or has no finite reciprocal;
-    a step count that is not finite, or whose records would exceed the bytes
-    numpy can address (one within that but past the memory at hand raises
-    MemoryError); a dt within the rounding of the step times, whose steps
-    would round to zero length; and a y0 that is complex, misshapen or not
-    finite. Element steps after the first start Newton from the previous
-    element extrapolated (a shortened last step starts cold from its y0).
+    or dt not a real number (complex, a string, None, an array) or not finite,
+    tf <= t0, dt <= 0; for the element methods, a first or last step whose
+    half-length sqrt(g) is zero or has no finite reciprocal; a step count that
+    is not finite, or whose records would exceed the bytes numpy can address
+    (one within that but past the memory at hand raises MemoryError); a dt
+    within the rounding of the step times, whose steps would round to zero
+    length; and a y0 that is not real, ragged, misshapen or not finite.
+    Element steps after the first start Newton from the previous element
+    extrapolated (a shortened last step starts cold from its y0).
     """
     if not isinstance(method, Method):
         raise TypeError(f"method must be a geodesy.Method, got {method!r}")

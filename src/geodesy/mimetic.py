@@ -40,7 +40,9 @@ from .basis import (
     EdgeBasis,
     NodalBasis,
     QuadratureRule,
+    _check_order,
     _read_only,
+    _real_scalar,
     _samples,
     edge_eval_all,
     gauss_rule,
@@ -83,8 +85,7 @@ class Cochain:
 
 def incidence_matrix(p: int) -> np.ndarray:
     """Read-only incidence matrix (p+1, p): column j carries -1 at node j and +1 at node j+1."""
-    if p < 1:
-        raise ValueError(f"order must be at least 1, got {p}")
+    _check_order(p, 1, "order")
     E = np.eye(p + 1, p, -1) - np.eye(p + 1, p)
     E.setflags(write=False)
     return E
@@ -120,10 +121,13 @@ class ElementGrid:
         """Element over [t_start, t_end]; rules and bases are those of the reference element.
 
         The bounds must give a nonzero, finite half-length sqrt_g with a finite reciprocal,
-        the rule of every element path, so NaN and infinite bounds fail too: ValueError.
+        the rule of every element path, so NaN and infinite bounds fail too: ValueError. They
+        are converted by geodesy.basis._real_scalar, which refuses complex and other values
+        that are not real with a ValueError naming them.
         """
+        t_start, t_end = _real_scalar(t_start, "t_start"), _real_scalar(t_end, "t_end")
         _half_length(t_start, t_end)
-        return replace(_reference_element(p), t_start=float(t_start), t_end=float(t_end))
+        return replace(_reference_element(p), t_start=t_start, t_end=t_end)
 
     @property
     def sqrt_g(self) -> float:
@@ -137,11 +141,11 @@ class ElementGrid:
         return (np.asarray(t) - self.t_start) / self.sqrt_g - 1.0
 
 
-def _half_length(t_start, t_end) -> float:
-    # sqrt(g) = (t_end - t_start) / 2, in Python floats, which stay silent where numpy's warn
-    # (inf - inf, an overflowing reciprocal). The one rule for whether bounds give an element:
-    # none where sqrt(g) is zero, infinite or NaN, or its reciprocal overflows
-    t_start, t_end = float(t_start), float(t_end)
+def _half_length(t_start: float, t_end: float) -> float:
+    # sqrt(g) = (t_end - t_start) / 2 of bounds that are Python floats already, converted where
+    # they entered (geodesy.basis._real_scalar); they stay silent where numpy's warn (inf - inf,
+    # an overflowing reciprocal). The one rule for whether bounds give an element: none where
+    # sqrt(g) is zero, infinite or NaN, or its reciprocal overflows
     sqrt_g = 0.5 * (t_end - t_start)
     if sqrt_g == 0.0 or not (math.isfinite(sqrt_g) and math.isfinite(1.0 / sqrt_g)):
         raise ValueError(

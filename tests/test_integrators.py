@@ -6,6 +6,7 @@ import math
 import re
 import types
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -814,6 +815,66 @@ class TestStepArguments:
         with pytest.raises(ValueError) as element:
             mci_step(pend.system, y0, t0, dt, 2)
         assert str(element.value) == message
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (0.1 + 1j, "must be real, got complex128 values"),
+            (np.complex128(0.1 + 1j), "must be real, got complex128 values"),
+            ("0.1", "must be real, got <U3 values"),
+            (None, "must be real, got object values"),
+            ([0.1], "must be a real number, got shape (1,)"),
+        ],
+        ids=["complex", "complex128", "str", "None", "list"],
+    )
+    @pytest.mark.parametrize(
+        "entry, name",
+        [
+            ("integrate", "t0"), ("integrate", "tf"), ("integrate", "dt"),
+            ("mci_step", "t0"), ("mci_step", "dt"), ("mgi_step", "t0"), ("mgi_step", "dt"),
+            ("explicit_euler_step", "t0"), ("explicit_euler_step", "dt"),
+            ("symplectic_euler_step", "t0"), ("symplectic_euler_step", "dt"),
+            ("rk4_step", "t0"), ("rk4_step", "dt"),
+            ("ElementSolution", "t_start"), ("ElementSolution", "t_end"),
+            ("ElementGrid.build", "t_start"), ("ElementGrid.build", "t_end"),
+        ],
+    )
+    def test_a_time_that_is_no_real_number_is_refused_naming_it(self, entry, name, bad, message):
+        # one conversion where a time enters, geodesy.basis._real_scalar: a numpy complex dt
+        # ran 10 steps of 0.1 after a ComplexWarning, a Python complex dt gave mci_step the
+        # t_end 0.1+5j or a raw TypeError naming no argument, and a string was parsed
+        pend = get_problem("pendulum")
+        system, calls = _counting(pend.system)
+        times = {"t0": 0.0, "tf": 1.0, "dt": 0.1, "t_start": 0.0, "t_end": 0.1, name: bad}
+        t0, tf, dt, t_start, t_end = (times[k] for k in ("t0", "tf", "dt", "t_start", "t_end"))
+        entries = {
+            "mci_step": lambda: mci_step(system, pend.y0, t0, dt, 2),
+            "mgi_step": lambda: mgi_step(system, pend.y0, t0, dt, 2),
+            "explicit_euler_step": lambda: explicit_euler_step(system, pend.y0, t0, dt),
+            "symplectic_euler_step": lambda: symplectic_euler_step(system, pend.y0, t0, dt),
+            "rk4_step": lambda: rk4_step(system, pend.y0, t0, dt),
+            "integrate": lambda: integrate(system, Method.MCI, pend.y0, t0, tf, dt),
+            "ElementSolution": lambda: ElementSolution(t_start, t_end, np.ones((2, 3))),
+            "ElementGrid.build": lambda: ElementGrid.build(2, t_start, t_end),
+        }
+        with pytest.raises(ValueError) as err:
+            _no_warning(entries[entry])
+        assert str(err.value) == f"{name} {message}"
+        assert calls == {"field": 0, "domain_check": 0}
+
+    def test_a_float32_start_time_steps_as_the_python_float(self):
+        # t0 + dt was formed in float32: the element spanned [0, 0.10000000149], its values
+        # differed from the float64 step's by 1.5e-8 and t_end was np.float32. A record
+        # stores its bounds as Python floats, whatever the caller passed
+        pend = get_problem("pendulum")
+        narrow = mci_step(pend.system, pend.y0, np.float32(0.0), 0.1, 2)
+        wide = mci_step(pend.system, pend.y0, 0.0, 0.1, 2)
+        assert narrow.coefficients.tobytes() == wide.coefficients.tobytes()
+        assert (type(narrow.t_start), type(narrow.t_end)) == (float, float)
+        assert narrow.t_end == 0.1
+        sol = ElementSolution(np.float32(0.5), 1, np.ones((2, 3)))
+        assert (type(sol.t_start), type(sol.t_end)) == (float, float)
+        assert (sol.t_start, sol.t_end) == (0.5, 1.0)
 
     @pytest.mark.parametrize(
         "method", [Method.EXPLICIT_EULER, Method.SYMPLECTIC_EULER, Method.RK4]
@@ -2323,41 +2384,44 @@ class TestFiniteOrRefused:
         assert np.all(np.diff(traj.times) > 0)
 
     @pytest.mark.parametrize(
-        "entry, what",
+        "entry, what, kind",
         [
-            ("integrate", "initial state"),
-            ("mci_step", "initial state"),
-            ("rk4_step", "initial state"),
-            ("ElementSolution", "values"),
-            ("sample_trajectory", "sample times"),
-            ("newton_solve", "x0"),
-            ("forward_difference_jacobian", "x"),
-            ("legendre_eval", "x"),
-            ("nodal_eval_all", "x"),
-            ("nodal_deriv_all", "x"),
-            ("NodalBasis.from_nodes", "nodes"),
-        ],
-        ids=[
-            "integrate", "mci_step", "rk4_step", "ElementSolution", "sample_trajectory",
-            "newton_solve", "forward_difference_jacobian", "legendre_eval", "nodal_eval_all",
-            "nodal_deriv_all", "NodalBasis.from_nodes",
+            # the complex cases keep their entry's name as id
+            pytest.param(entry, what, kind, id=entry if kind == "complex" else f"{entry}-{kind}")
+            for kind in ("complex", "str", "object")
+            for entry, what in [
+                ("integrate", "initial state"),
+                ("mci_step", "initial state"),
+                ("rk4_step", "initial state"),
+                ("ElementSolution", "values"),
+                ("sample_trajectory", "sample times"),
+                ("newton_solve", "x0"),
+                ("forward_difference_jacobian", "x"),
+                ("legendre_eval", "x"),
+                ("nodal_eval_all", "x"),
+                ("nodal_deriv_all", "x"),
+                ("NodalBasis.from_nodes", "nodes"),
+            ]
         ],
     )
-    def test_complex_values_are_refused_not_truncated(self, entry, what):
+    def test_complex_values_are_refused_not_truncated(self, entry, what, kind):
         # a float conversion would keep the real parts alone, with a ComplexWarning:
-        # newton_solve(lambda x: x - 1.0, [0.5 + 1j]) returned x = [1.]
+        # newton_solve(lambda x: x - 1.0, [0.5 + 1j]) returned x = [1.]; it parsed numeric
+        # strings, so integrate(pend, MCI, ["0", "1.5"], ...) ran, and converted object
+        # values one by one. Each is refused by one rule, naming the dtype
         pend = get_problem("pendulum")
         sys, calls = _counting(pend.system)
         traj = integrate(pend.system, Method.MCI, pend.y0, 0.0, 1.0, 0.1)
-        y0 = [1j, 1.5]
+        y0 = {"complex": [1j, 1.5], "str": ["0", "1.5"], "object": [Fraction(0), 1.5]}[kind]
+        time = {"complex": [0.5 + 0j], "str": ["0.5"], "object": [Fraction(1, 2)]}[kind]
         points = np.array(y0)
         basis = NodalBasis.from_nodes([-1.0, 0.0, 1.0])
         entries = {
             "integrate": lambda: integrate(sys, Method.MCI, y0, 0.0, 1.0, 0.1),
             "mci_step": lambda: mci_step(sys, y0, 0.0, 0.1, 2),
             "rk4_step": lambda: rk4_step(sys, y0, 0.0, 0.1),
-            "ElementSolution": lambda: ElementSolution(0.0, 1.0, (1 + 1j) * np.ones((2, 3))),
-            "sample_trajectory": lambda: sample_trajectory(traj, [0.5 + 0j]),
+            "ElementSolution": lambda: ElementSolution(0.0, 1.0, np.tile(points[:, None], 3)),
+            "sample_trajectory": lambda: sample_trajectory(traj, time),
             "newton_solve": lambda: newton_solve(sys.field, points),
             "forward_difference_jacobian": lambda: forward_difference_jacobian(sys.field, points),
             "legendre_eval": lambda: legendre_eval(3, points),
@@ -2365,8 +2429,27 @@ class TestFiniteOrRefused:
             "nodal_deriv_all": lambda: nodal_deriv_all(basis, points),
             "NodalBasis.from_nodes": lambda: NodalBasis.from_nodes(points),
         }
-        with pytest.raises(ValueError, match=f"^{what} must be real, got complex128 values$"):
+        with pytest.raises(ValueError) as err:
             _no_warning(entries[entry])
+        assert str(err.value) == f"{what} must be real, got {points.dtype} values"
+        assert calls["field"] == 0
+
+    @pytest.mark.parametrize(
+        "entry, what",
+        [("integrate", "initial state"), ("rk4_step", "initial state"), ("newton_solve", "x0")],
+    )
+    def test_ragged_values_are_refused_naming_them(self, entry, what):
+        # numpy's own refusal, "setting an array element with a sequence", named nothing
+        pend = get_problem("pendulum")
+        sys, calls = _counting(pend.system)
+        entries = {
+            "integrate": lambda: integrate(sys, Method.MCI, [[0.0, 1.0], [2.0]], 0.0, 1.0, 0.1),
+            "rk4_step": lambda: rk4_step(sys, [[0.0, 1.0], [2.0]], 0.0, 0.1),
+            "newton_solve": lambda: newton_solve(sys.field, [[0.5], [1.0, 2.0]]),
+        }
+        with pytest.raises(ValueError) as err:
+            _no_warning(entries[entry])
+        assert str(err.value) == f"{what} is ragged, which forms no array"
         assert calls["field"] == 0
 
     @pytest.mark.parametrize("action", ["always", "error"])

@@ -43,8 +43,16 @@ class TestIncidence:
         npt.assert_array_equal(E.sum(axis=0), np.zeros(p))
 
     def test_invalid_order(self):
+        # the order rule of gll_rule, gauss_rule and ElementGrid.build: numpy's own errors named
+        # no order, and 65 built a table that no element can use
         with pytest.raises(ValueError):
             incidence_matrix(0)
+        with pytest.raises(TypeError, match="^order must be an integer, got bool$"):
+            incidence_matrix(True)
+        with pytest.raises(TypeError, match="^order must be an integer, got float$"):
+            incidence_matrix(2.0)
+        with pytest.raises(ValueError, match=r"^order must lie in \[1, 64\], got 65$"):
+            incidence_matrix(65)
 
     def test_coboundary_differences(self):
         c = Cochain(CochainKind.PRIMAL0, np.array([3.0, 5.0, 9.0]))

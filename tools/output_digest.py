@@ -28,11 +28,11 @@ per tree, whose last lines must match. The digest covers:
 - refusals: one call per place the package refuses what a user's callable
   returned (values that are not real, ragged or not of the expected shape,
   from the field, the Jacobians, Newton's residual, the sampled functions,
-  the invariants and domain_check), and per array of a caller's it refuses
-  as complex (Newton's x0, a basis's nodes), listed by refusals(); each is
-  hashed as its error type and message, or as a marker when it returns, with
-  warnings ignored, so a change to a refusal's wording shows as this part
-  alone.
+  the invariants and domain_check), and per caller's value it refuses as not
+  real or ragged (Newton's x0, a basis's nodes, a step's dt, an initial
+  state), listed by refusals(); each is hashed as its error type and message,
+  or as a marker when it returns, with warnings ignored, so a change to a
+  refusal's wording shows as this part alone.
 
 A failing call is hashed as its error type and message. One line per part
 is printed, then the digest over all of them.
@@ -52,8 +52,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 STEPS = 200
 ORDERS = (1, 2, 3, 4, 6)
-# the refusals() entries that refuse a caller's array, not a callable's values
-INPUT_REFUSALS = ("x0 complex", "nodes complex")
+# the refusals() entries that refuse a caller's value, not a callable's values
+INPUT_REFUSALS = (
+    "x0 complex", "nodes complex", "dt numpy complex", "dt complex", "dt str", "y0 str",
+    "y0 ragged",
+)
 PROBLEMS = ("circle", "harmonic", "kepler", "lotka-volterra", "pendulum", "lotka-volterra-fd")
 
 
@@ -89,14 +92,15 @@ def _hash_trajectory(sha, traj):
 
 
 def _hash_element(sha, sol):
+    # the bounds' values, whatever their type: a tree may store np.float64 or a Python float
     if sol is not None:
-        _feed(sha, sol.t_start, sol.t_end, sol.coefficients, sol.newton_iterations)
+        _feed(sha, float(sol.t_start), float(sol.t_end), sol.coefficients, sol.newton_iterations)
 
 
 def refusals(g):
     """(name, call) pairs, one call per place geodesy refuses a callable's values.
 
-    The entries in INPUT_REFUSALS refuse a caller's array instead, with a plain ValueError.
+    The entries in INPUT_REFUSALS refuse a caller's value instead, with a plain ValueError.
 
     The package's functions are looked up inside each call, so a tree that lacks one hashes
     the error.
@@ -161,6 +165,15 @@ def refusals(g):
         )),
         ("reduce1 complex", lambda: g.reduce1(lambda x: complex(1j * x + 2), grid())),
         ("nodes complex", lambda: g.NodalBasis.from_nodes(np.array([0.5 + 1j, -0.25]))),
+        ("dt numpy complex", lambda: g.integrate(
+            system(), g.Method.MCI, [1.0], 0.0, 1.0, np.complex128(0.1 + 5j)
+        )),
+        ("dt complex", lambda: g.mci_step(system(), [1.0], 0.0, 0.1 + 5j, 2)),
+        ("dt str", lambda: g.rk4_step(system(), [1.0], 0.0, "0.1")),
+        ("y0 str", lambda: g.integrate(system(), g.Method.MCI, ["1.5"], 0.0, 1.0, 0.1)),
+        ("y0 ragged", lambda: g.integrate(
+            system(dim=2), g.Method.MCI, [[0.0, 1.0], [2.0]], 0.0, 1.0, 0.1
+        )),
         ("invariant complex", run(g.Method.MCI, invariants=(("I", lambda y: 1 + 1j),))),
         ("invariant shape", run(g.Method.RK4, invariants=(("I", lambda y: np.ones(2)),))),
         ("invariant str", run(g.Method.RK4, invariants=(("I", lambda y: "x"),))),
