@@ -19,9 +19,12 @@ or float (_REAL_KINDS). So complex values are refused, where a float
 conversion would keep their real parts alone, and so are numeric strings,
 which it would parse, and object values (Fraction, Decimal, None). _real
 turns a caller's array (points, nodes, an initial state, Newton's x0) into
-float64 and _real_scalar a caller's number, such as a time, into a Python
-float, refusing what is not real or ragged, or for a number not 0-d, with a
-ValueError naming it; _float_output does the same for what a user's callable
+float64, _read_only gives a record (a tableau, a quadrature rule, a cochain,
+a problem's y0) its own read-only copy by it, and _real_scalar turns a
+caller's number, such as a time, into a Python float, each refusing what is
+not real or ragged, or for a number not 0-d, with a ValueError naming it
+(an object value is told the kinds taken: a Fraction is a real number, but
+not one of them); _float_output does the same for what a user's callable
 returns, refusing values that are not real, ragged or of another shape with
 an EvaluationError naming the callable.
 """
@@ -87,15 +90,15 @@ def _real(values, what="values") -> np.ndarray:
     except ValueError as err:  # ragged values
         raise ValueError(f"{what} is ragged, which forms no array") from err
     if arr.dtype.kind not in _REAL_KINDS:
-        raise ValueError(f"{what} must be real, got {arr.dtype} values")
+        # a Fraction, a Decimal or an int past 2**64 is a real number, but numpy reads it as
+        # an object, so the refusal names the kinds that are taken
+        need = "a bool, integer or float" if arr.dtype.kind == "O" else "real"
+        raise ValueError(f"{what} must be {need}, got {arr.dtype} values")
     return np.asarray(arr, dtype=float)
 
 
 def _real_scalar(value, what) -> float:
-    # the one conversion of a caller's number, such as a time, to a Python float, by _real's
-    # rule; a Python float, what the library's own callers pass, returns on one test
-    if type(value) is float:
-        return value
+    # the one conversion of a caller's number, such as a time, to a Python float, by _real
     arr = _real(value, what)
     if arr.ndim != 0:
         raise ValueError(f"{what} must be a real number, got shape {arr.shape}")
@@ -123,9 +126,10 @@ def _float_output(values, who, shape, hint="") -> np.ndarray:
     return np.asarray(arr, dtype=float)
 
 
-def _read_only(values) -> np.ndarray:
-    # a record's own read-only float copy; the caller's array keeps its flags
-    arr = np.array(_real(values))
+def _read_only(values, what="values") -> np.ndarray:
+    # a record's own read-only float copy, refused as in _real naming the field; the
+    # caller's array keeps its flags
+    arr = np.array(_real(values, what))
     arr.setflags(write=False)
     return arr
 
@@ -138,8 +142,8 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _read_only(self.nodes))
-        object.__setattr__(self, "weights", _read_only(self.weights))
+        object.__setattr__(self, "nodes", _read_only(self.nodes, "nodes"))
+        object.__setattr__(self, "weights", _read_only(self.weights, "weights"))
 
 
 def _check_order(n: int, smallest: int, what: str):
@@ -218,8 +222,8 @@ class NodalBasis:
     bary_weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _read_only(self.nodes))
-        object.__setattr__(self, "bary_weights", _read_only(self.bary_weights))
+        object.__setattr__(self, "nodes", _read_only(self.nodes, "nodes"))
+        object.__setattr__(self, "bary_weights", _read_only(self.bary_weights, "bary_weights"))
 
     @classmethod
     def from_nodes(cls, nodes) -> "NodalBasis":

@@ -68,7 +68,7 @@ class Cochain:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _read_only(self.values)
+        v = _read_only(self.values, "cochain values")
         if v.ndim != 1 or len(v) == 0:
             raise ValueError("cochain values must be a nonempty 1-d array")
         if self.kind is CochainKind.PRIMAL0 and len(v) < 2:

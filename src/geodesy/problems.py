@@ -60,7 +60,7 @@ class ProblemSpec:
     dt_ref: float
 
     def __post_init__(self):
-        object.__setattr__(self, "y0", _read_only(self.y0))
+        object.__setattr__(self, "y0", _read_only(self.y0, "y0"))
 
     @property
     def invariant_labels(self) -> tuple:

@@ -30,7 +30,7 @@ class ButcherTableau:
     c: np.ndarray
 
     def __post_init__(self):
-        a, b, c = _read_only(self.a), _read_only(self.b), _read_only(self.c)
+        a, b, c = (_read_only(getattr(self, name), name) for name in "abc")
         s = len(b)
         if a.shape != (s, s) or c.shape != (s,):
             raise ValueError("tableau arrays have inconsistent shapes")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import geodesy.integrators
 from geodesy import (
+    ButcherTableau,
     Cochain,
     CochainKind,
     DomainError,
@@ -822,7 +823,7 @@ class TestStepArguments:
             (0.1 + 1j, "must be real, got complex128 values"),
             (np.complex128(0.1 + 1j), "must be real, got complex128 values"),
             ("0.1", "must be real, got <U3 values"),
-            (None, "must be real, got object values"),
+            (None, "must be a bool, integer or float, got object values"),
             ([0.1], "must be a real number, got shape (1,)"),
         ],
         ids=["complex", "complex128", "str", "None", "list"],
@@ -2401,6 +2402,7 @@ class TestFiniteOrRefused:
                 ("nodal_eval_all", "x"),
                 ("nodal_deriv_all", "x"),
                 ("NodalBasis.from_nodes", "nodes"),
+                ("ButcherTableau", "a"),
             ]
         ],
     )
@@ -2408,7 +2410,8 @@ class TestFiniteOrRefused:
         # a float conversion would keep the real parts alone, with a ComplexWarning:
         # newton_solve(lambda x: x - 1.0, [0.5 + 1j]) returned x = [1.]; it parsed numeric
         # strings, so integrate(pend, MCI, ["0", "1.5"], ...) ran, and converted object
-        # values one by one. Each is refused by one rule, naming the dtype
+        # values one by one. Each is refused by one rule, naming the dtype; the records that
+        # keep a copy (here an exact-rational tableau) name the field
         pend = get_problem("pendulum")
         sys, calls = _counting(pend.system)
         traj = integrate(pend.system, Method.MCI, pend.y0, 0.0, 1.0, 0.1)
@@ -2428,10 +2431,12 @@ class TestFiniteOrRefused:
             "nodal_eval_all": lambda: nodal_eval_all(basis, points),
             "nodal_deriv_all": lambda: nodal_deriv_all(basis, points),
             "NodalBasis.from_nodes": lambda: NodalBasis.from_nodes(points),
+            "ButcherTableau": lambda: ButcherTableau(np.tile(points, (2, 1)), [0.5] * 2, [0.5] * 2),
         }
+        need = "a bool, integer or float" if kind == "object" else "real"
         with pytest.raises(ValueError) as err:
             _no_warning(entries[entry])
-        assert str(err.value) == f"{what} must be real, got {points.dtype} values"
+        assert str(err.value) == f"{what} must be {need}, got {points.dtype} values"
         assert calls["field"] == 0
 
     @pytest.mark.parametrize(

@@ -57,7 +57,8 @@ def test_output_digest_lists_only_refused_calls(output_digest):
     # ValueError too, or, from integrate, the cause of an IntegrationError; a caller's value
     # that is not real, not one number or ragged is refused with a plain ValueError
     wording = (
-        "^.+ (must be real, got .+ values|must be a real number, got shape .+"
+        "^.+ (must be (real|a bool, integer or float), got .+ values"
+        "|must be a real number, got shape .+"
         "|is ragged, which forms no array)$"
     )
     for name, call in output_digest.refusals(geodesy):
