@@ -13,20 +13,29 @@ node search iterates or can fail, and no rule imports numpy.polynomial.
 Lagrange evaluation uses the second barycentric formula, which returns an
 exact Kronecker delta when the evaluation point coincides with a node.
 
-This module also owns the package's conversions of a user's numbers, by one
-rule: a value is real when numpy reads it with a dtype of kind bool, integer
-or float (_REAL_KINDS). So complex values are refused, where a float
-conversion would keep their real parts alone, and so are numeric strings,
-which it would parse, and object values (Fraction, Decimal, None). _real
-turns a caller's array (points, nodes, an initial state, Newton's x0) into
-float64, _read_only gives a record (a tableau, a quadrature rule, a cochain,
-a problem's y0) its own read-only copy by it, and _real_scalar turns a
-caller's number, such as a time, into a Python float, each refusing what is
-not real or ragged, or for a number not 0-d, with a ValueError naming it
-(an object value is told the kinds taken: a Fraction is a real number, but
-not one of them); _float_output does the same for what a user's callable
-returns, refusing values that are not real, ragged or of another shape with
-an EvaluationError naming the callable.
+This module also owns every test of a user's number, one rule for each kind:
+
+- arrays (points, nodes, an initial state, Newton's x0): _real turns one into
+  float64, and _read_only gives a record (a tableau, a quadrature rule, a
+  cochain, a problem's y0) its own read-only copy by it. A value is real when
+  numpy reads it with a dtype of kind bool, integer or float (_REAL_KINDS), so
+  complex values are refused, where a float conversion would keep their real
+  parts alone, and so are numeric strings, which it would parse, and object
+  values (Fraction, Decimal, None; an object value is told the kinds taken: a
+  Fraction is a real number, but not one of them). Values are called ragged
+  only when numpy reports an inhomogeneous shape; any other failure to form
+  an array is refused quoting numpy's message. _float_output applies the same
+  rule to what a user's callable returns, and refuses values of another shape
+  too, each with an EvaluationError naming the callable;
+- scalar settings (a time, a tolerance): _real_scalar, the array rule for one
+  0-d value, never a bool, converted once to a Python float;
+- counts (a dimension, an iteration budget, a polynomial degree, an index):
+  _check_count, an integer, never a bool, of at least a given size, returned
+  as a Python int;
+- orders (p, a quadrature size): _check_order, an integer, never a bool, in
+  [smallest, MAX_ORDER], refused with a TypeError when not an integer.
+
+Each refusal but the order's TypeError is a ValueError naming the value.
 """
 
 from dataclasses import dataclass
@@ -48,7 +57,8 @@ def legendre_eval(n: int, x):
     Parameters
     ----------
     n : int
-        Polynomial degree, n >= 0.
+        Polynomial degree, n >= 0; anything else, a bool or a float included,
+        raises ValueError naming the degree.
     x : float or ndarray
         Evaluation point(s) in [-1, 1].
 
@@ -57,8 +67,7 @@ def legendre_eval(n: int, x):
     (value, derivative)
         P_n(x) and P_n'(x), scalars or arrays matching x.
     """
-    if n < 0:
-        raise ValueError(f"Legendre degree must be nonnegative, got {n}")
+    n = _check_count(n, 0, "Legendre degree")
     x = _real(x, "x")
     p_prev = np.ones_like(x)
     d_prev = np.zeros_like(x)
@@ -76,6 +85,20 @@ def legendre_eval(n: int, x):
 
 _FLOAT = np.dtype(float)
 _REAL_KINDS = "biuf"  # the dtype kinds of a real value: bool, int, uint and float
+# numpy's word for ragged values in the ValueError its constructor raises; any other ValueError
+# from a conversion (an __array__ that fails, say) is quoted instead, the original kept as cause
+_RAGGED = "inhomogeneous"
+
+
+def _array(values, what) -> np.ndarray:
+    # numpy's reading of a caller's values, refused with a ValueError naming them when it forms
+    # no array
+    try:
+        return np.asarray(values)
+    except ValueError as err:
+        if _RAGGED in str(err):
+            raise ValueError(f"{what} is ragged, which forms no array") from err
+        raise ValueError(f"{what} forms no array: {err}") from err
 
 
 def _real(values, what="values") -> np.ndarray:
@@ -85,10 +108,7 @@ def _real(values, what="values") -> np.ndarray:
     # newton_solve converts its x0 on every step
     if type(values) is np.ndarray and values.dtype is _FLOAT:
         return values
-    try:
-        arr = np.asarray(values)
-    except ValueError as err:  # ragged values
-        raise ValueError(f"{what} is ragged, which forms no array") from err
+    arr = _array(values, what)
     if arr.dtype.kind not in _REAL_KINDS:
         # a Fraction, a Decimal or an int past 2**64 is a real number, but numpy reads it as
         # an object, so the refusal names the kinds that are taken
@@ -98,11 +118,25 @@ def _real(values, what="values") -> np.ndarray:
 
 
 def _real_scalar(value, what) -> float:
-    # the one conversion of a caller's number, such as a time, to a Python float, by _real
-    arr = _real(value, what)
+    # the one conversion of a caller's scalar setting, such as a time or a tolerance, to a
+    # Python float: real and 0-d as in _real, and never a bool, which is no setting
+    arr = _array(value, what)
+    if arr.dtype.kind == "b":
+        raise ValueError(f"{what} must be a real number, got bool")
+    if arr.dtype.kind == "O":
+        raise ValueError(f"{what} must be an integer or float, got object values")
+    arr = _real(arr, what)
     if arr.ndim != 0:
         raise ValueError(f"{what} must be a real number, got shape {arr.shape}")
     return float(arr)
+
+
+def _check_count(n, smallest: int, what: str) -> int:
+    # the one rule for a count (a dimension, an iteration budget, a degree, an index): an
+    # integer, as in _check_order, never a bool, at least smallest; returned as a Python int
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < smallest:
+        raise ValueError(f"{what} must be an integer >= {smallest}, got {n!r}")
+    return int(n)
 
 
 def _float_output(values, who, shape, hint="") -> np.ndarray:
@@ -117,8 +151,10 @@ def _float_output(values, who, shape, hint="") -> np.ndarray:
         return values
     try:
         arr = np.asarray(values)
-    except ValueError as err:  # ragged values
-        raise EvaluationError(f"{who} returned ragged values, which form no array") from err
+    except ValueError as err:
+        if _RAGGED in str(err):
+            raise EvaluationError(f"{who} returned ragged values, which form no array") from err
+        raise EvaluationError(f"{who} returned values that form no array: {err}") from err
     if arr.dtype.kind not in _REAL_KINDS:
         raise EvaluationError(f"{who} returned {arr.dtype} values, expected real values")
     if shape is not None and arr.shape != shape:

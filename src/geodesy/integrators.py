@@ -182,7 +182,8 @@ _POINTWISE = "; wrap a callable written for one state with geodesy.systems.point
 
 
 def default_qrhs(p: int) -> int:
-    """Default quadrature size for the Galerkin pairing: 2p + 10."""
+    """Default quadrature size for the Galerkin pairing: 2p + 10, for p in [1, MAX_ORDER]."""
+    _check_order(p, 1, "order p")
     return 2 * p + 10
 
 

@@ -12,7 +12,8 @@ one is given, otherwise forward differences with a step scaled per
 component. The unknowns are converted by geodesy.basis._real, so a complex
 x0 (or forward-difference point) raises ValueError rather than lose its
 imaginary parts; every residual and Jacobian value is converted by
-geodesy.basis._float_output.
+geodesy.basis._float_output. NewtonConfig's settings take geodesy.basis's
+rules too: abs_tol a scalar setting's, max_iter a count's.
 
 Each iterate costs one residual evaluation, one Jacobian and one LU solve,
 and the loop keeps its reductions to those its decisions need: max|r| for
@@ -53,7 +54,6 @@ before the polish.
 import importlib.machinery
 import importlib.util
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -61,7 +61,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .basis import _float_output, _real
+from .basis import _check_count, _float_output, _real, _real_scalar
 from .errors import EvaluationError, NewtonNonConvergence, SingularJacobianError
 
 
@@ -118,19 +118,27 @@ _FD_STEP = 1e-7
 
 @dataclass(frozen=True)
 class NewtonConfig:
+    """Newton's stop: max|r| <= abs_tol, within at most max_iter updates.
+
+    abs_tol is a scalar setting (geodesy.basis._real_scalar: a real number, never a bool),
+    finite and >= 0, stored as a Python float; max_iter is a count (geodesy.basis._check_count:
+    an integer >= 1, never a bool), stored as a Python int. Anything else raises ValueError
+    naming the field.
+    """
+
     abs_tol: float = 1e-12
     max_iter: int = 50
 
     def __post_init__(self):
-        # a bool is no tolerance; a NaN or negative one is never met, so only the rounding-floor
-        # stop would end the solve; a budget below one update solves nothing
-        tol = self.abs_tol
-        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-        if not (real and math.isfinite(tol) and tol >= 0):
+        # a NaN or negative tolerance is never met, so only the rounding-floor stop would end
+        # the solve; a budget below one update solves nothing. Python numbers are stored, so
+        # Newton compares no numpy scalar on each iterate
+        tol = _real_scalar(self.abs_tol, "NewtonConfig.abs_tol")
+        if not (math.isfinite(tol) and tol >= 0):
             raise ValueError(f"NewtonConfig.abs_tol must be a finite number >= 0, got {tol!r}")
-        n = self.max_iter
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"NewtonConfig.max_iter must be an integer >= 1, got {n!r}")
+        object.__setattr__(self, "abs_tol", tol)
+        max_iter = _check_count(self.max_iter, 1, "NewtonConfig.max_iter")
+        object.__setattr__(self, "max_iter", max_iter)
 
 
 class NewtonResult(NamedTuple):

@@ -1,13 +1,18 @@
-"""Autonomous first-order ODE systems and their structure metadata."""
+"""Autonomous first-order ODE systems and their structure metadata.
+
+The numbers a system is built from are counts, checked when it is built by
+geodesy.basis._check_count (an integer, never a bool, returned as a Python
+int): OdeSystem.dim >= 1, each partition index in [0, dim) and
+hamiltonian_vector_field's m >= 1. A bad one raises ValueError naming it.
+"""
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import _float_output
+from .basis import _check_count, _float_output
 
 
 @dataclass(frozen=True)
@@ -38,6 +43,9 @@ class OdeSystem:
     invariants holds (label, callable) pairs of conserved quantities used for
     drift reporting; they take one state. exact_solution, when present, maps
     (elapsed time, y0) to the exact state.
+
+    dim is stored as a Python int; it and the partition's indices are refused
+    when the system is built unless they are counts (see the module docstring).
     """
 
     dim: int
@@ -49,10 +57,17 @@ class OdeSystem:
     domain_check: Optional[Callable[[np.ndarray], Optional[str]]] = None
 
     def __post_init__(self):
-        # a system with no unknowns has no stage equations to solve; a bool is no dimension
-        n = self.dim
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"OdeSystem.dim must be an integer >= 1, got {n!r}")
+        # a system with no unknowns has no stage equations to solve; a partition index is
+        # checked here so a bad one fails when built, not as numpy's IndexError inside
+        # symplectic Euler
+        dim = _check_count(self.dim, 1, "OdeSystem.dim")
+        object.__setattr__(self, "dim", dim)
+        if self.partition is not None:
+            for name in ("p_indices", "q_indices"):
+                what = f"OdeSystem.partition.{name} entry"
+                for i in getattr(self.partition, name):
+                    if _check_count(i, 0, what) >= dim:
+                        raise ValueError(f"{what} must be below OdeSystem.dim = {dim}, got {i!r}")
 
     def check_domain(self, y) -> Optional[str]:
         if self.domain_check is None:
@@ -106,7 +121,9 @@ def hamiltonian_vector_field(grad_h: Callable[[np.ndarray], np.ndarray], m: int)
     inverse symplectic matrix applied to the gradient. A (dim, n) block maps
     to a block when grad_h does. The gradient goes through
     geodesy.basis._float_output, refused as the vector field's values are.
+    m, the number of momenta, must be an integer >= 1, else ValueError.
     """
+    m = _check_count(m, 1, "hamiltonian_vector_field m")
 
     def h(y):
         g = _float_output(grad_h(y), "vector field", None)

@@ -65,6 +65,21 @@ class TestLegendre:
         with pytest.raises(ValueError):
             legendre_eval(-1, 0.0)
 
+    @pytest.mark.parametrize("n", [True, 2.0, "2", -1, np.float64(2.0), None])
+    def test_a_degree_that_is_no_count_is_refused_naming_it(self, n):
+        # True evaluated P_1, and 2.0 or "2" raised a TypeError naming no argument
+        with pytest.raises(ValueError) as err:
+            legendre_eval(n, 0.5)
+        assert str(err.value) == f"Legendre degree must be an integer >= 0, got {n!r}"
+
+    def test_the_degree_has_no_cap(self):
+        # unlike an order, a degree past MAX_ORDER still evaluates
+        v, d = legendre_eval(100, 1.0)
+        assert v == pytest.approx(1.0, abs=1e-12)
+        assert d == pytest.approx(100 * 101 / 2.0, rel=1e-12)
+        v, _ = legendre_eval(np.int64(100), 0.5)
+        assert v == legendre_eval(100, 0.5)[0]
+
     def test_derivative_consistency(self):
         # derivative recurrence against a central difference
         rng = np.random.default_rng(11)

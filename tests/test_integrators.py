@@ -525,6 +525,14 @@ class TestMgiStep:
         assert default_qrhs(1) == 12
         assert default_qrhs(4) == 18
 
+    @pytest.mark.parametrize(
+        "p, error", [(2.5, TypeError), (True, TypeError), (0, ValueError), (65, ValueError)]
+    )
+    def test_default_quadrature_size_takes_an_order(self, p, error):
+        # the order rule of every entry point: 2.5 gave 15.0 and True gave 12
+        with pytest.raises(error, match="^order p must"):
+            default_qrhs(p)
+
     def test_default_quadrature_size_reaches_the_largest_rule_at_order_27(self):
         # p = 27 runs on the default 2p + 10 = 64 points; from p = 28 on the
         # default exceeds the largest rule and every entry point says so,
@@ -823,10 +831,12 @@ class TestStepArguments:
             (0.1 + 1j, "must be real, got complex128 values"),
             (np.complex128(0.1 + 1j), "must be real, got complex128 values"),
             ("0.1", "must be real, got <U3 values"),
-            (None, "must be a bool, integer or float, got object values"),
+            (None, "must be an integer or float, got object values"),
             ([0.1], "must be a real number, got shape (1,)"),
+            (True, "must be a real number, got bool"),
+            (np.bool_(False), "must be a real number, got bool"),
         ],
-        ids=["complex", "complex128", "str", "None", "list"],
+        ids=["complex", "complex128", "str", "None", "list", "bool", "numpy-bool"],
     )
     @pytest.mark.parametrize(
         "entry, name",
@@ -843,7 +853,8 @@ class TestStepArguments:
     def test_a_time_that_is_no_real_number_is_refused_naming_it(self, entry, name, bad, message):
         # one conversion where a time enters, geodesy.basis._real_scalar: a numpy complex dt
         # ran 10 steps of 0.1 after a ComplexWarning, a Python complex dt gave mci_step the
-        # t_end 0.1+5j or a raw TypeError naming no argument, and a string was parsed
+        # t_end 0.1+5j or a raw TypeError naming no argument, and a string was parsed; a bool
+        # is no time: mci_step(pend, y0, 0.0, True, 2) stepped to t_end 1.0
         pend = get_problem("pendulum")
         system, calls = _counting(pend.system)
         times = {"t0": 0.0, "tf": 1.0, "dt": 0.1, "t_start": 0.0, "t_end": 0.1, name: bad}

@@ -2,6 +2,8 @@
 
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -513,6 +515,25 @@ def test_ragged_residual_is_refused_naming_it():
         newton_solve(lambda x: [x[0], [1.0, 2.0]], np.array([0.5, 0.25]))
 
 
+class _FailingArray:
+    # numpy calls __array__ when it converts the value, and the ValueError it raises is no
+    # ragged shape
+    def __array__(self, dtype=None, copy=None):
+        raise ValueError("boom")
+
+
+def test_a_value_that_fails_its_own_conversion_is_not_called_ragged():
+    # both were called ragged, whatever ValueError numpy's conversion raised
+    with pytest.raises(ValueError) as err:
+        newton_solve(lambda x: x, _FailingArray())
+    assert str(err.value) == "x0 forms no array: boom"
+    assert str(err.value.__cause__) == "boom"
+    with pytest.raises(EvaluationError) as err:
+        newton_solve(lambda x: _FailingArray(), [0.5])
+    assert str(err.value) == "residual returned values that form no array: boom"
+    assert str(err.value.__cause__) == "boom"
+
+
 @pytest.mark.parametrize("x", [np.array([1, 2]), [1.0, 2.0], [1, 2], (1.0, 2.0)])
 def test_forward_difference_takes_any_real_sequence(x):
     # converted to floats on entry: the bits of the float array itself
@@ -620,9 +641,15 @@ class TestLuSolveChecked:
 
 class TestNewtonConfig:
     @pytest.mark.parametrize(
-        "tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300, "1e-12", None, True, False]
+        "tol",
+        [
+            np.nan, np.inf, -np.inf, -1.0, -1e-300, "1e-12", None, True, False,
+            Fraction(1, 10**12), Decimal("1e-12"), np.bool_(True),
+        ],
     )
     def test_bad_tolerance_is_rejected(self, tol):
+        # a Fraction was stored, and a failing solve then raised a TypeError from its
+        # __format__ while building Newton's message, not NewtonNonConvergence
         with pytest.raises(ValueError, match="abs_tol"):
             NewtonConfig(abs_tol=tol)
 
@@ -632,9 +659,15 @@ class TestNewtonConfig:
             NewtonConfig(max_iter=max_iter)
 
     def test_boundary_values_are_accepted(self):
-        NewtonConfig(abs_tol=0.0, max_iter=1)
-        NewtonConfig(abs_tol=1, max_iter=np.int64(3))
-        NewtonConfig(abs_tol=np.float32(1e-6))
+        # stored as a Python float and int, so Newton compares no numpy scalars per iterate
+        for config in (
+            NewtonConfig(abs_tol=0.0, max_iter=1),
+            NewtonConfig(abs_tol=1, max_iter=np.int64(3)),
+            NewtonConfig(abs_tol=np.float32(1e-6)),
+        ):
+            assert type(config.abs_tol) is float and type(config.max_iter) is int
+        assert NewtonConfig(abs_tol=np.float32(1e-6)).abs_tol == float(np.float32(1e-6))
+        assert NewtonConfig(max_iter=np.int64(3)).max_iter == 3
 
     @pytest.mark.parametrize("config", [None, {}, 0.5], ids=["none", "dict", "float"])
     def test_solve_refuses_settings_that_are_not_a_config(self, config):

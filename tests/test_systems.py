@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from geodesy import Method, OdeSystem, get_problem, integrate, pointwise, problem_names
+from geodesy import (
+    Method,
+    OdeSystem,
+    SeparablePartition,
+    get_problem,
+    hamiltonian_vector_field,
+    integrate,
+    pointwise,
+    problem_names,
+)
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -149,6 +158,10 @@ class TestDimension:
     def test_integers_are_accepted(self, dim):
         assert OdeSystem(dim=dim, field=lambda y: y).dim == dim
 
+    def test_a_numpy_dimension_is_stored_as_a_python_int(self):
+        system = OdeSystem(dim=np.int64(2), field=lambda y: y)
+        assert type(system.dim) is int and system.dim == 2
+
     def test_copies_still_build(self):
         # dataclasses.replace re-runs the check on the copy's dimension
         base = get_problem("pendulum").system
@@ -156,3 +169,41 @@ class TestDimension:
         assert pointwise(base).dim == base.dim
         with pytest.raises(ValueError, match="got 0"):
             dataclasses.replace(base, dim=0)
+
+
+class TestPartition:
+    @pytest.mark.parametrize(
+        "indices, got",
+        [
+            ((0.0,), "an integer >= 0, got 0.0"),
+            ((True,), "an integer >= 0, got True"),
+            ((-1,), "an integer >= 0, got -1"),
+            ((5,), "below OdeSystem.dim = 2, got 5"),
+            ((2,), "below OdeSystem.dim = 2, got 2"),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["p_indices", "q_indices"])
+    def test_an_index_that_is_no_count_below_dim_is_refused_when_built(self, name, indices, got):
+        # each raised numpy's IndexError inside symplectic Euler, which integrate let escape
+        # naming no step
+        blocks = {"p_indices": (0,), "q_indices": (1,), name: indices}
+        with pytest.raises(ValueError) as err:
+            OdeSystem(dim=2, field=lambda y: y, partition=SeparablePartition(**blocks))
+        assert str(err.value) == f"OdeSystem.partition.{name} entry must be {got}"
+
+    def test_numpy_indices_are_taken(self):
+        part = SeparablePartition(p_indices=(np.int64(1),), q_indices=np.array([0]))
+        assert OdeSystem(dim=2, field=lambda y: y, partition=part).partition is part
+
+
+class TestHamiltonianVectorField:
+    @pytest.mark.parametrize("m", [1.5, 1.0, True, 0, "1", None])
+    def test_a_count_of_momenta_that_is_no_count_is_refused_when_built(self, m):
+        # 1.5 built a field that failed at its first call, slicing with a float
+        with pytest.raises(ValueError) as err:
+            hamiltonian_vector_field(lambda y: y, m)
+        assert str(err.value) == f"hamiltonian_vector_field m must be an integer >= 1, got {m!r}"
+
+    def test_a_numpy_count_is_taken(self):
+        h = hamiltonian_vector_field(lambda y: y, np.int64(1))
+        npt.assert_array_equal(h(np.array([1.0, 2.0])), [-2.0, 1.0])

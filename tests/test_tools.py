@@ -55,10 +55,12 @@ def test_output_digest_lists_only_refused_calls(output_digest):
     # a listed call that returned would hash a marker, which a later change could not tell
     # from a refusal it removed. Each refusal of a callable's values is an EvaluationError, a
     # ValueError too, or, from integrate, the cause of an IntegrationError; a caller's value
-    # that is not real, not one number or ragged is refused with a plain ValueError
+    # that is not real, not one number, ragged, a bool setting or no count is refused with a
+    # plain ValueError
     wording = (
-        "^.+ (must be (real|a bool, integer or float), got .+ values"
-        "|must be a real number, got shape .+"
+        "^.+ (must be (real|a bool, integer or float|an integer or float), got .+ values"
+        "|must be a real number, got (shape .+|bool)"
+        "|must be an integer >= [0-9]+, got .+"
         "|is ragged, which forms no array)$"
     )
     for name, call in output_digest.refusals(geodesy):

@@ -30,7 +30,9 @@ per tree, whose last lines must match. The digest covers:
   from the field, the Jacobians, Newton's residual, the sampled functions,
   the invariants and domain_check), and per caller's value it refuses as not
   real or ragged (Newton's x0, a basis's nodes, a step's dt, an initial
-  state), listed by refusals(); each is hashed as its error type and message,
+  state), as no scalar setting (a bool dt, a Fraction tolerance) or as no
+  count (a float Legendre degree, partition index or number of momenta m),
+  listed by refusals(); each is hashed as its error type and message,
   or as a marker when it returns, with warnings ignored, so a change to a
   refusal's wording shows as this part alone.
 
@@ -55,7 +57,8 @@ ORDERS = (1, 2, 3, 4, 6)
 # the refusals() entries that refuse a caller's value, not a callable's values
 INPUT_REFUSALS = (
     "x0 complex", "nodes complex", "dt numpy complex", "dt complex", "dt str", "y0 str",
-    "y0 ragged",
+    "y0 ragged", "dt bool", "abs_tol Fraction", "Legendre degree float", "partition index float",
+    "m float",
 )
 PROBLEMS = ("circle", "harmonic", "kepler", "lotka-volterra", "pendulum", "lotka-volterra-fd")
 
@@ -105,6 +108,8 @@ def refusals(g):
     The package's functions are looked up inside each call, so a tree that lacks one hashes
     the error.
     """
+    from fractions import Fraction
+
     import numpy as np  # after main() has set the thread count
 
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -183,6 +188,13 @@ def refusals(g):
         ("domain_check bool", run(
             g.Method.MCI, domain_check=lambda y: False if y.min() < 0.95 else None
         )),
+        ("dt bool", lambda: g.mci_step(system(), [1.0], 0.0, True, 2)),
+        ("abs_tol Fraction", lambda: g.NewtonConfig(abs_tol=Fraction(1, 10**30), max_iter=1)),
+        ("Legendre degree float", lambda: g.legendre_eval(2.0, 0.5)),
+        ("partition index float", lambda: system(
+            dim=2, partition=g.SeparablePartition(p_indices=(0.0,), q_indices=(1,))
+        )),
+        ("m float", lambda: g.hamiltonian_vector_field(grows, 1.5)),
     ]
 
 
