@@ -104,10 +104,7 @@ def _array(values, what) -> np.ndarray:
 def _real(values, what="values") -> np.ndarray:
     # the one conversion of a caller's array to float64, refused unless real: a float
     # conversion would keep each real part alone, with a ComplexWarning, and parse numeric
-    # strings. A float64 ndarray is returned as it is on one test, as in _float_output, since
-    # newton_solve converts its x0 on every step
-    if type(values) is np.ndarray and values.dtype is _FLOAT:
-        return values
+    # strings
     arr = _array(values, what)
     if arr.dtype.kind not in _REAL_KINDS:
         # a Fraction, a Decimal or an int past 2**64 is a real number, but numpy reads it as

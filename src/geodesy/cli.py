@@ -107,12 +107,12 @@ def _settings(args, tfinal_steps):
     """
     given = _load_config(args.config) if args.config else {}
     given.update((k, v) for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None)
-    name = given.get("problem") or "circle"
+    name = given.get("problem", "circle")
     try:
         problem = get_problem(name)
     except KeyError as err:
         raise UsageError(err.args[0])
-    method_name = given.get("method") or "mci"
+    method_name = given.get("method", "mci")
     try:
         method = Method(method_name)
     except ValueError:

@@ -3,10 +3,14 @@
 The numbers a system is built from are counts, checked when it is built by
 geodesy.basis._check_count (an integer, never a bool, returned as a Python
 int): OdeSystem.dim >= 1, each partition index in [0, dim) and
-hamiltonian_vector_field's m >= 1. A bad one raises ValueError naming it.
+hamiltonian_vector_field's m >= 1. A bad one raises ValueError naming it. A
+partition's two blocks, each a sequence of indices (a tuple, list, range or
+1-d array), must split range(dim): every state entry in exactly one block,
+else ValueError naming dim and both blocks.
 """
 
 import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,7 +23,8 @@ from .basis import _check_count, _float_output
 class SeparablePartition:
     """Split of the state into momentum and position blocks for partitioned steps.
 
-    p_indices/q_indices say where the blocks live inside the state vector.
+    p_indices/q_indices say where the blocks live inside the state vector;
+    together they split range(dim), each entry in exactly one block.
     The momentum rate field(y)[p_indices] may depend on the position block
     only, and the position rate field(y)[q_indices] on the momentum block only.
     """
@@ -45,7 +50,8 @@ class OdeSystem:
     (elapsed time, y0) to the exact state.
 
     dim is stored as a Python int; it and the partition's indices are refused
-    when the system is built unless they are counts (see the module docstring).
+    when the system is built unless they are counts, and the partition unless
+    its blocks split range(dim) (see the module docstring).
     """
 
     dim: int
@@ -57,17 +63,31 @@ class OdeSystem:
     domain_check: Optional[Callable[[np.ndarray], Optional[str]]] = None
 
     def __post_init__(self):
-        # a system with no unknowns has no stage equations to solve; a partition index is
-        # checked here so a bad one fails when built, not as numpy's IndexError inside
-        # symplectic Euler
+        # a system with no unknowns has no stage equations to solve; a partition is checked
+        # here so a bad one fails when built: a bad index raised numpy's IndexError inside
+        # symplectic Euler, and blocks that do not split the state stepped it wrongly
         dim = _check_count(self.dim, 1, "OdeSystem.dim")
         object.__setattr__(self, "dim", dim)
         if self.partition is not None:
-            for name in ("p_indices", "q_indices"):
-                what = f"OdeSystem.partition.{name} entry"
-                for i in getattr(self.partition, name):
-                    if _check_count(i, 0, what) >= dim:
-                        raise ValueError(f"{what} must be below OdeSystem.dim = {dim}, got {i!r}")
+            p, q = self.partition.p_indices, self.partition.q_indices
+            indices = []
+            for name, block in (("p_indices", p), ("q_indices", q)):
+                what = f"OdeSystem.partition.{name}"
+                # symplectic Euler reads a block again on every step, so a one-shot iterator,
+                # empty by then, is no block
+                if not (isinstance(block, Sequence) or getattr(block, "ndim", 0) == 1):
+                    raise ValueError(f"{what} must be a sequence of indices, got {block!r}")
+                for i in block:
+                    if _check_count(i, 0, f"{what} entry") >= dim:
+                        raise ValueError(
+                            f"{what} entry must be below OdeSystem.dim = {dim}, got {i!r}"
+                        )
+                indices.extend(block)
+            if sorted(indices) != list(range(dim)):
+                raise ValueError(
+                    f"OdeSystem.partition's blocks must split range(OdeSystem.dim = {dim}), each "
+                    f"index in exactly one, got p_indices {p!r} and q_indices {q!r}"
+                )
 
     def check_domain(self, y) -> Optional[str]:
         if self.domain_check is None:

@@ -237,6 +237,27 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "known methods" in err
 
+    @pytest.mark.parametrize(
+        "given, name",
+        [
+            (["--problem", ""], "problem"),
+            (["--method", ""], "method"),
+            ({"problem": "", "method": ""}, "problem"),
+            ({"method": ""}, "method"),
+        ],
+    )
+    def test_an_empty_name_is_unknown_not_the_default(self, tmp_path, capsys, given, name):
+        # an empty name ran the default problem or method and exited 0
+        flags = given
+        if isinstance(given, dict):
+            cfg = tmp_path / "empty.json"
+            cfg.write_text(json.dumps(given))
+            flags = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert run_cli("run", *flags, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: unknown {name} ''; known ")
+        assert not out.exists()
+
     def test_order_out_of_range(self):
         assert run_cli("run", "--pt", "0") == 2
         assert run_cli("run", "--pt", "17") == 2

@@ -191,6 +191,39 @@ class TestPartition:
             OdeSystem(dim=2, field=lambda y: y, partition=SeparablePartition(**blocks))
         assert str(err.value) == f"OdeSystem.partition.{name} entry must be {got}"
 
+    @pytest.mark.parametrize(
+        "dim, p_indices, q_indices",
+        [(2, (0,), (0,)), (2, (0,), ()), (3, (0,), (1,))],
+    )
+    def test_blocks_that_do_not_split_the_state_are_refused_when_built(
+        self, dim, p_indices, q_indices
+    ):
+        # symplectic Euler stepped such a state wrongly and raised no error: an overlap left
+        # a 2-dim rotation unchanged, and a 3-dim state's third entry never moved
+        part = SeparablePartition(p_indices=p_indices, q_indices=q_indices)
+        with pytest.raises(ValueError) as err:
+            OdeSystem(dim=dim, field=lambda y: -y, partition=part)
+        assert str(err.value) == (
+            f"OdeSystem.partition's blocks must split range(OdeSystem.dim = {dim}), each index "
+            f"in exactly one, got p_indices {p_indices!r} and q_indices {q_indices!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "p_indices, q_indices, name",
+        [(0, (1,), "p"), ((0,), 1, "q"), (iter((0,)), (1,), "p"), ((0,), np.array(1), "q")],
+    )
+    def test_a_block_that_is_no_sequence_is_refused_naming_it(self, p_indices, q_indices, name):
+        # an int or a 0-d array raised a bare TypeError: 'int' object is not iterable; an
+        # iterator was built, and symplectic Euler then found it empty and left its block
+        # unchanged
+        part = SeparablePartition(p_indices=p_indices, q_indices=q_indices)
+        with pytest.raises(ValueError) as err:
+            OdeSystem(dim=2, field=lambda y: -y, partition=part)
+        got = p_indices if name == "p" else q_indices
+        assert str(err.value) == (
+            f"OdeSystem.partition.{name}_indices must be a sequence of indices, got {got!r}"
+        )
+
     def test_numpy_indices_are_taken(self):
         part = SeparablePartition(p_indices=(np.int64(1),), q_indices=np.array([0]))
         assert OdeSystem(dim=2, field=lambda y: y, partition=part).partition is part

@@ -55,13 +55,15 @@ def test_output_digest_lists_only_refused_calls(output_digest):
     # a listed call that returned would hash a marker, which a later change could not tell
     # from a refusal it removed. Each refusal of a callable's values is an EvaluationError, a
     # ValueError too, or, from integrate, the cause of an IntegrationError; a caller's value
-    # that is not real, not one number, ragged, a bool setting or no count is refused with a
-    # plain ValueError
+    # that is not real, not one number, ragged, a bool setting, no count or a partition that
+    # does not split the state is refused with a plain ValueError
     wording = (
         "^.+ (must be (real|a bool, integer or float|an integer or float), got .+ values"
         "|must be a real number, got (shape .+|bool)"
         "|must be an integer >= [0-9]+, got .+"
-        "|is ragged, which forms no array)$"
+        "|is ragged, which forms no array"
+        "|must be a sequence of indices, got .+"
+        "|must split range\\(OdeSystem.dim = [0-9]+\\), each index in exactly one, got .+)$"
     )
     for name, call in output_digest.refusals(geodesy):
         if name in output_digest.INPUT_REFUSALS:

@@ -32,9 +32,10 @@ per tree, whose last lines must match. The digest covers:
   real or ragged (Newton's x0, a basis's nodes, a step's dt, an initial
   state), as no scalar setting (a bool dt, a Fraction tolerance) or as no
   count (a float Legendre degree, partition index or number of momenta m),
-  listed by refusals(); each is hashed as its error type and message,
-  or as a marker when it returns, with warnings ignored, so a change to a
-  refusal's wording shows as this part alone.
+  and per partition it refuses (blocks that overlap, a block that is no
+  sequence), listed by refusals(); each is hashed as its error type and
+  message, or as a marker when it returns, with warnings ignored, so a
+  change to a refusal's wording shows as this part alone.
 
 A failing call is hashed as its error type and message. One line per part
 is printed, then the digest over all of them.
@@ -58,7 +59,7 @@ ORDERS = (1, 2, 3, 4, 6)
 INPUT_REFUSALS = (
     "x0 complex", "nodes complex", "dt numpy complex", "dt complex", "dt str", "y0 str",
     "y0 ragged", "dt bool", "abs_tol Fraction", "Legendre degree float", "partition index float",
-    "m float",
+    "partition overlap", "partition block int", "m float",
 )
 PROBLEMS = ("circle", "harmonic", "kepler", "lotka-volterra", "pendulum", "lotka-volterra-fd")
 
@@ -95,9 +96,8 @@ def _hash_trajectory(sha, traj):
 
 
 def _hash_element(sha, sol):
-    # the bounds' values, whatever their type: a tree may store np.float64 or a Python float
     if sol is not None:
-        _feed(sha, float(sol.t_start), float(sol.t_end), sol.coefficients, sol.newton_iterations)
+        _feed(sha, sol.t_start, sol.t_end, sol.coefficients, sol.newton_iterations)
 
 
 def refusals(g):
@@ -193,6 +193,12 @@ def refusals(g):
         ("Legendre degree float", lambda: g.legendre_eval(2.0, 0.5)),
         ("partition index float", lambda: system(
             dim=2, partition=g.SeparablePartition(p_indices=(0.0,), q_indices=(1,))
+        )),
+        ("partition overlap", lambda: system(
+            dim=2, partition=g.SeparablePartition(p_indices=(0,), q_indices=(0,))
+        )),
+        ("partition block int", lambda: system(
+            dim=2, partition=g.SeparablePartition(p_indices=0, q_indices=(1,))
         )),
         ("m float", lambda: g.hamiltonian_vector_field(grows, 1.5)),
     ]
