@@ -650,8 +650,12 @@ class TestNewtonConfig:
     def test_bad_tolerance_is_rejected(self, tol):
         # a Fraction was stored, and a failing solve then raised a TypeError from its
         # __format__ while building Newton's message, not NewtonNonConvergence
-        with pytest.raises(ValueError, match="abs_tol"):
+        with pytest.raises(ValueError, match="abs_tol") as err:
             NewtonConfig(abs_tol=tol)
+        if isinstance(tol, Fraction):
+            assert str(err.value) == (
+                "NewtonConfig.abs_tol must be an integer or float, got object values"
+            )
 
     @pytest.mark.parametrize("max_iter", [0, -1, 2.5, 3.0, True, "50", None])
     def test_bad_iteration_budget_is_rejected(self, max_iter):
