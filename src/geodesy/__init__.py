@@ -13,7 +13,6 @@ set of benchmark problems are included for comparison, driven by the
 __version__ = "0.1.0"
 
 from .basis import (
-    EdgeBasis,
     NodalBasis,
     QuadratureRule,
     edge_eval_all,
@@ -80,7 +79,6 @@ __all__ = [
     "Cochain",
     "CochainKind",
     "DomainError",
-    "EdgeBasis",
     "ElementGrid",
     "ElementSolution",
     "EvaluationError",

@@ -38,7 +38,7 @@ This module also owns every test of a user's number, one rule for each kind:
 Each refusal but the order's TypeError is a ValueError naming the value.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -249,18 +249,13 @@ def gll_rule(p: int) -> QuadratureRule:
 
 @dataclass(frozen=True)
 class NodalBasis:
-    """Lagrange basis on distinct nodes, stored with barycentric weights."""
+    """Lagrange basis on a nonempty 1-d array of distinct nodes, weights computed from them."""
 
     nodes: np.ndarray
-    bary_weights: np.ndarray
+    bary_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _read_only(self.nodes, "nodes"))
-        object.__setattr__(self, "bary_weights", _read_only(self.bary_weights, "bary_weights"))
-
-    @classmethod
-    def from_nodes(cls, nodes) -> "NodalBasis":
-        nodes = _real(nodes, "nodes")
+        nodes = _read_only(self.nodes, "nodes")
         if nodes.ndim != 1 or len(nodes) == 0:
             raise ValueError("nodes must be a nonempty 1-d array")
         diff = np.subtract.outer(nodes, nodes)
@@ -269,19 +264,9 @@ class NodalBasis:
             raise ValueError("nodes must be distinct")
         w = 1.0 / np.prod(diff, axis=1)
         w = w / np.max(np.abs(w))  # common scaling cancels in the barycentric form
-        return cls(nodes, w)
-
-
-@dataclass(frozen=True)
-class EdgeBasis:
-    """Edge (histopolation) functions e_1..e_p attached to a degree-p nodal basis.
-
-    e_i(x) = -sum_{k<i} l_k'(x); its integral over the j-th inter-node
-    interval is the Kronecker delta, so edge coefficients carry integrals
-    rather than point values.
-    """
-
-    nodal: NodalBasis
+        w.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "bary_weights", w)
 
 
 def nodal_eval_all(basis: NodalBasis, x) -> np.ndarray:
@@ -318,9 +303,13 @@ def nodal_deriv_all(basis: NodalBasis, x) -> np.ndarray:
     return np.where(hit.any(axis=-1, keepdims=True), on, off)
 
 
-def edge_eval_all(basis: EdgeBasis, x) -> np.ndarray:
-    """All edge function values e_1..e_p for a point or an array x, shape x.shape + (p,)."""
-    return -np.cumsum(nodal_deriv_all(basis.nodal, x), axis=-1)[..., :-1]
+def edge_eval_all(basis: NodalBasis, x) -> np.ndarray:
+    """All edge values e_i(x) = -sum_{k<i} l_k'(x), i = 1..p, of a degree-p nodal basis.
+
+    x is a point or an array, the result of shape x.shape + (p,). The integral of e_i over the
+    j-th inter-node interval is the Kronecker delta: edge coefficients carry integrals.
+    """
+    return -np.cumsum(nodal_deriv_all(basis, x), axis=-1)[..., :-1]
 
 
 def _samples(f, nodes, what: str) -> np.ndarray:

@@ -217,7 +217,7 @@ def _pairing_record(p: int, q: int, galerkin: bool) -> _Pairing:
     # evaluation: row l is the Hodge of the unit primal 1-cochain l. The transpose of the fresh
     # C-ordered table is in Fortran order: the layout the kernel's dot products are timed and
     # checked bitwise with, as BLAS may round another layout differently
-    D = edge_eval_all(ref.edge_basis, ref.dual.nodes).T
+    D = edge_eval_all(ref.primal_basis, ref.dual.nodes).T
     if galerkin:  # rows scaled by the dual mass, the field paired on the q-point rule
         D = D * galerkin_mass_dual(ref)
         P = Pfull = galerkin_pairing(ref, quad).T
@@ -440,11 +440,12 @@ def mci_residual(sys: OdeSystem, sol: ElementSolution) -> np.ndarray:
     return _public_residual(sys, sol, Method.MCI, None)
 
 
-def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: int) -> np.ndarray:
+def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: Optional[int] = None) -> np.ndarray:
     """Galerkin residual against the dual basis, flattened variable-major.
 
     R[i, m] = w_m (rate of y_i at dual node m) / sqrt(g)
-              - sum_nu omega_nu h_i(y(sigma_nu)) ltilde_m(sigma_nu).
+              - sum_nu omega_nu h_i(y(sigma_nu)) ltilde_m(sigma_nu),
+    on the q_rhs-point rule, by default default_qrhs(p) as in mgi_step.
     """
     return _public_residual(sys, sol, Method.MGI, q_rhs)
 

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import (
-    EdgeBasis,
+    MAX_ORDER,
     NodalBasis,
     QuadratureRule,
     _check_order,
@@ -91,13 +91,11 @@ def incidence_matrix(p: int) -> np.ndarray:
     return E
 
 
-def coboundary(c: Cochain, E: np.ndarray) -> Cochain:
-    """Exterior derivative of a primal 0-cochain: successive differences."""
+def coboundary(c: Cochain) -> Cochain:
+    """Exterior derivative of a primal 0-cochain: successive differences by incidence_matrix(p)."""
     if c.kind is not CochainKind.PRIMAL0:
         raise TypeError(f"coboundary expects a primal 0-cochain, got {c.kind}")
-    if c.order != E.shape[1]:
-        raise ValueError(f"cochain order {c.order} does not match incidence order {E.shape[1]}")
-    return Cochain(CochainKind.PRIMAL1, E.T @ c.values)
+    return Cochain(CochainKind.PRIMAL1, incidence_matrix(c.order).T @ c.values)
 
 
 @dataclass(frozen=True)
@@ -112,8 +110,7 @@ class ElementGrid:
     t_end: float
     primal: QuadratureRule
     dual: QuadratureRule
-    primal_basis: NodalBasis
-    edge_basis: EdgeBasis
+    primal_basis: NodalBasis  # also carries the edge functions, geodesy.basis.edge_eval_all
     dual_basis: NodalBasis
 
     @classmethod
@@ -160,11 +157,7 @@ def _reference_element(p: int) -> ElementGrid:
     # the element of order p on [-1, 1]; its rules and bases hold read-only
     # arrays, so every ElementGrid of that order shares them
     primal, dual = gll_rule(p), gauss_rule(p)
-    primal_basis = NodalBasis.from_nodes(primal.nodes)
-    dual_basis = NodalBasis.from_nodes(dual.nodes)
-    return ElementGrid(
-        p, -1.0, 1.0, primal, dual, primal_basis, EdgeBasis(primal_basis), dual_basis
-    )
+    return ElementGrid(p, -1.0, 1.0, primal, dual, NodalBasis(primal.nodes), NodalBasis(dual.nodes))
 
 
 def reduce0(f, grid: ElementGrid, target: CochainKind) -> Cochain:
@@ -181,10 +174,10 @@ def reduce0(f, grid: ElementGrid, target: CochainKind) -> Cochain:
 def reduce1(density, grid: ElementGrid) -> Cochain:
     """Integrate a reference-coordinate density over each primal sub-interval.
 
-    Each interval uses a mapped Gauss rule with p + 4 points, exact well
+    Each interval uses a mapped Gauss rule with p + 4 points, at most MAX_ORDER, exact well
     beyond the degrees that appear in the commuting-diagram identities.
     """
-    rule = gauss_rule(grid.p + _REDUCE1_EXTRA)
+    rule = gauss_rule(min(grid.p + _REDUCE1_EXTRA, MAX_ORDER))
     xi = grid.primal.nodes
     values = np.empty(grid.p)
     for j in range(grid.p):
@@ -195,8 +188,8 @@ def reduce1(density, grid: ElementGrid) -> Cochain:
     return Cochain(CochainKind.PRIMAL1, values)
 
 
-def reconstruct0(c: Cochain, grid: ElementGrid, x: float) -> float:
-    """Interpolate a 0-cochain at reference coordinate x."""
+def reconstruct0(c: Cochain, grid: ElementGrid, x):
+    """Interpolate a 0-cochain at reference coordinate x, a point or an array: shape of x."""
     if c.kind is CochainKind.PRIMAL0:
         basis = grid.primal_basis
     elif c.kind is CochainKind.DUAL0:
@@ -205,7 +198,8 @@ def reconstruct0(c: Cochain, grid: ElementGrid, x: float) -> float:
         raise TypeError(f"reconstruct0 expects a 0-cochain, got {c.kind}")
     if len(c.values) != len(basis.nodes):
         raise ValueError(f"cochain order {c.order} does not match grid order {grid.p}")
-    return float(np.dot(c.values, nodal_eval_all(basis, x)))
+    # one dot product per point, so each entry is a scalar call's, which a matrix product's are not
+    return (nodal_eval_all(basis, x)[..., None, :] @ c.values)[..., 0][()]
 
 
 def reconstruct1(c: Cochain, grid: ElementGrid, x):
@@ -217,7 +211,7 @@ def reconstruct1(c: Cochain, grid: ElementGrid, x):
         raise TypeError(f"reconstruct1 expects a primal 1-cochain, got {c.kind}")
     if c.order != grid.p:
         raise ValueError(f"cochain order {c.order} does not match grid order {grid.p}")
-    return edge_eval_all(grid.edge_basis, x) @ c.values
+    return edge_eval_all(grid.primal_basis, x) @ c.values
 
 
 def canonical_hodge_1to0(c: Cochain, grid: ElementGrid) -> Cochain:
@@ -245,10 +239,11 @@ def galerkin_pairing(grid: ElementGrid, rule: QuadratureRule) -> np.ndarray:
 
 
 def dual_mass_matrix(grid: ElementGrid) -> np.ndarray:
-    """Dual-basis mass matrix: the Galerkin pairing on 2p Gauss points of the dual basis.
+    """Dual-basis mass matrix: the Galerkin pairing of the dual basis on 2p Gauss points.
 
+    Past 2p = MAX_ORDER, the grid's p + 1 GLL points, exact through degree 2p - 1 >= 2p - 2.
     Kept separate from galerkin_mass_dual on purpose: this is the slow route
     used to check that the off-diagonal entries really vanish.
     """
-    rule = gauss_rule(2 * grid.p)
+    rule = gauss_rule(2 * grid.p) if 2 * grid.p <= MAX_ORDER else grid.primal
     return galerkin_pairing(grid, rule) @ nodal_eval_all(grid.dual_basis, rule.nodes)

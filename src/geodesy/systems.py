@@ -2,11 +2,11 @@
 
 The numbers a system is built from are counts, checked when it is built by
 geodesy.basis._check_count (an integer, never a bool, returned as a Python
-int): OdeSystem.dim >= 1, each partition index in [0, dim) and
-hamiltonian_vector_field's m >= 1. A bad one raises ValueError naming it. A
-partition's two blocks, each a sequence of indices (a tuple, list, range or
-1-d array), must split range(dim): every state entry in exactly one block,
-else ValueError naming dim and both blocks.
+int): OdeSystem.dim >= 1 and each partition index in [0, dim). A bad one raises
+ValueError naming it. A partition's two blocks, each a sequence of indices (a tuple,
+list, range or 1-d array), must split range(dim): every state entry in exactly one
+block, else ValueError naming dim and both blocks. The invariants must be (label,
+callable) pairs with distinct string labels, else ValueError naming the entry.
 """
 
 import dataclasses
@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import _check_count, _float_output
+from .errors import EvaluationError
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,8 @@ class OdeSystem:
     drift reporting; they take one state. exact_solution, when present, maps
     (elapsed time, y0) to the exact state.
 
-    dim is stored as a Python int; it and the partition's indices are refused
-    when the system is built unless they are counts, and the partition unless
-    its blocks split range(dim) (see the module docstring).
+    dim is stored as a Python int and invariants as a tuple; each is refused when the
+    system is built, and so is the partition, by the rules of the module docstring.
     """
 
     dim: int
@@ -88,6 +88,19 @@ class OdeSystem:
                     f"OdeSystem.partition's blocks must split range(OdeSystem.dim = {dim}), each "
                     f"index in exactly one, got p_indices {p!r} and q_indices {q!r}"
                 )
+        # a repeated label kept only the last one's series in a Trajectory, and an entry that
+        # is no pair failed only after the run, unpacking it
+        invariants = tuple(self.invariants)
+        for k, entry in enumerate(invariants):
+            pair = isinstance(entry, (tuple, list)) and len(entry) == 2
+            if not (pair and isinstance(entry[0], str) and callable(entry[1])):
+                raise ValueError(
+                    f"OdeSystem.invariants entry must be a (label, callable) pair with a string"
+                    f" label, got {entry!r}"
+                )
+            if any(entry[0] == other[0] for other in invariants[:k]):
+                raise ValueError(f"OdeSystem.invariants labels must be distinct, got {entry!r}")
+        object.__setattr__(self, "invariants", invariants)
 
     def check_domain(self, y) -> Optional[str]:
         if self.domain_check is None:
@@ -134,18 +147,19 @@ def pointwise(system: OdeSystem) -> OdeSystem:
     )
 
 
-def hamiltonian_vector_field(grad_h: Callable[[np.ndarray], np.ndarray], m: int):
+def hamiltonian_vector_field(grad_h: Callable[[np.ndarray], np.ndarray]):
     """Canonical vector field of a Hamiltonian with state ordered (p, q).
 
-    For y = (p_1..p_m, q_1..q_m) returns h(y) = (-dH/dq, +dH/dp), i.e. the
-    inverse symplectic matrix applied to the gradient. A (dim, n) block maps
-    to a block when grad_h does. The gradient goes through
-    geodesy.basis._float_output, refused as the vector field's values are.
-    m, the number of momenta, must be an integer >= 1, else ValueError.
+    For y = (p_1..p_m, q_1..q_m), m = len(y) // 2, returns h(y) = (-dH/dq, +dH/dp),
+    the inverse symplectic matrix applied to the gradient; an odd len(y) raises
+    EvaluationError. A (dim, n) block maps to a block when grad_h does. The gradient goes
+    through geodesy.basis._float_output, refused as the vector field's values are.
     """
-    m = _check_count(m, 1, "hamiltonian_vector_field m")
 
     def h(y):
+        m, odd = divmod(len(y), 2)
+        if odd:
+            raise EvaluationError(f"hamiltonian_vector_field got a state of odd length {len(y)}")
         g = _float_output(grad_h(y), "vector field", None)
         return np.concatenate([-g[m:], g[:m]])
 

@@ -13,7 +13,6 @@ from geodesy import (
     make_circle,
 )
 from geodesy.basis import (
-    EdgeBasis,
     NodalBasis,
     QuadratureRule,
     edge_eval_all,
@@ -194,11 +193,11 @@ class TestGLLRule:
 
 class TestNodalBasis:
     def test_point_values(self):
-        basis = NodalBasis.from_nodes([-1.0, 0.0, 1.0])
+        basis = NodalBasis([-1.0, 0.0, 1.0])
         npt.assert_allclose(nodal_eval_all(basis, 0.5), [-0.125, 0.75, 0.375], atol=1e-15)
 
     def test_kronecker_at_nodes_exact(self):
-        basis = NodalBasis.from_nodes(gll_rule(5).nodes)
+        basis = NodalBasis(gll_rule(5).nodes)
         for k, x in enumerate(basis.nodes):
             vals = nodal_eval_all(basis, x)
             expected = np.zeros(6)
@@ -208,14 +207,14 @@ class TestNodalBasis:
     def test_partition_of_unity(self):
         rng = np.random.default_rng(7)
         for p in (1, 2, 4, 8):
-            basis = NodalBasis.from_nodes(gll_rule(p).nodes)
+            basis = NodalBasis(gll_rule(p).nodes)
             for x in rng.uniform(-1.0, 1.0, 50):
                 assert abs(nodal_eval_all(basis, x).sum() - 1.0) <= 1e-12
 
     def test_interpolates_polynomials(self):
         rng = np.random.default_rng(13)
         for p in (1, 3, 6):
-            basis = NodalBasis.from_nodes(gll_rule(p).nodes)
+            basis = NodalBasis(gll_rule(p).nodes)
             poly, _ = random_poly(rng, p)
             samples = poly(basis.nodes)
             for x in rng.uniform(-1.0, 1.0, 20):
@@ -223,16 +222,25 @@ class TestNodalBasis:
                 assert got == pytest.approx(float(poly(x)), abs=1e-12)
 
     def test_duplicate_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            NodalBasis.from_nodes([0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="^nodes must be distinct$"):
+            NodalBasis([0.0, 0.0, 1.0])
+
+    def test_weights_are_computed_not_taken(self):
+        # weights passed in beside the nodes built a basis whose values were wrong without an
+        # error: NodalBasis([0, 1, 2], [1, 1, 1]) read [-3, 3, 1] at 0.5
+        with pytest.raises(TypeError):
+            NodalBasis([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+        basis = NodalBasis([0.0, 1.0, 2.0])
+        npt.assert_allclose(nodal_eval_all(basis, 0.5), [0.375, 0.75, -0.125], atol=1e-15)
+        assert not basis.bary_weights.flags.writeable
 
     @pytest.mark.parametrize("nodes", [[], np.zeros((2, 2))], ids=["empty", "2-d"])
     def test_empty_or_2d_nodes_rejected(self, nodes):
         with pytest.raises(ValueError, match="nodes must be a nonempty 1-d array"):
-            NodalBasis.from_nodes(nodes)
+            NodalBasis(nodes)
 
     def test_single_node_constant(self):
-        basis = NodalBasis.from_nodes([0.3])
+        basis = NodalBasis([0.3])
         npt.assert_array_equal(nodal_eval_all(basis, -0.7), [1.0])
         npt.assert_array_equal(nodal_deriv_all(basis, -0.7), [0.0])
 
@@ -251,7 +259,7 @@ class TestNodalEvalBatched:
     @pytest.mark.parametrize("p", [1, 2, 8, 16, 64])
     @pytest.mark.parametrize("rule", [gll_rule, gauss_rule])
     def test_rows_equal_scalar_calls_bitwise(self, p, rule):
-        basis = NodalBasis.from_nodes(rule(p).nodes)
+        basis = NodalBasis(rule(p).nodes)
         rng = np.random.default_rng(p)
         xs = rng.permutation(
             np.concatenate([rng.uniform(-1.0, 1.0, 200), basis.nodes, [-1.0, 1.0]])
@@ -262,7 +270,7 @@ class TestNodalEvalBatched:
         npt.assert_array_equal(batch, [nodal_eval_all(basis, x) for x in xs])
 
     def test_output_shapes(self):
-        basis = NodalBasis.from_nodes(gll_rule(3).nodes)
+        basis = NodalBasis(gll_rule(3).nodes)
         assert nodal_eval_all(basis, 0.3).shape == (4,)
         assert nodal_eval_all(basis, np.array(0.3)).shape == (4,)
         assert nodal_eval_all(basis, np.linspace(-1.0, 1.0, 7)).shape == (7, 4)
@@ -294,8 +302,7 @@ class TestDerivativeAndEdgeBatched:
     @pytest.mark.parametrize("p", [1, 2, 8, 16, 64])
     @pytest.mark.parametrize("rule", [gll_rule, gauss_rule])
     def test_rows_equal_scalar_calls_bitwise(self, p, rule):
-        basis = NodalBasis.from_nodes(rule(p).nodes)
-        edge = EdgeBasis(basis)
+        basis = NodalBasis(rule(p).nodes)
         rng = np.random.default_rng(p)
         xs = rng.permutation(
             np.concatenate([rng.uniform(-1.0, 1.0, 200), basis.nodes, [-1.0, 0.0, 1.0]])
@@ -304,29 +311,28 @@ class TestDerivativeAndEdgeBatched:
         reference = np.array([scalar_nodal_deriv(basis, x) for x in xs])
         npt.assert_array_equal(deriv, reference)
         npt.assert_array_equal(deriv, [nodal_deriv_all(basis, x) for x in xs])
-        edges = edge_eval_all(edge, xs)
+        edges = edge_eval_all(basis, xs)
         npt.assert_array_equal(edges, [-np.cumsum(row)[:-1] for row in reference])
-        npt.assert_array_equal(edges, [edge_eval_all(edge, x) for x in xs])
+        npt.assert_array_equal(edges, [edge_eval_all(basis, x) for x in xs])
 
     def test_output_shapes(self):
-        basis = NodalBasis.from_nodes(gll_rule(3).nodes)
-        edge = EdgeBasis(basis)
+        basis = NodalBasis(gll_rule(3).nodes)
         grid = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
-        for fn, b, width in ((nodal_deriv_all, basis, 4), (edge_eval_all, edge, 3)):
-            assert fn(b, 0.3).shape == (width,)
-            assert fn(b, np.array(0.3)).shape == (width,)
-            assert fn(b, np.linspace(-1.0, 1.0, 7)).shape == (7, width)
-            vals = fn(b, grid)
+        for fn, width in ((nodal_deriv_all, 4), (edge_eval_all, 3)):
+            assert fn(basis, 0.3).shape == (width,)
+            assert fn(basis, np.array(0.3)).shape == (width,)
+            assert fn(basis, np.linspace(-1.0, 1.0, 7)).shape == (7, width)
+            vals = fn(basis, grid)
             assert vals.shape == (2, 3, width)
-            npt.assert_array_equal(vals[1, 2], fn(b, grid[1, 2]))
-            assert fn(b, np.empty(0)).shape == (0, width)
+            npt.assert_array_equal(vals[1, 2], fn(basis, grid[1, 2]))
+            assert fn(basis, np.empty(0)).shape == (0, width)
 
 
 class TestNodalDerivatives:
     def test_derivative_sums_vanish(self):
         rng = np.random.default_rng(5)
         for p in (2, 4, 8):
-            basis = NodalBasis.from_nodes(gll_rule(p).nodes)
+            basis = NodalBasis(gll_rule(p).nodes)
             for x in rng.uniform(-1.0, 1.0, 30):
                 assert abs(nodal_deriv_all(basis, x).sum()) <= 1e-10
             for x in basis.nodes:
@@ -335,7 +341,7 @@ class TestNodalDerivatives:
     def test_differentiates_polynomials(self):
         rng = np.random.default_rng(17)
         for p in (2, 5):
-            basis = NodalBasis.from_nodes(gll_rule(p).nodes)
+            basis = NodalBasis(gll_rule(p).nodes)
             poly, dpoly = random_poly(rng, p)
             samples = poly(basis.nodes)
             points = np.concatenate([rng.uniform(-1, 1, 10), basis.nodes])
@@ -344,22 +350,20 @@ class TestNodalDerivatives:
                 assert got == pytest.approx(float(dpoly(x)), abs=1e-10)
 
 
-class TestEdgeBasis:
+class TestEdgeFunctions:
     def test_reproduces_interpolant_derivative(self):
-        basis = NodalBasis.from_nodes(gll_rule(2).nodes)
-        edge = EdgeBasis(basis)
+        basis = NodalBasis(gll_rule(2).nodes)
         y = np.array([1.0, 0.0, 1.0])  # samples of x^2
-        got = float(np.dot(np.diff(y), edge_eval_all(edge, 0.4)))
+        got = float(np.dot(np.diff(y), edge_eval_all(basis, 0.4)))
         assert got == pytest.approx(0.8, abs=1e-13)
 
     def test_exterior_derivative_identity(self):
         rng = np.random.default_rng(23)
         for p in (1, 2, 4, 8):
-            basis = NodalBasis.from_nodes(gll_rule(p).nodes)
-            edge = EdgeBasis(basis)
+            basis = NodalBasis(gll_rule(p).nodes)
             y = rng.uniform(-2.0, 2.0, p + 1)
             for x in rng.uniform(-1.0, 1.0, 20):
-                via_edges = float(np.dot(np.diff(y), edge_eval_all(edge, x)))
+                via_edges = float(np.dot(np.diff(y), edge_eval_all(basis, x)))
                 via_nodal = float(np.dot(y, nodal_deriv_all(basis, x)))
                 assert via_edges == pytest.approx(via_nodal, abs=1e-10)
 
@@ -367,14 +371,14 @@ class TestEdgeBasis:
     def test_interval_integrals_are_kronecker(self, p):
         # integral of e_i over the j-th sub-interval is delta_ij
         nodes = gll_rule(p).nodes
-        edge = EdgeBasis(NodalBasis.from_nodes(nodes))
+        basis = NodalBasis(nodes)
         quad = gauss_rule(p + 4)
         for j in range(p):
             a, b = nodes[j], nodes[j + 1]
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             acc = np.zeros(p)
             for s, w in zip(quad.nodes, quad.weights):
-                acc += w * edge_eval_all(edge, mid + half * s)
+                acc += w * edge_eval_all(basis, mid + half * s)
             acc *= half
             expected = np.zeros(p)
             expected[j] = 1.0
@@ -383,10 +387,9 @@ class TestEdgeBasis:
     def test_adjacent_difference_is_nodal_derivative(self):
         # e_k - e_{k+1} = l_k' pointwise
         rng = np.random.default_rng(29)
-        basis = NodalBasis.from_nodes(gll_rule(4).nodes)
-        edge = EdgeBasis(basis)
+        basis = NodalBasis(gll_rule(4).nodes)
         for x in rng.uniform(-1.0, 1.0, 10):
-            e = edge_eval_all(edge, x)
+            e = edge_eval_all(basis, x)
             dl = nodal_deriv_all(basis, x)
             diff = np.empty(5)
             diff[0] = -e[0]  # e_0 is identically zero by convention
@@ -401,7 +404,7 @@ class TestEdgeBasis:
 _RECORDS = {
     "Cochain": lambda v: Cochain(CochainKind.PRIMAL0, v).values,
     "QuadratureRule": lambda v: QuadratureRule(v, v.copy()).nodes,
-    "NodalBasis": lambda v: NodalBasis(v, v.copy()).nodes,
+    "NodalBasis": lambda v: NodalBasis(v).nodes,
     "ProblemSpec": lambda v: ProblemSpec("circle", make_circle().system, v, 0.1).y0,
     "ButcherTableau": lambda v: ButcherTableau(np.array([[0.5]]), v[:1] + 0.5, v[:1]).c,
     "ElementSolution": lambda v: ElementSolution(0.0, 0.5, v[None, :]).coefficients,

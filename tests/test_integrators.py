@@ -235,6 +235,15 @@ class TestResiduals:
         res = mgi_residual(pend.system, sol, default_qrhs(3))
         assert np.max(np.abs(res)) <= 1e-12
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_mgi_residual_takes_mgi_steps_default_rule(self, p):
+        # mgi_step defaults q_rhs, and mgi_residual on its result raised TypeError without one
+        pend = get_problem("pendulum")
+        sol = mgi_step(pend.system, pend.y0, 0.0, 0.1, p)
+        npt.assert_array_equal(
+            mgi_residual(pend.system, sol), mgi_residual(pend.system, sol, default_qrhs(p))
+        )
+
     def test_mgi_residual_rejects_bad_quadrature_size(self):
         pend = get_problem("pendulum")
         sol = mgi_step(pend.system, pend.y0, 0.0, 0.4, 2)
@@ -2429,7 +2438,7 @@ class TestFiniteOrRefused:
                 ("legendre_eval", "x"),
                 ("nodal_eval_all", "x"),
                 ("nodal_deriv_all", "x"),
-                ("NodalBasis.from_nodes", "nodes"),
+                ("NodalBasis", "nodes"),
                 ("ButcherTableau", "a"),
             ]
         ],
@@ -2446,7 +2455,7 @@ class TestFiniteOrRefused:
         y0 = {"complex": [1j, 1.5], "str": ["0", "1.5"], "object": [Fraction(0), 1.5]}[kind]
         time = {"complex": [0.5 + 0j], "str": ["0.5"], "object": [Fraction(1, 2)]}[kind]
         points = np.array(y0)
-        basis = NodalBasis.from_nodes([-1.0, 0.0, 1.0])
+        basis = NodalBasis([-1.0, 0.0, 1.0])
         entries = {
             "integrate": lambda: integrate(sys, Method.MCI, y0, 0.0, 1.0, 0.1),
             "mci_step": lambda: mci_step(sys, y0, 0.0, 0.1, 2),
@@ -2458,7 +2467,7 @@ class TestFiniteOrRefused:
             "legendre_eval": lambda: legendre_eval(3, points),
             "nodal_eval_all": lambda: nodal_eval_all(basis, points),
             "nodal_deriv_all": lambda: nodal_deriv_all(basis, points),
-            "NodalBasis.from_nodes": lambda: NodalBasis.from_nodes(points),
+            "NodalBasis": lambda: NodalBasis(points),
             "ButcherTableau": lambda: ButcherTableau(np.tile(points, (2, 1)), [0.5] * 2, [0.5] * 2),
         }
         need = "a bool, integer or float" if kind == "object" else "real"
@@ -2524,7 +2533,7 @@ class TestFiniteOrRefused:
         # after the run, naming the invariant
         grows = OdeSystem(dim=1, field=lambda y: (1 + 1j) * y)
         later = OdeSystem(dim=1, field=lambda y: (1 + 1j) * y if y.max() > 1.5 else y)
-        hamiltonian = OdeSystem(dim=2, field=hamiltonian_vector_field(lambda y: (1 + 1j) * y, 1))
+        hamiltonian = OdeSystem(dim=2, field=hamiltonian_vector_field(lambda y: (1 + 1j) * y))
         invariant = OdeSystem(dim=1, field=lambda y: -y, invariants=(("I", lambda y: 1 + 1j),))
         complex_jacobian = OdeSystem(
             dim=1, field=lambda y: -y, jacobian=lambda y: np.full((y.shape[1], 1, 1), -1 + 0j)

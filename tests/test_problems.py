@@ -101,7 +101,7 @@ class TestHamiltonianStructure:
     def test_pendulum_field_is_canonical(self):
         prob = make_pendulum()
         grad = lambda y: np.array([y[0], 10.0 * np.sin(y[1])])  # (dH/dp, dH/dq)
-        h = hamiltonian_vector_field(grad, 1)
+        h = hamiltonian_vector_field(grad)
         rng = np.random.default_rng(41)
         for _ in range(20):
             y = rng.uniform(-2.0, 2.0, 2)
@@ -115,7 +115,7 @@ class TestHamiltonianStructure:
             r3 = (q1 * q1 + q2 * q2) ** 1.5
             return np.array([p1, p2, q1 / r3, q2 / r3])
 
-        h = hamiltonian_vector_field(grad, 2)
+        h = hamiltonian_vector_field(grad)
         rng = np.random.default_rng(43)
         for _ in range(20):
             y = prob.y0 + rng.uniform(-0.1, 0.1, 4)
@@ -125,14 +125,14 @@ class TestHamiltonianStructure:
         # the printed rotation runs clockwise: the canonical flow of -H
         prob = make_circle()
         grad_minus_h = lambda y: np.array([-y[0], -y[1]])
-        h = hamiltonian_vector_field(grad_minus_h, 1)
+        h = hamiltonian_vector_field(grad_minus_h)
         rng = np.random.default_rng(47)
         for _ in range(20):
             y = rng.uniform(-2.0, 2.0, 2)
             npt.assert_allclose(h(y), prob.system.field(y), atol=1e-14)
 
     def test_hamiltonian_vector_field_shape(self):
-        h = hamiltonian_vector_field(lambda y: y.copy(), 2)
+        h = hamiltonian_vector_field(lambda y: y.copy())
         npt.assert_allclose(h(np.array([1.0, 2.0, 3.0, 4.0])), [-3.0, -4.0, 1.0, 2.0], atol=0)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from geodesy import (
+    EvaluationError,
     Method,
     OdeSystem,
     SeparablePartition,
@@ -230,13 +231,60 @@ class TestPartition:
 
 
 class TestHamiltonianVectorField:
-    @pytest.mark.parametrize("m", [1.5, 1.0, True, 0, "1", None])
-    def test_a_count_of_momenta_that_is_no_count_is_refused_when_built(self, m):
-        # 1.5 built a field that failed at its first call, slicing with a float
-        with pytest.raises(ValueError) as err:
-            hamiltonian_vector_field(lambda y: y, m)
-        assert str(err.value) == f"hamiltonian_vector_field m must be an integer >= 1, got {m!r}"
-
-    def test_a_numpy_count_is_taken(self):
-        h = hamiltonian_vector_field(lambda y: y, np.int64(1))
+    def test_the_count_of_momenta_is_read_from_the_state(self):
+        # m was passed in beside grad_h: m = 1 on a 4-entry state returned (-g1, -g2, -g3, g0)
+        h = hamiltonian_vector_field(lambda y: y.copy())
         npt.assert_array_equal(h(np.array([1.0, 2.0])), [-2.0, 1.0])
+        npt.assert_array_equal(h(np.array([1.0, 2.0, 3.0, 4.0])), [-3.0, -4.0, 1.0, 2.0])
+        block = np.arange(8.0).reshape(4, 2)
+        npt.assert_array_equal(h(block), np.concatenate([-block[2:], block[:2]]))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_a_state_of_odd_length_is_refused_naming_it(self, n):
+        h = hamiltonian_vector_field(lambda y: y.copy())
+        with pytest.raises(EvaluationError) as err:
+            h(np.ones(n))
+        assert str(err.value) == f"hamiltonian_vector_field got a state of odd length {n}"
+
+
+class TestInvariants:
+    def test_pairs_with_distinct_labels_are_stored_as_a_tuple(self):
+        f, g = (lambda y: y[0]), (lambda y: y[1])
+        system = OdeSystem(dim=2, field=lambda y: -y, invariants=[("I", f), ["J", g]])
+        assert system.invariants == (("I", f), ["J", g])
+
+    def test_a_repeated_label_is_refused_naming_the_entry(self):
+        # the Trajectory kept one series per label, the last one's, and said nothing
+        g = lambda y: y[1]
+        with pytest.raises(ValueError) as err:
+            OdeSystem(dim=2, field=lambda y: -y, invariants=(("I", lambda y: y[0]), ("I", g)))
+        assert str(err.value) == f"OdeSystem.invariants labels must be distinct, got {('I', g)!r}"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            (lambda y: y[0],),
+            ("I",),
+            ("I", 1.0),
+            (1, lambda y: y[0]),
+            ("I", lambda y: y[0], "extra"),
+            "I",
+        ],
+        ids=["callable-alone", "label-alone", "no-callable", "no-string-label", "triple", "str"],
+    )
+    def test_an_entry_that_is_no_labelled_pair_is_refused_when_built(self, entry):
+        # an unlabelled entry failed only after every step, unpacking it with a raw TypeError
+        with pytest.raises(ValueError) as err:
+            OdeSystem(dim=1, field=lambda y: -y, invariants=(entry,))
+        assert str(err.value) == (
+            "OdeSystem.invariants entry must be a (label, callable) pair with a string label,"
+            f" got {entry!r}"
+        )
+        assert not isinstance(err.value, EvaluationError)
+
+    def test_copies_still_build(self):
+        # dataclasses.replace re-runs the check on the copy's invariants
+        base = get_problem("kepler").system
+        assert pointwise(base).invariants == base.invariants
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            dataclasses.replace(base, invariants=base.invariants * 2)

@@ -47,11 +47,12 @@ def test_step_profile_prints_one_row_per_case(step_profile, capsys):
         assert line.startswith(case[0])
 
 
-def test_output_digest_hashes_the_seven_output_parts():
+def test_output_digest_hashes_the_eight_output_parts():
     # CI compares these lines with the base's, part by part
     parts, total = _load("output_digest").digests(geodesy)
     assert list(parts) == [
         "runs", "public", "tableau", "high-order", "baselines", "mci-tables", "mgi-tables",
+        "toolkit",
     ]
     for hexdigest in (*parts.values(), total):
         assert re.fullmatch("[0-9a-f]{64}", hexdigest), hexdigest

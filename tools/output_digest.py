@@ -24,7 +24,12 @@ per tree, whose last lines must match. The digest covers:
   dt_ref; per run, the public step of its method from the run's last state;
 - mci-tables, mgi-tables: every field of the element step's pairing record
   for p = 1..16, mgi at q_rhs in {p, p + 1, min(2p + 10, 64)}, so a change to
-  the tables shows apart from the runs that use them.
+  the tables shows apart from the runs that use them;
+- toolkit: the public mimetic operators on a forward and a reversed element
+  for p = 1..16: reduce0 and reduce1 of fixed functions, reconstruct0 point by
+  point, reconstruct1, canonical_hodge_1to0, galerkin_mass_dual,
+  galerkin_pairing, dual_mass_matrix, and nodal_eval_all and nodal_deriv_all
+  of both bases at fixed points.
 
 A failing call is hashed as its error type and message. One line per part
 is printed, then the digest over all of them.
@@ -33,6 +38,7 @@ is printed, then the digest over all of them.
 import argparse
 import dataclasses
 import hashlib
+import math
 import os
 import sys
 
@@ -82,9 +88,31 @@ def _hash_element(sha, sol):
         _feed(sha, sol.t_start, sol.t_end, sol.coefficients, sol.newton_iterations)
 
 
+def _hash_toolkit(sha, g, p):
+    # only call forms that every tree since the toolkit began takes, so two trees compare
+    points = [-1.0, -0.93, -2 / 3, -0.31, 0.0, 0.17, 1 / 3, 0.58, 2 / 3, 1.0]
+    f = lambda t: math.cos(1.3 * t) + float(t) ** p
+    density = lambda t: math.exp(0.7 * t) - p * float(t) ** (p - 1)
+    for bounds in ((0.3, 1.7), (2.0, 1.25)):
+        grid = g.ElementGrid.build(p, *bounds)
+        _feed(sha, p, bounds)
+        for kind in (g.CochainKind.PRIMAL0, g.CochainKind.DUAL0):
+            c = g.reduce0(f, grid, kind)
+            _feed(sha, c.values, *[float(g.reconstruct0(c, grid, x)) for x in points])
+        one = g.reduce1(density, grid)
+        _feed(sha, one.values, g.reconstruct1(one, grid, points))
+        _feed(sha, g.canonical_hodge_1to0(one, grid).values)
+        _feed(sha, g.galerkin_mass_dual(grid), g.dual_mass_matrix(grid))
+        for q in (p, p + 3):
+            _feed(sha, q, g.galerkin_pairing(grid, g.gauss_rule(q)))
+        for basis in (grid.primal_basis, grid.dual_basis):
+            _feed(sha, g.nodal_eval_all(basis, points), g.nodal_deriv_all(basis, points))
+
+
 def digests(g):
     names = (
         "runs", "public", "tableau", "high-order", "baselines", "mci-tables", "mgi-tables",
+        "toolkit",
     )
     parts = {name: hashlib.sha256() for name in names}
     for name in PROBLEMS:
@@ -150,6 +178,8 @@ def digests(g):
         _feed(parts["mci-tables"], p, *record(p, p, False))
         for q in (p, p + 1, min(2 * p + 10, 64)):
             _feed(parts["mgi-tables"], p, q, *record(p, q, True))
+    for p in range(1, 17):
+        _hash_toolkit(parts["toolkit"], g, p)
     total = hashlib.sha256()
     for sha in parts.values():
         total.update(sha.digest())
