@@ -169,14 +169,24 @@ def _read_only(values, what="values") -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights on [-1, 1]; exactness degree 2n-3 (GLL) or 2n-1 (Gauss)."""
+    """Nodes and weights on [-1, 1]; exactness degree 2n-3 (GLL) or 2n-1 (Gauss).
+
+    Both are nonempty 1-d arrays of one length, else ValueError naming both shapes.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _read_only(self.nodes, "nodes"))
-        object.__setattr__(self, "weights", _read_only(self.weights, "weights"))
+        nodes, weights = _read_only(self.nodes, "nodes"), _read_only(self.weights, "weights")
+        # numpy would broadcast one weight over every node
+        if nodes.ndim != 1 or len(nodes) == 0 or weights.shape != nodes.shape:
+            raise ValueError(
+                f"quadrature nodes and weights must be nonempty 1-d arrays of one length, got"
+                f" shapes {nodes.shape} and {weights.shape}"
+            )
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
 
 def _check_order(n: int, smallest: int, what: str):

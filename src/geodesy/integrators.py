@@ -67,11 +67,13 @@ column (k + 1) s. So element k is columns k p .. k p + p, and neighbouring
 elements share their boundary column, which reaches the next step as its y0
 bitwise; after each solve the driver copies the element's p stage columns from
 the factory's buffer into the record, which stays separate from the buffer.
-Trajectory.coefficients is a read-only (n, dim, p+1) view of the record with a
-stride of p columns between elements, and Trajectory.states the view of every
-s-th column, so each nodal value is stored once: 8 (dim s + 1 + L) bytes per
-step with times and L invariant series, plus 8 for Newton iterations on the
-element methods.
+A Trajectory holds that record and derives the rest from it, reading s back
+from its n s + 1 columns: Trajectory.coefficients is a read-only (n, dim,
+p+1) view of the record with a stride of p columns between elements,
+Trajectory.states the view of every s-th column and Trajectory.order s for
+an element method. So each nodal value is stored once: 8 (dim s + 1 + L)
+bytes per step with times and L invariant series, plus 8 for Newton
+iterations on the element methods.
 
 The kernel's products (c [Lq | E], the coboundary times D, h P, the pairing
 weights times the field Jacobians, and the driver's guess) are 2-D and, at
@@ -143,13 +145,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, _check_order, _float_output, _read_only, _real, _real_scalar, edge_eval_all,
-    gauss_rule, nodal_eval_all,
+    MAX_ORDER, _check_count, _check_order, _float_output, _read_only, _real, _real_scalar,
+    edge_eval_all, gauss_rule, nodal_eval_all,
 )
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
 from .mimetic import (
+    ElementGrid,
     _half_length,
-    _reference_element,
+    _reference,
     galerkin_mass_dual,
     galerkin_pairing,
     incidence_matrix,
@@ -209,7 +212,7 @@ class _Pairing(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _pairing_record(p: int, q: int, galerkin: bool) -> _Pairing:
-    ref = _reference_element(p)  # sqrt(g) = 1
+    ref = ElementGrid(p)  # the reference element, sqrt(g) = 1
     quad = gauss_rule(q)
     E = incidence_matrix(p)
     Lq = nodal_eval_all(ref.primal_basis, quad.nodes).T
@@ -267,7 +270,8 @@ class ElementSolution:
     The bounds are stored as Python floats. Bounds that are not real numbers, or give no element
     (geodesy.mimetic), raise ValueError naming them; then values that are not real, and values
     that give none, anything but 2-d with p + 1 >= 2 columns, raise ValueError, the latter
-    naming their shape.
+    naming their shape; newton_iterations is a count, stored as a Python int, else ValueError
+    (geodesy.basis._check_count).
     """
 
     t_start: float
@@ -286,6 +290,8 @@ class ElementSolution:
                 f" {coefficients.shape}"
             )
         object.__setattr__(self, "coefficients", coefficients)
+        iterations = _check_count(self.newton_iterations, 0, "newton_iterations")
+        object.__setattr__(self, "newton_iterations", iterations)
 
     def endpoint(self) -> np.ndarray:
         return self.coefficients[:, -1].copy()
@@ -586,29 +592,54 @@ def rk4_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded time grid, endpoint states, invariant series and element polynomials of one run.
+    """Recorded time grid, nodal record, invariant series and Newton iterations of one run.
 
     A run keeps one read-only nodal record, (dim, n s + 1) with s = p for an element method
     and 1 for a classical one: the primal 0-cochain on the time mesh, in which neighbouring
-    elements share their boundary node. states and coefficients are views of it, so each
-    nodal value is held once.
+    elements share their boundary node. states, coefficients and order are derived from it,
+    states and coefficients as read-only views, so each nodal value is held once.
     """
 
     method: Method
     times: np.ndarray  # (n+1,)
-    # (dim, n+1), read-only; every s-th column of the nodal record
-    states: np.ndarray
+    record: np.ndarray  # (dim, n s + 1), read-only
     invariants: dict  # label -> (n+1,) raw values
-    order: Optional[int] = None  # polynomial order for element methods
-    # element methods only, read-only; element k spans times[k]..times[k+1]
-    # (n, dim, p+1) values at the primal nodes: element k is the record's columns k p .. k p + p,
-    # so coefficients[k, :, -1] and coefficients[k + 1, :, 0] are one value
-    coefficients: Optional[np.ndarray] = None
     newton_iterations: Optional[np.ndarray] = None  # (n,) Newton iterations per step
 
     @property
+    def order(self) -> Optional[int]:
+        """Polynomial order p of an element method, None for a classical one.
+
+        p is the record's columns per step: n p + 1 columns for n steps.
+        """
+        if not self.method.is_element_method:
+            return None
+        return (self.record.shape[1] - 1) // self.steps
+
+    @property
+    def states(self) -> np.ndarray:
+        """(dim, n+1), read-only: every s-th column of the record, the state at each time."""
+        return self.record[:, :: self.order or 1]
+
+    @property
+    def coefficients(self) -> Optional[np.ndarray]:
+        """Element methods' (n, dim, p+1) values at the primal nodes, read-only; else None.
+
+        Element k spans times[k]..times[k+1] and is the record's columns k p .. k p + p, so
+        coefficients[k, :, -1] and coefficients[k + 1, :, 0] are one value.
+        """
+        p = self.order
+        if p is None:
+            return None
+        # p columns' stride between elements, built directly, since as_strided wraps its view
+        # in one more object
+        row, col = self.record.strides
+        shape = (self.steps, self.dim, p + 1)
+        return np.ndarray(shape, float, buffer=self.record, strides=(p * col, row, col))
+
+    @property
     def dim(self) -> int:
-        return self.states.shape[0]
+        return self.record.shape[0]
 
     @property
     def steps(self) -> int:
@@ -804,25 +835,10 @@ def integrate(
         # views taken of the frozen record are read-only and cannot be made writeable again
         record.setflags(write=False)
         times.setflags(write=False)  # sample_trajectory locates elements by it
-        states = record[:, ::stride]
-        invariants = _invariant_series(sys, times, states)
-    coefficients = None
+        invariants = _invariant_series(sys, times, record[:, ::stride])
     if element:
         newton_iterations.setflags(write=False)
-        # element k is columns k p .. k p + p: p columns' stride between elements, built
-        # directly, since as_strided wraps its view in one more object
-        row, col = record.strides
-        shape = (n, sys.dim, p + 1)
-        coefficients = np.ndarray(shape, float, buffer=record, strides=(p * col, row, col))
-    return Trajectory(
-        method=method,
-        times=times,
-        states=states,
-        invariants=invariants,
-        order=p if element else None,
-        coefficients=coefficients,
-        newton_iterations=newton_iterations,
-    )
+    return Trajectory(method, times, record, invariants, newton_iterations)
 
 
 def sample_trajectory(traj: Trajectory, sample_times) -> np.ndarray:
@@ -837,7 +853,7 @@ def sample_trajectory(traj: Trajectory, sample_times) -> np.ndarray:
     are evaluated flattened, by one searchsorted and one basis evaluation;
     each state equals the one the same time gives alone, bitwise.
     """
-    if traj.coefficients is None:
+    if not traj.method.is_element_method:
         raise ValueError(f"method {traj.method.value!r} does not retain element polynomials")
     sample_times = _real(sample_times, "sample times")
     flat = sample_times.reshape(-1)
@@ -849,6 +865,6 @@ def sample_trajectory(traj: Trajectory, sample_times) -> np.ndarray:
     sqrt_g = 0.5 * np.diff(traj.times)  # half of each element's length, as in _half_length
     idx = np.clip(np.searchsorted(starts, flat, side="right") - 1, 0, len(starts) - 1)
     tau = (np.clip(flat, t0, tf) - starts[idx]) / sqrt_g[idx] - 1.0  # as in to_ref
-    L = nodal_eval_all(_reference_element(traj.order).primal_basis, tau)
+    L = nodal_eval_all(_reference(traj.order).primal_basis, tau)
     states = np.matmul(traj.coefficients[idx], L[:, :, None])[:, :, 0].T
     return states.reshape((traj.dim,) + sample_times.shape)

@@ -20,19 +20,22 @@ dual basis itself. These operators on the reference element are the tables
 of the element integrators' steps (geodesy.integrators): the canonical Hodge
 for mci, the dual mass and the Galerkin pairing for mgi.
 
-The reference element of order p is the ElementGrid on [-1, 1], built once
-and cached; any other element is that grid with its own bounds and shares its
-rules and bases. Grids with t_end < t_start are permitted and represent a
-reversed time map (sqrt(g) < 0), as a backward integrator step does. Bounds
-whose half-length is zero, infinite or NaN, or has an infinite reciprocal,
-give no element: _half_length, the one rule for the grid and every element
-path of geodesy.integrators, whose ValueError names the bounds.
+An ElementGrid is its order and bounds, ElementGrid(p, t_start, t_end), and
+ElementGrid(p), on [-1, 1], is the reference element. Its rules and bases are
+fixed by p: they are derived once per order and cached, so every grid of
+that order shares the same read-only objects and none can be given others.
+Grids with t_end < t_start are permitted and represent a reversed time map
+(sqrt(g) < 0), as a backward integrator step does. Bounds whose half-length
+is zero, infinite or NaN, or has an infinite reciprocal, give no element:
+_half_length, the one rule for the grid and every element path of
+geodesy.integrators, whose ValueError names the bounds.
 """
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,31 +103,39 @@ def coboundary(c: Cochain) -> Cochain:
 
 @dataclass(frozen=True)
 class ElementGrid:
-    """Primal/dual grids and bases of one time element.
+    """Primal/dual grids and bases of one time element of order p over [t_start, t_end].
 
-    t_end < t_start encodes a reversed time map; t_end == t_start is invalid.
+    The rules and bases are the order's (_reference), shared by every grid of that order.
+    The bounds are converted by geodesy.basis._real_scalar, which refuses complex and other
+    values that are not real with a ValueError naming them, and stored as Python floats. They
+    must give a nonzero, finite half-length sqrt_g with a finite reciprocal, the rule of every
+    element path, so NaN and infinite bounds fail too: ValueError. Then p must be an integer
+    in [1, MAX_ORDER], by the order rule of geodesy.basis.gll_rule. t_end < t_start encodes a
+    reversed time map.
     """
 
     p: int
-    t_start: float
-    t_end: float
-    primal: QuadratureRule
-    dual: QuadratureRule
-    primal_basis: NodalBasis  # also carries the edge functions, geodesy.basis.edge_eval_all
-    dual_basis: NodalBasis
+    t_start: float = -1.0
+    t_end: float = 1.0
+    primal: QuadratureRule = field(init=False)
+    dual: QuadratureRule = field(init=False)
+    primal_basis: NodalBasis = field(init=False)  # also gives the edge functions, edge_eval_all
+    dual_basis: NodalBasis = field(init=False)
+
+    def __post_init__(self):
+        for name in ("t_start", "t_end"):
+            object.__setattr__(self, name, _real_scalar(getattr(self, name), name))
+        _half_length(self.t_start, self.t_end)
+        # checked before the cache, which takes 2.0 for 2 once an np.int64(2) is in it
+        _check_order(self.p, 1, "GLL order")
+        object.__setattr__(self, "p", int(self.p))
+        for name, value in _reference(self.p)._asdict().items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def build(cls, p: int, t_start: float, t_end: float) -> "ElementGrid":
-        """Element over [t_start, t_end]; rules and bases are those of the reference element.
-
-        The bounds must give a nonzero, finite half-length sqrt_g with a finite reciprocal,
-        the rule of every element path, so NaN and infinite bounds fail too: ValueError. They
-        are converted by geodesy.basis._real_scalar, which refuses complex and other values
-        that are not real with a ValueError naming them.
-        """
-        t_start, t_end = _real_scalar(t_start, "t_start"), _real_scalar(t_end, "t_end")
-        _half_length(t_start, t_end)
-        return replace(_reference_element(p), t_start=t_start, t_end=t_end)
+        """ElementGrid(p, t_start, t_end)."""
+        return cls(p, t_start, t_end)
 
     @property
     def sqrt_g(self) -> float:
@@ -152,12 +163,19 @@ def _half_length(t_start: float, t_end: float) -> float:
     return sqrt_g
 
 
+class _Reference(NamedTuple):
+    # the rules and bases of order p, shared by every ElementGrid of that order
+    primal: QuadratureRule
+    dual: QuadratureRule
+    primal_basis: NodalBasis
+    dual_basis: NodalBasis
+
+
 @lru_cache(maxsize=None)
-def _reference_element(p: int) -> ElementGrid:
-    # the element of order p on [-1, 1]; its rules and bases hold read-only
-    # arrays, so every ElementGrid of that order shares them
+def _reference(p: int) -> _Reference:
+    # for an order that ElementGrid checked; the rules and bases hold read-only arrays
     primal, dual = gll_rule(p), gauss_rule(p)
-    return ElementGrid(p, -1.0, 1.0, primal, dual, NodalBasis(primal.nodes), NodalBasis(dual.nodes))
+    return _Reference(primal, dual, NodalBasis(primal.nodes), NodalBasis(dual.nodes))
 
 
 def reduce0(f, grid: ElementGrid, target: CochainKind) -> Cochain:
@@ -211,7 +229,8 @@ def reconstruct1(c: Cochain, grid: ElementGrid, x):
         raise TypeError(f"reconstruct1 expects a primal 1-cochain, got {c.kind}")
     if c.order != grid.p:
         raise ValueError(f"cochain order {c.order} does not match grid order {grid.p}")
-    return edge_eval_all(grid.primal_basis, x) @ c.values
+    # one dot product per point, as in reconstruct0
+    return (edge_eval_all(grid.primal_basis, x)[..., None, :] @ c.values)[..., 0][()]
 
 
 def canonical_hodge_1to0(c: Cochain, grid: ElementGrid) -> Cochain:

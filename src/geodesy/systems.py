@@ -1,16 +1,20 @@
 """Autonomous first-order ODE systems and their structure metadata.
 
-The numbers a system is built from are counts, checked when it is built by
+Every field of an OdeSystem is checked when it is built, and a bad one raises
+ValueError naming it. field must be callable, and jacobian, domain_check and
+exact_solution None or callable; partition None or a SeparablePartition. The
+numbers a system is built from are counts, checked by
 geodesy.basis._check_count (an integer, never a bool, returned as a Python
-int): OdeSystem.dim >= 1 and each partition index in [0, dim). A bad one raises
-ValueError naming it. A partition's two blocks, each a sequence of indices (a tuple,
-list, range or 1-d array), must split range(dim): every state entry in exactly one
-block, else ValueError naming dim and both blocks. The invariants must be (label,
-callable) pairs with distinct string labels, else ValueError naming the entry.
+int): OdeSystem.dim >= 1 and each partition index in [0, dim). A partition's
+two blocks, each a sequence of indices (a tuple, list, range or 1-d array),
+must split range(dim): every state entry in exactly one block, else
+ValueError naming dim and both blocks. The invariants must be an iterable of
+(label, callable) pairs with distinct string labels, else ValueError naming
+the invariants or the entry.
 """
 
 import dataclasses
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -50,8 +54,8 @@ class OdeSystem:
     drift reporting; they take one state. exact_solution, when present, maps
     (elapsed time, y0) to the exact state.
 
-    dim is stored as a Python int and invariants as a tuple; each is refused when the
-    system is built, and so is the partition, by the rules of the module docstring.
+    dim is stored as a Python int and invariants as a tuple; every field is checked when the
+    system is built, by the rules of the module docstring.
     """
 
     dim: int
@@ -68,6 +72,19 @@ class OdeSystem:
         # symplectic Euler, and blocks that do not split the state stepped it wrongly
         dim = _check_count(self.dim, 1, "OdeSystem.dim")
         object.__setattr__(self, "dim", dim)
+        # a callable that is none would fail only at its first call inside a step, as a raw
+        # TypeError naming neither the field nor the step
+        if not callable(self.field):
+            raise ValueError(f"OdeSystem.field must be callable, got {self.field!r}")
+        for name in ("jacobian", "domain_check", "exact_solution"):
+            value = getattr(self, name)
+            if not (value is None or callable(value)):
+                raise ValueError(f"OdeSystem.{name} must be None or callable, got {value!r}")
+        if not (self.partition is None or isinstance(self.partition, SeparablePartition)):
+            raise ValueError(
+                f"OdeSystem.partition must be None or a geodesy.SeparablePartition, got"
+                f" {self.partition!r}"
+            )
         if self.partition is not None:
             p, q = self.partition.p_indices, self.partition.q_indices
             indices = []
@@ -90,6 +107,11 @@ class OdeSystem:
                 )
         # a repeated label kept only the last one's series in a Trajectory, and an entry that
         # is no pair failed only after the run, unpacking it
+        if not isinstance(self.invariants, Iterable):
+            raise ValueError(
+                f"OdeSystem.invariants must be an iterable of (label, callable) pairs, got"
+                f" {self.invariants!r}"
+            )
         invariants = tuple(self.invariants)
         for k, entry in enumerate(invariants):
             pair = isinstance(entry, (tuple, list)) and len(entry) == 2

@@ -143,6 +143,23 @@ class TestGaussRule:
             rule.nodes[0] = 0.0
 
 
+class TestQuadratureRule:
+    @pytest.mark.parametrize(
+        "nodes, weights",
+        [([0.0, 0.5], [2.0]), ([[0.0]], [[2.0]]), ([], []), ([0.0], [1.0, 1.0]), (0.0, 2.0)],
+        ids=["one-weight", "2-d", "empty", "two-weights", "0-d"],
+    )
+    def test_nodes_and_weights_that_are_no_one_length_1d_pair_are_refused(self, nodes, weights):
+        # a single weight was broadcast over both nodes by galerkin_pairing, which then
+        # returned [[1.0, 0.134], [1.0, 1.866]] on an order-2 grid
+        with pytest.raises(ValueError) as err:
+            QuadratureRule(nodes, weights)
+        assert str(err.value) == (
+            "quadrature nodes and weights must be nonempty 1-d arrays of one length, got"
+            f" shapes {np.shape(nodes)} and {np.shape(weights)}"
+        )
+
+
 class TestGLLRule:
     def test_closed_forms(self):
         r1 = gll_rule(1)

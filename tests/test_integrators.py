@@ -28,6 +28,7 @@ from geodesy import (
     Method,
     NewtonConfig,
     OdeSystem,
+    Trajectory,
     canonical_hodge_1to0,
     default_qrhs,
     explicit_euler_step,
@@ -53,7 +54,6 @@ from geodesy import (
 )
 from geodesy.basis import NodalBasis, legendre_eval, nodal_deriv_all
 from geodesy.errors import NewtonNonConvergence
-from geodesy.mimetic import _reference_element
 from geodesy.newton import NewtonResult, forward_difference_jacobian, newton_solve
 from helpers import canonical_form, column_forward_difference, einsum_field_block, step_tangent
 
@@ -338,6 +338,20 @@ class TestResiduals:
         )
         with pytest.raises(ValueError, match="^element must have nonzero extent"):
             ElementSolution(1.0, 1.0, np.ones(shape))
+
+    @pytest.mark.parametrize("iterations", [None, "x", 1.5, -3, True, np.float64(2.0)])
+    def test_newton_iterations_must_be_a_count(self, iterations):
+        # each was stored as given
+        with pytest.raises(ValueError) as err:
+            ElementSolution(0.0, 1.0, np.ones((2, 3)), iterations)
+        assert str(err.value) == f"newton_iterations must be an integer >= 0, got {iterations!r}"
+
+    def test_newton_iterations_are_stored_as_an_int(self):
+        sol = ElementSolution(0.0, 1.0, np.ones((2, 3)), np.int64(4))
+        assert sol.newton_iterations == 4 and type(sol.newton_iterations) is int
+        assert type(ElementSolution(0.0, 1.0, np.ones((2, 3))).newton_iterations) is int
+        pend = get_problem("pendulum")
+        assert type(mci_step(pend.system, pend.y0, 0.0, 0.1, 2).newton_iterations) is int
 
     def test_residual_rows_are_variable_major(self):
         # With a constant field (0, 1000) and the constant-in-time candidate,
@@ -714,7 +728,7 @@ class TestStageJacobian:
         # row-scaled table P = (s B)^T is the diagonal of the dual weights s = w
         assert geodesy.integrators._pairing(Method.MCI, p, None).P is None
         rec = geodesy.integrators._pairing(Method.MGI, p, p)
-        npt.assert_array_equal(rec.P, np.diag(_reference_element(p).dual.weights))
+        npt.assert_array_equal(rec.P, np.diag(ElementGrid(p).dual.weights))
 
     @pytest.mark.parametrize("name", ["pendulum", "kepler", "lotka-volterra"])
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
@@ -1321,6 +1335,35 @@ class TestNodalRecord:
         for arr in arrays[:2]:
             with pytest.raises(ValueError):
                 arr.setflags(write=True)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_a_trajectory_is_its_record_and_derives_the_rest(self, method):
+        # states, coefficients and order were fields beside the record, so a Trajectory could
+        # hold ones that disagree with it
+        fields = [f.name for f in dataclasses.fields(Trajectory)]
+        assert fields == ["method", "times", "record", "invariants", "newton_iterations"]
+        circle = make_circle()
+        traj = integrate(circle.system, method, circle.y0, 0.0, 1.2, 0.25, p=3)
+        element = method.is_element_method
+        s = 3 if element else 1
+        assert traj.record.shape == (2, traj.steps * s + 1) and not traj.record.flags.writeable
+        assert traj.order == (3 if element else None)
+        assert traj.dim == 2
+        npt.assert_array_equal(traj.states, traj.record[:, ::s])
+        views = [traj.states]
+        if element:
+            coeffs = traj.coefficients
+            assert coeffs.shape == (traj.steps, 2, 4)
+            for k in range(traj.steps):
+                npt.assert_array_equal(coeffs[k], traj.record[:, 3 * k : 3 * k + 4])
+            views.append(coeffs)
+        else:
+            assert traj.coefficients is None
+        for view in views:
+            assert np.shares_memory(view, traj.record)
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view.setflags(write=True)
 
     @pytest.mark.parametrize("name, jac, method, p", RECORD_CASES, ids=RECORD_IDS)
     def test_too_many_steps_names_the_bytes_a_step_stores(self, name, jac, method, p):
@@ -2000,14 +2043,16 @@ class TestIntegrateDriver:
         # short last steps, and the element solver started from the previous
         # element on every step between
         kep = get_problem("kepler")
-        build = ElementGrid.build.__func__
+        if method is Method.MGI or q_rhs is None:  # the pairing record, built once per order
+            integrate(kep.system, method, kep.y0, 0.3, 0.5, 0.1, p=3, q_rhs=q_rhs)
+        post_init = ElementGrid.__post_init__
         builds = []
 
-        def counting(cls, *args):
-            builds.append(args)
-            return build(cls, *args)
+        def counting(grid):
+            builds.append(grid.p)
+            return post_init(grid)
 
-        monkeypatch.setattr(ElementGrid, "build", classmethod(counting))
+        monkeypatch.setattr(ElementGrid, "__post_init__", counting)
         if method is Method.MCI and q_rhs is not None:
             # q_rhs is a Galerkin setting: mci rejects it before any step
             with pytest.raises(ValueError, match="q_rhs"):
@@ -2034,6 +2079,8 @@ class TestIntegrateDriver:
             npt.assert_array_equal(traj.coefficients[k], coeffs)
             assert traj.newton_iterations[k] == iterations
         assert builds == []
+        ElementGrid(3)  # the count sees a construction
+        assert builds == [3]
 
     @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
     def test_element_store_is_packed_on_the_time_grid(self, method):

@@ -1,5 +1,6 @@
 """Mimetic structure: incidence, reduction/reconstruction, Hodge pairings."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodesy.basis import gauss_rule
+from geodesy.basis import gauss_rule, gll_rule
 from geodesy.errors import EvaluationError
 from geodesy.mimetic import (
     Cochain,
     CochainKind,
     ElementGrid,
-    _reference_element,
     canonical_hodge_1to0,
     coboundary,
     dual_mass_matrix,
@@ -154,9 +154,47 @@ class TestElementGrid:
         assert (b.t_start, b.t_end) == (5.0, 4.5)
         assert ElementGrid.build(p + 1, 0.0, 1.0).primal_basis is not a.primal_basis
 
+    def test_a_grid_is_its_order_and_bounds(self):
+        # the rules and bases were init fields: an order-2 grid given order-3 ones built, and
+        # its galerkin_mass_dual returned 3 weights
+        init = [f.name for f in dataclasses.fields(ElementGrid) if f.init]
+        assert init == ["p", "t_start", "t_end"]
+        with pytest.raises(TypeError):
+            ElementGrid(2, -1.0, 1.0, gll_rule(3))
+        with pytest.raises(TypeError):
+            ElementGrid(2, primal=gll_rule(3))
+        grid = ElementGrid(np.int64(2), 0, 1)
+        assert (grid.p, grid.t_start, grid.t_end) == (2, 0.0, 1.0)
+        assert all(type(v) is cls for v, cls in zip((grid.p, grid.t_start), (int, float)))
+        assert len(galerkin_mass_dual(grid)) == 2
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((2, 0.5, 0.5), ValueError, "element must have nonzero extent"),
+            ((2, 1 + 2j, 3.0), ValueError, "t_start must be real, got complex128 values"),
+            ((2.5, 0.0, 1.0), TypeError, "GLL order must be an integer, got float"),
+            ((True, 0.0, 1.0), TypeError, "GLL order must be an integer, got bool"),
+            ((65, 0.0, 1.0), ValueError, r"GLL order must lie in \[1, 64\], got 65"),
+        ],
+        ids=["zero-extent", "complex", "float-order", "bool-order", "order-65"],
+    )
+    def test_the_constructor_refuses_what_build_refuses(self, args, error, message):
+        # each built a grid: bounds (0.5, 0.5) gave sqrt_g 0 and zero masses, complex bounds
+        # complex masses
+        for make in (ElementGrid, ElementGrid.build):
+            with pytest.raises(error, match=message):
+                make(*args)
+
+    def test_an_order_is_checked_before_the_cache(self):
+        # a cache keyed by the order takes 2.0 for an np.int64(2) already in it
+        ElementGrid(np.int64(2))
+        with pytest.raises(TypeError, match="GLL order must be an integer, got float"):
+            ElementGrid(2.0)
+
     @pytest.mark.parametrize("p", [1, 3, 8])
     def test_reference_element_is_the_unit_grid_every_grid_shares(self, p):
-        ref = _reference_element(p)
+        ref = ElementGrid(p)
         assert isinstance(ref, ElementGrid)
         assert (ref.p, ref.t_start, ref.t_end, ref.sqrt_g) == (p, -1.0, 1.0, 1.0)
         grid = ElementGrid.build(p, 0.25, 0.75)
@@ -288,6 +326,21 @@ class TestReconstruction:
         block = xs[:40].reshape(4, 10)
         npt.assert_array_equal(reconstruct0(c, grid, block), got[:40].reshape(4, 10))
         assert np.ndim(reconstruct0(c, grid, 0.3)) == 0
+
+    @pytest.mark.parametrize("p", range(1, 17))
+    def test_reconstruct1_on_an_array_equals_its_scalar_calls_bitwise(self, p):
+        # one matrix-vector product over the points rounded differently from the scalar calls
+        # at 15 of these 16 orders
+        rng = np.random.default_rng(600 + p)
+        grid = ElementGrid.build(p, 0.3, 1.7)
+        c = Cochain(CochainKind.PRIMAL1, rng.uniform(-3.0, 3.0, p))
+        xs = np.concatenate([rng.uniform(-1.0, 1.0, 40), grid.primal.nodes, grid.dual.nodes])
+        got = reconstruct1(c, grid, xs)
+        assert got.shape == xs.shape
+        npt.assert_array_equal(got, [reconstruct1(c, grid, x) for x in xs])
+        block = xs[:40].reshape(4, 10)
+        npt.assert_array_equal(reconstruct1(c, grid, block), got[:40].reshape(4, 10))
+        assert np.ndim(reconstruct1(c, grid, 0.3)) == 0
 
     def test_kind_checks(self):
         grid = ElementGrid.build(2, 0.0, 1.0)

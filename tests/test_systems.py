@@ -247,6 +247,43 @@ class TestHamiltonianVectorField:
         assert str(err.value) == f"hamiltonian_vector_field got a state of odd length {n}"
 
 
+class TestFieldKinds:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"field": 3.0}, "OdeSystem.field must be callable, got 3.0"),
+            ({"field": None}, "OdeSystem.field must be callable, got None"),
+            ({"jacobian": 1}, "OdeSystem.jacobian must be None or callable, got 1"),
+            ({"domain_check": "x"}, "OdeSystem.domain_check must be None or callable, got 'x'"),
+            ({"exact_solution": ()}, "OdeSystem.exact_solution must be None or callable, got ()"),
+            (
+                {"partition": ((0,), (1,))},
+                "OdeSystem.partition must be None or a geodesy.SeparablePartition, got"
+                " ((0,), (1,))",
+            ),
+            (
+                {"invariants": None},
+                "OdeSystem.invariants must be an iterable of (label, callable) pairs, got None",
+            ),
+            (
+                {"invariants": 2.0},
+                "OdeSystem.invariants must be an iterable of (label, callable) pairs, got 2.0",
+            ),
+        ],
+        ids=[
+            "field", "field-none", "jacobian", "domain_check", "exact_solution", "partition",
+            "invariants-none", "invariants-float",
+        ],
+    )
+    def test_a_field_of_the_wrong_kind_is_refused_naming_it(self, changes, message):
+        # a non-callable field built and failed at integrate's first call, a raw TypeError
+        # naming no field and no step; a tuple partition raised a raw AttributeError, and
+        # invariants=None a raw TypeError: 'NoneType' object is not iterable
+        with pytest.raises(ValueError) as err:
+            OdeSystem(**{"dim": 2, "field": lambda y: -y, **changes})
+        assert str(err.value) == message
+
+
 class TestInvariants:
     def test_pairs_with_distinct_labels_are_stored_as_a_tuple(self):
         f, g = (lambda y: y[0]), (lambda y: y[1])

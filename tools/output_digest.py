@@ -94,6 +94,8 @@ def _hash_toolkit(sha, g, p):
     f = lambda t: math.cos(1.3 * t) + float(t) ** p
     density = lambda t: math.exp(0.7 * t) - p * float(t) ** (p - 1)
     for bounds in ((0.3, 1.7), (2.0, 1.25)):
+        # through build, the one form that every tree this tool compares takes: before
+        # ElementGrid derived its rules and bases, its constructor took them as arguments
         grid = g.ElementGrid.build(p, *bounds)
         _feed(sha, p, bounds)
         for kind in (g.CochainKind.PRIMAL0, g.CochainKind.DUAL0):
