@@ -33,7 +33,11 @@ This module also owns every test of a user's number, one rule for each kind:
   _check_count, an integer, never a bool, of at least a given size, returned
   as a Python int;
 - orders (p, a quadrature size): _check_order, an integer, never a bool, in
-  [smallest, MAX_ORDER], refused with a TypeError when not an integer.
+  [smallest, MAX_ORDER], refused with a TypeError when not an integer, and
+  checked before any cache keyed by the order, which would take 3.0 for an
+  np.int64(3) already in it;
+- functions (a field, a residual, a gradient): _check_callable, callable, or
+  None where the function is optional.
 
 Each refusal but the order's TypeError is a ValueError naming the value.
 """
@@ -136,6 +140,13 @@ def _check_count(n, smallest: int, what: str) -> int:
     return int(n)
 
 
+def _check_callable(f, what: str, optional: bool = False):
+    # the one rule for a caller's function, checked where it enters: one that is not callable
+    # would fail only at its first call, as a raw TypeError naming no argument
+    if not (callable(f) or (optional and f is None)):
+        raise ValueError(f"{what} must be {'None or ' * optional}callable, got {f!r}")
+
+
 def _float_output(values, who, shape, hint="") -> np.ndarray:
     # the one conversion, and refusal, of what the callable named by who returned: a float
     # array of the given shape (None where the caller cannot know it). Values that are not
@@ -211,7 +222,6 @@ def _golub_welsch(n: int, off: np.ndarray, newton_step) -> np.ndarray:
     return x - newton_step(x)
 
 
-@lru_cache(maxsize=None)
 def gauss_rule(q: int) -> QuadratureRule:
     """Gauss-Legendre rule with q nodes, exact through degree 2q-1.
 
@@ -220,7 +230,13 @@ def gauss_rule(q: int) -> QuadratureRule:
     k = 1..q-1), refined by one Newton update on P_q. Weights are
     2 / ((1 - x^2) P_q'(x)^2).
     """
+    # checked before the cache, which takes 3.0 for 3 once an np.int64(3) is in it
     _check_order(q, 1, "Gauss order")
+    return _gauss_rule(int(q))
+
+
+@lru_cache(maxsize=None)
+def _gauss_rule(q: int) -> QuadratureRule:
     k = np.arange(1.0, q)
 
     def newton_step(x):
@@ -233,7 +249,6 @@ def gauss_rule(q: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights)
 
 
-@lru_cache(maxsize=None)
 def gll_rule(p: int) -> QuadratureRule:
     """Gauss-Lobatto-Legendre rule with p+1 nodes, exact through degree 2p-1.
 
@@ -242,7 +257,12 @@ def gll_rule(p: int) -> QuadratureRule:
     sqrt(k (k+2) / ((2k+1) (2k+3))), k = 1..p-2), refined by one Newton
     update on P_p'. Weights are 2 / (p (p+1) P_p(x)^2), endpoints included.
     """
-    _check_order(p, 1, "GLL order")
+    _check_order(p, 1, "GLL order")  # before the cache, as in gauss_rule
+    return _gll_rule(int(p))
+
+
+@lru_cache(maxsize=None)
+def _gll_rule(p: int) -> QuadratureRule:
     k = np.arange(1.0, p - 1)
 
     def newton_step(x):

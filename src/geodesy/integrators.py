@@ -145,8 +145,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, _check_count, _check_order, _float_output, _read_only, _real, _real_scalar,
-    edge_eval_all, gauss_rule, nodal_eval_all,
+    MAX_ORDER, _array, _check_count, _check_order, _float_output, _read_only, _real,
+    _real_scalar, edge_eval_all, gauss_rule, nodal_eval_all,
 )
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
 from .mimetic import (
@@ -846,15 +846,18 @@ def sample_trajectory(traj: Trajectory, sample_times) -> np.ndarray:
 
     sample_times may be a scalar or an array of any shape; the result has
     shape (dim,) + np.shape(sample_times). Only methods that retain element
-    polynomials support this; times must be real, finite and lie inside the
-    integration window, up to the run rule's rounding slack of the step
-    times, 1e-12 dt + 8 eps max(|t0|, |tf|) with dt the first step's length,
-    and are clamped onto it. The times
+    polynomials support this; times must be real, never bool, finite and lie
+    inside the integration window, up to the run rule's rounding slack of the
+    step times, 1e-12 dt + 8 eps max(|t0|, |tf|) with dt the first step's
+    length, and are clamped onto it. The times
     are evaluated flattened, by one searchsorted and one basis evaluation;
     each state equals the one the same time gives alone, bitwise.
     """
     if not traj.method.is_element_method:
         raise ValueError(f"method {traj.method.value!r} does not retain element polynomials")
+    sample_times = _array(sample_times, "sample times")
+    if sample_times.dtype.kind == "b":  # a bool is no time, as in geodesy.basis._real_scalar
+        raise ValueError("sample times must be real numbers, got bool values")
     sample_times = _real(sample_times, "sample times")
     flat = sample_times.reshape(-1)
     t0, tf = float(traj.times[0]), float(traj.times[-1])

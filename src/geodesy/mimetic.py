@@ -8,6 +8,13 @@ sub-intervals (1-cochains). The coboundary takes successive differences via
 the incidence matrix; reduction samples or integrates a function into a
 cochain; reconstruction interpolates a cochain back to a function.
 
+These operators are metric-free: they work on the reference element and
+depend on the order p alone, so the reductions take p, and the coboundary
+and the reconstructions read it from their cochain. Only the metric
+operators, which carry sqrt(g), take the element, an ElementGrid:
+canonical_hodge_1to0, galerkin_mass_dual, galerkin_pairing and
+dual_mass_matrix.
+
 Two pairings move a primal 1-cochain to the dual grid. The canonical pairing
 resamples the reconstructed density at the dual nodes and divides by the
 metric root sqrt(g) = (t_end - t_start)/2. The Galerkin pairing integrates
@@ -173,32 +180,37 @@ class _Reference(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _reference(p: int) -> _Reference:
-    # for an order that ElementGrid checked; the rules and bases hold read-only arrays
+    # for an order already checked (by ElementGrid or a reduction) or read from a cochain's
+    # length; the rules and bases hold read-only arrays
     primal, dual = gll_rule(p), gauss_rule(p)
     return _Reference(primal, dual, NodalBasis(primal.nodes), NodalBasis(dual.nodes))
 
 
-def reduce0(f, grid: ElementGrid, target: CochainKind) -> Cochain:
-    """Sample a function of the reference coordinate into a 0-cochain."""
-    if target is CochainKind.PRIMAL0:
-        nodes = grid.primal.nodes
-    elif target is CochainKind.DUAL0:
-        nodes = grid.dual.nodes
-    else:
+def reduce0(f, p: int, target: CochainKind) -> Cochain:
+    """Sample a function at the nodes of order p on the reference element into a 0-cochain.
+
+    A PRIMAL0 target samples at the p + 1 Gauss-Lobatto nodes, a DUAL0 one at the p Gauss nodes.
+    """
+    # checked before the cache, which takes 2.0 for 2 once an np.int64(2) is in it
+    _check_order(p, 1, "order p")
+    if target not in (CochainKind.PRIMAL0, CochainKind.DUAL0):
         raise TypeError(f"reduce0 target must be a 0-cochain kind, got {target}")
+    ref = _reference(p)
+    nodes = (ref.primal if target is CochainKind.PRIMAL0 else ref.dual).nodes
     return Cochain(target, _samples(f, nodes, "sample"))
 
 
-def reduce1(density, grid: ElementGrid) -> Cochain:
-    """Integrate a reference-coordinate density over each primal sub-interval.
+def reduce1(density, p: int) -> Cochain:
+    """Integrate a density over each primal sub-interval of order p on the reference element.
 
     Each interval uses a mapped Gauss rule with p + 4 points, at most MAX_ORDER, exact well
     beyond the degrees that appear in the commuting-diagram identities.
     """
-    rule = gauss_rule(min(grid.p + _REDUCE1_EXTRA, MAX_ORDER))
-    xi = grid.primal.nodes
-    values = np.empty(grid.p)
-    for j in range(grid.p):
+    _check_order(p, 1, "order p")  # before the cache, as in reduce0
+    rule = gauss_rule(min(p + _REDUCE1_EXTRA, MAX_ORDER))
+    xi = _reference(p).primal.nodes
+    values = np.empty(p)
+    for j in range(p):
         a, b = xi[j], xi[j + 1]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         samples = _samples(density, mid + half * rule.nodes, "density")
@@ -206,40 +218,41 @@ def reduce1(density, grid: ElementGrid) -> Cochain:
     return Cochain(CochainKind.PRIMAL1, values)
 
 
-def reconstruct0(c: Cochain, grid: ElementGrid, x):
-    """Interpolate a 0-cochain at reference coordinate x, a point or an array: shape of x."""
-    if c.kind is CochainKind.PRIMAL0:
-        basis = grid.primal_basis
-    elif c.kind is CochainKind.DUAL0:
-        basis = grid.dual_basis
-    else:
+def reconstruct0(c: Cochain, x):
+    """Interpolate a 0-cochain of order p on the reference element at x: shape of x.
+
+    The order is the cochain's, and x is a point or an array of reference coordinates.
+    """
+    if c.kind not in (CochainKind.PRIMAL0, CochainKind.DUAL0):
         raise TypeError(f"reconstruct0 expects a 0-cochain, got {c.kind}")
-    if len(c.values) != len(basis.nodes):
-        raise ValueError(f"cochain order {c.order} does not match grid order {grid.p}")
+    ref = _reference(c.order)
+    basis = ref.primal_basis if c.kind is CochainKind.PRIMAL0 else ref.dual_basis
     # one dot product per point, so each entry is a scalar call's, which a matrix product's are not
     return (nodal_eval_all(basis, x)[..., None, :] @ c.values)[..., 0][()]
 
 
-def reconstruct1(c: Cochain, grid: ElementGrid, x):
-    """Evaluate the edge expansion of a primal 1-cochain (dtau coefficient).
+def reconstruct1(c: Cochain, x):
+    """Evaluate the edge expansion of a primal 1-cochain of order p on the reference element.
 
-    x is a point or an array; the result has the shape of x.
+    The expansion is the dtau coefficient, and the order is the cochain's. x is a point or an
+    array of reference coordinates; the result has the shape of x.
     """
     if c.kind is not CochainKind.PRIMAL1:
         raise TypeError(f"reconstruct1 expects a primal 1-cochain, got {c.kind}")
-    if c.order != grid.p:
-        raise ValueError(f"cochain order {c.order} does not match grid order {grid.p}")
+    basis = _reference(c.order).primal_basis
     # one dot product per point, as in reconstruct0
-    return (edge_eval_all(grid.primal_basis, x)[..., None, :] @ c.values)[..., 0][()]
+    return (edge_eval_all(basis, x)[..., None, :] @ c.values)[..., 0][()]
 
 
 def canonical_hodge_1to0(c: Cochain, grid: ElementGrid) -> Cochain:
     """Canonical pairing: resample the 1-cochain density at the dual nodes.
 
     The reconstructed dtau coefficient is divided by sqrt(g) so the result
-    carries time-rate units on the dual grid.
+    carries time-rate units on the dual grid. The cochain's order must be the grid's.
     """
-    return Cochain(CochainKind.DUAL0, reconstruct1(c, grid, grid.dual.nodes) / grid.sqrt_g)
+    if c.order != grid.p:
+        raise ValueError(f"cochain order {c.order} does not match grid order {grid.p}")
+    return Cochain(CochainKind.DUAL0, reconstruct1(c, grid.dual.nodes) / grid.sqrt_g)
 
 
 def galerkin_mass_dual(grid: ElementGrid) -> np.ndarray:

@@ -61,7 +61,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .basis import _check_count, _float_output, _real, _real_scalar
+from .basis import _check_callable, _check_count, _float_output, _real, _real_scalar
 from .errors import EvaluationError, NewtonNonConvergence, SingularJacobianError
 
 
@@ -215,10 +215,12 @@ def newton_solve(
     when given, otherwise forward differences. A solve accepted on abs_tol
     after at least one update is polished by one more update with the last
     LU factors (no further residual or Jacobian call; see NewtonResult).
-    A config that is not a NewtonConfig raises TypeError, naming it, and an x0
-    that is empty or not 1-d ValueError, naming its shape, before any residual
-    call; so does a complex x0, which geodesy.basis._real refuses rather than
-    cut to its real part. A residual whose shape differs from x0's, a Jacobian
+    A residual that is not callable, or a jacobian that is neither None nor
+    callable, raises ValueError naming it; a config that is not a NewtonConfig
+    raises TypeError, naming it, and an x0 that is empty or not 1-d
+    ValueError, naming its shape, before any residual call; so does a complex
+    x0, which geodesy.basis._real refuses rather than cut to its real part. A
+    residual whose shape differs from x0's, a Jacobian
     of another shape than (n, n) for n unknowns, and a residual or Jacobian
     whose values are not real (complex ones say) or are ragged raise
     EvaluationError, a ValueError too, naming the callable and, for a shape,
@@ -228,6 +230,8 @@ def newton_solve(
     as divergence, once max|dx| has not shrunk over three updates while
     still above sqrt(eps) max|x|.
     """
+    _check_callable(residual, "residual")
+    _check_callable(jacobian, "jacobian", optional=True)
     if not isinstance(config, NewtonConfig):
         raise TypeError(f"config must be a geodesy.NewtonConfig, got {config!r}")
     x = _real(x0, "x0").copy()

@@ -52,7 +52,10 @@ def _rotation_exact(t, y0):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A named system with its reference initial condition and step size."""
+    """A named system with its reference initial condition and step size.
+
+    y0 must have shape (system.dim,), else ValueError naming both shapes.
+    """
 
     name: str
     system: OdeSystem
@@ -60,7 +63,14 @@ class ProblemSpec:
     dt_ref: float
 
     def __post_init__(self):
-        object.__setattr__(self, "y0", _read_only(self.y0, "y0"))
+        # checked here, where a registry entry is built: a mismatch surfaced only when the CLI
+        # ran the problem, as an error blaming the y0 it was given
+        y0 = _read_only(self.y0, "y0")
+        if y0.shape != (self.system.dim,):
+            raise ValueError(
+                f"y0 must have shape ({self.system.dim},) of system.dim, got shape {y0.shape}"
+            )
+        object.__setattr__(self, "y0", y0)
 
     @property
     def invariant_labels(self) -> tuple:
@@ -258,9 +268,9 @@ def problem_names() -> tuple:
 
 
 def get_problem(name: str) -> ProblemSpec:
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
+    # a name that is no string is unknown too, where the lookup raised an unhashable TypeError
+    factory = _FACTORIES.get(name) if isinstance(name, str) else None
+    if factory is None:
         known = ", ".join(problem_names())
-        raise KeyError(f"unknown problem {name!r}; known problems: {known}") from None
+        raise KeyError(f"unknown problem {name!r}; known problems: {known}")
     return factory()

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import _check_count, _float_output
+from .basis import _check_callable, _check_count, _float_output
 from .errors import EvaluationError
 
 
@@ -74,12 +74,9 @@ class OdeSystem:
         object.__setattr__(self, "dim", dim)
         # a callable that is none would fail only at its first call inside a step, as a raw
         # TypeError naming neither the field nor the step
-        if not callable(self.field):
-            raise ValueError(f"OdeSystem.field must be callable, got {self.field!r}")
+        _check_callable(self.field, "OdeSystem.field")
         for name in ("jacobian", "domain_check", "exact_solution"):
-            value = getattr(self, name)
-            if not (value is None or callable(value)):
-                raise ValueError(f"OdeSystem.{name} must be None or callable, got {value!r}")
+            _check_callable(getattr(self, name), f"OdeSystem.{name}", optional=True)
         if not (self.partition is None or isinstance(self.partition, SeparablePartition)):
             raise ValueError(
                 f"OdeSystem.partition must be None or a geodesy.SeparablePartition, got"
@@ -175,8 +172,10 @@ def hamiltonian_vector_field(grad_h: Callable[[np.ndarray], np.ndarray]):
     For y = (p_1..p_m, q_1..q_m), m = len(y) // 2, returns h(y) = (-dH/dq, +dH/dp),
     the inverse symplectic matrix applied to the gradient; an odd len(y) raises
     EvaluationError. A (dim, n) block maps to a block when grad_h does. The gradient goes
-    through geodesy.basis._float_output, refused as the vector field's values are.
+    through geodesy.basis._float_output, refused as the vector field's values are. A grad_h
+    that is not callable raises ValueError naming it, when the field is built.
     """
+    _check_callable(grad_h, "grad_h")
 
     def h(y):
         m, odd = divmod(len(y), 2)

@@ -143,6 +143,17 @@ class TestGaussRule:
             rule.nodes[0] = 0.0
 
 
+@pytest.mark.parametrize("rule, what", [(gauss_rule, "Gauss order"), (gll_rule, "GLL order")])
+def test_an_order_is_checked_before_the_cache(rule, what):
+    # the check ran inside the cache, which took 3.0 for the np.int64(3) already in it and
+    # refused a list with its own TypeError: unhashable type: 'list'
+    assert rule(np.int64(3)) is rule(3)
+    for bad in (3.0, [3]):
+        message = f"^{what} must be an integer, got {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            rule(bad)
+
+
 class TestQuadratureRule:
     @pytest.mark.parametrize(
         "nodes, weights",

@@ -149,7 +149,7 @@ class TestMciStep:
         res = mci_residual(const, sol)
         assert np.max(np.abs(res)) <= 1e-13
         # y(t) = y0 + c t at every node of the element
-        grid = ElementGrid.build(3, sol.t_start, sol.t_end)
+        grid = ElementGrid(3, sol.t_start, sol.t_end)
         nodes_t = grid.to_time(grid.primal.nodes)
         want = y0[:, None] + np.array([1.5, -0.5])[:, None] * nodes_t[None, :]
         npt.assert_allclose(sol.coefficients, want, rtol=0.0, atol=1e-13)
@@ -386,7 +386,7 @@ class TestBlockEvaluation:
         # y1 dips below zero inside the element, over more than one dual node
         lv = get_problem("lotka-volterra").system
         p = 3
-        grid = ElementGrid.build(p, 2.0, 2.6)
+        grid = ElementGrid(p, 2.0, 2.6)
         coeffs = np.array([[1.0, 0.2, -0.6, -0.5], [1.0, 1.0, 1.0, 1.0]])
         nodes = grid.dual.nodes
         Yq = coeffs @ nodal_eval_all(grid.primal_basis, nodes).T
@@ -403,7 +403,7 @@ class TestBlockEvaluation:
         # the field is NaN wherever the first component exceeds 1.5
         sys = OdeSystem(dim=2, field=lambda y: np.where(y[0] > 1.5, np.nan, -y))
         p, q_rhs = 2, 7
-        grid = ElementGrid.build(p, 0.0, 0.5)
+        grid = ElementGrid(p, 0.0, 0.5)
         coeffs = np.array([[1.0, 1.5, 2.0], [0.0, 0.0, 0.0]])
         rec = geodesy.integrators._pairing(Method.MGI, p, q_rhs)
         Yq = (coeffs @ rec.LE)[:, :q_rhs]
@@ -1062,7 +1062,7 @@ class TestStepArguments:
         coeffs = np.zeros((2, 3))
         unchecked = types.SimpleNamespace(t_start=t_start, t_end=t_end, coefficients=coeffs)
         entries = [
-            lambda: ElementGrid.build(2, t_start, t_end),
+            lambda: ElementGrid(2, t_start, t_end),
             lambda: ElementSolution(t_start, t_end, coeffs),
             lambda: mci_residual(sys, unchecked),
             lambda: mgi_residual(sys, unchecked, None),
@@ -1241,7 +1241,7 @@ class TestPairingRecordIsTheToolkit:
     def test_tables_are_the_toolkit_operators_bitwise(self, p):
         # D, read in one evaluation of the edge table, is the stacked Hodge of every unit
         # 1-cochain byte for byte, in the Fortran order the kernel's products are checked in
-        ref = ElementGrid.build(p, -1.0, 1.0)
+        ref = ElementGrid(p, -1.0, 1.0)
         units = [Cochain(CochainKind.PRIMAL1, unit) for unit in np.eye(p)]
         hodge = np.array([canonical_hodge_1to0(c, ref).values for c in units], order="F")
 
@@ -1511,7 +1511,7 @@ class TestStartingGuessAndPolish:
         assert ahead.shape == (p + 1, p)
         assert not ahead.flags.writeable
         rng = np.random.default_rng(40 + p)
-        nodes = ElementGrid.build(p, 0.0, 2.0).primal.nodes
+        nodes = ElementGrid(p, 0.0, 2.0).primal.nodes
         for _ in range(5):
             poly = np.polynomial.Polynomial(rng.standard_normal(p + 1))
             values = poly(nodes)[None, :]
@@ -1521,7 +1521,7 @@ class TestStartingGuessAndPolish:
     @pytest.mark.parametrize("p", range(1, 9))
     def test_extrapolation_up_to_order_8_reads_every_node(self, p):
         # the table through all p + 1 nodes, as built before the subset: bit for bit
-        x = ElementGrid.build(p, -1.0, 1.0).primal.nodes
+        x = ElementGrid(p, -1.0, 1.0).primal.nodes
         span = x[:, None] - x
         np.fill_diagonal(span, 1.0)
         factors = (x[1:, None, None] + 2.0 - x) / span
@@ -1541,7 +1541,7 @@ class TestStartingGuessAndPolish:
         # amplification of their errors, which reaches 9.4e11 at p = 16 through every node
         assert np.abs(ahead).sum(axis=0).max() < 1e6
         rng = np.random.default_rng(60 + p)
-        nodes = ElementGrid.build(p, 0.0, 2.0).primal.nodes
+        nodes = ElementGrid(p, 0.0, 2.0).primal.nodes
         for _ in range(5):  # exact on the interpolant's degree
             poly = np.polynomial.Polynomial(rng.standard_normal(9))
             values = poly(nodes)[None, :]
@@ -1672,7 +1672,7 @@ class TestNonFiniteFieldOnTheNewtonPath:
         guess = np.column_stack([y0, previous @ rec.ahead])
         Yq = (guess @ rec.LE)[:, : len(rec.nodes)]
         n, where = _first_bad_node(
-            ElementGrid.build(p, t0, t0 + dt), Yq, rec.nodes, lambda y: y[0] > 1.5
+            ElementGrid(p, t0, t0 + dt), Yq, rec.nodes, lambda y: y[0] > 1.5
         )
         assert n > 0
         with pytest.raises(EvaluationError) as info:
@@ -1693,7 +1693,7 @@ class TestNonFiniteFieldOnTheNewtonPath:
         probe = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
         Yq = (probe @ rec.LE)[:, : len(rec.nodes)]
         n, where = _first_bad_node(
-            ElementGrid.build(p, t0, t0 + dt), Yq, rec.nodes, lambda y: y[1] < 0.0
+            ElementGrid(p, t0, t0 + dt), Yq, rec.nodes, lambda y: y[1] < 0.0
         )
         assert n > 0
         with pytest.raises(EvaluationError) as info:
@@ -1753,7 +1753,7 @@ class TestNonFiniteFieldOnTheNewtonPath:
             (Method.MCI, True): lambda: mci_residual(sys, sol),
             (Method.MGI, True): lambda: mgi_residual(sys, sol, q_rhs),
         }
-        t = ElementGrid.build(p, t0, t0 + dt).to_time(rec.nodes[node])
+        t = ElementGrid(p, t0, t0 + dt).to_time(rec.nodes[node])
         with pytest.raises(EvaluationError) as info:
             calls[method, path == "residual"]()
         assert str(info.value) == f"vector field is non-finite at quadrature node {node} (t={t:g})"
@@ -2589,7 +2589,6 @@ class TestFiniteOrRefused:
         def real_at_the_base_point(x):
             return x - 1.0 if x[0] == 0.5 else (x - 1.0) * (1 + 1j)
 
-        grid = ElementGrid.build(2, 0.0, 1.0)
         entries = {
             "integrate-mci": lambda: integrate(grows, Method.MCI, [1.0], 0.0, 1.0, 0.1),
             "integrate-mgi": lambda: integrate(grows, Method.MGI, [1.0], 0.0, 1.0, 0.1),
@@ -2619,9 +2618,9 @@ class TestFiniteOrRefused:
             ),
             # a numpy complex scalar was cut to its real part, a Python complex raised TypeError
             "reduce0": lambda: reduce0(
-                lambda x: np.complex128(1j * x + 2), grid, CochainKind.PRIMAL0
+                lambda x: np.complex128(1j * x + 2), 2, CochainKind.PRIMAL0
             ),
-            "reduce1": lambda: reduce1(lambda x: complex(1j * x + 2), grid),
+            "reduce1": lambda: reduce1(lambda x: complex(1j * x + 2), 2),
         }
         inside = entry.startswith("integrate")
         with warnings.catch_warnings(record=True) as shown:
@@ -2755,6 +2754,16 @@ class TestSampling:
             sample_trajectory(far, [1e16 - 1e4])
         npt.assert_array_equal(sample_trajectory(far, [1e16 - 16.0])[:, 0], circle.y0)
 
+    @pytest.mark.parametrize("times", [True, np.array([False, True])], ids=["scalar", "array"])
+    def test_bool_sample_times_are_refused(self, times):
+        # a bool is no time, as it is no scalar setting: sample_trajectory(traj, True) returned
+        # the state at t = 1
+        circle = make_circle()
+        traj = integrate(circle.system, Method.MCI, circle.y0, 0.0, 1.0, 0.5, p=2)
+        with pytest.raises(ValueError) as err:
+            sample_trajectory(traj, times)
+        assert str(err.value) == "sample times must be real numbers, got bool values"
+
     def test_rejects_trajectories_without_elements(self):
         circle = make_circle()
         traj = integrate(circle.system, Method.EXPLICIT_EULER, circle.y0, 0.0, 1.0, 0.5)
@@ -2766,7 +2775,7 @@ class TestSampling:
         traj = integrate(kep.system, Method.MGI, kep.y0, 0.0, 2.0, 0.1, p=5)
         t0, tf = traj.times[0], traj.times[-1]
         slack = 1e-12 * 0.1 + 8 * np.finfo(float).eps * max(abs(t0), abs(tf))  # the run rule's
-        grids = [ElementGrid.build(5, a, b) for a, b in zip(traj.times[:-1], traj.times[1:])]
+        grids = [ElementGrid(5, a, b) for a, b in zip(traj.times[:-1], traj.times[1:])]
         starts = traj.times[:-1]
 
         def per_point(t):

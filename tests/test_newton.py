@@ -188,6 +188,35 @@ def test_nonfinite_jacobian(bad, where):
         newton_solve(lambda x: x - 1.0, np.zeros(2), jacobian=jacobian)
 
 
+@pytest.mark.parametrize(
+    "residual, jacobian, message",
+    [
+        (3.0, None, "residual must be callable, got 3.0"),
+        (None, None, "residual must be callable, got None"),
+        ("f", None, "residual must be callable, got 'f'"),
+        ("g", np.eye(1), "residual must be callable, got 'g'"),
+        ("callable", np.eye(1), "jacobian must be None or callable, got array([[1.]])"),
+        ("callable", 1.0, "jacobian must be None or callable, got 1.0"),
+    ],
+    ids=[
+        "residual-float", "residual-none", "residual-str", "both", "jacobian-array",
+        "jacobian-float",
+    ],
+)
+def test_a_function_that_is_not_callable_is_refused_before_any_call(residual, jacobian, message):
+    # each was called on the first iterate: a raw "'float' object is not callable"
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return x - 1.0
+
+    with pytest.raises(ValueError) as err:
+        newton_solve(counted if residual == "callable" else residual, [0.5], jacobian=jacobian)
+    assert str(err.value) == message
+    assert calls == []
+
+
 def _reference_newton(residual, x0, config, jacobian=None):
     # the loop's decisions written out plainly: max|x| and max|dx| each
     # iteration, the Jacobian's entries tested one by one, and an abs_tol stop

@@ -6,6 +6,7 @@ import pytest
 
 from geodesy.errors import DomainError
 from geodesy.problems import (
+    ProblemSpec,
     get_problem,
     make_circle,
     make_harmonic_oscillator,
@@ -37,6 +38,23 @@ def test_every_problem_declares_an_invariant():
 def test_unknown_problem():
     with pytest.raises(KeyError):
         get_problem("brusselator")
+
+
+@pytest.mark.parametrize("name", [["circle"], {"circle": 1}], ids=repr)
+def test_a_name_that_is_no_string_is_an_unknown_problem(name):
+    # a list or a dict raised the lookup's raw TypeError: unhashable type
+    with pytest.raises(KeyError) as err:
+        get_problem(name)
+    known = ", ".join(problem_names())
+    assert err.value.args == (f"unknown problem {name!r}; known problems: {known}",)
+
+
+@pytest.mark.parametrize("y0", [[1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]], ids=repr)
+def test_a_spec_refuses_a_y0_of_another_shape_than_its_system(y0):
+    # it built, and the CLI later refused the problem's own y0 as if the user had given it
+    with pytest.raises(ValueError) as err:
+        ProblemSpec("x", make_circle().system, y0, 0.1)
+    assert str(err.value) == f"y0 must have shape (2,) of system.dim, got shape {np.shape(y0)}"
 
 
 class TestFrozenValues:

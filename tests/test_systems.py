@@ -246,6 +246,13 @@ class TestHamiltonianVectorField:
             h(np.ones(n))
         assert str(err.value) == f"hamiltonian_vector_field got a state of odd length {n}"
 
+    @pytest.mark.parametrize("grad_h", [3.0, None, "h"])
+    def test_a_gradient_that_is_not_callable_is_refused_when_built(self, grad_h):
+        # it built and raised a raw "'float' object is not callable" at its first call
+        with pytest.raises(ValueError) as err:
+            hamiltonian_vector_field(grad_h)
+        assert str(err.value) == f"grad_h must be callable, got {grad_h!r}"
+
 
 class TestFieldKinds:
     @pytest.mark.parametrize(
