@@ -36,8 +36,8 @@ This module also owns every test of a user's number, one rule for each kind:
   [smallest, MAX_ORDER], refused with a TypeError when not an integer, and
   checked before any cache keyed by the order, which would take 3.0 for an
   np.int64(3) already in it;
-- functions (a field, a residual, a gradient): _check_callable, callable, or
-  None where the function is optional.
+- functions (a field, a residual, a gradient, a function to reduce):
+  _check_callable, callable, or None where the function is optional.
 
 Each refusal but the order's TypeError is a ValueError naming the value.
 """

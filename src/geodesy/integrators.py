@@ -528,9 +528,8 @@ def _explicit_euler(sys, y0, t0, dt):
 
 
 def _symplectic_euler(sys, y0, t0, dt):
-    part = sys.partition
-    p_idx = list(part.p_indices)
-    q_idx = list(part.q_indices)
+    p_idx = list(sys.partition.p_indices)
+    q_idx = [i for i in range(sys.dim) if i not in p_idx]
     y = y0.copy()
     y[p_idx] += dt * _field_at(sys, y0, lambda j: f"t={t0:g}")[p_idx]
     y[q_idx] += dt * _field_at(sys, y, lambda j: f"t={t0:g} (after the momentum update)")[q_idx]
@@ -577,8 +576,8 @@ def explicit_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
 def symplectic_euler_step(sys: OdeSystem, y0, t0: float, dt: float) -> np.ndarray:
     """Momentum-first symplectic Euler update for separable systems.
 
-    p_new = p + dt h_p(p, q); q_new = q + dt h_q(p_new, q), where h_p and h_q
-    are the rows of field at the partition's momentum and position indices.
+    p_new = p + dt h_p(p, q); q_new = q + dt h_q(p_new, q), where h_p is the rows of
+    field at the partition's p_indices and h_q the rows at every index not in p_indices.
     Requires sys.partition.
     """
     _require_partition(sys)

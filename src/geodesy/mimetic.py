@@ -50,6 +50,7 @@ from .basis import (
     MAX_ORDER,
     NodalBasis,
     QuadratureRule,
+    _check_callable,
     _check_order,
     _read_only,
     _real_scalar,
@@ -72,7 +73,10 @@ class CochainKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Cochain:
-    """Degrees of freedom of a discrete form: kind plus a value vector."""
+    """Degrees of freedom of a discrete form: kind plus a value vector.
+
+    Its order, read from the count of values, must lie in [1, MAX_ORDER], else ValueError.
+    """
 
     kind: CochainKind
     values: np.ndarray
@@ -84,6 +88,8 @@ class Cochain:
         if self.kind is CochainKind.PRIMAL0 and len(v) < 2:
             raise ValueError("a primal 0-cochain needs at least two values")
         object.__setattr__(self, "values", v)
+        # here, so a cochain no reconstruction can read is refused naming the cochain, not a rule
+        _check_order(self.order, 1, "cochain order")
 
     @property
     def order(self) -> int:
@@ -195,6 +201,7 @@ def reduce0(f, p: int, target: CochainKind) -> Cochain:
     _check_order(p, 1, "order p")
     if target not in (CochainKind.PRIMAL0, CochainKind.DUAL0):
         raise TypeError(f"reduce0 target must be a 0-cochain kind, got {target}")
+    _check_callable(f, "f")
     ref = _reference(p)
     nodes = (ref.primal if target is CochainKind.PRIMAL0 else ref.dual).nodes
     return Cochain(target, _samples(f, nodes, "sample"))
@@ -207,6 +214,7 @@ def reduce1(density, p: int) -> Cochain:
     beyond the degrees that appear in the commuting-diagram identities.
     """
     _check_order(p, 1, "order p")  # before the cache, as in reduce0
+    _check_callable(density, "density")
     rule = gauss_rule(min(p + _REDUCE1_EXTRA, MAX_ORDER))
     xi = _reference(p).primal.nodes
     values = np.empty(p)

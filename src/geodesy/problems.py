@@ -91,7 +91,7 @@ def make_circle() -> ProblemSpec:
     def radius(y):
         return float(np.hypot(y[0], y[1]))
 
-    part = SeparablePartition(p_indices=(0,), q_indices=(1,))
+    part = SeparablePartition(p_indices=(0,))
     sys = OdeSystem(
         dim=2,
         field=_rotation_field,
@@ -167,7 +167,7 @@ def make_pendulum() -> ProblemSpec:
     def energy(y):
         return 0.5 * y[0] ** 2 - 10.0 * np.cos(y[1])
 
-    part = SeparablePartition(p_indices=(0,), q_indices=(1,))
+    part = SeparablePartition(p_indices=(0,))
     sys = OdeSystem(
         dim=2,
         field=field,
@@ -220,7 +220,7 @@ def make_kepler() -> ProblemSpec:
         r2 = np.atleast_1d(r2)
         return f"bodies collide: |q|^2 = {r2[(r2 < 1e-12).argmax()]:.3e}"
 
-    part = SeparablePartition(p_indices=(0, 1), q_indices=(2, 3))
+    part = SeparablePartition(p_indices=(0, 1))
     sys = OdeSystem(
         dim=4,
         field=field,
@@ -236,13 +236,13 @@ def make_harmonic_oscillator() -> ProblemSpec:
     """Unit harmonic oscillator, state (q, p): dq/dt = p, dp/dt = -q.
 
     Conserves I = q^2 + p^2. Note the state ordering differs from the other
-    Hamiltonian problems; the partition records where each block lives.
+    Hamiltonian problems; the partition names the momentum, index 1, and q is the rest.
     """
 
     def amplitude(y):
         return y[0] ** 2 + y[1] ** 2
 
-    part = SeparablePartition(p_indices=(1,), q_indices=(0,))
+    part = SeparablePartition(p_indices=(1,))
     sys = OdeSystem(
         dim=2,
         field=_rotation_field,

@@ -5,12 +5,12 @@ ValueError naming it. field must be callable, and jacobian, domain_check and
 exact_solution None or callable; partition None or a SeparablePartition. The
 numbers a system is built from are counts, checked by
 geodesy.basis._check_count (an integer, never a bool, returned as a Python
-int): OdeSystem.dim >= 1 and each partition index in [0, dim). A partition's
-two blocks, each a sequence of indices (a tuple, list, range or 1-d array),
-must split range(dim): every state entry in exactly one block, else
-ValueError naming dim and both blocks. The invariants must be an iterable of
-(label, callable) pairs with distinct string labels, else ValueError naming
-the invariants or the entry.
+int): OdeSystem.dim >= 1 and each partition index in [0, dim). A partition
+names its momenta, a sequence of distinct indices (a tuple, list, range or
+1-d array), else ValueError naming p_indices; every other state entry is a
+position, so the two blocks split range(dim) by construction. The invariants
+must be an iterable of (label, callable) pairs with distinct string labels,
+else ValueError naming the invariants or the entry.
 """
 
 import dataclasses
@@ -28,14 +28,12 @@ from .errors import EvaluationError
 class SeparablePartition:
     """Split of the state into momentum and position blocks for partitioned steps.
 
-    p_indices/q_indices say where the blocks live inside the state vector;
-    together they split range(dim), each entry in exactly one block.
-    The momentum rate field(y)[p_indices] may depend on the position block
-    only, and the position rate field(y)[q_indices] on the momentum block only.
+    p_indices are the momenta's places in the state vector; every other entry is a
+    position. The momentum rate field(y)[p_indices] may depend on the positions only,
+    and the rate of each position on the momenta only.
     """
 
     p_indices: tuple
-    q_indices: tuple
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,8 @@ class OdeSystem:
 
     invariants holds (label, callable) pairs of conserved quantities used for
     drift reporting; they take one state. exact_solution, when present, maps
-    (elapsed time, y0) to the exact state.
+    (elapsed time, y0) to the exact state. partition, when present, names the
+    momenta for symplectic Euler; every other entry of the state is a position.
 
     dim is stored as a Python int and invariants as a tuple; every field is checked when the
     system is built, by the rules of the module docstring.
@@ -69,7 +68,7 @@ class OdeSystem:
     def __post_init__(self):
         # a system with no unknowns has no stage equations to solve; a partition is checked
         # here so a bad one fails when built: a bad index raised numpy's IndexError inside
-        # symplectic Euler, and blocks that do not split the state stepped it wrongly
+        # symplectic Euler, and blocks that did not split the state stepped it wrongly
         dim = _check_count(self.dim, 1, "OdeSystem.dim")
         object.__setattr__(self, "dim", dim)
         # a callable that is none would fail only at its first call inside a step, as a raw
@@ -83,25 +82,17 @@ class OdeSystem:
                 f" {self.partition!r}"
             )
         if self.partition is not None:
-            p, q = self.partition.p_indices, self.partition.q_indices
-            indices = []
-            for name, block in (("p_indices", p), ("q_indices", q)):
-                what = f"OdeSystem.partition.{name}"
-                # symplectic Euler reads a block again on every step, so a one-shot iterator,
-                # empty by then, is no block
-                if not (isinstance(block, Sequence) or getattr(block, "ndim", 0) == 1):
-                    raise ValueError(f"{what} must be a sequence of indices, got {block!r}")
-                for i in block:
-                    if _check_count(i, 0, f"{what} entry") >= dim:
-                        raise ValueError(
-                            f"{what} entry must be below OdeSystem.dim = {dim}, got {i!r}"
-                        )
-                indices.extend(block)
-            if sorted(indices) != list(range(dim)):
-                raise ValueError(
-                    f"OdeSystem.partition's blocks must split range(OdeSystem.dim = {dim}), each "
-                    f"index in exactly one, got p_indices {p!r} and q_indices {q!r}"
-                )
+            p = self.partition.p_indices
+            what = "OdeSystem.partition.p_indices"
+            # symplectic Euler reads the momenta again on every step, so a one-shot iterator,
+            # empty by then, is no block
+            if not (isinstance(p, Sequence) or getattr(p, "ndim", 0) == 1):
+                raise ValueError(f"{what} must be a sequence of indices, got {p!r}")
+            for i in p:
+                if _check_count(i, 0, f"{what} entry") >= dim:
+                    raise ValueError(f"{what} entry must be below OdeSystem.dim = {dim}, got {i!r}")
+            if len(set(p)) != len(p):
+                raise ValueError(f"{what} entries must be distinct, got {p!r}")
         # a repeated label kept only the last one's series in a Trajectory, and an entry that
         # is no pair failed only after the run, unpacking it
         if not isinstance(self.invariants, Iterable):

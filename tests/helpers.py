@@ -107,10 +107,16 @@ def step_tangent(sys, method, y0, dt, p, q_rhs=None):
 
 
 def canonical_form(partition, dim):
-    """The symplectic form Omega of a state with the partition's momentum and position indices."""
+    """The symplectic form Omega of a state with the partition's momenta.
+
+    The i-th momentum is paired with the i-th position, the positions being the state's other
+    indices in ascending order.
+    """
+    p_idx = list(partition.p_indices)
+    q_idx = [i for i in range(dim) if i not in p_idx]
     omega = np.zeros((dim, dim))
-    omega[partition.q_indices, partition.p_indices] = 1.0
-    omega[partition.p_indices, partition.q_indices] = -1.0
+    omega[q_idx, p_idx] = 1.0
+    omega[p_idx, q_idx] = -1.0
     return omega
 
 

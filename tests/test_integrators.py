@@ -28,6 +28,7 @@ from geodesy import (
     Method,
     NewtonConfig,
     OdeSystem,
+    SeparablePartition,
     Trajectory,
     canonical_hodge_1to0,
     default_qrhs,
@@ -1883,6 +1884,18 @@ class TestBaselines:
         lv = get_problem("lotka-volterra")
         with pytest.raises(ValueError):
             symplectic_euler_step(lv.system, lv.y0, 0.0, 0.1)
+
+    def test_symplectic_euler_steps_a_momentum_in_the_middle_of_the_state(self):
+        # the positions are every entry but the momentum, here the first and the last
+        def field(y):
+            return np.array([y[1], -np.sin(y[0]) - y[2], -0.5 * y[1]])
+
+        sys = OdeSystem(dim=3, field=field, partition=SeparablePartition(p_indices=(1,)))
+        y0, dt = np.array([0.3, -0.7, 1.1]), 0.125
+        p1 = y0[1] + dt * field(y0)[1]
+        rates = field(np.array([y0[0], p1, y0[2]]))
+        want = np.array([y0[0] + dt * rates[0], p1, y0[2] + dt * rates[2]])
+        assert symplectic_euler_step(sys, y0, 0.0, dt).tobytes() == want.tobytes()
 
     def test_symplectic_euler_preserves_angular_momentum(self):
         kep = get_problem("kepler")

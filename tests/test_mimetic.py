@@ -380,12 +380,35 @@ class TestMetricFree:
 
     @pytest.mark.parametrize("kind", list(CochainKind))
     def test_a_reconstruction_refuses_a_cochain_past_the_highest_order(self, kind):
-        # by the order rule of the quadrature rules the reference element is built from
+        # the cochain itself refuses the order when it is built, by the rules' order rule
         n = 66 if kind is CochainKind.PRIMAL0 else 65
         reconstruct = reconstruct1 if kind is CochainKind.PRIMAL1 else reconstruct0
         with pytest.raises(ValueError, match=r"order must lie in \[1, 64\], got 65$"):
             reconstruct(Cochain(kind, np.ones(n)), 0.0)
         assert np.isfinite(reconstruct(Cochain(kind, np.ones(n - 1)), 0.0))  # order 64
+
+    @pytest.mark.parametrize("kind", list(CochainKind))
+    def test_a_cochain_past_the_highest_order_is_refused_when_built(self, kind):
+        # it built, and reconstruct0 then said "GLL order must lie in [1, 64], got 65", a
+        # rule the caller never passed
+        n = 66 if kind is CochainKind.PRIMAL0 else 65
+        with pytest.raises(ValueError) as err:
+            Cochain(kind, np.ones(n))
+        assert str(err.value) == "cochain order must lie in [1, 64], got 65"
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: reduce0(3.0, 2, CochainKind.PRIMAL0), "f must be callable, got 3.0"),
+            (lambda: reduce1(None, 2), "density must be callable, got None"),
+        ],
+        ids=["reduce0", "reduce1"],
+    )
+    def test_a_function_to_reduce_that_is_not_callable_is_refused_naming_it(self, call, message):
+        # each raised a raw TypeError: 'float' object is not callable, at its first sample
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 class TestHodge:

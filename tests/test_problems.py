@@ -164,8 +164,7 @@ class TestPartitions:
         part = sys_.partition
         assert part is not None
         p_idx = list(part.p_indices)
-        q_idx = list(part.q_indices)
-        assert sorted(p_idx + q_idx) == list(range(sys_.dim))
+        q_idx = [i for i in range(sys_.dim) if i not in p_idx]
         rng = np.random.default_rng(53)
         y = prob.y0[:, None] + rng.uniform(-0.2, 0.2, (sys_.dim, 20))
         assert sys_.check_domain(y) is None
@@ -175,6 +174,15 @@ class TestPartitions:
         moved_q[q_idx] += rng.uniform(-0.1, 0.1, (len(q_idx), 20))
         npt.assert_array_equal(sys_.field(moved_p)[p_idx], h[p_idx])
         npt.assert_array_equal(sys_.field(moved_q)[q_idx], h[q_idx])
+
+    @pytest.mark.parametrize(
+        "name, q_idx", [("circle", [1]), ("harmonic", [0]), ("kepler", [2, 3]), ("pendulum", [1])]
+    )
+    def test_the_positions_are_the_rest_of_the_state(self, name, q_idx):
+        # the position blocks each partition named when it stored them beside its momenta
+        sys_ = get_problem(name).system
+        p_idx = list(sys_.partition.p_indices)
+        assert [i for i in range(sys_.dim) if i not in p_idx] == q_idx
 
     def test_lotka_volterra_not_separable(self):
         assert make_lotka_volterra().system.partition is None

@@ -183,51 +183,47 @@ class TestPartition:
             ((2,), "below OdeSystem.dim = 2, got 2"),
         ],
     )
-    @pytest.mark.parametrize("name", ["p_indices", "q_indices"])
-    def test_an_index_that_is_no_count_below_dim_is_refused_when_built(self, name, indices, got):
+    def test_an_index_that_is_no_count_below_dim_is_refused_when_built(self, indices, got):
         # each raised numpy's IndexError inside symplectic Euler, which integrate let escape
         # naming no step
-        blocks = {"p_indices": (0,), "q_indices": (1,), name: indices}
         with pytest.raises(ValueError) as err:
-            OdeSystem(dim=2, field=lambda y: y, partition=SeparablePartition(**blocks))
-        assert str(err.value) == f"OdeSystem.partition.{name} entry must be {got}"
+            OdeSystem(dim=2, field=lambda y: y, partition=SeparablePartition(p_indices=indices))
+        assert str(err.value) == f"OdeSystem.partition.p_indices entry must be {got}"
 
-    @pytest.mark.parametrize(
-        "dim, p_indices, q_indices",
-        [(2, (0,), (0,)), (2, (0,), ()), (3, (0,), (1,))],
-    )
-    def test_blocks_that_do_not_split_the_state_are_refused_when_built(
-        self, dim, p_indices, q_indices
-    ):
-        # symplectic Euler stepped such a state wrongly and raised no error: an overlap left
-        # a 2-dim rotation unchanged, and a 3-dim state's third entry never moved
-        part = SeparablePartition(p_indices=p_indices, q_indices=q_indices)
+    @pytest.mark.parametrize("p_indices", [(0, 0), np.array([1, 1])], ids=["tuple", "array"])
+    def test_repeated_momenta_are_refused_when_built(self, p_indices):
+        # the positions are the rest of the state, so a repeated momentum is the one way left
+        # to name a block that does not split it
+        part = SeparablePartition(p_indices=p_indices)
         with pytest.raises(ValueError) as err:
-            OdeSystem(dim=dim, field=lambda y: -y, partition=part)
+            OdeSystem(dim=2, field=lambda y: -y, partition=part)
         assert str(err.value) == (
-            f"OdeSystem.partition's blocks must split range(OdeSystem.dim = {dim}), each index "
-            f"in exactly one, got p_indices {p_indices!r} and q_indices {q_indices!r}"
+            f"OdeSystem.partition.p_indices entries must be distinct, got {p_indices!r}"
         )
 
-    @pytest.mark.parametrize(
-        "p_indices, q_indices, name",
-        [(0, (1,), "p"), ((0,), 1, "q"), (iter((0,)), (1,), "p"), ((0,), np.array(1), "q")],
-    )
-    def test_a_block_that_is_no_sequence_is_refused_naming_it(self, p_indices, q_indices, name):
+    @pytest.mark.parametrize("p_indices", [0, iter((0,)), np.array(1)], ids=["int", "iter", "0-d"])
+    def test_a_block_that_is_no_sequence_is_refused_naming_it(self, p_indices):
         # an int or a 0-d array raised a bare TypeError: 'int' object is not iterable; an
         # iterator was built, and symplectic Euler then found it empty and left its block
         # unchanged
-        part = SeparablePartition(p_indices=p_indices, q_indices=q_indices)
+        part = SeparablePartition(p_indices=p_indices)
         with pytest.raises(ValueError) as err:
             OdeSystem(dim=2, field=lambda y: -y, partition=part)
-        got = p_indices if name == "p" else q_indices
         assert str(err.value) == (
-            f"OdeSystem.partition.{name}_indices must be a sequence of indices, got {got!r}"
+            f"OdeSystem.partition.p_indices must be a sequence of indices, got {p_indices!r}"
         )
 
     def test_numpy_indices_are_taken(self):
-        part = SeparablePartition(p_indices=(np.int64(1),), q_indices=np.array([0]))
-        assert OdeSystem(dim=2, field=lambda y: y, partition=part).partition is part
+        for p_indices in ((np.int64(1),), np.array([1])):
+            part = SeparablePartition(p_indices=p_indices)
+            assert OdeSystem(dim=2, field=lambda y: y, partition=part).partition is part
+
+    def test_a_partition_names_only_its_momenta(self):
+        # the positions were a second block, whose one admissible value was the rest of the
+        # state
+        assert [f.name for f in dataclasses.fields(SeparablePartition)] == ["p_indices"]
+        with pytest.raises(TypeError):
+            SeparablePartition(p_indices=(0,), q_indices=(1,))
 
 
 class TestHamiltonianVectorField:

@@ -38,7 +38,6 @@ is printed, then the digest over all of them.
 import argparse
 import dataclasses
 import hashlib
-import inspect
 import math
 import os
 import sys
@@ -93,20 +92,14 @@ def _hash_toolkit(sha, g, p):
     points = [-1.0, -0.93, -2 / 3, -0.31, 0.0, 0.17, 1 / 3, 0.58, 2 / 3, 1.0]
     f = lambda t: math.cos(1.3 * t) + float(t) ** p
     density = lambda t: math.exp(0.7 * t) - p * float(t) ** (p - 1)
-    # the metric-free operators took the element until the reductions took the order and the
-    # reconstructions read it from their cochain; one probe picks each tree's form. The branch
-    # goes once no base predates that change
-    takes_grid = "grid" in inspect.signature(g.reconstruct0).parameters
     for bounds in ((0.3, 1.7), (2.0, 1.25)):
         grid = g.ElementGrid(p, *bounds)
-        reduced_on = grid if takes_grid else p
-        reconstructed_on = (grid,) if takes_grid else ()  # beside the cochain
         _feed(sha, p, bounds)
         for kind in (g.CochainKind.PRIMAL0, g.CochainKind.DUAL0):
-            c = g.reduce0(f, reduced_on, kind)
-            _feed(sha, c.values, *[float(g.reconstruct0(c, *reconstructed_on, x)) for x in points])
-        one = g.reduce1(density, reduced_on)
-        _feed(sha, one.values, g.reconstruct1(one, *reconstructed_on, points))
+            c = g.reduce0(f, p, kind)
+            _feed(sha, c.values, *[float(g.reconstruct0(c, x)) for x in points])
+        one = g.reduce1(density, p)
+        _feed(sha, one.values, g.reconstruct1(one, points))
         _feed(sha, g.canonical_hodge_1to0(one, grid).values)
         _feed(sha, g.galerkin_mass_dual(grid), g.dual_mass_matrix(grid))
         for q in (p, p + 3):
