@@ -50,6 +50,9 @@ import numpy as np
 from .errors import EvaluationError
 
 MAX_ORDER = 64
+# legendre_eval's highest degree: 64 times MAX_ORDER, past every rule's need (a rule of order
+# n reads P_n), and a bound on its n-step recurrence, which 2**70 would run for ever
+_MAX_DEGREE = 4096
 
 
 def legendre_eval(n: int, x):
@@ -61,8 +64,8 @@ def legendre_eval(n: int, x):
     Parameters
     ----------
     n : int
-        Polynomial degree, n >= 0; anything else, a bool or a float included,
-        raises ValueError naming the degree.
+        Polynomial degree, 0 <= n <= 4096, far past MAX_ORDER; anything else,
+        a bool or a float included, raises ValueError naming the degree.
     x : float or ndarray
         Evaluation point(s) in [-1, 1].
 
@@ -72,6 +75,8 @@ def legendre_eval(n: int, x):
         P_n(x) and P_n'(x), scalars or arrays matching x.
     """
     n = _check_count(n, 0, "Legendre degree")
+    if n > _MAX_DEGREE:
+        raise ValueError(f"Legendre degree must lie in [0, {_MAX_DEGREE}], got {n}")
     x = _real(x, "x")
     p_prev = np.ones_like(x)
     d_prev = np.zeros_like(x)

@@ -71,13 +71,25 @@ class TestLegendre:
             legendre_eval(n, 0.5)
         assert str(err.value) == f"Legendre degree must be an integer >= 0, got {n!r}"
 
-    def test_the_degree_has_no_cap(self):
+    def test_the_degree_goes_past_max_order(self):
         # unlike an order, a degree past MAX_ORDER still evaluates
         v, d = legendre_eval(100, 1.0)
         assert v == pytest.approx(1.0, abs=1e-12)
         assert d == pytest.approx(100 * 101 / 2.0, rel=1e-12)
         v, _ = legendre_eval(np.int64(100), 0.5)
         assert v == legendre_eval(100, 0.5)[0]
+
+    @pytest.mark.parametrize("n", [4097, 2**70, np.uint64(2**63)])
+    def test_a_degree_past_its_bound_is_refused_at_once(self, n):
+        # the recurrence takes n steps: 2**70 ran for ever
+        with pytest.raises(ValueError) as err:
+            legendre_eval(n, 0.5)
+        assert str(err.value) == f"Legendre degree must lie in [0, 4096], got {int(n)}"
+
+    def test_the_highest_degree_evaluates(self):
+        v, d = legendre_eval(4096, 1.0)
+        assert v == pytest.approx(1.0, abs=1e-9)
+        assert d == pytest.approx(4096 * 4097 / 2.0, rel=1e-9)
 
     def test_derivative_consistency(self):
         # derivative recurrence against a central difference

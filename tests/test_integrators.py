@@ -4,8 +4,10 @@ import dataclasses
 import functools
 import math
 import re
+import sys
 import types
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -741,6 +743,88 @@ class TestStageJacobian:
         b = mgi_step(prob.system, prob.y0, 0.0, 0.1, p, q_rhs=p)
         npt.assert_allclose(b.coefficients, a.coefficients, rtol=0.0, atol=1e-13)
         assert b.newton_iterations == a.newton_iterations
+
+
+def _public_newton_calls(run):
+    # calls of the public newton_solve and forward_difference_jacobian while run() runs, by
+    # their code objects, so a call through any name or import counts
+    codes = {
+        newton_solve.__code__: "newton_solve",
+        forward_difference_jacobian.__code__: "forward_difference_jacobian",
+    }
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+class TestNewtonEntry:
+    # the step path enters the Newton core, past the public boundary's checks, which its own
+    # callables need not pass; the public newton_solve gives the same solve bitwise
+
+    @pytest.mark.parametrize(
+        "name, method, p, analytic",
+        [("pendulum", Method.MCI, 2, True), ("kepler", Method.MGI, 4, True),
+         ("lotka-volterra", Method.MCI, 3, False)],
+    )
+    def test_integrate_makes_no_public_newton_call(self, monkeypatch, name, method, p, analytic):
+        spec = get_problem(name)
+        system = spec.system if analytic else dataclasses.replace(spec.system, jacobian=None)
+        entries = []
+        entry = geodesy.integrators.newton_solve
+
+        def entered(residual, x0, config, jacobian=None):
+            entries.append(jacobian is None)
+            return entry(residual, x0, config, jacobian=jacobian)
+
+        _replace_newton(monkeypatch, entered)
+        by_name = Counter()  # calls through the module's names, counted apart
+        for attr in ("newton_solve", "forward_difference_jacobian"):
+
+            def counted(*args, _attr=attr, _f=getattr(geodesy.newton, attr), **kwargs):
+                by_name[_attr] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(geodesy.newton, attr, counted)
+        traj, calls = _public_newton_calls(
+            lambda: integrate(system, method, spec.y0, 0.0, 20 * spec.dt_ref, spec.dt_ref, p=p)
+        )
+        assert by_name == {} and calls == {}
+        assert entries == [not analytic] * traj.steps
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["jacobian", "differences"])
+    @pytest.mark.parametrize("step", [mci_step, mgi_step])
+    def test_the_public_solve_of_a_steps_callables_is_the_steps_solve(
+        self, monkeypatch, step, analytic
+    ):
+        lv = get_problem("lotka-volterra")
+        system = lv.system if analytic else dataclasses.replace(lv.system, jacobian=None)
+        core, solved = geodesy.integrators.newton_solve, []
+
+        def recorded(*args, **kwargs):
+            solved.append(core(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(geodesy.integrators, "newton_solve", recorded)
+        ((residual, jacobian, x0),) = _stage_callables(
+            monkeypatch, lambda: step(system, lv.y0, 0.0, lv.dt_ref, 3)
+        )
+        assert (jacobian is not None) is analytic
+        (want,) = solved
+        got, calls = _public_newton_calls(lambda: newton_solve(residual, x0, jacobian=jacobian))
+        assert calls == {"newton_solve": 1}  # whose differences run the core too
+        assert want.iterations >= 1
+        assert (got.iterations, got.residual_norm) == (want.iterations, want.residual_norm)
+        assert got.x.tobytes() == want.x.tobytes()
 
 
 class TestKernelProducts:
@@ -2812,6 +2896,20 @@ class TestSampling:
         npt.assert_array_equal(ys, np.stack([per_point(t) for t in ts], axis=1))
         npt.assert_array_equal(sample_trajectory(traj, [t0 - 0.5 * slack])[:, 0], kep.y0)
         assert sample_trajectory(traj, np.empty(0)).shape == (4, 0)
+
+    @pytest.mark.parametrize("steps, samples", [(50, 1601), (5000, 100)], ids=["dense", "sparse"])
+    def test_the_gather_gives_the_bits_of_a_fancy_index(self, steps, samples):
+        # dense-output's shape, more samples than elements, and a sparse one: the gather of
+        # the elements must give the bits of coefficients[idx] on both
+        circle = make_circle()
+        traj = integrate(circle.system, Method.MCI, circle.y0, 0.0, steps * 0.1, 0.1, p=2)
+        ts = np.random.default_rng(steps).uniform(0.0, steps * 0.1, samples)
+        starts = traj.times[:-1]
+        idx = np.clip(np.searchsorted(starts, ts, side="right") - 1, 0, steps - 1)
+        tau = (ts - starts[idx]) / (0.5 * np.diff(traj.times))[idx] - 1.0
+        L = nodal_eval_all(ElementGrid(2).primal_basis, tau)
+        want = np.matmul(traj.coefficients[idx], L[:, :, None])[:, :, 0].T
+        npt.assert_array_equal(sample_trajectory(traj, ts), want)
 
     def test_any_shape_of_times_equals_per_point_sampling_bitwise(self):
         kep = get_problem("kepler")

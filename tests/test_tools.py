@@ -1,6 +1,7 @@
 """The repository's measuring tools run and find what they measure."""
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -39,6 +40,15 @@ def test_step_profile_finds_every_layer_of_its_case(step_profile, index):
     assert iters >= 1.0 and us > 0.0
 
 
+def test_step_profile_refuses_a_profile_without_its_newton_root(step_profile):
+    # a tree whose Newton loop has another name: its shares would read 0 and sum past 100%
+    integrate = ("src/geodesy/integrators.py", 1, "integrate")
+    lu = ("src/geodesy/newton.py", 1, "_lu_factor_checked")
+    stats = {key: (1, 1, 0.0, 1.0, {}) for key in (integrate, lu)}
+    with pytest.raises(ValueError, match="no _newton in newton.py, the newton layer's root"):
+        step_profile.layer_seconds(stats, ())
+
+
 def test_step_profile_prints_one_row_per_case(step_profile, capsys):
     step_profile.main(["--steps", "5", "--runs", "1"])
     lines = capsys.readouterr().out.splitlines()
@@ -56,6 +66,22 @@ def test_output_digest_hashes_the_eight_output_parts():
     ]
     for hexdigest in (*parts.values(), total):
         assert re.fullmatch("[0-9a-f]{64}", hexdigest), hexdigest
+
+
+@pytest.mark.parametrize("case", ["pendulum-mci", "kepler-mgi", "lv-fd"])
+def test_ab_runs_an_a_a_round_bit_for_bit(case):
+    # one tree against itself: the records and invariant series agree bit for bit; the
+    # ratios are timings, so only their count is pinned
+    src = os.path.join(ROOT, "src")
+    run = subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "ab.py"), "--a", src, "--b", src, "--case", case,
+         "--rounds", "2", "--ops", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["bitwise"] is True
+    assert result["rounds"] == 2 and len(result["ratios"]) == 2
 
 
 def test_a_failing_property_test_reports_its_example(tmp_path):

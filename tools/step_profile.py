@@ -13,8 +13,12 @@ Each case integrates N steps (default 2000) under cProfile, R times (default
 - residual: the stage residual closure without the problem's kernels, whoever
   calls it (Newton or the forward differences);
 - jacobian: the stage Jacobian closure without the problem's jacobian;
-- fd: forward_difference_jacobian's own work, without its residual calls;
-- newton: newton_solve's own work, without the layers above and the LU;
+- fd: the forward-difference core's own work (newton._forward_differences,
+  which the step calls without forward_difference_jacobian's checks),
+  without its residual calls;
+- newton: the Newton core's own work (newton._newton, the step's entry,
+  without the public newton_solve's checks), without the layers above and
+  the LU;
 - lu: _lu_factor_checked, with LAPACK's getrf;
 - driver: the rest of integrate: element set-up, the guess, the records,
   the invariant series and OdeSystem.check_domain's own frame.
@@ -29,7 +33,10 @@ layers read high; compare them between trees, not with unprofiled times.
 Calls into C (numpy, LAPACK, builtins such as max) are not profiled on
 their own: their time counts in the layer that makes them. The kernels are
 found in the table by their code objects (file, first line, name), so a
-closure of the same name elsewhere is not mistaken for them.
+closure of the same name elsewhere is not mistaken for them. A tree whose
+Newton loop, integrate or LU check has another name (one from before the
+Newton cores, given with --src) is refused with a ValueError naming the
+missing root: profile it with its own copy of this tool.
 """
 
 import argparse
@@ -61,8 +68,8 @@ _ROOTS = {
     "integrate": ("integrators.py", "integrate"),
     "residual": ("integrators.py", "residual"),
     "jacobian": ("integrators.py", "jacobian"),
-    "fd": ("newton.py", "forward_difference_jacobian"),
-    "newton": ("newton.py", "newton_solve"),
+    "fd": ("newton.py", "_forward_differences"),
+    "newton": ("newton.py", "_newton"),
     "lu": ("newton.py", "_lu_factor_checked"),
 }
 
@@ -109,6 +116,12 @@ def layer_seconds(stats, kernels):
     only through the residual, whose calls are not in fd's layer.
     """
     keys = {name: _root_key(stats, name) for name in _ROOTS}
+    # every case solves with LU, so these roots always run: one missing from the table is a
+    # tree whose functions this tool does not name, whose shares would read 0 and over 100%
+    for name in ("integrate", "newton", "lu"):
+        if keys[name] is None:
+            module, funcname = _ROOTS[name]
+            raise ValueError(f"the profile has no {funcname} in {module}, the {name} layer's root")
 
     def cum(name):
         key = keys[name]
