@@ -6,12 +6,13 @@ script for existing CSV output), list (registries). A setting of run or
 converge is its flag when given, else its value in the optional JSON config
 file (whose keys mirror the flag names), else its default.
 
-Exit codes: 0 success, 1 runtime failure during integration or file
-handling, 2 usage errors (unknown names, malformed config, --qrhs with a
-method other than mgi, a --levels or --dts sweep whose finest level, or
-reference run, integrate would refuse up front: too many steps, steps that
-round to zero length, or a first or last element with no finite 1/sqrt(g)),
-found before any level runs.
+Exit codes: 0 success; 2 usage errors, for run and converge alike: the
+CLI's own rules (unknown names, malformed config, the flags' bounds and the
+sweep's rules) and anything integrate refuses before its first step (y0,
+--qrhs, the method's needs, too many steps, steps that round to zero length,
+a first or last element with no finite 1/sqrt(g)), found by one call of the
+library's check before anything is integrated, for a sweep at its finest
+level and reference run; 1 a step or invariant failure, memory or I/O.
 """
 
 import argparse
@@ -23,9 +24,8 @@ import sys
 
 import numpy as np
 
-from .basis import MAX_ORDER, _real
 from .errors import GeodesyError
-from .integrators import Method, _step_count, integrate, sample_trajectory
+from .integrators import Method, _run_plan, integrate, sample_trajectory
 from .newton import NewtonConfig
 from .problems import get_problem, problem_names
 from .tableau import butcher_tableau_mci, gauss_collocation_tableau
@@ -100,9 +100,11 @@ def _bounded(key, val, top):
 
 
 def _settings(args, tfinal_steps):
-    """Run's or converge's checked settings; tfinal defaults to tfinal_steps * dt.
+    """Run's or converge's settings, with the checks only the CLI makes.
 
-    The record's `given` keeps the merged flag and config values, where converge
+    tfinal defaults to tfinal_steps * dt. What integrate refuses up front,
+    y0, qrhs and the method's needs among them, is left to _check_steps. The
+    record's `given` keeps the merged flag and config values, where converge
     finds dts and levels.
     """
     given = _load_config(args.config) if args.config else {}
@@ -117,22 +119,8 @@ def _settings(args, tfinal_steps):
         method = Method(method_name)
     except ValueError:
         raise UsageError(f"unknown method {method_name!r}; known methods: {', '.join(_METHOD_NAMES)}")
-    if method is Method.SYMPLECTIC_EULER and problem.system.partition is None:
-        raise UsageError(
-            f"method 'seuler' needs a separable partition, which problem {problem.name!r} does not define"
-        )
     pt = _bounded("pt", given.get("pt", 2), _MAX_ORDER_CLI)
     dt = _positive("dt", given.get("dt", problem.dt_ref))
-    qrhs = given.get("qrhs")
-    if qrhs is not None:
-        if method is not Method.MGI:
-            raise UsageError("--qrhs applies to --method mgi only")
-        _bounded("qrhs", qrhs, MAX_ORDER)
-    y0 = _real(given.get("y0", problem.y0), "y0")
-    if y0.shape != (problem.system.dim,):
-        raise UsageError(
-            f"y0 must have {problem.system.dim} entries for {problem.name}, got {y0.shape}"
-        )
     keys = {"abs_tol": "newton_abs_tol", "max_iter": "newton_max_iter"}
     try:
         newton = NewtonConfig(**{f: given[k] for f, k in keys.items() if k in given})
@@ -143,8 +131,9 @@ def _settings(args, tfinal_steps):
         raise UsageError(f"samples_per_element must be at least 1, got {samples}")
     tfinal = _positive("tfinal", given.get("tfinal", tfinal_steps * dt))
     return argparse.Namespace(
-        given=given, problem=problem, method=method, pt=pt, dt=dt, tfinal=tfinal, qrhs=qrhs,
-        y0=y0, newton=newton, samples=samples, out=given.get("out") or ".")
+        given=given, problem=problem, method=method, pt=pt, dt=dt, tfinal=tfinal,
+        qrhs=given.get("qrhs"), y0=given.get("y0", problem.y0), newton=newton,
+        samples=samples, out=given.get("out") or ".")
 
 
 def _integrate(opts, dt, p):
@@ -182,6 +171,7 @@ def _write_trajectory(path, traj, samples_per_element):
 
 def _cmd_run(args):
     opts = _settings(args, 100.0)
+    _check_steps(opts, opts.pt, opts.dt, f"{opts.problem.name} via {opts.method.value} is a run")
     traj = _integrate(opts, opts.dt, opts.pt)
     out = opts.out
     os.makedirs(out, exist_ok=True)
@@ -200,13 +190,16 @@ def _cmd_run(args):
     return 0
 
 
-def _check_steps(opts, p, dt, flag, what):
-    # integrate's rule for whether t0, tf and dt give a run, before anything is integrated:
-    # a run it would refuse is found before the coarser levels, which can take minutes
+def _check_steps(opts, p, dt, what):
+    # integrate's up-front refusals, made before anything is integrated: each is a usage
+    # error, the library's message after what names the run, and a sweep finds a run it
+    # would refuse before the coarser levels, which can take minutes. Returns the converted y0
+    system, method = opts.problem.system, opts.method
     try:
-        _step_count(opts.problem.system, opts.method, p, 0.0, opts.tfinal, dt)
+        y0, *_ = _run_plan(system, method, opts.y0, 0.0, opts.tfinal, dt, p, opts.newton, opts.qrhs)
     except ValueError as err:
-        raise UsageError(f"{flag} gives {what} steps that integrate refuses: {err}") from None
+        raise UsageError(f"{what} that integrate refuses: {err}") from None
+    return y0
 
 
 def _cmd_converge(args):
@@ -233,13 +226,13 @@ def _cmd_converge(args):
         raise UsageError(f"step sizes must be distinct, got {', '.join(f'{v:g}' for v in dts)}")
     ref_dt, ref_pt = min(dts) / 64.0, pt + 2 if method.is_element_method else pt
     flag = "--dts" if levels is None else f"--levels {levels}"
-    _check_steps(opts, pt, min(dts), flag, "the finest level")
+    y0 = _check_steps(opts, pt, min(dts), f"{flag} gives the finest level steps")
     # endpoint truth: the exact solution when known, else a much finer run
     if problem.system.exact_solution is None:
-        _check_steps(opts, ref_pt, ref_dt, flag, "the reference run")
+        _check_steps(opts, ref_pt, ref_dt, f"{flag} gives the reference run steps")
         y_ref = _integrate(opts, ref_dt, ref_pt).states[:, -1]
     else:
-        y_ref = problem.system.exact_solution(tfinal, opts.y0)
+        y_ref = problem.system.exact_solution(tfinal, y0)
     label = problem.invariant_labels[0]  # every registered problem declares one
 
     endpoint_errors, invariant_errors = [], []

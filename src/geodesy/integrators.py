@@ -693,15 +693,28 @@ def _slack(t0, tf, dt):
     return 1e-12 * dt + 8 * math.ulp(1.0) * max(abs(t0), abs(tf))
 
 
-def _step_count(sys, method, p, t0, tf, dt):
-    # the one rule for whether t0, tf and dt give a run, which integrate and geodesy
-    # converge's sweep both apply: it returns t0, tf and dt as Python floats, the count
-    # n >= 1 of steps and the slack within which the last step absorbs a remainder. It
-    # raises a ValueError, in this order, for t0, tf or dt not a real number (see
-    # geodesy.basis._real_scalar) or not finite, tf <= t0, dt <= 0, an element method's
-    # first step that gives no element, a count that is not finite or whose records numpy
-    # cannot address, a dt within the slack (steps that round to zero length) and an
-    # element method's last step that gives no element
+def _run_plan(sys, method, y0, t0, tf, dt, p, newton, q_rhs):
+    # the one owner of integrate's up-front refusals, which integrate and geodesy's CLI both
+    # make before any field call. In this order: method not a Method (TypeError); q_rhs with
+    # a method other than Method.MGI; p not an integer (TypeError) or outside [1, MAX_ORDER];
+    # newton not a NewtonConfig (TypeError); t0, tf or dt not a real number (see
+    # geodesy.basis._real_scalar) or not finite; tf <= t0; dt <= 0; an element method's
+    # first step that gives no element; a count that is not finite or whose records numpy
+    # cannot address; a dt within the slack (steps that round to zero length); an element
+    # method's last step that gives no element; an MGI q_rhs, given or 2p + 10 by default,
+    # that is not an integer (TypeError) or lies outside [1, MAX_ORDER]; symplectic Euler on
+    # a system without a partition; a y0 that is not real, ragged, misshapen or not finite.
+    # Every other refusal is a ValueError. It returns what the loop reads: y0 as float64,
+    # t0, tf and dt as Python floats, the count n >= 1 of steps, the slack within which the
+    # last step absorbs a remainder and the element methods' pairing (None for the others)
+    if not isinstance(method, Method):
+        raise TypeError(f"method must be a geodesy.Method, got {method!r}")
+    if q_rhs is not None and method is not Method.MGI:
+        raise ValueError(f"q_rhs applies to Method.MGI only, got q_rhs={q_rhs!r} for {method}")
+    # p and newton for every method, though only the element methods read them
+    _check_order(p, 1, "order p")
+    if not isinstance(newton, NewtonConfig):
+        raise TypeError(f"newton must be a geodesy.NewtonConfig, got {newton!r}")
     t0, tf, dt = _finite_times(t0=t0, tf=tf, dt=dt)
     if not tf > t0:
         raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")
@@ -738,7 +751,10 @@ def _step_count(sys, method, p, t0, tf, dt):
         )
     if element:  # the last step, whose length the others share within rounding
         _half_length(t0 + (n - 1) * dt, tf)
-    return t0, tf, dt, n, slack
+    pairing = _pairing(method, p, q_rhs) if element else None
+    if method is Method.SYMPLECTIC_EULER:
+        _require_partition(sys)
+    return _initial_state(sys, y0), t0, tf, dt, n, slack, pairing
 
 
 def integrate(
@@ -772,26 +788,16 @@ def integrate(
     is not finite, or whose records would exceed the bytes numpy can address
     (one within that but past the memory at hand raises MemoryError); a dt
     within the rounding of the step times, whose steps would round to zero
-    length; and a y0 that is not real, ragged, misshapen or not finite.
+    length; and a y0 that is not real, ragged, misshapen or not finite. Every
+    refusal above is made by one function, geodesy.integrators._run_plan,
+    whose comment gives their order; geodesy's CLI calls it before it
+    integrates anything.
     Element steps after the first start Newton from the previous element
     extrapolated (a shortened last step starts cold from its y0).
     """
-    if not isinstance(method, Method):
-        raise TypeError(f"method must be a geodesy.Method, got {method!r}")
-    if q_rhs is not None and method is not Method.MGI:
-        raise ValueError(f"q_rhs applies to Method.MGI only, got q_rhs={q_rhs!r} for {method}")
-    # p and newton for every method, though only the element methods read them
-    _check_order(p, 1, "order p")
-    if not isinstance(newton, NewtonConfig):
-        raise TypeError(f"newton must be a geodesy.NewtonConfig, got {newton!r}")
-    t0, tf, dt, n, slack = _step_count(sys, method, p, t0, tf, dt)
+    y0, t0, tf, dt, n, slack, pairing = _run_plan(sys, method, y0, t0, tf, dt, p, newton, q_rhs)
     element = method.is_element_method
-    if element:
-        pairing = _pairing(method, p, q_rhs)
-    elif method is Method.SYMPLECTIC_EULER:
-        _require_partition(sys)
     update = _UPDATES.get(method)  # None for the element methods
-    y0 = _initial_state(sys, y0)
 
     stride = p if element else 1  # record columns per step
     times = np.empty(n + 1)

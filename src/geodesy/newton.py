@@ -18,9 +18,9 @@ geodesy.basis's rules too: abs_tol a scalar setting's, max_iter a count's.
 Each public function is a boundary around one private core. newton_solve
 checks its callables, config and x0 once per solve, wraps the caller's
 residual and Jacobian in their conversions and runs the core _newton, the
-one Newton loop; forward_difference_jacobian converts x, takes the base
-residual when not given one and runs the core _forward_differences, which
-the loop also calls. The cores trust their callables to return float64
+one Newton loop; forward_difference_jacobian converts x, converts and checks
+a given base residual r0 or takes it when not given, and runs the core
+_forward_differences, which the loop also calls. The cores trust their callables to return float64
 arrays of the right shape, and the element step (geodesy.integrators)
 enters _newton directly: its kernel builds those arrays itself, and its
 config is checked once where the step starts. Every test the loop's
@@ -182,16 +182,21 @@ def forward_difference_jacobian(residual, x, r0=None):
     that returns values that are not real, complex ones say, rather than cut
     to its real part: each with an EvaluationError (a ValueError too) naming
     the residual and, for a shape, both shapes. Without r0, a base residual
-    that is not 1-d is refused the same way, before any probe. x may be any
-    real sequence, converted by geodesy.basis._real: complex values raise
+    that is not 1-d is refused the same way, before any probe. x and r0 may be
+    any real sequences, converted by geodesy.basis._real: complex values raise
     ValueError rather than lose their imaginary parts, and a float array is
-    used as it is, without a copy.
+    used as it is, without a copy. An r0 that is not 1-d raises ValueError
+    naming its shape, before any probe.
     """
     x = _real(x, "x")
     if r0 is None:
         r0 = _float_output(residual(x), "residual", None)
         if r0.ndim != 1:
             raise EvaluationError(f"residual returned shape {r0.shape}, expected a 1-d array")
+    else:
+        r0 = _real(r0, "r0")
+        if r0.ndim != 1:
+            raise ValueError(f"r0 must be a 1-d array, got shape {r0.shape}")
     shape = r0.shape
     return _forward_differences(lambda xp: _float_output(residual(xp), "residual", shape), x, r0)
 

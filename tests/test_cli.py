@@ -1,6 +1,8 @@
 """End-to-end tests for the geodesy command line interface."""
 
+import dataclasses
 import json
+import math
 import os
 import tempfile
 
@@ -15,6 +17,15 @@ from geodesy.cli import main
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def refusal(command, problem, method, message):
+    # the usage error for a run that integrate refuses up front: the library's message after a
+    # prefix naming the run, or for converge the finest level of its default sweep, --levels 4
+    what = f"{problem} via {method} is a run"
+    if command == "converge":
+        what = "--levels 4 gives the finest level steps"
+    return f"error: {what} that integrate refuses: {message}\n"
 
 
 def read_csv(path):
@@ -147,29 +158,38 @@ class TestRun:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", ["mci", "rk4"])
-    def test_non_finite_step_count_exits_one(self, tmp_path, capsys, method):
-        # (tf - t0) / dt overflows: a failed run naming the times, not a traceback
+    def test_non_finite_step_count_is_a_usage_error(self, tmp_path, capsys, method):
+        # (tf - t0) / dt overflows: integrate refuses it up front, naming the times, and the
+        # CLI's one check of those refusals makes it a usage error, not a traceback
         out = tmp_path / "out"
         code = run_cli(
             "run", "--problem", "pendulum", "--method", method, "--dt", "1e-300",
             "--tfinal", "1e300", "--out", str(out),
         )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("failed: ") and "t0=0.0, tf=1e+300, dt=1e-300" in err
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: pendulum via {method} is a run that integrate refuses: too many steps:"
+            " (tf - t0) / dt is not finite for t0=0.0, tf=1e+300, dt=1e-300\n"
+        )
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", ["mci", "rk4"])
-    def test_step_count_past_what_numpy_can_address_exits_one(self, tmp_path, capsys, method):
+    def test_step_count_past_what_numpy_can_address_is_a_usage_error(
+        self, tmp_path, capsys, method
+    ):
+        per_step = {"mci": 56, "rk4": 32}[method]  # the record's bytes per step of pendulum
         out = tmp_path / "out"
         code = run_cli(
             "run", "--problem", "pendulum", "--method", method, "--dt", "1e-200",
             "--tfinal", "1e100", "--out", str(out),
         )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("failed: too many steps: t0=0.0, tf=1e+100, dt=1e-200 give ")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: pendulum via {method} is a run that integrate refuses: too many steps:"
+            f" t0=0.0, tf=1e+100, dt=1e-200 give 1e+300 steps; at {per_step} bytes per step the"
+            " records exceed the 9223372036854775807 bytes numpy can address\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["mci", "rk4"])
@@ -375,10 +395,94 @@ class TestUsageErrors:
             "converge", "--problem", "lotka-volterra", "--method", "seuler"
         ) == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "problem, method, y0, flags",
+        [
+            ("circle", "mci", [1.0], []),
+            ("circle", "mci", [1.0, 0.0, 2.0], []),
+            ("circle", "mgi", None, ["--qrhs", "0"]),
+            ("circle", "mgi", None, ["--qrhs", "65"]),
+            ("circle", "mci", None, ["--qrhs", "14"]),
+            ("circle", "rk4", None, ["--qrhs", "14"]),
+            ("lotka-volterra", "seuler", None, []),
+            ("circle", "mci", None, ["--dt", "1e-320"]),
+            ("circle", "mci", None, ["--dt", "1e-300", "--tfinal", "1e300"]),
+        ],
+        ids=["y0-short", "y0-long", "qrhs-0", "qrhs-65", "qrhs-mci", "qrhs-rk4", "seuler",
+             "dt-subnormal", "steps-not-finite"],
+    )
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    def test_what_integrate_refuses_up_front_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, command, problem, method, y0, flags
+    ):
+        # the CLI keeps no copy of integrate's checks: one call of the library's own makes
+        # each refusal exit 2 with the library's message, before anything is integrated
+        monkeypatch.setattr("geodesy.cli.integrate", None)  # never reached
+        args = [command, "--problem", problem, "--method", method, *flags]
+        if y0 is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"y0": y0}))
+            args += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert run_cli(*args, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        # the run the command checks: run's own, or the finest level of converge's 4 halvings
+        given = dict(zip(flags[::2], flags[1::2]))
+        dt = float(given.get("--dt", get_problem(problem).dt_ref))
+        tfinal = float(given.get("--tfinal", (100.0 if command == "run" else 10.0) * dt))
+        if command == "converge":
+            dt = math.ldexp(dt, -3)
+        qrhs = int(given["--qrhs"]) if "--qrhs" in given else None
+        with pytest.raises(ValueError) as library:
+            integrate(
+                get_problem(problem).system, Method(method),
+                get_problem(problem).y0 if y0 is None else y0, 0.0, tfinal, dt, q_rhs=qrhs,
+            )
+        assert err == refusal(command, problem, method, str(library.value))
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("y0", [[1.0], [1, 0]], ids=["short", "json-integers"])
+    def test_converge_gives_the_exact_solution_a_checked_y0(
+        self, tmp_path, capsys, monkeypatch, y0
+    ):
+        # circle has an exact solution: a y0 integrate refuses never reaches it, and a
+        # config's list of JSON numbers reaches it as the float array integrate starts from
+        circle = get_problem("circle")
+        called = []
+
+        def exact_solution(t, state):
+            called.append(state)
+            return circle.system.exact_solution(t, state)
+
+        system = dataclasses.replace(circle.system, exact_solution=exact_solution)
+        spec = dataclasses.replace(circle, system=system)
+        monkeypatch.setattr("geodesy.cli.get_problem", lambda name: spec)
+        if len(y0) == 1:
+            monkeypatch.setattr("geodesy.cli.integrate", None)  # never reached
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"y0": y0}))
+        out = tmp_path / "out"
+        code = run_cli("converge", "--config", str(cfg), "--out", str(out))
+        if len(y0) == 1:
+            assert code == 2
+            assert capsys.readouterr().err == refusal(
+                "converge", "circle", "mci", "initial state must have shape (2,), got (1,)"
+            )
+            assert called == [] and not out.exists()
+        else:
+            assert code == 0
+            assert len(called) == 1 and called[0].dtype == np.float64
+            assert called[0].tobytes() == np.array([1.0, 0.0]).tobytes()
+
     @pytest.mark.parametrize("qrhs", ["0", "65"])
     def test_quadrature_size_out_of_range(self, qrhs, capsys):
         assert run_cli("run", "--method", "mgi", "--qrhs", qrhs) == 2
-        assert "--qrhs must lie in [1, 64]" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: circle via mgi is a run that integrate refuses: q_rhs must lie in [1, 64],"
+            f" got {qrhs}\n"
+        )
 
     @pytest.mark.parametrize("method", ["mci", "rk4"])
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -395,7 +499,8 @@ class TestUsageErrors:
             command, "--problem", "circle", "--method", method, *given, "--out", str(out)
         )
         assert code == 2
-        assert "error: --qrhs applies to --method mgi only" in capsys.readouterr().err
+        message = f"q_rhs applies to Method.MGI only, got q_rhs=14 for {Method(method)}"
+        assert capsys.readouterr().err == refusal(command, "circle", method, message)
         assert not out.exists()
 
     def test_largest_quadrature_size_runs(self, tmp_path):

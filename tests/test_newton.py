@@ -538,6 +538,40 @@ def test_forward_difference_refuses_a_base_residual_that_is_not_1d(shape):
     assert len(calls) == 1  # before any probe
 
 
+def test_forward_difference_takes_a_base_residual_as_any_real_sequence():
+    # converted on entry, as x is: a list r0 gives the bits of the float array r0
+    def residual(y):
+        return np.array([y[0] ** 2, y[0] * y[1]])
+
+    x = np.array([1.5, -0.5])
+    r0 = residual(x)
+    want = forward_difference_jacobian(residual, x, r0)
+    assert forward_difference_jacobian(residual, x, r0.tolist()).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "r0, expected",
+    [
+        (np.array([1.0 + 1.0j, 2.0]), r"^r0 must be real, got complex128 values$"),
+        (np.ones((2, 1)), r"^r0 must be a 1-d array, got shape \(2, 1\)$"),
+        (np.float64(1.0), r"^r0 must be a 1-d array, got shape \(\)$"),
+    ],
+    ids=["complex", "2-d", "0-d"],
+)
+def test_forward_difference_refuses_a_base_residual_it_is_given_naming_r0(r0, expected):
+    # a complex r0 raised numpy's UFuncTypeError and a 2-d one blamed the residual's
+    # shape; both are refused before any probe
+    calls = []
+
+    def residual(y):
+        calls.append(1)
+        return y.copy()
+
+    with pytest.raises(ValueError, match=expected):
+        forward_difference_jacobian(residual, np.array([0.5, 1.0]), r0)
+    assert calls == []
+
+
 def test_ragged_residual_is_refused_naming_it():
     # numpy's own ValueError about an inhomogeneous shape named no callable
     with pytest.raises(EvaluationError, match="^residual returned ragged values, which form no"):
