@@ -10,8 +10,15 @@ eigenvalues of a symmetric tridiagonal Jacobi matrix, of the Legendre weight
 for the Gauss nodes and of the weight 1 - x^2 for the interior Gauss-Lobatto
 nodes, each followed by one Newton update on the Legendre recurrence, so no
 node search iterates or can fail, and no rule imports numpy.polynomial.
-Lagrange evaluation uses the second barycentric formula, which returns an
-exact Kronecker delta when the evaluation point coincides with a node.
+Lagrange evaluation takes one of two routes, each returning an exact
+Kronecker row at a node. nodal_eval_all, the public one, uses the second
+barycentric formula, for points within the nodes' span [-1, 1]: sampling,
+reconstruction and the step's tables at interior nodes. _lagrange_product
+takes the product form prod_{m != j} (t - x_m) / (x_j - x_m), for points
+outside or across that span, where the barycentric quotient loses digits to
+cancellation (3.3e-11 of max|l| at p = 8, one element ahead, against a few
+eps): the driver's guess table, which reads an element at the next one's
+nodes, and the Gauss collocation oracle of geodesy.tableau.
 
 This module also owns every test of a user's number, one rule for each kind:
 
@@ -315,6 +322,20 @@ def nodal_eval_all(basis: NodalBasis, x) -> np.ndarray:
         phi = basis.bary_weights / d
         out = phi / np.sum(phi, axis=-1, keepdims=True)
     return np.where(np.any(hit, axis=-1, keepdims=True), hit, out)
+
+
+def _lagrange_product(nodes: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # l_j(t) = prod_{m != j} (t - x_m) / (x_j - x_m) over the n nodes x, for an array t of
+    # points, shape t.shape + (n,); factor [..., j, m]. A point at a node gets the exact
+    # Kronecker row, and a point outside the nodes' span loses no digits to cancellation,
+    # as the barycentric quotient of nodal_eval_all does there. Unchecked: the nodes are
+    # distinct floats and t a float array, both from geodesy's own tables
+    n = len(nodes)
+    span = nodes[:, None] - nodes
+    np.fill_diagonal(span, 1.0)
+    factors = (t[..., None, None] - nodes) / span
+    factors[..., range(n), range(n)] = 1.0
+    return factors.prod(axis=-1)
 
 
 def nodal_deriv_all(basis: NodalBasis, x) -> np.ndarray:

@@ -11,8 +11,9 @@ CLI's own rules (unknown names, malformed config, the flags' bounds and the
 sweep's rules) and anything integrate refuses before its first step (y0,
 --qrhs, the method's needs, too many steps, steps that round to zero length,
 a first or last element with no finite 1/sqrt(g)), found by one call of the
-library's check before anything is integrated, for a sweep at its finest
-level and reference run; 1 a step or invariant failure, memory or I/O.
+library's check before anything is integrated, for a sweep at its coarsest
+level, reported as a run's, then at its finest level and reference run; 1 a
+step or invariant failure, memory or I/O.
 """
 
 import argparse
@@ -225,8 +226,11 @@ def _cmd_converge(args):
     if len(set(dts)) < len(dts):  # a repeated size has no observed order
         raise UsageError(f"step sizes must be distinct, got {', '.join(f'{v:g}' for v in dts)}")
     ref_dt, ref_pt = min(dts) / 64.0, pt + 2 if method.is_element_method else pt
+    # the coarsest level first, as a run: what it refuses is a setting, not the sweep's. Then
+    # the sweep's own prefixes name only what its halved steps cause
+    y0 = _check_steps(opts, pt, max(dts), f"{problem.name} via {method.value} is a run")
     flag = "--dts" if levels is None else f"--levels {levels}"
-    y0 = _check_steps(opts, pt, min(dts), f"{flag} gives the finest level steps")
+    _check_steps(opts, pt, min(dts), f"{flag} gives the finest level steps")
     # endpoint truth: the exact solution when known, else a much finer run
     if problem.system.exact_solution is None:
         _check_steps(opts, ref_pt, ref_dt, f"{flag} gives the reference run steps")

@@ -37,26 +37,28 @@ product. One product c [Lq | E] gives both the quadrature states c Lq and the
 coboundary c E, whose entries are each one exactly rounded difference of
 nodal values.
 
-One factory builds, binds and solves an element over its stage buffer, once
-per buffer: its residual, stage Jacobian, bind and solve. integrate builds it
-once per run and solves every element in one buffer, and each public step
-builds its own; a public residual (mci_residual/mgi_residual) binds one at a
-solved element's stages. solve writes y0, the guess and Newton's stages: the
-stage layout is written there and read once more in the public residual.
-Stage unknowns are variable-major, so only the factory meets the dimension, in
-one layout: the stage Jacobian is a rate term, the record's p x p rate block
-times the M x M identity in one outer product, minus one GEMM of the pairing
-weights with the field Jacobians at the q nodes, both (p p, M M), indexed by
-(stage pair, variable pair). A bind call sets each element's bounds, which the
-error messages name, and the rate term over sqrt(g); one take with an index
-array the factory caches beside it reads the difference into the
-variable-major (M p, M p) layout. The take only moves entries, so its bits are
-those of a reshape, transpose and reshape, in one call: 1.7 against 3.6 us at
-pendulum's shape (M = 2, p = 2). Residuals carry a 1/sqrt(g) factor so Newton
-tolerances are in vector-field units whatever the step size. Steps accept
-negative dt (a reversed element); the integrate driver walks forward. No step
-builds a grid: an element is its bounds and its values at the primal nodes
-(ElementSolution), and sample_trajectory is the one way to read it.
+One factory builds an element's residual, stage Jacobian, bind and solve over
+a (dim, p+1) stage buffer that it allocates and that nothing else reads: bind
+writes y0 into column 0, the residual and Jacobian write the stages they are
+given into the rest, and solve binds, guesses and returns Newton's result,
+whose x holds the stages, writing nothing back. integrate builds it once per
+run and each public step once per call; a public residual
+(mci_residual/mgi_residual) binds one at a solved element's column 0 and
+evaluates it at the element's stages. Stage unknowns are variable-major, so
+only the factory meets the dimension, in one layout: the stage Jacobian is a
+rate term, the record's p x p rate block times the M x M identity in one outer
+product, minus one GEMM of the pairing weights with the field Jacobians at the
+q nodes, both (p p, M M), indexed by (stage pair, variable pair). A bind call
+sets each element's bounds, which the error messages name, and the rate term
+over sqrt(g); one take with an index array the factory caches beside it reads
+the difference into the variable-major (M p, M p) layout. The take only moves
+entries, so its bits are those of a reshape, transpose and reshape, in one
+call: 1.7 against 3.6 us at pendulum's shape (M = 2, p = 2). Residuals carry a
+1/sqrt(g) factor so Newton tolerances are in vector-field units whatever the
+step size. Steps accept negative dt (a reversed element); the integrate driver
+walks forward. No step builds a grid: an element is its bounds and its values
+at the primal nodes (ElementSolution), and sample_trajectory is the one way to
+read it.
 
 integrate keeps a run as one primal 0-cochain on the time mesh: one (dim, n s + 1)
 nodal record, with s = p columns per step for the element methods and s = 1 for
@@ -65,8 +67,8 @@ of every method: step k reads its start state from column k s, writes columns
 k s + 1 .. (k + 1) s, and the accepted state it checks against the domain is
 column (k + 1) s. So element k is columns k p .. k p + p, and neighbouring
 elements share their boundary column, which reaches the next step as its y0
-bitwise; after each solve the driver copies the element's p stage columns from
-the factory's buffer into the record, which stays separate from the buffer.
+bitwise; after each solve the driver writes Newton's stages, reshaped to
+(dim, p), into the element's p columns, the record's one copy of them.
 A Trajectory holds that record and derives the rest from it, reading s back
 from its n s + 1 columns: Trajectory.coefficients is a read-only (n, dim,
 p+1) view of the record with a stride of p columns between elements,
@@ -145,8 +147,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .basis import (
-    MAX_ORDER, _array, _check_count, _check_order, _float_output, _read_only, _real,
-    _real_scalar, edge_eval_all, gauss_rule, nodal_eval_all,
+    MAX_ORDER, _array, _check_count, _check_order, _float_output, _lagrange_product, _read_only,
+    _real, _real_scalar, edge_eval_all, gauss_rule, nodal_eval_all,
 )
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
 from .mimetic import (
@@ -208,7 +210,8 @@ class _Pairing(NamedTuple):
     weights: np.ndarray  # W[(m, b), nu] = P[nu, m] Lq[1+b, nu], P = I for mci; field term W @ Jh
     # (p+1, p): coeffs @ ahead reads an element at the next one's stages, tau + 2, through the
     # interpolant of at most _GUESS_DEGREE + 1 of its nodes (the rows of the others are zero);
-    # built in Lagrange product form, as the barycentric form loses digits outside [-1, 1]
+    # read by geodesy.basis._lagrange_product, as the barycentric form loses digits outside
+    # [-1, 1]
     ahead: np.ndarray
 
 
@@ -230,17 +233,12 @@ def _pairing_record(p: int, q: int, galerkin: bool) -> _Pairing:
         P, Pfull = None, np.eye(p)
     rate = (E @ D)[1:].T
     weights = (Pfull.T[:, None] * Lq[1:]).reshape(p * p, q)
-    # ahead[j, m] = l_j(t_m) = prod_{k != j} (t_m - x_k) / (x_j - x_k) at t = x[1:] + 2, over
-    # the d + 1 nodes x = nodes[subset] spread over the element, d = min(p, _GUESS_DEGREE)
+    # ahead[j, m] = l_j(t_m) at the next element's nodes, t = nodes[1:] + 2 in this element's
+    # coordinate, over the d + 1 nodes nodes[subset] spread over it, d = min(p, _GUESS_DEGREE)
     d = min(p, _GUESS_DEGREE)
     subset = np.round(np.linspace(0, p, d + 1)).astype(int)  # every node while p <= 8
-    x = ref.primal.nodes[subset]
-    span = x[:, None] - x
-    np.fill_diagonal(span, 1.0)
-    factors = (ref.primal.nodes[1:, None, None] + 2.0 - x) / span
-    factors[:, range(d + 1), range(d + 1)] = 1.0
     ahead = np.zeros((p + 1, p))
-    ahead[subset] = factors.prod(axis=-1).T
+    ahead[subset] = _lagrange_product(ref.primal.nodes[subset], ref.primal.nodes[1:] + 2.0).T
     LE = np.concatenate((Lq, E), axis=1)
     for arr in (LE, D, Pfull, rate, weights, ahead):
         arr.setflags(write=False)
@@ -347,23 +345,26 @@ def _first_domain_failure(sys: OdeSystem, y, block_reason):
     return 0, _domain_reason(block_reason)
 
 
-def _element_callables(sys, coeffs, pairing):
-    # bind(t0, sqrt_g), residual(z), jacobian(z) (None without sys.jacobian) and
-    # solve(y0, t0, dt, config, previous) of the element in coeffs (M, p+1), y0
-    # in column 0; residual and jacobian write the stages z into columns 1..p.
-    # Built once per buffer, bound per element: bind sets the bounds the error
-    # messages name and the rate term, and solve binds, guesses and solves
-    M, p, q = sys.dim, coeffs.shape[1] - 1, len(pairing.nodes)
+def _element_callables(sys, pairing):
+    # bind(t0, sqrt_g, y0), residual(z), jacobian(z) (None without sys.jacobian) and
+    # solve(y0, t0, dt, config, previous) of one element over the factory's own buffer
+    # coeffs (M, p+1): bind writes y0 into column 0, and residual and jacobian the stages z
+    # into columns 1..p. Built once per run or public call, bound per element: bind sets the
+    # bounds the error messages name and the rate term, and solve binds, guesses and returns
+    # Newton's result, whose x holds the stages; the buffer is scratch, read by nobody else
+    M, p, q = sys.dim, pairing.rate.shape[0], len(pairing.nodes)
     LE, D, P, nodes, ahead = pairing.LE, pairing.D, pairing.P, pairing.nodes, pairing.ahead
+    coeffs = np.empty((M, p + 1))
     stages = coeffs[:, 1:]
     # the iterate whose values the stage buffer holds and its quadrature
     # states; the reference keeps that array alive, so identity means that iterate
     held_z = held_Yq = None
     t0 = sqrt_g = rate_block = None
 
-    def bind(t_start, half_length):
+    def bind(t_start, half_length, y0):
         nonlocal t0, sqrt_g, rate_block, held_z, held_Yq
         t0, sqrt_g = t_start, half_length
+        coeffs[:, 0] = y0
         if sys.jacobian is not None:
             rate_block = rate / sqrt_g
         held_z = held_Yq = None
@@ -411,32 +412,28 @@ def _element_callables(sys, coeffs, pairing):
             return (rate_block - weights.dot(Jh.reshape(q, M * M))).take(gather)
 
     def solve(y0, t_start, dt, config, previous=None):
-        # solves [t_start, t_start + dt] into coeffs and returns Newton's iterations. previous,
-        # the preceding element of equal length, seeds the guess; without it, a cold guess
-        # holds y0 at every stage, np.repeat(y0, p), from the float copy in column 0
-        bind(t_start, _half_length(t_start, t_start + dt))
-        coeffs[:, 0] = y0
+        # solves [t_start, t_start + dt] and returns Newton's result. previous, the preceding
+        # element of equal length, seeds the guess; without it, a cold guess holds y0 at every
+        # stage, np.repeat(y0, p), from the float copy in column 0
+        bind(t_start, _half_length(t_start, t_start + dt), y0)
         guess = coeffs[:, 0].repeat(p) if previous is None else previous.dot(ahead).reshape(-1)
         # the Newton core, without the public newton_solve's checks, through the module's
         # name, which tracers and tests patch
-        result = newton_solve(residual, guess, config, jacobian=jacobian)
-        stages[...] = result.x.reshape(M, p)
-        return result.iterations
+        return newton_solve(residual, guess, config, jacobian=jacobian)
 
     return bind, residual, jacobian, solve
 
 
 def _public_residual(sys, sol, method, q_rhs):
-    # the step's own residual, on a writable copy of the record, at its stages
-    coeffs = sol.coefficients.copy()
+    # the step's own residual, bound at the record's column 0 and evaluated at its stages
+    coeffs = sol.coefficients
     if coeffs.shape[0] != sys.dim:  # the record has checked the rest of its shape
         raise ValueError(
             f"element coefficients must have shape ({sys.dim}, p+1) with p >= 1 for this"
             f" system, got {coeffs.shape}"
         )
-    pairing = _pairing(method, coeffs.shape[1] - 1, q_rhs)
-    bind, residual, _, _ = _element_callables(sys, coeffs, pairing)
-    bind(sol.t_start, _half_length(sol.t_start, sol.t_end))
+    bind, residual, _, _ = _element_callables(sys, _pairing(method, coeffs.shape[1] - 1, q_rhs))
+    bind(sol.t_start, _half_length(sol.t_start, sol.t_end), coeffs[:, 0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return residual(coeffs[:, 1:].reshape(-1))
 
@@ -496,12 +493,11 @@ def _element_step(sys, y0, t0, dt, p, pairing, config):
     # the step's Newton entry is the unchecked core, so the config is checked here, once
     if not isinstance(config, NewtonConfig):
         raise TypeError(f"config must be a geodesy.NewtonConfig, got {config!r}")
-    coeffs = np.empty((sys.dim, p + 1))
-    *_, solve = _element_callables(sys, coeffs, pairing)
+    *_, solve = _element_callables(sys, pairing)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        iterations = solve(y0, t0, dt, config)
-    # the record copies coeffs, which the callables keep writing into after the step returns
-    return ElementSolution(t0, t0 + dt, coeffs, iterations)
+        result = solve(y0, t0, dt, config)
+    coeffs = np.concatenate((y0[:, None], result.x.reshape(sys.dim, p)), axis=1)
+    return ElementSolution(t0, t0 + dt, coeffs, result.iterations)
 
 
 def mci_step(
@@ -807,9 +803,7 @@ def integrate(
     newton_iterations = None
     if element:
         newton_iterations = np.empty(n, dtype=int)
-        work = np.empty((sys.dim, p + 1))  # the element being solved
-        stages = work[:, 1:]
-        *_, solve = _element_callables(sys, work, pairing)
+        *_, solve = _element_callables(sys, pairing)
 
     # one layout rule for every method: step k reads its start state from column j = k stride
     # (y0, or the last column the step before wrote), writes the stride columns after it, and
@@ -828,8 +822,9 @@ def integrate(
                     # except a shortened last step, which starts cold
                     if k == n - 1 and h < dt - slack:
                         previous = None
-                    newton_iterations[k] = solve(record[:, j], t_a, h, newton, previous)
-                    record[:, j + 1 : j + p + 1] = stages
+                    result = solve(record[:, j], t_a, h, newton, previous)
+                    record[:, j + 1 : j + p + 1] = result.x.reshape(sys.dim, p)
+                    newton_iterations[k] = result.iterations
                     previous = record[:, j : j + p + 1]
                 else:
                     record[:, j + 1] = _finite_state(update(sys, record[:, j], t_a, h))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _check_order, _read_only
+from .basis import _check_order, _lagrange_product, _read_only
 from .integrators import Method, _pairing
 
 _SUM_B_TOL = 1e-13
@@ -79,10 +79,6 @@ def gauss_collocation_tableau(p: int) -> ButcherTableau:
     c = 0.5 * (x + 1.0)
     ends = np.append(c, 1.0)  # rows 0..p-1 integrate up to c_i, row p up to 1
     t = ends[:, None] * (0.5 * (1.0 + x))
-    # l_j(t) = prod_{m != j} (t - c_m) / (c_j - c_m), factor [..., j, m]
-    span = c[:, None] - c
-    np.fill_diagonal(span, 1.0)
-    factors = (t[..., None, None] - c) / span
-    factors[..., range(p), range(p)] = 1.0
-    integrals = 0.5 * ends[:, None] * (w @ factors.prod(axis=-1))
+    # l_j(t) = prod_{m != j} (t - c_m) / (c_j - c_m) at each (row, Gauss point)
+    integrals = 0.5 * ends[:, None] * (w @ _lagrange_product(c, t))
     return ButcherTableau(integrals[:-1], integrals[-1], c)

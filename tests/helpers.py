@@ -92,10 +92,11 @@ def step_tangent(sys, method, y0, dt, p, q_rhs=None):
     """
     pairing = _pairing(method, p, q_rhs)
     q = len(pairing.nodes)
-    coeffs = np.empty((sys.dim, p + 1))
-    _, _, jacobian, solve = _element_callables(sys, coeffs, pairing)
-    solve(np.asarray(y0, dtype=float), 0.0, dt, NewtonConfig())
-    J = jacobian(coeffs[:, 1:].reshape(-1))
+    y0 = np.asarray(y0, dtype=float)
+    _, _, jacobian, solve = _element_callables(sys, pairing)
+    stages = solve(y0, 0.0, dt, NewtonConfig()).x
+    J = jacobian(stages)
+    coeffs = np.concatenate((y0[:, None], stages.reshape(sys.dim, p)), axis=1)
     Lq = pairing.LE[:, :q]
     Jh = sys.jacobian(coeffs @ Lq)
     P = np.eye(p) if pairing.P is None else pairing.P

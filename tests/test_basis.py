@@ -1,5 +1,8 @@
 """Quadrature rules and bases: closed forms, exactness, and identities."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,6 +18,7 @@ from geodesy import (
 from geodesy.basis import (
     NodalBasis,
     QuadratureRule,
+    _lagrange_product,
     edge_eval_all,
     gauss_rule,
     gll_rule,
@@ -319,6 +323,52 @@ class TestNodalEvalBatched:
         assert vals.shape == (2, 3, 4)
         npt.assert_array_equal(vals[1, 2], nodal_eval_all(basis, grid[1, 2]))
         assert nodal_eval_all(basis, np.empty(0)).shape == (0, 4)
+
+
+def guess_nodes(p):
+    # the node set the driver's guess table reads: at most 9 Gauss-Lobatto nodes spread over
+    # the element, every node while p <= 8
+    subset = np.round(np.linspace(0, p, min(p, 8) + 1)).astype(int)
+    return gll_rule(p).nodes[subset]
+
+
+def exact_lagrange(nodes, t):
+    # l_j(t) in exact rational arithmetic over the doubles given
+    x, t = [Fraction(v) for v in nodes], Fraction(t)
+    return [
+        math.prod((t - x[m]) / (x[j] - x[m]) for m in range(len(x)) if m != j)
+        for j in range(len(x))
+    ]
+
+
+class TestLagrangeProduct:
+    # the product form, which the driver's guess table and the Gauss collocation oracle read
+    # outside or across the nodes' span, where the barycentric quotient loses digits
+    P_VALUES = [1, 2, 3, 4, 5, 8, 9, 12, 16, 32, 64]
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_rows_at_its_own_nodes_are_exact_kronecker_rows(self, p):
+        x = guess_nodes(p)
+        npt.assert_array_equal(_lagrange_product(x, x), np.eye(len(x)))
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_the_next_elements_nodes_are_read_to_a_few_eps(self, p):
+        # at tau + 2, the next element's nodes in this element's coordinate, each entry is
+        # within 8 eps of its exact value relative to itself (3.2 measured, at p = 64)
+        x, t = guess_nodes(p), gll_rule(p).nodes[1:] + 2.0
+        got = _lagrange_product(x, t)
+        assert got.shape == (p, len(x))
+        eps = Fraction(np.finfo(float).eps)
+        for row, tau in zip(got, t):
+            for value, exact in zip(row.tolist(), exact_lagrange(x, tau)):
+                assert abs(Fraction(value) - exact) <= 8 * eps * abs(exact)
+
+    def test_output_shape_is_the_points_shape_then_the_nodes(self):
+        x = gll_rule(3).nodes
+        t = np.linspace(1.0, 3.0, 6).reshape(2, 3)
+        got = _lagrange_product(x, t)
+        assert got.shape == (2, 3, 4)
+        npt.assert_array_equal(got[1, 2], _lagrange_product(x, t[1, 2]))
 
 
 def scalar_nodal_deriv(basis, x):

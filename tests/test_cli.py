@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 import os
 import tempfile
 
@@ -19,13 +18,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def refusal(command, problem, method, message):
+def refusal(problem, method, message):
     # the usage error for a run that integrate refuses up front: the library's message after a
-    # prefix naming the run, or for converge the finest level of its default sweep, --levels 4
-    what = f"{problem} via {method} is a run"
-    if command == "converge":
-        what = "--levels 4 gives the finest level steps"
-    return f"error: {what} that integrate refuses: {message}\n"
+    # prefix naming the run, run's own or converge's coarsest level, whose step is its --dt
+    return f"error: {problem} via {method} is a run that integrate refuses: {message}\n"
 
 
 def read_csv(path):
@@ -427,19 +423,17 @@ class TestUsageErrors:
         out = tmp_path / "out"
         assert run_cli(*args, "--out", str(out)) == 2
         err = capsys.readouterr().err
-        # the run the command checks: run's own, or the finest level of converge's 4 halvings
+        # the run the command checks first: run's own, or converge's coarsest level, at --dt
         given = dict(zip(flags[::2], flags[1::2]))
         dt = float(given.get("--dt", get_problem(problem).dt_ref))
         tfinal = float(given.get("--tfinal", (100.0 if command == "run" else 10.0) * dt))
-        if command == "converge":
-            dt = math.ldexp(dt, -3)
         qrhs = int(given["--qrhs"]) if "--qrhs" in given else None
         with pytest.raises(ValueError) as library:
             integrate(
                 get_problem(problem).system, Method(method),
                 get_problem(problem).y0 if y0 is None else y0, 0.0, tfinal, dt, q_rhs=qrhs,
             )
-        assert err == refusal(command, problem, method, str(library.value))
+        assert err == refusal(problem, method, str(library.value))
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -468,7 +462,7 @@ class TestUsageErrors:
         if len(y0) == 1:
             assert code == 2
             assert capsys.readouterr().err == refusal(
-                "converge", "circle", "mci", "initial state must have shape (2,), got (1,)"
+                "circle", "mci", "initial state must have shape (2,), got (1,)"
             )
             assert called == [] and not out.exists()
         else:
@@ -500,7 +494,7 @@ class TestUsageErrors:
         )
         assert code == 2
         message = f"q_rhs applies to Method.MGI only, got q_rhs=14 for {Method(method)}"
-        assert capsys.readouterr().err == refusal(command, "circle", method, message)
+        assert capsys.readouterr().err == refusal("circle", method, message)
         assert not out.exists()
 
     def test_largest_quadrature_size_runs(self, tmp_path):

@@ -369,11 +369,13 @@ class TestResiduals:
 
 
 def _driver_step(sys, method, y0, t0, dt, p, previous, q_rhs=None):
-    # one element solved as integrate solves it, started from previous
-    coeffs = np.empty((sys.dim, p + 1))
+    # one element solved as integrate solves it, started from previous: its (dim, p+1) nodal
+    # values, y0 then Newton's stages, and Newton's iterations
     rec = geodesy.integrators._pairing(method, p, q_rhs)
-    *_, solve = geodesy.integrators._element_callables(sys, coeffs, rec)
-    return coeffs, solve(y0, t0, dt, NewtonConfig(), previous)
+    *_, solve = geodesy.integrators._element_callables(sys, rec)
+    result = solve(y0, t0, dt, NewtonConfig(), previous)
+    stages = result.x.reshape(sys.dim, p)
+    return np.concatenate((np.asarray(y0, dtype=float)[:, None], stages), axis=1), result.iterations
 
 
 def _first_bad_node(grid, Yq, nodes, failing):
@@ -863,9 +865,9 @@ class TestKernelProducts:
             Jh = rng.standard_normal((q, M, M))
             sys = OdeSystem(dim=M, field=lambda y: np.zeros_like(y), jacobian=lambda y, Jh=Jh: Jh)
             coeffs = rng.standard_normal((M, p + 1))
-            bind, _, jacobian, _ = geodesy.integrators._element_callables(sys, coeffs, rec)
+            bind, _, jacobian, _ = geodesy.integrators._element_callables(sys, rec)
             sqrt_g = 0.3
-            bind(0.0, sqrt_g)
+            bind(0.0, sqrt_g, coeffs[:, 0])
             rate = (np.eye(M)[:, None, :, None] * rec.rate[:, None, :]).reshape(M * p, M * p)
             field = rec.weights.dot(Jh.reshape(q, M * M)).reshape(p, p, M, M)
             want = rate / sqrt_g - field.transpose(2, 0, 3, 1).reshape(M * p, M * p)
@@ -1211,9 +1213,9 @@ class TestStepBuffers:
         records = []
         factory = geodesy.integrators._element_callables
 
-        def spy(sys, coeffs, pairing):
+        def spy(sys, pairing):
             records.append(pairing)
-            return factory(sys, coeffs, pairing)
+            return factory(sys, pairing)
 
         monkeypatch.setattr(geodesy.integrators, "_element_callables", spy)
         cache = geodesy.integrators._pairing_record

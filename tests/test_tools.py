@@ -6,7 +6,9 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import geodesy
@@ -66,6 +68,48 @@ def test_output_digest_hashes_the_eight_output_parts():
     ]
     for hexdigest in (*parts.values(), total):
         assert re.fullmatch("[0-9a-f]{64}", hexdigest), hexdigest
+
+
+@pytest.fixture(scope="module")
+def conservation_audit():
+    return _load("conservation_audit")
+
+
+def test_conservation_audit_prints_one_row_per_case_the_same_on_every_run(
+    conservation_audit, capsys, monkeypatch
+):
+    # a report, not a gate: the rows and their bytes are pinned, the verdicts are not
+    monkeypatch.setattr(conservation_audit, "N", 4)
+    conservation_audit.main([])
+    first = capsys.readouterr().out
+    conservation_audit.main([])
+    assert capsys.readouterr().out == first
+    rows = first.splitlines()[2:]
+    names = [case[0] for case in conservation_audit.cases(geodesy)]
+    expected = [
+        (name, p, dt)
+        for name in names
+        for p in conservation_audit.ORDERS
+        for dt in conservation_audit.STEPS
+    ]
+    assert len(rows) == len(expected) == 18
+    for row, (name, p, dt) in zip(rows, expected):
+        assert row.startswith(f"{name:<13}{p:>3}{dt:>5g}")
+        assert row.split()[-1] in ("yes", "no")
+
+
+def test_conservation_audit_takes_the_invariants_change_exactly(conservation_audit):
+    # by hand: (1.5^2 + 1.25^2) / 2 - (2^2 + 0^2) / 2 = 61/32 - 2
+    audit = conservation_audit
+    y0, y1 = np.array([2.0, 0.0]), np.array([1.5, 1.25])
+    assert audit.delta_invariant(audit.circle_energy, y0, y1) == Fraction(-3, 32)
+    # one quartic MGI step from (p, q) = (1, 0), on the level 1/2, over the endpoint's doubles
+    system = audit.quartic_system(geodesy)
+    y1 = geodesy.mgi_step(system, [1.0, 0.0], 0.0, 1.0, 4).endpoint()
+    p1, q1 = (Fraction(v) for v in y1.tolist())
+    want = p1 * p1 / 2 + q1**4 / 4 - Fraction(1, 2)
+    assert audit.delta_invariant(audit.quartic_energy, np.array([1.0, 0.0]), y1) == want
+    assert abs(want) < 1e-14
 
 
 @pytest.mark.parametrize("case", ["pendulum-mci", "kepler-mgi", "lv-fd"])
