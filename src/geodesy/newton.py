@@ -10,22 +10,24 @@ silently producing garbage; an exactly zero pivot, which getrf reports with
 info > 0, fails the same check. The Jacobian is the analytic callable when
 one is given, otherwise forward differences with a step scaled per
 component. The unknowns are converted by geodesy.basis._real, so a complex
-x0 (or forward-difference point) raises ValueError rather than lose its
-imaginary parts; every residual and Jacobian value of a caller's callables
-is converted by geodesy.basis._float_output. NewtonConfig's settings take
-geodesy.basis's rules too: abs_tol a scalar setting's, max_iter a count's.
+x0 raises ValueError rather than lose its imaginary parts; every residual
+and Jacobian value of a caller's callables is converted by
+geodesy.basis._float_output. NewtonConfig's settings take geodesy.basis's
+rules too: abs_tol a scalar setting's, max_iter a count's.
 
-Each public function is a boundary around one private core. newton_solve
-checks its callables, config and x0 once per solve, wraps the caller's
-residual and Jacobian in their conversions and runs the core _newton, the
-one Newton loop; forward_difference_jacobian converts x, converts and checks
-a given base residual r0 or takes it when not given, and runs the core
-_forward_differences, which the loop also calls. The cores trust their callables to return float64
-arrays of the right shape, and the element step (geodesy.integrators)
-enters _newton directly: its kernel builds those arrays itself, and its
-config is checked once where the step starts. Every test the loop's
-decisions need stays in the core: the residual's finiteness, the stall and
-divergence tests, the budget, the Jacobian's finiteness and the pivot test.
+One public boundary sits around one loop. newton_solve checks its
+callables, config and x0 once per solve, wraps the caller's residual and
+Jacobian in their conversions and runs the core _newton, the one Newton
+loop, with floating-point exceptions ignored as in integrate; without a
+Jacobian the loop runs the difference core _forward_differences. The cores
+trust their callables to return float64 arrays of the right shape, and the
+element step (geodesy.integrators) enters _newton directly: its kernel
+builds those arrays itself, and its config is checked once where the step
+starts. Every test the loop's decisions need stays in the core: the
+residual's finiteness, the stall and divergence tests, the budget, the
+Jacobian's finiteness and the pivot test. The Jacobian's test is needed
+even when every residual is finite: two finite probe residuals can give a
+difference quotient that overflows.
 Skipping the per-solve checks and the per-call conversions took the Newton
 layer of a pendulum MCI p=2 step from 31% to 24% of its profiled time
 (tools/step_profile.py), and tools/ab.py read median step-time ratios of
@@ -44,9 +46,10 @@ max(map(abs, v.tolist())): abs and max are exact, so the values are numpy's,
 and on a 4-vector this takes 0.75 us against 2.8 us for
 np.maximum.reduce(np.abs(v), axis=None) (numpy 2.4, one x86-64 core).
 Python's max skips a NaN that is not the first entry, so r's entries are
-tested with math.isfinite before its max, and the stall and divergence tests
-check x for a NaN before they end the solve: a residual may stay finite at
-such an iterate, and neither test may stop there. The Jacobian's n^2-entry
+tested with math.isfinite before its max, the stall test checks that x is
+finite and the divergence test that it holds no NaN before they end the
+solve: a residual may stay finite at such an iterate, neither test may stop
+there, and an infinite x would pass any stall bound. The Jacobian's n^2-entry
 finiteness test stays on the ufunc's own reduce with axis=None
 (np.logical_and.reduce), where Python would be slower, and ndarray.all()
 would add a Python function in numpy's _methods module on every call. The
@@ -54,8 +57,8 @@ update dx = J^-1 r is solved from r itself and applied as x - dx, with no
 negated copy of r.
 
 Without an analytic Jacobian, each Jacobian costs n residual calls, one per
-unknown, and they dominate the iterate. forward_difference_jacobian writes
-the n probe residuals into the rows of one preallocated block and takes the
+unknown, and they dominate the iterate. _forward_differences writes the n
+probe residuals into the rows of one preallocated block and takes the
 difference quotient in place, with no list of probes to convert and stack.
 
 A solve that meets abs_tol after at least one update is polished: one more
@@ -172,38 +175,10 @@ class NewtonResult(NamedTuple):
     residual_norm: float
 
 
-def forward_difference_jacobian(residual, x, r0=None):
-    """Forward-difference Jacobian with step _FD_STEP * (1 + |x_j|) in column j.
-
-    Row j of one (n, n) array is x shifted in entry j; the n residuals at
-    those rows are written into the rows of one preallocated block, and one
-    in-place quotient gives every column. A probe residual whose shape differs
-    from r0's is refused rather than broadcast into its row, and a residual
-    that returns values that are not real, complex ones say, rather than cut
-    to its real part: each with an EvaluationError (a ValueError too) naming
-    the residual and, for a shape, both shapes. Without r0, a base residual
-    that is not 1-d is refused the same way, before any probe. x and r0 may be
-    any real sequences, converted by geodesy.basis._real: complex values raise
-    ValueError rather than lose their imaginary parts, and a float array is
-    used as it is, without a copy. An r0 that is not 1-d raises ValueError
-    naming its shape, before any probe.
-    """
-    x = _real(x, "x")
-    if r0 is None:
-        r0 = _float_output(residual(x), "residual", None)
-        if r0.ndim != 1:
-            raise EvaluationError(f"residual returned shape {r0.shape}, expected a 1-d array")
-    else:
-        r0 = _real(r0, "r0")
-        if r0.ndim != 1:
-            raise ValueError(f"r0 must be a 1-d array, got shape {r0.shape}")
-    shape = r0.shape
-    return _forward_differences(lambda xp: _float_output(residual(xp), "residual", shape), x, r0)
-
-
 def _forward_differences(residual, x, r0):
-    # the difference core: residual returns float64 arrays of r0's shape and x is a float64
-    # 1-d array, which forward_difference_jacobian's checks or the element kernel guarantee
+    # the one difference routine, which _newton runs when it has no Jacobian: residual returns
+    # float64 arrays of r0's shape and x is a float64 1-d array, which newton_solve's
+    # conversions or the element kernel guarantee
     n = len(x)
     h = _FD_STEP * (1.0 + np.abs(x))
     shifted = x[None, :].repeat(n, 0)
@@ -279,7 +254,10 @@ def newton_solve(
         def checked_jacobian(z):
             return _float_output(jacobian(z), "jacobian", jacobian_shape)
 
-    return _newton(checked_residual, x, config, checked_jacobian)
+    # as in integrate and the steps: a floating-point exception warns nowhere, and what it
+    # leaves that is not finite (a difference quotient that overflows, say) fails as a named error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _newton(checked_residual, x, config, checked_jacobian)
 
 
 def _newton(residual, x, config, jacobian=None):
@@ -307,8 +285,9 @@ def _newton(residual, x, config, jacobian=None):
             xl = x.tolist()
             x_max = max(map(abs, xl))
             # max skipped any NaN in x, where the residual can be finite: neither test may
-            # end the solve there. A NaN in dx leaves one in x, so update is exact where they do
-            if update <= _STALL_RTOL * x_max and not any(map(math.isnan, xl)):
+            # end the solve there, and an infinite x passes any stall bound. A NaN in dx leaves
+            # one in x, so update is exact where they do
+            if update <= _STALL_RTOL * x_max and all(map(math.isfinite, xl)):
                 return NewtonResult(x, iterations, norm)
             stuck = iterations > _DIVERGENCE_WINDOW and update >= updates[-1 - _DIVERGENCE_WINDOW]
             if stuck and update > _DIVERGENCE_RTOL * x_max and not any(map(math.isnan, xl)):

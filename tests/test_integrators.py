@@ -57,7 +57,7 @@ from geodesy import (
 )
 from geodesy.basis import NodalBasis, legendre_eval, nodal_deriv_all
 from geodesy.errors import NewtonNonConvergence
-from geodesy.newton import NewtonResult, forward_difference_jacobian, newton_solve
+from geodesy.newton import NewtonResult, _forward_differences, newton_solve
 from helpers import canonical_form, column_forward_difference, einsum_field_block, step_tangent
 
 TIGHT = NewtonConfig(abs_tol=1e-13)
@@ -748,17 +748,13 @@ class TestStageJacobian:
 
 
 def _public_newton_calls(run):
-    # calls of the public newton_solve and forward_difference_jacobian while run() runs, by
-    # their code objects, so a call through any name or import counts
-    codes = {
-        newton_solve.__code__: "newton_solve",
-        forward_difference_jacobian.__code__: "forward_difference_jacobian",
-    }
+    # calls of the public newton_solve while run() runs, by its code object, so a call
+    # through any name or import counts
     calls = Counter()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in codes:
-            calls[codes[frame.f_code]] += 1
+        if event == "call" and frame.f_code is newton_solve.__code__:
+            calls["newton_solve"] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -789,18 +785,18 @@ class TestNewtonEntry:
             return entry(residual, x0, config, jacobian=jacobian)
 
         _replace_newton(monkeypatch, entered)
-        by_name = Counter()  # calls through the module's names, counted apart
-        for attr in ("newton_solve", "forward_difference_jacobian"):
+        by_name = []  # calls through the module's name, counted apart
+        public = geodesy.newton.newton_solve
 
-            def counted(*args, _attr=attr, _f=getattr(geodesy.newton, attr), **kwargs):
-                by_name[_attr] += 1
-                return _f(*args, **kwargs)
+        def counted(*args, **kwargs):
+            by_name.append(1)
+            return public(*args, **kwargs)
 
-            monkeypatch.setattr(geodesy.newton, attr, counted)
+        monkeypatch.setattr(geodesy.newton, "newton_solve", counted)
         traj, calls = _public_newton_calls(
             lambda: integrate(system, method, spec.y0, 0.0, 20 * spec.dt_ref, spec.dt_ref, p=p)
         )
-        assert by_name == {} and calls == {}
+        assert by_name == [] and calls == {}
         assert entries == [not analytic] * traj.steps
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["jacobian", "differences"])
@@ -876,8 +872,8 @@ class TestKernelProducts:
             assert got.tobytes() == want.tobytes()
 
     def test_forward_differences_of_the_element_residual(self, monkeypatch):
-        # on a Lotka-Volterra MCI step without an analytic Jacobian: M p
-        # residual calls per Jacobian, and the column loop's bits
+        # on a Lotka-Volterra MCI step without an analytic Jacobian, the difference core the
+        # step runs: M p residual calls per Jacobian, and the column loop's bits
         lv = get_problem("lotka-volterra")
         fd_system = dataclasses.replace(lv.system, jacobian=None)
         p = 3
@@ -893,7 +889,7 @@ class TestKernelProducts:
 
         z = x0 + 0.05 * np.random.default_rng(3).standard_normal(len(x0))
         r0 = residual(z)
-        J = forward_difference_jacobian(counted, z, r0)
+        J = _forward_differences(counted, z, r0)
         assert len(calls) == lv.system.dim * p
         assert J.shape == (lv.system.dim * p, lv.system.dim * p)
         npt.assert_array_equal(J, column_forward_difference(residual, z, r0))
@@ -2580,7 +2576,6 @@ class TestFiniteOrRefused:
                 ("ElementSolution", "values"),
                 ("sample_trajectory", "sample times"),
                 ("newton_solve", "x0"),
-                ("forward_difference_jacobian", "x"),
                 ("legendre_eval", "x"),
                 ("nodal_eval_all", "x"),
                 ("nodal_deriv_all", "x"),
@@ -2609,7 +2604,6 @@ class TestFiniteOrRefused:
             "ElementSolution": lambda: ElementSolution(0.0, 1.0, np.tile(points[:, None], 3)),
             "sample_trajectory": lambda: sample_trajectory(traj, time),
             "newton_solve": lambda: newton_solve(sys.field, points),
-            "forward_difference_jacobian": lambda: forward_difference_jacobian(sys.field, points),
             "legendre_eval": lambda: legendre_eval(3, points),
             "nodal_eval_all": lambda: nodal_eval_all(basis, points),
             "nodal_deriv_all": lambda: nodal_deriv_all(basis, points),
@@ -2712,9 +2706,8 @@ class TestFiniteOrRefused:
             "newton_solve-jacobian": lambda: newton_solve(
                 lambda x: x - 1.0, [0.5], jacobian=lambda x: np.eye(1) + 0j
             ),
-            "forward-difference-probe": lambda: forward_difference_jacobian(
-                real_at_the_base_point, [0.5]
-            ),
+            # refused at the first probe, whose residual newton_solve converts as the base's
+            "forward-difference-probe": lambda: newton_solve(real_at_the_base_point, [0.5]),
             # a numpy complex scalar was cut to its real part, a Python complex raised TypeError
             "reduce0": lambda: reduce0(
                 lambda x: np.complex128(1j * x + 2), 2, CochainKind.PRIMAL0

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,14 +10,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from geodesy.errors import EvaluationError, NewtonNonConvergence, SingularJacobianError
+from geodesy.errors import (
+    EvaluationError,
+    GeodesyError,
+    NewtonNonConvergence,
+    SingularJacobianError,
+)
 from geodesy.newton import (
     NewtonConfig,
     NewtonResult,
+    _forward_differences,
     _lu_factor_checked,
     dgetrf,
     dgetrs,
-    forward_difference_jacobian,
     newton_solve,
 )
 from helpers import column_forward_difference
@@ -101,6 +107,35 @@ def test_stall_at_rounding_floor_counts_as_converged():
     assert result.iterations < NewtonConfig().max_iter
     assert result.x[0] == pytest.approx(3.0 ** (1.0 / 3.0), rel=1e-15)
     assert 1e-12 < result.residual_norm <= 1e-8
+
+
+def _signed_step(x):
+    # -1e302 up to x = 1, 1e302 past it: finite everywhere, with a jump at 1
+    return np.where(x > 1.0, 1e302, -1e302)
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
+def test_an_infinite_iterate_is_not_converged(action):
+    # the first update takes x to inf, and the next update, inf, passed the stall test
+    # against max|x| = inf: the solve returned x = [inf] as converged
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter(action)
+        with pytest.raises(GeodesyError):
+            newton_solve(_signed_step, [1.0], jacobian=lambda x: np.array([[1e-300]]))
+    assert shown == []
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
+def test_a_difference_quotient_that_overflows_is_refused_without_a_warning(action):
+    # the base and probe residuals, -1e302 and 1e302, are finite, but their quotient over
+    # h = 2e-7 overflows: it warned in the quotient, and as an error escaped as a
+    # RuntimeWarning. The Jacobian's finiteness test refuses it, naming it
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter(action)
+        with pytest.raises(EvaluationError) as err:
+            newton_solve(_signed_step, [1.0])
+    assert shown == []
+    assert str(err.value) == "Jacobian is non-finite during Newton iteration"
 
 
 def test_already_converged_zero_iterations():
@@ -236,7 +271,7 @@ def _reference_newton(residual, x0, config, jacobian=None):
         if iterations:
             updates.append(float(np.abs(dx).max()))
             x_max = np.abs(x).max()
-            if updates[-1] <= 4 * np.finfo(float).eps * x_max:
+            if updates[-1] <= 4 * np.finfo(float).eps * x_max < math.inf:
                 return NewtonResult(x, iterations, norm)
             if (
                 iterations > 3
@@ -259,7 +294,7 @@ def _reference_newton(residual, x0, config, jacobian=None):
         if jacobian is not None:
             J = np.asarray(jacobian(x), dtype=float)
         else:
-            J = forward_difference_jacobian(residual, x, r)
+            J = _forward_differences(residual, x, r)
         if not np.isfinite(J).all():
             raise EvaluationError("Jacobian is non-finite during Newton iteration")
         dx = _lu_solve_checked(J, -r)
@@ -407,7 +442,7 @@ def test_polish_makes_no_further_residual_or_jacobian_call(analytic):
         assert len(seen["J"]) == n
         J_last = seen["J"][-1]
     else:  # the last Jacobian's base point precedes its three probes
-        J_last = forward_difference_jacobian(plain, seen["x"][-5], seen["r"][-5])
+        J_last = _forward_differences(plain, seen["x"][-5], seen["r"][-5])
     x_acc, r_acc = seen["x"][-1], seen["r"][-1]
     assert result.residual_norm == np.abs(r_acc).max() <= 1e-6
     npt.assert_array_equal(result.x, x_acc - _lu_solve_checked(J_last, r_acc))
@@ -471,7 +506,7 @@ def test_forward_difference_jacobian_accuracy():
     for _ in range(5):
         x = rng.uniform(-2.0, 2.0, 4)
         J_exact = A + np.diag(0.2 * x)
-        J_fd = forward_difference_jacobian(residual, x)
+        J_fd = _forward_differences(residual, x, residual(x))
         assert np.max(np.abs(J_fd - J_exact)) / np.max(np.abs(J_exact)) <= 1e-5
 
 
@@ -495,81 +530,29 @@ def test_forward_difference_equals_the_column_loop_bitwise(seed, n, m):
 
     r0 = residual_for("vectorised")(x)
     probes["vectorised"].clear()
-    J = forward_difference_jacobian(residual_for("vectorised"), x, r0)
+    J = _forward_differences(residual_for("vectorised"), x, r0)
     want = column_forward_difference(residual_for("loop"), x, r0)
     npt.assert_array_equal(J, want)
     assert J.shape == (m, n)
     assert len(probes["vectorised"]) == len(probes["loop"]) == n
     for got, ref in zip(probes["vectorised"], probes["loop"]):
         assert got.tobytes() == ref.tobytes()
-    # without r0 the base point is one more call, as in the loop
-    npt.assert_array_equal(forward_difference_jacobian(residual_for("vectorised"), x), want)
 
 
 def test_forward_difference_rejects_a_mis_shaped_probe_residual():
-    # a probe residual is not broadcast into its row of the block
-    expected = r"^residual returned shape \(1,\), expected \(3,\)$"
-    with pytest.raises(EvaluationError, match=expected):
-        forward_difference_jacobian(lambda y: np.zeros(1), np.array([0.5, 1.0]), np.ones(3))
-    calls = []
+    # a probe residual is not broadcast into its row of the block: newton_solve converts it
+    # as it converts the base residual
+    for shape in [(1,), (1, 3)]:
+        calls = []
 
-    def residual(y):
-        calls.append(1)
-        return np.zeros(2 if len(calls) < 3 else (1, 2))
+        def residual(y):
+            calls.append(1)
+            return np.ones(3 if len(calls) < 3 else shape)
 
-    expected = r"^residual returned shape \(1, 2\), expected \(2,\)$"
-    with pytest.raises(EvaluationError, match=expected):
-        forward_difference_jacobian(residual, np.array([0.5, 1.0, -2.0]))
-
-
-@pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
-def test_forward_difference_refuses_a_base_residual_that_is_not_1d(shape):
-    # without r0 the block is sized from the base residual: a probe then failed numpy's
-    # broadcast into its row, naming no callable
-    calls = []
-
-    def residual(y):
-        calls.append(1)
-        return np.zeros(shape)
-
-    expected = rf"^residual returned shape {re.escape(str(shape))}, expected a 1-d array$"
-    with pytest.raises(EvaluationError, match=expected):
-        forward_difference_jacobian(residual, np.array([0.5, 1.0]))
-    assert len(calls) == 1  # before any probe
-
-
-def test_forward_difference_takes_a_base_residual_as_any_real_sequence():
-    # converted on entry, as x is: a list r0 gives the bits of the float array r0
-    def residual(y):
-        return np.array([y[0] ** 2, y[0] * y[1]])
-
-    x = np.array([1.5, -0.5])
-    r0 = residual(x)
-    want = forward_difference_jacobian(residual, x, r0)
-    assert forward_difference_jacobian(residual, x, r0.tolist()).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize(
-    "r0, expected",
-    [
-        (np.array([1.0 + 1.0j, 2.0]), r"^r0 must be real, got complex128 values$"),
-        (np.ones((2, 1)), r"^r0 must be a 1-d array, got shape \(2, 1\)$"),
-        (np.float64(1.0), r"^r0 must be a 1-d array, got shape \(\)$"),
-    ],
-    ids=["complex", "2-d", "0-d"],
-)
-def test_forward_difference_refuses_a_base_residual_it_is_given_naming_r0(r0, expected):
-    # a complex r0 raised numpy's UFuncTypeError and a 2-d one blamed the residual's
-    # shape; both are refused before any probe
-    calls = []
-
-    def residual(y):
-        calls.append(1)
-        return y.copy()
-
-    with pytest.raises(ValueError, match=expected):
-        forward_difference_jacobian(residual, np.array([0.5, 1.0]), r0)
-    assert calls == []
+        expected = rf"^residual returned shape {re.escape(str(shape))}, expected \(3,\)$"
+        with pytest.raises(EvaluationError, match=expected):
+            newton_solve(residual, np.array([0.5, 1.0, -2.0]))
+        assert len(calls) == 3  # the base point, the first probe and the refused second
 
 
 def test_ragged_residual_is_refused_naming_it():
@@ -597,24 +580,29 @@ def test_a_value_that_fails_its_own_conversion_is_not_called_ragged():
     assert str(err.value.__cause__) == "boom"
 
 
-@pytest.mark.parametrize("x", [np.array([1, 2]), [1.0, 2.0], [1, 2], (1.0, 2.0)])
-def test_forward_difference_takes_any_real_sequence(x):
-    # converted to floats on entry: the bits of the float array itself
+@pytest.mark.parametrize("x0", [np.array([1, 2]), [1.0, 2.0], [1, 2], (1.0, 2.0)])
+def test_a_differenced_solve_takes_any_real_sequence(x0):
+    # x0 is converted to floats on entry: the solve, its differences included, has the
+    # bits of the one from the float array itself
     for residual in (lambda y: y * 2.0, lambda y: y * 2.0 + y[::-1] ** 2):
-        want = forward_difference_jacobian(residual, np.array([1.0, 2.0]))
-        assert forward_difference_jacobian(residual, x).tobytes() == want.tobytes()
+        want = newton_solve(residual, np.array([1.0, 2.0]))
+        got = newton_solve(residual, x0)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert (got.iterations, got.residual_norm) == (want.iterations, want.residual_norm)
 
 
-def test_forward_difference_does_not_copy_a_float_array():
-    x = np.array([1.0, -2.0, 0.5])
-    seen = []
-
-    def residual(y):
-        seen.append(y)
-        return y.copy()
-
-    forward_difference_jacobian(residual, x)
-    assert seen[0] is x  # the base point is the caller's array
+@pytest.mark.parametrize("analytic", [False, True], ids=["fd", "jacobian"])
+def test_a_solve_leaves_the_callers_x0_as_it_was(analytic):
+    # the loop's iterate starts as a copy of a float x0, so the x returned is never the
+    # caller's array, not even from a root that takes no update
+    jacobian = (lambda y: np.diag(2.0 * y)) if analytic else None
+    for start, iterations in [([2.0, 2.0, 2.0], 0), ([1.0, 3.0, 0.5], None)]:
+        x0 = np.array(start)
+        result = newton_solve(lambda y: y**2 - 4.0, x0, jacobian=jacobian)
+        assert result.x is not x0 and iterations in (None, result.iterations)
+        npt.assert_allclose(result.x, 2.0, rtol=1e-12)
+        result.x[:] = -1.0
+        assert x0.tolist() == start
 
 
 @pytest.mark.parametrize("x0", [[], np.zeros(0), np.zeros((2, 0))])
@@ -652,7 +640,8 @@ def test_fd_step_scaling():
         seen.append(x.copy())
         return x - 1000.0
 
-    forward_difference_jacobian(residual, np.array([1000.0]))
+    x = np.array([1000.0])
+    _forward_differences(residual, x, residual(x))
     # call 0 is the base point; call 1 probes x + h with h = 1e-7 * (1 + 1000)
     probe = seen[1][0]
     assert probe == pytest.approx(1000.0 + 1e-7 * 1001.0, rel=1e-12)

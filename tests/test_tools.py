@@ -112,6 +112,45 @@ def test_conservation_audit_takes_the_invariants_change_exactly(conservation_aud
     assert abs(want) < 1e-14
 
 
+# each tool's arguments, short where it runs at all, then the --src under test
+_SRC_TOOLS = {
+    "output_digest": [],
+    "step_profile": ["--steps", "1", "--runs", "1"],
+    "conservation_audit": [],
+}
+
+
+def _refused_src(tool, src, capsys, monkeypatch):
+    # the tool's exit status and error output on --src src, in this process, where the
+    # repository's geodesy is imported
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    with pytest.raises(SystemExit) as err:
+        _load(tool).main([*_SRC_TOOLS[tool], "--src", str(src)])
+    return err.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("tool", sorted(_SRC_TOOLS))
+def test_a_tool_refuses_a_src_without_geodesy(tool, tmp_path, capsys, monkeypatch):
+    # the import returned whichever geodesy was importable: the tool measured that tree
+    code, out = _refused_src(tool, tmp_path, capsys, monkeypatch)
+    assert code == 2 and out.out == ""
+    assert out.err.endswith(f"error: {tmp_path} holds no geodesy package\n")
+
+
+@pytest.mark.parametrize("tool", sorted(_SRC_TOOLS))
+def test_a_tool_refuses_a_src_other_than_the_geodesy_imported(
+    tool, tmp_path, capsys, monkeypatch
+):
+    (tmp_path / "geodesy").mkdir()
+    (tmp_path / "geodesy" / "__init__.py").write_text("")
+    code, out = _refused_src(tool, tmp_path, capsys, monkeypatch)
+    found = os.path.dirname(os.path.realpath(geodesy.__file__))
+    assert code == 2 and out.out == ""
+    assert out.err.endswith(
+        f"error: geodesy is already imported from {found}, not from --src {tmp_path}\n"
+    )
+
+
 @pytest.mark.parametrize("case", ["pendulum-mci", "kepler-mgi", "lv-fd"])
 def test_ab_runs_an_a_a_round_bit_for_bit(case):
     # one tree against itself: the records and invariant series agree bit for bit; the

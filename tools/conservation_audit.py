@@ -5,8 +5,10 @@ Usage, from the repository root:
     python3 tools/conservation_audit.py [--src PATH]
 
 --src names the src/ directory of the tree to audit (default: this
-repository's). Each case takes N = 300 states, from a fixed seed, on one
-level I0 of its invariant and one public step of dt from each, and computes
+repository's); one that holds no geodesy package, or a process that has
+imported geodesy from another tree, is refused with exit status 2. Each
+case takes N = 300 states, from a fixed seed, on one level I0 of its
+invariant and one public step of dt from each, and computes
 the change dI = I(y1) - I(y0) of each step exactly, in fractions.Fraction
 over the doubles y0 and y1. It prints the mean of dI, its standard error,
 z = mean / standard error, and whether |mean| <= eps |I0| / 4. A method that
@@ -108,14 +110,30 @@ def audit(system, step, invariant, states, p, dt):
     return mean, stderr, z
 
 
+def import_geodesy(parser, src):
+    """The geodesy package under src, or exit 2 through parser.error.
+
+    src must hold geodesy/__init__.py, and no geodesy may be imported from elsewhere
+    already: the import would return that one in its place.
+    """
+    if not os.path.isfile(os.path.join(src, "geodesy", "__init__.py")):
+        parser.error(f"{src} holds no geodesy package")
+    sys.path.insert(0, os.path.abspath(src))
+    import geodesy
+
+    found = os.path.dirname(os.path.realpath(geodesy.__file__))
+    if found != os.path.realpath(os.path.join(src, "geodesy")):
+        parser.error(f"geodesy is already imported from {found}, not from --src {src}")
+    return geodesy
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
         "--src", default=os.path.join(ROOT, "src"), help="the src/ directory of the tree to audit"
     )
     args = parser.parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
-    import geodesy
+    geodesy = import_geodesy(parser, args.src)
 
     print(f"{N} states per case, seed {SEED}; dI = I(y1) - I(y0) exact, eps = 2**-52")
     print(

@@ -6,7 +6,10 @@ Usage, from the repository root:
 
 --src names the src/ directory of the tree to hash (default: this
 repository's), so a change is checked against its parent with two runs, one
-per tree, whose last lines must match. The digest covers:
+per tree, whose last lines must match. A --src that holds no geodesy
+package, or a process that has imported geodesy from another tree, is
+refused with exit status 2 rather than hash the geodesy it finds. The digest
+covers:
 
 - runs: 60 integrate runs, 200 steps at the problem's dt_ref: circle,
   harmonic, kepler, lotka-volterra, pendulum and lotka-volterra without its
@@ -185,14 +188,30 @@ def digests(g):
     return {name: sha.hexdigest() for name, sha in parts.items()}, total.hexdigest()
 
 
+def import_geodesy(parser, src):
+    """The geodesy package under src, or exit 2 through parser.error.
+
+    src must hold geodesy/__init__.py, and no geodesy may be imported from elsewhere
+    already: the import would return that one in its place.
+    """
+    if not os.path.isfile(os.path.join(src, "geodesy", "__init__.py")):
+        parser.error(f"{src} holds no geodesy package")
+    sys.path.insert(0, os.path.abspath(src))
+    import geodesy
+
+    found = os.path.dirname(os.path.realpath(geodesy.__file__))
+    if found != os.path.realpath(os.path.join(src, "geodesy")):
+        parser.error(f"geodesy is already imported from {found}, not from --src {src}")
+    return geodesy
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
         "--src", default=os.path.join(ROOT, "src"), help="the src/ directory of the tree to hash"
     )
     args = parser.parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
-    import geodesy
+    geodesy = import_geodesy(parser, args.src)
 
     parts, total = digests(geodesy)
     for name, hexdigest in parts.items():

@@ -14,8 +14,8 @@ Each case integrates N steps (default 2000) under cProfile, R times (default
   calls it (Newton or the forward differences);
 - jacobian: the stage Jacobian closure without the problem's jacobian;
 - fd: the forward-difference core's own work (newton._forward_differences,
-  which the step calls without forward_difference_jacobian's checks),
-  without its residual calls;
+  the one difference routine, which the Newton core runs when the system
+  has no jacobian), without its residual calls;
 - newton: the Newton core's own work (newton._newton, the step's entry,
   without the public newton_solve's checks), without the layers above and
   the LU;
@@ -36,7 +36,9 @@ found in the table by their code objects (file, first line, name), so a
 closure of the same name elsewhere is not mistaken for them. A tree whose
 Newton loop, integrate or LU check has another name (one from before the
 Newton cores, given with --src) is refused with a ValueError naming the
-missing root: profile it with its own copy of this tool.
+missing root: profile it with its own copy of this tool. A --src that holds
+no geodesy package, or a process that has imported geodesy from another
+tree, is refused with exit status 2.
 """
 
 import argparse
@@ -167,6 +169,23 @@ def profile_case(g, case, steps):
     return shares, float(traj.newton_iterations.mean()), 1e6 * total / traj.steps
 
 
+def import_geodesy(parser, src):
+    """The geodesy package under src, or exit 2 through parser.error.
+
+    src must hold geodesy/__init__.py, and no geodesy may be imported from elsewhere
+    already: the import would return that one in its place.
+    """
+    if not os.path.isfile(os.path.join(src, "geodesy", "__init__.py")):
+        parser.error(f"{src} holds no geodesy package")
+    sys.path.insert(0, os.path.abspath(src))
+    import geodesy
+
+    found = os.path.dirname(os.path.realpath(geodesy.__file__))
+    if found != os.path.realpath(os.path.join(src, "geodesy")):
+        parser.error(f"geodesy is already imported from {found}, not from --src {src}")
+    return geodesy
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--steps", type=int, default=2000, help="steps per integrate call")
@@ -177,8 +196,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.steps < 1 or args.runs < 1:
         parser.error("--steps and --runs must be at least 1")
-    sys.path.insert(0, os.path.abspath(args.src))
-    import geodesy
+    geodesy = import_geodesy(parser, args.src)
 
     print(f"{args.steps} steps, median of {args.runs} profiled runs; shares of integrate's time")
     print(f"{'case':<38}" + "".join(f"{name:>9}" for name in LAYERS) + f"{'iters':>7}{'us/step':>9}")
