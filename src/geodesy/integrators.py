@@ -161,7 +161,7 @@ from .mimetic import (
 )
 # the step's Newton entry is the core loop, which trusts the kernel's own callables, under the
 # module name newton_solve that bench/tracing.py and the tests' _replace_newton patch
-from .newton import NewtonConfig, _all, _newton as newton_solve
+from .newton import NewtonConfig, _all, _check_config, _newton as newton_solve
 from .systems import OdeSystem
 
 class Method(enum.Enum):
@@ -491,8 +491,7 @@ def _require_partition(sys):
 def _element_step(sys, y0, t0, dt, p, pairing, config):
     y0, t0, dt = _start(sys, y0, t0, dt)
     # the step's Newton entry is the unchecked core, so the config is checked here, once
-    if not isinstance(config, NewtonConfig):
-        raise TypeError(f"config must be a geodesy.NewtonConfig, got {config!r}")
+    _check_config(config, "config")
     *_, solve = _element_callables(sys, pairing)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         result = solve(y0, t0, dt, config)
@@ -709,8 +708,7 @@ def _run_plan(sys, method, y0, t0, tf, dt, p, newton, q_rhs):
         raise ValueError(f"q_rhs applies to Method.MGI only, got q_rhs={q_rhs!r} for {method}")
     # p and newton for every method, though only the element methods read them
     _check_order(p, 1, "order p")
-    if not isinstance(newton, NewtonConfig):
-        raise TypeError(f"newton must be a geodesy.NewtonConfig, got {newton!r}")
+    _check_config(newton, "newton")
     t0, tf, dt = _finite_times(t0=t0, tf=tf, dt=dt)
     if not tf > t0:
         raise ValueError(f"tf must exceed t0, got t0={t0!r}, tf={tf!r}")

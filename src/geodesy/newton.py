@@ -23,17 +23,14 @@ Jacobian the loop runs the difference core _forward_differences. The cores
 trust their callables to return float64 arrays of the right shape, and the
 element step (geodesy.integrators) enters _newton directly: its kernel
 builds those arrays itself, and its config is checked once where the step
-starts. Every test the loop's decisions need stays in the core: the
-residual's finiteness, the stall and divergence tests, the budget, the
-Jacobian's finiteness and the pivot test. The Jacobian's test is needed
-even when every residual is finite: two finite probe residuals can give a
-difference quotient that overflows.
-Skipping the per-solve checks and the per-call conversions took the Newton
-layer of a pendulum MCI p=2 step from 31% to 24% of its profiled time
-(tools/step_profile.py), and tools/ab.py read median step-time ratios of
-0.95, 0.96 and 0.97 against the checked loop on pendulum MCI, kepler MGI and
-Lotka-Volterra MCI with forward differences (A/A 1.00, 1.00 and 0.99), with
-every output bit unchanged (numpy 2.4, one x86-64 core).
+starts, so a step pays for no per-solve check or per-call conversion. Every
+test the loop's decisions need stays in the core: the residual's
+finiteness, the stall and divergence tests, the budget, the Jacobian's
+finiteness and the pivot test. The Jacobian's test is needed even when
+every residual is finite: two finite probe residuals can give a difference
+quotient that overflows. newton_solve tests the accepted iterate's
+finiteness after the core returns: the abs_tol stop reads only the
+residual, which a caller's callable may leave finite where x is not.
 
 Each iterate costs one residual evaluation, one Jacobian and one LU solve,
 and the loop keeps its reductions to those its decisions need: max|r| for
@@ -42,9 +39,8 @@ the stop and finiteness tests, max|dx| and max|x| once there is an update
 finiteness test and one sort of the pivots, which gives the smallest and the
 largest at once. The vectors r, dx and x have n entries, a few hundred at
 most in a step, so their maxima are taken on Python floats,
-max(map(abs, v.tolist())): abs and max are exact, so the values are numpy's,
-and on a 4-vector this takes 0.75 us against 2.8 us for
-np.maximum.reduce(np.abs(v), axis=None) (numpy 2.4, one x86-64 core).
+max(map(abs, v.tolist())), faster on vectors this short than a numpy
+reduction: abs and max are exact, so the values are numpy's.
 Python's max skips a NaN that is not the first entry, so r's entries are
 tested with math.isfinite before its max, the stall test checks that x is
 finite and the divergence test that it holds no NaN before they end the
@@ -162,6 +158,13 @@ class NewtonConfig:
         object.__setattr__(self, "max_iter", max_iter)
 
 
+def _check_config(config, name):
+    # the one NewtonConfig check, of newton_solve's config and of the steps' and integrate's,
+    # whose Newton entry is the unchecked core
+    if not isinstance(config, NewtonConfig):
+        raise TypeError(f"{name} must be a geodesy.NewtonConfig, got {config!r}")
+
+
 class NewtonResult(NamedTuple):
     """The accepted iterate, the updates it took and max|r| at acceptance.
 
@@ -215,10 +218,12 @@ def newton_solve(
 
     Convergence means the max-norm of the residual drops to config.abs_tol or
     below, or an update shrinks to rounding size (max|dx| <= 4 eps max|x|),
-    within config.max_iter updates. The analytic jacobian callable is used
-    when given, otherwise forward differences. A solve accepted on abs_tol
-    after at least one update is polished by one more update with the last
-    LU factors (no further residual or Jacobian call; see NewtonResult).
+    within config.max_iter updates, at a finite iterate; a solve that would
+    accept one that is not raises NewtonNonConvergence. The analytic
+    jacobian callable is used when given, otherwise forward differences. A
+    solve accepted on abs_tol after at least one update is polished by one
+    more update with the last LU factors (no further residual or Jacobian
+    call; see NewtonResult).
     A residual that is not callable, or a jacobian that is neither None nor
     callable, raises ValueError naming it; a config that is not a NewtonConfig
     raises TypeError, naming it, and an x0 that is empty or not 1-d
@@ -236,8 +241,7 @@ def newton_solve(
     """
     _check_callable(residual, "residual")
     _check_callable(jacobian, "jacobian", optional=True)
-    if not isinstance(config, NewtonConfig):
-        raise TypeError(f"config must be a geodesy.NewtonConfig, got {config!r}")
+    _check_config(config, "config")
     x = _real(x0, "x0").copy()
     if not x.size:
         raise ValueError(f"x0 must have at least one unknown, got shape {x.shape}")
@@ -257,7 +261,18 @@ def newton_solve(
     # as in integrate and the steps: a floating-point exception warns nowhere, and what it
     # leaves that is not finite (a difference quotient that overflows, say) fails as a named error
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _newton(checked_residual, x, config, checked_jacobian)
+        result = _newton(checked_residual, x, config, checked_jacobian)
+    # the abs_tol stop reads only the residual, which a caller's callable may leave finite
+    # where x is not; the element step enters the core past this test
+    if not all(map(math.isfinite, result.x.tolist())):
+        raise NewtonNonConvergence(
+            f"Newton reached a non-finite iterate after {result.iterations} iterations"
+            f" (residual {result.residual_norm:.3e})",
+            x=result.x,
+            residual_norm=result.residual_norm,
+            iterations=result.iterations,
+        )
+    return result
 
 
 def _newton(residual, x, config, jacobian=None):

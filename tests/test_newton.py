@@ -126,6 +126,25 @@ def test_an_infinite_iterate_is_not_converged(action):
 
 
 @pytest.mark.parametrize("action", ["always", "error"])
+def test_an_infinite_iterate_that_meets_abs_tol_is_not_converged(action):
+    # the residual is 0 past x = 1, and the first update takes x to inf there: the abs_tol
+    # stop, which reads the residual only, returned x = [inf] as converged
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter(action)
+        with pytest.raises(NewtonNonConvergence) as err:
+            newton_solve(
+                lambda x: np.where(x > 1.0, 0.0, -1e302), [1.0],
+                jacobian=lambda x: np.array([[1e-300]]),
+            )
+    assert shown == []
+    assert str(err.value) == (
+        "Newton reached a non-finite iterate after 1 iterations (residual 0.000e+00)"
+    )
+    assert err.value.x.tolist() == [math.inf]
+    assert err.value.iterations == 1 and err.value.residual_norm == 0.0
+
+
+@pytest.mark.parametrize("action", ["always", "error"])
 def test_a_difference_quotient_that_overflows_is_refused_without_a_warning(action):
     # the base and probe residuals, -1e302 and 1e302, are finite, but their quotient over
     # h = 2e-7 overflows: it warned in the quotient, and as an error escaped as a
@@ -255,7 +274,8 @@ def test_a_function_that_is_not_callable_is_refused_before_any_call(residual, ja
 def _reference_newton(residual, x0, config, jacobian=None):
     # the loop's decisions written out plainly: max|x| and max|dx| each
     # iteration, the Jacobian's entries tested one by one, and an abs_tol stop
-    # after an update polished by one more solve with the last Jacobian
+    # after an update polished by one more solve with the last Jacobian, which
+    # refuses an iterate that is not finite
     x = np.array(x0, dtype=float)
     iterations, updates = 0, []
     while True:
@@ -267,6 +287,12 @@ def _reference_newton(residual, x0, config, jacobian=None):
         if norm <= config.abs_tol:
             if iterations:
                 x = x - _lu_solve_checked(J, r)
+            if not np.isfinite(x).all():
+                raise NewtonNonConvergence(
+                    f"Newton reached a non-finite iterate after {iterations} iterations"
+                    f" (residual {norm:.3e})",
+                    x=x, residual_norm=norm, iterations=iterations,
+                )
             return NewtonResult(x, iterations, norm)
         if iterations:
             updates.append(float(np.abs(dx).max()))
@@ -390,7 +416,7 @@ _DECISION_CASES = {
     "inf-middle-after-update": (_moved(1, np.inf), [1.0, 0.0, 0.0], lambda x: np.eye(3)),
     "nan-last-after-update": (_moved(2, np.nan), [1.0, 0.0, 0.0], lambda x: np.eye(3)),
     # a NaN iterate, not first, where the residual stays finite: neither the stall test nor
-    # the divergence test may end the solve there
+    # the divergence test may end the solve there, and an abs_tol stop there is refused
     "nan-iterate-stalls": (_nan_iterate, [3.0, np.nan], lambda x: np.eye(2)),
     "nan-iterate-diverges": (
         _nan_iterate_arctan,

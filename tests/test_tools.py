@@ -1,9 +1,11 @@
 """The repository's measuring tools run and find what they measure."""
 
+import argparse
 import importlib.util
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +20,9 @@ TOOLS = os.path.join(ROOT, "tools")
 
 
 def _load(name):
+    # as when a tool runs as a script, whose directory is on sys.path: each imports _tree
+    if TOOLS not in sys.path:
+        sys.path.append(TOOLS)
     spec = importlib.util.spec_from_file_location(name, os.path.join(TOOLS, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -59,9 +64,15 @@ def test_step_profile_prints_one_row_per_case(step_profile, capsys):
         assert line.startswith(case[0])
 
 
-def test_output_digest_hashes_the_eight_output_parts():
+@pytest.fixture(scope="module")
+def digest():
+    # the parts and total of this process's geodesy, hashed once for the tests that read them
+    return _load("output_digest").digests(geodesy)
+
+
+def test_output_digest_hashes_the_eight_output_parts(digest):
     # CI compares these lines with the base's, part by part
-    parts, total = _load("output_digest").digests(geodesy)
+    parts, total = digest
     assert list(parts) == [
         "runs", "public", "tableau", "high-order", "baselines", "mci-tables", "mgi-tables",
         "toolkit",
@@ -112,43 +123,59 @@ def test_conservation_audit_takes_the_invariants_change_exactly(conservation_aud
     assert abs(want) < 1e-14
 
 
-# each tool's arguments, short where it runs at all, then the --src under test
+# each tool's arguments, short where it runs at all, ending with the flag that names the tree
+# under test
 _SRC_TOOLS = {
-    "output_digest": [],
-    "step_profile": ["--steps", "1", "--runs", "1"],
-    "conservation_audit": [],
+    "output_digest": ["--src"],
+    "step_profile": ["--steps", "1", "--runs", "1", "--src"],
+    "conservation_audit": ["--src"],
+    "ab": ["--b", os.path.join(ROOT, "src"), "--case", "pendulum-mci", "--a"],
 }
 
 
-def _refused_src(tool, src, capsys, monkeypatch):
-    # the tool's exit status and error output on --src src, in this process, where the
-    # repository's geodesy is imported
-    monkeypatch.setattr(sys, "path", sys.path[:])
-    with pytest.raises(SystemExit) as err:
-        _load(tool).main([*_SRC_TOOLS[tool], "--src", str(src)])
-    return err.value.code, capsys.readouterr()
-
-
 @pytest.mark.parametrize("tool", sorted(_SRC_TOOLS))
-def test_a_tool_refuses_a_src_without_geodesy(tool, tmp_path, capsys, monkeypatch):
-    # the import returned whichever geodesy was importable: the tool measured that tree
-    code, out = _refused_src(tool, tmp_path, capsys, monkeypatch)
-    assert code == 2 and out.out == ""
+def test_a_tool_refuses_a_src_without_geodesy(tool, tmp_path, capsys):
+    # the tool's exit status and error output in this process, where the repository's geodesy
+    # is imported: the tool loads the named tree or none, never whichever geodesy it finds
+    with pytest.raises(SystemExit) as err:
+        _load(tool).main([*_SRC_TOOLS[tool], str(tmp_path)])
+    out = capsys.readouterr()
+    assert err.value.code == 2 and out.out == ""
     assert out.err.endswith(f"error: {tmp_path} holds no geodesy package\n")
 
 
-@pytest.mark.parametrize("tool", sorted(_SRC_TOOLS))
-def test_a_tool_refuses_a_src_other_than_the_geodesy_imported(
-    tool, tmp_path, capsys, monkeypatch
+def test_output_digest_hashes_the_src_tree_beside_the_geodesy_imported(
+    digest, tmp_path, capsys
 ):
-    (tmp_path / "geodesy").mkdir()
-    (tmp_path / "geodesy" / "__init__.py").write_text("")
-    code, out = _refused_src(tool, tmp_path, capsys, monkeypatch)
-    found = os.path.dirname(os.path.realpath(geodesy.__file__))
-    assert code == 2 and out.out == ""
-    assert out.err.endswith(
-        f"error: geodesy is already imported from {found}, not from --src {tmp_path}\n"
+    # a copy of this tree, loaded by its path in a process that has imported geodesy: the
+    # digest is the copy's, the same bits as this process's geodesy gives
+    shutil.copytree(
+        os.path.join(ROOT, "src", "geodesy"), tmp_path / "geodesy",
+        ignore=shutil.ignore_patterns("__pycache__"),
     )
+    _load("output_digest").main(["--src", str(tmp_path)])
+    assert capsys.readouterr().out.splitlines()[-1] == f"sha256      {digest[1]}"
+    assert sys.modules["geodesy_src"].__file__ == str(tmp_path / "geodesy" / "__init__.py")
+
+
+def test_a_tree_loaded_under_a_used_name_runs_its_own_modules(tmp_path):
+    # two trees that differ in one constant of a submodule, one after the other under one
+    # name: a submodule left from the first would be what the second's relative import binds
+    tree = _load("_tree")
+    parser = argparse.ArgumentParser()
+    for value in (1, 2):
+        package = tmp_path / f"tree{value}" / "geodesy"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("from .constants import VALUE\n")
+        (package / "constants.py").write_text(f"VALUE = {value}\n")
+    try:
+        for value in (1, 2):
+            loaded = tree.load(parser, tmp_path / f"tree{value}", "geodesy_reloaded")
+            assert loaded.VALUE == value
+            assert sys.modules["geodesy_reloaded.constants"].VALUE == value
+    finally:
+        for key in ("geodesy_reloaded", "geodesy_reloaded.constants"):
+            sys.modules.pop(key, None)
 
 
 @pytest.mark.parametrize("case", ["pendulum-mci", "kepler-mgi", "lv-fd"])

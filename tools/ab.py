@@ -4,10 +4,12 @@ Usage, from the repository root:
 
     python3 tools/ab.py --a SRC --b SRC --case NAME [--rounds R] [--ops K]
 
---a and --b name the src/ directories of the two trees; they load side by
-side in one process as the packages geodesy_a and geodesy_b, so both run
+--a and --b name the src/ directories of the two trees. Each is loaded by
+its path, whatever geodesy the process could import, and the two load side
+by side in one process as the packages geodesy_a and geodesy_b, so both run
 under the same interpreter, allocator and CPU state, which separate
-processes do not share. --a may equal --b: an A/A round, whose ratios show
+processes do not share; a directory that holds no geodesy package is
+refused with exit status 2. --a may equal --b: an A/A round, whose ratios show
 the protocol's own noise. The cases are the benchmark's element workloads,
 pendulum-mci, kepler-mgi and lv-fd: bench/workloads.py is loaded once per
 tree, with that tree as its geodesy, so each tree runs the workload's own
@@ -35,25 +37,12 @@ import statistics
 import sys
 from time import perf_counter
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # must precede the numpy import
+import _tree  # pins BLAS to one thread, so before numpy
 
-WORKLOADS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench", "workloads.py")
+WORKLOADS = os.path.join(_tree.ROOT, "bench", "workloads.py")
 # the workloads whose operation is one integrate call; dense-output's runs the CLI
 CASES = ("pendulum-mci", "kepler-mgi", "lv-fd")
 SEED = 0  # picks the workload's initial state
-
-
-def load_tree(src, name):
-    """The geodesy package under src, imported as the package name."""
-    package = os.path.join(os.path.abspath(src), "geodesy")
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # before it runs, so its relative imports find it
-    spec.loader.exec_module(module)
-    return module
 
 
 def load_workloads(g, name):
@@ -108,10 +97,9 @@ def _same_bits(a, b):
     )
 
 
-def compare(src_a, src_b, case, rounds, ops):
+def compare(geodesy_a, geodesy_b, case, rounds, ops):
     """The JSON record of rounds alternated A/B rounds of ops operations each."""
-    a = Runner(load_tree(src_a, "geodesy_a"), case)
-    b = Runner(load_tree(src_b, "geodesy_b"), case)
+    a, b = Runner(geodesy_a, case), Runner(geodesy_b, case)
     # the untimed warm-up: caches, allocator and branch state; both trajectories stay in step
     bitwise = all(map(_same_bits, a.run(ops), b.run(ops)))
     ratios = []
@@ -145,10 +133,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.ops < 1:
         parser.error("--rounds and --ops must be at least 1")
-    for src in (args.a, args.b):
-        if not os.path.isfile(os.path.join(src, "geodesy", "__init__.py")):
-            parser.error(f"{src} holds no geodesy package")
-    print(json.dumps(compare(args.a, args.b, args.case, args.rounds, args.ops)))
+    geodesy_a = _tree.load(parser, args.a, "geodesy_a")
+    geodesy_b = _tree.load(parser, args.b, "geodesy_b")
+    print(json.dumps(compare(geodesy_a, geodesy_b, args.case, args.rounds, args.ops)))
 
 
 if __name__ == "__main__":

@@ -36,9 +36,10 @@ found in the table by their code objects (file, first line, name), so a
 closure of the same name elsewhere is not mistaken for them. A tree whose
 Newton loop, integrate or LU check has another name (one from before the
 Newton cores, given with --src) is refused with a ValueError naming the
-missing root: profile it with its own copy of this tool. A --src that holds
-no geodesy package, or a process that has imported geodesy from another
-tree, is refused with exit status 2.
+missing root: profile it with its own copy of this tool. The tree at --src
+(default: this repository's src/) is loaded by its path, whatever geodesy
+the process could import; a --src that holds no geodesy package is refused
+with exit status 2.
 """
 
 import argparse
@@ -48,12 +49,8 @@ import math
 import os
 import pstats
 import statistics
-import sys
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # must precede the numpy import
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+import _tree  # pins BLAS to one thread, so before numpy
 
 # name, problem, method, order, dt, keep the analytic Jacobian
 CASES = (
@@ -169,34 +166,15 @@ def profile_case(g, case, steps):
     return shares, float(traj.newton_iterations.mean()), 1e6 * total / traj.steps
 
 
-def import_geodesy(parser, src):
-    """The geodesy package under src, or exit 2 through parser.error.
-
-    src must hold geodesy/__init__.py, and no geodesy may be imported from elsewhere
-    already: the import would return that one in its place.
-    """
-    if not os.path.isfile(os.path.join(src, "geodesy", "__init__.py")):
-        parser.error(f"{src} holds no geodesy package")
-    sys.path.insert(0, os.path.abspath(src))
-    import geodesy
-
-    found = os.path.dirname(os.path.realpath(geodesy.__file__))
-    if found != os.path.realpath(os.path.join(src, "geodesy")):
-        parser.error(f"geodesy is already imported from {found}, not from --src {src}")
-    return geodesy
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--steps", type=int, default=2000, help="steps per integrate call")
     parser.add_argument("--runs", type=int, default=5, help="profiled calls per case; medians")
-    parser.add_argument(
-        "--src", default=os.path.join(ROOT, "src"), help="the src/ directory of the tree to profile"
-    )
+    _tree.add_src(parser)
     args = parser.parse_args(argv)
     if args.steps < 1 or args.runs < 1:
         parser.error("--steps and --runs must be at least 1")
-    geodesy = import_geodesy(parser, args.src)
+    geodesy = _tree.load(parser, args.src, "geodesy_src")
 
     print(f"{args.steps} steps, median of {args.runs} profiled runs; shares of integrate's time")
     print(f"{'case':<38}" + "".join(f"{name:>9}" for name in LAYERS) + f"{'iters':>7}{'us/step':>9}")
