@@ -9,11 +9,13 @@ file (whose keys mirror the flag names), else its default.
 Exit codes: 0 success; 2 usage errors, for run and converge alike: the
 CLI's own rules (unknown names, malformed config, the flags' bounds and the
 sweep's rules) and anything integrate refuses before its first step (y0,
---qrhs, the method's needs, too many steps, steps that round to zero length,
-a first or last element with no finite 1/sqrt(g)), found by one call of the
-library's check before anything is integrated, for a sweep at its coarsest
-level, reported as a run's, then at its finest level and reference run; 1 a
-step or invariant failure, memory or I/O.
+--pt and --qrhs by the library's order rule, [1, MAX_ORDER], the method's
+needs, too many steps, steps that round to zero length, a first or last
+element with no finite 1/sqrt(g)), found by one call of the library's check
+before anything is integrated, for a sweep at its coarsest level, reported
+as a run's, then at its finest level and reference run; for tableau, a --pt
+that butcher_tableau_mci refuses by the same rule; 1 a step or invariant
+failure, memory or I/O.
 """
 
 import argparse
@@ -25,6 +27,7 @@ import sys
 
 import numpy as np
 
+from .basis import MAX_ORDER
 from .errors import GeodesyError
 from .integrators import Method, _run_plan, integrate, sample_trajectory
 from .newton import NewtonConfig
@@ -32,7 +35,6 @@ from .problems import get_problem, problem_names
 from .tableau import butcher_tableau_mci, gauss_collocation_tableau
 
 _METHOD_NAMES = tuple(m.value for m in Method)
-_MAX_ORDER_CLI = 16
 _ROWS_PER_WRITE = 4096
 
 _CONFIG_KEYS = {
@@ -94,12 +96,6 @@ def _positive(key, val):
     return val
 
 
-def _bounded(key, val, top):
-    if not 1 <= val <= top:
-        raise UsageError(f"--{key} must lie in [1, {top}], got {val}")
-    return val
-
-
 def _settings(args, tfinal_steps):
     """Run's or converge's settings, with the checks only the CLI makes.
 
@@ -120,7 +116,7 @@ def _settings(args, tfinal_steps):
         method = Method(method_name)
     except ValueError:
         raise UsageError(f"unknown method {method_name!r}; known methods: {', '.join(_METHOD_NAMES)}")
-    pt = _bounded("pt", given.get("pt", 2), _MAX_ORDER_CLI)
+    pt = given.get("pt", 2)
     dt = _positive("dt", given.get("dt", problem.dt_ref))
     keys = {"abs_tol": "newton_abs_tol", "max_iter": "newton_max_iter"}
     try:
@@ -225,7 +221,7 @@ def _cmd_converge(args):
         raise UsageError("step sizes must be positive and smaller than tfinal")
     if len(set(dts)) < len(dts):  # a repeated size has no observed order
         raise UsageError(f"step sizes must be distinct, got {', '.join(f'{v:g}' for v in dts)}")
-    ref_dt, ref_pt = min(dts) / 64.0, pt + 2 if method.is_element_method else pt
+    ref_dt, ref_pt = min(dts) / 64.0, min(pt + 2, MAX_ORDER) if method.is_element_method else pt
     # the coarsest level first, as a run: what it refuses is a setting, not the sweep's. Then
     # the sweep's own prefixes name only what its halved steps cause
     y0 = _check_steps(opts, pt, max(dts), f"{problem.name} via {method.value} is a run")
@@ -275,8 +271,11 @@ def _cmd_converge(args):
 
 
 def _cmd_tableau(args):
-    pt = _bounded("pt", 2 if args.pt is None else args.pt, _MAX_ORDER_CLI)
-    tab = butcher_tableau_mci(pt)
+    pt = 2 if args.pt is None else args.pt
+    try:
+        tab = butcher_tableau_mci(pt)
+    except ValueError as err:  # the library's order rule, as run and converge take it
+        raise UsageError(f"a tableau that butcher_tableau_mci refuses: {err}") from None
     oracle = gauss_collocation_tableau(pt)
     dev = max(np.max(np.abs(getattr(tab, k) - getattr(oracle, k))) for k in "abc")
     print(f"stages: {tab.stages}")

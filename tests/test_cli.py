@@ -274,9 +274,28 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith(f"error: unknown {name} ''; known ")
         assert not out.exists()
 
-    def test_order_out_of_range(self):
-        assert run_cli("run", "--pt", "0") == 2
-        assert run_cli("run", "--pt", "17") == 2
+    @pytest.mark.parametrize("pt", ["0", "65"])
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    def test_order_out_of_range(self, tmp_path, capsys, command, pt):
+        # the library's order rule, refused as a run's setting, as --qrhs is
+        out = tmp_path / "out"
+        assert run_cli(command, "--pt", pt, "--out", str(out)) == 2
+        message = f"order p must lie in [1, 64], got {pt}"
+        assert capsys.readouterr().err == refusal("circle", "mci", message)
+        assert not out.exists()
+
+    def test_runs_an_order_past_sixteen_as_integrate_does(self, tmp_path):
+        out = str(tmp_path)
+        code = run_cli(
+            "run", "--problem", "circle", "--method", "mci",
+            "--pt", "32", "--dt", "1", "--tfinal", "2", "--out", out,
+        )
+        assert code == 0
+        _, rows = read_csv(os.path.join(out, "trajectory.csv"))
+        spec = get_problem("circle")
+        traj = integrate(spec.system, Method.MCI, spec.y0, 0.0, 2.0, 1.0, p=32)
+        np.testing.assert_array_equal(rows[:, 0], traj.times)
+        np.testing.assert_array_equal(rows[:, 1:].T, traj.states)
 
     def test_negative_dt(self):
         assert run_cli("run", "--dt", "-0.1") == 2
@@ -657,6 +676,20 @@ def fitted_order(stdout):
 
 
 class TestConverge:
+    def test_reference_run_order_stays_within_the_library_s_rule(self, tmp_path, monkeypatch):
+        # pendulum has no exact solution, so its truth is a finer run of order pt + 2, which
+        # stops at 64: integrate refuses 66. The first integrate call is that reference run
+        orders = []
+
+        def reference(*args, p, **kwargs):
+            orders.append(p)
+            raise MemoryError("stopped before the reference run")
+
+        monkeypatch.setattr("geodesy.cli.integrate", reference)
+        out = str(tmp_path / "out")
+        assert run_cli("converge", "--problem", "pendulum", "--pt", "64", "--out", out) == 1
+        assert orders == [64]
+
     def test_element_method_order(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = run_cli(
@@ -791,13 +824,18 @@ class TestTableau:
         dev = float(out.rsplit(":", 1)[1])
         assert dev <= 1e-13
 
-    def test_rejects_bad_order(self):
-        assert run_cli("tableau", "--pt", "0") == 2
+    @pytest.mark.parametrize("pt", ["0", "65"])
+    def test_rejects_bad_order(self, capsys, pt):
+        assert run_cli("tableau", "--pt", pt) == 2
+        message = f"order p must lie in [1, 64], got {pt}"
+        err = capsys.readouterr().err
+        assert err == f"error: a tableau that butcher_tableau_mci refuses: {message}\n"
 
-    def test_builds_the_oracle_at_order_sixteen(self, capsys):
-        assert run_cli("tableau", "--pt", "16") == 0
+    @pytest.mark.parametrize("pt", [16, 64])  # 64: the library's largest order
+    def test_builds_the_oracle_at_high_order(self, capsys, pt):
+        assert run_cli("tableau", "--pt", str(pt)) == 0
         out = capsys.readouterr().out
-        assert "stages: 16" in out
+        assert f"stages: {pt}" in out
         assert float(out.rsplit(":", 1)[1]) <= 1e-13
 
 

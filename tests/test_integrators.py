@@ -605,6 +605,47 @@ class TestMgiStep:
                 call(66)
 
 
+def circle_pade_map(p, dt):
+    """(alpha, beta) of the exact step map R = alpha I + beta A of order-2p Gauss collocation.
+
+    On the circle y' = Ay, A = [[0, 1], [-1, 0]], so A^2 = -I and the (p, p) Pade numerator
+    N(hA) = sum c_k (hA)^k, c_k = (2p - k)! p! / ((2p)! k! (p - k)!), is aI + bA. Then
+    R = N(hA) N(-hA)^-1 = ((a^2 - b^2) I + 2ab A) / (a^2 + b^2), in fractions over h = dt.
+    """
+    h, f = Fraction(dt), math.factorial
+    ab = [Fraction(0), Fraction(0)]
+    for k in range(p + 1):
+        c = Fraction(f(2 * p - k) * f(p), f(2 * p) * f(k) * f(p - k))
+        ab[k % 2] += c * h**k * (-1) ** (k // 2)  # A^k = (-1)^(k // 2) A^(k % 2)
+    a, b = ab
+    return (a * a - b * b) / (a * a + b * b), 2 * a * b / (a * a + b * b)
+
+
+class TestExactStepMap:
+    # on the linear circle MCI is Gauss collocation and MGI, whose rule integrates the field
+    # exactly, equals it: one step is the diagonal Pade map, exact in fractions over the
+    # doubles of y0. The error bound is fixed in units of eps max|R y0|
+    @pytest.mark.parametrize("p", [*range(1, 9), 16, 32])
+    @pytest.mark.parametrize("method", ["mci", "mgi"])
+    def test_one_step_is_the_pade_map_to_a_few_ulps(self, method, p):
+        dt = 1.0 if p <= 8 else p / 8
+        bound = 8 if p <= 16 else 32
+        alpha, beta = circle_pade_map(p, dt)
+        rng = np.random.default_rng(29)
+        radius, theta = rng.uniform(0.5, 2.0, 8), rng.uniform(0.0, 2.0 * math.pi, 8)
+        circle = get_problem("circle").system
+        for y0 in np.stack((radius * np.cos(theta), radius * np.sin(theta)), axis=1):
+            if method == "mci":
+                sol = mci_step(circle, y0, 0.0, dt, p)
+            else:
+                sol = mgi_step(circle, y0, 0.0, dt, p, q_rhs=min(2 * p + 10, 64))
+            u, v = map(Fraction, y0.tolist())
+            want = (alpha * u + beta * v, alpha * v - beta * u)
+            error = max(abs(Fraction(y) - w) for y, w in zip(sol.endpoint().tolist(), want))
+            ulps = error / (Fraction(np.finfo(float).eps) * max(map(abs, want)))
+            assert ulps <= bound, f"y0={y0.tolist()}: {float(ulps):.2f} eps max|R y0|"
+
+
 def _replace_newton(monkeypatch, solve):
     # the element step's Newton entry, replaced by solve(residual, x0, config, jacobian=None)
     # or by None where it is never reached; returns the entry it replaced

@@ -96,14 +96,14 @@ def test_conservation_audit_prints_one_row_per_case_the_same_on_every_run(
     conservation_audit.main([])
     assert capsys.readouterr().out == first
     rows = first.splitlines()[2:]
-    names = [case[0] for case in conservation_audit.cases(geodesy)]
+    # each case at p in {2, 4, 8} x dt in {0.1, 1}; the circle's at p in {16, 32} x
+    # dt in {p/16, p/8}, the quartic's at dt = p/16 only
     expected = [
-        (name, p, dt)
-        for name in names
-        for p in conservation_audit.ORDERS
-        for dt in conservation_audit.STEPS
+        (case[0], p, dt) for case in conservation_audit.cases(geodesy) for p, dt in case[-1]
     ]
-    assert len(rows) == len(expected) == 18
+    assert len(rows) == len(expected) == 28
+    assert [(p, dt) for _, p, dt in expected[6:10]] == [(16, 1), (16, 2), (32, 2), (32, 4)]
+    assert [(p, dt) for _, p, dt in expected[26:]] == [(16, 1), (32, 2)]
     for row, (name, p, dt) in zip(rows, expected):
         assert row.startswith(f"{name:<13}{p:>3}{dt:>5g}")
         assert row.split()[-1] in ("yes", "no")
