@@ -148,11 +148,12 @@ import numpy as np
 
 from .basis import (
     MAX_ORDER, _array, _check_count, _check_order, _float_output, _lagrange_product, _read_only,
-    _real, _real_scalar, edge_eval_all, gauss_rule, nodal_eval_all,
+    _real, _real_scalar, gauss_rule, nodal_eval_all,
 )
 from .errors import DomainError, EvaluationError, GeodesyError, IntegrationError
 from .mimetic import (
     ElementGrid,
+    _dual_edges,
     _half_length,
     _reference,
     galerkin_mass_dual,
@@ -221,11 +222,10 @@ def _pairing_record(p: int, q: int, galerkin: bool) -> _Pairing:
     quad = gauss_rule(q)
     E = incidence_matrix(p)
     Lq = nodal_eval_all(ref.primal_basis, quad.nodes).T
-    # the matrix canonical_hodge_1to0 applies, the edge table at the dual nodes, read in one
-    # evaluation: row l is the Hodge of the unit primal 1-cochain l. The transpose of the fresh
-    # C-ordered table is in Fortran order: the layout the kernel's dot products are timed and
-    # checked bitwise with, as BLAS may round another layout differently
-    D = edge_eval_all(ref.primal_basis, ref.dual.nodes).T
+    # the table canonical_hodge_1to0 applies, transposed: row l is the Hodge of the unit primal
+    # 1-cochain l. The transpose of the C-ordered table is in Fortran order: the layout the
+    # kernel's dot products are checked bitwise with, as BLAS may round another layout differently
+    D = _dual_edges(p).T
     if galerkin:  # rows scaled by the dual mass, the field paired on the q-point rule
         D = D * galerkin_mass_dual(ref)
         P = Pfull = galerkin_pairing(ref, quad).T

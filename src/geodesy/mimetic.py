@@ -192,6 +192,17 @@ def _reference(p: int) -> _Reference:
     return _Reference(primal, dual, NodalBasis(primal.nodes), NodalBasis(dual.nodes))
 
 
+@lru_cache(maxsize=None)
+def _dual_edges(p: int) -> np.ndarray:
+    # the canonical Hodge's table, for an order already checked: the edge basis at the dual
+    # nodes, (p, p) and read-only, T[m, l] = e_l(tau_m) with rows tau_m. The one owner of it:
+    # canonical_hodge_1to0 applies it, and the step's pairing record takes its transpose
+    ref = _reference(p)
+    table = edge_eval_all(ref.primal_basis, ref.dual.nodes)
+    table.setflags(write=False)
+    return table
+
+
 def reduce0(f, p: int, target: CochainKind) -> Cochain:
     """Sample a function at the nodes of order p on the reference element into a 0-cochain.
 
@@ -260,7 +271,9 @@ def canonical_hodge_1to0(c: Cochain, grid: ElementGrid) -> Cochain:
     """
     if c.order != grid.p:
         raise ValueError(f"cochain order {c.order} does not match grid order {grid.p}")
-    return Cochain(CochainKind.DUAL0, reconstruct1(c, grid.dual.nodes) / grid.sqrt_g)
+    # one dot product per point, as in reconstruct1
+    values = (_dual_edges(grid.p)[:, None, :] @ c.values)[:, 0] / grid.sqrt_g
+    return Cochain(CochainKind.DUAL0, values)
 
 
 def galerkin_mass_dual(grid: ElementGrid) -> np.ndarray:
