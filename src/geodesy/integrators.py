@@ -26,16 +26,16 @@ Everything a step needs of its pairing, the driver's guess table included,
 sits in one read-only record, built once per (p, q, pairing) from those
 toolkit operators on the reference element of order p, where sqrt(g) = 1, and
 cached; one resolver picks it from the method, and q_rhs (default 2p + 10) is
-an mgi setting only. D is the toolkit's edge table at the dual nodes, read in
-one evaluation: the matrix canonical_hodge_1to0 applies, so row l is the
-canonical Hodge of the unit primal 1-cochain l, D[l, m] = e_l(tau_m). mgi
-scales it by the dual mass w_m, and its P is the Galerkin pairing on its
-rule, transposed, P[nu, m] = omega_nu ltilde_m(sigma_nu). So one residual,
-(c E) D / sqrt(g) - h P for nodal values c and field values h, serves both
-pairings; mci's pairing is the identity, so it has no P and skips that
-product. One product c [Lq | E] gives both the quadrature states c Lq and the
-coboundary c E, whose entries are each one exactly rounded difference of
-nodal values.
+an mgi setting only. D is the transpose of geodesy.mimetic._dual_edges(p), the
+correctly rounded table that canonical_hodge_1to0 applies, so row l is the
+canonical Hodge of the unit primal 1-cochain l, D[l, m] = e_l(tau_m), and the
+steps follow the toolkit bit for bit. mgi scales it by the dual mass w_m, and
+its P is the Galerkin pairing on its rule, transposed, P[nu, m] = omega_nu
+ltilde_m(sigma_nu). So one residual, (c E) D / sqrt(g) - h P for nodal values
+c and field values h, serves both pairings; mci's pairing is the identity, so
+it has no P and skips that product. One product c [Lq | E] gives both the
+quadrature states c Lq and the coboundary c E, whose entries are each one
+exactly rounded difference of nodal values.
 
 One factory builds an element's residual, stage Jacobian, bind and solve over
 a (dim, p+1) stage buffer that it allocates and that nothing else reads: bind
@@ -53,12 +53,11 @@ sets each element's bounds, which the error messages name, and the rate term
 over sqrt(g); one take with an index array the factory caches beside it reads
 the difference into the variable-major (M p, M p) layout. The take only moves
 entries, so its bits are those of a reshape, transpose and reshape, in one
-call: 1.7 against 3.6 us at pendulum's shape (M = 2, p = 2). Residuals carry a
-1/sqrt(g) factor so Newton tolerances are in vector-field units whatever the
-step size. Steps accept negative dt (a reversed element); the integrate driver
-walks forward. No step builds a grid: an element is its bounds and its values
-at the primal nodes (ElementSolution), and sample_trajectory is the one way to
-read it.
+call instead of three. Residuals carry a 1/sqrt(g) factor so Newton tolerances
+are in vector-field units whatever the step size. Steps accept negative dt (a
+reversed element); the integrate driver walks forward. No step builds a grid:
+an element is its bounds and its values at the primal nodes (ElementSolution),
+and sample_trajectory is the one way to read it.
 
 integrate keeps a run as one primal 0-cochain on the time mesh: one (dim, n s + 1)
 nodal record, with s = p columns per step for the element methods and s = 1 for
@@ -80,12 +79,10 @@ iterations on the element methods.
 The kernel's products (c [Lq | E], the coboundary times D, h P, the pairing
 weights times the field Jacobians, and the driver's guess) are 2-D and, at
 low orders, a few dozen entries a side at most, so they call ndarray.dot
-rather than the @ operator. Both reach the same BLAS gemm, and on these shapes they give the
-same bits, but @ dispatches through the matmul ufunc, which makes a call
-take about twice as long: 1.1 against 0.45 us for a (2, 4) by (4, 6)
-product (numpy 2.4, one x86-64 core). sample_trajectory's batched 3-D
-product stays np.matmul, which gives every sampled point the bits it gets
-alone.
+rather than the @ operator: both reach the same BLAS gemm and give the same
+bits on these shapes, but @ dispatches through the matmul ufunc, which costs
+more per call than such a product. sample_trajectory's batched 3-D product
+stays np.matmul, which gives every sampled point the bits it gets alone.
 
 Newton starts cold, from y0 at every stage, on the first step of the
 driver and in the public steps mci_step/mgi_step; every later step of the
@@ -115,16 +112,15 @@ state as EvaluationError, and in integrate, with an invariant value, as
 IntegrationError naming the step.
 
 Each residual makes one finiteness test, on its r, as Python floats
-(all(map(math.isfinite, r.tolist()))): 0.4 us for lv's six unknowns, where
-np.isfinite and a reduce over its (2, 3) field block take 1.8 (numpy 2.4,
-one x86-64 core). The field values need no test of their own: under IEEE
-arithmetic a value that is not finite leaves r not finite. mci subtracts h
-itself; in mgi's h P, NaN times 0 is NaN, so P's exact zeros (at q_rhs = p
-P is diagonal) do not stop it, and every row of P has a nonzero entry, as
-the dual basis sums to one. Only when r fails is the block read again, to
-name its first node whose value is not finite; an r that fails with finite
-field values goes back to the caller, which names the residual (Newton) or,
-through a forward difference, the Jacobian. The classical steps test their
+(all(map(math.isfinite, r.tolist()))), cheaper at these sizes than np.isfinite
+and a reduce over the field block. The field values need no test of their own:
+under IEEE arithmetic a value that is not finite leaves r not finite. mci
+subtracts h itself; in mgi's h P, NaN times 0 is NaN, so P's exact zeros (at
+q_rhs = p P is diagonal) do not stop it, and every row of P has a nonzero
+entry, as the dual basis sums to one. Only when r fails is the block read
+again, to name its first node whose value is not finite; an r that fails with
+finite field values goes back to the caller, which names the residual (Newton)
+or, through a forward difference, the Jacobian. The classical steps test their
 field values themselves, with the same message.
 
 The field's block, the stage Jacobian's and each invariant series go
@@ -200,8 +196,8 @@ class _Pairing(NamedTuple):
     # [Lq | E], (p+1, q+p): the nodal basis Lq at the quadrature nodes and the incidence E;
     # one product coeffs @ LE gives the quadrature states and the coboundary
     LE: np.ndarray
-    # (p, p): the toolkit's edge table at the dual nodes, read once, D[l, m] = e_l(tau_m): row l
-    # is the canonical Hodge of the unit primal 1-cochain l; times the dual mass w_m for mgi
+    # (p, p): the canonical Hodge's table, transposed, D[l, m] = e_l(tau_m): row l is the
+    # canonical Hodge of the unit primal 1-cochain l; times the dual mass w_m for mgi
     D: np.ndarray
     # (q, p): mgi's Galerkin pairing on its rule, transposed,
     # P[nu, m] = omega_nu ltilde_m(sigma_nu); None for mci, whose pairing is the identity
@@ -556,8 +552,8 @@ _UPDATES = {
 
 def _finite_state(y):
     # a classical update's new state, refused unless finite: an element step needs no such
-    # test, as Newton accepts only finite residuals. Tested on Python floats: 0.3-0.5 us a
-    # step at dim 2-4, where np.isfinite takes 1.7-2.0 (numpy 2.4, one x86-64 core)
+    # test, as Newton accepts only finite residuals. Tested on Python floats, cheaper at these
+    # sizes than np.isfinite
     if not all(map(math.isfinite, y.tolist())):
         raise EvaluationError(f"new state is not finite: {y.tolist()}")
     return y
@@ -874,8 +870,7 @@ def sample_trajectory(traj: Trajectory, sample_times) -> np.ndarray:
     tau = (np.clip(flat, t0, tf) - starts[idx]) / sqrt_g[idx] - 1.0  # as in to_ref
     L = nodal_eval_all(_reference(traj.order).primal_basis, tau)
     # take copies the strided view whole, then gathers contiguous elements from the copy: as
-    # coefficients[idx] gives, bitwise, but 5.7 against 46 us on 50 steps and 1601 samples
-    # (numpy 2.4, one x86-64 core)
+    # coefficients[idx] gives, bitwise, and faster at dense sampling
     elements = traj.coefficients.take(idx, axis=0)
     states = np.matmul(elements, L[:, :, None])[:, :, 0].T
     return states.reshape((traj.dim,) + sample_times.shape)

@@ -17,11 +17,17 @@ dual_mass_matrix.
 
 Two pairings move a primal 1-cochain to the dual grid. The canonical pairing
 resamples the reconstructed density at the dual nodes and divides by the
-metric root sqrt(g) = (t_end - t_start)/2. The Galerkin pairing integrates
-against the dual basis, whose mass matrix is exactly diagonal because the
-dual Lagrange basis sits on Gauss points: entries sqrt(g) * w_j. On a
-quadrature rule with nodes sigma_nu and weights omega_nu, the Galerkin pairing
-of a function sampled at the nodes is the matrix sqrt(g) omega_nu
+metric root sqrt(g) = (t_end - t_start)/2. It applies one table per order,
+the edge basis at the dual nodes, e_l(tau_m), computed in decimal and
+rounded once to doubles, then cached read-only (_dual_edges); the element
+steps' pairing record holds its transpose, so the toolkit and the steps
+share it. reconstruct1 takes the float route, geodesy.basis.edge_eval_all,
+which at the dual nodes stays within (p^2/8 + 4) eps max|e| of the table,
+so the two agree there to a few ulps, not bit for bit. The Galerkin pairing
+integrates against the dual basis, whose mass matrix is exactly diagonal
+because the dual Lagrange basis sits on Gauss points: entries sqrt(g) * w_j.
+On a quadrature rule with nodes sigma_nu and weights omega_nu, the Galerkin
+pairing of a function sampled at the nodes is the matrix sqrt(g) omega_nu
 ltilde_m(sigma_nu) (galerkin_pairing), which dual_mass_matrix applies to the
 dual basis itself. These operators on the reference element are the tables
 of the element integrators' steps (geodesy.integrators): the canonical Hodge
@@ -41,6 +47,7 @@ geodesy.integrators, whose ValueError names the bounds.
 import enum
 import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -63,6 +70,10 @@ from .basis import (
 
 # quadrature points per sub-interval when reducing a density to a 1-cochain
 _REDUCE1_EXTRA = 4
+# the digits _dual_edges computes the canonical Hodge's table to, before it rounds it once
+_TABLE_DIGITS = 40
+# Newton updates that refine a float rule's nodes in decimal; each about doubles the digits
+_NODE_NEWTON_STEPS = 4
 
 
 class CochainKind(enum.Enum):
@@ -195,12 +206,68 @@ def _reference(p: int) -> _Reference:
 @lru_cache(maxsize=None)
 def _dual_edges(p: int) -> np.ndarray:
     # the canonical Hodge's table, for an order already checked: the edge basis at the dual
-    # nodes, (p, p) and read-only, T[m, l] = e_l(tau_m) with rows tau_m. The one owner of it:
-    # canonical_hodge_1to0 applies it, and the step's pairing record takes its transpose
-    ref = _reference(p)
-    table = edge_eval_all(ref.primal_basis, ref.dual.nodes)
+    # nodes, (p, p) and read-only, T[m, l] = e_l(tau_m) with rows tau_m, correctly rounded.
+    # The one owner of it: canonical_hodge_1to0 applies it, and the step's pairing record
+    # takes its transpose. The float route, edge_eval_all, cancels in its cumulative sum, and
+    # its errors, though within a few eps at low orders, move the invariants of both methods
+    # one way on every step; the correctly rounded table leaves them rounding that averages out
+    table = _edge_table(p, _TABLE_DIGITS)
     table.setflags(write=False)
     return table
+
+
+def _edge_table(p: int, digits: int) -> np.ndarray:
+    # e_l(tau_m) computed in decimal to the given digits and rounded once to floats. The nodes
+    # are the float rules' refined by Newton on the Legendre recurrence: the Gauss nodes tau_m
+    # as roots of P_p, the interior GLL nodes x_j as roots of P_p'. Then, with the barycentric
+    # weights w_k = 1 / prod_{j != k} (x_k - x_j), l_k(tau) = w_k prod_j (tau - x_j) / (tau - x_k),
+    # l_k'(tau) = l_k(tau) (sum_j 1 / (tau - x_j) - 1 / (tau - x_k)) and e_l = -sum_{k<l} l_k'
+    ref = _reference(p)
+    # a fresh context, so the caller's decimal settings (rounding, traps, exponent range) take
+    # no part
+    with localcontext(Context(prec=digits)):
+
+        def gauss_step(t):
+            P, dP = _legendre_decimal(p, t)
+            return P / dP
+
+        def gll_step(t):
+            # Newton on P_p' with (1 - t^2) P_p'' = 2 t P_p' - p (p+1) P_p
+            P, dP = _legendre_decimal(p, t)
+            return dP * (1 - t * t) / (2 * t * dP - p * (p + 1) * P)
+
+        x = [Decimal(-1), *_refined(ref.primal.nodes[1:-1], gll_step), Decimal(1)]
+        w = [1 / math.prod(x[k] - xj for j, xj in enumerate(x) if j != k) for k in range(p + 1)]
+        rows = []
+        for tau in _refined(ref.dual.nodes, gauss_step):
+            d = [tau - xj for xj in x]
+            omega, s = math.prod(d), sum(1 / dj for dj in d)
+            edge, row = Decimal(0), []
+            for k in range(p):
+                edge -= w[k] * omega / d[k] * (s - 1 / d[k])
+                row.append(float(edge))
+            rows.append(row)
+    return np.array(rows)
+
+
+def _refined(nodes, newton_step):
+    # each float node as a Decimal, refined by _NODE_NEWTON_STEPS updates t - newton_step(t)
+    out = []
+    for t in map(Decimal, nodes.tolist()):
+        for _ in range(_NODE_NEWTON_STEPS):
+            t -= newton_step(t)
+        out.append(t)
+    return out
+
+
+def _legendre_decimal(n: int, t: Decimal):
+    # P_n(t) and P_n'(t), n >= 1, by geodesy.basis.legendre_eval's recurrence, in the context's
+    # decimal precision
+    p_prev, p_cur, d_prev, d_cur = Decimal(1), t, Decimal(0), Decimal(1)
+    for k in range(1, n):
+        p_prev, p_cur = p_cur, ((2 * k + 1) * t * p_cur - k * p_prev) / (k + 1)
+        d_prev, d_cur = d_cur, ((2 * k + 1) * (p_prev + t * d_cur) - k * d_prev) / (k + 1)
+    return p_cur, d_cur
 
 
 def reduce0(f, p: int, target: CochainKind) -> Cochain:
@@ -266,8 +333,10 @@ def reconstruct1(c: Cochain, x):
 def canonical_hodge_1to0(c: Cochain, grid: ElementGrid) -> Cochain:
     """Canonical pairing: resample the 1-cochain density at the dual nodes.
 
-    The reconstructed dtau coefficient is divided by sqrt(g) so the result
-    carries time-rate units on the dual grid. The cochain's order must be the grid's.
+    The edge expansion's dtau coefficient, read from the order's correctly rounded table of the
+    edge basis at the dual nodes, one dot product per node, is divided by sqrt(g) so the result
+    carries time-rate units on the dual grid. The cochain's order must be the grid's, else
+    ValueError.
     """
     if c.order != grid.p:
         raise ValueError(f"cochain order {c.order} does not match grid order {grid.p}")

@@ -690,6 +690,25 @@ class TestConverge:
         assert run_cli("converge", "--problem", "pendulum", "--pt", "64", "--out", out) == 1
         assert orders == [64]
 
+    @pytest.mark.parametrize("qrhs, want", [([], 64), (["--qrhs", "40"], 40)])
+    def test_mgi_reference_run_takes_a_q_rhs_within_the_library_s_rule(
+        self, tmp_path, capsys, monkeypatch, qrhs, want
+    ):
+        # at --pt 26 the reference run's order is 28, whose default q_rhs 2p + 10 = 66 passes
+        # 64: without --qrhs it takes 64, the largest rule, and with --qrhs the sweep's value
+        runs = []
+
+        def reference(*args, p, q_rhs, **kwargs):
+            runs.append((p, q_rhs))
+            raise MemoryError("stopped before the reference run")
+
+        monkeypatch.setattr("geodesy.cli.integrate", reference)
+        out = str(tmp_path / "out")
+        argv = ["--problem", "pendulum", "--method", "mgi", "--pt", "26", "--levels", "3", *qrhs]
+        assert run_cli("converge", *argv, "--out", out) == 1
+        assert runs == [(28, want)]
+        assert "--levels" not in capsys.readouterr().err
+
     def test_element_method_order(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = run_cli(

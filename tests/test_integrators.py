@@ -624,12 +624,14 @@ def circle_pade_map(p, dt):
 class TestExactStepMap:
     # on the linear circle MCI is Gauss collocation and MGI, whose rule integrates the field
     # exactly, equals it: one step is the diagonal Pade map, exact in fractions over the
-    # doubles of y0. The error bound is fixed in units of eps max|R y0|
+    # doubles of y0. The error bound is fixed in units of eps max|R y0|: over 200 states the
+    # worst reads are 3.1 up to p = 8, 3.5 at p = 16 and 4.1 at p = 32, all MGI, where the float
+    # edge table read 4.4 (p = 8) and 12.4 (p = 32)
     @pytest.mark.parametrize("p", [*range(1, 9), 16, 32])
     @pytest.mark.parametrize("method", ["mci", "mgi"])
     def test_one_step_is_the_pade_map_to_a_few_ulps(self, method, p):
         dt = 1.0 if p <= 8 else p / 8
-        bound = 8 if p <= 16 else 32
+        bound = 6 if p <= 16 else 8
         alpha, beta = circle_pade_map(p, dt)
         rng = np.random.default_rng(29)
         radius, theta = rng.uniform(0.5, 2.0, 8), rng.uniform(0.0, 2.0 * math.pi, 8)
@@ -644,6 +646,18 @@ class TestExactStepMap:
             error = max(abs(Fraction(y) - w) for y, w in zip(sol.endpoint().tolist(), want))
             ulps = error / (Fraction(np.finfo(float).eps) * max(map(abs, want)))
             assert ulps <= bound, f"y0={y0.tolist()}: {float(ulps):.2f} eps max|R y0|"
+
+
+class TestNoEnergyDrift:
+    # the circle conserves H exactly in exact arithmetic under both methods. With the float edge
+    # table, whose errors move H one way on every step, 2000 steps at dt = 1 lost 4.7e-13 (p = 4)
+    # to 1.6e-12 (p = 8); with the correctly rounded table H stays at rounding, 6.2e-15 to 2.3e-14
+    @pytest.mark.parametrize("p", [4, 8])
+    @pytest.mark.parametrize("method", [Method.MCI, Method.MGI])
+    def test_circle_energy_stays_at_rounding_over_2000_steps(self, method, p):
+        traj = integrate(get_problem("circle").system, method, [2.0, 0.0], 0.0, 2000.0, 1.0, p=p)
+        H = traj.invariants["H"]
+        assert np.max(np.abs(H - H[0])) <= 5e-14
 
 
 def _replace_newton(monkeypatch, solve):

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import numpy.testing as npt
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodesy.basis import gauss_rule, gll_rule
+from geodesy.basis import edge_eval_all, gauss_rule, gll_rule
 from geodesy.errors import EvaluationError
 from geodesy.mimetic import (
     Cochain,
     CochainKind,
     ElementGrid,
+    _dual_edges,
+    _edge_table,
     canonical_hodge_1to0,
     coboundary,
     dual_mass_matrix,
@@ -345,7 +348,11 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="^cochain order 2 does not match grid order 3$"):
             canonical_hodge_1to0(c, ElementGrid(3, 0.0, 1.0))
         star = canonical_hodge_1to0(c, ElementGrid(2, 0.0, 1.0))
-        npt.assert_array_equal(star.values, reconstruct1(c, ElementGrid(2).dual.nodes) / 0.5)
+        # the Hodge applies the correctly rounded table, bitwise; reconstruct1 takes the float
+        # route, edge_eval_all, which differs from the table in the last bit at p = 2
+        npt.assert_array_equal(star.values, (_dual_edges(2)[:, None, :] @ c.values)[:, 0] / 0.5)
+        nearby = reconstruct1(c, ElementGrid(2).dual.nodes) / 0.5
+        npt.assert_allclose(star.values, nearby, rtol=4 * np.finfo(float).eps, atol=0)
 
 
 class TestMetricFree:
@@ -455,6 +462,40 @@ class TestHodge:
         off = full - np.diag(np.diag(full))
         assert np.max(np.abs(off)) <= 1e-13
         npt.assert_allclose(np.diag(full), galerkin_mass_dual(grid), atol=1e-12)
+
+
+class TestDualEdges:
+    # the canonical Hodge's table T[m, l] = e_l(tau_m), computed in decimal and rounded once;
+    # edge_eval_all, the float route, is the independent check
+
+    def test_the_table_is_cached_read_only_and_square(self):
+        assert _dual_edges(3) is _dual_edges(3)
+        assert _dual_edges(3).shape == (3, 3)
+        assert not _dual_edges(3).flags.writeable
+
+    def test_p2_is_its_closed_form_correctly_rounded(self):
+        # GLL nodes -1, 0, 1 and Gauss nodes -+1/sqrt(3): e_1 = 1/2 - tau and e_2 = 1/2 + tau
+        with localcontext() as ctx:
+            ctx.prec = 50
+            root = 1 / Decimal(3).sqrt()
+            near, far = float(Decimal("0.5") + root), float(Decimal("0.5") - root)
+        assert _dual_edges(2).tolist() == [[near, far], [far, near]]
+
+    @pytest.mark.parametrize("p", range(1, 65))
+    def test_the_float_route_keeps_to_its_bound(self, p):
+        # |edge_eval_all - T| <= (p^2 / 8 + 4) eps max|T|: the float route's cumulative sum of
+        # Lagrange derivatives cancels. Measured worst ratios to eps max|T|: 2.5 up to p = 4,
+        # 5.1 to 8, 15.1 to 16, 47.5 to 32 and 277.5 to 64 (at p = 58)
+        ref = ElementGrid(p)
+        table = _dual_edges(p)
+        floats = edge_eval_all(ref.primal_basis, ref.dual.nodes)
+        bound = (p * p / 8 + 4) * np.finfo(float).eps * np.max(np.abs(table))
+        assert np.max(np.abs(floats - table)) <= bound
+
+    @pytest.mark.parametrize("p", range(1, 17))
+    def test_the_table_is_its_routine_at_60_digits_bit_for_bit(self, p):
+        # 40 digits leave every entry far from a rounding boundary, so 20 more change no bit
+        assert _dual_edges(p).tobytes() == _edge_table(p, 60).tobytes()
 
 
 class TestHighOrders:

@@ -89,7 +89,8 @@ def conservation_audit():
 def test_conservation_audit_prints_one_row_per_case_the_same_on_every_run(
     conservation_audit, capsys, monkeypatch
 ):
-    # a report, not a gate: the rows and their bytes are pinned, the verdicts are not
+    # the rows and their bytes are pinned; at 4 states the verdicts are not, which the gate
+    # below asserts at the tool's own N
     monkeypatch.setattr(conservation_audit, "N", 4)
     conservation_audit.main([])
     first = capsys.readouterr().out
@@ -107,6 +108,33 @@ def test_conservation_audit_prints_one_row_per_case_the_same_on_every_run(
     for row, (name, p, dt) in zip(rows, expected):
         assert row.startswith(f"{name:<13}{p:>3}{dt:>5g}")
         assert row.split()[-1] in ("yes", "no")
+
+
+def test_conservation_audit_prints_its_pass_rule(conservation_audit, capsys, monkeypatch):
+    # the printed column is passes' verdict, the function the gate below asserts
+    eps = conservation_audit.EPS
+    assert conservation_audit.passes(-eps / 2, Fraction(2))
+    assert not conservation_audit.passes(eps / 2 + Fraction(1, 2**60), Fraction(2))
+    monkeypatch.setattr(conservation_audit, "N", 2)
+    monkeypatch.setattr(conservation_audit, "passes", lambda mean, level: False)
+    conservation_audit.main([])
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 28 and all(row.split()[-1] == "no" for row in rows)
+
+
+def test_conservation_audit_passes_every_case(conservation_audit):
+    # the tier-1 gate: in every row, the mean exact one-step change of the invariant over the
+    # tool's N states is within eps |I0| / 4, so rounding, not a table's bias, is what is left
+    audit, rows, failed = conservation_audit, 0, []
+    for name, system, step, invariant, level, make_states, grid in audit.cases(geodesy):
+        states = make_states(np.random.default_rng(audit.SEED), audit.N)
+        for p, dt in grid:
+            mean, _, z = audit.audit(system, step, invariant, states, p, dt)
+            rows += 1
+            if not audit.passes(mean, level):
+                failed.append(f"{name} p={p} dt={dt:g}: mean dI {float(mean):.3e}, z {z:.1f}")
+    assert rows == 28
+    assert not failed, "\n".join(failed)
 
 
 def test_conservation_audit_takes_the_invariants_change_exactly(conservation_audit):
