@@ -47,7 +47,9 @@ geodesy.integrators, whose ValueError names the bounds.
 import enum
 import math
 from dataclasses import dataclass, field
-from decimal import Context, Decimal, localcontext
+from decimal import (
+    ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext,
+)
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -223,9 +225,13 @@ def _edge_table(p: int, digits: int) -> np.ndarray:
     # weights w_k = 1 / prod_{j != k} (x_k - x_j), l_k(tau) = w_k prod_j (tau - x_j) / (tau - x_k),
     # l_k'(tau) = l_k(tau) (sum_j 1 / (tau - x_j) - 1 / (tau - x_k)) and e_l = -sum_{k<l} l_k'
     ref = _reference(p)
-    # a fresh context, so the caller's decimal settings (rounding, traps, exponent range) take
-    # no part
-    with localcontext(Context(prec=digits)):
+    # every field given, so neither the caller's context nor decimal.DefaultContext, from which
+    # Context copies any field left out, takes part
+    context = Context(
+        prec=digits, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1, clamp=0,
+        flags=[], traps=[InvalidOperation, DivisionByZero, Overflow],
+    )
+    with localcontext(context):
 
         def gauss_step(t):
             P, dP = _legendre_decimal(p, t)
@@ -247,7 +253,15 @@ def _edge_table(p: int, digits: int) -> np.ndarray:
                 edge -= w[k] * omega / d[k] * (s - 1 / d[k])
                 row.append(float(edge))
             rows.append(row)
-    return np.array(rows)
+    table = np.array(rows)
+    if p % 2:
+        # tau = 0 is the middle Gauss node, where e_1 = e_p = P_{p-1}(0) / (p + 1), which is
+        # (-1)^n C_n / 2^p for the Catalan number C_n, n = (p - 1) / 2: dyadic, and at p = 63
+        # halfway between two doubles, a tie no finite precision decides. Both entries are set
+        # from the closed form: an int's float rounds a tie to even, and the scaling is exact
+        n = (p - 1) // 2
+        table[n, [0, -1]] = math.ldexp((-1) ** n * math.comb(2 * n, n) // (n + 1), -p)
+    return table
 
 
 def _refined(nodes, newton_step):
@@ -336,10 +350,12 @@ def canonical_hodge_1to0(c: Cochain, grid: ElementGrid) -> Cochain:
     The edge expansion's dtau coefficient, read from the order's correctly rounded table of the
     edge basis at the dual nodes, one dot product per node, is divided by sqrt(g) so the result
     carries time-rate units on the dual grid. The cochain's order must be the grid's, else
-    ValueError.
+    ValueError, and its kind PRIMAL1, else TypeError.
     """
     if c.order != grid.p:
         raise ValueError(f"cochain order {c.order} does not match grid order {grid.p}")
+    if c.kind is not CochainKind.PRIMAL1:
+        raise TypeError(f"canonical_hodge_1to0 expects a primal 1-cochain, got {c.kind}")
     # one dot product per point, as in reconstruct1
     values = (_dual_edges(grid.p)[:, None, :] @ c.values)[:, 0] / grid.sqrt_g
     return Cochain(CochainKind.DUAL0, values)

@@ -1,9 +1,11 @@
 """Mimetic structure: incidence, reduction/reconstruction, Hodge pairings."""
 
 import dataclasses
+import decimal
 import inspect
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -348,10 +350,43 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="^cochain order 2 does not match grid order 3$"):
             canonical_hodge_1to0(c, ElementGrid(3, 0.0, 1.0))
         star = canonical_hodge_1to0(c, ElementGrid(2, 0.0, 1.0))
-        # the Hodge applies the correctly rounded table, bitwise; reconstruct1 takes the float
-        # route, edge_eval_all, which differs from the table in the last bit at p = 2
-        npt.assert_array_equal(star.values, (_dual_edges(2)[:, None, :] @ c.values)[:, 0] / 0.5)
+        # the Hodge applies the correctly rounded table; reconstruct1 takes the float route,
+        # edge_eval_all, which differs from the table in the last bit at p = 2
         nearby = reconstruct1(c, ElementGrid(2).dual.nodes) / 0.5
+        npt.assert_allclose(star.values, nearby, rtol=4 * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.parametrize(
+        "c", [Cochain(CochainKind.DUAL0, [1.0, 2.0]), Cochain(CochainKind.PRIMAL0, [1.0, 2.0, 3.0])]
+    )
+    def test_the_hodge_refuses_a_0_cochain_of_the_grid_s_order(self, c):
+        # each passes the order check, so the kind check is what refuses it
+        assert c.order == 2
+        with pytest.raises(TypeError, match="^canonical_hodge_1to0 expects a primal 1-cochain"):
+            canonical_hodge_1to0(c, ElementGrid(2))
+
+    def test_the_hodge_of_a_unit_cochain_is_the_closed_form_at_p3(self):
+        # oracle: the nodes in closed form, GLL -1, -+1/sqrt(5), 1 and Gauss 0, -+sqrt(3/5), and
+        # l_k' by the product rule, in decimal at 50 digits. A unit cochain makes the Hodge's dot
+        # product exact and sqrt(g) = 1/2 its division, so each column is the rounded e_l(tau_m)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a, b = 1 / Decimal(5).sqrt(), (Decimal(3) / 5).sqrt()
+            x, taus = [Decimal(-1), -a, a, Decimal(1)], [-b, Decimal(0), b]
+
+            def dl(k, tau):
+                others = [xj for j, xj in enumerate(x) if j != k]
+                terms = (math.prod(tau - xj for xj in others if xj is not xi) for xi in others)
+                return sum(terms) / math.prod(x[k] - xj for xj in others)
+
+            want = [[float(-sum(dl(k, tau) for k in range(l + 1))) for l in range(3)] for tau in taus]
+        assert want != np.transpose(want).tolist()  # so a transposed table cannot pass
+        for l in range(3):
+            unit = Cochain(CochainKind.PRIMAL1, np.eye(3)[l])
+            star = canonical_hodge_1to0(unit, ElementGrid(3, 0.0, 1.0))
+            assert (star.values / 2).tolist() == [row[l] for row in want]
+        c = Cochain(CochainKind.PRIMAL1, np.array([1.0, -2.0, 0.5]))
+        star = canonical_hodge_1to0(c, ElementGrid(3, 0.0, 1.0))
+        nearby = reconstruct1(c, ElementGrid(3).dual.nodes) / 0.5
         npt.assert_allclose(star.values, nearby, rtol=4 * np.finfo(float).eps, atol=0)
 
 
@@ -492,10 +527,33 @@ class TestDualEdges:
         bound = (p * p / 8 + 4) * np.finfo(float).eps * np.max(np.abs(table))
         assert np.max(np.abs(floats - table)) <= bound
 
-    @pytest.mark.parametrize("p", range(1, 17))
+    @pytest.mark.parametrize("p", range(1, 65))
     def test_the_table_is_its_routine_at_60_digits_bit_for_bit(self, p):
-        # 40 digits leave every entry far from a rounding boundary, so 20 more change no bit
+        # 40 digits leave every entry but the ties far from a rounding boundary: the nearest,
+        # e_30(tau_15) at p = 39, lies 2.7e-5 ulp from one. So 20 more change no bit
         assert _dual_edges(p).tobytes() == _edge_table(p, 60).tobytes()
+
+    @pytest.mark.parametrize("p", range(1, 65, 2))
+    def test_the_dyadic_entries_at_tau_0_round_half_to_even(self, p):
+        # oracle: e_1(0) = e_p(0) = P_{p-1}(0) / (p + 1), with P_k(0) = -(k - 1) / k P_{k-2}(0)
+        # in exact rationals; Fraction's float is correctly rounded, a tie to even
+        legendre = Fraction(1)
+        for k in range(2, p, 2):
+            legendre *= Fraction(1 - k, k)
+        exact = legendre / (p + 1)
+        n = (p - 1) // 2
+        assert _dual_edges(p)[n, 0] == _dual_edges(p)[n, -1] == float(exact)
+        if p == 63:  # the one tie: halfway between float(exact) and its neighbour
+            ulp = Fraction(math.ulp(float(exact)))
+            assert abs(exact - Fraction(float(exact))) == ulp / 2
+            assert int(Fraction(float(exact)) / ulp) % 2 == 0
+
+    def test_the_decimal_default_context_takes_no_part(self, monkeypatch):
+        # Context copies every field it is not given from decimal.DefaultContext
+        monkeypatch.setattr(decimal.DefaultContext, "rounding", decimal.ROUND_DOWN)
+        monkeypatch.setattr(decimal.DefaultContext, "Emax", 10)
+        monkeypatch.setitem(decimal.DefaultContext.traps, decimal.Inexact, True)
+        assert _edge_table(5, 40).tobytes() == _dual_edges(5).tobytes()
 
 
 class TestHighOrders:
