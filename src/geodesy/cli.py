@@ -29,7 +29,7 @@ import numpy as np
 
 from .basis import MAX_ORDER
 from .errors import GeodesyError
-from .integrators import Method, _run_plan, default_qrhs, integrate, sample_trajectory
+from .integrators import Method, _run_plan, integrate, sample_trajectory
 from .newton import NewtonConfig
 from .problems import get_problem, problem_names
 from .tableau import butcher_tableau_mci, gauss_collocation_tableau
@@ -229,14 +229,8 @@ def _cmd_converge(args):
     _check_steps(opts, pt, min(dts), f"{flag} gives the finest level steps")
     # endpoint truth: the exact solution when known, else a much finer run
     if problem.system.exact_solution is None:
-        ref = opts
-        if method is Method.MGI and opts.qrhs is None:
-            # the default q_rhs at ref_pt, capped at the largest rule: from ref_pt = 28 on,
-            # 2p + 10 passes MAX_ORDER, which no setting of the sweep's own asked for
-            ref = argparse.Namespace(**vars(opts))
-            ref.qrhs = min(default_qrhs(ref_pt), MAX_ORDER)
-        _check_steps(ref, ref_pt, ref_dt, f"{flag} gives the reference run steps")
-        y_ref = _integrate(ref, ref_dt, ref_pt).states[:, -1]
+        _check_steps(opts, ref_pt, ref_dt, f"{flag} gives the reference run steps")
+        y_ref = _integrate(opts, ref_dt, ref_pt).states[:, -1]
     else:
         y_ref = problem.system.exact_solution(tfinal, y0)
     label = problem.invariant_labels[0]  # every registered problem declares one
@@ -378,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--pt", type=int, help="polynomial order of the element methods (default 2)")
         sp.add_argument("--dt", type=float, help="step size (default: problem reference)")
         sp.add_argument("--tfinal", type=float, help=tfinal_help)
-        sp.add_argument("--qrhs", type=int, help="quadrature points, default 2 pt + 10 (mgi only)")
+        sp.add_argument("--qrhs", type=int, help="mgi quadrature points, default min(2 pt + 10, 64)")
         sp.add_argument("--out", help="output directory (default .)")
 
     sp_run = sub.add_parser("run", help="integrate once and write trajectory/invariants CSVs")

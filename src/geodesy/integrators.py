@@ -25,17 +25,18 @@ With enough quadrature points it conserves polynomial Hamiltonians exactly.
 Everything a step needs of its pairing, the driver's guess table included,
 sits in one read-only record, built once per (p, q, pairing) from those
 toolkit operators on the reference element of order p, where sqrt(g) = 1, and
-cached; one resolver picks it from the method, and q_rhs (default 2p + 10) is
-an mgi setting only. D is the transpose of geodesy.mimetic._dual_edges(p), the
-correctly rounded table that canonical_hodge_1to0 applies, so row l is the
-canonical Hodge of the unit primal 1-cochain l, D[l, m] = e_l(tau_m), and the
-steps follow the toolkit bit for bit. mgi scales it by the dual mass w_m, and
-its P is the Galerkin pairing on its rule, transposed, P[nu, m] = omega_nu
-ltilde_m(sigma_nu). So one residual, (c E) D / sqrt(g) - h P for nodal values
-c and field values h, serves both pairings; mci's pairing is the identity, so
-it has no P and skips that product. One product c [Lq | E] gives both the
-quadrature states c Lq and the coboundary c E, whose entries are each one
-exactly rounded difference of nodal values.
+cached; one resolver picks it from the method, and q_rhs (by default
+default_qrhs(p) = min(2p + 10, MAX_ORDER)) is an mgi setting only. D is the
+transpose of geodesy.mimetic._dual_edges(p), the correctly rounded table that
+canonical_hodge_1to0 applies, so row l is the canonical Hodge of the unit
+primal 1-cochain l, D[l, m] = e_l(tau_m), and the steps follow the toolkit bit
+for bit. mgi scales it by the dual mass w_m, and its P is the Galerkin pairing
+on its rule, transposed, P[nu, m] = omega_nu ltilde_m(sigma_nu). So one
+residual, (c E) D / sqrt(g) - h P for nodal values c and field values h,
+serves both pairings; mci's pairing is the identity, so it has no P and skips
+that product. One product c [Lq | E] gives both the quadrature states c Lq and
+the coboundary c E, whose entries are each one exactly rounded difference of
+nodal values.
 
 One factory builds an element's residual, stage Jacobian, bind and solve over
 a (dim, p+1) stage buffer that it allocates and that nothing else reads: bind
@@ -186,9 +187,12 @@ _POINTWISE = "; wrap a callable written for one state with geodesy.systems.point
 
 
 def default_qrhs(p: int) -> int:
-    """Default quadrature size for the Galerkin pairing: 2p + 10, for p in [1, MAX_ORDER]."""
+    """Default quadrature size for the Galerkin pairing, for p in [1, MAX_ORDER].
+
+    It is min(2p + 10, MAX_ORDER): 2p + 10 up to p = 27, then the largest rule.
+    """
     _check_order(p, 1, "order p")
-    return 2 * p + 10
+    return min(2 * p + 10, MAX_ORDER)
 
 
 class _Pairing(NamedTuple):
@@ -243,16 +247,11 @@ def _pairing_record(p: int, q: int, galerkin: bool) -> _Pairing:
 
 def _pairing(method: Method, p: int, q_rhs: Optional[int]) -> _Pairing:
     # the one place that knows the two pairings: mgi is the Galerkin pairing on
-    # q_rhs points (default 2p + 10), mci collocation at the p dual nodes; p and
+    # q_rhs points (by default default_qrhs(p)), mci collocation at the p dual nodes; p and
     # q_rhs are checked here, before a cache that takes True for 1 and 2.0 for 2
     _check_order(p, 1, "order p")
     if method is Method.MGI:
         q = default_qrhs(p) if q_rhs is None else q_rhs
-        if q_rhs is None and q > MAX_ORDER:
-            raise ValueError(
-                f"order p={p} needs q_rhs: the default 2p + 10 = {q} exceeds {MAX_ORDER};"
-                f" pass q_rhs <= {MAX_ORDER}"
-            )
         _check_order(q, 1, "q_rhs")
         return _pairing_record(p, q, True)
     return _pairing_record(p, p, False)
@@ -447,7 +446,8 @@ def mgi_residual(sys: OdeSystem, sol: ElementSolution, q_rhs: Optional[int] = No
 
     R[i, m] = w_m (rate of y_i at dual node m) / sqrt(g)
               - sum_nu omega_nu h_i(y(sigma_nu)) ltilde_m(sigma_nu),
-    on the q_rhs-point rule, by default default_qrhs(p) as in mgi_step.
+    on the q_rhs-point rule, by default default_qrhs(p) = min(2p + 10, MAX_ORDER) as in
+    mgi_step; a q_rhs given outside [1, MAX_ORDER] raises ValueError.
     """
     return _public_residual(sys, sol, Method.MGI, q_rhs)
 
@@ -692,9 +692,9 @@ def _run_plan(sys, method, y0, t0, tf, dt, p, newton, q_rhs):
     # geodesy.basis._real_scalar) or not finite; tf <= t0; dt <= 0; an element method's
     # first step that gives no element; a count that is not finite or whose records numpy
     # cannot address; a dt within the slack (steps that round to zero length); an element
-    # method's last step that gives no element; an MGI q_rhs, given or 2p + 10 by default,
-    # that is not an integer (TypeError) or lies outside [1, MAX_ORDER]; symplectic Euler on
-    # a system without a partition; a y0 that is not real, ragged, misshapen or not finite.
+    # method's last step that gives no element; an MGI q_rhs given that is not an integer
+    # (TypeError) or lies outside [1, MAX_ORDER], where the default always lies; symplectic
+    # Euler on a system without a partition; a y0 that is not real, ragged, misshapen or not finite.
     # Every other refusal is a ValueError. It returns what the loop reads: y0 as float64,
     # t0, tf and dt as Python floats, the count n >= 1 of steps, the slack within which the
     # last step absorbs a remainder and the element methods' pairing (None for the others)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geodesy.integrators
 from geodesy import Method, get_problem, integrate, problem_names, sample_trajectory
 from geodesy.cli import main
 
@@ -690,12 +691,13 @@ class TestConverge:
         assert run_cli("converge", "--problem", "pendulum", "--pt", "64", "--out", out) == 1
         assert orders == [64]
 
-    @pytest.mark.parametrize("qrhs, want", [([], 64), (["--qrhs", "40"], 40)])
+    @pytest.mark.parametrize("qrhs, want", [([], None), (["--qrhs", "40"], 40)])
     def test_mgi_reference_run_takes_a_q_rhs_within_the_library_s_rule(
         self, tmp_path, capsys, monkeypatch, qrhs, want
     ):
-        # at --pt 26 the reference run's order is 28, whose default q_rhs 2p + 10 = 66 passes
-        # 64: without --qrhs it takes 64, the largest rule, and with --qrhs the sweep's value
+        # at --pt 26 the reference run's order is 28: without --qrhs it passes none, so the
+        # library's default, the largest rule, and with --qrhs the sweep's value
+        assert len(geodesy.integrators._pairing(Method.MGI, 28, None).nodes) == 64
         runs = []
 
         def reference(*args, p, q_rhs, **kwargs):

@@ -567,8 +567,9 @@ class TestMgiStep:
         npt.assert_allclose(back, pend.y0, rtol=0.0, atol=1e-11)
 
     def test_default_quadrature_size(self):
-        assert default_qrhs(1) == 12
-        assert default_qrhs(4) == 18
+        # 2p + 10 through p = 27, where it reaches 64, then the largest rule
+        want = [2 * p + 10 for p in range(1, 28)] + [64] * 37
+        assert [default_qrhs(p) for p in range(1, 65)] == want
 
     @pytest.mark.parametrize(
         "p, error", [(2.5, TypeError), (True, TypeError), (0, ValueError), (65, ValueError)]
@@ -578,31 +579,29 @@ class TestMgiStep:
         with pytest.raises(error, match="^order p must"):
             default_qrhs(p)
 
-    def test_default_quadrature_size_reaches_the_largest_rule_at_order_27(self):
-        # p = 27 runs on the default 2p + 10 = 64 points; from p = 28 on the
-        # default exceeds the largest rule and every entry point says so,
-        # while an explicit q_rhs keeps its own message
+    @pytest.mark.parametrize("p", [28, 64])
+    def test_above_order_27_the_default_is_the_largest_rule(self, p):
+        # the default 64 points bit for bit at every entry point, while an explicit q_rhs
+        # keeps the order rule
         pend = get_problem("pendulum")
         sys, y0 = pend.system, pend.y0
-        assert len(geodesy.integrators._pairing(Method.MGI, 27, None).nodes) == 64
-        sol = mgi_step(sys, y0, 0.0, 0.1, 27)
-        npt.assert_array_equal(mgi_residual(sys, sol, None), mgi_residual(sys, sol, 64))
-        traj = integrate(sys, Method.MGI, y0, 0.0, 0.2, 0.1, p=27)
-        npt.assert_array_equal(traj.coefficients[0], sol.coefficients)
-        expected = (
-            r"^order p=28 needs q_rhs: the default 2p \+ 10 = 66 exceeds 64; pass q_rhs <= 64$"
+        sol, sol64 = (mgi_step(sys, y0, 0.0, 0.1, p, q_rhs=q) for q in (None, 64))
+        npt.assert_array_equal(sol.coefficients, sol64.coefficients)
+        assert sol.newton_iterations == sol64.newton_iterations
+        npt.assert_array_equal(mgi_residual(sys, sol), mgi_residual(sys, sol, 64))
+        traj, traj64 = (
+            integrate(sys, Method.MGI, y0, 0.0, 0.2, 0.1, p=p, q_rhs=q) for q in (None, 64)
         )
-        sol28 = mgi_step(sys, y0, 0.0, 0.1, 28, q_rhs=64)
+        npt.assert_array_equal(traj.coefficients, traj64.coefficients)
+        npt.assert_array_equal(traj.coefficients[0], sol.coefficients)
         calls = [
-            lambda q: integrate(sys, Method.MGI, y0, 0.0, 0.2, 0.1, p=28, q_rhs=q),
-            lambda q: mgi_step(sys, y0, 0.0, 0.1, 28, q_rhs=q),
-            lambda q: mgi_residual(sys, sol28, q),
+            lambda: integrate(sys, Method.MGI, y0, 0.0, 0.2, 0.1, p=p, q_rhs=65),
+            lambda: mgi_step(sys, y0, 0.0, 0.1, p, q_rhs=65),
+            lambda: mgi_residual(sys, sol, 65),
         ]
         for call in calls:
-            with pytest.raises(ValueError, match=expected):
-                call(None)
-            with pytest.raises(ValueError, match=r"^q_rhs must lie in \[1, 64\], got 66$"):
-                call(66)
+            with pytest.raises(ValueError, match=r"^q_rhs must lie in \[1, 64\], got 65$"):
+                call()
 
 
 def circle_pade_map(p, dt):
@@ -640,7 +639,7 @@ class TestExactStepMap:
             if method == "mci":
                 sol = mci_step(circle, y0, 0.0, dt, p)
             else:
-                sol = mgi_step(circle, y0, 0.0, dt, p, q_rhs=min(2 * p + 10, 64))
+                sol = mgi_step(circle, y0, 0.0, dt, p, q_rhs=default_qrhs(p))
             u, v = map(Fraction, y0.tolist())
             want = (alpha * u + beta * v, alpha * v - beta * u)
             error = max(abs(Fraction(y) - w) for y, w in zip(sol.endpoint().tolist(), want))
@@ -753,7 +752,7 @@ class TestStageJacobian:
     def test_field_term_matches_the_einsum_formula(self, monkeypatch, method, q_rhs, p, M):
         # random field Jacobians at the quadrature nodes; the step's Jacobian
         # is taken unsolved, so any Jh will do
-        q = p if q_rhs == "p" else 2 * p + 10
+        q = p if q_rhs == "p" else default_qrhs(p)
         galerkin = method == "mgi"
         Jh = np.random.default_rng(10 * p + M).standard_normal((q, M, M))
         sys = OdeSystem(dim=M, field=lambda y: np.zeros_like(y), jacobian=lambda y: Jh)
@@ -1391,7 +1390,7 @@ class TestPairingRecordIsTheToolkit:
         assert mci.P is None  # collocation: the pairing is the identity
         assert_same_bytes(mci.D, hodge)
         pairings = [(mci, np.eye(p))]
-        for q in sorted({p, min(p + 1, 64), min(2 * p + 10, 64)}):
+        for q in sorted({p, min(p + 1, 64), default_qrhs(p)}):
             mgi = geodesy.integrators._pairing(Method.MGI, p, q)
             assert_same_bytes(mgi.D, hodge * galerkin_mass_dual(ref))
             npt.assert_array_equal(mgi.P, galerkin_pairing(ref, gauss_rule(q)).T)
@@ -2434,11 +2433,11 @@ class TestIntegrateSweep:
     )
     def test_high_orders_fail_only_with_library_errors(self, name, method, p, log_dt, span, shift):
         # the same contract above p = 8, where the driver's guess extrapolates
-        # through 9 of the p + 1 nodes; MGI passes q_rhs where 2p + 10 exceeds 64
+        # through 9 of the p + 1 nodes
         spec = get_problem(name)
         dt = float(np.exp(log_dt))
         y0 = spec.y0 + np.array(shift[: spec.system.dim]) * (1.0 + np.abs(spec.y0))
-        q_rhs = min(default_qrhs(p), 64) if method is Method.MGI else None
+        q_rhs = default_qrhs(p) if method is Method.MGI else None
         try:
             traj = integrate(spec.system, method, y0, 0.0, span * dt, dt, p=p, q_rhs=q_rhs)
         except GeodesyError:
@@ -2559,7 +2558,7 @@ class TestFiniteOrRefused:
         sys = spec.system
         y0 = (spec.y0 + np.array(shift[: sys.dim]) * (1.0 + np.abs(spec.y0))) * 10.0**scale
         t0, dt = t0_sign * 10.0**t0_exponent, 10.0**dt_exponent
-        q_rhs = min(default_qrhs(p), 64) if method is Method.MGI else None
+        q_rhs = default_qrhs(p) if method is Method.MGI else None
         refused = (ValueError, TypeError, GeodesyError)
         try:
             traj = integrate(sys, method, y0, t0, t0 + steps * dt, dt, p=p, q_rhs=q_rhs)

@@ -17,8 +17,8 @@ which should average out (Hairer, McLachlan & Razakarivony, BIT 48, 2008):
 a large |z| shows a systematic source. The cases are the circle's energy
 (p^2 + q^2)/2 on its level I0 = 2, under MCI and MGI, and the quartic
 oscillator's energy p^2/2 + q^4/4 on the level I0 = 1/2 under MGI; MGI
-takes q_rhs = min(2p + 10, 64), its default where that is at most the
-largest rule, and it integrates that polynomial field exactly. Each case
+takes q_rhs = min(2p + 10, 64), the library's default, and it integrates
+that polynomial field exactly. Each case
 runs at p in {2, 4, 8} and dt in {0.1, 1}, then at the high orders p in
 {16, 32}, where rounding biases grow: the circle at dt in {p/16, p/8}, the
 quartic at dt = p/16 only, as from the cold guess at p = 32, dt = 4 Newton
@@ -90,6 +90,7 @@ def cases(g):
     circle = g.get_problem("circle").system
 
     def mgi_step(system, y0, t0, dt, p):
+        # the default written out: a base tree loaded by --src may refuse it above p = 27
         return g.mgi_step(system, y0, t0, dt, p, q_rhs=min(2 * p + 10, 64))
 
     return (

@@ -172,6 +172,7 @@ def digests(g):
     record = g.integrators._pairing_record
     for p in range(1, 17):
         _feed(parts["mci-tables"], p, *record(p, p, False))
+        # the default written out: a base tree loaded by --src may not cap it at 64
         for q in (p, p + 1, min(2 * p + 10, 64)):
             _feed(parts["mgi-tables"], p, q, *record(p, q, True))
     for p in range(1, 17):
