@@ -85,18 +85,38 @@ def legendre_eval(n: int, x):
     if n > _MAX_DEGREE:
         raise ValueError(f"Legendre degree must lie in [0, {_MAX_DEGREE}], got {n}")
     x = _real(x, "x")
-    p_prev = np.ones_like(x)
-    d_prev = np.zeros_like(x)
-    if n == 0:
-        return p_prev[()], d_prev[()]
-    p_cur = x.copy()
-    d_cur = np.ones_like(x)
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    P, dP = _legendre(n, x.copy(), one, zero) if n else (one, zero)  # a copy: P_1 is x itself
+    return P[()], dP[()]
+
+
+def _legendre(n: int, x, one=1, zero=0):
+    # P_n(x) and P_n'(x), n >= 1, by legendre_eval's recurrence in x's own arithmetic: float
+    # arrays, or a Decimal in the context's precision; one and zero are P_0 and P_0'
+    p_prev, p_cur, d_prev, d_cur = one, x, zero, one
     for k in range(1, n):
-        p_next = ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
-        d_next = ((2 * k + 1) * (p_cur + x * d_cur) - k * d_prev) / (k + 1)
-        p_prev, p_cur = p_cur, p_next
-        d_prev, d_cur = d_cur, d_next
-    return p_cur[()], d_cur[()]
+        p_prev, p_cur = p_cur, ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
+        d_prev, d_cur = d_cur, ((2 * k + 1) * (p_prev + x * d_cur) - k * d_prev) / (k + 1)
+    return p_cur, d_cur
+
+
+def _gauss_step(q: int):
+    # the Newton update on P_q, whose roots are the q Gauss nodes, in x's own arithmetic
+    def step(x):
+        P, dP = _legendre(q, x)
+        return P / dP
+
+    return step
+
+
+def _gll_step(p: int):
+    # the Newton update on P_p', whose roots are the p - 1 interior GLL nodes, in x's own
+    # arithmetic, with (1 - x^2) P_p'' = 2 x P_p' - p (p+1) P_p
+    def step(x):
+        P, dP = _legendre(p, x)
+        return dP * (1 - x * x) / (2 * x * dP - p * (p + 1) * P)
+
+    return step
 
 
 _FLOAT = np.dtype(float)
@@ -165,8 +185,7 @@ def _float_output(values, who, shape, hint="") -> np.ndarray:
     # real (complex, object, str) are refused as in _real, and so are ragged values, which
     # numpy's constructor refuses naming no callable, and another shape, which numpy would
     # broadcast or LAPACK misread. A float64 ndarray of the shape, what the
-    # library's own callables return, passes one combined test: 0.07 us, where
-    # np.asarray(values, dtype=float) takes 0.12 (numpy 2.4, one x86-64 core)
+    # library's own callables return, passes one combined test, cheaper than np.asarray
     if type(values) is np.ndarray and values.dtype is _FLOAT and values.shape == shape:
         return values
     try:
@@ -250,12 +269,7 @@ def gauss_rule(q: int) -> QuadratureRule:
 @lru_cache(maxsize=None)
 def _gauss_rule(q: int) -> QuadratureRule:
     k = np.arange(1.0, q)
-
-    def newton_step(x):
-        P, dP = legendre_eval(q, x)
-        return P / dP
-
-    nodes = _symmetrize(_golub_welsch(q, k / np.sqrt(4.0 * k * k - 1.0), newton_step))
+    nodes = _symmetrize(_golub_welsch(q, k / np.sqrt(4.0 * k * k - 1.0), _gauss_step(q)))
     _, dP = legendre_eval(q, nodes)
     weights = 2.0 / ((1.0 - nodes**2) * dP**2)
     return QuadratureRule(nodes, weights)
@@ -276,14 +290,8 @@ def gll_rule(p: int) -> QuadratureRule:
 @lru_cache(maxsize=None)
 def _gll_rule(p: int) -> QuadratureRule:
     k = np.arange(1.0, p - 1)
-
-    def newton_step(x):
-        # Newton on P_p' with (1 - x^2) P_p'' = 2 x P_p' - p (p+1) P_p
-        P, dP = legendre_eval(p, x)
-        return dP * (1.0 - x * x) / (2 * x * dP - p * (p + 1) * P)
-
     off = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
-    nodes = _symmetrize(np.concatenate(([-1.0], _golub_welsch(p - 1, off, newton_step), [1.0])))
+    nodes = _symmetrize(np.concatenate(([-1.0], _golub_welsch(p - 1, off, _gll_step(p)), [1.0])))
     P, _ = legendre_eval(p, nodes)
     weights = 2.0 / (p * (p + 1) * P**2)
     return QuadratureRule(nodes, weights)

@@ -61,6 +61,8 @@ from .basis import (
     QuadratureRule,
     _check_callable,
     _check_order,
+    _gauss_step,
+    _gll_step,
     _read_only,
     _real_scalar,
     _samples,
@@ -220,7 +222,7 @@ def _dual_edges(p: int) -> np.ndarray:
 
 def _edge_table(p: int, digits: int) -> np.ndarray:
     # e_l(tau_m) computed in decimal to the given digits and rounded once to floats. The nodes
-    # are the float rules' refined by Newton on the Legendre recurrence: the Gauss nodes tau_m
+    # are the float rules' refined by those rules' Newton updates: the Gauss nodes tau_m
     # as roots of P_p, the interior GLL nodes x_j as roots of P_p'. Then, with the barycentric
     # weights w_k = 1 / prod_{j != k} (x_k - x_j), l_k(tau) = w_k prod_j (tau - x_j) / (tau - x_k),
     # l_k'(tau) = l_k(tau) (sum_j 1 / (tau - x_j) - 1 / (tau - x_k)) and e_l = -sum_{k<l} l_k'
@@ -232,20 +234,10 @@ def _edge_table(p: int, digits: int) -> np.ndarray:
         flags=[], traps=[InvalidOperation, DivisionByZero, Overflow],
     )
     with localcontext(context):
-
-        def gauss_step(t):
-            P, dP = _legendre_decimal(p, t)
-            return P / dP
-
-        def gll_step(t):
-            # Newton on P_p' with (1 - t^2) P_p'' = 2 t P_p' - p (p+1) P_p
-            P, dP = _legendre_decimal(p, t)
-            return dP * (1 - t * t) / (2 * t * dP - p * (p + 1) * P)
-
-        x = [Decimal(-1), *_refined(ref.primal.nodes[1:-1], gll_step), Decimal(1)]
+        x = [Decimal(-1), *_refined(ref.primal.nodes[1:-1], _gll_step(p)), Decimal(1)]
         w = [1 / math.prod(x[k] - xj for j, xj in enumerate(x) if j != k) for k in range(p + 1)]
         rows = []
-        for tau in _refined(ref.dual.nodes, gauss_step):
+        for tau in _refined(ref.dual.nodes, _gauss_step(p)):
             d = [tau - xj for xj in x]
             omega, s = math.prod(d), sum(1 / dj for dj in d)
             edge, row = Decimal(0), []
@@ -272,16 +264,6 @@ def _refined(nodes, newton_step):
             t -= newton_step(t)
         out.append(t)
     return out
-
-
-def _legendre_decimal(n: int, t: Decimal):
-    # P_n(t) and P_n'(t), n >= 1, by geodesy.basis.legendre_eval's recurrence, in the context's
-    # decimal precision
-    p_prev, p_cur, d_prev, d_cur = Decimal(1), t, Decimal(0), Decimal(1)
-    for k in range(1, n):
-        p_prev, p_cur = p_cur, ((2 * k + 1) * t * p_cur - k * p_prev) / (k + 1)
-        d_prev, d_cur = d_cur, ((2 * k + 1) * (p_prev + t * d_cur) - k * d_prev) / (k + 1)
-    return p_cur, d_cur
 
 
 def reduce0(f, p: int, target: CochainKind) -> Cochain:
