@@ -18,9 +18,8 @@ a large |z| shows a systematic source. The cases are the circle's energy
 (p^2 + q^2)/2 on its level I0 = 2, under MCI and MGI, and the quartic
 oscillator's energy p^2/2 + q^4/4 on the level I0 = 1/2 under MGI; MGI
 takes q_rhs = min(2p + 10, 64), the library's default, and it integrates
-that polynomial field exactly. Each case
-runs at p in {2, 4, 8} and dt in {0.1, 1}, then at the high orders p in
-{16, 32}, where rounding biases grow: the circle at dt in {p/16, p/8}, the
+that polynomial field exactly. Each case runs at p in {2, 4, 8} and dt in
+{0.1, 1}, then at the high orders p in {16, 32}, where rounding biases grow: the circle at dt in {p/16, p/8}, the
 quartic at dt = p/16 only, as from the cold guess at p = 32, dt = 4 Newton
 fails on most of its states. The output is the same bytes on every run of
 one tree. passes is the one pass rule, which both the printed column and
