@@ -40,9 +40,9 @@ This module also owns every test of a user's number, one rule for each kind:
   _check_count, an integer, never a bool, of at least a given size, returned
   as a Python int;
 - orders (p, a quadrature size): _check_order, an integer, never a bool, in
-  [smallest, MAX_ORDER], refused with a TypeError when not an integer, and
+  [smallest, MAX_ORDER], refused with a TypeError when not an integer,
   checked before any cache keyed by the order, which would take 3.0 for an
-  np.int64(3) already in it;
+  np.int64(3) already in it, and returned as a Python int;
 - functions (a field, a residual, a gradient, a function to reduce):
   _check_callable, callable, or None where the function is optional.
 
@@ -120,6 +120,7 @@ def _gll_step(p: int):
 
 
 _FLOAT = np.dtype(float)
+_TINY = np.finfo(float).tiny  # the smallest normal float
 _REAL_KINDS = "biuf"  # the dtype kinds of a real value: bool, int, uint and float
 # numpy's word for ragged values in the ValueError its constructor raises; any other ValueError
 # from a conversion (an __array__ that fails, say) is quoted instead, the original kept as cause
@@ -231,12 +232,14 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
-def _check_order(n: int, smallest: int, what: str):
-    # a bool is no order, though it is an int and hashes like 0 or 1 in a cache
+def _check_order(n: int, smallest: int, what: str) -> int:
+    # a bool is no order, though it is an int and hashes like 0 or 1 in a cache; returned as a
+    # Python int, as _check_count's count is, so no numpy integer reaches a cache or a product
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise TypeError(f"{what} must be an integer, got {type(n).__name__}")
     if n < smallest or n > MAX_ORDER:
         raise ValueError(f"{what} must lie in [{smallest}, {MAX_ORDER}], got {n}")
+    return int(n)
 
 
 def _symmetrize(nodes: np.ndarray) -> np.ndarray:
@@ -261,9 +264,9 @@ def gauss_rule(q: int) -> QuadratureRule:
     k = 1..q-1), refined by one Newton update on P_q. Weights are
     2 / ((1 - x^2) P_q'(x)^2).
     """
-    # checked before the cache, which takes 3.0 for 3 once an np.int64(3) is in it
-    _check_order(q, 1, "Gauss order")
-    return _gauss_rule(int(q))
+    # checked, and made a Python int, before the cache, which takes 3.0 for 3 once an
+    # np.int64(3) is in it
+    return _gauss_rule(_check_order(q, 1, "Gauss order"))
 
 
 @lru_cache(maxsize=None)
@@ -283,8 +286,7 @@ def gll_rule(p: int) -> QuadratureRule:
     sqrt(k (k+2) / ((2k+1) (2k+3))), k = 1..p-2), refined by one Newton
     update on P_p'. Weights are 2 / (p (p+1) P_p(x)^2), endpoints included.
     """
-    _check_order(p, 1, "GLL order")  # before the cache, as in gauss_rule
-    return _gll_rule(int(p))
+    return _gll_rule(_check_order(p, 1, "GLL order"))  # before the cache, as in gauss_rule
 
 
 @lru_cache(maxsize=None)
@@ -310,8 +312,12 @@ class NodalBasis:
             raise ValueError("nodes must be a nonempty 1-d array")
         diff = np.subtract.outer(nodes, nodes)
         np.fill_diagonal(diff, 1.0)
-        if np.min(np.abs(diff)) == 0.0:
-            raise ValueError("nodes must be distinct")
+        # nodal_eval_all takes a point within _TINY of a node as at it, so no point may be
+        # that close to two nodes
+        gap = np.min(np.abs(diff))
+        if gap < 2 * _TINY:
+            apart = f", at least {float(2 * _TINY)!r} apart, got {float(gap)!r}" if gap else ""
+            raise ValueError(f"nodes must be distinct{apart}")
         w = 1.0 / np.prod(diff, axis=1)
         w = w / np.max(np.abs(w))  # common scaling cancels in the barycentric form
         w.setflags(write=False)
@@ -322,12 +328,15 @@ class NodalBasis:
 def nodal_eval_all(basis: NodalBasis, x) -> np.ndarray:
     """All Lagrange basis values l_i(x) for a point or an array x, shape x.shape + (p+1,).
 
-    A point equal to a node gets the exact Kronecker row; each row equals a scalar call's.
+    A point equal to a node, or a subnormal distance from one, gets the exact Kronecker row;
+    each row equals a scalar call's.
     """
     d = _real(x, "x")[..., None] - basis.nodes
-    hit = d == 0.0
+    # below _TINY, w / d would overflow; the quotient of a row that hits a node is discarded,
+    # so its divisor there is any nonzero number
+    hit = np.abs(d) < _TINY
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi = basis.bary_weights / d
+        phi = basis.bary_weights / np.where(hit, 1.0, d)
         out = phi / np.sum(phi, axis=-1, keepdims=True)
     return np.where(np.any(hit, axis=-1, keepdims=True), hit, out)
 
@@ -349,22 +358,20 @@ def _lagrange_product(nodes: np.ndarray, t: np.ndarray) -> np.ndarray:
 def nodal_deriv_all(basis: NodalBasis, x) -> np.ndarray:
     """All Lagrange derivative values l_i'(x) for a point or an array x, shape x.shape + (p+1,).
 
-    Off-node points use the differentiated barycentric form
-    l_i'(x) = l_i(x) (sum_j l_j(x)/(x-x_j) - 1/(x-x_i)); at a node the
-    classical differentiation-matrix row is used so row sums vanish exactly.
-    Each row equals a scalar call's.
+    Each l_i' has degree p - 1, so it is the interpolant of its values at the nodes: the row
+    nodal_eval_all(basis, x) times the differentiation matrix D[k, i] = l_i'(x_k), whose
+    off-diagonal entries are (w_i / w_k) / (x_k - x_i) and whose diagonal is minus the rest of
+    its row (Berrut and Trefethen, SIAM Rev. 46, 2004). At a node this is D's row, whose sum
+    is zero; next to one nothing is divided by the distance, so no digits are lost there. Each
+    row equals a scalar call's.
     """
     nodes, w = basis.nodes, basis.bary_weights
-    x = _real(x, "x")
-    d = x[..., None] - nodes
-    hit = d == 0.0
-    k = np.argmax(hit, axis=-1, keepdims=True)  # the node a row hits, 0 for none
-    l = nodal_eval_all(basis, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        off = l * ((l / d).sum(axis=-1, keepdims=True) - 1.0 / d)
-        row = np.where(hit, 0.0, (w / w[k]) / (nodes[k] - nodes))
-    on = np.where(hit, -row.sum(axis=-1, keepdims=True), row)
-    return np.where(hit.any(axis=-1, keepdims=True), on, off)
+    span = nodes[:, None] - nodes
+    np.fill_diagonal(span, 1.0)
+    D = (w / w[:, None]) / span
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    return (nodal_eval_all(basis, x)[..., None, :] @ D)[..., 0, :]
 
 
 def edge_eval_all(basis: NodalBasis, x) -> np.ndarray:

@@ -35,6 +35,8 @@ from .problems import get_problem, problem_names
 from .tableau import butcher_tableau_mci, gauss_collocation_tableau
 
 _METHOD_NAMES = tuple(m.value for m in Method)
+# a sweep's error at or below _FLOOR eps max|y_ref| is rounding, which has no order
+_FLOOR = 64
 _ROWS_PER_WRITE = 4096
 
 _CONFIG_KEYS = {
@@ -242,8 +244,9 @@ def _cmd_converge(args):
         series = traj.invariants[label]
         invariant_errors.append(float(np.max(np.abs(series - series[0]))))
 
-    # an error that is zero (an exact run) or not finite has no logarithm: its orders are nan
-    measured = [0.0 < e < math.inf for e in endpoint_errors]
+    # an error at the rounding floor (zero for an exact run) or not finite has no order: nan
+    floor = _FLOOR * np.finfo(float).eps * float(np.max(np.abs(y_ref)))
+    measured = [floor < e < math.inf for e in endpoint_errors]
     orders = [float("nan")]
     for k in range(1, len(dts)):
         num = math.nan

@@ -191,8 +191,7 @@ def default_qrhs(p: int) -> int:
 
     It is min(2p + 10, MAX_ORDER): 2p + 10 up to p = 27, then the largest rule.
     """
-    _check_order(p, 1, "order p")
-    return min(2 * p + 10, MAX_ORDER)
+    return min(2 * _check_order(p, 1, "order p") + 10, MAX_ORDER)
 
 
 class _Pairing(NamedTuple):
@@ -249,10 +248,9 @@ def _pairing(method: Method, p: int, q_rhs: Optional[int]) -> _Pairing:
     # the one place that knows the two pairings: mgi is the Galerkin pairing on
     # q_rhs points (by default default_qrhs(p)), mci collocation at the p dual nodes; p and
     # q_rhs are checked here, before a cache that takes True for 1 and 2.0 for 2
-    _check_order(p, 1, "order p")
+    p = _check_order(p, 1, "order p")
     if method is Method.MGI:
-        q = default_qrhs(p) if q_rhs is None else q_rhs
-        _check_order(q, 1, "q_rhs")
+        q = default_qrhs(p) if q_rhs is None else _check_order(q_rhs, 1, "q_rhs")
         return _pairing_record(p, q, True)
     return _pairing_record(p, p, False)
 
@@ -703,7 +701,7 @@ def _run_plan(sys, method, y0, t0, tf, dt, p, newton, q_rhs):
     if q_rhs is not None and method is not Method.MGI:
         raise ValueError(f"q_rhs applies to Method.MGI only, got q_rhs={q_rhs!r} for {method}")
     # p and newton for every method, though only the element methods read them
-    _check_order(p, 1, "order p")
+    p = _check_order(p, 1, "order p")
     _check_config(newton, "newton")
     t0, tf, dt = _finite_times(t0=t0, tf=tf, dt=dt)
     if not tf > t0:

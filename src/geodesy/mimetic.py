@@ -155,8 +155,7 @@ class ElementGrid:
             object.__setattr__(self, name, _real_scalar(getattr(self, name), name))
         _half_length(self.t_start, self.t_end)
         # checked before the cache, which takes 2.0 for 2 once an np.int64(2) is in it
-        _check_order(self.p, 1, "GLL order")
-        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "p", _check_order(self.p, 1, "GLL order"))
         for name, value in _reference(self.p)._asdict().items():
             object.__setattr__(self, name, value)
 
@@ -272,7 +271,7 @@ def reduce0(f, p: int, target: CochainKind) -> Cochain:
     A PRIMAL0 target samples at the p + 1 Gauss-Lobatto nodes, a DUAL0 one at the p Gauss nodes.
     """
     # checked before the cache, which takes 2.0 for 2 once an np.int64(2) is in it
-    _check_order(p, 1, "order p")
+    p = _check_order(p, 1, "order p")
     if target not in (CochainKind.PRIMAL0, CochainKind.DUAL0):
         raise TypeError(f"reduce0 target must be a 0-cochain kind, got {target}")
     _check_callable(f, "f")
@@ -287,7 +286,7 @@ def reduce1(density, p: int) -> Cochain:
     Each interval uses a mapped Gauss rule with p + 4 points, at most MAX_ORDER, exact well
     beyond the degrees that appear in the commuting-diagram identities.
     """
-    _check_order(p, 1, "order p")  # before the cache, as in reduce0
+    p = _check_order(p, 1, "order p")  # before the cache, as in reduce0
     _check_callable(density, "density")
     rule = gauss_rule(min(p + _REDUCE1_EXTRA, MAX_ORDER))
     xi = _reference(p).primal.nodes

@@ -1,6 +1,7 @@
 """Quadrature rules and bases: closed forms, exactness, and identities."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -269,6 +270,23 @@ class TestNodalBasis:
         with pytest.raises(ValueError, match="^nodes must be distinct$"):
             NodalBasis([0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("gap", [5e-324, 1e-308, 4e-308])
+    def test_nodes_within_twice_the_smallest_normal_float_rejected(self, gap):
+        # a point within the smallest normal float of a node is taken as at it, so no point
+        # may be that close to two nodes: [0, 1e-308] read [1, 1] at 0
+        with pytest.raises(ValueError, match="^nodes must be distinct, at least 4.45"):
+            NodalBasis([0.0, gap, 1.0])
+        assert NodalBasis([0.0, 4.5e-308, 1.0]).bary_weights.shape == (3,)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("offset", [5e-324, -5e-324, 1e-310])
+    def test_a_subnormal_distance_from_a_node_is_at_the_node(self, offset):
+        # w / d overflowed there: [-0, nan, 0] with an overflow warning
+        basis = NodalBasis(gll_rule(2).nodes)
+        assert basis.nodes[1] == 0.0
+        for fn in (nodal_eval_all, nodal_deriv_all):
+            npt.assert_array_equal(fn(basis, offset), fn(basis, 0.0))
+
     def test_weights_are_computed_not_taken(self):
         # weights passed in beside the nodes built a basis whose values were wrong without an
         # error: NodalBasis([0, 1, 2], [1, 1, 1]) read [-3, 3, 1] at 0.5
@@ -372,20 +390,16 @@ class TestLagrangeProduct:
 
 
 def scalar_nodal_deriv(basis, x):
-    # the per-point derivative formulas, kept as the reference for batches
+    # the per-point form of the derivative rule, kept as the reference for batches: the
+    # nodal values times the differentiation matrix, built row by row
     nodes, w = basis.nodes, basis.bary_weights
-    d = x - nodes
-    hit = d == 0.0
-    if np.any(hit):
-        k = int(np.argmax(hit))
-        out = np.zeros(len(nodes))
+    D = np.zeros((len(nodes), len(nodes)))
+    for k in range(len(nodes)):
         for i in range(len(nodes)):
             if i != k:
-                out[i] = (w[i] / w[k]) / (nodes[k] - nodes[i])
-        out[k] = -np.sum(out)
-        return out
-    l = scalar_nodal_eval(basis, x)
-    return l * (np.sum(l / d) - 1.0 / d)
+                D[k, i] = (w[i] / w[k]) / (nodes[k] - nodes[i])
+        D[k, k] = -np.sum(D[k])
+    return scalar_nodal_eval(basis, x) @ D
 
 
 class TestDerivativeAndEdgeBatched:
@@ -418,7 +432,36 @@ class TestDerivativeAndEdgeBatched:
             assert fn(basis, np.empty(0)).shape == (0, width)
 
 
+def decimal_lagrange_derivatives(nodes, points):
+    # l_i'(t) = l_i(t) sum_{m != i} 1 / (t - x_m) in 50-digit decimals over the float nodes
+    # and points, none of them a node; 1e-9 from a node this loses 9 of the 50 digits
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = [Decimal(v) for v in nodes.tolist()]
+        w = [Decimal(1) / math.prod(xi - xm for xm in x if xm != xi) for xi in x]
+        rows = []
+        for t in map(Decimal, points.tolist()):
+            inv = [1 / (t - xm) for xm in x]
+            ell, total = math.prod(t - xm for xm in x), sum(inv)
+            rows.append([float(ell * wi * ii * (total - ii)) for wi, ii in zip(w, inv)])
+    return np.array(rows)
+
+
 class TestNodalDerivatives:
+    @pytest.mark.parametrize("p", [1, 2, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("rule", [gll_rule, gauss_rule])
+    def test_matches_a_decimal_oracle_next_to_nodes_and_between_them(self, p, rule):
+        # the nodal values times the differentiation matrix: at most 6.5 eps of max|l'|
+        # over these bases. The differentiated barycentric quotient lost eps / d at a
+        # distance d from a node, up to 1.1e9 eps at 1e-9 from one
+        basis = NodalBasis(rule(p).nodes)
+        near = (basis.nodes[:, None] + [-1e-6, -1e-9, 1e-9, 1e-6]).ravel()
+        uniform = np.random.default_rng(p).uniform(-1.0, 1.0, 20)
+        for points in (near[np.abs(near) <= 1.0], uniform):
+            exact = decimal_lagrange_derivatives(basis.nodes, points)
+            err = np.max(np.abs(nodal_deriv_all(basis, points) - exact))
+            assert err <= 32 * np.finfo(float).eps * np.max(np.abs(exact))
+
     def test_derivative_sums_vanish(self):
         rng = np.random.default_rng(5)
         for p in (2, 4, 8):

@@ -776,6 +776,19 @@ class TestConverge:
         assert (rows[:, 1] == 0.0).all()
         assert np.isnan(rows[:, 3]).all()
 
+    def test_errors_at_the_rounding_floor_have_no_order(self, tmp_path, capsys, monkeypatch):
+        # at pt 26 each level's error is 3 to 8 eps of the state, rounding alone, which read
+        # a fitted order of -0.745 and level orders of -0.540 and -0.950
+        monkeypatch.chdir(tmp_path)
+        argv = ["--problem", "pendulum", "--method", "mgi", "--pt", "26", "--levels", "3"]
+        assert run_cli("converge", *argv) == 0
+        stdout = capsys.readouterr().out
+        assert np.isnan(fitted_order(stdout))
+        assert stdout.count("order=nan") == 3
+        _, rows = read_csv(tmp_path / "convergence.csv")
+        assert (rows[:, 1] < 1e-14).all()
+        assert np.isnan(rows[:, 3]).all()
+
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=60, deadline=None)
     @given(

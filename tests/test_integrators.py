@@ -571,6 +571,11 @@ class TestMgiStep:
         want = [2 * p + 10 for p in range(1, 28)] + [64] * 37
         assert [default_qrhs(p) for p in range(1, 65)] == want
 
+    def test_default_quadrature_size_is_a_python_int(self):
+        # np.int64(3) gave np.int64(16)
+        assert type(default_qrhs(np.int64(3))) is int
+        assert default_qrhs(np.int64(3)) == 16
+
     @pytest.mark.parametrize(
         "p, error", [(2.5, TypeError), (True, TypeError), (0, ValueError), (65, ValueError)]
     )
@@ -1501,6 +1506,14 @@ class TestNodalRecord:
             assert not view.flags.writeable
             with pytest.raises(ValueError):
                 view.setflags(write=True)
+
+    @pytest.mark.filterwarnings("error")
+    def test_too_many_steps_counts_the_bytes_of_an_int64_order_in_python_ints(self):
+        # np.int64(4) overflowed the bytes per step times the count with a warning, then gave
+        # the slack's refusal, where 4 gives this one
+        pend = get_problem("pendulum").system
+        with pytest.raises(ValueError, match="at 88 bytes per step the records exceed"):
+            integrate(pend, Method.MCI, [0.0, 1.0], 0.0, 1e18, 1.0, p=np.int64(4))
 
     @pytest.mark.parametrize("name, jac, method, p", RECORD_CASES, ids=RECORD_IDS)
     def test_too_many_steps_names_the_bytes_a_step_stores(self, name, jac, method, p):

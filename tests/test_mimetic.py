@@ -304,6 +304,31 @@ class TestReconstruction:
         c = coboundary(samples)
         assert reconstruct1(c, 0.5) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [2, 4, 8, 16])
+    def test_reconstruct1_returns_a_density_of_degree_below_p_next_to_the_nodes(self, p):
+        # 1 + t + t^2, cut to degree p - 1, read back at 1e-9 and 1e-6 from each interior
+        # node, within 64 eps of sum_l |c_l e_l(x)|: at most 28 at p = 16, the edge functions'
+        # own cumulative sum. The edges' derivatives once divided by the distance to a node
+        # and missed by 3.0e-9 at p = 2 and 3.2e-7 at p = 8
+        coeffs = [1.0, 1.0, 1.0][:p]
+        density = lambda t: sum(a * t**k for k, a in enumerate(coeffs))
+        c = reduce1(density, p)
+        grid = ElementGrid(p)
+        xs = (grid.primal.nodes[1:-1, None] + [-1e-6, -1e-9, 1e-9, 1e-6]).ravel()
+        scale = np.abs(edge_eval_all(grid.primal_basis, xs)) @ np.abs(c.values)
+        err = np.abs(reconstruct1(c, xs) - density(xs))
+        assert np.all(err <= 64 * np.finfo(float).eps * scale)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("offset", [5e-324, -5e-324])
+    def test_a_subnormal_distance_from_a_node_reads_the_node_s_value(self, offset):
+        # 0 is the middle node at p = 2; reconstruct1 read nan and warned of an overflow there
+        assert ElementGrid(2).primal.nodes[1] == 0.0
+        zero = Cochain(CochainKind.PRIMAL0, [1.0, 2.0, 4.0])
+        one = Cochain(CochainKind.PRIMAL1, [1.0, 2.0])
+        assert reconstruct0(zero, offset) == reconstruct0(zero, 0.0) == 2.0
+        assert reconstruct1(one, offset) == reconstruct1(one, 0.0) == 1.5
+
     @pytest.mark.parametrize("p", [1, 2, 3, 8, 16, 64])
     @pytest.mark.parametrize("kind", [CochainKind.PRIMAL0, CochainKind.DUAL0])
     def test_reconstruct0_on_an_array_equals_its_scalar_calls_bitwise(self, p, kind):

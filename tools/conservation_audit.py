@@ -7,23 +7,26 @@ Usage, from the repository root:
 --src names the src/ directory of the tree to audit (default: this
 repository's), which is loaded by its path, whatever geodesy the process
 could import; one that holds no geodesy package is refused with exit
-status 2. Each case takes N = 300 states, from a fixed seed, on one level
-I0 of its invariant and one public step of dt from each, and computes the
-change dI = I(y1) - I(y0) of each step exactly, in fractions.Fraction
-over the doubles y0 and y1. It prints the mean of dI, its standard error,
-z = mean / standard error, and whether |mean| <= eps |I0| / 4. A method that
-conserves the invariant exactly in exact arithmetic leaves only rounding,
-which should average out (Hairer, McLachlan & Razakarivony, BIT 48, 2008):
-a large |z| shows a systematic source. The cases are the circle's energy
-(p^2 + q^2)/2 on its level I0 = 2, under MCI and MGI, and the quartic
-oscillator's energy p^2/2 + q^4/4 on the level I0 = 1/2 under MGI; MGI
-takes q_rhs = min(2p + 10, 64), the library's default, and it integrates
-that polynomial field exactly. Each case runs at p in {2, 4, 8} and dt in
-{0.1, 1}, then at the high orders p in {16, 32}, where rounding biases grow: the circle at dt in {p/16, p/8}, the
-quartic at dt = p/16 only, as from the cold guess at p = 32, dt = 4 Newton
-fails on most of its states. The output is the same bytes on every run of
-one tree. passes is the one pass rule, which both the printed column and
-the tier-1 gate in tests/test_tools.py call: that test runs every case
+status 2. MGI's step is called without q_rhs, so the tree must cap
+default_qrhs at 64, as every tree from commit 593d228 on does. Each case
+takes N = 300 states, from a fixed seed, on one level I0 of its
+invariant and one public step of dt from each, and computes the change
+dI = I(y1) - I(y0) of each step exactly, in fractions.Fraction over the
+doubles y0 and y1. It prints the mean of dI, its standard error,
+z = mean / standard error, and whether |mean| <= eps |I0| / 4. A method
+that conserves the invariant exactly in exact arithmetic leaves only
+rounding, which should average out (Hairer, McLachlan & Razakarivony,
+BIT 48, 2008): a large |z| shows a systematic source. The cases are the
+circle's energy (p^2 + q^2)/2 on its level I0 = 2, under MCI and MGI,
+and the quartic oscillator's energy p^2/2 + q^4/4 on the level I0 = 1/2
+under MGI; MGI takes the library's default q_rhs = min(2p + 10, 64), and
+it integrates that polynomial field exactly. Each case runs at
+p in {2, 4, 8} and dt in {0.1, 1}, then at the high orders p in {16, 32},
+where rounding biases grow: the circle at dt in {p/16, p/8}, the quartic
+at dt = p/16 only, as from the cold guess at p = 32, dt = 4 Newton fails
+on most of its states. The output is the same bytes on every run of one
+tree. passes is the one pass rule, which both the printed column and the
+tier-1 gate in tests/test_tools.py call: that test runs every case
 through audit and asserts the rule in every row.
 """
 
@@ -88,16 +91,12 @@ def cases(g):
     """(name, system, step, invariant, I0, states, settings) per problem and method."""
     circle = g.get_problem("circle").system
 
-    def mgi_step(system, y0, t0, dt, p):
-        # the default written out: a base tree loaded by --src may refuse it above p = 27
-        return g.mgi_step(system, y0, t0, dt, p, q_rhs=min(2 * p + 10, 64))
-
     return (
         ("circle MCI", circle, g.mci_step, circle_energy, Fraction(2), circle_states,
          settings((16, 8))),
-        ("circle MGI", circle, mgi_step, circle_energy, Fraction(2), circle_states,
+        ("circle MGI", circle, g.mgi_step, circle_energy, Fraction(2), circle_states,
          settings((16, 8))),
-        ("quartic MGI", quartic_system(g), mgi_step, quartic_energy, Fraction(1, 2),
+        ("quartic MGI", quartic_system(g), g.mgi_step, quartic_energy, Fraction(1, 2),
          quartic_states, settings((16,))),
     )
 

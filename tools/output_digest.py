@@ -8,7 +8,9 @@ Usage, from the repository root:
 repository's), which is loaded by its path, whatever geodesy the process
 could import; so a change is checked against its parent with two runs, one
 per tree, whose last lines must match. A --src that holds no geodesy
-package is refused with exit status 2. The digest covers:
+package is refused with exit status 2. The mgi tables take the tree's own
+default_qrhs, so the tool is meant for trees from commit 593d228 on, where
+it is min(2p + 10, 64). The digest covers:
 
 - runs: 60 integrate runs, 200 steps at the problem's dt_ref: circle,
   harmonic, kepler, lotka-volterra, pendulum and lotka-volterra without its
@@ -25,7 +27,7 @@ package is refused with exit status 2. The digest covers:
   and symplectic Euler on those with a separable partition, 200 steps at
   dt_ref; per run, the public step of its method from the run's last state;
 - mci-tables, mgi-tables: every field of the element step's pairing record
-  for p = 1..16, mgi at q_rhs in {p, p + 1, min(2p + 10, 64)}, so a change to
+  for p = 1..16, mgi at q_rhs in {p, p + 1, default_qrhs(p)}, so a change to
   the tables shows apart from the runs that use them;
 - toolkit: the public mimetic operators on a forward and a reversed element
   for p = 1..16: reduce0 and reduce1 of fixed functions, reconstruct0 point by
@@ -172,8 +174,7 @@ def digests(g):
     record = g.integrators._pairing_record
     for p in range(1, 17):
         _feed(parts["mci-tables"], p, *record(p, p, False))
-        # the default written out: a base tree loaded by --src may not cap it at 64
-        for q in (p, p + 1, min(2 * p + 10, 64)):
+        for q in (p, p + 1, g.default_qrhs(p)):
             _feed(parts["mgi-tables"], p, q, *record(p, q, True))
     for p in range(1, 17):
         _hash_toolkit(parts["toolkit"], g, p)
