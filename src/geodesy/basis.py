@@ -8,8 +8,10 @@ interior and serve both as collocation points and as quadrature abscissae.
 Both node families come from one route (Golub and Welsch, 1969): the
 eigenvalues of a symmetric tridiagonal Jacobi matrix, of the Legendre weight
 for the Gauss nodes and of the weight 1 - x^2 for the interior Gauss-Lobatto
-nodes, each followed by one Newton update on the Legendre recurrence, so no
-node search iterates or can fail, and no rule imports numpy.polynomial.
+nodes, refined in decimal by a fixed count of Newton updates on the Legendre
+recurrence, so no node search iterates or can fail. Nodes and weights are
+formed in decimal and rounded once, so both are correctly rounded, and the
+canonical Hodge's table of geodesy.mimetic reads the same decimal nodes.
 Lagrange evaluation takes one of two routes, each returning an exact
 Kronecker row at a node. nodal_eval_all, the public one, uses the second
 barycentric formula, for points within the nodes' span [-1, 1]: sampling,
@@ -50,6 +52,9 @@ Each refusal but the order's TypeError is a ValueError naming the value.
 """
 
 from dataclasses import dataclass, field
+from decimal import (
+    ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext,
+)
 from functools import lru_cache
 
 import numpy as np
@@ -60,6 +65,10 @@ MAX_ORDER = 64
 # legendre_eval's highest degree: 64 times MAX_ORDER, past every rule's need (a rule of order
 # n reads P_n), and a bound on its n-step recurrence, which 2**70 would run for ever
 _MAX_DEGREE = 4096
+# the digits the rules and the canonical Hodge's table are computed to before they are rounded
+_DIGITS = 40
+# Newton updates on each node of a decimal rule; each about doubles the float start's 16 digits
+_NEWTON_STEPS = 3
 
 
 def legendre_eval(n: int, x):
@@ -98,25 +107,6 @@ def _legendre(n: int, x, one=1, zero=0):
         p_prev, p_cur = p_cur, ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
         d_prev, d_cur = d_cur, ((2 * k + 1) * (p_prev + x * d_cur) - k * d_prev) / (k + 1)
     return p_cur, d_cur
-
-
-def _gauss_step(q: int):
-    # the Newton update on P_q, whose roots are the q Gauss nodes, in x's own arithmetic
-    def step(x):
-        P, dP = _legendre(q, x)
-        return P / dP
-
-    return step
-
-
-def _gll_step(p: int):
-    # the Newton update on P_p', whose roots are the p - 1 interior GLL nodes, in x's own
-    # arithmetic, with (1 - x^2) P_p'' = 2 x P_p' - p (p+1) P_p
-    def step(x):
-        P, dP = _legendre(p, x)
-        return dP * (1 - x * x) / (2 * x * dP - p * (p + 1) * P)
-
-    return step
 
 
 _FLOAT = np.dtype(float)
@@ -228,8 +218,17 @@ class QuadratureRule:
                 f"quadrature nodes and weights must be nonempty 1-d arrays of one length, got"
                 f" shapes {nodes.shape} and {weights.shape}"
             )
+        _check_finite(nodes, "quadrature nodes")
+        _check_finite(weights, "quadrature weights")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    # the one refusal of a record's float array that holds NaN or inf, naming its first such value
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"{what} must be finite, got {float(bad[0])!r}")
 
 
 def _check_order(n: int, smallest: int, what: str) -> int:
@@ -242,61 +241,76 @@ def _check_order(n: int, smallest: int, what: str) -> int:
     return int(n)
 
 
-def _symmetrize(nodes: np.ndarray) -> np.ndarray:
-    # enforce exact +/- pairing (and an exact middle zero for odd counts)
-    return 0.5 * (nodes - nodes[::-1])
+def _golub_welsch(n: int, off: np.ndarray) -> np.ndarray:
+    # the n eigenvalues of the symmetric tridiagonal Jacobi matrix with zero diagonal and
+    # off-diagonal off, made symmetric: exact +/- pairs, and an exact middle zero for odd n
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)) if n else np.empty(0)
+    return 0.5 * (x - x[::-1])
 
 
-def _golub_welsch(n: int, off: np.ndarray, newton_step) -> np.ndarray:
-    # the n eigenvalues of the symmetric tridiagonal Jacobi matrix with zero
-    # diagonal and off-diagonal off, each refined by one update x - newton_step(x)
-    if n == 0:
-        return np.empty(0)
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    return x - newton_step(x)
+def _context(digits: int) -> Context:
+    # the one decimal context of geodesy's tables, with every field given, so neither the
+    # caller's context nor decimal.DefaultContext, from which Context copies any field left
+    # out, takes part
+    return Context(
+        prec=digits, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1, clamp=0,
+        flags=[], traps=[InvalidOperation, DivisionByZero, Overflow],
+    )
+
+
+@lru_cache(maxsize=None)
+def _decimal_rule(n: int, lobatto: bool, digits: int = _DIGITS) -> tuple:
+    # (nodes, weights) of gll_rule(n) if lobatto, else of gauss_rule(n), as tuples of Decimals
+    # to the given digits. The lower half of the float Golub-Welsch start is refined by
+    # _NEWTON_STEPS updates, on P_n for Gauss, on P_n' for GLL, with
+    # (1 - x^2) P_n'' = 2 x P_n' - n (n+1) P_n; its weights are formed, and both are mirrored
+    k = np.arange(1.0, n - lobatto)
+    if lobatto:
+        x = _golub_welsch(n - 1, np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3))))
+    else:
+        x = _golub_welsch(n, k / np.sqrt(4.0 * k * k - 1.0))
+    with localcontext(_context(digits)):
+        nodes, weights = ([Decimal(-1)] if lobatto else []), []
+        for t in map(Decimal, x[: len(x) - len(x) // 2].tolist()):
+            for _ in range(_NEWTON_STEPS):
+                P, dP = _legendre(n, t)
+                t -= dP * (1 - t * t) / (2 * t * dP - n * (n + 1) * P) if lobatto else P / dP
+            nodes.append(t)
+        for t in nodes:
+            P, dP = _legendre(n, t)
+            weights.append(2 / (n * (n + 1) * P * P) if lobatto else 2 / ((1 - t * t) * dP * dP))
+    m = (n + lobatto) // 2  # the nodes in the upper half, mirrored exactly by copy_negate
+    return (*nodes, *(t.copy_negate() for t in nodes[:m][::-1])), (*weights, *weights[:m][::-1])
+
+
+@lru_cache(maxsize=None)
+def _rule(n: int, lobatto: bool) -> QuadratureRule:
+    # _decimal_rule's nodes and weights, each rounded once to a float
+    return QuadratureRule(*([float(v) for v in values] for values in _decimal_rule(n, lobatto)))
 
 
 def gauss_rule(q: int) -> QuadratureRule:
     """Gauss-Legendre rule with q nodes, exact through degree 2q-1.
 
-    Nodes are the roots of P_q, the eigenvalues of the q-point Jacobi matrix
-    of the Legendre weight (zero diagonal, off-diagonal k / sqrt(4 k^2 - 1),
-    k = 1..q-1), refined by one Newton update on P_q. Weights are
-    2 / ((1 - x^2) P_q'(x)^2).
+    Nodes are the roots of P_q: the eigenvalues of the q-point Jacobi matrix of the Legendre
+    weight (zero diagonal, off-diagonal k / sqrt(4 k^2 - 1), k = 1..q-1), refined in decimal
+    and rounded once. Weights are 2 / ((1 - x^2) P_q'(x)^2), formed in decimal at those nodes
+    and rounded once, so nodes and weights are correctly rounded and symmetric about 0.
     """
     # checked, and made a Python int, before the cache, which takes 3.0 for 3 once an
     # np.int64(3) is in it
-    return _gauss_rule(_check_order(q, 1, "Gauss order"))
-
-
-@lru_cache(maxsize=None)
-def _gauss_rule(q: int) -> QuadratureRule:
-    k = np.arange(1.0, q)
-    nodes = _symmetrize(_golub_welsch(q, k / np.sqrt(4.0 * k * k - 1.0), _gauss_step(q)))
-    _, dP = legendre_eval(q, nodes)
-    weights = 2.0 / ((1.0 - nodes**2) * dP**2)
-    return QuadratureRule(nodes, weights)
+    return _rule(_check_order(q, 1, "Gauss order"), False)
 
 
 def gll_rule(p: int) -> QuadratureRule:
     """Gauss-Lobatto-Legendre rule with p+1 nodes, exact through degree 2p-1.
 
-    Interior nodes are the roots of P_p', the eigenvalues of the (p-1)-point
-    Jacobi matrix of the weight 1 - x^2 (zero diagonal, off-diagonal
-    sqrt(k (k+2) / ((2k+1) (2k+3))), k = 1..p-2), refined by one Newton
-    update on P_p'. Weights are 2 / (p (p+1) P_p(x)^2), endpoints included.
+    Interior nodes are the roots of P_p': the eigenvalues of the (p-1)-point Jacobi matrix of
+    the weight 1 - x^2 (zero diagonal, off-diagonal sqrt(k (k+2) / ((2k+1) (2k+3))),
+    k = 1..p-2), refined in decimal and rounded once. Weights are 2 / (p (p+1) P_p(x)^2),
+    endpoints included, formed in decimal and rounded once, as gauss_rule's are.
     """
-    return _gll_rule(_check_order(p, 1, "GLL order"))  # before the cache, as in gauss_rule
-
-
-@lru_cache(maxsize=None)
-def _gll_rule(p: int) -> QuadratureRule:
-    k = np.arange(1.0, p - 1)
-    off = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
-    nodes = _symmetrize(np.concatenate(([-1.0], _golub_welsch(p - 1, off, _gll_step(p)), [1.0])))
-    P, _ = legendre_eval(p, nodes)
-    weights = 2.0 / (p * (p + 1) * P**2)
-    return QuadratureRule(nodes, weights)
+    return _rule(_check_order(p, 1, "GLL order"), True)  # before the cache, as in gauss_rule
 
 
 @dataclass(frozen=True)
@@ -310,16 +324,22 @@ class NodalBasis:
         nodes = _read_only(self.nodes, "nodes")
         if nodes.ndim != 1 or len(nodes) == 0:
             raise ValueError("nodes must be a nonempty 1-d array")
-        diff = np.subtract.outer(nodes, nodes)
-        np.fill_diagonal(diff, 1.0)
+        _check_finite(nodes, "nodes")
+        # silent: a difference or a product of them past the float range, or a product below
+        # it, leaves weights that are not finite or are zero, refused below
+        with np.errstate(all="ignore"):
+            diff = np.subtract.outer(nodes, nodes)
+            np.fill_diagonal(diff, 1.0)
+            w = 1.0 / np.prod(diff, axis=1)
+            w = w / np.max(np.abs(w))  # common scaling cancels in the barycentric form
         # nodal_eval_all takes a point within _TINY of a node as at it, so no point may be
         # that close to two nodes
         gap = np.min(np.abs(diff))
         if gap < 2 * _TINY:
             apart = f", at least {float(2 * _TINY)!r} apart, got {float(gap)!r}" if gap else ""
             raise ValueError(f"nodes must be distinct{apart}")
-        w = 1.0 / np.prod(diff, axis=1)
-        w = w / np.max(np.abs(w))  # common scaling cancels in the barycentric form
+        if not (np.isfinite(w).all() and w.all()):
+            raise ValueError("nodes give barycentric weights outside the float range")
         w.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "bary_weights", w)

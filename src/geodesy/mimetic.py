@@ -18,12 +18,13 @@ dual_mass_matrix.
 Two pairings move a primal 1-cochain to the dual grid. The canonical pairing
 resamples the reconstructed density at the dual nodes and divides by the
 metric root sqrt(g) = (t_end - t_start)/2. It applies one table per order,
-the edge basis at the dual nodes, e_l(tau_m), computed in decimal and
-rounded once to doubles, then cached read-only (_dual_edges); the element
-steps' pairing record holds its transpose, so the toolkit and the steps
-share it. reconstruct1 takes the float route, geodesy.basis.edge_eval_all,
-which at the dual nodes stays within (p^2/8 + 4) eps max|e| of the table,
-so the two agree there to a few ulps, not bit for bit. The Galerkin pairing
+the edge basis at the dual nodes, e_l(tau_m), computed in decimal from the
+decimal nodes of geodesy.basis's rules and rounded once to doubles, then
+cached read-only (_dual_edges); the element steps' pairing record holds its
+transpose, so the toolkit and the steps share it. reconstruct1 takes the
+float route, geodesy.basis.edge_eval_all, which at the dual nodes stays
+within (p^2/8 + 4) eps max|e| of the table, so the two agree there to a few
+ulps, not bit for bit. The Galerkin pairing
 integrates against the dual basis, whose mass matrix is exactly diagonal
 because the dual Lagrange basis sits on Gauss points: entries sqrt(g) * w_j.
 On a quadrature rule with nodes sigma_nu and weights omega_nu, the Galerkin
@@ -47,9 +48,7 @@ geodesy.integrators, whose ValueError names the bounds.
 import enum
 import math
 from dataclasses import dataclass, field
-from decimal import (
-    ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext,
-)
+from decimal import Decimal, localcontext
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -59,10 +58,11 @@ from .basis import (
     MAX_ORDER,
     NodalBasis,
     QuadratureRule,
+    _DIGITS,
     _check_callable,
     _check_order,
-    _gauss_step,
-    _gll_step,
+    _context,
+    _decimal_rule,
     _read_only,
     _real_scalar,
     _samples,
@@ -74,10 +74,6 @@ from .basis import (
 
 # quadrature points per sub-interval when reducing a density to a 1-cochain
 _REDUCE1_EXTRA = 4
-# the digits _dual_edges computes the canonical Hodge's table to, before it rounds it once
-_TABLE_DIGITS = 40
-# Newton updates that refine a float rule's nodes in decimal; each about doubles the digits
-_NODE_NEWTON_STEPS = 4
 
 
 class CochainKind(enum.Enum):
@@ -214,29 +210,21 @@ def _dual_edges(p: int) -> np.ndarray:
     # takes its transpose. The float route, edge_eval_all, cancels in its cumulative sum, and
     # its errors, though within a few eps at low orders, move the invariants of both methods
     # one way on every step; the correctly rounded table leaves them rounding that averages out
-    table = _edge_table(p, _TABLE_DIGITS)
+    table = _edge_table(p, _DIGITS)
     table.setflags(write=False)
     return table
 
 
 def _edge_table(p: int, digits: int) -> np.ndarray:
-    # e_l(tau_m) computed in decimal to the given digits and rounded once to floats. The nodes
-    # are the float rules' refined by those rules' Newton updates: the Gauss nodes tau_m
-    # as roots of P_p, the interior GLL nodes x_j as roots of P_p'. Then, with the barycentric
-    # weights w_k = 1 / prod_{j != k} (x_k - x_j), l_k(tau) = w_k prod_j (tau - x_j) / (tau - x_k),
+    # e_l(tau_m) computed in decimal to the given digits and rounded once to floats, at the
+    # decimal GLL nodes x_j and Gauss nodes tau_m of the rules (geodesy.basis._decimal_rule).
+    # With w_k = 1 / prod_{j != k} (x_k - x_j), l_k(tau) = w_k prod_j (tau - x_j) / (tau - x_k),
     # l_k'(tau) = l_k(tau) (sum_j 1 / (tau - x_j) - 1 / (tau - x_k)) and e_l = -sum_{k<l} l_k'
-    ref = _reference(p)
-    # every field given, so neither the caller's context nor decimal.DefaultContext, from which
-    # Context copies any field left out, takes part
-    context = Context(
-        prec=digits, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1, clamp=0,
-        flags=[], traps=[InvalidOperation, DivisionByZero, Overflow],
-    )
-    with localcontext(context):
-        x = [Decimal(-1), *_refined(ref.primal.nodes[1:-1], _gll_step(p)), Decimal(1)]
+    x = _decimal_rule(p, True, digits)[0]
+    with localcontext(_context(digits)):
         w = [1 / math.prod(x[k] - xj for j, xj in enumerate(x) if j != k) for k in range(p + 1)]
         rows = []
-        for tau in _refined(ref.dual.nodes, _gauss_step(p)):
+        for tau in _decimal_rule(p, False, digits)[0]:
             d = [tau - xj for xj in x]
             omega, s = math.prod(d), sum(1 / dj for dj in d)
             edge, row = Decimal(0), []
@@ -253,16 +241,6 @@ def _edge_table(p: int, digits: int) -> np.ndarray:
         n = (p - 1) // 2
         table[n, [0, -1]] = math.ldexp((-1) ** n * math.comb(2 * n, n) // (n + 1), -p)
     return table
-
-
-def _refined(nodes, newton_step):
-    # each float node as a Decimal, refined by _NODE_NEWTON_STEPS updates t - newton_step(t)
-    out = []
-    for t in map(Decimal, nodes.tolist()):
-        for _ in range(_NODE_NEWTON_STEPS):
-            t -= newton_step(t)
-        out.append(t)
-    return out
 
 
 def reduce0(f, p: int, target: CochainKind) -> Cochain:

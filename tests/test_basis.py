@@ -19,6 +19,7 @@ from geodesy import (
 from geodesy.basis import (
     NodalBasis,
     QuadratureRule,
+    _decimal_rule,
     _lagrange_product,
     edge_eval_all,
     gauss_rule,
@@ -160,6 +161,29 @@ class TestGaussRule:
             rule.nodes[0] = 0.0
 
 
+@pytest.mark.parametrize("n", range(1, 65))
+@pytest.mark.parametrize("rule, lobatto", [(gauss_rule, False), (gll_rule, True)])
+def test_a_rule_is_its_routine_at_60_digits_bit_for_bit(rule, lobatto, n):
+    # 40 digits leave every node and weight far from a rounding boundary, so 20 more change no
+    # bit: the rules are correctly rounded. One float Newton update and float weight formulas
+    # missed in 53 Gauss and 50 GLL node sets, and in 62 and 60 weight sets
+    nodes, weights = (np.array(list(map(float, v))) for v in _decimal_rule(n, lobatto, 60))
+    assert rule(n).nodes.tobytes() == nodes.tobytes()
+    assert rule(n).weights.tobytes() == weights.tobytes()
+
+
+def test_closed_form_rules_are_correctly_rounded():
+    # oracles in exact rationals and a 50-digit root, each rounded once; the float weight
+    # formula read 0.5555555555555557 for 5/9
+    with localcontext() as ctx:
+        ctx.prec = 50
+        third, fifth = float(1 / Decimal(3).sqrt()), float(1 / Decimal(5).sqrt())
+    assert gauss_rule(2).nodes.tolist() == [-third, third]
+    assert gauss_rule(3).weights.tolist() == [float(Fraction(k, 9)) for k in (5, 8, 5)]
+    assert gll_rule(3).nodes.tolist() == [-1.0, -fifth, fifth, 1.0]
+    assert gll_rule(3).weights.tolist() == [float(Fraction(k, 6)) for k in (1, 5, 5, 1)]
+
+
 @pytest.mark.parametrize("rule, what", [(gauss_rule, "Gauss order"), (gll_rule, "GLL order")])
 def test_an_order_is_checked_before_the_cache(rule, what):
     # the check ran inside the cache, which took 3.0 for the np.int64(3) already in it and
@@ -186,6 +210,17 @@ class TestQuadratureRule:
             "quadrature nodes and weights must be nonempty 1-d arrays of one length, got"
             f" shapes {np.shape(nodes)} and {np.shape(weights)}"
         )
+
+    @pytest.mark.parametrize(
+        "nodes, weights, message",
+        [([np.nan], [1.0], "nodes must be finite, got nan"),
+         ([0.0], [np.inf], "weights must be finite, got inf")],
+        ids=["nan-node", "inf-weight"],
+    )
+    def test_values_that_are_not_finite_are_refused(self, nodes, weights, message):
+        # both were accepted, and every integral on them read NaN or inf
+        with pytest.raises(ValueError, match=f"^quadrature {message}$"):
+            QuadratureRule(nodes, weights)
 
 
 class TestGLLRule:
@@ -286,6 +321,23 @@ class TestNodalBasis:
         assert basis.nodes[1] == 0.0
         for fn in (nodal_eval_all, nodal_deriv_all):
             npt.assert_array_equal(fn(basis, offset), fn(basis, 0.0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nodes_that_are_not_finite_are_refused(self, value):
+        # [0, nan] built NaN weights and read [nan, nan] at 0.5 without a word
+        with pytest.raises(ValueError, match=f"^nodes must be finite, got {value!r}$"):
+            NodalBasis([0.0, value])
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [[-1.0, 1e308, -1e308], np.arange(40) * 1e-10, np.arange(200) * 10.0],
+        ids=["difference-overflows", "products-underflow", "products-overflow"],
+    )
+    def test_nodes_whose_weights_leave_the_float_range_are_refused(self, nodes):
+        # each emitted RuntimeWarnings, which this suite makes errors, and built weights that
+        # were not finite
+        with pytest.raises(ValueError, match="^nodes give barycentric weights outside the float"):
+            NodalBasis(nodes)
 
     def test_weights_are_computed_not_taken(self):
         # weights passed in beside the nodes built a basis whose values were wrong without an

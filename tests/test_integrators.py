@@ -630,8 +630,10 @@ class TestExactStepMap:
     # exactly, equals it: one step is the diagonal Pade map, exact in fractions over the
     # doubles of y0. The error bound is fixed in units of eps max|R y0|: over 200 states the
     # worst reads are 3.1 up to p = 8, 3.5 at p = 16 and 4.1 at p = 32, all MGI, where the float
-    # edge table read 4.4 (p = 8) and 12.4 (p = 32)
-    @pytest.mark.parametrize("p", [*range(1, 9), 16, 32])
+    # edge table read 4.4 (p = 8) and 12.4 (p = 32). Over these 8 states MGI reads 3.3 at
+    # p = 48 and 2.4 at p = 64 on q_rhs = 64 points; Gauss weights that were not correctly
+    # rounded, which no longer cancel against the dual mass at q_rhs > p, read 18.7 at p = 48
+    @pytest.mark.parametrize("p", [*range(1, 9), 16, 32, 48, 64])
     @pytest.mark.parametrize("method", ["mci", "mgi"])
     def test_one_step_is_the_pade_map_to_a_few_ulps(self, method, p):
         dt = 1.0 if p <= 8 else p / 8

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodesy import basis
 from geodesy.basis import edge_eval_all, gauss_rule, gll_rule
 from geodesy.errors import EvaluationError
 from geodesy.mimetic import (
@@ -574,11 +575,20 @@ class TestDualEdges:
             assert int(Fraction(float(exact)) / ulp) % 2 == 0
 
     def test_the_decimal_default_context_takes_no_part(self, monkeypatch):
-        # Context copies every field it is not given from decimal.DefaultContext
+        # Context copies every field it is not given from decimal.DefaultContext, and a Decimal
+        # negated outside the routine's context rounds in the caller's. With the rules' caches
+        # cleared, the rules and the table are computed again under both, changed
+        rules = [(r.nodes.tobytes(), r.weights.tobytes()) for r in (gauss_rule(5), gll_rule(5))]
         monkeypatch.setattr(decimal.DefaultContext, "rounding", decimal.ROUND_DOWN)
         monkeypatch.setattr(decimal.DefaultContext, "Emax", 10)
         monkeypatch.setitem(decimal.DefaultContext.traps, decimal.Inexact, True)
-        assert _edge_table(5, 40).tobytes() == _dual_edges(5).tobytes()
+        basis._decimal_rule.cache_clear()
+        basis._rule.cache_clear()
+        with localcontext() as caller:
+            caller.prec, caller.rounding = 6, decimal.ROUND_FLOOR
+            again = [(r.nodes.tobytes(), r.weights.tobytes()) for r in (gauss_rule(5), gll_rule(5))]
+            assert _edge_table(5, 40).tobytes() == _dual_edges(5).tobytes()
+        assert again == rules
 
 
 class TestHighOrders:

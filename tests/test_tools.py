@@ -70,12 +70,12 @@ def digest():
     return _load("output_digest").digests(geodesy)
 
 
-def test_output_digest_hashes_the_eight_output_parts(digest):
+def test_output_digest_hashes_the_nine_output_parts(digest):
     # CI compares these lines with the base's, part by part
     parts, total = digest
     assert list(parts) == [
         "runs", "public", "tableau", "high-order", "baselines", "mci-tables", "mgi-tables",
-        "toolkit",
+        "toolkit", "rules",
     ]
     for hexdigest in (*parts.values(), total):
         assert re.fullmatch("[0-9a-f]{64}", hexdigest), hexdigest

@@ -33,7 +33,9 @@ it is min(2p + 10, 64). The digest covers:
   for p = 1..16: reduce0 and reduce1 of fixed functions, reconstruct0 point by
   point, reconstruct1, canonical_hodge_1to0, galerkin_mass_dual,
   galerkin_pairing, dual_mass_matrix, and nodal_eval_all and nodal_deriv_all
-  of both bases at fixed points.
+  of both bases at fixed points;
+- rules: the nodes and weights of gauss_rule(n) and gll_rule(n) for n = 1..64,
+  so a change to a rule shows apart from the outputs that read it.
 
 A failing call is hashed as its error type and message. One line per part
 is printed, then the digest over all of them.
@@ -110,7 +112,7 @@ def _hash_toolkit(sha, g, p):
 def digests(g):
     names = (
         "runs", "public", "tableau", "high-order", "baselines", "mci-tables", "mgi-tables",
-        "toolkit",
+        "toolkit", "rules",
     )
     parts = {name: hashlib.sha256() for name in names}
     for name in PROBLEMS:
@@ -178,6 +180,9 @@ def digests(g):
             _feed(parts["mgi-tables"], p, q, *record(p, q, True))
     for p in range(1, 17):
         _hash_toolkit(parts["toolkit"], g, p)
+    for n in range(1, g.basis.MAX_ORDER + 1):
+        for rule in (g.gauss_rule(n), g.gll_rule(n)):
+            _feed(parts["rules"], n, rule.nodes, rule.weights)
     total = hashlib.sha256()
     for sha in parts.values():
         total.update(sha.digest())
