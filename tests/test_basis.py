@@ -109,17 +109,26 @@ class TestLegendre:
                 assert d == pytest.approx((vp - vm) / (2 * h), rel=1e-8, abs=1e-8)
 
 
+def correctly_rounded(*values, root=False):
+    # each exact rational, or its square root to 50 digits, rounded once to a float
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = map(Fraction, values)
+        return [float((Decimal(f.numerator) / f.denominator).sqrt() if root else f) for f in exact]
+
+
 class TestGaussRule:
     def test_closed_forms(self):
+        # correctly rounded: the float weight formula read 0.5555555555555557 for 5/9
         r1 = gauss_rule(1)
-        npt.assert_allclose(r1.nodes, [0.0], atol=1e-15)
-        npt.assert_allclose(r1.weights, [2.0], atol=1e-15)
+        assert r1.nodes.tolist() == [0.0] and r1.weights.tolist() == [2.0]
         r2 = gauss_rule(2)
-        npt.assert_allclose(r2.nodes, [-1 / np.sqrt(3), 1 / np.sqrt(3)], atol=1e-15)
-        npt.assert_allclose(r2.weights, [1.0, 1.0], atol=1e-15)
+        third = correctly_rounded("1/3", root=True)[0]
+        assert r2.nodes.tolist() == [-third, third] and r2.weights.tolist() == [1.0, 1.0]
         r3 = gauss_rule(3)
-        npt.assert_allclose(r3.nodes, [-np.sqrt(0.6), 0.0, np.sqrt(0.6)], atol=1e-15)
-        npt.assert_allclose(r3.weights, [5 / 9, 8 / 9, 5 / 9], atol=1e-15)
+        root = correctly_rounded("3/5", root=True)[0]
+        assert r3.nodes.tolist() == [-root, 0.0, root]
+        assert r3.weights.tolist() == correctly_rounded("5/9", "8/9", "5/9")
 
     @needs_long_double
     @pytest.mark.parametrize("q", range(1, 65))
@@ -172,18 +181,6 @@ def test_a_rule_is_its_routine_at_60_digits_bit_for_bit(rule, lobatto, n):
     assert rule(n).weights.tobytes() == weights.tobytes()
 
 
-def test_closed_form_rules_are_correctly_rounded():
-    # oracles in exact rationals and a 50-digit root, each rounded once; the float weight
-    # formula read 0.5555555555555557 for 5/9
-    with localcontext() as ctx:
-        ctx.prec = 50
-        third, fifth = float(1 / Decimal(3).sqrt()), float(1 / Decimal(5).sqrt())
-    assert gauss_rule(2).nodes.tolist() == [-third, third]
-    assert gauss_rule(3).weights.tolist() == [float(Fraction(k, 9)) for k in (5, 8, 5)]
-    assert gll_rule(3).nodes.tolist() == [-1.0, -fifth, fifth, 1.0]
-    assert gll_rule(3).weights.tolist() == [float(Fraction(k, 6)) for k in (1, 5, 5, 1)]
-
-
 @pytest.mark.parametrize("rule, what", [(gauss_rule, "Gauss order"), (gll_rule, "GLL order")])
 def test_an_order_is_checked_before_the_cache(rule, what):
     # the check ran inside the cache, which took 3.0 for the np.int64(3) already in it and
@@ -225,16 +222,16 @@ class TestQuadratureRule:
 
 class TestGLLRule:
     def test_closed_forms(self):
+        # correctly rounded, as gauss_rule's are
         r1 = gll_rule(1)
-        npt.assert_allclose(r1.nodes, [-1.0, 1.0], atol=0)
-        npt.assert_allclose(r1.weights, [1.0, 1.0], atol=1e-15)
+        assert r1.nodes.tolist() == [-1.0, 1.0] and r1.weights.tolist() == [1.0, 1.0]
         r2 = gll_rule(2)
-        npt.assert_allclose(r2.nodes, [-1.0, 0.0, 1.0], atol=1e-15)
-        npt.assert_allclose(r2.weights, [1 / 3, 4 / 3, 1 / 3], atol=1e-15)
+        assert r2.nodes.tolist() == [-1.0, 0.0, 1.0]
+        assert r2.weights.tolist() == correctly_rounded("1/3", "4/3", "1/3")
         r3 = gll_rule(3)
-        s5 = 1 / np.sqrt(5)
-        npt.assert_allclose(r3.nodes, [-1.0, -s5, s5, 1.0], atol=1e-15)
-        npt.assert_allclose(r3.weights, [1 / 6, 5 / 6, 5 / 6, 1 / 6], atol=1e-15)
+        fifth = correctly_rounded("1/5", root=True)[0]
+        assert r3.nodes.tolist() == [-1.0, -fifth, fifth, 1.0]
+        assert r3.weights.tolist() == correctly_rounded("1/6", "5/6", "5/6", "1/6")
 
     @pytest.mark.parametrize("p", [1, 2, 3, 6, 11, 20])
     def test_monomial_exactness(self, p):
